@@ -250,6 +250,15 @@ class GroupMap:
     def zero(src: AbGroup, dst: AbGroup) -> "GroupMap":
         return GroupMap(src, dst, la.zeros(dst.dim, src.dim), check=False)
 
+    @staticmethod
+    def from_images(src: AbGroup, dst: AbGroup, image_of,
+                    check: bool = False) -> "GroupMap":
+        """The map whose column c is ``image_of`` of the c-th basis vector of src."""
+        cols = [image_of(tuple(1 if q == c else 0 for q in range(src.dim)))
+                for c in range(src.dim)]
+        return GroupMap(src, dst, [[col[r] for col in cols] for r in range(dst.dim)],
+                        check=check)
+
 
 class Subgroup:
     """Subgroup of an ambient coordinate group, generated by given elements."""

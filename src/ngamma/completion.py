@@ -14,7 +14,7 @@ from math import gcd
 
 from . import intlinalg as la
 from .abgroups import AbGroup, GroupMap, Presentation, SoundnessError, kernel
-from .core import FiniteAddMonoid, NaryGammaSemiring
+from .core import FiniteAddMonoid, NaryGammaSemiring, StructuralError
 from .modules import BiGammaModule, ModuleMorphism
 
 
@@ -58,17 +58,15 @@ def group_complete(monoid: FiniteAddMonoid) -> Completion:
 
 def completion_map(src: Completion, dst: Completion, elem_map) -> GroupMap:
     """Induced map on completions of an additive element map."""
-    cols = []
-    for c in range(src.group.dim):
-        vec = src.pres.lift([1 if i == c else 0 for i in range(src.group.dim)])
+    def image_of(basis):
         img = [0] * dst.group.dim
-        for m, coeff in enumerate(vec):
+        for m, coeff in enumerate(src.pres.lift(basis)):
             if coeff:
                 target = dst.vector(elem_map(m) if callable(elem_map) else elem_map[m])
                 img = [x + coeff * y for x, y in zip(img, target)]
-        cols.append(dst.group.reduce(img))
-    mat = [[cols[c][r] for c in range(src.group.dim)] for r in range(dst.group.dim)]
-    return GroupMap(src.group, dst.group, mat)
+        return img
+
+    return GroupMap.from_images(src.group, dst.group, image_of, check=True)
 
 
 def filler_tuples(s: NaryGammaSemiring) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
@@ -107,7 +105,8 @@ def linearize_module(b: BiGammaModule, name: str = "") -> CompletedModule:
 
 def linearize_morphism(f: ModuleMorphism, src: CompletedModule,
                        dst: CompletedModule) -> GroupMap:
-    assert src.completion is not None and dst.completion is not None
+    if src.completion is None or dst.completion is None:
+        raise StructuralError("linearizing a morphism needs both completions")
     return completion_map(src.completion, dst.completion, f.map)
 
 
@@ -196,7 +195,8 @@ class EquivariantHom:
     """Additive maps commuting with every positional operator."""
 
     def __init__(self, x: CompletedModule, y: CompletedModule):
-        assert x.semiring == y.semiring
+        if x.semiring != y.semiring:
+            raise StructuralError("Hom endpoints live over different semirings")
         self.x = x
         self.y = y
         self.base = HomBase(x.group, y.group)
@@ -241,11 +241,17 @@ class EquivariantHom:
         for coords in self.group.elements():
             yield coords, self.matrix(coords)
 
+    def precompose(self, g: GroupMap, dst: "EquivariantHom", what: str) -> GroupMap:
+        """f -> f . g from this Hom group into ``dst``, whose source is g's."""
+        def image_of(basis):
+            f = self.matrix(basis)
+            coords = dst.coords(GroupMap(g.src, f.dst, la.mat_mul(f.mat, g.mat, f.src.dim),
+                                         check=False))
+            if coords is None:
+                raise SoundnessError(f"{what} left the equivariant maps")
+            return coords
 
-def equivariant_hom_group(x: CompletedModule, y: CompletedModule,
-                          j: int = 0, k: int = 0) -> EquivariantHom:
-    """Maps commuting with every slot's operators; j, k record orientation."""
-    return EquivariantHom(x, y)
+        return GroupMap.from_images(self.group, dst.group, image_of)
 
 
 # ---------------------------------------------------------------------------
@@ -257,7 +263,8 @@ class TensorGroup:
 
     def __init__(self, x: CompletedModule, y: CompletedModule, j: int, k: int,
                  name: str = ""):
-        assert x.semiring == y.semiring
+        if x.semiring != y.semiring:
+            raise StructuralError("tensor factors live over different semirings")
         self.x = x
         self.y = y
         self.jslot = j
@@ -307,7 +314,7 @@ class TensorGroup:
                 return None
         lift = self.pres.lift_matrix()
         proj = self.pres.proj_matrix()
-        mid = la.mat_mul(pairmat, lift, self.group.dim)
+        mid = la.mat_mul(pairmat, lift, self.pair_dim)
         mat = la.mat_mul(proj, mid, self.pair_dim)
         return GroupMap(self.group, self.group, mat, check=False)
 
@@ -347,8 +354,3 @@ class TensorGroup:
                 slot_ops.append(mat)
             ops.append(tuple(slot_ops))
         return CompletedModule(s, self.group, tuple(ops), None, name=self.name)
-
-
-def balanced_tensor_group(x: CompletedModule, y: CompletedModule,
-                          j: int, k: int) -> TensorGroup:
-    return TensorGroup(x, y, j, k)

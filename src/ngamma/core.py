@@ -44,6 +44,44 @@ def unflatten_index(idx: int, sizes) -> tuple[int, ...]:
     return tuple(reversed(out))
 
 
+def congruence_closure(size: int, pairs, translate=None):
+    """Smallest equivalence on range(size) containing ``pairs``.
+
+    A union-find whose roots are the smallest members of their classes.  When
+    ``translate`` is given, every pair (u, v) that merges two classes also
+    queues the pairs ``translate(u, v)`` yields, so the result is closed under
+    those translations.  Returns (class_of, reps): classes are numbered in
+    increasing order of their smallest member and reps[c] is that member.
+    """
+    parent = list(range(size))
+
+    def find(a):
+        while parent[a] != a:
+            parent[a] = parent[parent[a]]
+            a = parent[a]
+        return a
+
+    work = list(pairs)
+    while work:
+        u, v = work.pop()
+        ru, rv = find(u), find(v)
+        if ru == rv:
+            continue
+        parent[max(ru, rv)] = min(ru, rv)
+        if translate is not None:
+            work.extend(translate(u, v))
+    class_of = [0] * size
+    reps = []
+    for x in range(size):
+        root = find(x)
+        if root == x:
+            class_of[x] = len(reps)
+            reps.append(x)
+        else:
+            class_of[x] = class_of[root]
+    return class_of, reps
+
+
 @dataclass(frozen=True)
 class FiniteAddMonoid:
     """Commutative additive monoid given by a dense addition table."""
@@ -436,28 +474,15 @@ class GammaSemiringMorphism:
 
 def validate_morphism(f: GammaSemiringMorphism) -> AxiomReport:
     s, t = f.source, f.target
-    checks = []
-    wit = None
-    for a in s.T.elements():
-        for b in s.T.elements():
-            if f(s.T.add(a, b)) != t.T.add(f(a), f(b)):
-                wit = (a, b)
-                break
-        if wit:
-            break
+    wit = next(((a, b) for a in s.T.elements() for b in s.T.elements()
+                if f(s.T.add(a, b)) != t.T.add(f(a), f(b))), None)
     if f(s.T.zero) != t.T.zero:
         wit = wit or ("zero",)
-    checks.append(AxiomCheck("morphism additivity", wit is None, wit))
-    wit = None
-    for xs in s.t_tuples(s.n):
-        for gs in s.g_tuples(s.n - 1):
-            if f(s.mu(xs, gs)) != t.mu(tuple(f(x) for x in xs), gs):
-                wit = (xs, gs)
-                break
-        if wit:
-            break
-    checks.append(AxiomCheck("morphism multiplicativity", wit is None, wit))
-    return AxiomReport(tuple(checks))
+    add = AxiomCheck("morphism additivity", wit is None, wit)
+    wit = next(((xs, gs) for xs in s.t_tuples(s.n) for gs in s.g_tuples(s.n - 1)
+                if f(s.mu(xs, gs)) != t.mu(tuple(f(x) for x in xs), gs)), None)
+    mul = AxiomCheck("morphism multiplicativity", wit is None, wit)
+    return AxiomReport((add, mul))
 
 
 def identity_morphism(s: NaryGammaSemiring) -> GammaSemiringMorphism:

@@ -20,16 +20,15 @@ from .abgroups import (
     order_lattice_columns,
 )
 from .core import BoundExceeded, NaryGammaSemiring, neutral_words
+from .ideals import coset_congruence, quotient_monoid
 from .modules import (
-    BiGammaModule, Conflation, ModuleMorphism, cofree, regular_bimodule,
-    validate_module_morphism,
+    BiGammaModule, Conflation, ModuleMorphism, build_module, cofree,
+    regular_bimodule, validate_module_morphism,
 )
 from .completion import (
     CompletedModule, EquivariantHom, TensorGroup, filler_tuples,
     linearize_module, linearize_morphism,
 )
-
-linearize = linearize_module
 
 
 class RegularityError(RuntimeError):
@@ -404,9 +403,9 @@ def bar_complex(s: NaryGammaSemiring, module, j: int = 2, k: int = 0,
                 carrier: CompletedModule | None = None) -> BarComplex:
     policy = policy or default_policy(s)
     if isinstance(module, BiGammaModule):
-        module = linearize(module)
+        module = linearize_module(module)
     if carrier is None:
-        carrier = linearize(regular_bimodule(s))
+        carrier = linearize_module(regular_bimodule(s))
     if not (0 <= j < s.n and 0 <= k < s.n):
         raise ValueError("slot indices out of range")
     return BarComplex(s, module, carrier, j, k, depth, policy)
@@ -423,26 +422,10 @@ class HomCochain:
         self.bar = bar
         self.target = target
         self.homs = [EquivariantHom(term, target) for term in bar.terms]
-        diffs = [self._induced(r) for r in range(len(bar.terms) - 1)]
+        diffs = [self.homs[r].precompose(bar.diffs[r + 1], self.homs[r + 1],
+                                         "precomposition")
+                 for r in range(len(bar.terms) - 1)]
         self.cochain = Cochain([h.group for h in self.homs], diffs)
-
-    def _induced(self, r: int) -> GroupMap:
-        src_h = self.homs[r]
-        dst_h = self.homs[r + 1]
-        d = self.bar.diffs[r + 1]
-        cols = []
-        for cidx in range(src_h.group.dim):
-            basis = tuple(1 if q == cidx else 0 for q in range(src_h.group.dim))
-            f = src_h.matrix(basis)
-            composed = GroupMap(d.src, f.dst,
-                                la.mat_mul(f.mat, d.mat, f.src.dim), check=False)
-            coords = dst_h.coords(composed)
-            if coords is None:
-                raise SoundnessError("precomposition left the equivariant maps")
-            cols.append(coords)
-        mat = [[cols[c][rr] for c in range(src_h.group.dim)]
-               for rr in range(dst_h.group.dim)]
-        return GroupMap(src_h.group, dst_h.group, mat, check=False)
 
 
 class TensorChain:
@@ -505,7 +488,7 @@ def ext_via_bar(s, m, n, j: int = 2, k: int = 0, depth: int = 2,
                 policy: ContractionPolicy | None = None) -> DerivedResult:
     policy = policy or default_policy(s)
     bar = bar_complex(s, m, j, k, depth + 1, policy)
-    target = n if isinstance(n, CompletedModule) else linearize(n)
+    target = n if isinstance(n, CompletedModule) else linearize_module(n)
     hc = HomCochain(bar, target)
     return DerivedResult(hc.cochain.cohomology(depth))
 
@@ -514,7 +497,7 @@ def tor_via_bar(s, m, n, j: int = 2, k: int = 0, depth: int = 2,
                 policy: ContractionPolicy | None = None) -> DerivedResult:
     policy = policy or default_policy(s)
     bar = bar_complex(s, m, j, k, depth + 1, policy)
-    right = n if isinstance(n, CompletedModule) else linearize(n)
+    right = n if isinstance(n, CompletedModule) else linearize_module(n)
     tc = TensorChain(bar, right)
     return DerivedResult(homology(tc.chain)[:depth + 1])
 
@@ -535,18 +518,13 @@ class CofreeTower:
         homs = [EquivariantHom(m, t) for t in self.terms]
         diffs = []
         for r in range(len(self.terms) - 1):
-            src_h, dst_h = homs[r], homs[r + 1]
-            cols = []
-            for cidx in range(src_h.group.dim):
-                basis = tuple(1 if q == cidx else 0 for q in range(src_h.group.dim))
-                composed = self.maps[r].compose(src_h.matrix(basis))
-                coords = dst_h.coords(composed)
+            def image_of(basis):
+                coords = homs[r + 1].coords(self.maps[r].compose(homs[r].matrix(basis)))
                 if coords is None:
                     raise SoundnessError("postcomposition left the equivariant maps")
-                cols.append(coords)
-            mat = [[cols[c][rr] for c in range(src_h.group.dim)]
-                   for rr in range(dst_h.group.dim)]
-            diffs.append(GroupMap(src_h.group, dst_h.group, mat, check=False))
+                return coords
+
+            diffs.append(GroupMap.from_images(homs[r].group, homs[r + 1].group, image_of))
         return Cochain([h.group for h in homs], diffs)
 
 
@@ -574,33 +552,10 @@ def _unit_into_cofree(b: BiGammaModule, policy: ContractionPolicy):
 
 def _module_coker(f: ModuleMorphism) -> ModuleMorphism:
     """Projection of the target onto its quotient by the image congruence."""
-    from .core import FiniteAddMonoid
-    from .modules import build_module
     b = f.target
-    img = sorted({f(x) for x in range(f.source.M.size)})
     size = b.M.size
-    cosets = [{b.M.add(u, i) for i in img} for u in range(size)]
-    parent = list(range(size))
-
-    def find(a):
-        while parent[a] != a:
-            parent[a] = parent[parent[a]]
-            a = parent[a]
-        return a
-
-    for x in range(size):
-        for y in range(x + 1, size):
-            if cosets[x] & cosets[y]:
-                rx, ry = find(x), find(y)
-                if rx != ry:
-                    parent[max(rx, ry)] = min(rx, ry)
-    roots = sorted({find(x) for x in range(size)})
-    cls = [roots.index(find(x)) for x in range(size)]
-    nclasses = len(roots)
-    reps = [cls.index(c) for c in range(nclasses)]
-    add = tuple(cls[b.M.add(reps[a2], reps[b2])]
-                for a2 in range(nclasses) for b2 in range(nclasses))
-    monoid = FiniteAddMonoid(nclasses, add, cls[b.M.zero])
+    cls, reps = coset_congruence(b.M, {f(x) for x in range(f.source.M.size)})
+    monoid = quotient_monoid(b.M, cls, reps)
     s = b.parent
     for slot in range(s.n):
         for tother in s.t_tuples(s.n - 1):
@@ -630,8 +585,8 @@ def cofree_coresolution(s: NaryGammaSemiring, b: BiGammaModule, depth: int = 2,
         cf, unit = _unit_into_cofree(current, policy)
         if not validate_module_morphism(unit).ok:
             raise SoundnessError("unit is not a module morphism on this instance")
-        lin_src = linearize(current)
-        lin_dst = linearize(cf.module)
+        lin_src = linearize_module(current)
+        lin_dst = linearize_module(cf.module)
         unit_lin = linearize_morphism(unit, lin_src, lin_dst)
         if not kernel(unit_lin).group.is_trivial():
             raise RegularityError(
@@ -645,14 +600,14 @@ def cofree_coresolution(s: NaryGammaSemiring, b: BiGammaModule, depth: int = 2,
         current = proj.target
     maps = []
     for r in range(depth):
-        coker_lin = linearize(projs[r].target)
+        coker_lin = linearize_module(projs[r].target)
         step1 = linearize_morphism(projs[r], terms[r], coker_lin)
         step2 = linearize_morphism(units[r + 1], coker_lin, terms[r + 1])
         maps.append(step2.compose(step1))
     for r in range(1, len(maps)):
         if not maps[r].compose(maps[r - 1]).is_zero():
             raise SoundnessError("cofree tower differential does not square to zero")
-    unit0 = linearize_morphism(units[0], linearize(b), terms[0])
+    unit0 = linearize_morphism(units[0], linearize_module(b), terms[0])
     return CofreeTower(b, terms, maps, unit0, monoid_sizes)
 
 
@@ -660,7 +615,7 @@ def ext_via_cofree(s: NaryGammaSemiring, m, n: BiGammaModule, depth: int = 2,
                    policy: ContractionPolicy | None = None) -> DerivedResult:
     policy = policy or default_policy(s)
     tower = cofree_coresolution(s, n, depth + 1, policy)
-    lin_m = m if isinstance(m, CompletedModule) else linearize(m)
+    lin_m = m if isinstance(m, CompletedModule) else linearize_module(m)
     cochain = tower.cochain_hom_from(lin_m)
     return DerivedResult(cochain.cohomology(depth))
 
@@ -759,23 +714,13 @@ def snake_les(x: Cochain, y: Cochain, z: Cochain,
     nodes_z = [z.node(r) for r in range(upto + 2)]
 
     def induced(node_src, node_dst, gm):
-        cols = []
-        for c in range(node_src.group.dim):
-            rep = node_src.representative(tuple(1 if q == c else 0
-                                                for q in range(node_src.group.dim)))
-            cols.append(node_dst.classify(gm(rep)))
-        return GroupMap(node_src.group, node_dst.group,
-                        [[cols[c][rr] for c in range(node_src.group.dim)]
-                         for rr in range(node_dst.group.dim)], check=False)
+        return GroupMap.from_images(
+            node_src.group, node_dst.group,
+            lambda basis: node_dst.classify(gm(node_src.representative(basis))))
 
     def connecting(r):
-        node_z = nodes_z[r]
-        node_x = nodes_x[r + 1]
-        cols = []
-        for c in range(node_z.group.dim):
-            rep = node_z.representative(tuple(1 if q == c else 0
-                                              for q in range(node_z.group.dim)))
-            v = solve_preimage(gmaps[r], rep)
+        def image_of(basis):
+            v = solve_preimage(gmaps[r], nodes_z[r].representative(basis))
             if v is None:
                 raise SoundnessError("surjectivity failed during the zig-zag")
             w = y.d(r)(v)
@@ -784,10 +729,9 @@ def snake_les(x: Cochain, y: Cochain, z: Cochain,
                 raise SoundnessError("kernel transfer failed during the zig-zag")
             if r + 2 < len(x.groups) and not x.groups[r + 2].is_zero(x.d(r + 1)(u)):
                 raise SoundnessError("zig-zag output is not a cocycle")
-            cols.append(node_x.classify(u))
-        return GroupMap(node_z.group, node_x.group,
-                        [[cols[c][rr] for c in range(node_z.group.dim)]
-                         for rr in range(node_x.group.dim)], check=False)
+            return nodes_x[r + 1].classify(u)
+
+        return GroupMap.from_images(nodes_z[r].group, nodes_x[r + 1].group, image_of)
 
     labels = []
     groups = []
@@ -819,7 +763,8 @@ def les_check(c: Conflation, n: BiGammaModule, depth: int = 2,
     s = n.parent
     policy = policy or default_policy(s)
     a_mod, b_mod, c_mod = c.i.source, c.i.target, c.p.target
-    lin_a, lin_b, lin_c = linearize(a_mod), linearize(b_mod), linearize(c_mod)
+    lin_a, lin_b, lin_c = (linearize_module(a_mod), linearize_module(b_mod),
+                           linearize_module(c_mod))
     ki = linearize_morphism(c.i, lin_a, lin_b)
     kp = linearize_morphism(c.p, lin_b, lin_c)
     completion_exact = (kernel(ki).group.is_trivial()
@@ -833,30 +778,14 @@ def les_check(c: Conflation, n: BiGammaModule, depth: int = 2,
     maps_p = bar_map(bar_b, bar_c, kp)
 
     if side == "hom":
-        target = linearize(n)
+        target = linearize_module(n)
         hc_a = HomCochain(bar_a, target)
         hc_b = HomCochain(bar_b, target)
         hc_c = HomCochain(bar_c, target)
 
         def pullback(hsrc, hdst, gms):
-            out = []
-            for r in range(len(gms)):
-                src_h, dst_h = hsrc.homs[r], hdst.homs[r]
-                cols = []
-                for cc in range(src_h.group.dim):
-                    basis = tuple(1 if q == cc else 0 for q in range(src_h.group.dim))
-                    f = src_h.matrix(basis)
-                    composed = GroupMap(gms[r].src, f.dst,
-                                        la.mat_mul(f.mat, gms[r].mat, f.src.dim),
-                                        check=False)
-                    coords = dst_h.coords(composed)
-                    if coords is None:
-                        raise SoundnessError("pullback left the equivariant maps")
-                    cols.append(coords)
-                out.append(GroupMap(src_h.group, dst_h.group,
-                                    [[cols[cc][rr] for cc in range(src_h.group.dim)]
-                                     for rr in range(dst_h.group.dim)], check=False))
-            return out
+            return [hsrc.homs[r].precompose(gm, hdst.homs[r], "pullback")
+                    for r, gm in enumerate(gms)]
 
         pstar = pullback(hc_c, hc_b, maps_p)
         istar = pullback(hc_b, hc_a, maps_i)
@@ -867,7 +796,7 @@ def les_check(c: Conflation, n: BiGammaModule, depth: int = 2,
 
     if side != "tor":
         raise ValueError("side must be 'hom' or 'tor'")
-    right = linearize(n)
+    right = linearize_module(n)
     barn = bar_complex(s, right, j, k, bar_depth, policy)
     tc_a = TensorChain(barn, lin_a)
     tc_b = TensorChain(barn, lin_b)
@@ -919,8 +848,8 @@ class ExtSetup:
         self.semiring = s
         self.policy = policy or default_policy(s)
         self.jslot, self.kslot = j, k
-        self.src = linearize(m)
-        self.dst = linearize(n)
+        self.src = linearize_module(m)
+        self.dst = linearize_module(n)
         self.bar = bar_complex(s, self.src, j, k, depth, self.policy)
         self.hom = HomCochain(self.bar, self.dst)
         self.nodes = [self.hom.cochain.node(r)

@@ -14,7 +14,7 @@ from itertools import product
 from .abgroups import SoundnessError
 from .core import (
     AxiomCheck, BoundExceeded, FiniteAddMonoid, GammaSemiringMorphism,
-    NaryGammaSemiring, StructuralError,
+    NaryGammaSemiring, StructuralError, congruence_closure,
 )
 
 DEFAULT_SIZE_BOUND = 16
@@ -113,38 +113,34 @@ def all_ideals(s: NaryGammaSemiring, bound: int = DEFAULT_SIZE_BOUND) -> list[Ga
     return out
 
 
+def coset_congruence(monoid: FiniteAddMonoid, members):
+    """(class_of, reps) for x ~ y iff x+i = y+j with i, j in ``members``."""
+    size = monoid.size
+    cosets = [{monoid.add(x, i) for i in members} for x in range(size)]
+    return congruence_closure(size, ((x, y) for x in range(size)
+                                     for y in range(x + 1, size)
+                                     if cosets[x] & cosets[y]))
+
+
 def bourne_classes(s: NaryGammaSemiring, ideal: GammaIdeal) -> list[int]:
     """class index per element for x ~ y iff x+i = y+j with i, j in the ideal."""
-    size = s.T.size
-    cosets = []
-    for x in range(size):
-        cosets.append({s.T.add(x, i) for i in ideal.members})
-    parent = list(range(size))
+    return coset_congruence(s.T, ideal.members)[0]
 
-    def find(a):
-        while parent[a] != a:
-            parent[a] = parent[parent[a]]
-            a = parent[a]
-        return a
 
-    for x in range(size):
-        for y in range(x + 1, size):
-            if cosets[x] & cosets[y]:
-                rx, ry = find(x), find(y)
-                if rx != ry:
-                    parent[max(rx, ry)] = min(rx, ry)
-    roots = sorted({find(x) for x in range(size)})
-    root_index = {r: i for i, r in enumerate(roots)}
-    return [root_index[find(x)] for x in range(size)]
+def quotient_monoid(monoid: FiniteAddMonoid, cls, reps) -> FiniteAddMonoid:
+    """The monoid on classes, added through their representatives."""
+    k = len(reps)
+    return FiniteAddMonoid(k, tuple(cls[monoid.add(reps[a], reps[b])]
+                                    for a in range(k) for b in range(k)),
+                           cls[monoid.zero])
 
 
 def quotient(s: NaryGammaSemiring, ideal: GammaIdeal):
     """(quotient semiring, projection morphism)."""
     if ideal.parent is not s and ideal.parent != s:
         raise StructuralError("ideal belongs to a different semiring")
-    cls = bourne_classes(s, ideal)
-    nclasses = max(cls) + 1
-    reps = [cls.index(c) for c in range(nclasses)]
+    cls, reps = coset_congruence(s.T, ideal.members)
+    nclasses = len(reps)
     # Soundness: the induced operations must be constant on classes.
     for x in range(s.T.size):
         for y in range(s.T.size):
@@ -165,9 +161,7 @@ def quotient(s: NaryGammaSemiring, ideal: GammaIdeal):
                         if cls[a] != cls[b]:
                             raise SoundnessError(
                                 f"multiplication not constant on classes: {(j + 1, x, y, rest, gs)}")
-    add_table = tuple(cls[s.T.add(reps[a], reps[b])]
-                      for a in range(nclasses) for b in range(nclasses))
-    t = FiniteAddMonoid(nclasses, add_table, cls[s.T.zero])
+    t = quotient_monoid(s.T, cls, reps)
     mu = []
     for xs in product(range(nclasses), repeat=n):
         for gs in s.g_tuples(n - 1):

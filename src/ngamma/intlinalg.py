@@ -25,8 +25,8 @@ def mat_mul(a, b, inner: int):
     """Product a@b where a is m x inner and b is inner x k."""
     m = len(a)
     k = len(b[0]) if b else 0
-    if inner and b:
-        assert len(b) == inner
+    if inner and b and len(b) != inner:
+        raise ValueError(f"inner dimension {inner} does not match {len(b)} rows")
     out = zeros(m, k)
     for i in range(m):
         arow = a[i]

@@ -16,9 +16,10 @@ from itertools import product
 from .abgroups import SoundnessError
 from .core import (
     AxiomCheck, AxiomReport, BoundExceeded, FiniteAddMonoid,
-    NaryGammaSemiring, StructuralError, flatten_index,
+    NaryGammaSemiring, StructuralError, _skip_gamma_pair, congruence_closure,
+    flatten_index,
 )
-from .ideals import GammaIdeal, bourne_classes
+from .ideals import GammaIdeal, coset_congruence, quotient_monoid
 
 
 @dataclass(frozen=True)
@@ -100,14 +101,9 @@ def ideal_submodule(s: NaryGammaSemiring, ideal: GammaIdeal) -> BiGammaModule:
 
 def quotient_module(s: NaryGammaSemiring, ideal: GammaIdeal) -> BiGammaModule:
     """The quotient carrier as a module over the original semiring."""
-    cls = bourne_classes(s, ideal)
-    nclasses = max(cls) + 1
-    reps = [cls.index(c) for c in range(nclasses)]
-    add = tuple(cls[s.T.add(reps[a], reps[b])]
-                for a in range(nclasses) for b in range(nclasses))
-    monoid = FiniteAddMonoid(nclasses, add, cls[s.T.zero])
+    cls, reps = coset_congruence(s.T, ideal.members)
     return build_module(
-        s, monoid,
+        s, quotient_monoid(s.T, cls, reps),
         lambda j, tother, m, gs: cls[s.mu(tother[:j] + (reps[m],) + tother[j:], gs)],
         name=f"{s.name}.mod{ideal}")
 
@@ -115,7 +111,8 @@ def quotient_module(s: NaryGammaSemiring, ideal: GammaIdeal) -> BiGammaModule:
 def direct_sum_modules(mods: list[BiGammaModule], name: str = ""):
     """(sum module, injections, projections); actions are componentwise."""
     parent = mods[0].parent
-    assert all(m.parent == parent for m in mods)
+    if any(m.parent != parent for m in mods):
+        raise StructuralError("summands live over different semirings")
     sizes = [m.M.size for m in mods]
     elems = list(product(*[range(sz) for sz in sizes]))
     index = {e: i for i, e in enumerate(elems)}
@@ -143,19 +140,25 @@ def direct_sum_modules(mods: list[BiGammaModule], name: str = ""):
 # Validation
 # ---------------------------------------------------------------------------
 
-def _skip_gamma_pair(gamma, a, b):
-    return a == b and gamma.add(a, b) == a
-
-
 def validate_module(b: BiGammaModule) -> AxiomReport:
-    s = b.parent
-    n = s.n
     checks = []
     issues = b.M.validate()
     checks.append(AxiomCheck("module monoid laws", not issues,
                              issues[0] if issues else None))
+    for axiom, witnesses in (("module additivity", _module_additivity_failures),
+                             ("carrier-slot additivity", _carrier_additivity_failures),
+                             ("parameter-slot additivity", _parameter_additivity_failures),
+                             ("zero absorption", _zero_absorption_failures)):
+        wit = next(witnesses(b), None)
+        checks.append(AxiomCheck(axiom, wit is None, wit))
+    additive_ok = all(c.ok for c in checks)
+    checks.append(_check_module_words(b, generators_only=additive_ok))
+    return AxiomReport(tuple(checks))
 
-    wit = None
+
+def _module_additivity_failures(b: BiGammaModule):
+    s = b.parent
+    n = s.n
     for j in range(n):
         for tother in s.t_tuples(n - 1):
             for gs in s.g_tuples(n - 1):
@@ -164,19 +167,12 @@ def validate_module(b: BiGammaModule) -> AxiomReport:
                         lhs = b.act(j, tother, b.M.add(m1, m2), gs)
                         rhs = b.M.add(b.act(j, tother, m1, gs), b.act(j, tother, m2, gs))
                         if lhs != rhs:
-                            wit = (j + 1, m1, m2, tother, gs)
-                            break
-                    if wit:
-                        break
-                if wit:
-                    break
-            if wit:
-                break
-        if wit:
-            break
-    checks.append(AxiomCheck("module additivity", wit is None, wit))
+                            yield (j + 1, m1, m2, tother, gs)
 
-    wit = None
+
+def _carrier_additivity_failures(b: BiGammaModule):
+    s = b.parent
+    n = s.n
     for j in range(n):
         for pos in range(n - 1):
             for rest in s.t_tuples(n - 2):
@@ -190,23 +186,12 @@ def validate_module(b: BiGammaModule) -> AxiomReport:
                                 lhs = b.act(j, tsum, m, gs)
                                 rhs = b.M.add(b.act(j, ta, m, gs), b.act(j, tb, m, gs))
                                 if lhs != rhs:
-                                    wit = (j + 1, pos, x, y, m)
-                                    break
-                            if wit:
-                                break
-                        if wit:
-                            break
-                    if wit:
-                        break
-                if wit:
-                    break
-            if wit:
-                break
-        if wit:
-            break
-    checks.append(AxiomCheck("carrier-slot additivity", wit is None, wit))
+                                    yield (j + 1, pos, x, y, m)
 
-    wit = None
+
+def _parameter_additivity_failures(b: BiGammaModule):
+    s = b.parent
+    n = s.n
     for j in range(n):
         for pos in range(n - 1):
             for grest in s.g_tuples(n - 2):
@@ -223,60 +208,29 @@ def validate_module(b: BiGammaModule) -> AxiomReport:
                                 rhs = b.M.add(b.act(j, tother, m, ga),
                                               b.act(j, tother, m, gb))
                                 if lhs != rhs:
-                                    wit = (j + 1, pos, x, y, m)
-                                    break
-                            if wit:
-                                break
-                        if wit:
-                            break
-                    if wit:
-                        break
-                if wit:
-                    break
-            if wit:
-                break
-        if wit:
-            break
-    checks.append(AxiomCheck("parameter-slot additivity", wit is None, wit))
+                                    yield (j + 1, pos, x, y, m)
 
-    wit = None
+
+def _zero_absorption_failures(b: BiGammaModule):
+    s = b.parent
+    n = s.n
     for j in range(n):
         for tother in s.t_tuples(n - 1):
             for gs in s.g_tuples(n - 1):
                 if b.act(j, tother, b.M.zero, gs) != b.M.zero:
-                    wit = (j + 1, "module zero", tother, gs)
-                    break
+                    yield (j + 1, "module zero", tother, gs)
                 if s.T.zero in tother:
                     for m in range(b.M.size):
                         if b.act(j, tother, m, gs) != b.M.zero:
-                            wit = (j + 1, "carrier zero", tother, m)
-                            break
-                if wit:
-                    break
-            if wit:
-                break
-        if wit:
-            break
-    if wit is None and s.gamma.has_zero:
+                            yield (j + 1, "carrier zero", tother, m)
+    if s.gamma.has_zero:
         for j in range(n):
             for tother in s.t_tuples(n - 1):
                 for gs in s.g_tuples(n - 1):
                     if s.gamma.zero in gs:
                         for m in range(b.M.size):
                             if b.act(j, tother, m, gs) != b.M.zero:
-                                wit = (j + 1, "parameter zero", gs, m)
-                                break
-                    if wit:
-                        break
-                if wit:
-                    break
-            if wit:
-                break
-    checks.append(AxiomCheck("zero absorption", wit is None, wit))
-
-    additive_ok = all(c.ok for c in checks)
-    checks.append(_check_module_words(b, generators_only=additive_ok))
-    return AxiomReport(tuple(checks))
+                                yield (j + 1, "parameter zero", gs, m)
 
 
 def _module_word_values(b: BiGammaModule, tokens, gs):
@@ -356,32 +310,16 @@ class ModuleMorphism:
 def validate_module_morphism(f: ModuleMorphism) -> AxiomReport:
     src, dst = f.source, f.target
     s = src.parent
-    checks = []
-    wit = None
-    if f(src.M.zero) != dst.M.zero:
-        wit = ("zero",)
-    for a in range(src.M.size):
-        for b in range(src.M.size):
-            if f(src.M.add(a, b)) != dst.M.add(f(a), f(b)):
-                wit = wit or (a, b)
-    checks.append(AxiomCheck("morphism additivity", wit is None, wit))
-    wit = None
     n = s.n
-    for j in range(n):
-        for tother in s.t_tuples(n - 1):
-            for gs in s.g_tuples(n - 1):
-                for m in range(src.M.size):
-                    if f(src.act(j, tother, m, gs)) != dst.act(j, tother, f(m), gs):
-                        wit = (j + 1, tother, m, gs)
-                        break
-                if wit:
-                    break
-            if wit:
-                break
-        if wit:
-            break
-    checks.append(AxiomCheck("morphism equivariance", wit is None, wit))
-    return AxiomReport(tuple(checks))
+    wit = ("zero",) if f(src.M.zero) != dst.M.zero else next(
+        ((a, b) for a in range(src.M.size) for b in range(src.M.size)
+         if f(src.M.add(a, b)) != dst.M.add(f(a), f(b))), None)
+    add = AxiomCheck("morphism additivity", wit is None, wit)
+    wit = next(((j + 1, tother, m, gs) for j in range(n)
+                for tother in s.t_tuples(n - 1) for gs in s.g_tuples(n - 1)
+                for m in range(src.M.size)
+                if f(src.act(j, tother, m, gs)) != dst.act(j, tother, f(m), gs)), None)
+    return AxiomReport((add, AxiomCheck("morphism equivariance", wit is None, wit)))
 
 
 def identity_module_morphism(b: BiGammaModule) -> ModuleMorphism:
@@ -389,7 +327,8 @@ def identity_module_morphism(b: BiGammaModule) -> ModuleMorphism:
 
 
 def compose_module_morphisms(g: ModuleMorphism, f: ModuleMorphism) -> ModuleMorphism:
-    assert f.target == g.source
+    if f.target != g.source:
+        raise StructuralError("composed morphisms do not meet at one module")
     return ModuleMorphism(f.source, g.target,
                           tuple(g(f(m)) for m in range(f.source.M.size)))
 
@@ -455,15 +394,15 @@ def additive_maps(src: FiniteAddMonoid, dst: FiniteAddMonoid,
                     if z not in expr:
                         expr[z] = ("sum", x, y)
                         changed = True
-    assert len(expr) == src.size
-    order = sorted(expr, key=lambda e: (0 if expr[e][0] == "zero" else
-                                        1 if expr[e][0] == "gen" else 2, e))
+    if len(expr) != src.size:
+        raise SoundnessError("additive generators do not cover the carrier")
 
     out = []
     for images in product(range(dst.size), repeat=len(gens)):
+        # Insertion order is topological: a sum is recorded only after both
+        # of its summands.
         val: dict[int, int] = {}
-        for e in order:
-            tag = expr[e]
+        for e, tag in expr.items():
             if tag[0] == "zero":
                 val[e] = dst.zero
             elif tag[0] == "gen":
@@ -592,33 +531,16 @@ class _Coordinate:
         pairs = list(zip(orbit_a, orbit_b))
         idx0, period = _index_period(pairs)
         window = idx0 + period
-        parent = list(range(window))
-
-        def find(x):
-            while parent[x] != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            return x
 
         def wrap(r):
             return r if r < window else idx0 + (r - idx0) % period
 
-        work = []
-        for r in range(window):
-            for q in range(r + 1, window):
-                if orbit_a[r] == orbit_a[q] or orbit_b[r] == orbit_b[q]:
-                    work.append((r, q))
-        while work:
-            r, q = work.pop()
-            rr, qq = find(r), find(q)
-            if rr == qq:
-                continue
-            parent[max(rr, qq)] = min(rr, qq)
-            work.append((wrap(r + 1), wrap(q + 1)))
-        roots = sorted({find(r) for r in range(window)})
-        self.class_of = [roots.index(find(r)) for r in range(window)]
-        self.nclasses = len(roots)
-        self.rep = [self.class_of.index(c) for c in range(self.nclasses)]
+        self.class_of, self.rep = congruence_closure(
+            window,
+            [(r, q) for r in range(window) for q in range(r + 1, window)
+             if orbit_a[r] == orbit_a[q] or orbit_b[r] == orbit_b[q]],
+            lambda r, q: ((wrap(r + 1), wrap(q + 1)),))
+        self.nclasses = len(self.rep)
         self._wrap = wrap
 
     def add(self, c1: int, c2: int) -> int:
@@ -661,8 +583,9 @@ class TensorCongruence:
     Generators are nonzero pairs; each generator's multiples live in a finite
     cyclic-tail coordinate, and the quotient by bilinearity plus slot-(j,k)
     balancing is computed by union-find closure with generator translations.
-    Residual actions are attached by the callers, which differ between the
-    plain tensor and scalar extension.
+    ``residual_module`` attaches residual actions from generator images that
+    the callers supply; the plain tensor and scalar extension supply
+    different ones.
     """
 
     def __init__(self, left: BiGammaModule, right: BiGammaModule,
@@ -710,29 +633,11 @@ class TensorCongruence:
                         rhs = self.gen_vec(a, right.act(k, tother, b, gs))
                         relations.append((self.pack(lhs), self.pack(rhs)))
         self.relations = relations
-
-        parent = list(range(total))
-
-        def find(x):
-            while parent[x] != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            return x
-
-        work = list(relations)
-        while work:
-            u, v = work.pop()
-            ru, rv = find(u), find(v)
-            if ru == rv:
-                continue
-            parent[max(ru, rv)] = min(ru, rv)
-            for gi in range(len(self.gens)):
-                work.append((self._bump(u, gi), self._bump(v, gi)))
-
-        roots = sorted({find(x) for x in range(total)})
-        self.class_of = [roots.index(find(x)) for x in range(total)]
-        self.nclasses = len(roots)
-        self.reps = [self.class_of.index(c) for c in range(self.nclasses)]
+        self.class_of, self.reps = congruence_closure(
+            total, relations,
+            lambda u, v: [(self._bump(u, gi), self._bump(v, gi))
+                          for gi in range(len(self.gens))])
+        self.nclasses = len(self.reps)
         add_table = tuple(
             self.class_of[self.pack(self.add_vec(self.unpack(self.reps[c1]),
                                                  self.unpack(self.reps[c2])))]
@@ -793,6 +698,28 @@ class TensorCongruence:
                 return False
         return True
 
+    def residual_module(self, s: NaryGammaSemiring, image_fn,
+                        name: str) -> TensorModule | None:
+        """The quotient as a module over ``s``, or None if an action fails.
+
+        ``image_fn(slot, tother, gs)`` gives the generator images of one
+        residual action; each must descend before the tables are built.
+        """
+        n = s.n
+        for slot in range(n):
+            for tother in s.t_tuples(n - 1):
+                for gs in s.g_tuples(n - 1):
+                    if not self.descends(image_fn(slot, tother, gs)):
+                        return None
+        module = build_module(
+            s, self.monoid,
+            lambda slot, tother, cls, gs: self.apply_generatorwise(
+                image_fn(slot, tother, gs), self.reps[cls]),
+            name=name)
+        beta = tuple(tuple(self.pair_class(a, b) for b in range(self.right.M.size))
+                     for a in range(self.left.M.size))
+        return TensorModule(module, beta)
+
 
 def tensor_positional(left: BiGammaModule, right: BiGammaModule,
                       j: int, k: int, element_bound: int = 200000,
@@ -805,34 +732,19 @@ def tensor_positional(left: BiGammaModule, right: BiGammaModule,
     right factor (falling back to the left when that fails to descend).
     """
     core = TensorCongruence(left, right, j, k, element_bound)
-    s = left.parent
-    n = s.n
+    name = name or f"{left.name}(x){right.name}[{j + 1},{k + 1}]"
 
-    def side_image(side, slot, tother, gs):
-        if side == "right":
-            return lambda a, b: core.gen_vec(a, right.act(slot, tother, b, gs))
+    def through_right(slot, tother, gs):
+        return lambda a, b: core.gen_vec(a, right.act(slot, tother, b, gs))
+
+    def through_left(slot, tother, gs):
         return lambda a, b: core.gen_vec(left.act(slot, tother, a, gs), b)
 
-    def side_ok(side):
-        for slot in range(n):
-            for tother in s.t_tuples(n - 1):
-                for gs in s.g_tuples(n - 1):
-                    if not core.descends(side_image(side, slot, tother, gs)):
-                        return False
-        return True
-
-    side = "right" if side_ok("right") else ("left" if side_ok("left") else None)
-    if side is None:
+    out = (core.residual_module(left.parent, through_right, name)
+           or core.residual_module(left.parent, through_left, name))
+    if out is None:
         raise SoundnessError("no residual action descends to the tensor quotient")
-
-    module = build_module(
-        s, core.monoid,
-        lambda slot, tother, cls, gs: core.apply_generatorwise(
-            side_image(side, slot, tother, gs), core.reps[cls]),
-        name=name or f"{left.name}(x){right.name}[{j + 1},{k + 1}]")
-    beta = tuple(tuple(core.pair_class(a, b) for b in range(right.M.size))
-                 for a in range(left.M.size))
-    return TensorModule(module, beta)
+    return out
 
 
 # ---------------------------------------------------------------------------

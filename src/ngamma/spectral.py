@@ -17,15 +17,18 @@ from .abgroups import (
     image, kernel, order_lattice_columns,
 )
 from .core import GammaSemiringMorphism, NaryGammaSemiring
-from .ideals import all_ideals
+from .ideals import all_ideals, bourne_classes
 from .modules import (
-    BiGammaModule, TensorCongruence, build_module, ideal_submodule,
-    quotient_module, regular_bimodule,
+    BiGammaModule, ModuleMorphism, TensorCongruence, build_module,
+    ideal_submodule, quotient_module, regular_bimodule,
 )
-from .completion import CompletedModule, EquivariantHom, TensorGroup
+from .completion import (
+    CompletedModule, EquivariantHom, TensorGroup, linearize_module,
+    linearize_morphism,
+)
 from .homology import (
     ChainComplexAb, ContractionPolicy, HomCochain, bar_complex, default_policy,
-    homology, induced_on_quotients, linearize, tor_via_bar,
+    homology, induced_on_quotients, tor_via_bar,
 )
 
 
@@ -262,16 +265,10 @@ class FiltrationPages:
                 dst = self._subquotient(r, tp, tq)
                 n = p + q
                 d = self.tot.complex.d(n) if 0 <= n <= self.tot.maxdeg else None
-                cols = []
-                for c in range(src.group.dim):
-                    rep = src.representative(tuple(1 if t == c else 0
-                                                   for t in range(src.group.dim)))
-                    img = d(rep) if d is not None else ()
-                    cols.append(dst.classify(img))
-                diffs[(p, q)] = GroupMap(
+                diffs[(p, q)] = GroupMap.from_images(
                     src.group, dst.group,
-                    [[cols[c][i] for c in range(src.group.dim)]
-                     for i in range(dst.group.dim)], check=False)
+                    lambda basis: dst.classify(
+                        d(src.representative(basis)) if d is not None else ()))
         return SpectralPage(r, entries, diffs)
 
     # -- verification ------------------------------------------------------
@@ -377,20 +374,15 @@ def ext_modules_with_ops(s: NaryGammaSemiring, bar, n_lin: CompletedModule,
             slot_ops = []
             for w in range(len(n_lin.ops[slot])):
                 opn = n_lin.op(slot, w)
-                cols = []
-                for c in range(node.group.dim):
-                    rep = node.representative(tuple(1 if t == c else 0
-                                                    for t in range(node.group.dim)))
-                    f = hom.matrix(tuple(rep))
-                    composed = opn.compose(f)
-                    coords = hom.coords(composed)
+
+                def image_of(basis):
+                    rep = node.representative(basis)
+                    coords = hom.coords(opn.compose(hom.matrix(tuple(rep))))
                     if coords is None:
                         raise SoundnessError("operator left the equivariant maps")
-                    cols.append(node.classify(coords))
-                slot_ops.append(GroupMap(
-                    node.group, node.group,
-                    [[cols[c][i] for c in range(node.group.dim)]
-                     for i in range(node.group.dim)], check=False))
+                    return node.classify(coords)
+
+                slot_ops.append(GroupMap.from_images(node.group, node.group, image_of))
             ops.append(tuple(slot_ops))
         out.append(CompletedModule(s, node.group, tuple(ops), None,
                                    name=f"Ext^{qdeg}"))
@@ -409,8 +401,8 @@ def kunneth_check(s: NaryGammaSemiring, m: BiGammaModule, n: BiGammaModule,
     the second page against the directly computed Tor-of-Ext grid.
     """
     policy = policy or default_policy(s)
-    lin_l = linearize(l)
-    lin_n = linearize(n)
+    lin_l = linearize_module(l)
+    lin_n = linearize_module(n)
     bar_m = bar_complex(s, m, j, k, depth, policy)
     bar_n = bar_complex(s, n, j, k, depth, policy)
 
@@ -423,24 +415,6 @@ def kunneth_check(s: NaryGammaSemiring, m: BiGammaModule, n: BiGammaModule,
     homs = {}
     for (p, q), tg in cells.items():
         homs[(p, q)] = EquivariantHom(tg.as_module(), lin_l)
-
-    def hom_pullback(src_cell, dst_cell, pairmap_builder, what):
-        src_h = homs[src_cell]
-        dst_h = homs[dst_cell]
-        cols = []
-        for c in range(src_h.group.dim):
-            basis = tuple(1 if t == c else 0 for t in range(src_h.group.dim))
-            f = src_h.matrix(basis)
-            composed = GroupMap(pairmap_builder.src, f.dst,
-                                la.mat_mul(f.mat, pairmap_builder.mat, f.src.dim),
-                                check=False)
-            coords = dst_h.coords(composed)
-            if coords is None:
-                raise SoundnessError(f"{what} left the equivariant maps")
-            cols.append(coords)
-        return GroupMap(src_h.group, dst_h.group,
-                        [[cols[c][i] for c in range(src_h.group.dim)]
-                         for i in range(dst_h.group.dim)], check=False)
 
     # Cohomological grid, then flipped to a homological first quadrant.
     entries = {}
@@ -456,14 +430,14 @@ def kunneth_check(s: NaryGammaSemiring, m: BiGammaModule, n: BiGammaModule,
                 tmap = _tensor_square_map(cells[(p + 1, q)], cells[(p, q)],
                                           bar_m.diffs[p + 1], "left",
                                           "horizontal grid map")
-                dh[(pm - p, qm - q)] = hom_pullback((p, q), (p + 1, q), tmap,
-                                                    "horizontal Hom map")
+                dh[(pm - p, qm - q)] = homs[(p, q)].precompose(
+                    tmap, homs[(p + 1, q)], "horizontal Hom map")
             if q + 1 <= depth:
                 tmap = _tensor_square_map(cells[(p, q + 1)], cells[(p, q)],
                                           bar_n.diffs[q + 1], "right",
                                           "vertical grid map")
-                dv[(pm - p, qm - q)] = hom_pullback((p, q), (p, q + 1), tmap,
-                                                    "vertical Hom map")
+                dv[(pm - p, qm - q)] = homs[(p, q)].precompose(
+                    tmap, homs[(p, q + 1)], "vertical Hom map")
     grid = DoubleComplexAb.from_commuting(entries, dh, dv)
 
     up_to = 2 * depth + 2
@@ -520,52 +494,38 @@ def extend_scalars(f: GammaSemiringMorphism, a: BiGammaModule,
     target = f.target
     left = restrict_scalars(f, regular_bimodule(target))
     core = TensorCongruence(left, a, j, k)
-    n = target.n
 
     def image_fn(slot, tother, gs):
         return lambda x, av: core.gen_vec(
             target.mu(tother[:slot] + (x,) + tother[slot:], gs), av)
 
-    for slot in range(n):
-        for tother in target.t_tuples(n - 1):
-            for gs in target.g_tuples(n - 1):
-                if not core.descends(image_fn(slot, tother, gs)):
-                    raise SoundnessError(
-                        "target action does not descend to the extension")
-    module = build_module(
-        target, core.monoid,
-        lambda slot, tother, cls, gs: core.apply_generatorwise(
-            image_fn(slot, tother, gs), core.reps[cls]),
-        name=name or f"ext({a.name})")
-    beta = tuple(tuple(core.pair_class(x, av) for av in range(a.M.size))
-                 for x in range(target.T.size))
-    from .modules import TensorModule
-    return TensorModule(module, beta)
+    out = core.residual_module(target, image_fn, name or f"ext({a.name})")
+    if out is None:
+        raise SoundnessError("target action does not descend to the extension")
+    return out
 
 
 def completed_extension_group(f: GammaSemiringMorphism, x: CompletedModule,
                               j: int = 2, k: int = 0) -> AbGroup:
     """K(T') balanced against a completed module over the source."""
-    left = linearize(restrict_scalars(f, regular_bimodule(f.target)))
+    left = linearize_module(restrict_scalars(f, regular_bimodule(f.target)))
     return TensorGroup(left, x, j, k).group
 
 
 def source_conflation_triples(s: NaryGammaSemiring):
     """Ideal-induced completed short sequences used by the flatness probe."""
     out = []
-    reg = linearize(regular_bimodule(s))
+    reg = linearize_module(regular_bimodule(s))
     for ideal in all_ideals(s):
         if not ideal.is_proper() or len(ideal.members) == 1:
             continue
         sub = ideal_submodule(s, ideal)
         quo = quotient_module(s, ideal)
         members = ideal.sorted_members()
-        from .modules import ModuleMorphism
-        from .ideals import bourne_classes
         incl = ModuleMorphism(sub, regular_bimodule(s), tuple(members))
         cls = bourne_classes(s, ideal)
         proj = ModuleMorphism(regular_bimodule(s), quo, tuple(cls))
-        out.append((linearize(sub), reg, linearize(quo),
+        out.append((linearize_module(sub), reg, linearize_module(quo),
                     (incl, proj)))
     return out
 
@@ -573,7 +533,6 @@ def source_conflation_triples(s: NaryGammaSemiring):
 def flatness_probe(s: NaryGammaSemiring, x: CompletedModule,
                    j: int = 2, k: int = 0, conflations=None) -> bool:
     """Whether tensoring with x preserves the probe conflations exactly."""
-    from .completion import linearize_morphism
     triples = conflations if conflations is not None else \
         source_conflation_triples(s)
     for (lin_a, lin_b, lin_c, (incl, proj)) in triples:
@@ -635,11 +594,11 @@ def base_change_check(f: GammaSemiringMorphism, m: BiGammaModule,
     policy_t = policy or default_policy(t)
     ext_mod_m = extend_scalars(f, m, j, k).module
     ext_mod_n = extend_scalars(f, n, j, k).module
-    lin_aex = linearize(ext_mod_m)
-    lin_bex = linearize(ext_mod_n)
+    lin_aex = linearize_module(ext_mod_m)
+    lin_bex = linearize_module(ext_mod_n)
 
     bar_src = bar_complex(s, m, j, k, depth + 1, policy_s)
-    ext_src = ext_modules_with_ops(s, bar_src, linearize(n), depth)
+    ext_src = ext_modules_with_ops(s, bar_src, linearize_module(n), depth)
     ext_left = [completed_extension_group(f, e, j, k).invariant_factors()
                 for e in ext_src]
     ext_right = ext_via_bar(t, lin_aex, lin_bex, j, k, depth, policy_t).factors()
@@ -649,6 +608,6 @@ def base_change_check(f: GammaSemiringMorphism, m: BiGammaModule,
                             restrict_scalars(f, ext_mod_n),
                             j, k, depth, policy_s).factors()
 
-    flat = flatness_probe(s, linearize(restrict_scalars(
+    flat = flatness_probe(s, linearize_module(restrict_scalars(
         f, regular_bimodule(t))), j, k)
     return BaseChangeReport(ext_left, ext_right, tor_left, tor_right, flat)

@@ -1,7 +1,13 @@
-from ngamma.abgroups import isomorphic
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+from ngamma import intlinalg as la
+from ngamma.abgroups import GroupMap, isomorphic
 from ngamma.core import (
-    FiniteAddMonoid, boolean_ternary, f2_ternary, truncated_nat_semiring,
-    z4_ternary,
+    FiniteAddMonoid, boolean_ternary, f2_semiring, f2_ternary,
+    make_matrix_family, truncated_nat_semiring, z4_ternary,
 )
 from ngamma.ideals import GammaIdeal
 from ngamma.modules import (
@@ -9,8 +15,8 @@ from ngamma.modules import (
     regular_bimodule, tensor_positional,
 )
 from ngamma.completion import (
-    balanced_tensor_group, direct_sum_completed, equivariant_hom_group,
-    group_complete, linearize_module, linearize_morphism, zero_completed,
+    EquivariantHom, TensorGroup, direct_sum_completed, group_complete,
+    linearize_module, linearize_morphism, zero_completed,
 )
 
 
@@ -70,7 +76,7 @@ def test_linearize_module_examples():
 def test_equivariant_hom_group_examples():
     f2 = f2_ternary()
     lin = linearize_module(regular_bimodule(f2))
-    hom = equivariant_hom_group(lin, lin)
+    hom = EquivariantHom(lin, lin)
     assert hom.group.invariant_factors() == (2,)
     # Elements realize as the zero map and the identity.
     mats = sorted(tuple(tuple(r) for r in hom.matrix(c).mat)
@@ -78,27 +84,27 @@ def test_equivariant_hom_group_examples():
     assert mats == [((0,),), ((1,),)]
 
     triv = zero_completed(f2)
-    assert equivariant_hom_group(lin, triv).group.is_trivial()
+    assert EquivariantHom(lin, triv).group.is_trivial()
 
     double = direct_sum_completed([lin, lin])
-    hom2 = equivariant_hom_group(double, lin)
+    hom2 = EquivariantHom(double, lin)
     assert hom2.group.invariant_factors() == (2, 2)
 
 
 def test_equivariant_hom_group_z4():
     z4 = z4_ternary()
     lin = linearize_module(regular_bimodule(z4))
-    hom = equivariant_hom_group(lin, lin)
+    hom = EquivariantHom(lin, lin)
     assert hom.group.invariant_factors() == (4,)
     sub = linearize_module(ideal_submodule(z4, GammaIdeal(z4, frozenset({0, 2}))))
-    hom2 = equivariant_hom_group(sub, lin)
+    hom2 = EquivariantHom(sub, lin)
     assert hom2.group.invariant_factors() == (2,)
 
 
 def test_hom_coords_roundtrip():
     z4 = z4_ternary()
     lin = linearize_module(regular_bimodule(z4))
-    hom = equivariant_hom_group(lin, lin)
+    hom = EquivariantHom(lin, lin)
     for c in hom.group.elements():
         mat = hom.matrix(c)
         back = hom.coords(mat)
@@ -108,16 +114,16 @@ def test_hom_coords_roundtrip():
 def test_balanced_tensor_group_examples():
     f2 = f2_ternary()
     lin = linearize_module(regular_bimodule(f2))
-    t = balanced_tensor_group(lin, lin, 2, 0)
+    t = TensorGroup(lin, lin, 2, 0)
     assert t.group.invariant_factors() == (2,)
 
     triv = zero_completed(f2)
-    assert balanced_tensor_group(lin, triv, 2, 0).group.is_trivial()
+    assert TensorGroup(lin, triv, 2, 0).group.is_trivial()
 
     z4 = z4_ternary()
     lin4 = linearize_module(regular_bimodule(z4))
     sub = linearize_module(ideal_submodule(z4, GammaIdeal(z4, frozenset({0, 2}))))
-    t2 = balanced_tensor_group(lin4, sub, 2, 0)
+    t2 = TensorGroup(lin4, sub, 2, 0)
     assert t2.group.invariant_factors() == (2,)
     mod = t2.as_module()
     assert mod.group.invariant_factors() == (2,)
@@ -131,7 +137,7 @@ def test_tensor_group_matches_monoid_tensor_completion():
     for (m, n) in [(reg, reg), (reg, sub), (sub, sub)]:
         monoid_level = tensor_positional(m, n, 2, 0)
         k_of_tensor = group_complete(monoid_level.module.M).group
-        lin_t = balanced_tensor_group(linearize_module(m), linearize_module(n), 2, 0)
+        lin_t = TensorGroup(linearize_module(m), linearize_module(n), 2, 0)
         assert isomorphic(k_of_tensor, lin_t.group)
 
 
@@ -142,6 +148,58 @@ def test_hom_group_embeds_in_completed_hom_module():
     reg = regular_bimodule(z4)
     hom_monoid = hom_gamma(reg, reg)
     k_hom = group_complete(hom_monoid.module.M).group
-    hom_lin = equivariant_hom_group(linearize_module(reg), linearize_module(reg))
+    hom_lin = EquivariantHom(linearize_module(reg), linearize_module(reg))
     assert hom_lin.group.order() <= k_hom.order() or k_hom.order() == 0
     assert hom_lin.group.order() == k_hom.order()  # equality on this instance
+
+
+def test_pair_matrix_to_quotient_identity_on_binary_m2f2():
+    # The pair space (16) is larger than the quotient (4): the lift must be
+    # multiplied over the pair dimension.
+    lin = linearize_module(regular_bimodule(make_matrix_family(f2_semiring(), 2, 2)))
+    tg = TensorGroup(lin, lin, 1, 0)
+    assert tg.pair_dim == 16
+    assert tg.group.orders == (2, 2, 2, 2)
+    assert tg.pair_matrix_to_quotient(la.identity(16)).equal(GroupMap.identity(tg.group))
+
+
+MISMATCH_SCRIPT = """
+from ngamma import intlinalg as la
+from ngamma.completion import (
+    EquivariantHom, TensorGroup, linearize_module, linearize_morphism,
+    zero_completed,
+)
+from ngamma.core import f2_ternary, z4_ternary
+from ngamma.modules import (
+    compose_module_morphisms, direct_sum_modules, identity_module_morphism,
+    regular_bimodule, zero_module,
+)
+f2, z4 = f2_ternary(), z4_ternary()
+reg2, reg4 = regular_bimodule(f2), regular_bimodule(z4)
+lin2, lin4 = linearize_module(reg2), linearize_module(reg4)
+cases = [
+    lambda: EquivariantHom(lin2, lin4),
+    lambda: TensorGroup(lin2, lin4, 2, 0),
+    lambda: direct_sum_modules([reg2, reg4]),
+    lambda: compose_module_morphisms(identity_module_morphism(zero_module(f2)),
+                                     identity_module_morphism(reg2)),
+    lambda: linearize_morphism(identity_module_morphism(reg2), zero_completed(f2), lin2),
+    lambda: la.mat_mul([[1, 2]], [[1]], 2),
+]
+for case in cases:
+    try:
+        case()
+        print("accepted")
+    except Exception as e:
+        print(type(e).__name__)
+"""
+
+
+def test_caller_mismatches_raise_typed_errors_under_optimize():
+    # python -O strips assert statements, so each check must raise itself.
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    out = subprocess.run([sys.executable, "-O", "-c", MISMATCH_SCRIPT], env=env,
+                         capture_output=True, text=True, timeout=120, check=True)
+    assert out.stdout.split() == ["StructuralError"] * 5 + ["ValueError"]

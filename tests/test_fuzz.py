@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from ngamma import oracle
 from ngamma.abgroups import AbGroup, GroupMap
-from ngamma.core import FiniteAddMonoid
+from ngamma.core import FiniteAddMonoid, congruence_closure
 from ngamma.homology import ChainComplexAb, homology
 from ngamma.modules import _Coordinate, _index_period, _orbit
 
@@ -32,6 +32,38 @@ def test_homology_vs_bruteforce_on_random_complexes(m, a, b, c, rnd):
     for r in range(3):
         assert hs[r].invariant_factors() == \
             oracle.homology_orders_bruteforce(chain, r)
+
+
+def _closure_bruteforce(size, pairs, maps):
+    """Least relation containing pairs, reflexive, symmetric, transitive and
+    closed under every translation map, by iteration to a fixed point."""
+    rel = {(x, x) for x in range(size)} | set(pairs)
+    while True:
+        succ = {x: {y for (u, y) in rel if u == x} for x in range(size)}
+        new = set(rel)
+        new |= {(y, x) for (x, y) in rel}
+        new |= {(t[x], t[y]) for t in maps for (x, y) in rel}
+        new |= {(x, z) for (x, y) in rel for z in succ[y]}
+        if new == rel:
+            return rel
+        rel = new
+
+
+@given(st.data())
+@settings(max_examples=150, deadline=None)
+def test_congruence_closure_matches_fixed_point(data):
+    size = data.draw(st.integers(1, 30))
+    elem = st.integers(0, size - 1)
+    pairs = data.draw(st.lists(st.tuples(elem, elem), max_size=12))
+    maps = data.draw(st.lists(st.lists(elem, min_size=size, max_size=size),
+                              max_size=2))
+    translate = (lambda u, v: [(t[u], t[v]) for t in maps]) if maps else None
+    class_of, reps = congruence_closure(size, pairs, translate)
+    rel = _closure_bruteforce(size, pairs, maps)
+    smallest = [min(y for y in range(size) if (x, y) in rel) for x in range(size)]
+    want_reps = sorted(set(smallest))
+    assert reps == want_reps
+    assert class_of == [want_reps.index(m) for m in smallest]
 
 
 def _monoid_pool(size):

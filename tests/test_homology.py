@@ -3,17 +3,19 @@ import random
 import pytest
 
 from ngamma.abgroups import AbGroup, GroupMap, SoundnessError
-from ngamma.core import FiniteAddMonoid, boolean_ternary, f2_ternary, z4_ternary
-from ngamma.ideals import GammaIdeal
+from ngamma.core import (
+    FiniteAddMonoid, boolean_ternary, bundled_semirings, f2_ternary, z4_ternary,
+)
+from ngamma.ideals import GammaIdeal, all_ideals, bourne_classes
 from ngamma.modules import (
     Conflation, ModuleMorphism, build_module, direct_sum_modules,
     ideal_submodule, identity_module_morphism, quotient_module,
     regular_bimodule, zero_module,
 )
 from ngamma.homology import (
-    ChainComplexAb, ExtSetup, RegularityError, balance_check, bar_complex,
-    cofree_coresolution, ext_via_bar, ext_via_cofree, fixed_policy, homology,
-    les_check, tor_via_bar, yoneda_compose,
+    ChainComplexAb, ExtSetup, RegularityError, _module_coker, balance_check,
+    bar_complex, cofree_coresolution, ext_via_bar, ext_via_cofree, fixed_policy,
+    homology, les_check, tor_via_bar, yoneda_compose,
 )
 
 
@@ -112,20 +114,20 @@ def test_ext_and_tor_via_bar(f2, z4):
 
 
 def test_ext_degree_zero_is_equivariant_hom(f2, z4):
-    from ngamma.completion import equivariant_hom_group, linearize_module
+    from ngamma.completion import EquivariantHom, linearize_module
     for s, pair in ((f2, None), (z4, None)):
         reg = regular_bimodule(s)
         ext0 = ext_via_bar(s, reg, reg, 2, 0, 0).factors()[0]
-        hom = equivariant_hom_group(linearize_module(reg), linearize_module(reg))
+        hom = EquivariantHom(linearize_module(reg), linearize_module(reg))
         assert ext0 == hom.group.invariant_factors()
 
 
 def test_tor_degree_zero_is_balanced_tensor(z4):
-    from ngamma.completion import balanced_tensor_group, linearize_module
+    from ngamma.completion import TensorGroup, linearize_module
     reg = regular_bimodule(z4)
     sub = ideal_submodule(z4, GammaIdeal(z4, frozenset({0, 2})))
     tor0 = tor_via_bar(z4, reg, sub, 2, 0, 0).factors()[0]
-    bt = balanced_tensor_group(linearize_module(reg), linearize_module(sub), 2, 0)
+    bt = TensorGroup(linearize_module(reg), linearize_module(sub), 2, 0)
     assert tor0 == bt.group.invariant_factors()
 
 
@@ -136,6 +138,15 @@ def test_cofree_coresolution_f2(f2):
     assert all(t.group.is_trivial() for t in tower.terms[1:])
     from ngamma.abgroups import kernel
     assert kernel(tower.unit).group.is_trivial()
+
+
+def test_coker_of_ideal_inclusion_is_bourne_quotient():
+    for s in bundled_semirings().values():
+        reg = regular_bimodule(s)
+        for ideal in all_ideals(s):
+            incl = ModuleMorphism(ideal_submodule(s, ideal), reg,
+                                  tuple(ideal.sorted_members()))
+            assert list(_module_coker(incl).map) == bourne_classes(s, ideal)
 
 
 def test_cofree_coresolution_zero_module(f2):
@@ -152,10 +163,10 @@ def test_cofree_regularity_error():
 
 
 def test_ext_via_cofree_degree_zero(z4):
-    from ngamma.completion import equivariant_hom_group, linearize_module
+    from ngamma.completion import EquivariantHom, linearize_module
     reg = regular_bimodule(z4)
     res = ext_via_cofree(z4, reg, reg, depth=2)
-    hom = equivariant_hom_group(linearize_module(reg), linearize_module(reg))
+    hom = EquivariantHom(linearize_module(reg), linearize_module(reg))
     assert res.factors()[0] == hom.group.invariant_factors()
 
 

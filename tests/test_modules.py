@@ -1,3 +1,5 @@
+from itertools import product
+
 import pytest
 
 from ngamma.core import (
@@ -241,3 +243,14 @@ def test_hom_tensor_adjunction_counts(z4):
         inner = hom_gamma(n, l)
         rhs = hom_gamma(m, inner.module)
         assert len(lhs.maps) == len(rhs.maps)
+
+
+def test_additive_maps_on_relabelled_carrier():
+    # Z/4 with 2 and 3 swapped: 1+1 = 3 is needed before 1+3 = 2 can be read.
+    m = FiniteAddMonoid(4, (0, 1, 2, 3, 1, 3, 0, 2, 2, 0, 3, 1, 3, 2, 1, 0))
+    brute = [f for f in product(range(4), repeat=4)
+             if all(f[m.add(x, y)] == m.add(f[x], f[y])
+                    for x in range(4) for y in range(4))]
+    got = additive_maps(m, m)
+    assert len(got) == 4
+    assert sorted(got) == brute

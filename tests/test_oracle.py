@@ -10,7 +10,7 @@ from ngamma.modules import (
     hom_gamma, ideal_submodule, quotient_module, regular_bimodule,
     tensor_positional,
 )
-from ngamma.completion import equivariant_hom_group, linearize_module
+from ngamma.completion import EquivariantHom, linearize_module
 from ngamma.homology import bar_complex, homology
 from ngamma import oracle
 
@@ -51,7 +51,7 @@ def test_hom_group_bruteforce_agrees():
     reg = linearize_module(regular_bimodule(z4))
     sub = linearize_module(ideal_submodule(z4, GammaIdeal(z4, frozenset({0, 2}))))
     for x, y in [(reg, reg), (sub, reg), (reg, sub)]:
-        assert equivariant_hom_group(x, y).group.invariant_factors() == \
+        assert EquivariantHom(x, y).group.invariant_factors() == \
             oracle.hom_group_bruteforce(x, y)
 
 

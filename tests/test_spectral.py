@@ -10,7 +10,8 @@ from ngamma.spectral import (
     DoubleComplexAb, FiltrationPages, base_change_check, extend_scalars,
     flatness_probe, kunneth_check, pages, restrict_scalars, totalize,
 )
-from ngamma.homology import homology, linearize
+from ngamma.completion import linearize_module
+from ngamma.homology import homology
 
 
 C2 = AbGroup((2,))
@@ -183,9 +184,9 @@ def test_extend_scalars_quotient():
 def test_flatness_probe():
     f2 = f2_ternary()
     z4 = z4_ternary()
-    assert flatness_probe(f2, linearize(regular_bimodule(f2)))
+    assert flatness_probe(f2, linearize_module(regular_bimodule(f2)))
     q = GammaSemiringMorphism(z4, f2, (0, 1, 0, 1))
-    restricted = linearize(restrict_scalars(q, regular_bimodule(f2)))
+    restricted = linearize_module(restrict_scalars(q, regular_bimodule(f2)))
     assert not flatness_probe(z4, restricted)
 
 
