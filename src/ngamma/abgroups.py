@@ -41,9 +41,6 @@ class AbGroup:
     def rank(self) -> int:
         return sum(1 for o in self.orders if o == 0)
 
-    def is_finite(self) -> bool:
-        return self.rank == 0
-
     def is_trivial(self) -> bool:
         return not self.orders
 
@@ -61,12 +58,6 @@ class AbGroup:
 
     def add(self, u, v):
         return self.reduce(x + y for x, y in zip(u, v))
-
-    def neg(self, u):
-        return self.reduce(-x for x in u)
-
-    def smul(self, c, u):
-        return self.reduce(c * x for x in u)
 
     def is_zero(self, u) -> bool:
         return self.reduce(u) == self.zero()
@@ -127,9 +118,6 @@ def _factorize(n: int) -> dict[int, int]:
     return out
 
 
-TRIVIAL = AbGroup(())
-
-
 class Presentation:
     """Z^ngens modulo the lattice spanned by integer relation vectors.
 
@@ -169,6 +157,37 @@ class Presentation:
 
     def is_zero(self, vec) -> bool:
         return self.project(vec) == self.group.zero()
+
+
+def induced_on_quotients(proj_dst, dst_group: AbGroup, wmat,
+                         lift_src, proj_src, src_group: AbGroup,
+                         what: str) -> GroupMap:
+    """Quotient map induced by a map W on presentation coordinate spaces.
+
+    The induced matrix is M = proj_dst . W . lift_src.  W descends exactly
+    when proj_dst . W = M . proj_src entrywise modulo the target orders
+    (equivalently, W maps the source relation lattice into the target's);
+    otherwise SoundnessError is raised.  This is the one descent check.
+    """
+    wdim_src = len(lift_src)
+    wdim_dst = len(wmat)
+    if wdim_dst and wdim_src:
+        lifted = la.mat_mul(wmat, lift_src, wdim_src)
+        mat = la.mat_mul(proj_dst, lifted, wdim_dst)
+    else:
+        mat = la.zeros(dst_group.dim, src_group.dim)
+    if wdim_dst:
+        left = la.mat_mul(proj_dst, wmat, wdim_dst)
+    else:
+        left = la.zeros(dst_group.dim, wdim_src)
+    right = la.mat_mul(mat, proj_src, src_group.dim)
+    for i in range(dst_group.dim):
+        o = dst_group.orders[i]
+        for jj in range(wdim_src):
+            x, y = left[i][jj], right[i][jj]
+            if (x - y) % o if o else (x - y):
+                raise SoundnessError(f"{what} does not descend to the quotient")
+    return GroupMap(src_group, dst_group, mat)
 
 
 def order_lattice_columns(g: AbGroup) -> list[list[int]]:

@@ -225,8 +225,7 @@ def cmd_ext_tor(ws: Workspace, args, rep: Reporter, which: str) -> int:
     res = fn(s, m, n, j, k, args.depth, policy)
     results = {"degrees": {str(r): list(f) for r, f in enumerate(res.factors())}}
     if args.emit_matrices:
-        bar = bar_complex(s, m, j, k, args.depth + 1, policy)
-        results["bar_differentials"] = {str(r): d.mat for r, d in bar.diffs.items()}
+        results["bar_differentials"] = {str(r): d.mat for r, d in res.bar.diffs.items()}
     return rep.emit(results, True, ws)
 
 

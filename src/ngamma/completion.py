@@ -13,7 +13,9 @@ from dataclasses import dataclass, field
 from math import gcd
 
 from . import intlinalg as la
-from .abgroups import AbGroup, GroupMap, Presentation, SoundnessError, kernel
+from .abgroups import (
+    AbGroup, GroupMap, Presentation, SoundnessError, induced_on_quotients, kernel,
+)
 from .core import FiniteAddMonoid, NaryGammaSemiring, StructuralError
 from .modules import BiGammaModule, ModuleMorphism
 
@@ -280,18 +282,14 @@ class TensorGroup:
                         r = [0] * self.pair_dim
                         r[idx] = o
                         rels.append(r)
-        nw = len(filler_tuples(x.semiring))
-        for w in range(nw):
-            p = x.op(j, w).mat
-            q = y.op(k, w).mat
-            for i0 in range(xs):
-                for j0 in range(ys):
-                    r = [0] * self.pair_dim
-                    for c in range(xs):
-                        r[c * ys + j0] += p[c][i0]
-                    for d in range(ys):
-                        r[i0 * ys + d] -= q[d][j0]
-                    rels.append(r)
+        ident_x, ident_y = la.identity(xs), la.identity(ys)
+        for w in range(len(filler_tuples(x.semiring))):
+            # Column i0*ys + j0 of kron(P, I) - kron(I, Q) balances the pair
+            # (i0, j0): P acting on the left factor against Q on the right.
+            via_x = la.kron(x.op(j, w).mat, xs, xs, ident_y, ys, ys)
+            via_y = la.kron(ident_x, xs, xs, y.op(k, w).mat, ys, ys)
+            rels.extend([a - b for a, b in zip(col_x, col_y)]
+                        for col_x, col_y in zip(zip(*via_x), zip(*via_y)))
         self.pres = Presentation(self.pair_dim, rels)
         self.group = self.pres.group
         self.name = name or f"{x.name}(x){y.name}"
@@ -308,46 +306,42 @@ class TensorGroup:
 
     def pair_matrix_to_quotient(self, pairmat) -> GroupMap | None:
         """Project a pair-space endomorphism; None when it does not descend."""
-        for r in self.pres.relations:
-            img = la.mat_vec(pairmat, r)
-            if not self.pres.is_zero(img):
-                return None
-        lift = self.pres.lift_matrix()
-        proj = self.pres.proj_matrix()
-        mid = la.mat_mul(pairmat, lift, self.pair_dim)
-        mat = la.mat_mul(proj, mid, self.pair_dim)
-        return GroupMap(self.group, self.group, mat, check=False)
+        lift, proj = self.pres.lift_matrix(), self.pres.proj_matrix()
+        try:
+            return induced_on_quotients(proj, self.group, pairmat, lift, proj,
+                                        self.group, "pair matrix")
+        except SoundnessError:
+            return None
 
-    def through_right(self, gm: GroupMap):
-        """id (x) gm on pair coordinates (gm an endomorphism of K(Y))."""
-        xs, ys = self.x.group.dim, self.y.group.dim
-        m = la.zeros(self.pair_dim, self.pair_dim)
-        for i in range(xs):
-            for j0 in range(ys):
-                for d in range(ys):
-                    m[i * ys + d][i * ys + j0] = gm.mat[d][j0]
-        return m
+    def induced(self, dst: "TensorGroup", left: GroupMap | None = None,
+                right: GroupMap | None = None, *, what: str) -> GroupMap:
+        """left (x) right from this tensor group into dst; None is the identity.
 
-    def through_left(self, gm: GroupMap):
+        Raises SoundnessError when the map does not descend to the balanced
+        quotients.
+        """
         xs, ys = self.x.group.dim, self.y.group.dim
-        m = la.zeros(self.pair_dim, self.pair_dim)
-        for j0 in range(ys):
-            for i0 in range(xs):
-                for c in range(xs):
-                    m[c * ys + j0][i0 * ys + j0] = gm.mat[c][i0]
-        return m
+        pairmat = la.kron(left.mat if left else la.identity(xs), dst.x.group.dim, xs,
+                          right.mat if right else la.identity(ys), dst.y.group.dim, ys)
+        return induced_on_quotients(dst.pres.proj_matrix(), dst.group, pairmat,
+                                    self.pres.lift_matrix(), self.pres.proj_matrix(),
+                                    self.group, what)
 
     def as_module(self) -> CompletedModule:
         """Attach residual operators, preferring the right factor."""
         s = self.x.semiring
+        xs, ys = self.x.group.dim, self.y.group.dim
+        ident_x, ident_y = la.identity(xs), la.identity(ys)
         nw = len(filler_tuples(s))
         ops = []
         for slot in range(s.n):
             slot_ops = []
             for w in range(nw):
-                mat = self.pair_matrix_to_quotient(self.through_right(self.y.op(slot, w)))
+                mat = self.pair_matrix_to_quotient(
+                    la.kron(ident_x, xs, xs, self.y.op(slot, w).mat, ys, ys))
                 if mat is None:
-                    mat = self.pair_matrix_to_quotient(self.through_left(self.x.op(slot, w)))
+                    mat = self.pair_matrix_to_quotient(
+                        la.kron(self.x.op(slot, w).mat, xs, xs, ident_y, ys, ys))
                 if mat is None:
                     raise SoundnessError(
                         f"no residual operator descends at slot {slot + 1}")

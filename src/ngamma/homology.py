@@ -16,10 +16,10 @@ from dataclasses import dataclass, field
 
 from . import intlinalg as la
 from .abgroups import (
-    AbGroup, GroupMap, HomologyNode, SoundnessError, Subgroup, image, kernel,
-    order_lattice_columns,
+    AbGroup, GroupMap, HomologyNode, SoundnessError, Subgroup, image,
+    induced_on_quotients, kernel, order_lattice_columns,
 )
-from .core import BoundExceeded, NaryGammaSemiring, neutral_words
+from .core import BoundExceeded, NaryGammaSemiring, StructuralError, neutral_words
 from .ideals import coset_congruence, quotient_monoid
 from .modules import (
     BiGammaModule, Conflation, ModuleMorphism, build_module, cofree,
@@ -52,8 +52,10 @@ class ChainComplexAb:
 
     def __post_init__(self):
         for r, d in self.diffs.items():
-            assert d.src.orders == self.groups[r].orders
-            assert d.dst.orders == self.groups[r - 1].orders
+            if (d.src.orders != self.groups[r].orders
+                    or d.dst.orders != self.groups[r - 1].orders):
+                raise ValueError(f"differential d_{r} does not match the groups "
+                                 f"in degrees {r} and {r - 1}")
         for r in self.diffs:
             if r - 1 in self.diffs:
                 if not self.diffs[r - 1].compose(self.diffs[r]).is_zero():
@@ -97,10 +99,15 @@ class Cochain:
     diffs: list[GroupMap]
 
     def __post_init__(self):
-        assert len(self.diffs) == max(len(self.groups) - 1, 0)
+        if len(self.diffs) != max(len(self.groups) - 1, 0):
+            raise ValueError(f"{len(self.groups)} cochain groups need "
+                             f"{max(len(self.groups) - 1, 0)} differentials, "
+                             f"got {len(self.diffs)}")
         for r, d in enumerate(self.diffs):
-            assert d.src.orders == self.groups[r].orders
-            assert d.dst.orders == self.groups[r + 1].orders
+            if (d.src.orders != self.groups[r].orders
+                    or d.dst.orders != self.groups[r + 1].orders):
+                raise ValueError(f"cochain differential d^{r} does not match the "
+                                 f"groups in degrees {r} and {r + 1}")
             if r > 0 and not d.compose(self.diffs[r - 1]).is_zero():
                 raise SoundnessError(f"cochain d.d != 0 at degree {r - 1}")
 
@@ -116,35 +123,6 @@ class Cochain:
 
     def cohomology(self, upto: int) -> list[AbGroup]:
         return [self.node(r).group for r in range(upto + 1)]
-
-
-def induced_on_quotients(proj_dst, dst_group: AbGroup, wmat,
-                         lift_src, proj_src, src_group: AbGroup,
-                         what: str) -> GroupMap:
-    """Quotient map induced by a map on presentation coordinate spaces.
-
-    Verifies proj_dst . W = mat . proj_src entrywise modulo the target
-    orders, which is exactly well-definedness on the quotients.
-    """
-    wdim_src = len(lift_src)
-    wdim_dst = len(wmat)
-    if wdim_dst and wdim_src:
-        lifted = la.mat_mul(wmat, lift_src, wdim_src)
-        mat = la.mat_mul(proj_dst, lifted, wdim_dst)
-    else:
-        mat = la.zeros(dst_group.dim, src_group.dim)
-    if wdim_dst:
-        left = la.mat_mul(proj_dst, wmat, wdim_dst)
-    else:
-        left = la.zeros(dst_group.dim, wdim_src)
-    right = la.mat_mul(mat, proj_src, src_group.dim)
-    for i in range(dst_group.dim):
-        o = dst_group.orders[i]
-        for jj in range(wdim_src):
-            x, y = left[i][jj], right[i][jj]
-            if (x - y) % o if o else (x - y):
-                raise SoundnessError(f"{what} does not descend to the quotient")
-    return GroupMap(src_group, dst_group, mat)
 
 
 # ---------------------------------------------------------------------------
@@ -273,7 +251,8 @@ class BarComplex:
         """beta[a][b]: contraction of two carrier coordinate basis vectors."""
         s = self.semiring
         comp = self.carrier.completion
-        assert comp is not None, "carrier must come from a completion"
+        if comp is None:
+            raise StructuralError("bar carrier must come from a completion")
         size = comp.monoid.size
         elem = [[None] * size for _ in range(size)]
         for x in range(size):
@@ -436,25 +415,17 @@ class TensorChain:
         self.right = right
         self.tensors = [TensorGroup(term, right, bar.jslot, bar.kslot)
                         for term in bar.terms]
-        diffs = {r: self._induced(r) for r in range(1, len(bar.terms))}
+        diffs = {r: self.tensors[r].induced(self.tensors[r - 1], left=bar.diffs[r],
+                                            what=f"tensored differential d_{r}")
+                 for r in range(1, len(bar.terms))}
         self.chain = ChainComplexAb([t.group for t in self.tensors], diffs)
-
-    def _induced(self, r: int) -> GroupMap:
-        d = self.bar.diffs[r]
-        src_t = self.tensors[r]
-        dst_t = self.tensors[r - 1]
-        rdim = self.right.group.dim
-        pairmat = la.kron(d.mat, d.dst.dim, d.src.dim,
-                          la.identity(rdim), rdim, rdim)
-        return induced_on_quotients(
-            dst_t.pres.proj_matrix(), dst_t.group, pairmat,
-            src_t.pres.lift_matrix(), src_t.pres.proj_matrix(), src_t.group,
-            f"tensored differential d_{r}")
 
 
 def bar_map(src_bar: BarComplex, dst_bar: BarComplex, f: GroupMap) -> list[GroupMap]:
     """Degreewise maps induced by a module map, checked to be a chain map."""
-    assert src_bar.depth == dst_bar.depth
+    if src_bar.depth != dst_bar.depth:
+        raise ValueError(f"bar towers of depth {src_bar.depth} and "
+                         f"{dst_bar.depth} cannot be compared")
     out = []
     tdim = src_bar.carrier.group.dim
     for r in range(src_bar.depth + 1):
@@ -478,7 +449,10 @@ def bar_map(src_bar: BarComplex, dst_bar: BarComplex, f: GroupMap) -> list[Group
 
 @dataclass
 class DerivedResult:
+    """Derived groups by degree, and the bar tower they came from (if any)."""
+
     groups: list[AbGroup]
+    bar: BarComplex | None
 
     def factors(self) -> list[tuple[int, ...]]:
         return [g.invariant_factors() for g in self.groups]
@@ -490,7 +464,7 @@ def ext_via_bar(s, m, n, j: int = 2, k: int = 0, depth: int = 2,
     bar = bar_complex(s, m, j, k, depth + 1, policy)
     target = n if isinstance(n, CompletedModule) else linearize_module(n)
     hc = HomCochain(bar, target)
-    return DerivedResult(hc.cochain.cohomology(depth))
+    return DerivedResult(hc.cochain.cohomology(depth), bar)
 
 
 def tor_via_bar(s, m, n, j: int = 2, k: int = 0, depth: int = 2,
@@ -499,7 +473,7 @@ def tor_via_bar(s, m, n, j: int = 2, k: int = 0, depth: int = 2,
     bar = bar_complex(s, m, j, k, depth + 1, policy)
     right = n if isinstance(n, CompletedModule) else linearize_module(n)
     tc = TensorChain(bar, right)
-    return DerivedResult(homology(tc.chain)[:depth + 1])
+    return DerivedResult(homology(tc.chain)[:depth + 1], bar)
 
 
 # ---------------------------------------------------------------------------
@@ -617,7 +591,7 @@ def ext_via_cofree(s: NaryGammaSemiring, m, n: BiGammaModule, depth: int = 2,
     tower = cofree_coresolution(s, n, depth + 1, policy)
     lin_m = m if isinstance(m, CompletedModule) else linearize_module(m)
     cochain = tower.cochain_hom_from(lin_m)
-    return DerivedResult(cochain.cohomology(depth))
+    return DerivedResult(cochain.cohomology(depth), None)
 
 
 @dataclass
@@ -803,17 +777,9 @@ def les_check(c: Conflation, n: BiGammaModule, depth: int = 2,
     tc_c = TensorChain(barn, lin_c)
 
     def pushforward(tsrc, tdst, gm):
-        out = []
-        for r in range(bar_depth + 1):
-            src_t, dst_t = tsrc.tensors[r], tdst.tensors[r]
-            bdim = barn.terms[r].group.dim
-            pairmat = la.kron(la.identity(bdim), bdim, bdim,
-                              gm.mat, gm.dst.dim, gm.src.dim)
-            out.append(induced_on_quotients(
-                dst_t.pres.proj_matrix(), dst_t.group, pairmat,
-                src_t.pres.lift_matrix(), src_t.pres.proj_matrix(), src_t.group,
-                f"tensored conflation map at degree {r}"))
-        return out
+        return [src_t.induced(dst_t, right=gm,
+                              what=f"tensored conflation map at degree {r}")
+                for r, (src_t, dst_t) in enumerate(zip(tsrc.tensors, tdst.tensors))]
 
     push_i = pushforward(tc_a, tc_b, ki)
     push_p = pushforward(tc_b, tc_c, kp)
@@ -866,7 +832,9 @@ class ExtSetup:
         return self.class_of(degree, c1) == self.class_of(degree, c2)
 
     def identity_cocycle(self) -> tuple[int, ...]:
-        assert self.src.group.orders == self.dst.group.orders
+        if self.src.group.orders != self.dst.group.orders:
+            raise StructuralError("the identity cocycle needs equal source and "
+                                  "target groups")
         ident = GroupMap.identity(self.src.group)
         coords = self.hom.homs[0].coords(ident)
         if coords is None:

@@ -44,14 +44,6 @@ def mat_vec(a, x) -> list[int]:
     return [sum(c * v for c, v in zip(row, x)) for row in a]
 
 
-def transpose(mat, nrows: int, ncols: int):
-    return [[mat[i][j] for i in range(nrows)] for j in range(ncols)]
-
-
-def is_zero_matrix(mat) -> bool:
-    return all(all(v == 0 for v in row) for row in mat)
-
-
 class SmithForm:
     """Decomposition S*A*T = D with S, T unimodular and D diagonal.
 
@@ -207,27 +199,6 @@ def solve(a, b, nrows: int, ncols: int):
         elif c[i]:
             return None
     return mat_vec(sf.t, y)
-
-
-def solve_matrix(a, b, nrows: int, ncols: int, bcols: int):
-    """Integer solution X (ncols x bcols) of A X = B, or None."""
-    sf = smith_normal_form(a, nrows, ncols)
-    out = zeros(ncols, bcols)
-    for j in range(bcols):
-        c = mat_vec(sf.s, [b[i][j] for i in range(nrows)])
-        y = [0] * ncols
-        for i in range(nrows):
-            if i < sf.rank:
-                di = sf.d[i][i]
-                if c[i] % di:
-                    return None
-                y[i] = c[i] // di
-            elif c[i]:
-                return None
-        x = mat_vec(sf.t, y)
-        for i in range(ncols):
-            out[i][j] = x[i]
-    return out
 
 
 def lattice_basis(gens: list[list[int]], dim: int) -> list[list[int]]:

@@ -447,8 +447,33 @@ class HomModule:
     module: BiGammaModule
     maps: tuple[tuple[int, ...], ...]
 
-    def index_of(self, f) -> int:
-        return self.maps.index(tuple(f))
+
+def _maps_module(s: NaryGammaSemiring, maps, coeff: FiniteAddMonoid, domain_size: int,
+                 argument, what: str, name: str) -> HomModule:
+    """Maps into ``coeff`` under pointwise addition, acting by precomposition.
+
+    The action of (slot, tother, gs) sends f to x -> f(argument(slot, tother,
+    x, gs)) for x in range(domain_size).
+    """
+    index = {f: i for i, f in enumerate(maps)}
+    add = []
+    for f in maps:
+        for g in maps:
+            h = tuple(coeff.add(a, b) for a, b in zip(f, g))
+            if h not in index:
+                raise SoundnessError(f"{what} set not closed under addition")
+            add.append(index[h])
+    zero_map = tuple(coeff.zero for _ in range(domain_size))
+    monoid = FiniteAddMonoid(len(maps), tuple(add), index[zero_map])
+
+    def act(slot, tother, fidx, gs):
+        f = maps[fidx]
+        composed = tuple(f[argument(slot, tother, x, gs)] for x in range(domain_size))
+        if composed not in index:
+            raise SoundnessError(f"{what} action leaves the enumerated maps")
+        return index[composed]
+
+    return HomModule(build_module(s, monoid, act, name=name), tuple(maps))
 
 
 def hom_gamma(src: BiGammaModule, dst: BiGammaModule, j: int = 0, k: int = 0,
@@ -462,29 +487,9 @@ def hom_gamma(src: BiGammaModule, dst: BiGammaModule, j: int = 0, k: int = 0,
     s = src.parent
     if s != dst.parent:
         raise StructuralError("hom endpoints live over different semirings")
-    maps = equivariant_maps(src, dst, bound)
-    index = {f: i for i, f in enumerate(maps)}
-    size = len(maps)
-    add = []
-    for f in maps:
-        for g in maps:
-            h = tuple(dst.M.add(a, b) for a, b in zip(f, g))
-            if h not in index:
-                raise SoundnessError("hom set not closed under addition")
-            add.append(index[h])
-    zero_map = tuple(dst.M.zero for _ in range(src.M.size))
-    monoid = FiniteAddMonoid(size, tuple(add), index[zero_map])
-
-    def hom_act(slot, tother, fidx, gs):
-        f = maps[fidx]
-        composed = tuple(f[src.act(slot, tother, m, gs)] for m in range(src.M.size))
-        if composed not in index:
-            raise SoundnessError("hom action leaves the enumerated maps")
-        return index[composed]
-
-    module = build_module(s, monoid, hom_act,
-                          name=f"Hom({src.name},{dst.name})[{j + 1},{k + 1}]")
-    return HomModule(module, tuple(maps))
+    return _maps_module(s, equivariant_maps(src, dst, bound), dst.M, src.M.size,
+                        src.act, "hom",
+                        f"Hom({src.name},{dst.name})[{j + 1},{k + 1}]")
 
 
 def cofree(s: NaryGammaSemiring, coeff: FiniteAddMonoid,
@@ -494,24 +499,10 @@ def cofree(s: NaryGammaSemiring, coeff: FiniteAddMonoid,
     Slot i acts by inserting material into slot i of the argument, so the
     result is the coinduced module of the underlying additive structure.
     """
-    maps = additive_maps(s.T, coeff, bound)
-    index = {f: i for i, f in enumerate(maps)}
-    add = []
-    for f in maps:
-        for g in maps:
-            h = tuple(coeff.add(a, b) for a, b in zip(f, g))
-            add.append(index[h])
-    zero_map = tuple(coeff.zero for _ in range(s.T.size))
-    monoid = FiniteAddMonoid(len(maps), tuple(add), index[zero_map])
-
-    def cf_act(slot, tother, fidx, gs):
-        f = maps[fidx]
-        composed = tuple(f[s.mu(tother[:slot] + (x,) + tother[slot:], gs)]
-                         for x in range(s.T.size))
-        return index[composed]
-
-    module = build_module(s, monoid, cf_act, name=name or f"cofree({s.name})")
-    return HomModule(module, tuple(maps))
+    return _maps_module(
+        s, additive_maps(s.T, coeff, bound), coeff, s.T.size,
+        lambda slot, tother, x, gs: s.mu(tother[:slot] + (x,) + tother[slot:], gs),
+        "cofree", name or f"cofree({s.name})")
 
 
 # ---------------------------------------------------------------------------

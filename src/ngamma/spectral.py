@@ -28,7 +28,7 @@ from .completion import (
 )
 from .homology import (
     ChainComplexAb, ContractionPolicy, HomCochain, bar_complex, default_policy,
-    homology, induced_on_quotients, tor_via_bar,
+    homology, tor_via_bar,
 )
 
 
@@ -325,20 +325,6 @@ def pages(d: DoubleComplexAb, up_to: int):
 # Kunneth-style consistency
 # ---------------------------------------------------------------------------
 
-def _tensor_square_map(src: TensorGroup, dst: TensorGroup, gm: GroupMap,
-                       side: str, what: str) -> GroupMap:
-    rd = src.y.group.dim if side == "left" else src.x.group.dim
-    if side == "left":
-        pairmat = la.kron(gm.mat, gm.dst.dim, gm.src.dim,
-                          la.identity(rd), rd, rd)
-    else:
-        pairmat = la.kron(la.identity(rd), rd, rd,
-                          gm.mat, gm.dst.dim, gm.src.dim)
-    return induced_on_quotients(dst.pres.proj_matrix(), dst.group, pairmat,
-                                src.pres.lift_matrix(), src.pres.proj_matrix(),
-                                src.group, what)
-
-
 @dataclass
 class KunnethReport:
     depth: int
@@ -427,15 +413,13 @@ def kunneth_check(s: NaryGammaSemiring, m: BiGammaModule, n: BiGammaModule,
     for p in range(depth + 1):
         for q in range(depth + 1):
             if p + 1 <= depth:
-                tmap = _tensor_square_map(cells[(p + 1, q)], cells[(p, q)],
-                                          bar_m.diffs[p + 1], "left",
-                                          "horizontal grid map")
+                tmap = cells[(p + 1, q)].induced(
+                    cells[(p, q)], left=bar_m.diffs[p + 1], what="horizontal grid map")
                 dh[(pm - p, qm - q)] = homs[(p, q)].precompose(
                     tmap, homs[(p + 1, q)], "horizontal Hom map")
             if q + 1 <= depth:
-                tmap = _tensor_square_map(cells[(p, q + 1)], cells[(p, q)],
-                                          bar_n.diffs[q + 1], "right",
-                                          "vertical grid map")
+                tmap = cells[(p, q + 1)].induced(
+                    cells[(p, q)], right=bar_n.diffs[q + 1], what="vertical grid map")
                 dv[(pm - p, qm - q)] = homs[(p, q)].precompose(
                     tmap, homs[(p, q + 1)], "vertical Hom map")
     grid = DoubleComplexAb.from_commuting(entries, dh, dv)
@@ -542,8 +526,8 @@ def flatness_probe(s: NaryGammaSemiring, x: CompletedModule,
         tb = TensorGroup(lin_b, x, j, k)
         tc = TensorGroup(lin_c, x, j, k)
         try:
-            fi = _tensor_square_map(ta, tb, ki, "left", "flatness probe map")
-            fp = _tensor_square_map(tb, tc, kp, "left", "flatness probe map")
+            fi = ta.induced(tb, left=ki, what="flatness probe map")
+            fp = tb.induced(tc, left=kp, what="flatness probe map")
         except SoundnessError:
             return False
         if not kernel(fi).group.is_trivial():

@@ -1,4 +1,5 @@
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -163,12 +164,52 @@ def test_pair_matrix_to_quotient_identity_on_binary_m2f2():
     assert tg.pair_matrix_to_quotient(la.identity(16)).equal(GroupMap.identity(tg.group))
 
 
+def _pair_matrix_to_quotient_per_relation(tg, pairmat):
+    """Reference definition: W descends when every W.r projects to zero."""
+    for r in tg.pres.relations:
+        if not tg.pres.is_zero(la.mat_vec(pairmat, r)):
+            return None
+    mid = la.mat_mul(pairmat, tg.pres.lift_matrix(), tg.pair_dim)
+    return GroupMap(tg.group, tg.group, la.mat_mul(tg.pres.proj_matrix(), mid, tg.pair_dim),
+                    check=False)
+
+
+def test_pair_matrix_to_quotient_matches_per_relation_definition():
+    m2 = linearize_module(regular_bimodule(make_matrix_family(f2_semiring(), 2, 2)))
+    z4 = z4_ternary()
+    reg_ideal = direct_sum_completed([
+        linearize_module(regular_bimodule(z4)),
+        linearize_module(ideal_submodule(z4, GammaIdeal(z4, frozenset({0, 2}))))])
+    rng = random.Random(3)
+    for tg in (TensorGroup(m2, m2, 1, 0), TensorGroup(reg_ideal, reg_ideal, 2, 0)):
+        xs, ys = tg.x.group.dim, tg.y.group.dim
+        through_factors = [la.kron(op.mat, xs, xs, la.identity(ys), ys, ys)
+                           for slot_ops in tg.x.ops for op in slot_ops[:8]]
+        through_factors += [la.kron(la.identity(xs), xs, xs, op.mat, ys, ys)
+                            for slot_ops in tg.y.ops for op in slot_ops[:8]]
+        seeded = [[[rng.randint(-3, 3) for _ in range(tg.pair_dim)]
+                   for _ in range(tg.pair_dim)] for _ in range(6)]
+        descended = []
+        for pairmat in through_factors + seeded:
+            got = tg.pair_matrix_to_quotient(pairmat)
+            want = _pair_matrix_to_quotient_per_relation(tg, pairmat)
+            assert (got is None) == (want is None)
+            if got is not None:
+                assert got.mat == want.mat
+            descended.append(got is not None)
+        # Both outcomes occur, so neither branch of the check goes untested.
+        assert any(descended[:len(through_factors)])
+        assert not any(descended[len(through_factors):])
+
+
 MISMATCH_SCRIPT = """
 from ngamma import intlinalg as la
+from ngamma.abgroups import AbGroup, GroupMap
 from ngamma.completion import (
     EquivariantHom, TensorGroup, linearize_module, linearize_morphism,
     zero_completed,
 )
+from ngamma.homology import ChainComplexAb, Cochain, ExtSetup, bar_complex, bar_map
 from ngamma.core import f2_ternary, z4_ternary
 from ngamma.modules import (
     compose_module_morphisms, direct_sum_modules, identity_module_morphism,
@@ -177,6 +218,7 @@ from ngamma.modules import (
 f2, z4 = f2_ternary(), z4_ternary()
 reg2, reg4 = regular_bimodule(f2), regular_bimodule(z4)
 lin2, lin4 = linearize_module(reg2), linearize_module(reg4)
+c2 = AbGroup((2,))
 cases = [
     lambda: EquivariantHom(lin2, lin4),
     lambda: TensorGroup(lin2, lin4, 2, 0),
@@ -185,6 +227,12 @@ cases = [
                                      identity_module_morphism(reg2)),
     lambda: linearize_morphism(identity_module_morphism(reg2), zero_completed(f2), lin2),
     lambda: la.mat_mul([[1, 2]], [[1]], 2),
+    lambda: bar_map(bar_complex(f2, lin2, 2, 0, 1), bar_complex(f2, lin2, 2, 0, 2),
+                    GroupMap.identity(lin2.group)),
+    lambda: bar_complex(f2, lin2, 2, 0, 1, carrier=zero_completed(f2)),
+    lambda: ExtSetup(f2, reg2, zero_module(f2), 0).identity_cocycle(),
+    lambda: ChainComplexAb([c2, c2], {1: GroupMap.zero(c2, AbGroup(()))}),
+    lambda: Cochain([c2], [GroupMap.identity(c2)]),
 ]
 for case in cases:
     try:
@@ -202,4 +250,5 @@ def test_caller_mismatches_raise_typed_errors_under_optimize():
         p for p in (src, os.environ.get("PYTHONPATH")) if p))
     out = subprocess.run([sys.executable, "-O", "-c", MISMATCH_SCRIPT], env=env,
                          capture_output=True, text=True, timeout=120, check=True)
-    assert out.stdout.split() == ["StructuralError"] * 5 + ["ValueError"]
+    assert out.stdout.split() == (["StructuralError"] * 5 + ["ValueError"] * 2
+                                  + ["StructuralError"] * 2 + ["ValueError"] * 2)
