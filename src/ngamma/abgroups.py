@@ -31,7 +31,8 @@ class AbGroup:
     orders: tuple[int, ...]
 
     def __post_init__(self):
-        assert all(o == 0 or o >= 2 for o in self.orders)
+        if not all(o == 0 or o >= 2 for o in self.orders):
+            raise ValueError(f"coordinate orders must be 0 or at least 2, got {self.orders}")
 
     @property
     def dim(self) -> int:
@@ -207,7 +208,10 @@ class GroupMap:
         self.src = src
         self.dst = dst
         rows = [list(r) for r in mat]
-        assert len(rows) == dst.dim and all(len(r) == src.dim for r in rows)
+        if len(rows) != dst.dim or any(len(r) != src.dim for r in rows):
+            raise ValueError(f"matrix has {len(rows)} rows of lengths "
+                             f"{sorted({len(r) for r in rows})}, expected {dst.dim} "
+                             f"rows of length {src.dim}")
         norm = []
         for i in range(dst.dim):
             o = dst.orders[i]
@@ -231,12 +235,16 @@ class GroupMap:
 
     def compose(self, other: "GroupMap") -> "GroupMap":
         """self after other."""
-        assert other.dst.orders == self.src.orders
+        if other.dst.orders != self.src.orders:
+            raise ValueError(f"cannot compose: inner target {other.dst.orders} is not "
+                             f"outer source {self.src.orders}")
         return GroupMap(other.src, self.dst,
                         la.mat_mul(self.mat, other.mat, self.src.dim), check=False)
 
     def add(self, other: "GroupMap") -> "GroupMap":
-        assert self.src is other.src or self.src.orders == other.src.orders
+        if self.src.orders != other.src.orders or self.dst.orders != other.dst.orders:
+            raise ValueError(f"cannot add maps {self.src.orders} -> {self.dst.orders} "
+                             f"and {other.src.orders} -> {other.dst.orders}")
         m = [[a + b for a, b in zip(r1, r2)] for r1, r2 in zip(self.mat, other.mat)]
         return GroupMap(self.src, self.dst, m, check=False)
 
@@ -323,7 +331,9 @@ class Subgroup:
         return self.membership(vec) is not None
 
     def same_as(self, other: "Subgroup") -> bool:
-        assert self.ambient.orders == other.ambient.orders
+        if self.ambient.orders != other.ambient.orders:
+            raise ValueError(f"subgroups of different ambients {self.ambient.orders} "
+                             f"and {other.ambient.orders}")
         return (all(other.contains(g) for g in self.gens)
                 and all(self.contains(g) for g in other.gens))
 
@@ -407,7 +417,9 @@ class HomologyNode(Subquotient):
     """ker(out) / im(in) at a group, with class/representative transport."""
 
     def __init__(self, g: AbGroup, out_map: GroupMap, in_map: GroupMap):
-        assert out_map.src.orders == g.orders and in_map.dst.orders == g.orders
+        if out_map.src.orders != g.orders or in_map.dst.orders != g.orders:
+            raise ValueError(f"differentials {in_map.dst.orders} -> {g.orders} -> "
+                             f"{out_map.src.orders} do not meet at the group")
         if not out_map.compose(in_map).is_zero():
             raise SoundnessError("composite of consecutive differentials is nonzero")
         ker = kernel(out_map)

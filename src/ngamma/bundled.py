@@ -17,7 +17,7 @@ from .modules import (
     ModuleMorphism, direct_sum_modules, ideal_submodule, quotient_module,
     regular_bimodule, zero_module,
 )
-from .workspace import Workspace, dump_document, merge_document, workspace_document
+from .workspace import Workspace, dump_document, merge_bytes, workspace_document
 
 
 def bundled_document() -> dict:
@@ -86,13 +86,7 @@ def bundled_path():
 
 def bundled_workspace() -> Workspace:
     """Parse the packaged example workspace (validates everything)."""
-    import json
-    raw = bundled_path().read_bytes()
-    import hashlib
-    ws = Workspace()
-    ws.digests["<bundled>"] = hashlib.sha256(raw).hexdigest()
-    merge_document(ws, json.loads(raw.decode("utf-8")), where="<bundled>")
-    return ws
+    return merge_bytes(Workspace(), bundled_path().read_bytes(), where="<bundled>")
 
 
 def write_bundled(path) -> None:

@@ -255,6 +255,16 @@ class EquivariantHom:
 
         return GroupMap.from_images(self.group, dst.group, image_of)
 
+    def postcompose(self, g: GroupMap, dst: "EquivariantHom", what: str) -> GroupMap:
+        """f -> g . f from this Hom group into ``dst``, whose target is g's."""
+        def image_of(basis):
+            coords = dst.coords(g.compose(self.matrix(basis)))
+            if coords is None:
+                raise SoundnessError(f"{what} left the equivariant maps")
+            return coords
+
+        return GroupMap.from_images(self.group, dst.group, image_of)
+
 
 # ---------------------------------------------------------------------------
 # Balanced tensor groups

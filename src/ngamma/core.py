@@ -15,6 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import product
+from math import prod
 
 
 class StructuralError(ValueError):
@@ -276,78 +277,47 @@ def _skip_gamma_pair(g: GammaSemigroup, a: int, b: int) -> bool:
     return a == b and g.add(a, b) == a
 
 
-def check_slot_additivity(s: NaryGammaSemiring) -> AxiomCheck:
-    """Additivity of mu in every T slot."""
-    n = s.n
-    for j in range(n):
-        for rest in s.t_tuples(n - 1):
-            for gs in s.g_tuples(n - 1):
-                for x in s.T.elements():
-                    for y in s.T.elements():
-                        left = rest[:j] + (s.T.add(x, y),) + rest[j:]
-                        a = rest[:j] + (x,) + rest[j:]
-                        b = rest[:j] + (y,) + rest[j:]
-                        want = s.T.add(s.mu(a, gs), s.mu(b, gs))
-                        if s.mu(left, gs) != want:
-                            return AxiomCheck("T-slot additivity", False,
-                                              (j + 1, x, y, rest, gs))
-    return AxiomCheck("T-slot additivity", True)
+def table_failures(table, monoids, value: FiniteAddMonoid,
+                   additive=(), absorbing=()):
+    """Witnesses against the additivity and zero laws of one flat table.
 
+    ``table`` is dense and row-major over argument positions whose elements
+    come from ``monoids`` (a FiniteAddMonoid or a GammaSemigroup each); its
+    values lie in ``value``.  Each requested position p is walked by its
+    stride, one row of ``monoids[p].size`` entries per setting of the other
+    positions.  ``args`` in a witness is the full argument tuple.
 
-def check_parameter_additivity(s: NaryGammaSemiring) -> AxiomCheck:
-    """Additivity in every parameter slot, idempotent self-sums exempt."""
-    n = s.n
-    for k in range(n - 1):
-        for grest in s.g_tuples(n - 2):
-            for xs in s.t_tuples(n):
-                for a in s.gamma.elements():
-                    for b in s.gamma.elements():
-                        if _skip_gamma_pair(s.gamma, a, b):
-                            continue
-                        gsum = grest[:k] + (s.gamma.add(a, b),) + grest[k:]
-                        ga = grest[:k] + (a,) + grest[k:]
-                        gb = grest[:k] + (b,) + grest[k:]
-                        want = s.T.add(s.mu(xs, ga), s.mu(xs, gb))
-                        if s.mu(xs, gsum) != want:
-                            return AxiomCheck("parameter-slot additivity", False,
-                                              (k + 1, a, b, xs, grest))
-    return AxiomCheck("parameter-slot additivity", True)
-
-
-def check_zero_absorption(s: NaryGammaSemiring) -> AxiomCheck:
-    n = s.n
-    z = s.T.zero
-    for j in range(n):
-        for rest in s.t_tuples(n - 1):
-            for gs in s.g_tuples(n - 1):
-                xs = rest[:j] + (z,) + rest[j:]
-                if s.mu(xs, gs) != z:
-                    return AxiomCheck("zero absorption", False, (j + 1, rest, gs))
-    if s.gamma.has_zero:
-        gz = s.gamma.zero
-        for k in range(n - 1):
-            for grest in s.g_tuples(n - 2):
-                for xs in s.t_tuples(n):
-                    gs = grest[:k] + (gz,) + grest[k:]
-                    if s.mu(xs, gs) != z:
-                        return AxiomCheck("zero absorption", False,
-                                          ("gamma", k + 1, xs, grest))
-    return AxiomCheck("zero absorption", True)
-
-
-def _bracketing_values(s: NaryGammaSemiring, xs, gs):
-    """Values of one inner-window substitution per admissible position."""
-    n = s.n
-    out = []
-    for i in range(len(xs) - n + 1):
-        inner = s.mu(xs[i:i + n], gs[i:i + n - 1])
-        outer_xs = xs[:i] + (inner,) + xs[i + n:]
-        outer_gs = gs[:i] + gs[i + n - 1:]
-        if len(outer_xs) == n:
-            out.append((i, s.mu(outer_xs, outer_gs)))
-        else:
-            out.append((i, word_product(s, outer_xs, outer_gs)))
-    return out
+    For p in ``additive`` this yields (p, x, y, args), args[p] == x, whenever
+    table[args with p := x+y] != table[args] + table[args with p := y];
+    parameter positions skip idempotent self-sums (``_skip_gamma_pair``).
+    For p in ``absorbing`` whose monoid has a zero it yields (p, args),
+    args[p] that zero, whenever table[args] is not the zero of ``value``.
+    """
+    sizes = [m.size for m in monoids]
+    vadd, vsize, vzero = value.add_table, value.size, value.zero
+    for p in additive:
+        m = monoids[p]
+        gamma = isinstance(m, GammaSemigroup)
+        pairs = [(x, y, m.add(x, y)) for x in range(m.size) for y in range(m.size)
+                 if not (gamma and _skip_gamma_pair(m, x, y))]
+        stride = prod(sizes[p + 1:])
+        block = m.size * stride
+        for hi in range(0, len(table), block):
+            for base in range(hi, hi + stride):
+                row = table[base:base + block:stride]
+                for x, y, xy in pairs:
+                    if row[xy] != vadd[row[x] * vsize + row[y]]:
+                        yield (p, x, y, unflatten_index(base + x * stride, sizes))
+    for p in absorbing:
+        m = monoids[p]
+        if isinstance(m, GammaSemigroup) and not m.has_zero:
+            continue
+        stride = prod(sizes[p + 1:])
+        block = m.size * stride
+        for hi in range(0, len(table), block):
+            for base in range(hi + m.zero * stride, hi + (m.zero + 1) * stride):
+                if table[base] != vzero:
+                    yield (p, unflatten_index(base, sizes))
 
 
 def check_flattened_associativity(s: NaryGammaSemiring,
@@ -366,12 +336,11 @@ def check_flattened_associativity(s: NaryGammaSemiring,
     wlen = 2 * n - 1
     for xs in product(gens, repeat=wlen):
         for gs in s.g_tuples(wlen - 1):
-            vals = _bracketing_values(s, xs, gs)
-            base = vals[0][1]
-            for i, v in vals[1:]:
-                if v != base:
+            vals = _all_bracketing_values(s, xs, gs)
+            for i, v in enumerate(vals):
+                if v != vals[0]:
                     return AxiomCheck("flattened associativity", False,
-                                      (xs, gs, vals[0][0], i, base, v))
+                                      (xs, gs, 0, i, vals[0], v))
     return AxiomCheck("flattened associativity", True)
 
 
@@ -384,11 +353,18 @@ def validate_semiring(s: NaryGammaSemiring) -> AxiomReport:
     g_issues = s.gamma.validate()
     checks.append(AxiomCheck("parameter semigroup laws", not g_issues,
                              g_issues[0] if g_issues else None))
-    a1 = check_slot_additivity(s)
-    checks.append(a1)
-    checks.append(check_parameter_additivity(s))
-    checks.append(check_flattened_associativity(s, generators_only=a1.ok and not t_issues))
-    checks.append(check_zero_absorption(s))
+    n = s.n
+    monoids = [s.T] * n + [s.gamma] * (n - 1)
+
+    def check(axiom, **law):
+        wit = next(table_failures(s.mu_table, monoids, s.T, **law), None)
+        return AxiomCheck(axiom, wit is None, wit)
+
+    slots = check("T-slot additivity", additive=range(n))
+    checks += [slots,
+               check("parameter-slot additivity", additive=range(n, 2 * n - 1)),
+               check_flattened_associativity(s, generators_only=slots.ok and not t_issues),
+               check("zero absorption", absorbing=range(2 * n - 1))]
     return AxiomReport(tuple(checks))
 
 

@@ -490,15 +490,8 @@ class CofreeTower:
 
     def cochain_hom_from(self, m: CompletedModule) -> Cochain:
         homs = [EquivariantHom(m, t) for t in self.terms]
-        diffs = []
-        for r in range(len(self.terms) - 1):
-            def image_of(basis):
-                coords = homs[r + 1].coords(self.maps[r].compose(homs[r].matrix(basis)))
-                if coords is None:
-                    raise SoundnessError("postcomposition left the equivariant maps")
-                return coords
-
-            diffs.append(GroupMap.from_images(homs[r].group, homs[r + 1].group, image_of))
+        diffs = [homs[r].postcompose(self.maps[r], homs[r + 1], "postcomposition")
+                 for r in range(len(self.terms) - 1)]
         return Cochain([h.group for h in homs], diffs)
 
 

@@ -75,8 +75,9 @@ def smith_normal_form(a, nrows: int, ncols: int) -> SmithForm:
     [2, 2]
     """
     d = copy_matrix(a)
-    for row in d:
-        assert len(row) == ncols
+    for i, row in enumerate(d):
+        if len(row) != ncols:
+            raise ValueError(f"row {i} has {len(row)} entries, expected {ncols}")
     s = identity(nrows)
     sinv = identity(nrows)
     t = identity(ncols)

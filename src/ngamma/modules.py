@@ -11,13 +11,15 @@ termination guaranteed by the additive torsion of every generator.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import product
+from math import prod
 
 from .abgroups import SoundnessError
 from .core import (
     AxiomCheck, AxiomReport, BoundExceeded, FiniteAddMonoid,
-    NaryGammaSemiring, StructuralError, _skip_gamma_pair, congruence_closure,
-    flatten_index,
+    NaryGammaSemiring, StructuralError, congruence_closure, flatten_index,
+    table_failures,
 )
 from .ideals import GammaIdeal, coset_congruence, quotient_monoid
 
@@ -33,23 +35,29 @@ class BiGammaModule:
         n = self.parent.n
         if len(self.act_tables) != n:
             raise StructuralError("one action table per slot is required")
-        expected = (self.parent.T.size ** (n - 1) * self.M.size
-                    * self.parent.gamma.size ** (n - 1))
         for j, tbl in enumerate(self.act_tables):
-            if len(tbl) != expected:
+            if len(tbl) != prod(self._sizes[j]):
                 raise StructuralError(f"slot {j + 1} action table has wrong size")
             if any(not (0 <= v < self.M.size) for v in tbl):
                 raise StructuralError(f"slot {j + 1} action entry out of range")
 
-    def _sizes(self, j: int) -> list[int]:
-        n = self.parent.n
-        ts = self.parent.T.size
-        return [ts] * j + [self.M.size] + [ts] * (n - 1 - j) + \
-            [self.parent.gamma.size] * (n - 1)
+    def _layout(self, j: int) -> list:
+        """The monoid of each argument of slot j's table, slowest first.
+
+        Carrier elements fill the n multiplication slots with the module
+        element at slot j; the n-1 parameters follow.
+        """
+        s = self.parent
+        return [s.T] * j + [self.M] + [s.T] * (s.n - 1 - j) + [s.gamma] * (s.n - 1)
+
+    @cached_property
+    def _sizes(self) -> tuple[tuple[int, ...], ...]:
+        """Argument sizes of every slot table, per ``_layout``."""
+        return tuple(tuple(m.size for m in self._layout(j)) for j in range(self.parent.n))
 
     def act(self, j: int, tother, m: int, gs) -> int:
         args = tuple(tother[:j]) + (m,) + tuple(tother[j:]) + tuple(gs)
-        return self.act_tables[j][flatten_index(args, self._sizes(j))]
+        return self.act_tables[j][flatten_index(args, self._sizes[j])]
 
     @property
     def size(self) -> int:
@@ -63,7 +71,7 @@ def build_module(parent: NaryGammaSemiring, monoid: FiniteAddMonoid, act_fn,
     tables = []
     for j in range(n):
         tbl = []
-        # Flattening must match _sizes: m interleaved at position j.
+        # Flattening must match _layout: m interleaved at position j.
         for prefix in product(range(parent.T.size), repeat=j):
             for m in range(monoid.size):
                 for suffix in product(range(parent.T.size), repeat=n - 1 - j):
@@ -145,92 +153,19 @@ def validate_module(b: BiGammaModule) -> AxiomReport:
     issues = b.M.validate()
     checks.append(AxiomCheck("module monoid laws", not issues,
                              issues[0] if issues else None))
-    for axiom, witnesses in (("module additivity", _module_additivity_failures),
-                             ("carrier-slot additivity", _carrier_additivity_failures),
-                             ("parameter-slot additivity", _parameter_additivity_failures),
-                             ("zero absorption", _zero_absorption_failures)):
-        wit = next(witnesses(b), None)
+    n = b.parent.n
+    for axiom, law in (("module additivity", lambda j: {"additive": (j,)}),
+                       ("carrier-slot additivity",
+                        lambda j: {"additive": [p for p in range(n) if p != j]}),
+                       ("parameter-slot additivity",
+                        lambda j: {"additive": range(n, 2 * n - 1)}),
+                       ("zero absorption", lambda j: {"absorbing": range(2 * n - 1)})):
+        wit = next(((j + 1,) + w for j, table in enumerate(b.act_tables)
+                    for w in table_failures(table, b._layout(j), b.M, **law(j))), None)
         checks.append(AxiomCheck(axiom, wit is None, wit))
     additive_ok = all(c.ok for c in checks)
     checks.append(_check_module_words(b, generators_only=additive_ok))
     return AxiomReport(tuple(checks))
-
-
-def _module_additivity_failures(b: BiGammaModule):
-    s = b.parent
-    n = s.n
-    for j in range(n):
-        for tother in s.t_tuples(n - 1):
-            for gs in s.g_tuples(n - 1):
-                for m1 in range(b.M.size):
-                    for m2 in range(b.M.size):
-                        lhs = b.act(j, tother, b.M.add(m1, m2), gs)
-                        rhs = b.M.add(b.act(j, tother, m1, gs), b.act(j, tother, m2, gs))
-                        if lhs != rhs:
-                            yield (j + 1, m1, m2, tother, gs)
-
-
-def _carrier_additivity_failures(b: BiGammaModule):
-    s = b.parent
-    n = s.n
-    for j in range(n):
-        for pos in range(n - 1):
-            for rest in s.t_tuples(n - 2):
-                for gs in s.g_tuples(n - 1):
-                    for m in range(b.M.size):
-                        for x in s.T.elements():
-                            for y in s.T.elements():
-                                tsum = rest[:pos] + (s.T.add(x, y),) + rest[pos:]
-                                ta = rest[:pos] + (x,) + rest[pos:]
-                                tb = rest[:pos] + (y,) + rest[pos:]
-                                lhs = b.act(j, tsum, m, gs)
-                                rhs = b.M.add(b.act(j, ta, m, gs), b.act(j, tb, m, gs))
-                                if lhs != rhs:
-                                    yield (j + 1, pos, x, y, m)
-
-
-def _parameter_additivity_failures(b: BiGammaModule):
-    s = b.parent
-    n = s.n
-    for j in range(n):
-        for pos in range(n - 1):
-            for grest in s.g_tuples(n - 2):
-                for tother in s.t_tuples(n - 1):
-                    for m in range(b.M.size):
-                        for x in s.gamma.elements():
-                            for y in s.gamma.elements():
-                                if _skip_gamma_pair(s.gamma, x, y):
-                                    continue
-                                gsum = grest[:pos] + (s.gamma.add(x, y),) + grest[pos:]
-                                ga = grest[:pos] + (x,) + grest[pos:]
-                                gb = grest[:pos] + (y,) + grest[pos:]
-                                lhs = b.act(j, tother, m, gsum)
-                                rhs = b.M.add(b.act(j, tother, m, ga),
-                                              b.act(j, tother, m, gb))
-                                if lhs != rhs:
-                                    yield (j + 1, pos, x, y, m)
-
-
-def _zero_absorption_failures(b: BiGammaModule):
-    s = b.parent
-    n = s.n
-    for j in range(n):
-        for tother in s.t_tuples(n - 1):
-            for gs in s.g_tuples(n - 1):
-                if b.act(j, tother, b.M.zero, gs) != b.M.zero:
-                    yield (j + 1, "module zero", tother, gs)
-                if s.T.zero in tother:
-                    for m in range(b.M.size):
-                        if b.act(j, tother, m, gs) != b.M.zero:
-                            yield (j + 1, "carrier zero", tother, m)
-    if s.gamma.has_zero:
-        for j in range(n):
-            for tother in s.t_tuples(n - 1):
-                for gs in s.g_tuples(n - 1):
-                    if s.gamma.zero in gs:
-                        for m in range(b.M.size):
-                            if b.act(j, tother, m, gs) != b.M.zero:
-                                yield (j + 1, "parameter zero", gs, m)
 
 
 def _module_word_values(b: BiGammaModule, tokens, gs):

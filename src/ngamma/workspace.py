@@ -80,13 +80,18 @@ def parse_workspace(paths: list[str]) -> Workspace:
     for path in paths:
         with open(path, "rb") as fh:
             raw = fh.read()
-        ws.digests[path] = hashlib.sha256(raw).hexdigest()
-        try:
-            doc = json.loads(raw.decode("utf-8"))
-        except (UnicodeDecodeError, json.JSONDecodeError) as e:
-            raise WorkspaceError(f"{path}: not valid UTF-8 JSON ({e})")
-        merge_document(ws, doc, where=path)
+        merge_bytes(ws, raw, where=path)
     return ws
+
+
+def merge_bytes(ws: Workspace, raw: bytes, where: str) -> Workspace:
+    """Record the sha256 of ``raw`` under ``where``, decode it and merge it."""
+    ws.digests[where] = hashlib.sha256(raw).hexdigest()
+    try:
+        doc = json.loads(raw.decode("utf-8"))
+    except (UnicodeDecodeError, json.JSONDecodeError) as e:
+        raise WorkspaceError(f"{where}: not valid UTF-8 JSON ({e})")
+    return merge_document(ws, doc, where=where)
 
 
 def merge_document(ws: Workspace, doc: dict, where: str = "<doc>") -> Workspace:

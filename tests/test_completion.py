@@ -204,7 +204,7 @@ def test_pair_matrix_to_quotient_matches_per_relation_definition():
 
 MISMATCH_SCRIPT = """
 from ngamma import intlinalg as la
-from ngamma.abgroups import AbGroup, GroupMap
+from ngamma.abgroups import AbGroup, GroupMap, HomologyNode, Subgroup
 from ngamma.completion import (
     EquivariantHom, TensorGroup, linearize_module, linearize_morphism,
     zero_completed,
@@ -233,6 +233,13 @@ cases = [
     lambda: ExtSetup(f2, reg2, zero_module(f2), 0).identity_cocycle(),
     lambda: ChainComplexAb([c2, c2], {1: GroupMap.zero(c2, AbGroup(()))}),
     lambda: Cochain([c2], [GroupMap.identity(c2)]),
+    lambda: AbGroup((1,)),
+    lambda: GroupMap(c2, c2, [[1, 1]]),
+    lambda: GroupMap.identity(c2).compose(GroupMap.identity(AbGroup((4,)))),
+    lambda: GroupMap.identity(c2).add(GroupMap.identity(AbGroup((4,)))),
+    lambda: Subgroup(c2, [[1]]).same_as(Subgroup(AbGroup((4,)), [[2]])),
+    lambda: HomologyNode(c2, GroupMap.identity(AbGroup((4,))), GroupMap.identity(c2)),
+    lambda: la.smith_normal_form([[1, 2], [3]], 2, 2),
 ]
 for case in cases:
     try:
@@ -251,4 +258,4 @@ def test_caller_mismatches_raise_typed_errors_under_optimize():
     out = subprocess.run([sys.executable, "-O", "-c", MISMATCH_SCRIPT], env=env,
                          capture_output=True, text=True, timeout=120, check=True)
     assert out.stdout.split() == (["StructuralError"] * 5 + ["ValueError"] * 2
-                                  + ["StructuralError"] * 2 + ["ValueError"] * 2)
+                                  + ["StructuralError"] * 2 + ["ValueError"] * 9)
