@@ -98,7 +98,7 @@ def _invariant_factors(orders: tuple[int, ...]) -> tuple[int, ...]:
     for k in range(width):
         f = 1
         for p, exps in primes.items():
-            padded = sorted(exps) + []
+            padded = sorted(exps)
             idx = k - (width - len(exps))
             if idx >= 0:
                 f *= p ** padded[idx]
@@ -131,7 +131,7 @@ class Presentation:
         self.ngens = ngens
         self.relations = [list(r) for r in relations]
         r = [[rel[i] for rel in self.relations] for i in range(ngens)]
-        sf = la.smith_normal_form(r, ngens, max(len(self.relations), 0))
+        sf = la.smith_normal_form(r, ngens, len(self.relations), track=("s", "sinv"))
         kept = []
         orders = []
         for i in range(ngens):
@@ -298,12 +298,16 @@ class Subgroup:
         t = len(ocols)
         if ambient.dim == 0:
             # Everything collapses: each generator is itself a relation.
+            self._system = None
             self.pres = Presentation(k, la.identity(k) if k else [])
         else:
+            # One factorization of [gens | order columns] serves the
+            # relations among the generators and every membership test.
             a = [[(self.gens[j][i] if j < k else ocols[j - k][i])
                   for j in range(k + t)] for i in range(ambient.dim)]
-            basis = la.kernel_basis(a, ambient.dim, k + t)
-            rels = [[b[i] for i in range(k)] for b in basis]
+            self._system = la.smith_normal_form(a, ambient.dim, k + t,
+                                                track=("s", "t"))
+            rels = [b[:k] for b in self._system.kernel_basis()]
             self.pres = Presentation(k, rels)
         self.group = self.pres.group
         incl_mat = []
@@ -315,17 +319,12 @@ class Subgroup:
 
     def membership(self, vec):
         """Coordinates of vec in the subgroup, or None if not a member."""
-        k = len(self.gens)
-        ocols = order_lattice_columns(self.ambient)
-        t = len(ocols)
-        if self.ambient.dim == 0:
+        if self._system is None:
             return self.group.zero()
-        a = [[(self.gens[j][i] if j < k else ocols[j - k][i])
-              for j in range(k + t)] for i in range(self.ambient.dim)]
-        sol = la.solve(a, list(vec), self.ambient.dim, k + t)
+        sol = self._system.solve(list(vec))
         if sol is None:
             return None
-        return self.pres.project(sol[:k])
+        return self.pres.project(sol[:len(self.gens)])
 
     def contains(self, vec) -> bool:
         return self.membership(vec) is not None
@@ -371,6 +370,8 @@ class Subquotient:
     is always included in both sides.
     """
 
+    not_member = "vector is not in the numerator"
+
     def __init__(self, g: AbGroup, p_gens, q_gens, what: str = "subquotient"):
         self.ambient = g
         gens = [list(v) for v in p_gens] + order_lattice_columns(g)
@@ -379,9 +380,11 @@ class Subquotient:
         qcols = order_lattice_columns(g) + [list(v) for v in q_gens]
         if p:
             bp = [[self._pbasis[j][i] for j in range(p)] for i in range(g.dim)]
+            # One factorization of the numerator basis serves every solve.
+            self._bp_snf = la.smith_normal_form(bp, g.dim, p, track=("s", "t"))
             rels = []
             for q in qcols:
-                x = la.solve(bp, list(q), g.dim, p)
+                x = self._bp_snf.solve(list(q))
                 if x is None:
                     raise SoundnessError(f"{what}: denominator not inside numerator")
                 rels.append(x)
@@ -400,9 +403,9 @@ class Subquotient:
         p = len(self._pbasis)
         if p == 0:
             return self.group.zero()
-        x = la.solve(self._bp, list(vec), self.ambient.dim, p)
+        x = self._bp_snf.solve(list(vec))
         if x is None:
-            raise ValueError("vector is not in the numerator")
+            raise ValueError(self.not_member)
         return self._pres.project(x)
 
     def representative(self, cls):
@@ -416,6 +419,8 @@ class Subquotient:
 class HomologyNode(Subquotient):
     """ker(out) / im(in) at a group, with class/representative transport."""
 
+    not_member = "vector is not a cycle"
+
     def __init__(self, g: AbGroup, out_map: GroupMap, in_map: GroupMap):
         if out_map.src.orders != g.orders or in_map.dst.orders != g.orders:
             raise ValueError(f"differentials {in_map.dst.orders} -> {g.orders} -> "
@@ -428,12 +433,6 @@ class HomologyNode(Subquotient):
         qcols = [[in_map.mat[i][j] for i in range(g.dim)]
                  for j in range(in_map.src.dim)]
         super().__init__(g, plat, qcols, what="homology")
-
-    def classify(self, vec):
-        try:
-            return super().classify(vec)
-        except ValueError:
-            raise ValueError("vector is not a cycle")
 
 
 def direct_sum(groups: list[AbGroup]):

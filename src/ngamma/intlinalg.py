@@ -3,10 +3,14 @@
 Matrices are lists of row lists of Python ints, so everything is
 arbitrary-precision and bit-exact.  Dimensions are passed explicitly where a
 matrix can be empty (0xN and Nx0 both occur constantly in chain complexes).
-All routines are pure; none mutate their arguments.
+All routines are pure; none mutate their arguments (the Smith normal form
+works on its own sparse copy of the input rows).
 """
 
 from __future__ import annotations
+
+from itertools import chain
+from math import gcd
 
 
 def zeros(nrows: int, ncols: int) -> list[list[int]]:
@@ -44,13 +48,16 @@ def mat_vec(a, x) -> list[int]:
     return [sum(c * v for c, v in zip(row, x)) for row in a]
 
 
+TRANSFORMS = ("s", "sinv", "t", "tinv")
+
+
 class SmithForm:
     """Decomposition S*A*T = D with S, T unimodular and D diagonal.
 
     ``diag`` lists the nonzero diagonal entries d_1 | d_2 | ... | d_r in
     divisibility order; the rest of D is zero.  ``sinv`` and ``tinv`` are the
     exact inverses, maintained during the reduction rather than inverted after
-    the fact.
+    the fact.  A transform the reduction was not asked to track is ``[]``.
     """
 
     __slots__ = ("nrows", "ncols", "d", "s", "sinv", "t", "tinv", "rank", "diag")
@@ -66,140 +73,193 @@ class SmithForm:
         self.diag = [d[i][i] for i in range(min(nrows, ncols)) if d[i][i] != 0]
         self.rank = len(self.diag)
 
+    def kernel_basis(self) -> list[list[int]]:
+        """Columns rank.. of T: a basis of {x : A x = 0}.  Needs T."""
+        if self.ncols and not self.t:
+            raise ValueError("kernel_basis needs the transform t")
+        return [[row[j] for row in self.t] for j in range(self.rank, self.ncols)]
 
-def smith_normal_form(a, nrows: int, ncols: int) -> SmithForm:
-    """Smith normal form over the integers with full transform tracking.
+    def solve(self, b):
+        """One integer solution x of A x = b, or None.  Needs S and T."""
+        if len(b) != self.nrows:
+            raise ValueError(f"right-hand side has {len(b)} entries, "
+                             f"expected {self.nrows}")
+        if (self.nrows and not self.s) or (self.ncols and not self.t):
+            raise ValueError("solve needs the transforms s and t")
+        c = mat_vec(self.s, b)
+        if any(c[self.rank:]) or any(ci % di for ci, di in zip(c, self.diag)):
+            return None
+        y = [ci // di for ci, di in zip(c, self.diag)]
+        return mat_vec(self.t, y + [0] * (self.ncols - self.rank))
+
+
+def _add_scaled(dst, src, c):
+    """dst + c*src for dense rows."""
+    return [x + c * y for x, y in zip(dst, src)]
+
+
+def smith_normal_form(a, nrows: int, ncols: int, *,
+                      track=TRANSFORMS) -> SmithForm:
+    """Smith normal form over the integers.
+
+    ``track`` names the transforms to maintain, any of "s", "sinv", "t" and
+    "tinv"; the others come back as empty lists.  D and every tracked
+    transform are the same whatever else is tracked.
 
     >>> sf = smith_normal_form([[2, 4], [6, 10]], 2, 2)
     >>> sf.diag
     [2, 2]
+    >>> sf = smith_normal_form([[2, 4], [6, 10]], 2, 2, track=("t",))
+    >>> sf.t, sf.s
+    ([[1, -2], [0, 1]], [])
+
+    The pivot is the smallest nonzero |entry| of the trailing block, the
+    first in row-major order; S, T and so every coordinate derived from them
+    depend on that rule.
     """
-    d = copy_matrix(a)
-    for i, row in enumerate(d):
+    unknown = set(track) - set(TRANSFORMS)
+    if unknown:
+        raise ValueError(f"unknown transforms {sorted(unknown)}, expected some of "
+                         f"{list(TRANSFORMS)}")
+    if len(a) != nrows:
+        raise ValueError(f"matrix has {len(a)} rows, expected {nrows}")
+    for i, row in enumerate(a):
         if len(row) != ncols:
             raise ValueError(f"row {i} has {len(row)} entries, expected {ncols}")
-    s = identity(nrows)
-    sinv = identity(nrows)
-    t = identity(ncols)
-    tinv = identity(ncols)
+    # D as sparse rows {key: value}, a key naming an input column.  Column
+    # swaps permute ``col`` (position -> key) and ``pos`` (key -> position)
+    # instead of moving entries.  Rows k.. have no entries at positions
+    # before k, and rows before k hold only their diagonal entry.
+    d = [{j: v for j, v in enumerate(row) if v} for row in a]
+    col = list(range(ncols))
+    pos = list(range(ncols))
+    # Every transform is kept as rows that the elementary operations touch
+    # whole: S and T^-1 as they are, S^-1 and T transposed.
+    s = identity(nrows) if "s" in track else None
+    sinv_t = identity(nrows) if "sinv" in track else None
+    t_t = identity(ncols) if "t" in track else None
+    tinv = identity(ncols) if "tinv" in track else None
 
     def row_add(i, j, c):
-        # row_i += c*row_j on D and S; inverse op on Sinv columns.
-        di, dj = d[i], d[j]
-        for col in range(ncols):
-            di[col] += c * dj[col]
-        si, sj = s[i], s[j]
-        for col in range(nrows):
-            si[col] += c * sj[col]
-        for r in range(nrows):
-            sinv[r][j] -= c * sinv[r][i]
+        # row_i += c*row_j on D and S; column_j -= c*column_i on S^-1.
+        di = d[i]
+        for key, v in d[j].items():
+            nv = di.get(key, 0) + c * v
+            if nv:
+                di[key] = nv
+            else:
+                del di[key]
+        if s is not None:
+            s[i] = _add_scaled(s[i], s[j], c)
+        if sinv_t is not None:
+            sinv_t[j] = _add_scaled(sinv_t[j], sinv_t[i], -c)
 
-    def col_add(j, i, c):
-        # col_j += c*col_i on D and T; inverse op on Tinv rows.
-        for r in range(nrows):
-            d[r][j] += c * d[r][i]
-        for r in range(ncols):
-            t[r][j] += c * t[r][i]
-        ti, tj = tinv[i], tinv[j]
-        for col in range(ncols):
-            ti[col] -= c * tj[col]
+    def col_add(j, i, c, rows):
+        # col_j += c*col_i on D (keys j, i; col_i is nonzero in ``rows``
+        # only) and T; row_i -= c*row_j on T^-1.
+        for r in rows:
+            dr = d[r]
+            nv = dr.get(j, 0) + c * dr[i]
+            if nv:
+                dr[j] = nv
+            else:
+                del dr[j]
+        j, i = pos[j], pos[i]
+        if t_t is not None:
+            t_t[j] = _add_scaled(t_t[j], t_t[i], c)
+        if tinv is not None:
+            tinv[i] = _add_scaled(tinv[i], tinv[j], -c)
 
-    def row_swap(i, j):
-        d[i], d[j] = d[j], d[i]
-        s[i], s[j] = s[j], s[i]
-        for r in range(nrows):
-            sinv[r][i], sinv[r][j] = sinv[r][j], sinv[r][i]
+    def swap(mat, i, j):
+        if mat is not None:
+            mat[i], mat[j] = mat[j], mat[i]
 
-    def col_swap(i, j):
-        for r in range(nrows):
-            d[r][i], d[r][j] = d[r][j], d[r][i]
-        for r in range(ncols):
-            t[r][i], t[r][j] = t[r][j], t[r][i]
-        tinv[i], tinv[j] = tinv[j], tinv[i]
-
-    def row_negate(i):
-        d[i] = [-v for v in d[i]]
-        s[i] = [-v for v in s[i]]
-        for r in range(nrows):
-            sinv[r][i] = -sinv[r][i]
-
-    m = min(nrows, ncols)
-    for k in range(m):
+    for k in range(min(nrows, ncols)):
         while True:
-            # Pivot: smallest |entry| in the trailing block.
-            piv = None
-            best = None
+            # Pivot: smallest |entry| in rows k.., first in row-major order.
+            best = 0
             for i in range(k, nrows):
-                for j in range(k, ncols):
-                    v = d[i][j]
-                    if v != 0 and (best is None or abs(v) < best):
-                        best = abs(v)
-                        piv = (i, j)
-            if piv is None:
-                break
-            pi, pj = piv
+                for j, v in d[i].items():
+                    v = abs(v)
+                    if not best or v < best or (
+                            v == best and i == pi and pos[j] < pos[pj]):
+                        best, pi, pj = v, i, j
+                if best == 1:
+                    break
+            if not best:
+                return _finish(nrows, ncols, d, pos, s, sinv_t, t_t, tinv)
             if pi != k:
-                row_swap(k, pi)
+                swap(d, k, pi)
+                swap(s, k, pi)
+                swap(sinv_t, k, pi)
+            pj = pos[pj]
             if pj != k:
-                col_swap(k, pj)
-            if d[k][k] < 0:
-                row_negate(k)
-            pivot = d[k][k]
+                swap(col, k, pj)
+                pos[col[k]], pos[col[pj]] = k, pj
+                swap(t_t, k, pj)
+                swap(tinv, k, pj)
+            ck = col[k]
+            row = d[k]
+            if row[ck] < 0:
+                d[k] = row = {j: -v for j, v in row.items()}
+                if s is not None:
+                    s[k] = [-v for v in s[k]]
+                if sinv_t is not None:
+                    sinv_t[k] = [-v for v in sinv_t[k]]
+            pivot = row[ck]
             dirty = False
+            rows = [k]
             for i in range(k + 1, nrows):
-                q = d[i][k] // pivot
+                v = d[i].get(ck)
+                if v:
+                    q = v // pivot
+                    if q:
+                        row_add(i, k, -q)
+                    if ck in d[i]:
+                        dirty = True
+                        rows.append(i)
+            for j, v in list(row.items()):
+                if j == ck:
+                    continue
+                q = v // pivot
                 if q:
-                    row_add(i, k, -q)
-                if d[i][k]:
-                    dirty = True
-            for j in range(k + 1, ncols):
-                q = d[k][j] // pivot
-                if q:
-                    col_add(j, k, -q)
-                if d[k][j]:
+                    col_add(j, ck, -q, rows)
+                if j in row:
                     dirty = True
             if dirty:
                 continue
-            # Pivot must divide the rest of the block for true SNF.
-            offender = None
-            for i in range(k + 1, nrows):
-                for j in range(k + 1, ncols):
-                    if d[i][j] % pivot:
-                        offender = i
-                        break
-                if offender is not None:
-                    break
-            if offender is None:
+            # Pivot must divide the rest of the block for true SNF; if not,
+            # add the first offending row, the first whose gcd it does not
+            # divide, to the pivot row.
+            if pivot == 1 or not gcd(*chain.from_iterable(
+                    map(dict.values, d[k + 1:]))) % pivot:
                 break
-            row_add(k, offender, 1)
+            row_add(k, next(i for i in range(k + 1, nrows)
+                            if gcd(*d[i].values()) % pivot), 1)
+    return _finish(nrows, ncols, d, pos, s, sinv_t, t_t, tinv)
 
-    return SmithForm(nrows, ncols, d, s, sinv, t, tinv)
+
+def _finish(nrows, ncols, d, pos, s, sinv_t, t_t, tinv) -> SmithForm:
+    dense = zeros(nrows, ncols)
+    for row, sparse in zip(dense, d):
+        for j, v in sparse.items():
+            row[pos[j]] = v
+
+    def transpose(mat):
+        return [list(c) for c in zip(*mat)] if mat else []
+
+    return SmithForm(nrows, ncols, dense, s or [], transpose(sinv_t),
+                     transpose(t_t), tinv or [])
 
 
 def kernel_basis(a, nrows: int, ncols: int) -> list[list[int]]:
     """Basis (as column vectors) of the integer kernel {x : A x = 0}."""
-    sf = smith_normal_form(a, nrows, ncols)
-    out = []
-    for j in range(ncols):
-        if j >= sf.rank:
-            out.append([sf.t[i][j] for i in range(ncols)])
-    return out
+    return smith_normal_form(a, nrows, ncols, track=("t",)).kernel_basis()
 
 
 def solve(a, b, nrows: int, ncols: int):
     """One integer solution x of A x = b, or None when none exists."""
-    sf = smith_normal_form(a, nrows, ncols)
-    c = mat_vec(sf.s, b)
-    y = [0] * ncols
-    for i in range(nrows):
-        if i < sf.rank:
-            di = sf.d[i][i]
-            if c[i] % di:
-                return None
-            y[i] = c[i] // di
-        elif c[i]:
-            return None
-    return mat_vec(sf.t, y)
+    return smith_normal_form(a, nrows, ncols, track=("s", "t")).solve(b)
 
 
 def lattice_basis(gens: list[list[int]], dim: int) -> list[list[int]]:
@@ -209,8 +269,11 @@ def lattice_basis(gens: list[list[int]], dim: int) -> list[list[int]]:
     """
     if not gens:
         return []
+    for g in gens:
+        if len(g) != dim:
+            raise ValueError(f"generator has {len(g)} entries, expected {dim}")
     a = [[g[i] for g in gens] for i in range(dim)]
-    sf = smith_normal_form(a, dim, len(gens))
+    sf = smith_normal_form(a, dim, len(gens), track=("sinv",))
     # colspan(A) = Sinv * colspan(D); D's nonzero columns are d_i * e_i.
     out = []
     for i in range(sf.rank):

@@ -93,6 +93,18 @@ def test_homology_node_textbook():
     assert node.classify(rep) == cls
 
 
+def test_homology_node_classify_errors():
+    # At Z^2 with out = projection to the first coordinate, only (0, y) are
+    # cycles; a vector of the wrong length is reported as such.
+    z, z2 = AbGroup((0,)), AbGroup((0, 0))
+    node = HomologyNode(z2, GroupMap(z2, z, [[1, 0]]), GroupMap.zero(AbGroup(()), z2))
+    assert node.classify([0, 3]) == (3,)
+    with pytest.raises(ValueError, match="not a cycle"):
+        node.classify([1, 0])
+    with pytest.raises(ValueError, match="3 entries, expected 2"):
+        node.classify([0, 1, 0])
+
+
 def test_homology_node_zero_differentials():
     c2 = AbGroup((2,))
     node = HomologyNode(c2, GroupMap.zero(c2, c2), GroupMap.zero(c2, c2))

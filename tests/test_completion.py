@@ -240,6 +240,9 @@ cases = [
     lambda: Subgroup(c2, [[1]]).same_as(Subgroup(AbGroup((4,)), [[2]])),
     lambda: HomologyNode(c2, GroupMap.identity(AbGroup((4,))), GroupMap.identity(c2)),
     lambda: la.smith_normal_form([[1, 2], [3]], 2, 2),
+    lambda: la.solve([[2, 0], [0, 3]], [4], 2, 2),
+    lambda: la.solve([[2, 0], [0, 3]], [4, 9, 1], 2, 2),
+    lambda: la.lattice_basis([[2, 0, 7]], 2),
 ]
 for case in cases:
     try:
@@ -258,4 +261,4 @@ def test_caller_mismatches_raise_typed_errors_under_optimize():
     out = subprocess.run([sys.executable, "-O", "-c", MISMATCH_SCRIPT], env=env,
                          capture_output=True, text=True, timeout=120, check=True)
     assert out.stdout.split() == (["StructuralError"] * 5 + ["ValueError"] * 2
-                                  + ["StructuralError"] * 2 + ["ValueError"] * 9)
+                                  + ["StructuralError"] * 2 + ["ValueError"] * 12)

@@ -1,5 +1,10 @@
+import doctest
+from itertools import combinations
+
 from hypothesis import given, settings, strategies as st
 
+import ngamma.intlinalg
+from ngamma import completion, core, modules
 from ngamma import intlinalg as la
 
 
@@ -71,3 +76,238 @@ def test_lattice_basis_and_membership():
     assert not la.in_lattice([1, 0], basis, 2)
     assert la.lattice_basis([], 3) == []
     assert not la.in_lattice([1, 0, 0], [], 3)
+
+
+def test_solve_and_lattice_basis_reject_wrong_lengths():
+    a = [[2, 0], [0, 3]]
+    for b in ([4], [4, 9, 1]):
+        try:
+            la.solve(a, b, 2, 2)
+        except ValueError as e:
+            assert f"{len(b)} entries, expected 2" in str(e)
+        else:
+            raise AssertionError(f"solve accepted a right-hand side of length {len(b)}")
+    try:
+        la.lattice_basis([[2, 0, 7]], 2)
+    except ValueError as e:
+        assert "3 entries, expected 2" in str(e)
+    else:
+        raise AssertionError("lattice_basis accepted a generator of length 3")
+
+
+def test_intlinalg_doctests():
+    result = doctest.testmod(ngamma.intlinalg)
+    assert result.failed == 0
+    assert result.attempted > 0
+
+
+# -- reference equality ----------------------------------------------------
+#
+# The dense reduction below is the kernel as it was before it became sparse
+# and transform-selective, frozen here as the reference.  The pivot sequence
+# is a contract: every coordinate system, emitted matrix and golden report
+# digest derives from S, S^-1 and T, so the kernel must reproduce D and every
+# tracked transform integer for integer.
+
+def reference_snf(a, nrows, ncols):
+    """(D, S, S^-1, T, T^-1) by the dense full-tracking reduction."""
+    d = la.copy_matrix(a)
+    s = la.identity(nrows)
+    sinv = la.identity(nrows)
+    t = la.identity(ncols)
+    tinv = la.identity(ncols)
+
+    def row_add(i, j, c):
+        di, dj = d[i], d[j]
+        for col in range(ncols):
+            di[col] += c * dj[col]
+        si, sj = s[i], s[j]
+        for col in range(nrows):
+            si[col] += c * sj[col]
+        for r in range(nrows):
+            sinv[r][j] -= c * sinv[r][i]
+
+    def col_add(j, i, c):
+        for r in range(nrows):
+            d[r][j] += c * d[r][i]
+        for r in range(ncols):
+            t[r][j] += c * t[r][i]
+        ti, tj = tinv[i], tinv[j]
+        for col in range(ncols):
+            ti[col] -= c * tj[col]
+
+    def row_swap(i, j):
+        d[i], d[j] = d[j], d[i]
+        s[i], s[j] = s[j], s[i]
+        for r in range(nrows):
+            sinv[r][i], sinv[r][j] = sinv[r][j], sinv[r][i]
+
+    def col_swap(i, j):
+        for r in range(nrows):
+            d[r][i], d[r][j] = d[r][j], d[r][i]
+        for r in range(ncols):
+            t[r][i], t[r][j] = t[r][j], t[r][i]
+        tinv[i], tinv[j] = tinv[j], tinv[i]
+
+    def row_negate(i):
+        d[i] = [-v for v in d[i]]
+        s[i] = [-v for v in s[i]]
+        for r in range(nrows):
+            sinv[r][i] = -sinv[r][i]
+
+    for k in range(min(nrows, ncols)):
+        while True:
+            piv = None
+            best = None
+            for i in range(k, nrows):
+                for j in range(k, ncols):
+                    v = d[i][j]
+                    if v != 0 and (best is None or abs(v) < best):
+                        best = abs(v)
+                        piv = (i, j)
+            if piv is None:
+                break
+            pi, pj = piv
+            if pi != k:
+                row_swap(k, pi)
+            if pj != k:
+                col_swap(k, pj)
+            if d[k][k] < 0:
+                row_negate(k)
+            pivot = d[k][k]
+            dirty = False
+            for i in range(k + 1, nrows):
+                q = d[i][k] // pivot
+                if q:
+                    row_add(i, k, -q)
+                if d[i][k]:
+                    dirty = True
+            for j in range(k + 1, ncols):
+                q = d[k][j] // pivot
+                if q:
+                    col_add(j, k, -q)
+                if d[k][j]:
+                    dirty = True
+            if dirty:
+                continue
+            offender = None
+            for i in range(k + 1, nrows):
+                for j in range(k + 1, ncols):
+                    if d[i][j] % pivot:
+                        offender = i
+                        break
+                if offender is not None:
+                    break
+            if offender is None:
+                break
+            row_add(k, offender, 1)
+    return d, s, sinv, t, tinv
+
+
+def reference_kernel_basis(ref, ncols):
+    d, _, _, t, _ = ref
+    rank = sum(1 for i in range(min(len(d), ncols)) if d[i][i])
+    return [[t[i][j] for i in range(ncols)] for j in range(rank, ncols)]
+
+
+def reference_solve(ref, b, nrows, ncols):
+    d, s, _, t, _ = ref
+    rank = sum(1 for i in range(min(nrows, ncols)) if d[i][i])
+    c = la.mat_vec(s, b)
+    y = [0] * ncols
+    for i in range(nrows):
+        if i < rank:
+            if c[i] % d[i][i]:
+                return None
+            y[i] = c[i] // d[i][i]
+        elif c[i]:
+            return None
+    return la.mat_vec(t, y)
+
+
+def reference_lattice_basis(ref, dim, ngens):
+    d, _, sinv, _, _ = ref
+    rank = sum(1 for i in range(min(dim, ngens)) if d[i][i])
+    return [[sinv[r][i] * d[i][i] for r in range(dim)] for i in range(rank)]
+
+
+SELECTIONS = [sel for r in range(len(la.TRANSFORMS) + 1)
+              for sel in combinations(la.TRANSFORMS, r)]
+
+
+def assert_matches_reference(a, nrows, ncols, selections=SELECTIONS):
+    ref = reference_snf(a, nrows, ncols)
+    expected = dict(zip(("d",) + la.TRANSFORMS, ref))
+    for sel in selections:
+        sf = la.smith_normal_form(a, nrows, ncols, track=sel)
+        assert sf.d == expected["d"], sel
+        for name in la.TRANSFORMS:
+            assert getattr(sf, name) == (expected[name] if name in sel else []), \
+                (sel, name)
+    return ref
+
+
+@st.composite
+def snf_inputs(draw):
+    """Matrices up to 12x12, of varied density, with zero rows and columns."""
+    m = draw(st.integers(0, 12))
+    n = draw(st.integers(0, 12))
+    bound = draw(st.sampled_from([1, 3, 12, 50]))
+    density = draw(st.sampled_from([0.1, 0.3, 0.6, 1.0]))
+    entry = st.integers(-bound, bound)
+    cells = draw(st.lists(st.tuples(st.floats(0, 1), entry),
+                          min_size=m * n, max_size=m * n))
+    a = [[v if u < density else 0 for u, v in cells[i * n:(i + 1) * n]]
+         for i in range(m)]
+    for i in draw(st.sets(st.integers(0, max(m - 1, 0)), max_size=2)):
+        if i < m:
+            a[i] = [0] * n
+    for j in draw(st.sets(st.integers(0, max(n - 1, 0)), max_size=2)):
+        if j < n:
+            for row in a:
+                row[j] = 0
+    b = draw(st.lists(st.integers(-20, 20), min_size=m, max_size=m))
+    x = draw(st.lists(st.integers(-3, 3), min_size=n, max_size=n))
+    return a, m, n, b, x
+
+
+@given(snf_inputs())
+@settings(max_examples=150, deadline=None)
+def test_snf_matches_dense_reference_for_every_selection(data):
+    a, m, n, b, x = data
+    ref = assert_matches_reference(a, m, n)
+    assert la.kernel_basis(a, m, n) == reference_kernel_basis(ref, n)
+    assert la.solve(a, b, m, n) == reference_solve(ref, b, m, n)
+    ax = la.mat_vec(a, x)
+    assert la.solve(a, ax, m, n) == reference_solve(ref, ax, m, n)
+    # The generators are the columns of A, so the reference reduction is ref.
+    gens = [[row[j] for row in a] for j in range(n)]
+    assert la.lattice_basis(gens, m) == reference_lattice_basis(ref, m, n)
+
+
+def test_snf_matches_reference_on_order_column_system():
+    # EquivariantHom's shape for regular ternary Z/12: 432 one-row operator
+    # constraints, each zero except its -12 order column.
+    a = [[0] * 433 for _ in range(432)]
+    for i in range(432):
+        a[i][i + 1] = -12
+    ref = assert_matches_reference(a, 432, 433, [la.TRANSFORMS, ("t",)])
+    assert la.kernel_basis(a, 432, 433) == reference_kernel_basis(ref, 433)
+
+
+def test_snf_matches_reference_on_presentation_system(monkeypatch):
+    # The 16 x 137 relation matrix of the group completion of the regular
+    # module of ternary M2(F2).
+    seen = []
+    snf = la.smith_normal_form
+
+    def record(a, nrows, ncols, **kw):
+        seen.append((la.copy_matrix(a), nrows, ncols))
+        return snf(a, nrows, ncols, **kw)
+
+    monkeypatch.setattr(la, "smith_normal_form", record)
+    completion.linearize_module(modules.regular_bimodule(
+        core.make_matrix_family(core.f2_semiring(), 2, 3)))
+    monkeypatch.undo()
+    [(a, m, n)] = [call for call in seen if call[1:] == (16, 137)]
+    assert_matches_reference(a, m, n, [la.TRANSFORMS, ("s", "sinv"), ("t",)])
