@@ -402,6 +402,9 @@ class Subquotient:
         """Class of a vector lying in the numerator lattice."""
         p = len(self._pbasis)
         if p == 0:
+            # A zero numerator means every coordinate is free.
+            if any(vec):
+                raise ValueError(self.not_member)
             return self.group.zero()
         x = self._bp_snf.solve(list(vec))
         if x is None:

@@ -62,55 +62,74 @@ def check_ideal(s: NaryGammaSemiring, members) -> AxiomCheck:
     return AxiomCheck("ideal", True)
 
 
-def generate_ideal(s: NaryGammaSemiring, seed) -> GammaIdeal:
-    """Smallest ideal containing the seed; a worklist closure."""
-    members = {s.T.zero}
-    frontier = [x for x in sorted(set(seed))]
-    n = s.n
+def _insertion_masks(s: NaryGammaSemiring) -> list[int]:
+    """ins[y]: bitmask of every product with y in some carrier slot."""
+    ins = [0] * s.T.size
+    cells = s.gamma.size ** (s.n - 1)
+    for c, xs in enumerate(s.t_tuples(s.n)):
+        hit = 0
+        for v in s.mu_table[c * cells:(c + 1) * cells]:
+            hit |= 1 << v
+        for x in set(xs):
+            ins[x] |= hit
+    return ins
+
+
+def _members(mask: int, size: int) -> list[int]:
+    return [e for e in range(size) if mask >> e & 1]
+
+
+def _close(t: FiniteAddMonoid, ins, mask: int, seed) -> int:
+    """Smallest ideal containing an ideal ``mask`` and ``seed``, as a bitmask.
+
+    Each element on entry is summed in both orders against every member,
+    itself included, so every pair is covered once its later element enters.
+    """
+    members = _members(mask, t.size)
+    frontier = list(seed)
     while frontier:
         y = frontier.pop()
-        if y in members:
+        if mask >> y & 1:
             continue
-        members.add(y)
-        new = set()
-        # Every pair lands here eventually: each element on entry is summed
-        # against everything already present, itself included.
+        mask |= 1 << y
+        members.append(y)
+        new = ins[y]
         for a in members:
-            new.add(s.T.add(a, y))
-        for j in range(n):
-            for rest in s.t_tuples(n - 1):
-                for gs in s.g_tuples(n - 1):
-                    new.add(s.mu(rest[:j] + (y,) + rest[j:], gs))
-        frontier.extend(sorted(v for v in new if v not in members))
-    return GammaIdeal(s, frozenset(members))
+            new |= 1 << t.add(a, y) | 1 << t.add(y, a)
+        frontier.extend(_members(new & ~mask, t.size))
+    return mask
+
+
+def _ideal(s: NaryGammaSemiring, mask: int) -> GammaIdeal:
+    return GammaIdeal(s, frozenset(_members(mask, s.T.size)))
+
+
+def generate_ideal(s: NaryGammaSemiring, seed) -> GammaIdeal:
+    """Smallest ideal containing the seed."""
+    return _ideal(s, _close(s.T, _insertion_masks(s), 0, [s.T.zero, *seed]))
 
 
 def all_ideals(s: NaryGammaSemiring, bound: int = DEFAULT_SIZE_BOUND) -> list[GammaIdeal]:
-    """Every ideal, in ascending bitmask order; refuses oversized carriers."""
+    """Every ideal, in ascending bitmask order; refuses oversized carriers.
+
+    A worklist from the smallest ideal: each ideal found is closed with each
+    non-member in turn.  Any ideal J is reached, since closing a reached
+    I ⊊ J with some x in J∖I gives a larger ideal that stays inside J.
+    """
     size = s.T.size
     if size > bound:
         raise BoundExceeded(f"carrier size {size} exceeds the bound {bound}")
-    zero = s.T.zero
-    out = []
-    for mask in range(1 << size):
-        if not mask >> zero & 1:
-            continue
-        members = [e for e in range(size) if mask >> e & 1]
-        memset = set(members)
-        # Additive closure first: it prunes most subsets cheaply.
-        ok = True
-        for a in members:
-            for b in members:
-                if s.T.add(a, b) not in memset:
-                    ok = False
-                    break
-            if not ok:
-                break
-        if not ok:
-            continue
-        if check_ideal(s, memset).ok:
-            out.append(GammaIdeal(s, frozenset(memset)))
-    return out
+    ins = _insertion_masks(s)
+    start = _close(s.T, ins, 0, [s.T.zero])
+    found, work = {start}, [start]
+    while work:
+        mask = work.pop()
+        for x in _members(~mask, size):
+            bigger = _close(s.T, ins, mask, [x])
+            if bigger not in found:
+                found.add(bigger)
+                work.append(bigger)
+    return [_ideal(s, mask) for mask in sorted(found)]
 
 
 def coset_congruence(monoid: FiniteAddMonoid, members):
@@ -230,13 +249,14 @@ def topology_report(data: SpectrumData) -> list[str]:
                 if not u <= set(by_mask[inter]):
                     ok_union = False
     facts.append(f"V(I and J) contains V(I) union V(J): {ok_union}")
+    t = data.semiring.T
+    ins = _insertion_masks(data.semiring)
     for m1 in masks:
         for m2 in masks:
-            join_members = {e for e in range(data.semiring.T.size) if (m1 | m2) >> e & 1}
-            join = generate_ideal(data.semiring, join_members)
-            if join.bitmask in by_mask:
+            join = _close(t, ins, m1, _members(m2, t.size))
+            if join in by_mask:
                 want = set(by_mask[m1]) & set(by_mask[m2])
-                if set(by_mask[join.bitmask]) != want:
+                if set(by_mask[join]) != want:
                     ok_inter = False
     facts.append(f"V(I+J) = V(I) intersect V(J): {ok_inter}")
     return facts

@@ -536,6 +536,9 @@ class TensorCongruence:
             if total > element_bound:
                 raise BoundExceeded("tensor ambient exceeds the element bound")
         self.total = total
+        self._strides = [total // prod(self._radices[:gi + 1])
+                         for gi in range(len(self.gens))]
+        self._incs = [[c.inc(v) for v in range(c.nclasses)] for c in self.coords]
 
         relations = []
         for a1 in range(left.M.size):
@@ -558,9 +561,9 @@ class TensorCongruence:
                         lhs = self.gen_vec(left.act(j, tother, a, gs), b)
                         rhs = self.gen_vec(a, right.act(k, tother, b, gs))
                         relations.append((self.pack(lhs), self.pack(rhs)))
-        self.relations = relations
+        self.relations = list(dict.fromkeys(relations))
         self.class_of, self.reps = congruence_closure(
-            total, relations,
+            total, self.relations,
             lambda u, v: [(self._bump(u, gi), self._bump(v, gi))
                           for gi in range(len(self.gens))])
         self.nclasses = len(self.reps)
@@ -572,17 +575,10 @@ class TensorCongruence:
                                       self.class_of[self.pack([0] * len(self.gens))])
 
     def pack(self, vec) -> int:
-        idx = 0
-        for v, r in zip(vec, self._radices):
-            idx = idx * r + v
-        return idx
+        return sum(v * st for v, st in zip(vec, self._strides))
 
     def unpack(self, idx: int) -> list[int]:
-        out = []
-        for r in reversed(self._radices):
-            out.append(idx % r)
-            idx //= r
-        return list(reversed(out))
+        return [idx // st % r for st, r in zip(self._strides, self._radices)]
 
     def add_vec(self, u, v):
         return [c.add(a, b) for c, a, b in zip(self.coords, u, v)]
@@ -596,51 +592,50 @@ class TensorCongruence:
         return out
 
     def _bump(self, idx: int, gi: int) -> int:
-        vec = self.unpack(idx)
-        vec[gi] = self.coords[gi].inc(vec[gi])
-        return self.pack(vec)
+        st = self._strides[gi]
+        v = idx // st % self._radices[gi]
+        return idx + (self._incs[gi][v] - v) * st
 
     def pair_class(self, a: int, b: int) -> int:
         return self.class_of[self.pack(self.gen_vec(a, b))]
 
-    def apply_generatorwise(self, image_of_gen, raw_idx: int) -> int:
-        """Class of the additive extension of a generator assignment."""
-        vec = self.unpack(raw_idx)
+    def apply_generatorwise(self, images, raw_idx: int) -> int:
+        """Class of the additive extension of generator images (one per generator)."""
         acc = [0] * len(self.gens)
-        for gi, count in enumerate(vec):
-            if count == 0:
-                continue
-            img = image_of_gen(*self.gens[gi])
+        for gi, count in enumerate(self.unpack(raw_idx)):
             for _ in range(self.coords[gi].rep[count]):
-                acc = self.add_vec(acc, img)
+                acc = self.add_vec(acc, images[gi])
         return self.class_of[self.pack(acc)]
 
-    def descends(self, image_of_gen) -> bool:
+    def descends(self, images) -> bool:
         # Additivity holds modulo derivable relations, so the extension
         # descends exactly when every base relation pair stays identified.
-        for u, v in self.relations:
-            if self.apply_generatorwise(image_of_gen, u) != \
-                    self.apply_generatorwise(image_of_gen, v):
-                return False
-        return True
+        return all(self.apply_generatorwise(images, u) == self.apply_generatorwise(images, v)
+                   for u, v in self.relations)
 
     def residual_module(self, s: NaryGammaSemiring, image_fn,
                         name: str) -> TensorModule | None:
         """The quotient as a module over ``s``, or None if an action fails.
 
         ``image_fn(slot, tother, gs)`` gives the generator images of one
-        residual action; each must descend before the tables are built.
+        residual action.  Actions are keyed by their tuple of images, so each
+        distinct one is checked for descent and tabulated on classes once.
         """
         n = s.n
+        tables, table_of = {}, {}
         for slot in range(n):
             for tother in s.t_tuples(n - 1):
                 for gs in s.g_tuples(n - 1):
-                    if not self.descends(image_fn(slot, tother, gs)):
-                        return None
+                    img = image_fn(slot, tother, gs)
+                    key = tuple(tuple(img(a, b)) for a, b in self.gens)
+                    if key not in tables:
+                        if not self.descends(key):
+                            return None
+                        tables[key] = [self.apply_generatorwise(key, rep) for rep in self.reps]
+                    table_of[slot, tother, gs] = tables[key]
         module = build_module(
             s, self.monoid,
-            lambda slot, tother, cls, gs: self.apply_generatorwise(
-                image_fn(slot, tother, gs), self.reps[cls]),
+            lambda slot, tother, cls, gs: table_of[slot, tother, gs][cls],
             name=name)
         beta = tuple(tuple(self.pair_class(a, b) for b in range(self.right.M.size))
                      for a in range(self.left.M.size))

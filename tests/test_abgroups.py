@@ -105,6 +105,16 @@ def test_homology_node_classify_errors():
         node.classify([0, 1, 0])
 
 
+def test_homology_node_classify_on_zero_numerator():
+    # Over Z with the identity going out, the only cycle is 0.
+    z = AbGroup((0,))
+    node = HomologyNode(z, GroupMap(z, z, [[1]]), GroupMap.zero(z, z))
+    assert node.group.invariant_factors() == ()
+    assert node.classify([0]) == node.group.zero()
+    with pytest.raises(ValueError, match="not a cycle"):
+        node.classify([1])
+
+
 def test_homology_node_zero_differentials():
     c2 = AbGroup((2,))
     node = HomologyNode(c2, GroupMap.zero(c2, c2), GroupMap.zero(c2, c2))

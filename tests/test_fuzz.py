@@ -7,8 +7,11 @@ from hypothesis import given, settings, strategies as st
 
 from ngamma import oracle
 from ngamma.abgroups import AbGroup, GroupMap
-from ngamma.core import FiniteAddMonoid, congruence_closure
+from ngamma.core import (
+    FiniteAddMonoid, GammaSemigroup, NaryGammaSemiring, congruence_closure,
+)
 from ngamma.homology import ChainComplexAb, homology
+from ngamma.ideals import all_ideals, generate_ideal
 from ngamma.modules import _Coordinate, _index_period, _orbit
 
 
@@ -118,3 +121,29 @@ def test_group_order_statistics_on_random_orders():
         elems = list(g.elements())
         got = oracle.invariants_from_orders(elems, g.add, g.zero())
         assert got == g.invariant_factors()
+
+
+@given(st.integers(1, 7), st.sampled_from((2, 3)), st.integers(1, 2),
+       st.sampled_from((1.0, 0.3, 0.1, 0.02)), st.randoms(use_true_random=False))
+@settings(max_examples=150, deadline=None)
+def test_ideal_closure_matches_subset_scan(t, n, g, density, rnd):
+    # Arbitrary tables: the addition need not commute or have its zero as
+    # identity.  Entries other than the zero are drawn with probability
+    # ``density``; sparse tables have many ideals, dense ones rarely more
+    # than the full carrier.
+    zero = rnd.randrange(t)
+
+    def table(cells):
+        return tuple(rnd.randrange(t) if rnd.random() < density else zero
+                     for _ in range(cells))
+
+    gamma = GammaSemigroup(g, tuple((a + b) % g for a in range(g) for b in range(g)))
+    s = NaryGammaSemiring(n, FiniteAddMonoid(t, table(t * t), zero), gamma,
+                          table(t ** n * g ** (n - 1)))
+    masks = oracle.subset_scan_ideals(s)
+    assert [i.bitmask for i in all_ideals(s)] == masks
+    seed = [x for x in range(t) if rnd.random() < 0.3]
+    over = [m for m in masks if all(m >> x & 1 for x in seed)]
+    smallest = min(over, key=lambda m: bin(m).count("1"))
+    assert all(m & smallest == smallest for m in over)
+    assert generate_ideal(s, seed).bitmask == smallest

@@ -2,10 +2,11 @@ from itertools import combinations
 
 import pytest
 
+from ngamma import oracle
 from ngamma.core import (
-    BoundExceeded, StructuralError, boolean_semiring, boolean_ternary,
-    f2_ternary, make_matrix_family, validate_morphism, validate_semiring,
-    z4_ternary,
+    BoundExceeded, FiniteAddMonoid, NaryGammaSemiring, StructuralError,
+    boolean_semiring, boolean_ternary, f2_ternary, make_matrix_family,
+    trivial_gamma, validate_morphism, validate_semiring, z4_ternary,
 )
 from ngamma.ideals import (
     GammaIdeal, all_ideals, check_ideal, generate_ideal, is_prime, quotient,
@@ -28,11 +29,31 @@ def test_generate_ideal_matrix_family_matches_subset_scan():
     assert check_ideal(s, closure.members).ok
     # Independent oracle: smallest ideal among all subsets containing the seed.
     best = None
-    for ideal in all_ideals(s):
-        if e11 in ideal.members:
-            if best is None or len(ideal.members) < len(best.members):
-                best = ideal
-    assert best is not None and best.members == closure.members
+    for mask in oracle.subset_scan_ideals(s):
+        if mask >> e11 & 1:
+            if best is None or bin(mask).count("1") < bin(best).count("1"):
+                best = mask
+    assert best is not None and best == closure.bitmask
+
+
+def test_closure_adds_in_both_orders():
+    # A non-commutative addition with 0 + 1 = 1 but 1 + 0 = 2, and mu zero:
+    # {0, 1} is not closed, so the ideal generated by 1 must contain 2.
+    add = (0, 1, 2,
+           2, 1, 2,
+           2, 2, 2)
+    s = NaryGammaSemiring(2, FiniteAddMonoid(3, add, 0), trivial_gamma(), (0,) * 9)
+    assert not check_ideal(s, {0, 1}).ok
+    assert generate_ideal(s, [1]).members == {0, 1, 2}
+    assert [i.bitmask for i in all_ideals(s)] == oracle.subset_scan_ideals(s) == [1, 5, 7]
+
+
+def test_closure_inserts_the_zero():
+    # mu(0, 0) = 1: the zero's own products belong to every ideal.
+    s = NaryGammaSemiring(2, FiniteAddMonoid(2, (0, 1, 1, 0), 0), trivial_gamma(),
+                          (1, 0, 0, 0))
+    assert generate_ideal(s, []).members == {0, 1}
+    assert [i.bitmask for i in all_ideals(s)] == oracle.subset_scan_ideals(s) == [3]
 
 
 def test_generate_ideal_idempotent_and_monotone():
