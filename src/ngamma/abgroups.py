@@ -10,7 +10,7 @@ orders, and isomorphism tests go through ``invariant_factors``.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from itertools import product
 from math import prod
 
@@ -219,6 +219,12 @@ class GroupMap:
         self.mat = norm
         if check and not self.well_defined():
             raise SoundnessError("matrix does not descend to a homomorphism")
+
+    @cached_property
+    def key(self) -> tuple[tuple[int, ...], ...]:
+        """The normalized matrix as nested tuples; between the same two groups,
+        equal keys mean the same map on coordinates."""
+        return tuple(map(tuple, self.mat))
 
     def well_defined(self) -> bool:
         for j, o in enumerate(self.src.orders):

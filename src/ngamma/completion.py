@@ -10,7 +10,7 @@ canonicalized through Smith normal form.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from math import gcd
+from math import gcd, prod
 
 from . import intlinalg as la
 from .abgroups import (
@@ -91,15 +91,26 @@ class CompletedModule:
 
 
 def linearize_module(b: BiGammaModule, name: str = "") -> CompletedModule:
-    """Completion of the carrier with each slot action linearized."""
+    """Completion of the carrier with each slot action linearized.
+
+    In slot j's table (``BiGammaModule._layout``) the module element sits
+    between the j leading carriers and a block of ``stride`` trailing
+    arguments, so the action of one filler is a stride slice, and the slices
+    come in ``filler_tuples`` order.  Each distinct slice is linearized once.
+    """
     comp = group_complete(b.M)
-    ws = filler_tuples(b.parent)
+    maps = {}
     ops = []
-    for j in range(b.parent.n):
+    for j, tbl in enumerate(b.act_tables):
+        stride = prod(b._sizes[j][j + 1:])
+        block = b.M.size * stride
         slot_ops = []
-        for (tf, gf) in ws:
-            slot_ops.append(completion_map(comp, comp,
-                                           lambda m, j=j, tf=tf, gf=gf: b.act(j, tf, m, gf)))
+        for p in range(b.parent.T.size ** j):
+            for r in range(stride):
+                col = tbl[p * block + r:(p + 1) * block:stride]
+                if col not in maps:
+                    maps[col] = completion_map(comp, comp, col)
+                slot_ops.append(maps[col])
         ops.append(tuple(slot_ops))
     return CompletedModule(b.parent, comp.group, tuple(ops), comp,
                            name=name or b.name)
@@ -202,10 +213,9 @@ class EquivariantHom:
         self.x = x
         self.y = y
         self.base = HomBase(x.group, y.group)
-        constraints = []
-        for slot in range(x.semiring.n):
-            for w in range(len(x.ops[slot])):
-                constraints.append((x.op(slot, w).mat, y.op(slot, w).mat))
+        # Equal operator pairs give equal rows: keep the first of each.
+        constraints = dict.fromkeys((p.key, q.key) for slot in range(x.semiring.n)
+                                    for p, q in zip(x.ops[slot], y.ops[slot]))
         rows = []
         orders = []
         xs, ys = x.group.dim, y.group.dim
@@ -293,11 +303,11 @@ class TensorGroup:
                         r[idx] = o
                         rels.append(r)
         ident_x, ident_y = la.identity(xs), la.identity(ys)
-        for w in range(len(filler_tuples(x.semiring))):
+        for p, q in dict.fromkeys((p.key, q.key) for p, q in zip(x.ops[j], y.ops[k])):
             # Column i0*ys + j0 of kron(P, I) - kron(I, Q) balances the pair
             # (i0, j0): P acting on the left factor against Q on the right.
-            via_x = la.kron(x.op(j, w).mat, xs, xs, ident_y, ys, ys)
-            via_y = la.kron(ident_x, xs, xs, y.op(k, w).mat, ys, ys)
+            via_x = la.kron(p, xs, xs, ident_y, ys, ys)
+            via_y = la.kron(ident_x, xs, xs, q, ys, ys)
             rels.extend([a - b for a, b in zip(col_x, col_y)]
                         for col_x, col_y in zip(zip(*via_x), zip(*via_y)))
         self.pres = Presentation(self.pair_dim, rels)
@@ -338,23 +348,30 @@ class TensorGroup:
                                     self.group, what)
 
     def as_module(self) -> CompletedModule:
-        """Attach residual operators, preferring the right factor."""
+        """Attach residual operators, preferring the right factor.
+
+        The residual operator depends only on the pair of factor operators, so
+        each distinct pair is projected once.
+        """
         s = self.x.semiring
         xs, ys = self.x.group.dim, self.y.group.dim
         ident_x, ident_y = la.identity(xs), la.identity(ys)
-        nw = len(filler_tuples(s))
+        residual = {}
         ops = []
         for slot in range(s.n):
             slot_ops = []
-            for w in range(nw):
-                mat = self.pair_matrix_to_quotient(
-                    la.kron(ident_x, xs, xs, self.y.op(slot, w).mat, ys, ys))
-                if mat is None:
+            for xop, yop in zip(self.x.ops[slot], self.y.ops[slot]):
+                key = (yop.key, xop.key)
+                if key not in residual:
                     mat = self.pair_matrix_to_quotient(
-                        la.kron(self.x.op(slot, w).mat, xs, xs, ident_y, ys, ys))
-                if mat is None:
+                        la.kron(ident_x, xs, xs, yop.mat, ys, ys))
+                    if mat is None:
+                        mat = self.pair_matrix_to_quotient(
+                            la.kron(xop.mat, xs, xs, ident_y, ys, ys))
+                    residual[key] = mat
+                if residual[key] is None:
                     raise SoundnessError(
                         f"no residual operator descends at slot {slot + 1}")
-                slot_ops.append(mat)
+                slot_ops.append(residual[key])
             ops.append(tuple(slot_ops))
         return CompletedModule(s, self.group, tuple(ops), None, name=self.name)

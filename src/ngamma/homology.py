@@ -872,19 +872,19 @@ def _lift_chain_map(bar_src: BarComplex, bar_dst: BarComplex, g0_matrix,
                     row[a * src_g.dim + bcol] = o
                     rows.append(row)
                     targets.append((0, dst_g.orders[a]))
-        for slot in range(len(bar_src.terms[q + i].ops)):
-            for w in range(len(bar_src.terms[q + i].ops[slot])):
-                pmat = bar_src.terms[q + i].op(slot, w).mat
-                qmat = bar_dst.terms[i].op(slot, w).mat
-                for a in range(dst_g.dim):
-                    for bcol in range(src_g.dim):
-                        row = [0] * unknowns
-                        for cmid in range(src_g.dim):
-                            row[a * src_g.dim + cmid] += pmat[cmid][bcol]
-                        for cmid in range(dst_g.dim):
-                            row[cmid * src_g.dim + bcol] -= qmat[a][cmid]
-                        rows.append(row)
-                        targets.append((0, dst_g.orders[a]))
+        src_ops, dst_ops = bar_src.terms[q + i].ops, bar_dst.terms[i].ops
+        for pmat, qmat in dict.fromkeys((pop.key, qop.key) for slot in range(len(src_ops))
+                                        for pop, qop in zip(src_ops[slot], dst_ops[slot])):
+            # Equal operator pairs give equal equivariance rows: one block each.
+            for a in range(dst_g.dim):
+                for bcol in range(src_g.dim):
+                    row = [0] * unknowns
+                    for cmid in range(src_g.dim):
+                        row[a * src_g.dim + cmid] += pmat[cmid][bcol]
+                    for cmid in range(dst_g.dim):
+                        row[cmid * src_g.dim + bcol] -= qmat[a][cmid]
+                    rows.append(row)
+                    targets.append((0, dst_g.orders[a]))
         aug_cols = []
         for t_idx, (_val, order) in enumerate(targets):
             if order:

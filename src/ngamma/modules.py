@@ -82,11 +82,12 @@ def build_module(parent: NaryGammaSemiring, monoid: FiniteAddMonoid, act_fn,
 
 
 def regular_bimodule(s: NaryGammaSemiring) -> BiGammaModule:
-    """The carrier acting on itself through the multiplication."""
-    return build_module(
-        s, s.T,
-        lambda j, tother, m, gs: s.mu(tother[:j] + (m,) + tother[j:], gs),
-        name=f"{s.name}.regular")
+    """The carrier acting on itself through the multiplication.
+
+    Slot j's layout (carriers with m at position j, then parameters) is the
+    multiplication table's own, so every slot table is ``mu_table``.
+    """
+    return BiGammaModule(s, s.T, (s.mu_table,) * s.n, name=f"{s.name}.regular")
 
 
 def zero_module(s: NaryGammaSemiring) -> BiGammaModule:
@@ -416,8 +417,11 @@ def hom_gamma(src: BiGammaModule, dst: BiGammaModule, j: int = 0, k: int = 0,
     """The internal Hom module on fully equivariant additive maps.
 
     Slot i of the result acts by inserting the carrier material into slot i
-    of the argument's action; on equivariant maps this agrees with acting on
-    values, so the designated slot pair only records orientation.
+    of the argument's action.  This assumes the multiplication commutes:
+    only then does that agree with acting on values, so that the designated
+    slot pair only records orientation.  On a non-commutative carrier (binary
+    M2(F2)) the precomposed maps need not be equivariant, and the call raises
+    SoundnessError "hom action leaves the enumerated maps".
     """
     s = src.parent
     if s != dst.parent:

@@ -349,26 +349,28 @@ class KunnethReport:
 
 def ext_modules_with_ops(s: NaryGammaSemiring, bar, n_lin: CompletedModule,
                          depth: int) -> list[CompletedModule]:
-    """Ext groups of the tower as completed modules, ops by postcomposition."""
+    """Ext groups of the tower as completed modules, ops by postcomposition
+    (once per distinct operator)."""
     hc = HomCochain(bar, n_lin)
     out = []
     for qdeg in range(depth + 1):
         node = hc.cochain.node(qdeg)
         hom = hc.homs[qdeg]
+        post = {}
         ops = []
         for slot in range(s.n):
             slot_ops = []
-            for w in range(len(n_lin.ops[slot])):
-                opn = n_lin.op(slot, w)
+            for opn in n_lin.ops[slot]:
+                if opn.key not in post:
+                    def image_of(basis):
+                        rep = node.representative(basis)
+                        coords = hom.coords(opn.compose(hom.matrix(tuple(rep))))
+                        if coords is None:
+                            raise SoundnessError("operator left the equivariant maps")
+                        return node.classify(coords)
 
-                def image_of(basis):
-                    rep = node.representative(basis)
-                    coords = hom.coords(opn.compose(hom.matrix(tuple(rep))))
-                    if coords is None:
-                        raise SoundnessError("operator left the equivariant maps")
-                    return node.classify(coords)
-
-                slot_ops.append(GroupMap.from_images(node.group, node.group, image_of))
+                    post[opn.key] = GroupMap.from_images(node.group, node.group, image_of)
+                slot_ops.append(post[opn.key])
             ops.append(tuple(slot_ops))
         out.append(CompletedModule(s, node.group, tuple(ops), None,
                                    name=f"Ext^{qdeg}"))

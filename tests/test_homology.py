@@ -319,3 +319,29 @@ def test_exactness_findings_surface_under_sum_policy(z4):
     assert findings[0][1] == (2,)
     hs = homology(bar.chain)
     assert hs[0].invariant_factors() == (4,)  # degree zero still correct
+
+
+def test_distinct_operators_bound_the_smith_systems(monkeypatch):
+    # Regular ternary Z/12 stores 432 operators per module but only 12 are
+    # distinct; every system is built from the distinct ones.  Sizes are
+    # counted, not timed.
+    from ngamma import intlinalg as la
+    from ngamma.core import ternary_from_semiring, zmod_semiring
+
+    rows = []
+    snf = la.smith_normal_form
+
+    def recording(a, nrows, ncols, **kw):
+        rows.append(nrows)
+        return snf(a, nrows, ncols, **kw)
+
+    monkeypatch.setattr(la, "smith_normal_form", recording)
+    z12 = ternary_from_semiring(zmod_semiring(12))
+    reg = regular_bimodule(z12)
+    assert ext_via_bar(z12, reg, reg, 2, 0, 2).factors() == [(12,), (), ()]
+    assert rows and max(rows) <= 16
+    monkeypatch.undo()
+
+    z64 = ternary_from_semiring(zmod_semiring(64))
+    reg = regular_bimodule(z64)
+    assert ext_via_bar(z64, reg, reg, 2, 0, 3).factors() == [(64,), (), (), ()]
