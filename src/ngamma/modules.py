@@ -4,14 +4,14 @@ A module is a finite additive monoid together with one action table per
 multiplication slot: slot j's table inserts the module element into position
 j of the multiplication alongside n-1 carrier elements and a full parameter
 tuple.  Hom modules enumerate equivariant additive maps; tensor modules are
-finitely presented commutative monoids computed by congruence closure, with
-termination guaranteed by the additive torsion of every generator.
+commutative monoids computed by congruence closure on one left element per
+additive generator of the right factor.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, reduce
 from itertools import product
 from math import prod
 
@@ -19,7 +19,7 @@ from .abgroups import SoundnessError
 from .core import (
     AxiomCheck, AxiomReport, BoundExceeded, FiniteAddMonoid,
     NaryGammaSemiring, StructuralError, congruence_closure, flatten_index,
-    table_failures,
+    table_failures, unflatten_index,
 )
 from .ideals import GammaIdeal, coset_congruence, quotient_monoid
 
@@ -448,55 +448,6 @@ def cofree(s: NaryGammaSemiring, coeff: FiniteAddMonoid,
 # Positional tensor by congruence closure
 # ---------------------------------------------------------------------------
 
-class _Coordinate:
-    """The cyclic-tail monoid of multiples of one tensor generator.
-
-    Values are classes of counters r under the congruence generated by
-    r ~ r' whenever r copies of the generator already agree in either factor;
-    the joint orbit is eventually periodic, which bounds everything.
-    """
-
-    def __init__(self, orbit_a, orbit_b):
-        # orbit_x[r] = value of r-fold sum, r = 0.. (precomputed far enough)
-        pairs = list(zip(orbit_a, orbit_b))
-        idx0, period = _index_period(pairs)
-        window = idx0 + period
-
-        def wrap(r):
-            return r if r < window else idx0 + (r - idx0) % period
-
-        self.class_of, self.rep = congruence_closure(
-            window,
-            [(r, q) for r in range(window) for q in range(r + 1, window)
-             if orbit_a[r] == orbit_a[q] or orbit_b[r] == orbit_b[q]],
-            lambda r, q: ((wrap(r + 1), wrap(q + 1)),))
-        self.nclasses = len(self.rep)
-        self._wrap = wrap
-
-    def add(self, c1: int, c2: int) -> int:
-        return self.class_of[self._wrap(self.rep[c1] + self.rep[c2])]
-
-    def inc(self, c: int) -> int:
-        return self.class_of[self._wrap(self.rep[c] + 1)]
-
-
-def _index_period(seq):
-    """(index, period) of an eventually periodic sequence given long enough."""
-    n = len(seq)
-    for period in range(1, n):
-        for idx in range(n - 2 * period):
-            if all(seq[r] == seq[r + period] for r in range(idx, n - period)):
-                return idx, period
-    raise SoundnessError("orbit window too short to detect periodicity")
-
-
-def _orbit(monoid: FiniteAddMonoid, x: int, length: int) -> list[int]:
-    out = [monoid.zero]
-    for _ in range(length - 1):
-        out.append(monoid.add(out[-1], x))
-    return out
-
-
 @dataclass(frozen=True)
 class TensorModule:
     module: BiGammaModule
@@ -507,15 +458,39 @@ class TensorModule:
         return self.beta[m][n]
 
 
+def _generator_counts(monoid: FiniteAddMonoid, gens) -> list[tuple[int, ...]]:
+    """For each element, one fixed count vector c with element = sum c[i]*gens[i].
+
+    Breadth-first from zero, adding generators in order, so each count vector
+    is a shortest sum.
+    """
+    counts = {monoid.zero: (0,) * len(gens)}
+    queue = [monoid.zero]
+    for x in queue:
+        for i, g in enumerate(gens):
+            y = monoid.add(x, g)
+            if y not in counts:
+                counts[y] = counts[x][:i] + (counts[x][i] + 1,) + counts[x][i + 1:]
+                queue.append(y)
+    if len(counts) != monoid.size:
+        raise SoundnessError("additive generators do not cover the carrier")
+    return [counts[x] for x in range(monoid.size)]
+
+
 class TensorCongruence:
     """The presented monoid underlying a positional tensor.
 
-    Generators are nonzero pairs; each generator's multiples live in a finite
-    cyclic-tail coordinate, and the quotient by bilinearity plus slot-(j,k)
-    balancing is computed by union-find closure with generator translations.
-    ``residual_module`` attaches residual actions from generator images that
-    the callers supply; the plain tensor and scalar extension supply
-    different ones.
+    Every element of L (x) R is a sum over the additive generators g of R of
+    a_g (x) g, so the ambient is L^G: one left element per right generator,
+    added coordinatewise and flat-indexed by ``flatten_index``.  The pair
+    (a, b) is the vector (c_g(b)*a)_g for one fixed sum b = sum c_g(b)*g, so
+    left additivity holds in the ambient; union-find closes right additivity
+    and slot-(j,k) balancing under translation by (x at position g) for x in
+    L's generators.  Classes are numbered by the lexicographically least
+    multiplicity vector over the nonzero pairs (a-major) that sums to them,
+    which depends only on the quotient and beta.  ``residual_module``
+    attaches residual actions from generator images that the callers supply;
+    the plain tensor and scalar extension supply different ones.
     """
 
     def __init__(self, left: BiGammaModule, right: BiGammaModule,
@@ -525,105 +500,108 @@ class TensorCongruence:
             raise StructuralError("tensor factors live over different semirings")
         self.left = left
         self.right = right
-        mz, nz = left.M.zero, right.M.zero
-        self.gens = [(a, b) for a in range(left.M.size)
-                     for b in range(right.M.size) if a != mz and b != nz]
-        self._gidx = {g: i for i, g in enumerate(self.gens)}
-        window = 2 * (left.M.size * right.M.size) + 2
-        self.coords = [
-            _Coordinate(_orbit(left.M, a, window), _orbit(right.M, b, window))
-            for (a, b) in self.gens]
-        self._radices = [c.nclasses for c in self.coords]
-        total = 1
-        for r in self._radices:
-            total *= r
-            if total > element_bound:
-                raise BoundExceeded("tensor ambient exceeds the element bound")
-        self.total = total
-        self._strides = [total // prod(self._radices[:gi + 1])
-                         for gi in range(len(self.gens))]
-        self._incs = [[c.inc(v) for v in range(c.nclasses)] for c in self.coords]
+        lm, rm = left.M, right.M
+        self._rgens = rm.additive_generators()
+        self._sizes = (lm.size,) * len(self._rgens)
+        total = prod(self._sizes)
+        if total > element_bound:
+            raise BoundExceeded(
+                f"tensor ambient |L|^g = {lm.size}^{len(self._rgens)} = {total} "
+                f"exceeds the element bound {element_bound}")
+        counts = _generator_counts(rm, self._rgens)
+        self._vecs = [[tuple(lm.sum([a] * c) for c in counts[b]) for b in range(rm.size)]
+                      for a in range(lm.size)]
+        self._zero = self._vecs[lm.zero][rm.zero]
+        self.pairs = [(a, b) for a in range(lm.size) for b in range(rm.size)
+                      if a != lm.zero and b != rm.zero]
 
-        relations = []
-        for a1 in range(left.M.size):
-            for a2 in range(left.M.size):
-                for b in range(right.M.size):
-                    lhs = self.gen_vec(left.M.add(a1, a2), b)
-                    rhs = self.add_vec(self.gen_vec(a1, b), self.gen_vec(a2, b))
-                    relations.append((self.pack(lhs), self.pack(rhs)))
-        for a in range(left.M.size):
-            for b1 in range(right.M.size):
-                for b2 in range(right.M.size):
-                    lhs = self.gen_vec(a, right.M.add(b1, b2))
-                    rhs = self.add_vec(self.gen_vec(a, b1), self.gen_vec(a, b2))
-                    relations.append((self.pack(lhs), self.pack(rhs)))
+        gv = self.gen_vec
+        relations = [(gv(a, rm.add(b1, b2)), self._add(gv(a, b1), gv(a, b2)))
+                     for a in range(lm.size) for b1 in range(rm.size) for b2 in range(rm.size)]
         n = s.n
-        for tother in s.t_tuples(n - 1):
-            for gs in s.g_tuples(n - 1):
-                for a in range(left.M.size):
-                    for b in range(right.M.size):
-                        lhs = self.gen_vec(left.act(j, tother, a, gs), b)
-                        rhs = self.gen_vec(a, right.act(k, tother, b, gs))
-                        relations.append((self.pack(lhs), self.pack(rhs)))
-        self.relations = list(dict.fromkeys(relations))
-        self.class_of, self.reps = congruence_closure(
-            total, self.relations,
-            lambda u, v: [(self._bump(u, gi), self._bump(v, gi))
-                          for gi in range(len(self.gens))])
-        self.nclasses = len(self.reps)
-        add_table = tuple(
-            self.class_of[self.pack(self.add_vec(self.unpack(self.reps[c1]),
-                                                 self.unpack(self.reps[c2])))]
-            for c1 in range(self.nclasses) for c2 in range(self.nclasses))
-        self.monoid = FiniteAddMonoid(self.nclasses, add_table,
-                                      self.class_of[self.pack([0] * len(self.gens))])
+        relations += [(gv(left.act(j, tother, a, gs), b), gv(a, right.act(k, tother, b, gs)))
+                      for tother in s.t_tuples(n - 1) for gs in s.g_tuples(n - 1)
+                      for a in range(lm.size) for b in range(rm.size)]
+        # Adding x at position p moves the flat index by a multiple of p's
+        # stride, |L|^(G-1-p).
+        shifts = [(p, lm.size ** (len(self._rgens) - 1 - p), lm.add_table[x::lm.size])
+                  for p in range(len(self._rgens)) for x in lm.additive_generators()]
 
-    def pack(self, vec) -> int:
-        return sum(v * st for v, st in zip(vec, self._strides))
+        def translate(u, v):
+            uv, vv = self._vec(u), self._vec(v)
+            return [(u + (plus[uv[p]] - uv[p]) * stride, v + (plus[vv[p]] - vv[p]) * stride)
+                    for p, stride, plus in shifts]
 
-    def unpack(self, idx: int) -> list[int]:
-        return [idx // st % r for st, r in zip(self._strides, self._radices)]
+        uf_class, uf_reps = congruence_closure(
+            total, dict.fromkeys((self._index(u), self._index(v)) for u, v in relations),
+            translate)
+        nq = len(uf_reps)
+        add = [[uf_class[self._index(self._add(self._vec(r1), self._vec(r2)))]
+                for r2 in uf_reps] for r1 in uf_reps]
+        # Backward pass: ``order`` lists the classes reachable from the pairs
+        # after the current one, least multiplicity vector first; a class
+        # r*g + y keeps its least (r, position of y) key.
+        zero = uf_class[self._index(self._zero)]
+        order = [zero]
+        for a, b in reversed(self.pairs):
+            g, multiples = uf_class[self._index(gv(a, b))], [zero]
+            while (m := add[multiples[-1]][g]) not in multiples:
+                multiples.append(m)
+            order = list(dict.fromkeys(add[m][y] for m in multiples for y in order))
+        rank = {c: i for i, c in enumerate(order)}
+        self.class_of = [rank[c] for c in uf_class]
+        self.reps = [uf_reps[c] for c in order]
+        self.monoid = FiniteAddMonoid(
+            nq, tuple(rank[add[c1][c2]] for c1 in order for c2 in order), rank[zero])
 
-    def add_vec(self, u, v):
-        return [c.add(a, b) for c, a, b in zip(self.coords, u, v)]
+    def _vec(self, idx: int) -> tuple[int, ...]:
+        return unflatten_index(idx, self._sizes)
 
-    def gen_vec(self, a: int, b: int) -> list[int]:
-        out = [0] * len(self.gens)
-        if a == self.left.M.zero or b == self.right.M.zero:
-            return out
-        gi = self._gidx[(a, b)]
-        out[gi] = self.coords[gi].inc(0)
-        return out
+    def _index(self, vec) -> int:
+        return flatten_index(vec, self._sizes)
 
-    def _bump(self, idx: int, gi: int) -> int:
-        st = self._strides[gi]
-        v = idx // st % self._radices[gi]
-        return idx + (self._incs[gi][v] - v) * st
+    def _add(self, u, v) -> tuple[int, ...]:
+        return tuple(self.left.M.add(x, y) for x, y in zip(u, v))
+
+    def gen_vec(self, a: int, b: int) -> tuple[int, ...]:
+        return self._vecs[a][b]
+
+    def _class(self, vec) -> int:
+        return self.class_of[self._index(vec)]
 
     def pair_class(self, a: int, b: int) -> int:
-        return self.class_of[self.pack(self.gen_vec(a, b))]
+        return self._class(self.gen_vec(a, b))
 
-    def apply_generatorwise(self, images, raw_idx: int) -> int:
-        """Class of the additive extension of generator images (one per generator)."""
-        acc = [0] * len(self.gens)
-        for gi, count in enumerate(self.unpack(raw_idx)):
-            for _ in range(self.coords[gi].rep[count]):
-                acc = self.add_vec(acc, images[gi])
-        return self.class_of[self.pack(acc)]
+    def _extension(self, images) -> list[int] | None:
+        """The additive map on classes sending each nonzero pair's class to
+        the class of its image, as a table, or None if there is none.
 
-    def descends(self, images) -> bool:
-        # Additivity holds modulo derivable relations, so the extension
-        # descends exactly when every base relation pair stays identified.
-        return all(self.apply_generatorwise(images, u) == self.apply_generatorwise(images, v)
-                   for u, v in self.relations)
+        A class goes to the sum of the images of the nonzero parts (x at
+        generator g) of one representative.  That is the map exactly when
+        the table is additive and agrees with the images on every pair.
+        """
+        image = dict(zip(self.pairs, images))
+        lzero, q = self.left.M.zero, self.monoid
 
-    def residual_module(self, s: NaryGammaSemiring, image_fn,
-                        name: str) -> TensorModule | None:
-        """The quotient as a module over ``s``, or None if an action fails.
+        def extend(rep):
+            parts = (image[x, g] for x, g in zip(self._vec(rep), self._rgens) if x != lzero)
+            return self._class(reduce(self._add, parts, self._zero))
+
+        table = [extend(rep) for rep in self.reps]
+        additive = all(table[q.add(c1, c2)] == q.add(table[c1], table[c2])
+                       for c1 in range(q.size) for c2 in range(q.size))
+        if additive and all(table[self.pair_class(a, b)] == self._class(image[a, b])
+                            for a, b in self.pairs):
+            return table
+        return None
+
+    def residual_module(self, s: NaryGammaSemiring, image_fn, name: str) -> TensorModule:
+        """The quotient as a module over ``s``.
 
         ``image_fn(slot, tother, gs)`` gives the generator images of one
         residual action.  Actions are keyed by their tuple of images, so each
         distinct one is checked for descent and tabulated on classes once.
+        Raises SoundnessError naming the first action that does not descend.
         """
         n = s.n
         tables, table_of = {}, {}
@@ -631,11 +609,13 @@ class TensorCongruence:
             for tother in s.t_tuples(n - 1):
                 for gs in s.g_tuples(n - 1):
                     img = image_fn(slot, tother, gs)
-                    key = tuple(tuple(img(a, b)) for a, b in self.gens)
+                    key = tuple(tuple(img(a, b)) for a, b in self.pairs)
                     if key not in tables:
-                        if not self.descends(key):
-                            return None
-                        tables[key] = [self.apply_generatorwise(key, rep) for rep in self.reps]
+                        tables[key] = self._extension(key)
+                        if tables[key] is None:
+                            raise SoundnessError(
+                                f"the action at slot {slot + 1} with carriers {tother} "
+                                f"and parameters {gs} does not descend")
                     table_of[slot, tother, gs] = tables[key]
         module = build_module(
             s, self.monoid,
@@ -665,11 +645,14 @@ def tensor_positional(left: BiGammaModule, right: BiGammaModule,
     def through_left(slot, tother, gs):
         return lambda a, b: core.gen_vec(left.act(slot, tother, a, gs), b)
 
-    out = (core.residual_module(left.parent, through_right, name)
-           or core.residual_module(left.parent, through_left, name))
-    if out is None:
-        raise SoundnessError("no residual action descends to the tensor quotient")
-    return out
+    failures = []
+    for side, image_fn in (("right", through_right), ("left", through_left)):
+        try:
+            return core.residual_module(left.parent, image_fn, name)
+        except SoundnessError as exc:
+            failures.append(f"through the {side} factor, {exc}")
+    raise SoundnessError("no residual action descends to the tensor quotient: "
+                         + "; ".join(failures))
 
 
 # ---------------------------------------------------------------------------

@@ -485,10 +485,10 @@ def extend_scalars(f: GammaSemiringMorphism, a: BiGammaModule,
         return lambda x, av: core.gen_vec(
             target.mu(tother[:slot] + (x,) + tother[slot:], gs), av)
 
-    out = core.residual_module(target, image_fn, name or f"ext({a.name})")
-    if out is None:
-        raise SoundnessError("target action does not descend to the extension")
-    return out
+    try:
+        return core.residual_module(target, image_fn, name or f"ext({a.name})")
+    except SoundnessError as exc:
+        raise SoundnessError(f"target action does not descend to the extension: {exc}") from None
 
 
 def completed_extension_group(f: GammaSemiringMorphism, x: CompletedModule,

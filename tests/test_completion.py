@@ -14,6 +14,7 @@ from ngamma.abgroups import (
     AbGroup, GroupMap, Presentation, SoundnessError, induced_on_quotients,
     isomorphic, kernel,
 )
+from ngamma.bundled import bundled_workspace
 from ngamma.core import (
     FiniteAddMonoid, GammaSemigroup, NaryGammaSemiring, binary_specialization,
     boolean_ternary, f2_semiring, f2_ternary, make_matrix_family,
@@ -146,10 +147,19 @@ def test_tensor_group_matches_monoid_tensor_completion():
     z4 = z4_ternary()
     reg = regular_bimodule(z4)
     sub = ideal_submodule(z4, GammaIdeal(z4, frozenset({0, 2})))
-    for (m, n) in [(reg, reg), (reg, sub), (sub, sub)]:
-        monoid_level = tensor_positional(m, n, 2, 0)
+    cases = [(m, n, 2, 0) for m, n in [(reg, reg), (reg, sub), (sub, sub)]]
+    # Slot pairs (3,1), (1,1) and (2,3) on the direct sum Z/4 (+) Z/2 and on
+    # regular ternary Z/m.
+    ws = bundled_workspace()
+    z4_reg, z4_sum = ws.module("z4_reg"), ws.module("z4_sum")
+    pairs = [(z4_reg, z4_sum), (z4_sum, z4_sum)]
+    pairs += [(r, r) for r in (regular_bimodule(ternary_from_semiring(zmod_semiring(m)))
+                               for m in (5, 6, 8))]
+    cases += [(m, n, j, k) for m, n in pairs for j, k in [(2, 0), (0, 0), (1, 2)]]
+    for m, n, j, k in cases:
+        monoid_level = tensor_positional(m, n, j, k)
         k_of_tensor = group_complete(monoid_level.module.M).group
-        lin_t = TensorGroup(linearize_module(m), linearize_module(n), 2, 0)
+        lin_t = TensorGroup(linearize_module(m), linearize_module(n), j, k)
         assert isomorphic(k_of_tensor, lin_t.group)
 
 

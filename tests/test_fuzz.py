@@ -12,7 +12,7 @@ from ngamma.core import (
 )
 from ngamma.homology import ChainComplexAb, homology
 from ngamma.ideals import all_ideals, generate_ideal
-from ngamma.modules import _Coordinate, _index_period, _orbit
+from ngamma.modules import _generator_counts
 
 
 @given(st.integers(2, 4), st.integers(1, 3), st.integers(1, 3), st.integers(1, 2),
@@ -86,30 +86,17 @@ def _monoid_pool(size):
     return pool
 
 
-def test_coordinate_arithmetic_matches_counter_semantics():
-    rng = random.Random(3)
-    for _ in range(120):
-        ma = rng.choice(_monoid_pool(rng.randrange(2, 5)))
-        mb = rng.choice(_monoid_pool(rng.randrange(2, 5)))
-        a = rng.randrange(ma.size)
-        b = rng.randrange(mb.size)
-        window = 2 * (ma.size * mb.size) + 2
-        oa, ob = _orbit(ma, a, window), _orbit(mb, b, window)
-        coord = _Coordinate(oa, ob)
-        idx0, per = _index_period(list(zip(oa, ob)))
-        wsize = idx0 + per
-
-        def wrap(r):
-            return r if r < wsize else idx0 + (r - idx0) % per
-
-        for r1 in range(2 * wsize):
-            for r2 in range(wsize):
-                assert coord.class_of[wrap(r1 + r2)] == \
-                    coord.add(coord.class_of[wrap(r1)], coord.class_of[wrap(r2)])
-        for r1 in range(wsize):
-            for r2 in range(wsize):
-                if oa[r1] == oa[r2] or ob[r1] == ob[r2]:
-                    assert coord.class_of[r1] == coord.class_of[r2]
+def test_generator_counts_sum_to_each_element():
+    # The tensor ambient writes each right element as one fixed sum of the
+    # additive generators; a generator is its own unit vector.
+    for size in range(1, 5):
+        for m in _monoid_pool(size):
+            gens = m.additive_generators()
+            counts = _generator_counts(m, gens)
+            for x in range(m.size):
+                assert m.sum(g for g, c in zip(gens, counts[x]) for _ in range(c)) == x
+            for i, g in enumerate(gens):
+                assert counts[g] == tuple(int(q == i) for q in range(len(gens)))
 
 
 def test_group_order_statistics_on_random_orders():

@@ -2,15 +2,17 @@ from itertools import product
 
 import pytest
 
+from ngamma.abgroups import SoundnessError
 from ngamma.core import (
-    FiniteAddMonoid, boolean_ternary, f2_ternary, z4_ternary,
+    BoundExceeded, FiniteAddMonoid, boolean_ternary, f2_ternary,
+    ternary_from_semiring, z4_ternary, zmod_semiring,
 )
 from ngamma.ideals import GammaIdeal
 from ngamma.modules import (
     BiGammaModule, Conflation, ModuleMorphism, additive_maps, check_conflation,
     cofree, direct_sum_modules, equivariant_maps, hom_gamma, ideal_submodule,
     identity_module_morphism, injectivity_probe, quotient_module,
-    regular_bimodule, tensor_positional, validate_module,
+    TensorCongruence, regular_bimodule, tensor_positional, validate_module,
     validate_module_morphism, zero_module,
 )
 
@@ -159,6 +161,35 @@ def test_tensor_z4(z4):
     sub = ideal_submodule(z4, GammaIdeal(z4, frozenset({0, 2})))
     t2 = tensor_positional(reg, sub, 2, 0)
     assert t2.module.M.size == 2
+
+
+def test_tensor_ternary_zmod_has_m_elements():
+    # Z/m (x) Z/m over regular ternary Z/m is Z/m again; the ambient Z/m^1
+    # stays small although the pair box grows like 2^((m-1)^2).
+    for m in (5, 6, 8, 12, 16):
+        reg = regular_bimodule(ternary_from_semiring(zmod_semiring(m)))
+        assert tensor_positional(reg, reg, 2, 0).module.M.size == m
+
+
+def test_tensor_refusal_names_ambient_and_bound(z4):
+    reg = regular_bimodule(z4)
+    with pytest.raises(BoundExceeded, match=r"\|L\|\^g = 4\^1 = 4 exceeds the element bound 3"):
+        tensor_positional(reg, reg, 2, 0, element_bound=3)
+
+
+def test_residual_action_must_be_additive(z4):
+    # Each pair a(x)b goes to the square of its class ab, so the images agree
+    # on every pair class, but squaring is not additive on Z/4 (1+1 -> 0,
+    # 1 -> 1): no additive action extends them.
+    reg = regular_bimodule(z4)
+    core = TensorCongruence(reg, reg, 2, 0)
+    assert core.monoid.size == 4
+
+    def squared(slot, tother, gs):
+        return lambda a, b: core.gen_vec(a * a * b * b % 4, 1)
+
+    with pytest.raises(SoundnessError, match=r"slot 1 with carriers \(0, 0\) .* does not descend"):
+        core.residual_module(z4, squared, "squared")
 
 
 def test_cofree_examples(f2, boolt):

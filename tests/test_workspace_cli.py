@@ -100,6 +100,13 @@ def test_cli_structured_reports_are_json(capsys):
     assert doc["results"]["degrees"]["1"] == []
 
 
+def test_cli_tensor_of_direct_sums(capsys):
+    rc = main(["--format", "structured", "mod", "tensor", "z4_sum", "z4_sum"])
+    doc = json.loads(capsys.readouterr().out)
+    assert rc == 0
+    assert doc["results"]["size"] == 32
+
+
 def test_cli_spectrum_values(capsys):
     rc = main(["--format", "structured", "spectrum", "z4_ternary"])
     doc = json.loads(capsys.readouterr().out)
