@@ -13,9 +13,10 @@ shared freely.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import product
 from math import prod
+from operator import mul
 
 
 class StructuralError(ValueError):
@@ -90,6 +91,11 @@ class FiniteAddMonoid:
     size: int
     add_table: tuple[int, ...]
     zero: int = 0
+    # Filled on first use by ``_remember``.  The dict is set at construction
+    # because an attribute added to an instance later, as cached_property
+    # adds one, slows attribute reads on every monoid (CPython 3.11: the
+    # benchmark's job rounds ran 2-3% slower).
+    _memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.size < 1:
@@ -115,6 +121,15 @@ class FiniteAddMonoid:
 
     def validate(self) -> list[tuple[str, tuple]]:
         """Violations of commutativity, associativity, or the zero law."""
+        return self._remember("laws", self._law_failures)
+
+    def _remember(self, key: str, compute) -> list:
+        """A copy of compute()'s list, computed once per monoid."""
+        if key not in self._memo:
+            self._memo[key] = tuple(compute())
+        return list(self._memo[key])
+
+    def _law_failures(self) -> list[tuple[str, tuple]]:
         bad = []
         for a in range(self.size):
             for b in range(self.size):
@@ -144,6 +159,9 @@ class FiniteAddMonoid:
 
     def additive_generators(self) -> list[int]:
         """A small generating set, greedily chosen in index order."""
+        return self._remember("gens", self._generators)
+
+    def _generators(self) -> list[int]:
         gens: list[int] = []
         closure = {self.zero}
         for x in range(self.size):
@@ -290,24 +308,39 @@ def table_failures(table, monoids, value: FiniteAddMonoid,
     For p in ``additive`` this yields (p, x, y, args), args[p] == x, whenever
     table[args with p := x+y] != table[args] + table[args with p := y];
     parameter positions skip idempotent self-sums (``_skip_gamma_pair``).
+    When both the carrier monoid at p and ``value`` obey their laws, rows
+    are first walked with y over zero and the additive generators only: if
+    each row is additive against those, it is additive against every sum of
+    them, by induction on the sum and associativity on both sides.  Only a
+    position where that shorter walk fails is walked over all pairs, so the
+    witnesses and their order are those of the full walk.
     For p in ``absorbing`` whose monoid has a zero it yields (p, args),
     args[p] that zero, whenever table[args] is not the zero of ``value``.
     """
     sizes = [m.size for m in monoids]
     vadd, vsize, vzero = value.add_table, value.size, value.zero
-    for p in additive:
-        m = monoids[p]
-        gamma = isinstance(m, GammaSemigroup)
-        pairs = [(x, y, m.add(x, y)) for x in range(m.size) for y in range(m.size)
-                 if not (gamma and _skip_gamma_pair(m, x, y))]
-        stride = prod(sizes[p + 1:])
-        block = m.size * stride
+
+    def walk(p, pairs, stride):
+        block = monoids[p].size * stride
         for hi in range(0, len(table), block):
             for base in range(hi, hi + stride):
                 row = table[base:base + block:stride]
                 for x, y, xy in pairs:
                     if row[xy] != vadd[row[x] * vsize + row[y]]:
                         yield (p, x, y, unflatten_index(base + x * stride, sizes))
+
+    for p in additive:
+        m = monoids[p]
+        gamma = isinstance(m, GammaSemigroup)
+        stride = prod(sizes[p + 1:])
+        if not gamma and not m.validate() and not value.validate():
+            gens = (m.zero, *m.additive_generators())
+            short = [(x, y, m.add(x, y)) for x in range(m.size) for y in gens]
+            if next(walk(p, short, stride), None) is None:
+                continue
+        pairs = [(x, y, m.add(x, y)) for x in range(m.size) for y in range(m.size)
+                 if not (gamma and _skip_gamma_pair(m, x, y))]
+        yield from walk(p, pairs, stride)
     for p in absorbing:
         m = monoids[p]
         if isinstance(m, GammaSemigroup) and not m.has_zero:
@@ -320,6 +353,61 @@ def table_failures(table, monoids, value: FiniteAddMonoid,
                     yield (p, unflatten_index(base, sizes))
 
 
+def first_incoherent_word(s: NaryGammaSemiring, words, p=None,
+                          act_tables=(), msize: int = 0):
+    """The first length-(2n-1) word whose n bracketings disagree.
+
+    ``words`` yields element tuples; each is tried with every parameter word
+    gs in index order, gs fastest.  Returns (xs, gs, vals) or None, where
+    vals[i] is the value of the bracketing that multiplies the window of
+    letters i..i+n-1 first.  Without ``p`` every letter is a carrier element
+    and both products are looked up in ``mu_table``.  With ``p`` the letter
+    at p is an element of a module of size ``msize``: a window that holds it
+    is looked up in ``act_tables[j]``, j its place in the window, and so is
+    the outer word that then holds the window's value.
+
+    All tables share one layout (n elements, then n-1 parameters), so each
+    bracketing costs two lookups at offsets summed from precomputed strides:
+    the elements' part once per word, the parameters' once per gs.
+    """
+    n, tsize, gsize = s.n, s.T.size, s.gamma.size
+    gblock = gsize ** (n - 1)
+
+    def layout(j):
+        """The table and element strides of a window with its module letter at j."""
+        esizes = [msize if q == j else tsize for q in range(n)]
+        table = s.mu_table if j is None else act_tables[j]
+        return table, [prod(esizes[q + 1:]) * gblock for q in range(n)]
+
+    plan = []
+    for i in range(n):
+        if p is None:
+            j_in = j_out = None
+        elif i <= p < i + n:
+            j_in, j_out = p - i, i
+        else:
+            j_in, j_out = None, p if p < i else p - n + 1
+        t_in, st_in = layout(j_in)
+        t_out, st_out = layout(j_out)
+        # Strides of every letter in the window and in the outer word.
+        inner = [0] * i + st_in + [0] * (n - 1 - i)
+        outer = st_out[:i] + [0] * n + st_out[i + 1:]
+        plan.append((t_in, inner, t_out, outer, st_out[i]))
+    gsizes = [gsize] * (n - 1)
+    gwords = [(gs, [(flatten_index(gs[i:i + n - 1], gsizes),
+                     flatten_index(gs[:i] + gs[i + n - 1:], gsizes)) for i in range(n)])
+              for gs in product(range(gsize), repeat=2 * n - 2)]
+    for xs in words:
+        rows = [(t_in, sum(map(mul, xs, inner)), t_out, sum(map(mul, xs, outer)), st_mid)
+                for t_in, inner, t_out, outer, st_mid in plan]
+        for gs, offs in gwords:
+            vals = [t_out[e_out + t_in[e_in + g_in] * st_mid + g_out]
+                    for (t_in, e_in, t_out, e_out, st_mid), (g_in, g_out) in zip(rows, offs)]
+            if vals.count(vals[0]) != n:
+                return xs, gs, vals
+    return None
+
+
 def check_flattened_associativity(s: NaryGammaSemiring,
                                   generators_only: bool = True) -> AxiomCheck:
     """All bracketings of length-(2n-1) words agree.
@@ -329,19 +417,13 @@ def check_flattened_associativity(s: NaryGammaSemiring,
     to the full check; the caller passes ``generators_only=False`` when slot
     additivity failed.
     """
-    n = s.n
     gens = s.T.additive_generators() if generators_only else list(s.T.elements())
-    if not gens:
-        gens = [s.T.zero]
-    wlen = 2 * n - 1
-    for xs in product(gens, repeat=wlen):
-        for gs in s.g_tuples(wlen - 1):
-            vals = _all_bracketing_values(s, xs, gs)
-            for i, v in enumerate(vals):
-                if v != vals[0]:
-                    return AxiomCheck("flattened associativity", False,
-                                      (xs, gs, 0, i, vals[0], v))
-    return AxiomCheck("flattened associativity", True)
+    hit = first_incoherent_word(s, product(gens or [s.T.zero], repeat=2 * s.n - 1))
+    if hit is None:
+        return AxiomCheck("flattened associativity", True)
+    xs, gs, vals = hit
+    i = next(i for i, v in enumerate(vals) if v != vals[0])
+    return AxiomCheck("flattened associativity", False, (xs, gs, 0, i, vals[0], vals[i]))
 
 
 def validate_semiring(s: NaryGammaSemiring) -> AxiomReport:

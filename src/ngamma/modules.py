@@ -18,8 +18,8 @@ from math import prod
 from .abgroups import SoundnessError
 from .core import (
     AxiomCheck, AxiomReport, BoundExceeded, FiniteAddMonoid,
-    NaryGammaSemiring, StructuralError, congruence_closure, flatten_index,
-    table_failures, unflatten_index,
+    NaryGammaSemiring, StructuralError, congruence_closure, first_incoherent_word,
+    flatten_index, table_failures, unflatten_index,
 )
 from .ideals import GammaIdeal, coset_congruence, quotient_monoid
 
@@ -169,57 +169,28 @@ def validate_module(b: BiGammaModule) -> AxiomReport:
     return AxiomReport(tuple(checks))
 
 
-def _module_word_values(b: BiGammaModule, tokens, gs):
-    """All bracketings of a word with one module token; values in the module."""
-    s = b.parent
-    n = s.n
-    if len(tokens) == n:
-        return [_eval_window(b, tokens, gs)[1]]
-    vals = []
-    for i in range(len(tokens) - n + 1):
-        kind, val = _eval_window(b, tokens[i:i + n], gs[i:i + n - 1])
-        outer = tokens[:i] + ((kind, val),) + tokens[i + n:]
-        vals.extend(_module_word_values(b, outer, gs[:i] + gs[i + n - 1:]))
-    return vals
-
-
-def _eval_window(b: BiGammaModule, window, gs):
-    s = b.parent
-    mpos = [i for i, (kind, _) in enumerate(window) if kind == "m"]
-    if not mpos:
-        return ("t", s.mu(tuple(v for _, v in window), gs))
-    assert len(mpos) == 1
-    j = mpos[0]
-    tother = tuple(v for q, (kind, v) in enumerate(window) if q != j)
-    return ("m", b.act(j, tother, window[j][1], gs))
-
-
 def _check_module_words(b: BiGammaModule, generators_only: bool) -> AxiomCheck:
     """Bracket independence of length-(2n-1) words holding one module element.
 
     Covers both mixed associativity (nested actions against products) and
     compatibility between different slots.  Multiadditivity justifies the
     restriction to additive generators whenever the additivity checks passed.
+    Words are walked with the module letter's place p slowest, then the
+    carrier letters, then the module letter.
     """
     s = b.parent
-    n = s.n
     tgens = s.T.additive_generators() if generators_only else list(s.T.elements())
     mgens = b.M.additive_generators() if generators_only else list(range(b.M.size))
-    if not tgens:
-        tgens = [s.T.zero]
-    if not mgens:
-        mgens = [b.M.zero]
-    wlen = 2 * n - 1
+    tgens, mgens = tgens or [s.T.zero], mgens or [b.M.zero]
+    wlen = 2 * s.n - 1
     for p in range(wlen):
-        for ts in product(tgens, repeat=wlen - 1):
-            for m in mgens:
-                tokens = tuple(("t", t) for t in ts[:p]) + (("m", m),) + \
-                    tuple(("t", t) for t in ts[p:])
-                for gs in s.g_tuples(wlen - 1):
-                    vals = _module_word_values(b, tokens, gs)
-                    if len(set(vals)) > 1:
-                        return AxiomCheck("positional coherence", False,
-                                          (p, ts, m, gs, sorted(set(vals))))
+        words = (ts[:p] + (m,) + ts[p:]
+                 for ts in product(tgens, repeat=wlen - 1) for m in mgens)
+        hit = first_incoherent_word(s, words, p, b.act_tables, b.M.size)
+        if hit is not None:
+            xs, gs, vals = hit
+            return AxiomCheck("positional coherence", False,
+                              (p, xs[:p] + xs[p + 1:], xs[p], gs, sorted(set(vals))))
     return AxiomCheck("positional coherence", True)
 
 
@@ -245,17 +216,41 @@ class ModuleMorphism:
 
 def validate_module_morphism(f: ModuleMorphism) -> AxiomReport:
     src, dst = f.source, f.target
-    s = src.parent
-    n = s.n
     wit = ("zero",) if f(src.M.zero) != dst.M.zero else next(
         ((a, b) for a in range(src.M.size) for b in range(src.M.size)
          if f(src.M.add(a, b)) != dst.M.add(f(a), f(b))), None)
     add = AxiomCheck("morphism additivity", wit is None, wit)
-    wit = next(((j + 1, tother, m, gs) for j in range(n)
-                for tother in s.t_tuples(n - 1) for gs in s.g_tuples(n - 1)
-                for m in range(src.M.size)
-                if f(src.act(j, tother, m, gs)) != dst.act(j, tother, f(m), gs)), None)
+    wit = _equivariance_failure(f)
     return AxiomReport((add, AxiomCheck("morphism equivariance", wit is None, wit)))
+
+
+def _equivariance_failure(f: ModuleMorphism):
+    """The first (slot, tother, m, gs) with f(act(m)) != act(f(m)), or None.
+
+    Slot j's source and target tables differ only in the size of the module
+    coordinate, so each setting of the other arguments is one column of m in
+    the source, walked by that coordinate's stride, against the entries at
+    f(m) in the target.  Settings go in table order with m fastest, which is
+    the (slot, tother, gs, m) order of the witness.
+    """
+    src, dst, fm = f.source, f.target, f.map
+    n = src.parent.n
+    ms, md = src.M.size, dst.M.size
+    for j in range(n):
+        stab, dtab = src.act_tables[j], dst.act_tables[j]
+        stride = prod(src._sizes[j][j + 1:])
+        target_offsets = [v * stride for v in fm]
+        for outer in range(len(stab) // (ms * stride)):
+            for inner in range(stride):
+                sbase = outer * ms * stride + inner
+                dbase = outer * md * stride + inner
+                got = [fm[v] for v in stab[sbase:sbase + ms * stride:stride]]
+                want = [dtab[dbase + off] for off in target_offsets]
+                if got != want:
+                    m = next(m for m in range(ms) if got[m] != want[m])
+                    args = unflatten_index(sbase + m * stride, src._sizes[j])
+                    return (j + 1, args[:j] + args[j + 1:n], m, args[n:])
+    return None
 
 
 def identity_module_morphism(b: BiGammaModule) -> ModuleMorphism:

@@ -362,6 +362,10 @@ def tensor_class_count(left: BiGammaModule, right: BiGammaModule,
                     lhs = one_hot(left.act(j, tother, a, gs), b)
                     rhs = one_hot(a, right.act(k, tother, b, gs))
                     relations.append((lhs, rhs))
+    # Every relation adds its edges in both directions, so one copy of each
+    # unordered pair gives the same edges, and lhs == rhs only gives loops.
+    relations = list(dict.fromkeys(tuple(sorted((tuple(lhs), tuple(rhs))))
+                                   for lhs, rhs in relations if lhs != rhs))
 
     parent = list(range(total))
 

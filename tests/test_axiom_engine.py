@@ -1,10 +1,12 @@
 """Mutation tests for the table-driven axiom checks.
 
-Single-entry mutations of semiring and module tables are checked against
-restatements of each axiom written here directly with ``mu``/``act``, and
-every failing witness is re-evaluated to show it really is a violation.  The
-families cover a non-commutative binary carrier (M2(F2)) and a parameter
-semigroup with a zero and an idempotent self-sum (the Gamma-scaled Z/4).
+Single-entry mutations of semiring and module tables and of module
+morphism maps are checked against restatements of each axiom written here
+directly with ``mu``/``act``, and every failing witness is re-evaluated to
+show it really is a violation.  The recursive bracketing evaluator here is
+the reference for the engine's stride walk over words.  The families cover
+a non-commutative binary carrier (M2(F2)) and a parameter semigroup with a
+zero and an idempotent self-sum (the Gamma-scaled Z/4).
 """
 
 import random
@@ -14,11 +16,15 @@ from itertools import product
 import pytest
 
 from ngamma import oracle
+from ngamma.bundled import bundled_workspace
 from ngamma.core import (
-    GammaSemigroup, bundled_semirings, f2_semiring, make_matrix_family,
-    validate_semiring, zmod_semiring,
+    GammaSemigroup, bundled_semirings, check_flattened_associativity, f2_semiring,
+    make_matrix_family, validate_semiring, zmod_semiring,
 )
-from ngamma.modules import BiGammaModule, regular_bimodule, validate_module
+from ngamma.modules import (
+    BiGammaModule, ModuleMorphism, _check_module_words, regular_bimodule,
+    validate_module, validate_module_morphism,
+)
 
 
 def m2f2_binary():
@@ -136,9 +142,7 @@ def _word_values(act, mu, n, tokens, gs):
 
 
 def _coherent(b, p, ts, m, gs, act=None, mu=None):
-    tokens = tuple(("t", t) for t in ts[:p]) + (("m", m),) + \
-        tuple(("t", t) for t in ts[p:])
-    vals = _word_values(act or b.act, mu or b.parent.mu, b.parent.n, tokens, gs)
+    vals = _word_values(act or b.act, mu or b.parent.mu, b.parent.n, _tokens(p, ts, m), gs)
     return len(set(vals)) == 1
 
 
@@ -197,14 +201,17 @@ MODULE_MUTANTS = {"f2_ternary": 20, "boolean_ternary": 20, "z4_ternary": 20,
                   "m2f2_binary": 10, "gamma_scaled_z4": 1}
 
 
+def module_mutants(family):
+    reg = regular_bimodule(FAMILIES[family])
+    rng = random.Random(f"module-mutation/{family}")
+    return [_mutate_slot_table(reg, rng) for _ in range(MODULE_MUTANTS[family])]
+
+
 @pytest.mark.parametrize("family", sorted(MODULE_MUTANTS))
 def test_module_mutations_match_direct_restatement(family):
-    reg = regular_bimodule(FAMILIES[family])
-    assert validate_module(reg).ok
-    rng = random.Random(f"module-mutation/{family}")
+    assert validate_module(regular_bimodule(FAMILIES[family])).ok
     failed = set()
-    for _ in range(MODULE_MUTANTS[family]):
-        b = _mutate_slot_table(reg, rng)
+    for b in module_mutants(family):
         report = validate_module(b)
         verdicts = {
             "module monoid laws": not _monoid_law_failures(b.M),
@@ -222,6 +229,51 @@ def test_module_mutations_match_direct_restatement(family):
                 _recheck_module_witness(b, c.axiom, c.witness)
                 failed.add(c.axiom)
     assert failed  # the witness checks above ran at least once
+
+
+# ---------------------------------------------------------------------------
+# Module morphisms
+# ---------------------------------------------------------------------------
+
+MORPHISM_MUTANTS = 6
+
+
+def morphism_mutants():
+    """Single-entry changes of each bundled module morphism's map."""
+    ws = bundled_workspace()
+    rng = random.Random("morphism-mutation")
+    out = []
+    for name in sorted(ws.module_morphisms):
+        f = ws.module_morphisms[name]
+        for _ in range(MORPHISM_MUTANTS):
+            vals = list(f.map)
+            pos = rng.randrange(len(vals))
+            new = rng.randrange(f.target.M.size - 1)
+            vals[pos] = new + (new >= vals[pos])
+            out.append(ModuleMorphism(f.source, f.target, tuple(vals)))
+    return out
+
+
+def _equivariance_witness(f):
+    """The first (slot, tother, m, gs) breaking equivariance, in act calls."""
+    src, dst = f.source, f.target
+    s = src.parent
+    return next(((j + 1, tother, m, gs) for j in range(s.n)
+                 for tother in product(range(s.T.size), repeat=s.n - 1)
+                 for gs in product(range(s.gamma.size), repeat=s.n - 1)
+                 for m in range(src.M.size)
+                 if f(src.act(j, tother, m, gs)) != dst.act(j, tother, f(m), gs)), None)
+
+
+def test_morphism_mutations_match_direct_restatement():
+    witnesses = []
+    for f in morphism_mutants():
+        check = validate_module_morphism(f).checks[1]
+        assert check.axiom == "morphism equivariance"
+        wit = _equivariance_witness(f)
+        assert (check.ok, check.witness) == (wit is None, wit)
+        witnesses.append(check.witness)
+    assert any(witnesses)
 
 
 # ---------------------------------------------------------------------------
@@ -269,14 +321,21 @@ def _recheck_semiring_witness(s, axiom, wit):
     return None
 
 
-@pytest.mark.parametrize("family,count", [("m2f2_binary", 30), ("gamma_scaled_z4", 12)])
+SEMIRING_MUTANTS = {"m2f2_binary": 30, "gamma_scaled_z4": 12}
+
+
+def semiring_mutants(family):
+    rng = random.Random(f"semiring-mutation/{family}")
+    return [oracle.mutate_semiring(FAMILIES[family], rng)
+            for _ in range(SEMIRING_MUTANTS[family])]
+
+
+@pytest.mark.parametrize("family,count", SEMIRING_MUTANTS.items())
 def test_semiring_mutations_match_oracle(family, count):
     base = FAMILIES[family]
     assert validate_semiring(base).ok and not oracle.naive_axiom_failures(base)
-    rng = random.Random(f"semiring-mutation/{family}")
     seen = set()
-    for _ in range(count):
-        s = oracle.mutate_semiring(base, rng)
+    for s in semiring_mutants(family):
         report = validate_semiring(s)
         checks = {c.axiom: c for c in report.checks}
         broken = {ORACLE_AXIOM[kind] for kind, _ in oracle.naive_axiom_failures(s)}
@@ -298,3 +357,60 @@ def test_semiring_mutations_match_oracle(family, count):
     assert {("T-slot additivity", False), ("zero absorption", False)} <= seen
     if base.gamma.has_zero:
         assert {("parameter-slot additivity", True), ("zero absorption", True)} <= seen
+
+
+# ---------------------------------------------------------------------------
+# Bracketing walks against the recursive evaluator
+# ---------------------------------------------------------------------------
+
+def _tokens(p, ts, m):
+    return tuple(("t", t) for t in ts[:p]) + (("m", m),) + tuple(("t", t) for t in ts[p:])
+
+
+def _reference_flattened_associativity(s, generators_only):
+    """check_flattened_associativity as a recursive walk over token words."""
+    gens = s.T.additive_generators() if generators_only else list(s.T.elements())
+    wlen = 2 * s.n - 1
+    mu = lru_cache(maxsize=None)(s.mu)
+    for xs in product(gens or [s.T.zero], repeat=wlen):
+        for gs in product(range(s.gamma.size), repeat=wlen - 1):
+            vals = _word_values(None, mu, s.n, tuple(("t", x) for x in xs), gs)
+            for i, v in enumerate(vals):
+                if v != vals[0]:
+                    return (False, (xs, gs, 0, i, vals[0], v))
+    return (True, None)
+
+
+def _reference_module_words(b, generators_only):
+    """The positional coherence check as a recursive walk over token words."""
+    s = b.parent
+    tgens = s.T.additive_generators() if generators_only else list(s.T.elements())
+    mgens = b.M.additive_generators() if generators_only else list(range(b.M.size))
+    wlen = 2 * s.n - 1
+    act, mu = lru_cache(maxsize=None)(b.act), lru_cache(maxsize=None)(s.mu)
+    for p in range(wlen):
+        for ts in product(tgens or [s.T.zero], repeat=wlen - 1):
+            for m in mgens or [b.M.zero]:
+                for gs in product(range(s.gamma.size), repeat=wlen - 1):
+                    vals = set(_word_values(act, mu, s.n, _tokens(p, ts, m), gs))
+                    if len(vals) > 1:
+                        return (False, (p, ts, m, gs, sorted(vals)))
+    return (True, None)
+
+
+@pytest.mark.parametrize("family", sorted(FAMILIES))
+def test_stride_word_walk_matches_recursive_reference(family):
+    base = FAMILIES[family]
+    rng = random.Random(f"word-walk/{family}")
+    witnesses = []
+    for s in [base] + [oracle.mutate_semiring(base, rng) for _ in range(10)]:
+        for gens_only in (True, False):
+            c = check_flattened_associativity(s, generators_only=gens_only)
+            assert (c.ok, c.witness) == _reference_flattened_associativity(s, gens_only)
+            witnesses.append(c.witness)
+    for b in [regular_bimodule(base)] + module_mutants(family):
+        for gens_only in (True, False):
+            c = _check_module_words(b, generators_only=gens_only)
+            assert (c.ok, c.witness) == _reference_module_words(b, gens_only)
+            witnesses.append(c.witness)
+    assert any(witnesses)  # some first witnesses were compared, not only passes

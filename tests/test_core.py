@@ -1,6 +1,10 @@
+import ast
 from itertools import product
+from pathlib import Path
 
 import pytest
+
+import ngamma
 
 from ngamma.abgroups import SoundnessError
 from ngamma.core import (
@@ -194,3 +198,14 @@ def test_additive_generators():
     gens = bool2.additive_generators()
     assert len(gens) == 4  # the four matrix units
     assert bool2.additive_closure(gens) == set(range(16))
+
+
+def test_engine_has_no_assert_statements():
+    # ``python -O`` strips asserts, so no engine check may rest on one; the
+    # oracle is a test aid and keeps its asserts.
+    found = [f"{path.name}:{node.lineno}"
+             for path in sorted(Path(ngamma.__file__).parent.rglob("*.py"))
+             if path.name != "oracle.py"
+             for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+             if isinstance(node, ast.Assert)]
+    assert found == []
