@@ -10,14 +10,14 @@ canonicalized through Smith normal form.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from math import gcd, prod
+from math import gcd
 
 from . import intlinalg as la
 from .abgroups import (
     AbGroup, GroupMap, Presentation, SoundnessError, induced_on_quotients, kernel,
 )
 from .core import FiniteAddMonoid, NaryGammaSemiring, StructuralError
-from .modules import BiGammaModule, ModuleMorphism
+from .modules import BiGammaModule, ModuleMorphism, filler_tuples, map_columns
 
 
 @dataclass(frozen=True)
@@ -71,11 +71,6 @@ def completion_map(src: Completion, dst: Completion, elem_map) -> GroupMap:
     return GroupMap.from_images(src.group, dst.group, image_of, check=True)
 
 
-def filler_tuples(s: NaryGammaSemiring) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
-    """All (carrier fillers, parameter tuple) pairs, in table order."""
-    return [(t, g) for t in s.t_tuples(s.n - 1) for g in s.g_tuples(s.n - 1)]
-
-
 @dataclass(frozen=True)
 class CompletedModule:
     """A completed module: finite abelian group plus per-slot operators."""
@@ -93,26 +88,13 @@ class CompletedModule:
 def linearize_module(b: BiGammaModule, name: str = "") -> CompletedModule:
     """Completion of the carrier with each slot action linearized.
 
-    In slot j's table (``BiGammaModule._layout``) the module element sits
-    between the j leading carriers and a block of ``stride`` trailing
-    arguments, so the action of one filler is a stride slice, and the slices
-    come in ``filler_tuples`` order.  Each distinct slice is linearized once.
+    ``ops[j][w]`` is the completion of slot j's column for filler w
+    (``BiGammaModule.actions``); each distinct column is linearized once.
     """
     comp = group_complete(b.M)
-    maps = {}
-    ops = []
-    for j, tbl in enumerate(b.act_tables):
-        stride = prod(b._sizes[j][j + 1:])
-        block = b.M.size * stride
-        slot_ops = []
-        for p in range(b.parent.T.size ** j):
-            for r in range(stride):
-                col = tbl[p * block + r:(p + 1) * block:stride]
-                if col not in maps:
-                    maps[col] = completion_map(comp, comp, col)
-                slot_ops.append(maps[col])
-        ops.append(tuple(slot_ops))
-    return CompletedModule(b.parent, comp.group, tuple(ops), comp,
+    ops = map_columns(lambda col: completion_map(comp, comp, col),
+                      [b.actions(j) for j in range(b.parent.n)])
+    return CompletedModule(b.parent, comp.group, tuple(map(tuple, ops)), comp,
                            name=name or b.name)
 
 

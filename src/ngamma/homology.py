@@ -19,15 +19,17 @@ from .abgroups import (
     AbGroup, GroupMap, HomologyNode, SoundnessError, Subgroup, image,
     induced_on_quotients, kernel, order_lattice_columns,
 )
-from .core import BoundExceeded, NaryGammaSemiring, StructuralError, neutral_words
+from .core import (
+    BoundExceeded, NaryGammaSemiring, StructuralError, flatten_index, neutral_words,
+    unflatten_index,
+)
 from .ideals import coset_congruence, quotient_monoid
 from .modules import (
-    BiGammaModule, Conflation, ModuleMorphism, build_module, cofree,
-    regular_bimodule, validate_module_morphism,
+    BiGammaModule, Conflation, ModuleMorphism, cofree, filler_tuples, map_columns,
+    module_from_actions, regular_bimodule, validate_module_morphism,
 )
 from .completion import (
-    CompletedModule, EquivariantHom, TensorGroup, filler_tuples,
-    linearize_module, linearize_morphism,
+    CompletedModule, EquivariantHom, TensorGroup, linearize_module, linearize_morphism,
 )
 
 
@@ -319,14 +321,14 @@ class BarComplex:
         src_dim = self.word_dims[r]
         dst_dim = self.word_dims[r - 1]
         mat = la.zeros(dst_dim, src_dim)
+        sizes = [self.carrier.group.dim] * r + [self.module.group.dim]
         for col in range(src_dim):
-            word = self._unpack_word(col, r)
+            word = unflatten_index(col, sizes)
             ts, m = word[:-1], word[-1]
             for i in range(r + 1):
                 sign = -1 if i % 2 else 1
                 for vec, coeff in self._face(ts, m, i, r):
-                    row = self._pack_word(vec, r - 1)
-                    mat[row][col] += sign * coeff
+                    mat[flatten_index(vec, sizes[1:])][col] += sign * coeff
         return mat
 
     def _face(self, ts, m, i, r):
@@ -339,25 +341,6 @@ class BarComplex:
         else:
             for mm, coeff in _nonzero(self._alpha_left[ts[-1]][m]):
                 yield ts[:-1] + (mm,), coeff
-
-    def _pack_word(self, word, r):
-        tdim = self.carrier.group.dim
-        mdim = self.module.group.dim
-        idx = 0
-        for t in word[:-1]:
-            idx = idx * tdim + t
-        return idx * mdim + word[-1]
-
-    def _unpack_word(self, idx, r):
-        tdim = self.carrier.group.dim
-        mdim = self.module.group.dim
-        m = idx % mdim
-        idx //= mdim
-        ts = []
-        for _ in range(r):
-            ts.append(idx % tdim)
-            idx //= tdim
-        return tuple(reversed(ts)) + (m,)
 
     # -- reporting ----------------------------------------------------------
 
@@ -518,24 +501,23 @@ def _unit_into_cofree(b: BiGammaModule, policy: ContractionPolicy):
 
 
 def _module_coker(f: ModuleMorphism) -> ModuleMorphism:
-    """Projection of the target onto its quotient by the image congruence."""
+    """Projection of the target onto its quotient by the image congruence.
+
+    A column descends when it sends every element to the class of its class
+    representative's image.
+    """
     b = f.target
-    size = b.M.size
     cls, reps = coset_congruence(b.M, {f(x) for x in range(f.source.M.size)})
-    monoid = quotient_monoid(b.M, cls, reps)
-    s = b.parent
-    for slot in range(s.n):
-        for tother in s.t_tuples(s.n - 1):
-            for gs in s.g_tuples(s.n - 1):
-                for x in range(size):
-                    for y in range(x + 1, size):
-                        if cls[x] == cls[y] and \
-                                cls[b.act(slot, tother, x, gs)] != cls[b.act(slot, tother, y, gs)]:
-                            raise SoundnessError("action not constant on coker classes")
-    quot = build_module(
-        s, monoid,
-        lambda slot, tother, m, gs: cls[b.act(slot, tother, reps[m], gs)],
-        name=f"{b.name}/im")
+
+    def descend(col):
+        out = tuple(cls[col[r]] for r in reps)
+        if any(cls[col[x]] != out[c] for x, c in enumerate(cls)):
+            raise SoundnessError("action not constant on coker classes")
+        return out
+
+    quot = module_from_actions(
+        b.parent, quotient_monoid(b.M, cls, reps),
+        map_columns(descend, [b.actions(j) for j in range(b.parent.n)]), name=f"{b.name}/im")
     return ModuleMorphism(b, quot, tuple(cls))
 
 

@@ -59,26 +59,65 @@ class BiGammaModule:
         args = tuple(tother[:j]) + (m,) + tuple(tother[j:]) + tuple(gs)
         return self.act_tables[j][flatten_index(args, self._sizes[j])]
 
+    def actions(self, j: int) -> tuple[tuple[int, ...], ...]:
+        """Slot j's action of every filler as a column m -> act, in
+        ``filler_tuples`` order.
+
+        In slot j's table the module element sits between the j leading
+        carriers and one stride of trailing arguments, so a filler's column
+        is a stride slice.
+        """
+        tbl, stride = self.act_tables[j], _filler_stride(self.parent, j)
+        block = self.M.size * stride
+        return tuple(tbl[p + r:p + block:stride]
+                     for p in range(0, len(tbl), block) for r in range(stride))
+
     @property
     def size(self) -> int:
         return self.M.size
 
 
+def filler_tuples(s: NaryGammaSemiring) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
+    """All (carrier fillers, parameter tuple) pairs, in table order."""
+    return [(t, g) for t in s.t_tuples(s.n - 1) for g in s.g_tuples(s.n - 1)]
+
+
+def _filler_stride(s: NaryGammaSemiring, j: int) -> int:
+    """How many fillers share slot j's leading carriers: the arguments after
+    the module element in slot j's table."""
+    return s.T.size ** (s.n - 1 - j) * s.gamma.size ** (s.n - 1)
+
+
+def module_from_actions(parent: NaryGammaSemiring, monoid: FiniteAddMonoid, actions,
+                        name: str = "") -> BiGammaModule:
+    """The module whose slot j acts by ``actions[j]``, one column per filler in
+    ``filler_tuples`` order, interleaved into ``BiGammaModule._layout``."""
+    tables = []
+    for j, cols in enumerate(actions):
+        stride = _filler_stride(parent, j)
+        tables.append(tuple(col[m] for p in range(0, len(cols), stride)
+                            for m in range(monoid.size) for col in cols[p:p + stride]))
+    return BiGammaModule(parent, monoid, tuple(tables), name=name)
+
+
+def map_columns(fn, actions) -> list[list]:
+    """``fn`` of every column of every slot, called once per distinct column."""
+    memo = {}
+    for cols in actions:
+        for col in cols:
+            if col not in memo:
+                memo[col] = fn(col)
+    return [[memo[col] for col in cols] for cols in actions]
+
+
 def build_module(parent: NaryGammaSemiring, monoid: FiniteAddMonoid, act_fn,
                  name: str = "") -> BiGammaModule:
     """Tabulate act_fn(j, tother, m, gs) into dense slot tables."""
-    n = parent.n
-    tables = []
-    for j in range(n):
-        tbl = []
-        # Flattening must match _layout: m interleaved at position j.
-        for prefix in product(range(parent.T.size), repeat=j):
-            for m in range(monoid.size):
-                for suffix in product(range(parent.T.size), repeat=n - 1 - j):
-                    for gs in parent.g_tuples(n - 1):
-                        tbl.append(act_fn(j, prefix + suffix, m, gs))
-        tables.append(tuple(tbl))
-    return BiGammaModule(parent, monoid, tuple(tables), name=name)
+    fillers = filler_tuples(parent)
+    return module_from_actions(
+        parent, monoid,
+        [[tuple(act_fn(j, t, m, g) for m in range(monoid.size)) for t, g in fillers]
+         for j in range(parent.n)], name)
 
 
 def regular_bimodule(s: NaryGammaSemiring) -> BiGammaModule:
@@ -102,18 +141,22 @@ def ideal_submodule(s: NaryGammaSemiring, ideal: GammaIdeal) -> BiGammaModule:
     add = tuple(index[s.T.add(members[a], members[b])]
                 for a in range(len(members)) for b in range(len(members)))
     monoid = FiniteAddMonoid(len(members), add, index[s.T.zero])
-    return build_module(
+    reg = regular_bimodule(s)
+    return module_from_actions(
         s, monoid,
-        lambda j, tother, m, gs: index[s.mu(tother[:j] + (members[m],) + tother[j:], gs)],
+        map_columns(lambda col: tuple(index[col[x]] for x in members),
+                    [reg.actions(j) for j in range(s.n)]),
         name=f"{s.name}.ideal{ideal}")
 
 
 def quotient_module(s: NaryGammaSemiring, ideal: GammaIdeal) -> BiGammaModule:
     """The quotient carrier as a module over the original semiring."""
     cls, reps = coset_congruence(s.T, ideal.members)
-    return build_module(
+    reg = regular_bimodule(s)
+    return module_from_actions(
         s, quotient_monoid(s.T, cls, reps),
-        lambda j, tother, m, gs: cls[s.mu(tother[:j] + (reps[m],) + tother[j:], gs)],
+        map_columns(lambda col: tuple(cls[col[r]] for r in reps),
+                    [reg.actions(j) for j in range(s.n)]),
         name=f"{s.name}.mod{ideal}")
 
 
@@ -220,37 +263,32 @@ def validate_module_morphism(f: ModuleMorphism) -> AxiomReport:
         ((a, b) for a in range(src.M.size) for b in range(src.M.size)
          if f(src.M.add(a, b)) != dst.M.add(f(a), f(b))), None)
     add = AxiomCheck("morphism additivity", wit is None, wit)
-    wit = _equivariance_failure(f)
+    wit = _equivariance_failure(src, dst)(f.map)
     return AxiomReport((add, AxiomCheck("morphism equivariance", wit is None, wit)))
 
 
-def _equivariance_failure(f: ModuleMorphism):
-    """The first (slot, tother, m, gs) with f(act(m)) != act(f(m)), or None.
+def _equivariance_failure(src: BiGammaModule, dst: BiGammaModule):
+    """A test sending a map table f to the first (slot, tother, m, gs) with
+    f(act(m)) != act(f(m)), or None.
 
-    Slot j's source and target tables differ only in the size of the module
-    coordinate, so each setting of the other arguments is one column of m in
-    the source, walked by that coordinate's stride, against the entries at
-    f(m) in the target.  Settings go in table order with m fastest, which is
-    the (slot, tother, gs, m) order of the witness.
+    Each distinct pair of source and target columns is compared once, at its
+    first filler, so the witness is the first in (slot, tother, gs, m) order.
     """
-    src, dst, fm = f.source, f.target, f.map
-    n = src.parent.n
-    ms, md = src.M.size, dst.M.size
-    for j in range(n):
-        stab, dtab = src.act_tables[j], dst.act_tables[j]
-        stride = prod(src._sizes[j][j + 1:])
-        target_offsets = [v * stride for v in fm]
-        for outer in range(len(stab) // (ms * stride)):
-            for inner in range(stride):
-                sbase = outer * ms * stride + inner
-                dbase = outer * md * stride + inner
-                got = [fm[v] for v in stab[sbase:sbase + ms * stride:stride]]
-                want = [dtab[dbase + off] for off in target_offsets]
-                if got != want:
-                    m = next(m for m in range(ms) if got[m] != want[m])
-                    args = unflatten_index(sbase + m * stride, src._sizes[j])
-                    return (j + 1, args[:j] + args[j + 1:n], m, args[n:])
-    return None
+    pairs = {}
+    for j in range(src.parent.n):
+        for w, cols in enumerate(zip(src.actions(j), dst.actions(j))):
+            pairs.setdefault(cols, (j, w))
+    fillers = filler_tuples(src.parent)
+
+    def failure(fm):
+        for (scol, dcol), (j, w) in pairs.items():
+            m = next((m for m, v in enumerate(scol) if fm[v] != dcol[fm[m]]), None)
+            if m is not None:
+                tother, gs = fillers[w]
+                return (j + 1, tother, m, gs)
+        return None
+
+    return failure
 
 
 def identity_module_morphism(b: BiGammaModule) -> ModuleMorphism:
@@ -353,22 +391,10 @@ def additive_maps(src: FiniteAddMonoid, dst: FiniteAddMonoid,
     return uniq
 
 
-def is_equivariant(f, src: BiGammaModule, dst: BiGammaModule) -> bool:
-    s = src.parent
-    n = s.n
-    for j in range(n):
-        for tother in s.t_tuples(n - 1):
-            for gs in s.g_tuples(n - 1):
-                for m in range(src.M.size):
-                    if f[src.act(j, tother, m, gs)] != dst.act(j, tother, f[m], gs):
-                        return False
-    return True
-
-
 def equivariant_maps(src: BiGammaModule, dst: BiGammaModule,
                      bound: int = 200000) -> list[tuple[int, ...]]:
-    return [f for f in additive_maps(src.M, dst.M, bound)
-            if is_equivariant(f, src, dst)]
+    failure = _equivariance_failure(src, dst)
+    return [f for f in additive_maps(src.M, dst.M, bound) if failure(f) is None]
 
 
 @dataclass(frozen=True)
@@ -379,13 +405,10 @@ class HomModule:
     maps: tuple[tuple[int, ...], ...]
 
 
-def _maps_module(s: NaryGammaSemiring, maps, coeff: FiniteAddMonoid, domain_size: int,
-                 argument, what: str, name: str) -> HomModule:
-    """Maps into ``coeff`` under pointwise addition, acting by precomposition.
-
-    The action of (slot, tother, gs) sends f to x -> f(argument(slot, tother,
-    x, gs)) for x in range(domain_size).
-    """
+def _maps_module(s: NaryGammaSemiring, maps, coeff: FiniteAddMonoid, domain: BiGammaModule,
+                 what: str, name: str) -> HomModule:
+    """Maps out of ``domain`` into ``coeff`` under pointwise addition, each
+    filler acting by precomposition with its column of ``domain``."""
     index = {f: i for i, f in enumerate(maps)}
     add = []
     for f in maps:
@@ -394,17 +417,17 @@ def _maps_module(s: NaryGammaSemiring, maps, coeff: FiniteAddMonoid, domain_size
             if h not in index:
                 raise SoundnessError(f"{what} set not closed under addition")
             add.append(index[h])
-    zero_map = tuple(coeff.zero for _ in range(domain_size))
+    zero_map = tuple(coeff.zero for _ in range(domain.M.size))
     monoid = FiniteAddMonoid(len(maps), tuple(add), index[zero_map])
 
-    def act(slot, tother, fidx, gs):
-        f = maps[fidx]
-        composed = tuple(f[argument(slot, tother, x, gs)] for x in range(domain_size))
-        if composed not in index:
-            raise SoundnessError(f"{what} action leaves the enumerated maps")
-        return index[composed]
+    def precompose(col):
+        try:
+            return tuple(index[tuple(f[x] for x in col)] for f in maps)
+        except KeyError:
+            raise SoundnessError(f"{what} action leaves the enumerated maps") from None
 
-    return HomModule(build_module(s, monoid, act, name=name), tuple(maps))
+    actions = map_columns(precompose, [domain.actions(j) for j in range(s.n)])
+    return HomModule(module_from_actions(s, monoid, actions, name=name), tuple(maps))
 
 
 def hom_gamma(src: BiGammaModule, dst: BiGammaModule, j: int = 0, k: int = 0,
@@ -421,8 +444,7 @@ def hom_gamma(src: BiGammaModule, dst: BiGammaModule, j: int = 0, k: int = 0,
     s = src.parent
     if s != dst.parent:
         raise StructuralError("hom endpoints live over different semirings")
-    return _maps_module(s, equivariant_maps(src, dst, bound), dst.M, src.M.size,
-                        src.act, "hom",
+    return _maps_module(s, equivariant_maps(src, dst, bound), dst.M, src, "hom",
                         f"Hom({src.name},{dst.name})[{j + 1},{k + 1}]")
 
 
@@ -433,10 +455,8 @@ def cofree(s: NaryGammaSemiring, coeff: FiniteAddMonoid,
     Slot i acts by inserting material into slot i of the argument, so the
     result is the coinduced module of the underlying additive structure.
     """
-    return _maps_module(
-        s, additive_maps(s.T, coeff, bound), coeff, s.T.size,
-        lambda slot, tother, x, gs: s.mu(tother[:slot] + (x,) + tother[slot:], gs),
-        "cofree", name or f"cofree({s.name})")
+    return _maps_module(s, additive_maps(s.T, coeff, bound), coeff, regular_bimodule(s),
+                        "cofree", name or f"cofree({s.name})")
 
 
 # ---------------------------------------------------------------------------
@@ -481,11 +501,12 @@ class TensorCongruence:
     (a, b) is the vector (c_g(b)*a)_g for one fixed sum b = sum c_g(b)*g, so
     left additivity holds in the ambient; union-find closes right additivity
     and slot-(j,k) balancing under translation by (x at position g) for x in
-    L's generators.  Classes are numbered by the lexicographically least
-    multiplicity vector over the nonzero pairs (a-major) that sums to them,
-    which depends only on the quotient and beta.  ``residual_module``
-    attaches residual actions from generator images that the callers supply;
-    the plain tensor and scalar extension supply different ones.
+    L's generators; each distinct pair of slot-j and slot-k columns balances
+    once.  Classes are numbered by the lexicographically least multiplicity
+    vector over the nonzero pairs (a-major) that sums to them, which depends
+    only on the quotient and beta.  ``residual_module`` attaches residual
+    actions from columns and a pair image that the callers supply; the plain
+    tensor and scalar extension supply different ones.
     """
 
     def __init__(self, left: BiGammaModule, right: BiGammaModule,
@@ -513,9 +534,8 @@ class TensorCongruence:
         gv = self.gen_vec
         relations = [(gv(a, rm.add(b1, b2)), self._add(gv(a, b1), gv(a, b2)))
                      for a in range(lm.size) for b1 in range(rm.size) for b2 in range(rm.size)]
-        n = s.n
-        relations += [(gv(left.act(j, tother, a, gs), b), gv(a, right.act(k, tother, b, gs)))
-                      for tother in s.t_tuples(n - 1) for gs in s.g_tuples(n - 1)
+        relations += [(gv(lcol[a], b), gv(a, rcol[b]))
+                      for lcol, rcol in dict.fromkeys(zip(left.actions(j), right.actions(k)))
                       for a in range(lm.size) for b in range(rm.size)]
         # Adding x at position p moves the flat index by a multiple of p's
         # stride, |L|^(G-1-p).
@@ -567,7 +587,7 @@ class TensorCongruence:
     def pair_class(self, a: int, b: int) -> int:
         return self._class(self.gen_vec(a, b))
 
-    def _extension(self, images) -> list[int] | None:
+    def _extension(self, images) -> tuple[int, ...] | None:
         """The additive map on classes sending each nonzero pair's class to
         the class of its image, as a table, or None if there is none.
 
@@ -582,7 +602,7 @@ class TensorCongruence:
             parts = (image[x, g] for x, g in zip(self._vec(rep), self._rgens) if x != lzero)
             return self._class(reduce(self._add, parts, self._zero))
 
-        table = [extend(rep) for rep in self.reps]
+        table = tuple(extend(rep) for rep in self.reps)
         additive = all(table[q.add(c1, c2)] == q.add(table[c1], table[c2])
                        for c1 in range(q.size) for c2 in range(q.size))
         if additive and all(table[self.pair_class(a, b)] == self._class(image[a, b])
@@ -590,32 +610,29 @@ class TensorCongruence:
             return table
         return None
 
-    def residual_module(self, s: NaryGammaSemiring, image_fn, name: str) -> TensorModule:
+    def residual_module(self, s: NaryGammaSemiring, actions, image,
+                        name: str) -> TensorModule:
         """The quotient as a module over ``s``.
 
-        ``image_fn(slot, tother, gs)`` gives the generator images of one
-        residual action.  Actions are keyed by their tuple of images, so each
-        distinct one is checked for descent and tabulated on classes once.
-        Raises SoundnessError naming the first action that does not descend.
+        ``actions[slot]`` holds one column per filler of ``s`` and
+        ``image(col, a, b)`` is the ambient vector that column sends the pair
+        (a, b) to.  Each distinct column is checked for descent and tabulated
+        on classes once.  Raises SoundnessError naming the first action that
+        does not descend.
         """
-        n = s.n
-        tables, table_of = {}, {}
-        for slot in range(n):
-            for tother in s.t_tuples(n - 1):
-                for gs in s.g_tuples(n - 1):
-                    img = image_fn(slot, tother, gs)
-                    key = tuple(tuple(img(a, b)) for a, b in self.pairs)
-                    if key not in tables:
-                        tables[key] = self._extension(key)
-                        if tables[key] is None:
-                            raise SoundnessError(
-                                f"the action at slot {slot + 1} with carriers {tother} "
-                                f"and parameters {gs} does not descend")
-                    table_of[slot, tother, gs] = tables[key]
-        module = build_module(
-            s, self.monoid,
-            lambda slot, tother, cls, gs: table_of[slot, tother, gs][cls],
-            name=name)
+        fillers = filler_tuples(s)
+        tables = {}
+        for slot, cols in enumerate(actions):
+            for w, col in enumerate(cols):
+                if col not in tables:
+                    tables[col] = self._extension([image(col, a, b) for a, b in self.pairs])
+                    if tables[col] is None:
+                        tother, gs = fillers[w]
+                        raise SoundnessError(
+                            f"the action at slot {slot + 1} with carriers {tother} "
+                            f"and parameters {gs} does not descend")
+        module = module_from_actions(s, self.monoid,
+                                     [[tables[col] for col in cols] for cols in actions], name)
         beta = tuple(tuple(self.pair_class(a, b) for b in range(self.right.M.size))
                      for a in range(self.left.M.size))
         return TensorModule(module, beta)
@@ -634,16 +651,13 @@ def tensor_positional(left: BiGammaModule, right: BiGammaModule,
     core = TensorCongruence(left, right, j, k, element_bound)
     name = name or f"{left.name}(x){right.name}[{j + 1},{k + 1}]"
 
-    def through_right(slot, tother, gs):
-        return lambda a, b: core.gen_vec(a, right.act(slot, tother, b, gs))
-
-    def through_left(slot, tother, gs):
-        return lambda a, b: core.gen_vec(left.act(slot, tother, a, gs), b)
-
+    sides = (("right", right, lambda col, a, b: core.gen_vec(a, col[b])),
+             ("left", left, lambda col, a, b: core.gen_vec(col[a], b)))
     failures = []
-    for side, image_fn in (("right", through_right), ("left", through_left)):
+    for side, factor, image in sides:
         try:
-            return core.residual_module(left.parent, image_fn, name)
+            return core.residual_module(
+                left.parent, [factor.actions(slot) for slot in range(left.parent.n)], image, name)
         except SoundnessError as exc:
             failures.append(f"through the {side} factor, {exc}")
     raise SoundnessError("no residual action descends to the tensor quotient: "

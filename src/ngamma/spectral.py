@@ -478,15 +478,12 @@ def extend_scalars(f: GammaSemiringMorphism, a: BiGammaModule,
     if a.parent != f.source:
         raise ValueError("module does not live over the morphism source")
     target = f.target
-    left = restrict_scalars(f, regular_bimodule(target))
-    core = TensorCongruence(left, a, j, k)
-
-    def image_fn(slot, tother, gs):
-        return lambda x, av: core.gen_vec(
-            target.mu(tother[:slot] + (x,) + tother[slot:], gs), av)
-
+    reg = regular_bimodule(target)
+    core = TensorCongruence(restrict_scalars(f, reg), a, j, k)
     try:
-        return core.residual_module(target, image_fn, name or f"ext({a.name})")
+        return core.residual_module(target, [reg.actions(slot) for slot in range(target.n)],
+                                    lambda col, x, av: core.gen_vec(col[x], av),
+                                    name or f"ext({a.name})")
     except SoundnessError as exc:
         raise SoundnessError(f"target action does not descend to the extension: {exc}") from None
 

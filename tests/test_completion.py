@@ -23,13 +23,13 @@ from ngamma.core import (
 )
 from ngamma.ideals import GammaIdeal
 from ngamma.modules import (
-    ModuleMorphism, build_module, hom_gamma, ideal_submodule, quotient_module,
-    regular_bimodule, tensor_positional,
+    ModuleMorphism, build_module, filler_tuples, hom_gamma, ideal_submodule,
+    module_from_actions, quotient_module, regular_bimodule, tensor_positional,
 )
 from ngamma.completion import (
     CompletedModule, EquivariantHom, HomBase, TensorGroup, completion_map,
-    direct_sum_completed, filler_tuples, group_complete, linearize_module,
-    linearize_morphism, zero_completed,
+    direct_sum_completed, group_complete, linearize_module, linearize_morphism,
+    zero_completed,
 )
 
 
@@ -438,8 +438,19 @@ def test_distinct_operator_coordinates_match_full_systems(family):
                 assert residual == _full_residual_ops(tg, full)
 
 
-def _old_regular_tables(s):
-    return build_module(s, s.T, lambda j, t, m, gs: s.mu(t[:j] + (m,) + t[j:], gs)).act_tables
+def _nested_loop_tables(s, monoid, act_fn):
+    """Slot tables written cell by cell in layout order: the carriers before
+    the module element, the element, the carriers after it, the parameters."""
+    tables = []
+    for j in range(s.n):
+        tbl = []
+        for prefix in product(range(s.T.size), repeat=j):
+            for m in range(monoid.size):
+                for suffix in product(range(s.T.size), repeat=s.n - 1 - j):
+                    for gs in s.g_tuples(s.n - 1):
+                        tbl.append(act_fn(j, prefix + suffix, m, gs))
+        tables.append(tuple(tbl))
+    return tuple(tables)
 
 
 def _quaternary_f2():
@@ -463,11 +474,18 @@ TABLE_FAMILIES = {
 def test_operators_read_off_table_slices(family):
     s = TABLE_FAMILIES[family]()
     reg = regular_bimodule(s)
-    assert reg.act_tables == _old_regular_tables(s)
+    assert reg.act_tables == _nested_loop_tables(
+        s, s.T, lambda j, t, m, gs: s.mu(t[:j] + (m,) + t[j:], gs))
     mods = [reg]
     if family == "binary z4":  # a module carrier smaller than the semiring's
         mods.append(quotient_module(s, GammaIdeal(s, frozenset({0, 2}))))
     for b in mods:
+        actions = [b.actions(j) for j in range(s.n)]
+        for j in range(s.n):
+            assert actions[j] == tuple(tuple(b.act(j, tf, m, gf) for m in range(b.M.size))
+                                       for tf, gf in filler_tuples(s))
+        assert module_from_actions(b.parent, b.M, actions).act_tables == b.act_tables
+        assert build_module(s, b.M, b.act).act_tables == _nested_loop_tables(s, b.M, b.act)
         lin = linearize_module(b)
         comp = lin.completion
         for j in range(s.n):

@@ -209,3 +209,15 @@ def test_engine_has_no_assert_statements():
              for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
              if isinstance(node, ast.Assert)]
     assert found == []
+
+
+def test_slot_tables_are_read_only_in_modules():
+    # ``BiGammaModule.actions`` and ``module_from_actions`` are the one reader
+    # and writer of the slot-table layout; the workspace serialises the
+    # tables as they stand.
+    found = [f"{path.name}:{node.lineno}"
+             for path in sorted(Path(ngamma.__file__).parent.rglob("*.py"))
+             if path.name not in ("modules.py", "workspace.py")
+             for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+             if isinstance(node, ast.Attribute) and node.attr == "act_tables"]
+    assert found == []

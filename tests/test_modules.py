@@ -166,7 +166,7 @@ def test_tensor_z4(z4):
 def test_tensor_ternary_zmod_has_m_elements():
     # Z/m (x) Z/m over regular ternary Z/m is Z/m again; the ambient Z/m^1
     # stays small although the pair box grows like 2^((m-1)^2).
-    for m in (5, 6, 8, 12, 16):
+    for m in (5, 6, 8, 12, 16, 32):
         reg = regular_bimodule(ternary_from_semiring(zmod_semiring(m)))
         assert tensor_positional(reg, reg, 2, 0).module.M.size == m
 
@@ -184,12 +184,13 @@ def test_residual_action_must_be_additive(z4):
     reg = regular_bimodule(z4)
     core = TensorCongruence(reg, reg, 2, 0)
     assert core.monoid.size == 4
+    actions = [reg.actions(j) for j in range(z4.n)]
 
-    def squared(slot, tother, gs):
-        return lambda a, b: core.gen_vec(a * a * b * b % 4, 1)
+    def squared(col, a, b):
+        return core.gen_vec(a * a * b * b % 4, 1)
 
     with pytest.raises(SoundnessError, match=r"slot 1 with carriers \(0, 0\) .* does not descend"):
-        core.residual_module(z4, squared, "squared")
+        core.residual_module(z4, actions, squared, "squared")
 
 
 def test_cofree_examples(f2, boolt):
