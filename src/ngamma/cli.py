@@ -21,7 +21,7 @@ from .ideals import GammaIdeal, all_ideals, quotient, spectrum, topology_report
 from .modules import (
     cofree, hom_gamma, tensor_positional, validate_module,
 )
-from .completion import group_complete, linearize_module
+from .completion import linearize_module
 from .homology import (
     ContractionPolicy, ExtSetup, RegularityError, balance_check, bar_complex,
     default_policy, ext_via_bar, les_check, tor_via_bar, yoneda_compose,
@@ -205,9 +205,8 @@ def cmd_mod(ws: Workspace, args, rep: Reporter) -> int:
 
 
 def cmd_complete(ws: Workspace, args, rep: Reporter) -> int:
-    b = ws.module(args.module)
-    comp = group_complete(b.M)
-    lin = linearize_module(b)
+    lin = linearize_module(ws.module(args.module))
+    comp = lin.completion
     results = {
         "invariant_factors": _factors(comp.group),
         "element_vectors": [list(v) for v in comp.vectors],

@@ -16,11 +16,11 @@ from .abgroups import (
     AbGroup, GroupMap, HomologyNode, SoundnessError, Subgroup, Subquotient,
     image, kernel, order_lattice_columns,
 )
-from .core import GammaSemiringMorphism, NaryGammaSemiring
+from .core import GammaSemiringMorphism, NaryGammaSemiring, flatten_index
 from .ideals import all_ideals, bourne_classes
 from .modules import (
-    BiGammaModule, ModuleMorphism, TensorCongruence, build_module,
-    ideal_submodule, quotient_module, regular_bimodule,
+    BiGammaModule, ModuleMorphism, TensorCongruence, filler_tuples,
+    ideal_submodule, module_from_actions, quotient_module, regular_bimodule,
 )
 from .completion import (
     CompletedModule, EquivariantHom, TensorGroup, linearize_module,
@@ -459,12 +459,18 @@ def kunneth_check(s: NaryGammaSemiring, m: BiGammaModule, n: BiGammaModule,
 # ---------------------------------------------------------------------------
 
 def restrict_scalars(f: GammaSemiringMorphism, b: BiGammaModule) -> BiGammaModule:
-    """Pull a module over the target back along the morphism."""
+    """Pull a module over the target back along the morphism.
+
+    Source filler (tother, gs) acts by the target's column for filler
+    (f(tother), gs); both semirings share the parameter semigroup.
+    """
     if b.parent != f.target:
         raise ValueError("module does not live over the morphism target")
-    return build_module(
-        f.source, b.M,
-        lambda j, tother, m, gs: b.act(j, tuple(f(t) for t in tother), m, gs),
+    s, n = f.source, f.source.n
+    sizes = [f.target.T.size] * (n - 1) + [s.gamma.size] * (n - 1)
+    picks = [flatten_index(tuple(map(f, t)) + g, sizes) for t, g in filler_tuples(s)]
+    return module_from_actions(
+        s, b.M, [[cols[w] for w in picks] for cols in map(b.actions, range(n))],
         name=f"res({b.name})")
 
 

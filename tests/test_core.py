@@ -58,11 +58,32 @@ def test_word_product():
         word_product(s, (1, 1, 1, 1), (0, 0, 0))
 
 
+def _all_bracketing_values(s, xs, gs):
+    """The value of every admissible bracketing of the word, recursively."""
+    n = s.n
+    if len(xs) == n:
+        return [s.mu(xs, gs)]
+    vals = []
+    for i in range(len(xs) - n + 1):
+        inner = s.mu(xs[i:i + n], gs[i:i + n - 1])
+        vals.extend(_all_bracketing_values(
+            s, xs[:i] + (inner,) + xs[i + n:], gs[:i] + gs[i + n - 1:]))
+    return vals
+
+
+def bracketed_product(s, xs, gs):
+    """The word's product, raising SoundnessError when bracketings disagree."""
+    vals = _all_bracketing_values(s, tuple(xs), tuple(gs))
+    if len(set(vals)) > 1:
+        raise SoundnessError(f"word {xs} has bracket-dependent values {sorted(set(vals))}")
+    return vals[0]
+
+
 def test_word_bracketing_independence_exhaustive():
     for s in bundled_semirings().values():
         for xs in s.t_tuples(5):
             for gs in s.g_tuples(4):
-                word_product(s, xs, gs, check_bracketings=True)
+                assert bracketed_product(s, xs, gs) == word_product(s, xs, gs)
 
 
 def test_word_bracketing_flag_detects_broken_table():
@@ -77,7 +98,7 @@ def test_word_bracketing_flag_detects_broken_table():
     broken = NaryGammaSemiring(3, s.T, s.gamma, tuple(dep))
     with pytest.raises(SoundnessError):
         for xs in product(range(2), repeat=5):
-            word_product(broken, xs, (0, 0, 0, 0), check_bracketings=True)
+            bracketed_product(broken, xs, (0, 0, 0, 0))
 
 
 def test_matrix_family_boolean_1x1():

@@ -1,11 +1,13 @@
 import pytest
 
 from ngamma.abgroups import AbGroup, GroupMap, SoundnessError
+from ngamma.bundled import bundled_workspace
 from ngamma.core import (
-    GammaSemiringMorphism, f2_ternary, identity_morphism, validate_morphism,
-    z4_ternary,
+    GammaSemiringMorphism, f2_ternary, identity_morphism, ternary_from_semiring,
+    validate_morphism, z4_ternary, zmod_semiring,
 )
-from ngamma.modules import regular_bimodule, validate_module, zero_module
+from ngamma.ideals import GammaIdeal, quotient
+from ngamma.modules import build_module, regular_bimodule, validate_module, zero_module
 from ngamma.spectral import (
     DoubleComplexAb, FiltrationPages, base_change_check, extend_scalars,
     flatness_probe, kunneth_check, pages, restrict_scalars, totalize,
@@ -150,6 +152,32 @@ def test_restrict_scalars(z4_target=None):
     # Odd carrier elements act as 1, evens as 0.
     assert res.act(0, (1, 3), 1, (0, 0)) == 1
     assert res.act(0, (2, 3), 1, (0, 0)) == 0
+
+
+def _restrict_cell_by_cell(f, b):
+    """restrict_scalars restated through build_module and act, one cell each."""
+    return build_module(
+        f.source, b.M,
+        lambda j, tother, m, gs: b.act(j, tuple(f(t) for t in tother), m, gs),
+        name=f"res({b.name})")
+
+
+def test_restrict_scalars_from_columns_matches_cell_by_cell():
+    f2, z4 = f2_ternary(), z4_ternary()
+    z32 = ternary_from_semiring(zmod_semiring(32))
+    _, q_z4 = quotient(z4, GammaIdeal(z4, frozenset({0, 2})))
+    q_z32 = GammaSemiringMorphism(z32, f2, tuple(x % 2 for x in range(32)))
+    ws = bundled_workspace()
+    cases = [(identity_morphism(z4), regular_bimodule(z4)),
+             (q_z4, regular_bimodule(q_z4.target)),
+             (q_z4, zero_module(q_z4.target)),
+             (identity_morphism(z32), regular_bimodule(z32)),
+             (q_z32, regular_bimodule(f2))]
+    cases += [(ws.morphism("q_z4_f2"), b) for b in ws.modules.values()
+              if b.parent == ws.semiring("f2_ternary")]
+    for f, b in cases:
+        assert validate_morphism(f).ok
+        assert restrict_scalars(f, b) == _restrict_cell_by_cell(f, b)
 
 
 def test_extend_scalars_identity_is_isomorphism():

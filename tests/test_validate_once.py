@@ -1,0 +1,216 @@
+"""Load-time validation proves each fact once.
+
+Light's associativity test must return exactly the full triple scan's list,
+a regular module must get the report its full walk gives, range checks over
+distinct values must raise what an entry-by-entry scan raises, and loading
+regular modules must walk no table beyond its semiring's own walk.
+"""
+
+import random
+from collections import Counter
+
+import pytest
+from test_axiom_engine import FAMILIES
+
+from ngamma import core, modules, oracle
+from ngamma.bundled import bundled_workspace
+from ngamma.core import (
+    FiniteAddMonoid, GammaSemigroup, GammaSemiringMorphism, NaryGammaSemiring,
+    StructuralError, binary_specialization, boolean_semiring, f2_semiring,
+    make_matrix_family, trivial_gamma, validate_semiring, zmod_semiring,
+)
+from ngamma.modules import BiGammaModule, regular_bimodule, validate_module, walk_module
+from ngamma.workspace import Workspace, merge_document, workspace_document
+
+
+# ---------------------------------------------------------------------------
+# Light's test
+# ---------------------------------------------------------------------------
+
+def _full_scan(m):
+    """The monoid laws scanned over every pair and triple."""
+    r = range(m.size)
+    return ([("add-commutativity", (a, b)) for a in r for b in r
+             if m.add(a, b) != m.add(b, a)]
+            + [("add-associativity", (a, b, c)) for a in r for b in r for c in r
+               if m.add(m.add(a, b), c) != m.add(a, m.add(b, c))]
+            + [("add-zero", (a,)) for a in r if m.add(m.zero, a) != a])
+
+
+def _associative_table(rng, size):
+    """(addition table, identity) of an associative operation on range(size)."""
+    kind = rng.choice(["cyclic", "max", "min", "capped", "left-zero"])
+    if kind == "cyclic":
+        return [(a + b) % size for a in range(size) for b in range(size)], 0
+    if kind == "max":
+        return [max(a, b) for a in range(size) for b in range(size)], 0
+    if kind == "min":
+        return [min(a, b) for a in range(size) for b in range(size)], size - 1
+    if kind == "capped":
+        return [min(a + b, size - 1) for a in range(size) for b in range(size)], 0
+    # A left-zero band with an identity adjoined: associative, not commutative.
+    return [b if a == 0 else a for a in range(size) for b in range(size)], 0
+
+
+def _random_monoid_table(rng):
+    size = rng.randint(1, 7)
+    kind = rng.choice(["random", "associative", "mutated", "bad zero"])
+    if kind == "random":
+        return size, [rng.randrange(size) for _ in range(size * size)], rng.randrange(size)
+    table, zero = _associative_table(rng, size)
+    if kind == "mutated":
+        table[rng.randrange(size * size)] = rng.randrange(size)
+    elif kind == "bad zero":
+        zero = rng.randrange(size)
+    perm = list(range(size))
+    rng.shuffle(perm)
+    relabelled = [0] * (size * size)
+    for a in range(size):
+        for b in range(size):
+            relabelled[perm[a] * size + perm[b]] = perm[table[a * size + b]]
+    return size, relabelled, perm[zero]
+
+
+def test_light_test_returns_the_full_scan():
+    rng = random.Random("light-test")
+    kinds = Counter()
+    for _ in range(500):
+        size, table, zero = _random_monoid_table(rng)
+        m = FiniteAddMonoid(size, tuple(table), zero)
+        expected = _full_scan(m)
+        assert m.validate() == expected, (size, table, zero)
+        kinds.update({kind for kind, _ in expected} or {"lawful"})
+    assert min(kinds[k] for k in ("lawful", "add-commutativity", "add-associativity",
+                                  "add-zero")) >= 20, kinds
+
+
+# ---------------------------------------------------------------------------
+# Regular modules inherit their semiring's verdict
+# ---------------------------------------------------------------------------
+
+def _f2_quaternary():
+    t = FiniteAddMonoid(2, (0, 1, 1, 0))
+    mu = tuple((w * x * y * z) % 2 for w in range(2) for x in range(2)
+               for y in range(2) for z in range(2))
+    return NaryGammaSemiring(4, t, trivial_gamma(), mu, name="f2_quaternary")
+
+
+REGULAR_FAMILIES = {
+    **FAMILIES,
+    "f2_binary": binary_specialization(f2_semiring()),
+    "z4_binary": binary_specialization(zmod_semiring(4)),
+    "f2_quaternary": _f2_quaternary(),
+    "m2b_binary": make_matrix_family(boolean_semiring(), 2, 2),
+    "m2f2_ternary": make_matrix_family(f2_semiring(), 2, 3),
+}
+# Mutants whose module fails additivity are walked over every word, so the
+# large families get none.
+MUTANTS = {"f2_ternary": 8, "boolean_ternary": 8, "z4_ternary": 8, "f2_binary": 4,
+           "z4_binary": 8, "f2_quaternary": 8, "m2f2_binary": 4, "m2b_binary": 4}
+
+
+def _copies(b):
+    """b, and b with its monoid and tables rebuilt as equal new objects."""
+    m = FiniteAddMonoid(b.M.size, tuple(b.M.add_table), b.M.zero)
+    return [b, BiGammaModule(b.parent, m, tuple(tuple(t) for t in b.act_tables))]
+
+
+def test_regular_module_report_equals_full_walk():
+    mods = list(bundled_workspace().modules.values())
+    for family, s in REGULAR_FAMILIES.items():
+        rng = random.Random(f"regular-inherits/{family}")
+        semirings = [s] + [oracle.mutate_semiring(s, rng) for _ in range(MUTANTS.get(family, 0))]
+        mods += [b for t in semirings for b in _copies(regular_bimodule(t))]
+    failing = 0
+    for b in mods:
+        report = validate_module(b)
+        assert report == walk_module(b), b.name
+        failing += not report.ok
+        if b.M == b.parent.T and all(t == b.parent.mu_table for t in b.act_tables):
+            assert report.ok == validate_semiring(b.parent).ok, b.name
+    assert failing >= 10
+
+
+# ---------------------------------------------------------------------------
+# Range checks over distinct values
+# ---------------------------------------------------------------------------
+
+def _build(kind, entry):
+    """Construct a structure of ``kind`` whose first entry is ``entry``."""
+    z2 = FiniteAddMonoid(2, (0, 1, 1, 0))
+    f2 = binary_specialization(f2_semiring())
+    if kind == "monoid":
+        return FiniteAddMonoid(2, (entry, 1, 1, 0))
+    if kind == "gamma":
+        return GammaSemigroup(2, (entry, 1, 1, 0))
+    if kind == "semiring":
+        return NaryGammaSemiring(2, z2, trivial_gamma(), (entry, 0, 0, 1))
+    if kind == "morphism":
+        return GammaSemiringMorphism(f2, f2, (entry, 1))
+    return BiGammaModule(f2, z2, ((entry, 0, 0, 1), f2.mu_table))
+
+
+MESSAGES = {"monoid": "addition table entry out of range",
+            "gamma": "parameter addition entry out of range",
+            "semiring": "mu table entry out of range",
+            "morphism": "morphism value out of range",
+            "module": "slot 1 action entry out of range"}
+
+
+@pytest.mark.parametrize("kind", MESSAGES)
+@pytest.mark.parametrize("entry", [-1, 2, 5, True, False, float("nan"), 1.0])
+def test_range_check_raises_as_an_entry_scan(kind, entry):
+    if not 0 <= entry < 2:
+        with pytest.raises(StructuralError) as err:
+            _build(kind, entry)
+        assert str(err.value) == MESSAGES[kind]
+    else:
+        _build(kind, entry)
+
+
+def test_range_check_meets_entries_in_table_order():
+    with pytest.raises(StructuralError):
+        FiniteAddMonoid(1, (True,))
+    FiniteAddMonoid(1, (False,))
+    with pytest.raises(StructuralError):
+        FiniteAddMonoid(2, (5, "x", 1, 0))
+    with pytest.raises(TypeError):
+        FiniteAddMonoid(2, ("x", 5, 1, 0))
+    with pytest.raises(TypeError):
+        FiniteAddMonoid(2, ([0], 1, 1, 0))
+
+
+# ---------------------------------------------------------------------------
+# Loading regular modules walks no table twice
+# ---------------------------------------------------------------------------
+
+def _regular_document(with_modules):
+    fams = {name: REGULAR_FAMILIES[name] for name in
+            ("f2_ternary", "z4_ternary", "m2f2_binary", "gamma_scaled_z4", "f2_quaternary")}
+    gammas = {f"g_{name}": s.gamma for name, s in fams.items()}
+    monoids = {f"m_{name}": s.T for name, s in fams.items()}
+    semirings = {name: (s, f"m_{name}", f"g_{name}") for name, s in fams.items()}
+    regs = {f"{name}_reg": (regular_bimodule(s), name, f"m_{name}")
+            for name, s in fams.items()} if with_modules else None
+    return workspace_document(monoids, gammas, semirings, regs)
+
+
+def _walk_counts(monkeypatch, doc):
+    calls = Counter()
+    for name in ("table_failures", "first_incoherent_word"):
+        def counted(*args, _name=name, _fn=getattr(core, name), **kwargs):
+            calls[_name] += 1
+            return _fn(*args, **kwargs)
+        for mod in (core, modules):
+            monkeypatch.setattr(mod, name, counted)
+    ws = merge_document(Workspace(), doc)
+    monkeypatch.undo()
+    return calls, ws
+
+
+def test_loading_regular_modules_walks_only_the_semirings(monkeypatch):
+    with_modules, ws = _walk_counts(monkeypatch, _regular_document(True))
+    alone, _ = _walk_counts(monkeypatch, _regular_document(False))
+    assert len(ws.modules) == 5
+    assert alone["table_failures"] > 0 and alone["first_incoherent_word"] > 0
+    assert with_modules == alone
