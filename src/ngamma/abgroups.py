@@ -351,22 +351,48 @@ def quotient(ambient: AbGroup, gens: list):
     return pres.group, proj, pres
 
 
-def kernel(f: GroupMap) -> Subgroup:
-    s = f.src.dim
+def _with_orders(f: GroupMap) -> list[list[int]]:
+    """[f | -target orders]: its integer solutions are the solutions of f
+    modulo the target relations, with the relation multiples appended."""
     ocols = order_lattice_columns(f.dst)
-    t = len(ocols)
+    return [row + [-c[i] for c in ocols] for i, row in enumerate(f.mat)]
+
+
+def kernel_gens(f: GroupMap) -> list[list[int]]:
+    """Generators of ker f: the source parts of the integer kernel of
+    [f | -target orders], reduced in the source."""
+    s = f.src.dim
     if f.dst.dim == 0:
-        return Subgroup(f.src, la.identity(s) if s else [])
-    a = [[(f.mat[i][j] if j < s else -ocols[j - s][i]) for j in range(s + t)]
-         for i in range(f.dst.dim)]
-    basis = la.kernel_basis(a, f.dst.dim, s + t)
-    gens = [f.src.reduce(b[:s]) for b in basis]
-    return Subgroup(f.src, [list(g) for g in gens])
+        return la.identity(s)
+    a = _with_orders(f)
+    return [list(f.src.reduce(b[:s])) for b in la.kernel_basis(a, f.dst.dim, len(a[0]))]
+
+
+def kernel(f: GroupMap) -> Subgroup:
+    return Subgroup(f.src, kernel_gens(f))
+
+
+def preimage(f: GroupMap, target_vec):
+    """Some x with f(x) = target, or None."""
+    if f.dst.dim == 0:
+        return f.src.zero()
+    a = _with_orders(f)
+    sol = la.solve(a, list(target_vec), f.dst.dim, len(a[0]))
+    if sol is None:
+        return None
+    return f.src.reduce(sol[:f.src.dim])
 
 
 def image(f: GroupMap) -> Subgroup:
     cols = [[f.mat[i][j] for i in range(f.dst.dim)] for j in range(f.src.dim)]
     return Subgroup(f.dst, cols)
+
+
+def is_short_exact(f: GroupMap, g: GroupMap) -> bool:
+    """Whether 0 -> A -f-> B -g-> C -> 0 is exact."""
+    return (kernel(f).group.is_trivial()
+            and image(g).same_as(Subgroup(g.dst, la.identity(g.dst.dim)))
+            and kernel(g).same_as(image(f)))
 
 
 class Subquotient:
@@ -423,6 +449,14 @@ class Subquotient:
             return self.ambient.zero()
         x = self._pres.lift(cls)
         return self.ambient.reduce(la.mat_vec(self._bp, x))
+
+    def induced(self, gm, dst: "Subquotient") -> GroupMap:
+        """The map of classes [v] -> [gm(v)] into ``dst``, for a GroupMap or
+        any function on ambient coordinates that is additive on this
+        numerator; raises ValueError when gm leaves dst's numerator."""
+        return GroupMap.from_images(
+            self.group, dst.group,
+            lambda basis: dst.classify(gm(self.representative(basis))))
 
 
 class HomologyNode(Subquotient):

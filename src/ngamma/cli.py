@@ -73,6 +73,20 @@ def _parse_policy(s, text: str, filler_text: str | None) -> ContractionPolicy:
     return ContractionPolicy(tuple(gammas), tuple(fillers), "cli")
 
 
+def _add_derived_flags(p: argparse.ArgumentParser) -> None:
+    """The slot, depth and contraction-policy flags of the derived commands."""
+    p.add_argument("--slots", default=None)
+    p.add_argument("--depth", type=int, default=2)
+    p.add_argument("--gamma-policy", default="sum")
+    p.add_argument("--filler-policy", default=None)
+
+
+def _derived_options(args, s) -> tuple[int, int, ContractionPolicy]:
+    """(j, k, policy) from the flags ``_add_derived_flags`` registers."""
+    j, k = _parse_slots(args.slots, s.n)
+    return j, k, _parse_policy(s, args.gamma_policy, args.filler_policy)
+
+
 def _factors(g) -> list[int]:
     return list(g.invariant_factors()) + [0] * g.rank
 
@@ -218,8 +232,7 @@ def cmd_complete(ws: Workspace, args, rep: Reporter) -> int:
 def cmd_ext_tor(ws: Workspace, args, rep: Reporter, which: str) -> int:
     s = ws.semiring(args.semiring)
     m, n = ws.module(args.m), ws.module(args.n)
-    j, k = _parse_slots(args.slots, s.n)
-    policy = _parse_policy(s, args.gamma_policy, args.filler_policy)
+    j, k, policy = _derived_options(args, s)
     fn = ext_via_bar if which == "ext" else tor_via_bar
     res = fn(s, m, n, j, k, args.depth, policy)
     results = {"degrees": {str(r): list(f) for r, f in enumerate(res.factors())}}
@@ -231,8 +244,7 @@ def cmd_ext_tor(ws: Workspace, args, rep: Reporter, which: str) -> int:
 def cmd_balance(ws: Workspace, args, rep: Reporter) -> int:
     s = ws.semiring(args.semiring)
     m, n = ws.module(args.m), ws.module(args.n)
-    j, k = _parse_slots(args.slots, s.n)
-    policy = _parse_policy(s, args.gamma_policy, args.filler_policy)
+    j, k, policy = _derived_options(args, s)
     b = balance_check(s, m, n, args.depth, j, k, policy)
     results = {
         "bar": [list(f) for f in b.bar_factors],
@@ -246,8 +258,7 @@ def cmd_balance(ws: Workspace, args, rep: Reporter) -> int:
 def cmd_les(ws: Workspace, args, rep: Reporter) -> int:
     c = ws.conflation(args.conflation)
     n = ws.module(args.n)
-    j, k = _parse_slots(args.slots, n.parent.n)
-    policy = _parse_policy(n.parent, args.gamma_policy, args.filler_policy)
+    j, k, policy = _derived_options(args, n.parent)
     r = les_check(c, n, args.depth, args.side, j, k, policy)
     results = {
         "nodes": {lab: _factors(g) for lab, g in zip(r.labels, r.groups)},
@@ -263,8 +274,7 @@ def cmd_les(ws: Workspace, args, rep: Reporter) -> int:
 def cmd_yoneda(ws: Workspace, args, rep: Reporter) -> int:
     s = ws.semiring(args.semiring)
     m = ws.module(args.m)
-    j, k = _parse_slots(args.slots, s.n)
-    policy = _parse_policy(s, args.gamma_policy, args.filler_policy)
+    j, k, policy = _derived_options(args, s)
     ext = ExtSetup(s, m, m, args.depth + 2, j, k, policy)
     ident = ext.identity_cocycle()
     table = {}
@@ -292,8 +302,7 @@ def cmd_yoneda(ws: Workspace, args, rep: Reporter) -> int:
 def cmd_kunneth(ws: Workspace, args, rep: Reporter) -> int:
     s = ws.semiring(args.semiring)
     m, n, l = ws.module(args.m), ws.module(args.n), ws.module(args.l)
-    j, k = _parse_slots(args.slots, s.n)
-    policy = _parse_policy(s, args.gamma_policy, args.filler_policy)
+    j, k, policy = _derived_options(args, s)
     r = kunneth_check(s, m, n, l, args.depth, j, k, policy)
     results = {
         "flat_certified": r.flat_certified,
@@ -446,48 +455,33 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("semiring")
         p.add_argument("m")
         p.add_argument("n")
-        p.add_argument("--slots", default=None)
-        p.add_argument("--depth", type=int, default=2)
+        _add_derived_flags(p)
         p.add_argument("--emit-matrices", action="store_true")
-        p.add_argument("--gamma-policy", default="sum")
-        p.add_argument("--filler-policy", default=None)
 
     p = sub.add_parser("balance", help="compare the two derived Hom routes")
     p.add_argument("semiring")
     p.add_argument("m")
     p.add_argument("n")
-    p.add_argument("--slots", default=None)
-    p.add_argument("--depth", type=int, default=2)
-    p.add_argument("--gamma-policy", default="sum")
-    p.add_argument("--filler-policy", default=None)
+    _add_derived_flags(p)
 
     p = sub.add_parser("les", help="long exact sequence of a conflation")
     p.add_argument("conflation")
     p.add_argument("n")
     p.add_argument("--side", choices=("hom", "tor"), default="hom")
-    p.add_argument("--slots", default=None)
-    p.add_argument("--depth", type=int, default=2)
-    p.add_argument("--gamma-policy", default="sum")
-    p.add_argument("--filler-policy", default=None)
+    _add_derived_flags(p)
 
     p = sub.add_parser("yoneda", help="composition table of extension classes")
     p.add_argument("semiring")
     p.add_argument("m")
-    p.add_argument("--slots", default=None)
-    p.add_argument("--depth", type=int, default=2)
-    p.add_argument("--gamma-policy", default="sum")
-    p.add_argument("--filler-policy", default=None)
+    _add_derived_flags(p)
 
     p = sub.add_parser("kunneth", help="double-complex page consistency")
     p.add_argument("semiring")
     p.add_argument("m")
     p.add_argument("n")
     p.add_argument("l")
-    p.add_argument("--slots", default=None)
-    p.add_argument("--depth", type=int, default=2)
+    _add_derived_flags(p)
     p.add_argument("--emit-pages", action="store_true")
-    p.add_argument("--gamma-policy", default="sum")
-    p.add_argument("--filler-policy", default=None)
 
     p = sub.add_parser("basechange", help="derived comparisons along a morphism")
     p.add_argument("morphism")

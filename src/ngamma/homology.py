@@ -16,8 +16,8 @@ from dataclasses import dataclass, field
 
 from . import intlinalg as la
 from .abgroups import (
-    AbGroup, GroupMap, HomologyNode, SoundnessError, Subgroup, image,
-    induced_on_quotients, kernel, order_lattice_columns,
+    AbGroup, GroupMap, HomologyNode, SoundnessError, image, induced_on_quotients,
+    is_short_exact, kernel, kernel_gens, preimage,
 )
 from .core import (
     BoundExceeded, NaryGammaSemiring, StructuralError, flatten_index, neutral_words,
@@ -193,9 +193,9 @@ class BarComplex:
         mdim = module.group.dim
         self._windex = {w: i for i, w in enumerate(filler_tuples(s))}
 
-        self._beta = self._carrier_contraction()
-        self._alpha_left = self._absorb_table(slot=1)
-        self._alpha_right = self._absorb_table(slot=0)
+        self._beta = self._absorb_table(carrier, slot=1)
+        self._alpha_left = self._absorb_table(module, slot=1)
+        self._alpha_right = self._absorb_table(module, slot=0)
 
         self.terms: list[CompletedModule] = [module]
         self.word_dims = [mdim]
@@ -246,51 +246,24 @@ class BarComplex:
                 self.lifts[r], self.projs[r], self.terms[r].group,
                 f"bar differential d_{r}")
         self.chain = ChainComplexAb([t.group for t in self.terms], dict(self.diffs))
+        # Comparison-lift stages into this tower, keyed by (source tower,
+        # source degree, stage); see _lift_chain_map.
+        self.lift_stages: dict = {}
 
     # -- contraction tables ----------------------------------------------
 
-    def _carrier_contraction(self):
-        """beta[a][b]: contraction of two carrier coordinate basis vectors."""
-        s = self.semiring
-        comp = self.carrier.completion
-        if comp is None:
-            raise StructuralError("bar carrier must come from a completion")
-        size = comp.monoid.size
-        elem = [[None] * size for _ in range(size)]
-        for x in range(size):
-            for y in range(size):
-                acc = [0] * self.carrier.group.dim
-                for fill in self.policy.fillers:
-                    for gs in self.policy.gammas:
-                        v = comp.vector(s.mu((x, y) + fill, gs))
-                        acc = [p + q for p, q in zip(acc, v)]
-                elem[x][y] = self.carrier.group.reduce(acc)
-        dim = self.carrier.group.dim
-        out = [[None] * dim for _ in range(dim)]
-        for ia in range(dim):
-            va = comp.pres.lift([1 if q == ia else 0 for q in range(dim)])
-            for ib in range(dim):
-                vb = comp.pres.lift([1 if q == ib else 0 for q in range(dim)])
-                acc = [0] * dim
-                for x, cx in enumerate(va):
-                    if not cx:
-                        continue
-                    for y, cy in enumerate(vb):
-                        if not cy:
-                            continue
-                        acc = [p + cx * cy * q for p, q in zip(acc, elem[x][y])]
-                out[ia][ib] = self.carrier.group.reduce(acc)
-        return out
-
-    def _absorb_table(self, slot: int):
-        """alpha[t coord][m coord]: absorb one carrier factor into the module.
+    def _absorb_table(self, module: CompletedModule, slot: int):
+        """alpha[t coord][m coord]: absorb one carrier factor into ``module``.
 
         slot 1 places the module element just right of the carrier factor,
         slot 0 just left of it (the wrap-around face); built purely from the
         module's operator family, so synthetic completed modules work too.
+        With the carrier itself at slot 1 this is the contraction of two
+        carrier factors through mu.
         """
         comp = self.carrier.completion
-        module = self.module
+        if comp is None:
+            raise StructuralError("bar carrier must come from a completion")
         tdim = self.carrier.group.dim
         mdim = module.group.dim
         tsize = comp.monoid.size
@@ -599,21 +572,6 @@ def balance_check(s, m: BiGammaModule, n: BiGammaModule, depth: int = 2,
 # Long exact sequences
 # ---------------------------------------------------------------------------
 
-def solve_preimage(f: GroupMap, target_vec):
-    """Some x with f(x) = target, or None."""
-    sdim = f.src.dim
-    ocols = order_lattice_columns(f.dst)
-    t = len(ocols)
-    if f.dst.dim == 0:
-        return f.src.zero()
-    a = [[(f.mat[i][jj] if jj < sdim else ocols[jj - sdim][i])
-          for jj in range(sdim + t)] for i in range(f.dst.dim)]
-    sol = la.solve(a, list(target_vec), f.dst.dim, sdim + t)
-    if sol is None:
-        return None
-    return f.src.reduce(sol[:sdim])
-
-
 @dataclass
 class LesReport:
     labels: list[str]
@@ -629,10 +587,6 @@ class LesReport:
         return self.ses_ok and all(self.exact_at)
 
 
-def _full_subgroup(g: AbGroup) -> Subgroup:
-    return Subgroup(g, [list(v) for v in la.identity(g.dim)])
-
-
 def snake_les(x: Cochain, y: Cochain, z: Cochain,
               fmaps: list[GroupMap], gmaps: list[GroupMap],
               upto: int, tag: str) -> LesReport:
@@ -642,15 +596,7 @@ def snake_les(x: Cochain, y: Cochain, z: Cochain,
     H^0(X), H^0(Y), H^0(Z), H^1(X), ... with delta raising the degree.
     """
     length = min(len(x.groups), len(y.groups), len(z.groups), upto + 2)
-    ses_ok = True
-    for r in range(length):
-        f, g = fmaps[r], gmaps[r]
-        if not kernel(f).group.is_trivial():
-            ses_ok = False
-        if not image(g).same_as(_full_subgroup(g.dst)):
-            ses_ok = False
-        if not kernel(g).same_as(image(f)):
-            ses_ok = False
+    ses_ok = all(is_short_exact(fmaps[r], gmaps[r]) for r in range(length))
     if not ses_ok:
         # Connecting maps need the degreewise short exactness; refuse with a
         # report instead of chasing through a broken ladder.
@@ -662,18 +608,13 @@ def snake_les(x: Cochain, y: Cochain, z: Cochain,
     nodes_y = [y.node(r) for r in range(upto + 2)]
     nodes_z = [z.node(r) for r in range(upto + 2)]
 
-    def induced(node_src, node_dst, gm):
-        return GroupMap.from_images(
-            node_src.group, node_dst.group,
-            lambda basis: node_dst.classify(gm(node_src.representative(basis))))
-
     def connecting(r):
         def image_of(basis):
-            v = solve_preimage(gmaps[r], nodes_z[r].representative(basis))
+            v = preimage(gmaps[r], nodes_z[r].representative(basis))
             if v is None:
                 raise SoundnessError("surjectivity failed during the zig-zag")
             w = y.d(r)(v)
-            u = solve_preimage(fmaps[r + 1], w)
+            u = preimage(fmaps[r + 1], w)
             if u is None:
                 raise SoundnessError("kernel transfer failed during the zig-zag")
             if r + 2 < len(x.groups) and not x.groups[r + 2].is_zero(x.d(r + 1)(u)):
@@ -688,8 +629,8 @@ def snake_les(x: Cochain, y: Cochain, z: Cochain,
     for r in range(upto + 1):
         labels += [f"H{r}({tag}.first)", f"H{r}({tag}.mid)", f"H{r}({tag}.last)"]
         groups += [nodes_x[r].group, nodes_y[r].group, nodes_z[r].group]
-        seq_maps += [induced(nodes_x[r], nodes_y[r], fmaps[r]),
-                     induced(nodes_y[r], nodes_z[r], gmaps[r]),
+        seq_maps += [nodes_x[r].induced(fmaps[r], nodes_y[r]),
+                     nodes_y[r].induced(gmaps[r], nodes_z[r]),
                      connecting(r)]
 
     exact_at = []
@@ -716,9 +657,7 @@ def les_check(c: Conflation, n: BiGammaModule, depth: int = 2,
                            linearize_module(c_mod))
     ki = linearize_morphism(c.i, lin_a, lin_b)
     kp = linearize_morphism(c.p, lin_b, lin_c)
-    completion_exact = (kernel(ki).group.is_trivial()
-                        and image(kp).same_as(_full_subgroup(lin_c.group))
-                        and kernel(kp).same_as(image(ki)))
+    completion_exact = is_short_exact(ki, kp)
     bar_depth = depth + 2
     bar_a = bar_complex(s, lin_a, j, k, bar_depth, policy)
     bar_b = bar_complex(s, lin_b, j, k, bar_depth, policy)
@@ -824,77 +763,33 @@ def _lift_chain_map(bar_src: BarComplex, bar_dst: BarComplex, g0_matrix,
                     q: int, p: int, rng: random.Random | None):
     """Chain lifts g_i : B_{q+i}(src) -> B_i(dst) of a degree-q cocycle map.
 
-    Each stage solves one integer system combining the chain condition,
-    well-definedness modulo orders, and equivariance; an unsolvable stage
-    raises.  A random kernel element of the system is mixed in when rng is
-    given, to probe independence from the choice of lift.
+    Stage i takes the equivariant g_i whose composite with d_i is
+    g_{i-1} . d, a preimage under postcomposition by d_i between the
+    equivariant Hom groups; an unsolvable stage raises.  With rng, a random
+    element of that postcomposition's kernel is mixed in, to probe
+    independence from the choice of lift.
     """
     lifts = [GroupMap(bar_src.terms[q].group, bar_dst.terms[0].group,
                       g0_matrix, check=False)]
     for i in range(1, p + 1):
-        src_g = bar_src.terms[q + i].group
-        dst_g = bar_dst.terms[i].group
-        rhs = lifts[i - 1].compose(bar_src.diffs[q + i])
-        d_out = bar_dst.diffs[i]
-        unknowns = dst_g.dim * src_g.dim
-        rows = []
-        targets = []
-        for a in range(d_out.dst.dim):
-            for bcol in range(src_g.dim):
-                row = [0] * unknowns
-                for cmid in range(dst_g.dim):
-                    row[cmid * src_g.dim + bcol] = d_out.mat[a][cmid]
-                rows.append(row)
-                targets.append((rhs.mat[a][bcol], d_out.dst.orders[a]))
-        for a in range(dst_g.dim):
-            for bcol in range(src_g.dim):
-                o = src_g.orders[bcol]
-                if o:
-                    row = [0] * unknowns
-                    row[a * src_g.dim + bcol] = o
-                    rows.append(row)
-                    targets.append((0, dst_g.orders[a]))
-        src_ops, dst_ops = bar_src.terms[q + i].ops, bar_dst.terms[i].ops
-        for pmat, qmat in dict.fromkeys((pop.key, qop.key) for slot in range(len(src_ops))
-                                        for pop, qop in zip(src_ops[slot], dst_ops[slot])):
-            # Equal operator pairs give equal equivariance rows: one block each.
-            for a in range(dst_g.dim):
-                for bcol in range(src_g.dim):
-                    row = [0] * unknowns
-                    for cmid in range(src_g.dim):
-                        row[a * src_g.dim + cmid] += pmat[cmid][bcol]
-                    for cmid in range(dst_g.dim):
-                        row[cmid * src_g.dim + bcol] -= qmat[a][cmid]
-                    rows.append(row)
-                    targets.append((0, dst_g.orders[a]))
-        aug_cols = []
-        for t_idx, (_val, order) in enumerate(targets):
-            if order:
-                col = [0] * len(targets)
-                col[t_idx] = order
-                aug_cols.append(col)
-        ncols = unknowns + len(aug_cols)
-        amat = [row + [aug_cols[cc][r_idx] for cc in range(len(aug_cols))]
-                for r_idx, row in enumerate(rows)]
-        bvec = [v for (v, _o) in targets]
-        if rows:
-            sol = la.solve(amat, bvec, len(rows), ncols)
-        else:
-            sol = [0] * ncols
-        if sol is None:
+        key = (bar_src, q + i, i)
+        if key not in bar_dst.lift_stages:
+            hom = EquivariantHom(bar_src.terms[q + i], bar_dst.terms[i])
+            below = EquivariantHom(bar_src.terms[q + i], bar_dst.terms[i - 1])
+            bar_dst.lift_stages[key] = (hom, below, hom.postcompose(
+                bar_dst.diffs[i], below, "bar differential"))
+        hom, below, post = bar_dst.lift_stages[key]
+        rhs = below.coords(lifts[i - 1].compose(bar_src.diffs[q + i]))
+        x = preimage(post, rhs) if rhs is not None else None
+        if x is None:
             raise SoundnessError(
                 f"comparison lift unsolvable at stage {i}; bar terms fail "
                 f"projectivity on this instance")
-        flat = sol[:unknowns]
-        if rng is not None and rows:
-            for basis_vec in la.kernel_basis(amat, len(rows), ncols):
-                coef = rng.randrange(-2, 3)
-                if coef:
-                    flat = [fv + coef * bv
-                            for fv, bv in zip(flat, basis_vec[:unknowns])]
-        mat = [[flat[a * src_g.dim + bcol] for bcol in range(src_g.dim)]
-               for a in range(dst_g.dim)]
-        lifts.append(GroupMap(src_g, dst_g, mat))
+        if rng is not None:
+            for gen in kernel_gens(post):
+                c = rng.randrange(-2, 3)
+                x = hom.group.add(x, [c * v for v in gen])
+        lifts.append(hom.matrix(x))
     return lifts
 
 

@@ -172,10 +172,11 @@ def direct_sum_modules(mods: list[BiGammaModule], name: str = ""):
                 for ea in elems for eb in elems)
     zero = index[tuple(m.M.zero for m in mods)]
     monoid = FiniteAddMonoid(len(elems), add, zero)
-    total = build_module(
+    # A filler acts on the sum by the summands' columns side by side.
+    total = module_from_actions(
         parent, monoid,
-        lambda j, tother, m, gs: index[tuple(
-            mod.act(j, tother, comp, gs) for mod, comp in zip(mods, elems[m]))],
+        map_columns(lambda cols: tuple(index[e] for e in product(*cols)),
+                    [list(zip(*(mod.actions(j) for mod in mods))) for j in range(parent.n)]),
         name=name or "(+)".join(m.name for m in mods))
     injections = []
     projections = []

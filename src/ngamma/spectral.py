@@ -13,8 +13,8 @@ from math import prod
 
 from . import intlinalg as la
 from .abgroups import (
-    AbGroup, GroupMap, HomologyNode, SoundnessError, Subgroup, Subquotient,
-    image, kernel, order_lattice_columns,
+    AbGroup, GroupMap, HomologyNode, SoundnessError, Subquotient, is_short_exact,
+    kernel_gens,
 )
 from .core import GammaSemiringMorphism, NaryGammaSemiring, flatten_index
 from .ideals import all_ideals, bourne_classes
@@ -138,20 +138,12 @@ class Totalization:
             out[off + i] = v
         return out
 
-    def filtration_columns(self, n: int, pbound: int) -> list[list[int]]:
-        """Basis vectors of the span of summands with column index <= pbound."""
+    def filtration_columns(self, n: int, pbound: int) -> list[int]:
+        """Coordinates of Tot_n in the summands with column index <= pbound."""
         if not 0 <= n <= self.maxdeg:
             return []
-        g = self.complex.groups[n]
-        cols = []
-        for (p, q) in self.layout[n]:
-            if p <= pbound:
-                off = self.offsets[n][(p, q)]
-                for i in range(self.double.entries[(p, q)].dim):
-                    e = [0] * g.dim
-                    e[off + i] = 1
-                    cols.append(e)
-        return cols
+        return [self.offsets[n][(p, q)] + i for (p, q) in self.layout[n] if p <= pbound
+                for i in range(self.double.entries[(p, q)].dim)]
 
 
 def totalize(d: DoubleComplexAb) -> ChainComplexAb:
@@ -187,7 +179,11 @@ class FiltrationPages:
             self.pages.append(self._page(r))
 
     def _zlattice(self, r: int, p: int, q: int) -> list[list[int]]:
-        """Generators of {x in F_p Tot_(p+q) : dx in F_(p-r) + relations}."""
+        """Generators of {x in F_p Tot_(p+q) : dx in F_(p-r) + relations}.
+
+        F_p and F_(p-r) are sets of coordinates, so this is the kernel of d
+        restricted to the F_p columns with the F_(p-r) rows dropped.
+        """
         r = max(r, 0)
         key = (r, p, q)
         if key in self._zcache:
@@ -195,40 +191,22 @@ class FiltrationPages:
         n = p + q
         # q may be negative: the cell label is bookkeeping, the lattice
         # F_p of the total degree n = p+q is what matters.
-        if p < 0 or not 0 <= n <= self.tot.maxdeg:
-            self._zcache[key] = []
-            return []
-        fcols = self.tot.filtration_columns(n, p)
-        if not fcols:
-            self._zcache[key] = []
-            return []
-        g = self.tot.complex.groups[n]
-        d = self.tot.complex.d(n)
-        lower = self.tot.filtration_columns(n - 1, p - r)
-        ocols = order_lattice_columns(d.dst)
-        kdim = len(fcols)
-        aux = lower + ocols
-        acols = kdim + len(aux)
-        if d.dst.dim == 0:
-            basis = [e for e in la.identity(kdim)]
-        else:
-            amat = []
-            for i in range(d.dst.dim):
-                row = []
-                for c in range(kdim):
-                    row.append(sum(d.mat[i][t] * fcols[c][t] for t in range(g.dim)))
-                for av in aux:
-                    row.append(-av[i])
-                amat.append(row)
-            basis = la.kernel_basis(amat, d.dst.dim, acols)
+        cols = self.tot.filtration_columns(n, p)
         out = []
-        for b in basis:
-            vec = [0] * g.dim
-            for c in range(kdim):
-                if b[c]:
-                    for t in range(g.dim):
-                        vec[t] += b[c] * fcols[c][t]
-            out.append(vec)
+        if cols:
+            g = self.tot.complex.groups[n]
+            d = self.tot.complex.d(n)
+            lower = set(self.tot.filtration_columns(n - 1, p - r))
+            rows = [i for i in range(d.dst.dim) if i not in lower]
+            restricted = GroupMap(AbGroup(tuple(g.orders[c] for c in cols)),
+                                  AbGroup(tuple(d.dst.orders[i] for i in rows)),
+                                  [[d.mat[i][c] for c in cols] for i in rows],
+                                  check=False)
+            for gen in kernel_gens(restricted):
+                vec = [0] * g.dim
+                for c, v in zip(cols, gen):
+                    vec[c] = v
+                out.append(vec)
         self._zcache[key] = out
         return out
 
@@ -262,13 +240,8 @@ class FiltrationPages:
                 tp, tq = p - r, q + r - 1
                 if tp < 0 or tq < 0 or tp + tq < 0:
                     continue
-                dst = self._subquotient(r, tp, tq)
-                n = p + q
-                d = self.tot.complex.d(n) if 0 <= n <= self.tot.maxdeg else None
-                diffs[(p, q)] = GroupMap.from_images(
-                    src.group, dst.group,
-                    lambda basis: dst.classify(
-                        d(src.representative(basis)) if d is not None else ()))
+                diffs[(p, q)] = src.induced(self.tot.complex.d(p + q),
+                                            self._subquotient(r, tp, tq))
         return SpectralPage(r, entries, diffs)
 
     # -- verification ------------------------------------------------------
@@ -362,14 +335,14 @@ def ext_modules_with_ops(s: NaryGammaSemiring, bar, n_lin: CompletedModule,
             slot_ops = []
             for opn in n_lin.ops[slot]:
                 if opn.key not in post:
-                    def image_of(basis):
-                        rep = node.representative(basis)
+                    # Only the cocycle representatives need stay equivariant.
+                    def on_cocycle(rep):
                         coords = hom.coords(opn.compose(hom.matrix(tuple(rep))))
                         if coords is None:
                             raise SoundnessError("operator left the equivariant maps")
-                        return node.classify(coords)
+                        return coords
 
-                    post[opn.key] = GroupMap.from_images(node.group, node.group, image_of)
+                    post[opn.key] = node.induced(on_cocycle, node)
                 slot_ops.append(post[opn.key])
             ops.append(tuple(slot_ops))
         out.append(CompletedModule(s, node.group, tuple(ops), None,
@@ -535,12 +508,7 @@ def flatness_probe(s: NaryGammaSemiring, x: CompletedModule,
             fp = tb.induced(tc, left=kp, what="flatness probe map")
         except SoundnessError:
             return False
-        if not kernel(fi).group.is_trivial():
-            return False
-        full = Subgroup(tc.group, [list(v) for v in la.identity(tc.group.dim)])
-        if not image(fp).same_as(full):
-            return False
-        if not kernel(fp).same_as(image(fi)):
+        if not is_short_exact(fi, fp):
             return False
     return True
 

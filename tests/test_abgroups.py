@@ -5,7 +5,8 @@ import pytest
 from ngamma import intlinalg as la
 from ngamma.abgroups import (
     AbGroup, GroupMap, HomologyNode, Presentation, SoundnessError, Subgroup,
-    direct_sum, image, isomorphic, kernel, quotient,
+    Subquotient, direct_sum, image, is_short_exact, isomorphic, kernel,
+    kernel_gens, preimage, quotient,
 )
 
 
@@ -141,3 +142,63 @@ def test_subgroup_same_as():
     b = Subgroup(c8, [[6]])
     assert a.same_as(b)
     assert not a.same_as(Subgroup(c8, [[4]]))
+
+
+Z, C2, C3, C4, C6 = (AbGroup((o,)) for o in (0, 2, 3, 4, 6))
+
+
+def test_kernel_is_the_subgroup_of_kernel_gens():
+    f = GroupMap(AbGroup((0, 4)), C2, [[1, 1]])
+    gens = kernel_gens(f)
+    assert all(f.dst.is_zero(f(g)) for g in gens)
+    assert kernel(f).same_as(Subgroup(f.src, gens))
+    assert kernel(f).same_as(Subgroup(f.src, [[2, 0], [1, 1], [0, 2]]))
+    assert kernel_gens(GroupMap.zero(C4, AbGroup(()))) == [[1]]
+
+
+def test_preimage():
+    cases = [
+        (GroupMap(Z, C4, [[2]]), [(0,), (2,)], [(1,), (3,)]),          # free, not onto
+        (GroupMap(C6, AbGroup((2, 3)), [[1], [1]]), [(1, 2), (0, 1)], []),  # torsion iso
+        (GroupMap(AbGroup((0, 0)), Z, [[2, 4]]), [(6,), (-2,)], [(3,)]),  # not injective
+        (GroupMap(AbGroup((0, 4)), C4, [[2, 2]]), [(2,)], [(1,)]),      # neither
+        (GroupMap(C2, Z, [[0]]), [(0,)], [(1,)]),                       # torsion to free
+    ]
+    for f, hit, miss in cases:
+        for t in hit:
+            x = preimage(f, t)
+            assert x is not None and f(x) == f.dst.reduce(t)
+        for t in miss:
+            assert preimage(f, t) is None
+    assert preimage(GroupMap.zero(C4, AbGroup(())), ()) == (0,)
+
+
+def test_is_short_exact():
+    split = AbGroup((2, 3))
+    assert is_short_exact(GroupMap(Z, Z, [[2]]), GroupMap(Z, C2, [[1]]))
+    assert is_short_exact(GroupMap(C2, C4, [[2]]), GroupMap(C4, C2, [[1]]))
+    assert is_short_exact(GroupMap(C2, split, [[1], [0]]), GroupMap(split, C3, [[0, 1]]))
+    assert is_short_exact(GroupMap.zero(AbGroup(()), C4), GroupMap.identity(C4))
+    # f not injective; g not surjective; exactness fails in the middle.
+    assert not is_short_exact(GroupMap(C4, C4, [[2]]), GroupMap(C4, C2, [[1]]))
+    assert not is_short_exact(GroupMap(Z, Z, [[2]]), GroupMap(Z, C4, [[2]]))
+    assert not is_short_exact(GroupMap(Z, Z, [[4]]), GroupMap(Z, C2, [[1]]))
+
+
+def test_subquotient_induced():
+    # Z^2/<(2,0)> = C2 x Z  ->  Z/<6> = C6 by (a, b) -> 3a + b.
+    src = Subquotient(AbGroup((0, 0)), [[1, 0], [0, 1]], [[2, 0]])
+    dst = Subquotient(Z, [[1]], [[6]])
+    gm = GroupMap(src.ambient, dst.ambient, [[3, 1]])
+    ind = src.induced(gm, dst)
+    assert (ind.src.orders, ind.dst.orders) == (src.group.orders, dst.group.orders)
+    for v in product(range(-3, 4), repeat=2):
+        assert ind(src.classify(v)) == dst.classify(gm(v))
+    # Torsion ambient: {0, 2} in C4 maps to zero in C2, and onto {0, 2} in C4.
+    evens = Subquotient(C4, [[2]], [])
+    assert evens.induced(GroupMap(C4, C2, [[1]]), Subquotient(C2, [[1]], [])).is_zero()
+    onto = evens.induced(GroupMap.identity(C4), evens)
+    assert onto.equal(GroupMap.identity(evens.group))
+    # A map leaving the target numerator is refused.
+    with pytest.raises(ValueError, match="not in the numerator"):
+        Subquotient(C4, [[1]], []).induced(GroupMap.identity(C4), evens)

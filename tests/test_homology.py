@@ -1,4 +1,6 @@
+import json
 import random
+from pathlib import Path
 
 import pytest
 
@@ -6,6 +8,7 @@ from ngamma.abgroups import AbGroup, GroupMap, SoundnessError
 from ngamma.core import (
     FiniteAddMonoid, boolean_ternary, bundled_semirings, f2_ternary, z4_ternary,
 )
+from ngamma.completion import linearize_module
 from ngamma.ideals import GammaIdeal, all_ideals, bourne_classes
 from ngamma.modules import (
     Conflation, ModuleMorphism, build_module, direct_sum_modules,
@@ -13,7 +16,8 @@ from ngamma.modules import (
     regular_bimodule, zero_module,
 )
 from ngamma.homology import (
-    ChainComplexAb, ExtSetup, RegularityError, _module_coker, balance_check,
+    ChainComplexAb, ExtSetup, RegularityError, _lift_chain_map, _module_coker,
+    balance_check,
     bar_complex, cofree_coresolution, ext_via_bar, ext_via_cofree, fixed_policy,
     homology, les_check, tor_via_bar, yoneda_compose,
 )
@@ -294,6 +298,80 @@ def test_yoneda_lift_independence(f2):
             a = yoneda_compose(ext, 1, c, ext, 1, c, ext, rng1)
             b = yoneda_compose(ext, 1, c, ext, 1, c, ext, rng2)
             assert ext.classes_equal(2, a, b)
+
+
+def _yoneda_modules(f2, z4):
+    ideal = GammaIdeal(z4, frozenset({0, 2}))
+    return {"f2": (f2, regular_bimodule(f2)), "reg": (z4, regular_bimodule(z4)),
+            "ideal": (z4, ideal_submodule(z4, ideal)),
+            "quot": (z4, quotient_module(z4, ideal))}
+
+
+def test_yoneda_lifts_are_equivariant_chain_maps(f2, z4):
+    # Lifts from B(M) to B(N) of every cocycle in Hom(B_q(M), N).  Maps
+    # from the ideal {0, 2} into Z/4 carry a Hom multiplier of 2, which F2
+    # alone never exercises.
+    mods = _yoneda_modules(f2, z4)
+    mods["f2sum"] = (f2, direct_sum_modules([mods["f2"][1], mods["f2"][1]])[0])
+    pairs = [(a, a) for a in mods] + [("reg", "ideal"), ("ideal", "reg"),
+                                      ("reg", "quot"), ("quot", "reg"),
+                                      ("f2", "f2sum"), ("f2sum", "f2")]
+    rng = random.Random(7)
+    for a, b in pairs:
+        (s, m), (_, n) = mods[a], mods[b]
+        ext = ExtSetup(s, m, n, depth=4)
+        bar_m, bar_n = ext.bar, bar_complex(s, n, depth=4)
+        for q in range(3):
+            for cg in ext.cocycles(q):
+                g0 = ext.hom.homs[q].matrix(cg)
+                for p in range(3 - q):
+                    for gen in (None, rng):
+                        lifts = _lift_chain_map(bar_m, bar_n, g0.mat, q, p, gen)
+                        for i, g in enumerate(lifts):
+                            if i:
+                                assert bar_n.diffs[i].compose(g).equal(
+                                    lifts[i - 1].compose(bar_m.diffs[q + i]))
+                            src, dst = bar_m.terms[q + i], bar_n.terms[i]
+                            for slot in range(s.n):
+                                for pop, qop in zip(src.ops[slot], dst.ops[slot]):
+                                    assert g.compose(pop).equal(qop.compose(g))
+
+
+def test_yoneda_lift_mixing_stays_in_the_kernel(f2):
+    # Towers F2 -0-> F2 and F2^2 -d-> F2^2 with d = [[1, 1], [0, 0]]: the
+    # kernel of postcomposition by d on Hom(F2, F2^2) is generated by (1, 1),
+    # so a random lift must scale both coordinates by one coefficient.  The
+    # bundled towers only yield kernel generators with one nonzero entry.
+    class Tower:
+        def __init__(self, terms, diffs):
+            self.terms, self.diffs, self.lift_stages = terms, diffs, {}
+
+    reg = regular_bimodule(f2)
+    one = linearize_module(reg)
+    two = linearize_module(direct_sum_modules([reg, reg])[0])
+    src = Tower([one, one], {1: GroupMap(one.group, one.group, [[0]])})
+    dst = Tower([two, two], {1: GroupMap(two.group, two.group, [[1, 1], [0, 0]])})
+    for seed in range(20):
+        g0, g1 = _lift_chain_map(src, dst, [[0], [0]], 0, 1, random.Random(seed))
+        assert dst.diffs[1].compose(g1).equal(g0.compose(src.diffs[1]))
+
+
+def test_yoneda_class_tables_z4(f2, z4):
+    golden = json.loads(Path(__file__).with_name("golden_yoneda_z4.json").read_text())
+    mods = _yoneda_modules(f2, z4)
+    for name, want in golden.items():
+        s, m = mods[name]
+        ext = ExtSetup(s, m, m, depth=4)
+        degrees = {p: ext.cocycles(p) for p in range(3)}
+        table = {}
+        for p, cps in degrees.items():
+            for q, cqs in degrees.items():
+                for cf in cps if p + q <= 2 else ():
+                    for cg in cqs:
+                        out = yoneda_compose(ext, p, cf, ext, q, cg, ext)
+                        table[f"{p}:{list(cf)} . {q}:{list(cg)}"] = list(
+                            ext.class_of(p + q, out))
+        assert table == want, name
 
 
 def test_policies_are_configurable(z4):

@@ -1,5 +1,7 @@
+import ast
 import doctest
 from itertools import combinations
+from pathlib import Path
 
 from hypothesis import given, settings, strategies as st
 
@@ -311,3 +313,26 @@ def test_snf_matches_reference_on_presentation_system(monkeypatch):
     monkeypatch.undo()
     [(a, m, n)] = [call for call in seen if call[1:] == (16, 137)]
     assert_matches_reference(a, m, n, [la.TRANSFORMS, ("s", "sinv"), ("t",)])
+
+
+def _names_used(node) -> set:
+    if isinstance(node, ast.Attribute):
+        return {node.attr}
+    if isinstance(node, ast.Name):
+        return {node.id}
+    if isinstance(node, ast.ImportFrom):
+        return {alias.name for alias in node.names}
+    return set()
+
+
+def test_integer_systems_are_solved_only_in_abgroups():
+    # The derived layer states its linear algebra through abgroups (kernel,
+    # preimage, Subgroup, Subquotient, EquivariantHom); only abgroups
+    # factorizes, solves or reduces lattices itself.
+    names = {"smith_normal_form", "kernel_basis", "solve", "lattice_basis"}
+    found = [f"{path.name}:{node.lineno}"
+             for path in sorted(Path(ngamma.intlinalg.__file__).parent.rglob("*.py"))
+             if path.name not in ("intlinalg.py", "abgroups.py")
+             for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+             if _names_used(node) & names]
+    assert found == []

@@ -4,13 +4,13 @@ import pytest
 
 from ngamma.abgroups import SoundnessError
 from ngamma.core import (
-    BoundExceeded, FiniteAddMonoid, boolean_ternary, f2_ternary,
-    ternary_from_semiring, z4_ternary, zmod_semiring,
+    BoundExceeded, FiniteAddMonoid, binary_specialization, boolean_ternary, f2_semiring,
+    f2_ternary, make_matrix_family, ternary_from_semiring, z4_ternary, zmod_semiring,
 )
 from ngamma.ideals import GammaIdeal
 from ngamma.modules import (
-    BiGammaModule, Conflation, ModuleMorphism, additive_maps, check_conflation,
-    cofree, direct_sum_modules, equivariant_maps, hom_gamma, ideal_submodule,
+    BiGammaModule, Conflation, ModuleMorphism, additive_maps, build_module,
+    check_conflation, cofree, direct_sum_modules, equivariant_maps, hom_gamma, ideal_submodule,
     identity_module_morphism, injectivity_probe, quotient_module,
     TensorCongruence, regular_bimodule, tensor_positional, validate_module,
     validate_module_morphism, zero_module,
@@ -91,6 +91,31 @@ def test_direct_sum(z4):
         assert validate_module_morphism(f).ok
     assert prjs[0](injs[0](3)) == 3
     assert prjs[1](injs[0](3)) == quo.M.zero
+
+
+def _direct_sum_cell_by_cell(mods, monoid):
+    """The sum's action restated through build_module and act, one cell each."""
+    elems = list(product(*[range(m.M.size) for m in mods]))
+    index = {e: i for i, e in enumerate(elems)}
+    return build_module(
+        mods[0].parent, monoid,
+        lambda j, tother, m, gs: index[tuple(
+            mod.act(j, tother, comp, gs) for mod, comp in zip(mods, elems[m]))])
+
+
+def test_direct_sum_from_columns_matches_cell_by_cell(f2, z4):
+    quo = quotient_module(z4, GammaIdeal(z4, frozenset({0, 2})))
+    m2f2 = make_matrix_family(f2_semiring(), 2, 2)
+    z6 = binary_specialization(zmod_semiring(6))
+    cases = [[regular_bimodule(z4), quo],
+             [regular_bimodule(f2), regular_bimodule(f2)],
+             [regular_bimodule(m2f2), zero_module(m2f2), regular_bimodule(m2f2)],
+             [regular_bimodule(z6), regular_bimodule(z6)]]
+    for mods in cases:
+        total, _, _ = direct_sum_modules(mods)
+        want = _direct_sum_cell_by_cell(mods, total.M)
+        assert total.act_tables == want.act_tables
+        assert validate_module(total).ok
 
 
 def test_additive_maps_enumeration():

@@ -119,14 +119,26 @@ def test_kunneth_z4():
     rep = kunneth_check(z4, reg, reg, reg, depth=2)
     assert rep.flat_certified and rep.consistent and rep.e2_matches_direct
     assert rep.diag_first[-1] == (4, 4, 4)
+    _assert_z4_pages(rep, 4)
     rep = kunneth_check(z4, sub, reg, reg, depth=2)
     assert rep.consistent and rep.e2_matches_direct
     assert rep.e2_first[(0, 0)] == (2,)
+    _assert_z4_pages(rep, 2)
     # A non-flat target degrades to a consistency-only report but stays
     # internally consistent.
     rep = kunneth_check(z4, reg, reg, sub, depth=2)
     assert not rep.flat_certified
     assert rep.consistent
+    _assert_z4_pages(rep, 2)
+
+
+def _assert_z4_pages(rep, corner):
+    """The full grids and diagonals: everything but (0, 0) and degree 4 vanishes."""
+    grid = {(p, q): () for p in range(3) for q in range(3)}
+    grid[(0, 0)] = (corner,)
+    assert rep.e2_first == rep.e2_second == rep.direct_grid == grid
+    diag = [(0, 1, 1), (1, 1, 1), (2, 1, 1), (3, 1, 1), (4, corner, corner)]
+    assert rep.diag_first == rep.diag_second == diag
 
 
 def test_kunneth_boolean_degenerate():

@@ -3,7 +3,7 @@ import json
 import pytest
 
 from ngamma.bundled import bundled_document, bundled_path, bundled_workspace
-from ngamma.cli import main
+from ngamma.cli import build_parser, main
 from ngamma.workspace import (
     SCHEMA, Workspace, WorkspaceError, dump_document, merge_document,
     parse_workspace,
@@ -147,3 +147,35 @@ def test_cli_text_format(capsys):
     out = capsys.readouterr().out
     assert rc == 0
     assert "status: pass" in out
+
+
+_TOP = {"workspace": None, "no_bundled": False, "format": "text", "bound": 16}
+_DERIVED = {"slots": None, "depth": 2, "gamma_policy": "sum", "filler_policy": None}
+_DERIVED_COMMANDS = {
+    "ext": (["s", "m", "n"], {"semiring": "s", "m": "m", "n": "n",
+                              "emit_matrices": False}),
+    "tor": (["s", "m", "n"], {"semiring": "s", "m": "m", "n": "n",
+                              "emit_matrices": False}),
+    "balance": (["s", "m", "n"], {"semiring": "s", "m": "m", "n": "n"}),
+    "les": (["c", "n"], {"conflation": "c", "n": "n", "side": "hom"}),
+    "yoneda": (["s", "m"], {"semiring": "s", "m": "m"}),
+    "kunneth": (["s", "m", "n", "l"], {"semiring": "s", "m": "m", "n": "n", "l": "l",
+                                       "emit_pages": False}),
+}
+_FLAG_VALUES = [("--slots", "3,1", "slots", "3,1"), ("--depth", "4", "depth", 4),
+                ("--gamma-policy", "fixed:0,0", "gamma_policy", "fixed:0,0"),
+                ("--filler-policy", "neutral", "filler_policy", "neutral")]
+
+
+@pytest.mark.parametrize("cmd", sorted(_DERIVED_COMMANDS))
+def test_derived_commands_parse_the_shared_flags(cmd):
+    positional, own = _DERIVED_COMMANDS[cmd]
+    parser = build_parser()
+    want = {**_TOP, "cmd": cmd, **own, **_DERIVED}
+    assert vars(parser.parse_args([cmd, *positional])) == want
+    for flag, text, dest, value in _FLAG_VALUES:
+        got = vars(parser.parse_args([cmd, *positional, flag, text]))
+        assert got == {**want, dest: value}
+    every = [part for flag, text, _, _ in _FLAG_VALUES for part in (flag, text)]
+    got = vars(parser.parse_args([cmd, *positional, *every]))
+    assert got == {**want, **{dest: value for _, _, dest, value in _FLAG_VALUES}}
