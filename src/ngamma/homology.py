@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
+from functools import reduce
 
 from . import intlinalg as la
 from .abgroups import (
@@ -23,10 +24,9 @@ from .core import (
     BoundExceeded, NaryGammaSemiring, StructuralError, flatten_index, neutral_words,
     unflatten_index,
 )
-from .ideals import coset_congruence, quotient_monoid
 from .modules import (
-    BiGammaModule, Conflation, ModuleMorphism, cofree, filler_tuples, map_columns,
-    module_from_actions, regular_bimodule, validate_module_morphism,
+    BiGammaModule, Conflation, ModuleMorphism, cofree, filler_tuples, quotient_projection,
+    regular_bimodule, validate_module_morphism,
 )
 from .completion import (
     CompletedModule, EquivariantHom, TensorGroup, linearize_module, linearize_morphism,
@@ -452,20 +452,20 @@ class CofreeTower:
 
 
 def _unit_into_cofree(b: BiGammaModule, policy: ContractionPolicy):
-    """The canonical additive map m -> (t -> t.m) and its cofree target."""
+    """The canonical additive map m -> (t -> t.m) and its cofree target.
+
+    t.m is the left-folded sum, over the policy's fillers and parameter
+    tuples, of the slot-n action of the filler (t, fill).
+    """
     s = b.parent
     cf = cofree(s, b.M)
     index = {f: i for i, f in enumerate(cf.maps)}
+    cols = b.actions(s.n - 1)
+    rows = [[cols[flatten_index((t,) + fill + gs, s.sizes[1:])]
+             for fill in policy.fillers for gs in policy.gammas] for t in range(s.T.size)]
     table = []
     for m in range(b.M.size):
-        vals = []
-        for t in range(s.T.size):
-            acc = b.M.zero
-            for fill in policy.fillers:
-                for gs in policy.gammas:
-                    acc = b.M.add(acc, b.act(s.n - 1, (t,) + fill, m, gs))
-            vals.append(acc)
-        key = tuple(vals)
+        key = tuple(reduce(b.M.add, (col[m] for col in row), b.M.zero) for row in rows)
         if key not in index:
             raise SoundnessError("unit image is not an additive map")
         table.append(index[key])
@@ -473,32 +473,16 @@ def _unit_into_cofree(b: BiGammaModule, policy: ContractionPolicy):
     return cf, unit
 
 
-def _module_coker(f: ModuleMorphism) -> ModuleMorphism:
-    """Projection of the target onto its quotient by the image congruence.
-
-    A column descends when it sends every element to the class of its class
-    representative's image.
-    """
-    b = f.target
-    cls, reps = coset_congruence(b.M, {f(x) for x in range(f.source.M.size)})
-
-    def descend(col):
-        out = tuple(cls[col[r]] for r in reps)
-        if any(cls[col[x]] != out[c] for x, c in enumerate(cls)):
-            raise SoundnessError("action not constant on coker classes")
-        return out
-
-    quot = module_from_actions(
-        b.parent, quotient_monoid(b.M, cls, reps),
-        map_columns(descend, [b.actions(j) for j in range(b.parent.n)]), name=f"{b.name}/im")
-    return ModuleMorphism(b, quot, tuple(cls))
-
-
 def cofree_coresolution(s: NaryGammaSemiring, b: BiGammaModule, depth: int = 2,
                         policy: ContractionPolicy | None = None) -> CofreeTower:
-    """Iterated cofree embeddings with completed connecting maps."""
+    """Iterated cofree embeddings with completed connecting maps.
+
+    Stage r embeds the cokernel of stage r-1 (b at stage 0) into its cofree
+    module; each stage completes those two monoids once.
+    """
     policy = policy or default_policy(s)
     current = b
+    sources: list[CompletedModule] = []
     terms: list[CompletedModule] = []
     monoid_sizes: list[int] = []
     units: list[ModuleMorphism] = []
@@ -514,22 +498,22 @@ def cofree_coresolution(s: NaryGammaSemiring, b: BiGammaModule, depth: int = 2,
             raise RegularityError(
                 f"unit into the cofree module is not injective after completion "
                 f"(tower stage {r})")
+        sources.append(lin_src)
         terms.append(lin_dst)
         monoid_sizes.append(cf.module.M.size)
         units.append(unit)
-        proj = _module_coker(unit)
+        proj = quotient_projection(cf.module, set(unit.map), f"{cf.module.name}/im")
         projs.append(proj)
         current = proj.target
     maps = []
     for r in range(depth):
-        coker_lin = linearize_module(projs[r].target)
-        step1 = linearize_morphism(projs[r], terms[r], coker_lin)
-        step2 = linearize_morphism(units[r + 1], coker_lin, terms[r + 1])
+        step1 = linearize_morphism(projs[r], terms[r], sources[r + 1])
+        step2 = linearize_morphism(units[r + 1], sources[r + 1], terms[r + 1])
         maps.append(step2.compose(step1))
     for r in range(1, len(maps)):
         if not maps[r].compose(maps[r - 1]).is_zero():
             raise SoundnessError("cofree tower differential does not square to zero")
-    unit0 = linearize_morphism(units[0], linearize_module(b), terms[0])
+    unit0 = linearize_morphism(units[0], sources[0], terms[0])
     return CofreeTower(b, terms, maps, unit0, monoid_sizes)
 
 

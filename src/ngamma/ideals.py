@@ -11,7 +11,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import product
 
-from .abgroups import SoundnessError
 from .core import (
     AxiomCheck, BoundExceeded, FiniteAddMonoid, GammaSemiringMorphism,
     NaryGammaSemiring, StructuralError, congruence_closure,
@@ -141,11 +140,6 @@ def coset_congruence(monoid: FiniteAddMonoid, members):
                                      if cosets[x] & cosets[y]))
 
 
-def bourne_classes(s: NaryGammaSemiring, ideal: GammaIdeal) -> list[int]:
-    """class index per element for x ~ y iff x+i = y+j with i, j in the ideal."""
-    return coset_congruence(s.T, ideal.members)[0]
-
-
 def quotient_monoid(monoid: FiniteAddMonoid, cls, reps) -> FiniteAddMonoid:
     """The monoid on classes, added through their representatives."""
     k = len(reps)
@@ -155,40 +149,24 @@ def quotient_monoid(monoid: FiniteAddMonoid, cls, reps) -> FiniteAddMonoid:
 
 
 def quotient(s: NaryGammaSemiring, ideal: GammaIdeal):
-    """(quotient semiring, projection morphism)."""
+    """(quotient semiring, projection morphism).
+
+    ``modules.quotient_projection`` checks that the multiplication descends;
+    the quotient table is then read at class representatives.
+    """
+    from .modules import quotient_projection, regular_bimodule
+
     if ideal.parent is not s and ideal.parent != s:
         raise StructuralError("ideal belongs to a different semiring")
-    cls, reps = coset_congruence(s.T, ideal.members)
-    nclasses = len(reps)
-    # Soundness: the induced operations must be constant on classes.
-    for x in range(s.T.size):
-        for y in range(s.T.size):
-            if cls[x] == cls[y]:
-                for z in range(s.T.size):
-                    if cls[s.T.add(x, z)] != cls[s.T.add(y, z)]:
-                        raise SoundnessError(f"addition not constant on classes: {(x, y, z)}")
-    n = s.n
-    for j in range(n):
-        for x in range(s.T.size):
-            for y in range(s.T.size):
-                if cls[x] != cls[y]:
-                    continue
-                for rest in s.t_tuples(n - 1):
-                    for gs in s.g_tuples(n - 1):
-                        a = s.mu(rest[:j] + (x,) + rest[j:], gs)
-                        b = s.mu(rest[:j] + (y,) + rest[j:], gs)
-                        if cls[a] != cls[b]:
-                            raise SoundnessError(
-                                f"multiplication not constant on classes: {(j + 1, x, y, rest, gs)}")
-    t = quotient_monoid(s.T, cls, reps)
-    mu = []
-    for xs in product(range(nclasses), repeat=n):
-        for gs in s.g_tuples(n - 1):
-            mu.append(cls[s.mu(tuple(reps[x] for x in xs), gs)])
-    q = NaryGammaSemiring(n, t, s.gamma, tuple(mu),
-                          name=f"{s.name}/{GammaIdeal(s, ideal.members)}")
-    proj = GammaSemiringMorphism(s, q, tuple(cls))
-    return q, proj
+    name = f"{s.name}/{GammaIdeal(s, ideal.members)}"
+    proj = quotient_projection(regular_bimodule(s), ideal.members, name)
+    cls, t = proj.map, proj.target.M
+    # Classes are numbered by their least member.
+    reps = [cls.index(c) for c in range(t.size)]
+    mu = tuple(cls[s.mu(tuple(reps[x] for x in xs), gs)]
+               for xs in product(range(len(reps)), repeat=s.n) for gs in s.g_tuples(s.n - 1))
+    q = NaryGammaSemiring(s.n, t, s.gamma, mu, name=name)
+    return q, GammaSemiringMorphism(s, q, cls)
 
 
 def is_prime(s: NaryGammaSemiring, p: GammaIdeal) -> AxiomCheck:

@@ -151,13 +151,45 @@ def ideal_submodule(s: NaryGammaSemiring, ideal: GammaIdeal) -> BiGammaModule:
 
 def quotient_module(s: NaryGammaSemiring, ideal: GammaIdeal) -> BiGammaModule:
     """The quotient carrier as a module over the original semiring."""
-    cls, reps = coset_congruence(s.T, ideal.members)
-    reg = regular_bimodule(s)
-    return module_from_actions(
-        s, quotient_monoid(s.T, cls, reps),
-        map_columns(lambda col: tuple(cls[col[r]] for r in reps),
-                    [reg.actions(j) for j in range(s.n)]),
-        name=f"{s.name}.mod{ideal}")
+    return quotient_projection(regular_bimodule(s), ideal.members,
+                               f"{s.name}.mod{ideal}").target
+
+
+def quotient_projection(b: BiGammaModule, members, name: str) -> ModuleMorphism:
+    """The projection of ``b`` onto its quotient by the coset congruence of
+    ``members`` (x ~ y iff x+i = y+j with i, j in ``members``).
+
+    Each distinct column of the addition and of every slot action is checked
+    once: it must send every element to the class of its class
+    representative's image.  Raises SoundnessError naming the first column,
+    in (addition, slot, filler) order, that splits a class, with the class
+    representative and the first element it splits from.
+    """
+    cls, reps = coset_congruence(b.M, members)
+    actions = [b.actions(j) for j in range(b.parent.n)]
+
+    def split(col):
+        return next(((reps[c], y) for y, c in enumerate(cls) if cls[col[y]] != cls[col[reps[c]]]),
+                    None)
+
+    for z in range(b.M.size):
+        if hit := split(b.M.add_table[z::b.M.size]):
+            raise SoundnessError(f"addition of {z} is not constant on classes: "
+                                 f"it splits {hit[0]} ~ {hit[1]}")
+
+    def descend(col):
+        if hit := split(col):
+            j, w = next((j, w) for j, cols in enumerate(actions)
+                        for w, c in enumerate(cols) if c == col)
+            tother, gs = filler_tuples(b.parent)[w]
+            raise SoundnessError(
+                f"the action at slot {j + 1} with carriers {tother} and parameters {gs} "
+                f"is not constant on classes: it splits {hit[0]} ~ {hit[1]}")
+        return tuple(cls[col[r]] for r in reps)
+
+    quot = module_from_actions(b.parent, quotient_monoid(b.M, cls, reps),
+                               map_columns(descend, actions), name)
+    return ModuleMorphism(b, quot, tuple(cls))
 
 
 def direct_sum_modules(mods: list[BiGammaModule], name: str = ""):
@@ -368,53 +400,24 @@ def additive_maps(src: FiniteAddMonoid, dst: FiniteAddMonoid,
                   bound: int = 200000) -> list[tuple[int, ...]]:
     """All additive maps src -> dst, in deterministic order.
 
-    Candidates are assignments on a generating set, propagated through sum
-    expressions and then checked in full, so the search space is
-    |dst| ** #generators rather than |dst| ** |src|.
+    Candidates are assignments on a generating set, extended along
+    ``_generator_walk`` and then checked in full, so the search space is
+    |dst| ** #generators rather than |dst| ** |src|.  Generators are chosen
+    greedily, so distinct assignments give distinct maps.
     """
     gens = src.additive_generators()
     if dst.size ** max(len(gens), 0) > bound:
         raise BoundExceeded("additive map enumeration exceeds its bound")
-    expr: dict[int, tuple] = {src.zero: ("zero",)}
-    for idx, g in enumerate(gens):
-        if g not in expr:
-            expr[g] = ("gen", idx)
-        changed = True
-        while changed:
-            changed = False
-            known = list(expr)
-            for x in known:
-                for y in known:
-                    z = src.add(x, y)
-                    if z not in expr:
-                        expr[z] = ("sum", x, y)
-                        changed = True
-    if len(expr) != src.size:
-        raise SoundnessError("additive generators do not cover the carrier")
-
+    walk = _generator_walk(src, gens)
     out = []
     for images in product(range(dst.size), repeat=len(gens)):
-        # Insertion order is topological: a sum is recorded only after both
-        # of its summands.
-        val: dict[int, int] = {}
-        for e, tag in expr.items():
-            if tag[0] == "zero":
-                val[e] = dst.zero
-            elif tag[0] == "gen":
-                val[e] = images[tag[1]]
-            else:
-                val[e] = dst.add(val[tag[1]], val[tag[2]])
-        f = tuple(val[e] for e in range(src.size))
+        f = [dst.zero] * src.size
+        for x, i, y in walk:
+            f[y] = dst.add(f[x], images[i])
         if all(f[src.add(x, y)] == dst.add(f[x], f[y])
                for x in range(src.size) for y in range(src.size)):
-            out.append(f)
-    seen = set()
-    uniq = []
-    for f in out:
-        if f not in seen:
-            seen.add(f)
-            uniq.append(f)
-    return uniq
+            out.append(tuple(f))
+    return out
 
 
 def equivariant_maps(src: BiGammaModule, dst: BiGammaModule,
@@ -499,22 +502,32 @@ class TensorModule:
         return self.beta[m][n]
 
 
-def _generator_counts(monoid: FiniteAddMonoid, gens) -> list[tuple[int, ...]]:
-    """For each element, one fixed count vector c with element = sum c[i]*gens[i].
+def _generator_walk(monoid: FiniteAddMonoid, gens) -> list[tuple[int, int, int]]:
+    """Steps (x, i, x + gens[i]) reaching each nonzero element once.
 
-    Breadth-first from zero, adding generators in order, so each count vector
-    is a shortest sum.
+    Breadth-first from zero, adding generators in order, so each element is
+    reached by a shortest sum and after the element it extends.
     """
-    counts = {monoid.zero: (0,) * len(gens)}
+    steps, seen = [], {monoid.zero}
     queue = [monoid.zero]
     for x in queue:
         for i, g in enumerate(gens):
             y = monoid.add(x, g)
-            if y not in counts:
-                counts[y] = counts[x][:i] + (counts[x][i] + 1,) + counts[x][i + 1:]
+            if y not in seen:
+                seen.add(y)
+                steps.append((x, i, y))
                 queue.append(y)
-    if len(counts) != monoid.size:
+    if len(seen) != monoid.size:
         raise SoundnessError("additive generators do not cover the carrier")
+    return steps
+
+
+def _generator_counts(monoid: FiniteAddMonoid, gens) -> list[tuple[int, ...]]:
+    """For each element, one fixed count vector c with element = sum c[i]*gens[i],
+    read off ``_generator_walk``."""
+    counts = {monoid.zero: (0,) * len(gens)}
+    for x, i, y in _generator_walk(monoid, gens):
+        counts[y] = counts[x][:i] + (counts[x][i] + 1,) + counts[x][i + 1:]
     return [counts[x] for x in range(monoid.size)]
 
 
@@ -688,36 +701,3 @@ def tensor_positional(left: BiGammaModule, right: BiGammaModule,
             failures.append(f"through the {side} factor, {exc}")
     raise SoundnessError("no residual action descends to the tensor quotient: "
                          + "; ".join(failures))
-
-
-# ---------------------------------------------------------------------------
-# Injectivity probing
-# ---------------------------------------------------------------------------
-
-def injectivity_probe(target: BiGammaModule, trials,
-                      bound: int = 200000) -> list[AxiomCheck]:
-    """Extension search for additive maps along inflations.
-
-    Each trial is (conflation, maps) where maps is an explicit list of
-    additive map tables A -> target, or None for all of them.  A trial passes
-    when every map extends through the inflation to an additive map on the
-    middle module.
-    """
-    out = []
-    for tn, (conf, given) in enumerate(trials):
-        a, b = conf.i.source, conf.i.target
-        candidates = additive_maps(b.M, target.M, bound)
-        if given is None:
-            given = additive_maps(a.M, target.M, bound)
-        failure = None
-        for g in given:
-            found = False
-            for h in candidates:
-                if all(h[conf.i(x)] == g[x] for x in range(a.M.size)):
-                    found = True
-                    break
-            if not found:
-                failure = tuple(g)
-                break
-        out.append(AxiomCheck(f"injectivity trial {tn}", failure is None, failure))
-    return out

@@ -2,9 +2,9 @@
 
 Everything here uses direct definition scans: full-table axiom enumeration
 with no generator reduction, subset scans for ideals, all-maps filters for
-Hom, an explicit shift-edge search for tensor presentations, and
-element-listing homology with invariants reconstructed from order
-statistics instead of normal forms.  Oracle bounds are deliberately tighter
+Hom and injectivity probes, an explicit shift-edge search for tensor
+presentations, and element-listing homology with invariants reconstructed
+from order statistics instead of normal forms.  Oracle bounds are deliberately tighter
 than engine bounds.
 """
 
@@ -15,7 +15,7 @@ from itertools import product
 from math import prod
 
 from .core import (
-    BoundExceeded, FiniteAddMonoid, GammaSemigroup, NaryGammaSemiring,
+    AxiomCheck, BoundExceeded, FiniteAddMonoid, GammaSemigroup, NaryGammaSemiring,
 )
 from .modules import BiGammaModule
 from .completion import CompletedModule
@@ -146,22 +146,27 @@ def subset_scan_primes(s: NaryGammaSemiring,
 
 
 # ---------------------------------------------------------------------------
-# Hom by filtering every map
+# Hom and injectivity by filtering every map
 # ---------------------------------------------------------------------------
+
+def all_additive_maps(src: FiniteAddMonoid, dst: FiniteAddMonoid,
+                      bound: int = ORACLE_MAP_BOUND):
+    """Additive maps found by filtering all |dst|^|src| tables, in order."""
+    if dst.size ** src.size > bound:
+        raise BoundExceeded("oracle map enumeration refused")
+    for f in product(range(dst.size), repeat=src.size):
+        if f[src.zero] == dst.zero and not any(
+                f[src.add(a, b)] != dst.add(f[a], f[b])
+                for a in range(src.size) for b in range(src.size)):
+            yield f
+
 
 def all_maps_hom(src: BiGammaModule, dst: BiGammaModule,
                  bound: int = ORACLE_MAP_BOUND) -> list[tuple[int, ...]]:
     """Additive equivariant maps found by filtering all |dst|^|src| tables."""
-    if dst.M.size ** src.M.size > bound:
-        raise BoundExceeded("oracle hom enumeration refused")
     s = src.parent
     out = []
-    for f in product(range(dst.M.size), repeat=src.M.size):
-        if f[src.M.zero] != dst.M.zero:
-            continue
-        if any(f[src.M.add(a, b)] != dst.M.add(f[a], f[b])
-               for a in range(src.M.size) for b in range(src.M.size)):
-            continue
+    for f in all_additive_maps(src.M, dst.M, bound):
         ok = True
         for jj in range(s.n):
             for tother in product(range(s.T.size), repeat=s.n - 1):
@@ -179,6 +184,28 @@ def all_maps_hom(src: BiGammaModule, dst: BiGammaModule,
                 break
         if ok:
             out.append(f)
+    return out
+
+
+def injectivity_probe(target: BiGammaModule, trials,
+                      bound: int = ORACLE_MAP_BOUND) -> list[AxiomCheck]:
+    """Extension search for additive maps along inflations.
+
+    Each trial is (conflation, maps) where maps is an explicit list of
+    additive map tables A -> target, or None for all of them.  A trial passes
+    when every map extends through the inflation to an additive map on the
+    middle module.
+    """
+    out = []
+    for tn, (conf, given) in enumerate(trials):
+        a, b = conf.i.source, conf.i.target
+        candidates = list(all_additive_maps(b.M, target.M, bound))
+        if given is None:
+            given = all_additive_maps(a.M, target.M, bound)
+        failure = next((tuple(g) for g in given
+                        if not any(all(h[conf.i(x)] == g[x] for x in range(a.M.size))
+                                   for h in candidates)), None)
+        out.append(AxiomCheck(f"injectivity trial {tn}", failure is None, failure))
     return out
 
 

@@ -17,10 +17,10 @@ from .abgroups import (
     kernel_gens,
 )
 from .core import GammaSemiringMorphism, NaryGammaSemiring, flatten_index
-from .ideals import all_ideals, bourne_classes
+from .ideals import all_ideals
 from .modules import (
     BiGammaModule, ModuleMorphism, TensorCongruence, filler_tuples,
-    ideal_submodule, module_from_actions, quotient_module, regular_bimodule,
+    ideal_submodule, module_from_actions, quotient_projection, regular_bimodule,
 )
 from .completion import (
     CompletedModule, EquivariantHom, TensorGroup, linearize_module,
@@ -477,17 +477,15 @@ def completed_extension_group(f: GammaSemiringMorphism, x: CompletedModule,
 def source_conflation_triples(s: NaryGammaSemiring):
     """Ideal-induced completed short sequences used by the flatness probe."""
     out = []
-    reg = linearize_module(regular_bimodule(s))
+    regular = regular_bimodule(s)
+    reg = linearize_module(regular)
     for ideal in all_ideals(s):
         if not ideal.is_proper() or len(ideal.members) == 1:
             continue
         sub = ideal_submodule(s, ideal)
-        quo = quotient_module(s, ideal)
-        members = ideal.sorted_members()
-        incl = ModuleMorphism(sub, regular_bimodule(s), tuple(members))
-        cls = bourne_classes(s, ideal)
-        proj = ModuleMorphism(regular_bimodule(s), quo, tuple(cls))
-        out.append((linearize_module(sub), reg, linearize_module(quo),
+        incl = ModuleMorphism(sub, regular, tuple(ideal.sorted_members()))
+        proj = quotient_projection(regular, ideal.members, f"{s.name}.mod{ideal}")
+        out.append((linearize_module(sub), reg, linearize_module(proj.target),
                     (incl, proj)))
     return out
 

@@ -242,3 +242,15 @@ def test_slot_tables_are_read_only_in_modules():
              for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
              if isinstance(node, ast.Attribute) and node.attr == "act_tables"]
     assert found == []
+
+
+def test_only_the_oracle_reads_modules_cell_by_cell():
+    # Engine loops read a module through ``BiGammaModule.actions`` columns;
+    # the oracle keeps its direct per-cell scans.
+    found = [f"{path.name}:{node.lineno}"
+             for path in sorted(Path(ngamma.__file__).parent.rglob("*.py"))
+             if path.name != "oracle.py"
+             for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+             if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+             and node.func.attr == "act"]
+    assert found == []

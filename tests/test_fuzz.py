@@ -12,7 +12,7 @@ from ngamma.core import (
 )
 from ngamma.homology import ChainComplexAb, homology
 from ngamma.ideals import all_ideals, generate_ideal
-from ngamma.modules import _generator_counts
+from ngamma.modules import _generator_counts, additive_maps
 
 
 @given(st.integers(2, 4), st.integers(1, 3), st.integers(1, 3), st.integers(1, 2),
@@ -97,6 +97,48 @@ def test_generator_counts_sum_to_each_element():
                 assert m.sum(g for g, c in zip(gens, counts[x]) for _ in range(c)) == x
             for i, g in enumerate(gens):
                 assert counts[g] == tuple(int(q == i) for q in range(len(gens)))
+
+
+def _additive_maps_by_sum_expressions(src, dst):
+    """Additive maps as enumerated through a fixpoint of sum expressions."""
+    gens = src.additive_generators()
+    expr = {src.zero: ("zero",)}
+    for idx, g in enumerate(gens):
+        if g not in expr:
+            expr[g] = ("gen", idx)
+        changed = True
+        while changed:
+            changed = False
+            known = list(expr)
+            for x in known:
+                for y in known:
+                    z = src.add(x, y)
+                    if z not in expr:
+                        expr[z] = ("sum", x, y)
+                        changed = True
+    out = []
+    for images in product(range(dst.size), repeat=len(gens)):
+        val = {}
+        for e, tag in expr.items():
+            if tag[0] == "zero":
+                val[e] = dst.zero
+            elif tag[0] == "gen":
+                val[e] = images[tag[1]]
+            else:
+                val[e] = dst.add(val[tag[1]], val[tag[2]])
+        f = tuple(val[e] for e in range(src.size))
+        if all(f[src.add(x, y)] == dst.add(f[x], f[y])
+               for x in range(src.size) for y in range(src.size)):
+            out.append(f)
+    return list(dict.fromkeys(out))
+
+
+def test_additive_maps_match_the_sum_expression_enumerator():
+    # The same maps in the same order, on every pair from the monoid pool.
+    pool = [m for size in range(1, 5) for m in _monoid_pool(size)]
+    for src in pool:
+        for dst in pool:
+            assert additive_maps(src, dst) == _additive_maps_by_sum_expressions(src, dst)
 
 
 def test_group_order_statistics_on_random_orders():

@@ -11,7 +11,7 @@ from ngamma.ideals import GammaIdeal
 from ngamma.modules import (
     BiGammaModule, Conflation, ModuleMorphism, additive_maps, build_module,
     check_conflation, cofree, direct_sum_modules, equivariant_maps, hom_gamma, ideal_submodule,
-    identity_module_morphism, injectivity_probe, quotient_module,
+    identity_module_morphism, quotient_module,
     TensorCongruence, regular_bimodule, tensor_positional, validate_module,
     validate_module_morphism, zero_module,
 )
@@ -261,34 +261,6 @@ def test_conflations(f2, z4):
 
     broken = Conflation(incl, ModuleMorphism(regz, quo, (0, 1, 1, 1)))
     assert not check_conflation(broken).ok
-
-
-def test_injectivity_probe_cofree_extends(f2):
-    reg = regular_bimodule(f2)
-    z = zero_module(f2)
-    cf = cofree(f2, reg.M)
-    conf = Conflation(ModuleMorphism(z, reg, (0,)),
-                      identity_module_morphism(reg))
-    results = injectivity_probe(cf.module, [(conf, None)])
-    assert all(r.ok for r in results)
-
-
-def test_injectivity_probe_detects_failure(z4):
-    regz = regular_bimodule(z4)
-    sub = ideal_submodule(z4, GammaIdeal(z4, frozenset({0, 2})))
-    incl = ModuleMorphism(sub, regz, (0, 2))
-    quo = quotient_module(z4, GammaIdeal(z4, frozenset({0, 2})))
-    proj = ModuleMorphism(regz, quo, (0, 1, 0, 1))
-    conf = Conflation(incl, proj)
-    # Target with only the zero action: the identity-like map 1 -> 1 from the
-    # two-element ideal cannot extend additively over Z/4.
-    z2 = FiniteAddMonoid(2, (0, 1, 1, 0))
-    from ngamma.modules import build_module
-    zact = build_module(z4, z2, lambda j, t, m, gs: 0, name="zero-action")
-    assert validate_module(zact).ok
-    results = injectivity_probe(zact, [(conf, [(0, 1)])])
-    assert not results[0].ok
-    assert results[0].witness == (0, 1)
 
 
 def test_hom_tensor_adjunction_counts(z4):

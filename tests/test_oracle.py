@@ -3,12 +3,14 @@ import random
 import pytest
 
 from ngamma.core import (
-    BoundExceeded, NaryGammaSemiring, bundled_semirings, validate_semiring,
+    BoundExceeded, FiniteAddMonoid, NaryGammaSemiring, bundled_semirings,
+    validate_semiring,
 )
 from ngamma.ideals import GammaIdeal, all_ideals, spectrum
 from ngamma.modules import (
-    hom_gamma, ideal_submodule, quotient_module, regular_bimodule,
-    tensor_positional,
+    Conflation, ModuleMorphism, build_module, cofree, hom_gamma, identity_module_morphism,
+    ideal_submodule, quotient_module, regular_bimodule, tensor_positional, validate_module,
+    zero_module,
 )
 from ngamma.completion import EquivariantHom, linearize_module
 from ngamma.homology import bar_complex, homology
@@ -44,6 +46,35 @@ def test_hom_enumeration_agrees():
     sub = ideal_submodule(z4, GammaIdeal(z4, frozenset({0, 2})))
     for m, n in [(reg, reg), (reg, sub), (sub, reg), (sub, sub)]:
         assert sorted(hom_gamma(m, n).maps) == sorted(oracle.all_maps_hom(m, n))
+
+
+def test_injectivity_probe_cofree_extends():
+    f2 = bundled_semirings()["f2_ternary"]
+    reg = regular_bimodule(f2)
+    z = zero_module(f2)
+    cf = cofree(f2, reg.M)
+    conf = Conflation(ModuleMorphism(z, reg, (0,)),
+                      identity_module_morphism(reg))
+    results = oracle.injectivity_probe(cf.module, [(conf, None)])
+    assert all(r.ok for r in results)
+
+
+def test_injectivity_probe_detects_failure():
+    z4 = bundled_semirings()["z4_ternary"]
+    regz = regular_bimodule(z4)
+    sub = ideal_submodule(z4, GammaIdeal(z4, frozenset({0, 2})))
+    incl = ModuleMorphism(sub, regz, (0, 2))
+    quo = quotient_module(z4, GammaIdeal(z4, frozenset({0, 2})))
+    proj = ModuleMorphism(regz, quo, (0, 1, 0, 1))
+    conf = Conflation(incl, proj)
+    # Target with only the zero action: the identity-like map 1 -> 1 from the
+    # two-element ideal cannot extend additively over Z/4.
+    z2 = FiniteAddMonoid(2, (0, 1, 1, 0))
+    zact = build_module(z4, z2, lambda j, t, m, gs: 0, name="zero-action")
+    assert validate_module(zact).ok
+    results = oracle.injectivity_probe(zact, [(conf, [(0, 1)])])
+    assert not results[0].ok
+    assert results[0].witness == (0, 1)
 
 
 def test_hom_group_bruteforce_agrees():
