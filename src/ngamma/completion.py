@@ -9,7 +9,7 @@ canonicalized through Smith normal form.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from math import gcd
 
 from . import intlinalg as la
@@ -17,15 +17,22 @@ from .abgroups import (
     AbGroup, GroupMap, Presentation, SoundnessError, induced_on_quotients, kernel,
 )
 from .core import FiniteAddMonoid, NaryGammaSemiring, StructuralError
-from .modules import BiGammaModule, ModuleMorphism, filler_tuples, map_columns
+from .modules import (
+    BiGammaModule, ModuleMorphism, filler_tuples, map_columns, same_module,
+)
 
 
 @dataclass(frozen=True)
 class Completion:
+    """The completion of a monoid: the group, each element's vector, and
+    ``lifts[c]``, the (element, coefficient) pairs of a formal sum of
+    elements whose vector is the c-th basis vector of the group."""
+
     monoid: FiniteAddMonoid
     group: AbGroup
     vectors: tuple[tuple[int, ...], ...]
     pres: Presentation = field(compare=False, repr=False)
+    lifts: tuple[tuple[tuple[int, int], ...], ...] = field(compare=False, repr=False)
 
     def vector(self, m: int) -> tuple[int, ...]:
         return self.vectors[m]
@@ -55,20 +62,26 @@ def group_complete(monoid: FiniteAddMonoid) -> Completion:
         e = [0] * size
         e[m] = 1
         vectors.append(pres.project(e))
-    return Completion(monoid, pres.group, tuple(vectors), pres)
+    lift = pres.lift_matrix()
+    lifts = tuple(tuple((m, row[c]) for m, row in enumerate(lift) if row[c])
+                  for c in range(pres.group.dim))
+    return Completion(monoid, pres.group, tuple(vectors), pres, lifts)
 
 
 def completion_map(src: Completion, dst: Completion, elem_map) -> GroupMap:
-    """Induced map on completions of an additive element map."""
-    def image_of(basis):
-        img = [0] * dst.group.dim
-        for m, coeff in enumerate(src.pres.lift(basis)):
-            if coeff:
-                target = dst.vector(elem_map(m) if callable(elem_map) else elem_map[m])
-                img = [x + coeff * y for x, y in zip(img, target)]
-        return img
+    """Induced map on completions of an additive element map, given as its
+    table (``elem_map[m]`` is the image of element m).
 
-    return GroupMap.from_images(src.group, dst.group, image_of, check=True)
+    Column c sums dst's vectors of the images of ``src.lifts[c]``, which
+    ``group_complete`` computed once for src, so no lift is recomputed per
+    map.  The group map is checked to be well defined.
+    """
+    rows = [[0] * src.group.dim for _ in range(dst.group.dim)]
+    for c, pairs in enumerate(src.lifts):
+        for m, coeff in pairs:
+            for row, y in zip(rows, dst.vectors[elem_map[m]]):
+                row[c] += coeff * y
+    return GroupMap(src.group, dst.group, rows, check=True)
 
 
 @dataclass(frozen=True)
@@ -85,17 +98,50 @@ class CompletedModule:
         return self.ops[slot][w]
 
 
-def linearize_module(b: BiGammaModule, name: str = "") -> CompletedModule:
+def linearize_module(b: BiGammaModule, name: str = "",
+                     completion: Completion | None = None) -> CompletedModule:
     """Completion of the carrier with each slot action linearized.
 
     ``ops[j][w]`` is the completion of slot j's column for filler w
     (``BiGammaModule.actions``); each distinct column is linearized once.
+    ``completion`` is b.M's completion when the caller already has one;
+    ``linearize_all`` passes it so that modules of one call share it.
+    Nothing is cached across calls.
     """
-    comp = group_complete(b.M)
+    comp = group_complete(b.M) if completion is None else completion
     ops = map_columns(lambda col: completion_map(comp, comp, col),
                       [b.actions(j) for j in range(b.parent.n)])
     return CompletedModule(b.parent, comp.group, tuple(map(tuple, ops)), comp,
                            name=name or b.name)
+
+
+def linearize_all(mods) -> list[CompletedModule]:
+    """Linearize the modules one derived call works with, sharing the work.
+
+    Each distinct monoid is completed once, and a module equal to an earlier
+    one (``modules.same_module``) takes its operators under its own name.
+    CompletedModules pass through and lend their completion.  The sharing
+    lasts for this call only: nothing is stored on the modules or monoids.
+    """
+    comps: dict[FiniteAddMonoid, Completion] = {}
+    done: list[tuple[BiGammaModule, CompletedModule]] = []
+    out = []
+    for b in mods:
+        if isinstance(b, CompletedModule):
+            if b.completion is not None:
+                comps.setdefault(b.completion.monoid, b.completion)
+            out.append(b)
+            continue
+        twin = next((lin for a, lin in done if same_module(a, b)), None)
+        if twin is None:
+            if b.M not in comps:
+                comps[b.M] = group_complete(b.M)
+            lin = linearize_module(b, completion=comps[b.M])
+        else:
+            lin = replace(twin, name=b.name)
+        done.append((b, lin))
+        out.append(lin)
+    return out
 
 
 def linearize_morphism(f: ModuleMorphism, src: CompletedModule,

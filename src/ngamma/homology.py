@@ -29,7 +29,8 @@ from .modules import (
     regular_bimodule, validate_module_morphism,
 )
 from .completion import (
-    CompletedModule, EquivariantHom, TensorGroup, linearize_module, linearize_morphism,
+    CompletedModule, EquivariantHom, TensorGroup, linearize_all, linearize_module,
+    linearize_morphism,
 )
 
 
@@ -276,13 +277,10 @@ class BarComplex:
                     acc = acc.add(module.op(slot, w))
             summed.append(acc)
         out = [[None] * mdim for _ in range(tdim)]
-        for ia in range(tdim):
-            va = comp.pres.lift([1 if q == ia else 0 for q in range(tdim)])
+        for ia, pairs in enumerate(comp.lifts):
             for ib in range(mdim):
                 acc = [0] * mdim
-                for t, ct in enumerate(va):
-                    if not ct:
-                        continue
+                for t, ct in pairs:
                     col = [summed[t].mat[rr][ib] for rr in range(mdim)]
                     acc = [p + ct * q for p, q in zip(acc, col)]
                 out[ia][ib] = module.group.reduce(acc)
@@ -333,14 +331,23 @@ def _nonzero(vec):
             yield i, c
 
 
+def _regular(s: NaryGammaSemiring, carrier):
+    return regular_bimodule(s) if carrier is None else carrier
+
+
 def bar_complex(s: NaryGammaSemiring, module, j: int = 2, k: int = 0,
                 depth: int = 4, policy: ContractionPolicy | None = None,
                 carrier: CompletedModule | None = None) -> BarComplex:
+    """The bar tower of ``module`` (a BiGammaModule or CompletedModule).
+
+    The carrier defaults to the regular module, linearized together with
+    ``module`` (``linearize_all``): it shares the module's completion when
+    the module's monoid is s.T, and its operators when the module is the
+    regular one.  Callers that build several towers pass one ``carrier``.
+    Nothing is cached across calls.
+    """
     policy = policy or default_policy(s)
-    if isinstance(module, BiGammaModule):
-        module = linearize_module(module)
-    if carrier is None:
-        carrier = linearize_module(regular_bimodule(s))
+    module, carrier = linearize_all([module, _regular(s, carrier)])
     if not (0 <= j < s.n and 0 <= k < s.n):
         raise ValueError("slot indices out of range")
     return BarComplex(s, module, carrier, j, k, depth, policy)
@@ -415,19 +422,24 @@ class DerivedResult:
 
 
 def ext_via_bar(s, m, n, j: int = 2, k: int = 0, depth: int = 2,
-                policy: ContractionPolicy | None = None) -> DerivedResult:
+                policy: ContractionPolicy | None = None,
+                carrier: CompletedModule | None = None) -> DerivedResult:
+    """Ext of m into n on m's bar tower; m, n and the carrier are
+    linearized together, so each distinct monoid is completed once."""
     policy = policy or default_policy(s)
-    bar = bar_complex(s, m, j, k, depth + 1, policy)
-    target = n if isinstance(n, CompletedModule) else linearize_module(n)
+    lin_m, target, carrier = linearize_all([m, n, _regular(s, carrier)])
+    bar = bar_complex(s, lin_m, j, k, depth + 1, policy, carrier)
     hc = HomCochain(bar, target)
     return DerivedResult(hc.cochain.cohomology(depth), bar)
 
 
 def tor_via_bar(s, m, n, j: int = 2, k: int = 0, depth: int = 2,
-                policy: ContractionPolicy | None = None) -> DerivedResult:
+                policy: ContractionPolicy | None = None,
+                carrier: CompletedModule | None = None) -> DerivedResult:
+    """Tor of m's bar tower against n, linearized as in ``ext_via_bar``."""
     policy = policy or default_policy(s)
-    bar = bar_complex(s, m, j, k, depth + 1, policy)
-    right = n if isinstance(n, CompletedModule) else linearize_module(n)
+    lin_m, right, carrier = linearize_all([m, n, _regular(s, carrier)])
+    bar = bar_complex(s, lin_m, j, k, depth + 1, policy, carrier)
     tc = TensorChain(bar, right)
     return DerivedResult(homology(tc.chain)[:depth + 1], bar)
 
@@ -474,14 +486,16 @@ def _unit_into_cofree(b: BiGammaModule, policy: ContractionPolicy):
 
 
 def cofree_coresolution(s: NaryGammaSemiring, b: BiGammaModule, depth: int = 2,
-                        policy: ContractionPolicy | None = None) -> CofreeTower:
+                        policy: ContractionPolicy | None = None,
+                        completed: CompletedModule | None = None) -> CofreeTower:
     """Iterated cofree embeddings with completed connecting maps.
 
     Stage r embeds the cokernel of stage r-1 (b at stage 0) into its cofree
-    module; each stage completes those two monoids once.
+    module; each stage completes those two monoids once, except that stage 0
+    uses ``completed``, b's completed module, when the caller has it.
     """
     policy = policy or default_policy(s)
-    current = b
+    current, lin_src = b, completed
     sources: list[CompletedModule] = []
     terms: list[CompletedModule] = []
     monoid_sizes: list[int] = []
@@ -491,7 +505,8 @@ def cofree_coresolution(s: NaryGammaSemiring, b: BiGammaModule, depth: int = 2,
         cf, unit = _unit_into_cofree(current, policy)
         if not validate_module_morphism(unit).ok:
             raise SoundnessError("unit is not a module morphism on this instance")
-        lin_src = linearize_module(current)
+        if lin_src is None:
+            lin_src = linearize_module(current)
         lin_dst = linearize_module(cf.module)
         unit_lin = linearize_morphism(unit, lin_src, lin_dst)
         if not kernel(unit_lin).group.is_trivial():
@@ -504,7 +519,7 @@ def cofree_coresolution(s: NaryGammaSemiring, b: BiGammaModule, depth: int = 2,
         units.append(unit)
         proj = quotient_projection(cf.module, set(unit.map), f"{cf.module.name}/im")
         projs.append(proj)
-        current = proj.target
+        current, lin_src = proj.target, None
     maps = []
     for r in range(depth):
         step1 = linearize_morphism(projs[r], terms[r], sources[r + 1])
@@ -518,9 +533,12 @@ def cofree_coresolution(s: NaryGammaSemiring, b: BiGammaModule, depth: int = 2,
 
 
 def ext_via_cofree(s: NaryGammaSemiring, m, n: BiGammaModule, depth: int = 2,
-                   policy: ContractionPolicy | None = None) -> DerivedResult:
+                   policy: ContractionPolicy | None = None,
+                   completed: CompletedModule | None = None) -> DerivedResult:
+    """Ext of m into n on n's cofree tower; ``completed`` is n's completed
+    module when the caller has it."""
     policy = policy or default_policy(s)
-    tower = cofree_coresolution(s, n, depth + 1, policy)
+    tower = cofree_coresolution(s, n, depth + 1, policy, completed)
     lin_m = m if isinstance(m, CompletedModule) else linearize_module(m)
     cochain = tower.cochain_hom_from(lin_m)
     return DerivedResult(cochain.cohomology(depth), None)
@@ -542,9 +560,10 @@ def balance_check(s, m: BiGammaModule, n: BiGammaModule, depth: int = 2,
                   j: int = 2, k: int = 0,
                   policy: ContractionPolicy | None = None) -> BalanceReport:
     policy = policy or default_policy(s)
-    via_bar = ext_via_bar(s, m, n, j, k, depth, policy)
+    lin_m, lin_n, carrier = linearize_all([m, n, regular_bimodule(s)])
+    via_bar = ext_via_bar(s, lin_m, lin_n, j, k, depth, policy, carrier)
     try:
-        via_cofree = ext_via_cofree(s, m, n, depth, policy)
+        via_cofree = ext_via_cofree(s, lin_m, n, depth, policy, lin_n)
     except RegularityError as e:
         return BalanceReport(list(range(depth + 1)), via_bar.factors(), [],
                              skipped=str(e))
@@ -632,28 +651,28 @@ def les_check(c: Conflation, n: BiGammaModule, depth: int = 2,
     """Long exact sequence of a conflation through the given degree.
 
     side "hom" is contravariant in the conflation (Hom into n); side "tor"
-    tensors n's bar tower against the conflation covariantly.
+    tensors n's bar tower against the conflation covariantly.  The
+    conflation's modules, n and the regular carrier are linearized once,
+    together, and every bar tower of the call shares that one carrier.
     """
     s = n.parent
     policy = policy or default_policy(s)
-    a_mod, b_mod, c_mod = c.i.source, c.i.target, c.p.target
-    lin_a, lin_b, lin_c = (linearize_module(a_mod), linearize_module(b_mod),
-                           linearize_module(c_mod))
+    lin_a, lin_b, lin_c, lin_n, carrier = linearize_all(
+        [c.i.source, c.i.target, c.p.target, n, regular_bimodule(s)])
     ki = linearize_morphism(c.i, lin_a, lin_b)
     kp = linearize_morphism(c.p, lin_b, lin_c)
     completion_exact = is_short_exact(ki, kp)
     bar_depth = depth + 2
-    bar_a = bar_complex(s, lin_a, j, k, bar_depth, policy)
-    bar_b = bar_complex(s, lin_b, j, k, bar_depth, policy)
-    bar_c = bar_complex(s, lin_c, j, k, bar_depth, policy)
+    bar_a = bar_complex(s, lin_a, j, k, bar_depth, policy, carrier)
+    bar_b = bar_complex(s, lin_b, j, k, bar_depth, policy, carrier)
+    bar_c = bar_complex(s, lin_c, j, k, bar_depth, policy, carrier)
     maps_i = bar_map(bar_a, bar_b, ki)
     maps_p = bar_map(bar_b, bar_c, kp)
 
     if side == "hom":
-        target = linearize_module(n)
-        hc_a = HomCochain(bar_a, target)
-        hc_b = HomCochain(bar_b, target)
-        hc_c = HomCochain(bar_c, target)
+        hc_a = HomCochain(bar_a, lin_n)
+        hc_b = HomCochain(bar_b, lin_n)
+        hc_c = HomCochain(bar_c, lin_n)
 
         def pullback(hsrc, hdst, gms):
             return [hsrc.homs[r].precompose(gm, hdst.homs[r], "pullback")
@@ -668,8 +687,7 @@ def les_check(c: Conflation, n: BiGammaModule, depth: int = 2,
 
     if side != "tor":
         raise ValueError("side must be 'hom' or 'tor'")
-    right = linearize_module(n)
-    barn = bar_complex(s, right, j, k, bar_depth, policy)
+    barn = bar_complex(s, lin_n, j, k, bar_depth, policy, carrier)
     tc_a = TensorChain(barn, lin_a)
     tc_b = TensorChain(barn, lin_b)
     tc_c = TensorChain(barn, lin_c)
@@ -712,9 +730,8 @@ class ExtSetup:
         self.semiring = s
         self.policy = policy or default_policy(s)
         self.jslot, self.kslot = j, k
-        self.src = linearize_module(m)
-        self.dst = linearize_module(n)
-        self.bar = bar_complex(s, self.src, j, k, depth, self.policy)
+        self.src, self.dst, carrier = linearize_all([m, n, regular_bimodule(s)])
+        self.bar = bar_complex(s, self.src, j, k, depth, self.policy, carrier)
         self.hom = HomCochain(self.bar, self.dst)
         self.nodes = [self.hom.cochain.node(r)
                       for r in range(len(self.hom.cochain.groups) - 1)]

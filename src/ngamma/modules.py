@@ -129,6 +129,13 @@ def regular_bimodule(s: NaryGammaSemiring) -> BiGammaModule:
     return BiGammaModule(s, s.T, (s.mu_table,) * s.n, name=f"{s.name}.regular")
 
 
+def same_module(a: BiGammaModule, b: BiGammaModule) -> bool:
+    """Whether a and b are one module up to name: the same semiring, carrier
+    and action tables (so the regular module is recognized however built)."""
+    return a is b or (a.parent == b.parent and a.M == b.M
+                      and a.act_tables == b.act_tables)
+
+
 def zero_module(s: NaryGammaSemiring) -> BiGammaModule:
     one = FiniteAddMonoid(1, (0,), 0)
     return build_module(s, one, lambda j, tother, m, gs: 0, name=f"{s.name}.zero")
@@ -435,9 +442,16 @@ class HomModule:
 
 
 def _maps_module(s: NaryGammaSemiring, maps, coeff: FiniteAddMonoid, domain: BiGammaModule,
-                 what: str, name: str) -> HomModule:
+                 what: str, name: str, bound: int) -> HomModule:
     """Maps out of ``domain`` into ``coeff`` under pointwise addition, each
-    filler acting by precomposition with its column of ``domain``."""
+    filler acting by precomposition with its column of ``domain``.
+
+    The addition table has len(maps)**2 entries; more than ``bound`` is
+    refused before any is tabulated.
+    """
+    if len(maps) ** 2 > bound:
+        raise BoundExceeded(f"{what} addition table of {len(maps)}^2 = {len(maps) ** 2} "
+                            f"sums exceeds its bound {bound}")
     index = {f: i for i, f in enumerate(maps)}
     add = []
     for f in maps:
@@ -469,12 +483,15 @@ def hom_gamma(src: BiGammaModule, dst: BiGammaModule, j: int = 0, k: int = 0,
     slot pair only records orientation.  On a non-commutative carrier (binary
     M2(F2)) the precomposed maps need not be equivariant, and the call raises
     SoundnessError "hom action leaves the enumerated maps".
+
+    ``bound`` caps both the candidate maps and the entries of the addition
+    table (the number of maps squared); beyond it BoundExceeded is raised.
     """
     s = src.parent
     if s != dst.parent:
         raise StructuralError("hom endpoints live over different semirings")
     return _maps_module(s, equivariant_maps(src, dst, bound), dst.M, src, "hom",
-                        f"Hom({src.name},{dst.name})[{j + 1},{k + 1}]")
+                        f"Hom({src.name},{dst.name})[{j + 1},{k + 1}]", bound)
 
 
 def cofree(s: NaryGammaSemiring, coeff: FiniteAddMonoid,
@@ -483,9 +500,11 @@ def cofree(s: NaryGammaSemiring, coeff: FiniteAddMonoid,
 
     Slot i acts by inserting material into slot i of the argument, so the
     result is the coinduced module of the underlying additive structure.
+    ``bound`` caps both the candidate maps and the entries of the addition
+    table (the number of maps squared); beyond it BoundExceeded is raised.
     """
     return _maps_module(s, additive_maps(s.T, coeff, bound), coeff, regular_bimodule(s),
-                        "cofree", name or f"cofree({s.name})")
+                        "cofree", name or f"cofree({s.name})", bound)
 
 
 # ---------------------------------------------------------------------------

@@ -151,40 +151,58 @@ def subset_scan_primes(s: NaryGammaSemiring,
 
 def all_additive_maps(src: FiniteAddMonoid, dst: FiniteAddMonoid,
                       bound: int = ORACLE_MAP_BOUND):
-    """Additive maps found by filtering all |dst|^|src| tables, in order."""
+    """Additive maps among all |dst|^|src| tables, in ``itertools.product``
+    order.
+
+    Values are assigned in element order, and a partial table is dropped as
+    soon as the zero law or a sum a + b = c among its assigned elements
+    fails; a complete table has passed every sum and the zero law.
+    """
     if dst.size ** src.size > bound:
         raise BoundExceeded("oracle map enumeration refused")
-    for f in product(range(dst.size), repeat=src.size):
-        if f[src.zero] == dst.zero and not any(
-                f[src.add(a, b)] != dst.add(f[a], f[b])
-                for a in range(src.size) for b in range(src.size)):
-            yield f
+    k = src.size
+    # checks[i]: the sums that can be tested once element i is assigned
+    checks = [[] for _ in range(k)]
+    for a in range(k):
+        for b in range(k):
+            c = src.add(a, b)
+            checks[max(a, b, c)].append((a, b, c))
+    f: list[int] = []
+    v = 0
+    while True:
+        if v == dst.size:
+            if not f:
+                return
+            v = f.pop() + 1
+            continue
+        i = len(f)
+        f.append(v)
+        if (i != src.zero or v == dst.zero) and all(
+                f[c] == dst.add(f[a], f[b]) for a, b, c in checks[i]):
+            if i + 1 < k:
+                v = 0
+                continue
+            yield tuple(f)
+        v = f.pop() + 1
 
 
 def all_maps_hom(src: BiGammaModule, dst: BiGammaModule,
                  bound: int = ORACLE_MAP_BOUND) -> list[tuple[int, ...]]:
-    """Additive equivariant maps found by filtering all |dst|^|src| tables."""
+    """Additive equivariant maps found by filtering all additive maps.
+
+    Every action is read once per call: a map f is kept when
+    f(src.act(..., m, ...)) = dst.act(..., f(m), ...) for every slot,
+    filler and element.
+    """
     s = src.parent
-    out = []
-    for f in all_additive_maps(src.M, dst.M, bound):
-        ok = True
-        for jj in range(s.n):
-            for tother in product(range(s.T.size), repeat=s.n - 1):
-                for gs in product(range(s.gamma.size), repeat=s.n - 1):
-                    for m in range(src.M.size):
-                        if f[src.act(jj, tother, m, gs)] != \
-                                dst.act(jj, tother, f[m], gs):
-                            ok = False
-                            break
-                    if not ok:
-                        break
-                if not ok:
-                    break
-            if not ok:
-                break
-        if ok:
-            out.append(f)
-    return out
+    fillers = [(jj, tother, gs) for jj in range(s.n)
+               for tother in product(range(s.T.size), repeat=s.n - 1)
+               for gs in product(range(s.gamma.size), repeat=s.n - 1)]
+    pairs = [([src.act(jj, tother, m, gs) for m in range(src.M.size)],
+              [dst.act(jj, tother, x, gs) for x in range(dst.M.size)])
+             for jj, tother, gs in fillers]
+    return [f for f in all_additive_maps(src.M, dst.M, bound)
+            if all(f[sa[m]] == da[f[m]] for sa, da in pairs for m in range(src.M.size))]
 
 
 def injectivity_probe(target: BiGammaModule, trials,

@@ -23,8 +23,7 @@ from .modules import (
     ideal_submodule, module_from_actions, quotient_projection, regular_bimodule,
 )
 from .completion import (
-    CompletedModule, EquivariantHom, TensorGroup, linearize_module,
-    linearize_morphism,
+    CompletedModule, EquivariantHom, TensorGroup, linearize_all, linearize_morphism,
 )
 from .homology import (
     ChainComplexAb, ContractionPolicy, HomCochain, bar_complex, default_policy,
@@ -359,14 +358,17 @@ def kunneth_check(s: NaryGammaSemiring, m: BiGammaModule, n: BiGammaModule,
     Builds the grid of balanced tensor terms, applies equivariant Hom into
     the target, computes both filtrations, and reports per-diagonal order
     bookkeeping, stabilization, the page-homology law, and the comparison of
-    the second page against the directly computed Tor-of-Ext grid.
+    the second page against the directly computed Tor-of-Ext grid.  The
+    modules and the regular carrier are linearized once, together, and every
+    tower and probe of the call shares them.
     """
     policy = policy or default_policy(s)
-    lin_l = linearize_module(l)
-    lin_n = linearize_module(n)
-    bar_m = bar_complex(s, m, j, k, depth, policy)
-    bar_n = bar_complex(s, n, j, k, depth, policy)
+    lin_m, lin_n, lin_l, carrier = linearize_all([m, n, l, regular_bimodule(s)])
+    bar_m = bar_complex(s, lin_m, j, k, depth, policy, carrier)
+    bar_n = bar_complex(s, lin_n, j, k, depth, policy, carrier)
 
+    if conflations is None:
+        conflations = source_conflation_triples(s, carrier)
     flat = flatness_probe(s, lin_l, j, k, conflations=conflations)
 
     cells = {}
@@ -414,7 +416,7 @@ def kunneth_check(s: NaryGammaSemiring, m: BiGammaModule, n: BiGammaModule,
     ext_mods = ext_modules_with_ops(s, bar_m, lin_n, depth)
     direct = {}
     for qdeg in range(depth + 1):
-        tor = tor_via_bar(s, ext_mods[qdeg], lin_l, j, k, depth, policy)
+        tor = tor_via_bar(s, ext_mods[qdeg], lin_l, j, k, depth, policy, carrier)
         for pdeg in range(depth + 1):
             direct[(pdeg, qdeg)] = tor.factors()[pdeg]
     window = {key: v for key, v in direct.items()}
@@ -467,27 +469,26 @@ def extend_scalars(f: GammaSemiringMorphism, a: BiGammaModule,
         raise SoundnessError(f"target action does not descend to the extension: {exc}") from None
 
 
-def completed_extension_group(f: GammaSemiringMorphism, x: CompletedModule,
-                              j: int = 2, k: int = 0) -> AbGroup:
-    """K(T') balanced against a completed module over the source."""
-    left = linearize_module(restrict_scalars(f, regular_bimodule(f.target)))
-    return TensorGroup(left, x, j, k).group
+def source_conflation_triples(s: NaryGammaSemiring,
+                              carrier: CompletedModule | None = None):
+    """Ideal-induced completed short sequences used by the flatness probe.
 
-
-def source_conflation_triples(s: NaryGammaSemiring):
-    """Ideal-induced completed short sequences used by the flatness probe."""
-    out = []
+    ``carrier`` is the completed regular module when the caller has it; the
+    modules of all sequences are linearized together.
+    """
     regular = regular_bimodule(s)
-    reg = linearize_module(regular)
+    seqs = []
     for ideal in all_ideals(s):
         if not ideal.is_proper() or len(ideal.members) == 1:
             continue
-        sub = ideal_submodule(s, ideal)
-        incl = ModuleMorphism(sub, regular, tuple(ideal.sorted_members()))
+        incl = ModuleMorphism(ideal_submodule(s, ideal), regular,
+                              tuple(ideal.sorted_members()))
         proj = quotient_projection(regular, ideal.members, f"{s.name}.mod{ideal}")
-        out.append((linearize_module(sub), reg, linearize_module(proj.target),
-                    (incl, proj)))
-    return out
+        seqs.append((incl, proj))
+    reg, *lins = linearize_all([regular if carrier is None else carrier]
+                               + [m for incl, proj in seqs
+                                  for m in (incl.source, proj.target)])
+    return [(lins[2 * i], reg, lins[2 * i + 1], seq) for i, seq in enumerate(seqs)]
 
 
 def flatness_probe(s: NaryGammaSemiring, x: CompletedModule,
@@ -541,6 +542,8 @@ def base_change_check(f: GammaSemiringMorphism, m: BiGammaModule,
     The first compares the extension of each derived Hom group against the
     derived Hom of the extensions over the target; the second compares Tor
     over the source of the restricted extensions against Tor over the target.
+    Every module of the call, the two regular carriers included, is
+    linearized once, together.
     """
     s = f.source
     t = f.target
@@ -548,21 +551,25 @@ def base_change_check(f: GammaSemiringMorphism, m: BiGammaModule,
     policy_s = policy or default_policy(s)
     policy_t = policy or default_policy(t)
     ext_mod_m = extend_scalars(f, m, j, k).module
-    ext_mod_n = extend_scalars(f, n, j, k).module
-    lin_aex = linearize_module(ext_mod_m)
-    lin_bex = linearize_module(ext_mod_n)
+    ext_mod_n = ext_mod_m if n is m else extend_scalars(f, n, j, k).module
+    reg_t = regular_bimodule(t)
+    (lin_m, lin_n, carrier_s, lin_aex, lin_bex, carrier_t, res_aex, res_bex,
+     res_t) = linearize_all(
+        [m, n, regular_bimodule(s), ext_mod_m, ext_mod_n, reg_t]
+        + [restrict_scalars(f, b) for b in (ext_mod_m, ext_mod_n, reg_t)])
 
-    bar_src = bar_complex(s, m, j, k, depth + 1, policy_s)
-    ext_src = ext_modules_with_ops(s, bar_src, linearize_module(n), depth)
-    ext_left = [completed_extension_group(f, e, j, k).invariant_factors()
-                for e in ext_src]
-    ext_right = ext_via_bar(t, lin_aex, lin_bex, j, k, depth, policy_t).factors()
+    bar_src = bar_complex(s, lin_m, j, k, depth + 1, policy_s, carrier_s)
+    ext_src = ext_modules_with_ops(s, bar_src, lin_n, depth)
+    # K(T') balanced against each completed Ext module over the source
+    ext_left = [TensorGroup(res_t, e, j, k).group.invariant_factors() for e in ext_src]
+    ext_right = ext_via_bar(t, lin_aex, lin_bex, j, k, depth, policy_t,
+                            carrier_t).factors()
 
-    tor_left = tor_via_bar(t, lin_aex, lin_bex, j, k, depth, policy_t).factors()
-    tor_right = tor_via_bar(s, restrict_scalars(f, ext_mod_m),
-                            restrict_scalars(f, ext_mod_n),
-                            j, k, depth, policy_s).factors()
+    tor_left = tor_via_bar(t, lin_aex, lin_bex, j, k, depth, policy_t,
+                           carrier_t).factors()
+    tor_right = tor_via_bar(s, res_aex, res_bex, j, k, depth, policy_s,
+                            carrier_s).factors()
 
-    flat = flatness_probe(s, linearize_module(restrict_scalars(
-        f, regular_bimodule(t))), j, k)
+    flat = flatness_probe(s, res_t, j, k,
+                          conflations=source_conflation_triples(s, carrier_s))
     return BaseChangeReport(ext_left, ext_right, tor_left, tor_right, flat)

@@ -490,5 +490,34 @@ def test_operators_read_off_table_slices(family):
         comp = lin.completion
         for j in range(s.n):
             assert [op.mat for op in lin.ops[j]] == [
-                completion_map(comp, comp, lambda m: b.act(j, tf, m, gf)).mat
+                completion_map(comp, comp,
+                               tuple(b.act(j, tf, m, gf) for m in range(b.M.size))).mat
                 for tf, gf in filler_tuples(s)]
+
+
+def _per_basis_completion_map(src, dst, elem_map):
+    """The induced map built as it was before completions stored their
+    lifts: one ``pres.lift`` per basis vector, through ``from_images``."""
+    def image_of(basis):
+        img = [0] * dst.group.dim
+        for m, coeff in enumerate(src.pres.lift(basis)):
+            if coeff:
+                img = [x + coeff * y for x, y in zip(img, dst.vector(elem_map[m]))]
+        return img
+
+    return GroupMap.from_images(src.group, dst.group, image_of, check=True)
+
+
+@pytest.mark.parametrize("family", list(TABLE_FAMILIES) + ["bundled"])
+def test_stored_lifts_match_per_basis_lifts(family):
+    mods = (list(bundled_workspace().modules.values()) if family == "bundled"
+            else [regular_bimodule(TABLE_FAMILIES[family]())])
+    for b in mods:
+        lin = linearize_module(b)
+        comp = lin.completion
+        assert [[m for m, _ in pairs] for pairs in comp.lifts] == [
+            [m for m, c in enumerate(comp.pres.lift(e)) if c]
+            for e in la.identity(comp.group.dim)]
+        for j in range(b.parent.n):
+            assert [op.mat for op in lin.ops[j]] == [
+                _per_basis_completion_map(comp, comp, col).mat for col in b.actions(j)]

@@ -238,6 +238,19 @@ def test_cofree_coinduction_bijection(z4):
     assert len(morphisms) == len(addmaps)
 
 
+def test_maps_module_bounds_its_addition_table(z4, f2):
+    # Z/4 -> Z/4 has 4 additive maps (within the bound of 10), whose
+    # addition table would have 16 entries: refused before tabulating.
+    with pytest.raises(BoundExceeded, match=r"cofree addition table of 4\^2 = 16 sums "
+                                            r"exceeds its bound 10"):
+        cofree(z4, z4.T, bound=10)
+    assert cofree(z4, z4.T, bound=16).module.M.size == 4
+    reg = regular_bimodule(f2)
+    with pytest.raises(BoundExceeded, match=r"hom addition table of 2\^2 = 4 sums "
+                                            r"exceeds its bound 3"):
+        hom_gamma(reg, reg, bound=3)
+
+
 def test_conflations(f2, z4):
     reg = regular_bimodule(f2)
     z = zero_module(f2)

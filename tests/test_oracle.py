@@ -1,7 +1,10 @@
 import random
+from itertools import product
 
 import pytest
+from test_fuzz import _monoid_pool
 
+from ngamma.bundled import bundled_workspace
 from ngamma.core import (
     BoundExceeded, FiniteAddMonoid, NaryGammaSemiring, bundled_semirings,
     validate_semiring,
@@ -46,6 +49,48 @@ def test_hom_enumeration_agrees():
     sub = ideal_submodule(z4, GammaIdeal(z4, frozenset({0, 2})))
     for m, n in [(reg, reg), (reg, sub), (sub, reg), (sub, sub)]:
         assert sorted(hom_gamma(m, n).maps) == sorted(oracle.all_maps_hom(m, n))
+
+
+def _product_filter(src, dst):
+    """Additive maps by filtering every table in ``product`` order, each
+    against the zero law and every sum."""
+    for f in product(range(dst.size), repeat=src.size):
+        if f[src.zero] == dst.zero and not any(
+                f[src.add(a, b)] != dst.add(f[a], f[b])
+                for a in range(src.size) for b in range(src.size)):
+            yield f
+
+
+def _product_filter_hom(src, dst):
+    """Equivariant maps by reading both actions for every candidate."""
+    s = src.parent
+    return [f for f in _product_filter(src.M, dst.M)
+            if all(f[src.act(jj, t, m, gs)] == dst.act(jj, t, f[m], gs)
+                   for jj in range(s.n)
+                   for t in product(range(s.T.size), repeat=s.n - 1)
+                   for gs in product(range(s.gamma.size), repeat=s.n - 1)
+                   for m in range(src.M.size))]
+
+
+def test_pruned_map_search_matches_the_product_filter():
+    # The same maps in the same order, on the bundled monoids and the fuzz
+    # pool, wherever the oracle's bound admits the pair.
+    ws = bundled_workspace()
+    pool = list(ws.monoids.values()) + [m for size in range(1, 5)
+                                        for m in _monoid_pool(size)]
+    pairs = 0
+    for src in pool:
+        for dst in pool:
+            if dst.size ** src.size > oracle.ORACLE_MAP_BOUND:
+                continue
+            pairs += 1
+            assert list(oracle.all_additive_maps(src, dst)) == list(_product_filter(src, dst))
+    assert pairs > 100
+    for m in ws.modules.values():
+        for n in ws.modules.values():
+            if m.parent == n.parent and \
+                    n.M.size ** m.M.size <= oracle.ORACLE_MAP_BOUND:
+                assert oracle.all_maps_hom(m, n) == _product_filter_hom(m, n)
 
 
 def test_injectivity_probe_cofree_extends():
