@@ -229,11 +229,11 @@ def cmd_complete(ws: Workspace, args, rep: Reporter) -> int:
     return rep.emit(results, True, ws)
 
 
-def cmd_ext_tor(ws: Workspace, args, rep: Reporter, which: str) -> int:
+def cmd_ext_tor(ws: Workspace, args, rep: Reporter) -> int:
     s = ws.semiring(args.semiring)
     m, n = ws.module(args.m), ws.module(args.n)
     j, k, policy = _derived_options(args, s)
-    fn = ext_via_bar if which == "ext" else tor_via_bar
+    fn = ext_via_bar if args.cmd == "ext" else tor_via_bar
     res = fn(s, m, n, j, k, args.depth, policy)
     results = {"degrees": {str(r): list(f) for r, f in enumerate(res.factors())}}
     if args.emit_matrices:
@@ -417,7 +417,109 @@ def cmd_oracle(ws: Workspace, args, rep: Reporter) -> int:
 # Argument wiring
 # ---------------------------------------------------------------------------
 
-def build_parser() -> argparse.ArgumentParser:
+def _args_ideals(p: argparse.ArgumentParser) -> None:
+    p.add_argument("action", choices=("list", "quotient"))
+    p.add_argument("semiring")
+    p.add_argument("--ideal", type=int, default=1,
+                   help="ideal as a bitmask over element indices")
+
+
+def _args_spectrum(p: argparse.ArgumentParser) -> None:
+    p.add_argument("semiring")
+
+
+def _args_mod(p: argparse.ArgumentParser) -> None:
+    p.add_argument("action", choices=("validate", "hom", "tensor", "cofree"))
+    p.add_argument("names", nargs="+")
+    p.add_argument("--slots", default=None,
+                   help="slot pair j,k; defaults to last-against-first")
+
+
+def _args_complete(p: argparse.ArgumentParser) -> None:
+    p.add_argument("module")
+
+
+def _args_balance(p: argparse.ArgumentParser) -> None:
+    p.add_argument("semiring")
+    p.add_argument("m")
+    p.add_argument("n")
+    _add_derived_flags(p)
+
+
+def _args_ext_tor(p: argparse.ArgumentParser) -> None:
+    _args_balance(p)
+    p.add_argument("--emit-matrices", action="store_true")
+
+
+def _args_les(p: argparse.ArgumentParser) -> None:
+    p.add_argument("conflation")
+    p.add_argument("n")
+    p.add_argument("--side", choices=("hom", "tor"), default="hom")
+    _add_derived_flags(p)
+
+
+def _args_yoneda(p: argparse.ArgumentParser) -> None:
+    p.add_argument("semiring")
+    p.add_argument("m")
+    _add_derived_flags(p)
+
+
+def _args_kunneth(p: argparse.ArgumentParser) -> None:
+    p.add_argument("semiring")
+    p.add_argument("m")
+    p.add_argument("n")
+    p.add_argument("l")
+    _add_derived_flags(p)
+    p.add_argument("--emit-pages", action="store_true")
+
+
+def _args_basechange(p: argparse.ArgumentParser) -> None:
+    p.add_argument("morphism")
+    p.add_argument("m")
+    p.add_argument("n")
+    p.add_argument("--slots", default=None)
+    p.add_argument("--depth", type=int, default=1)
+
+
+def _args_oracle(p: argparse.ArgumentParser) -> None:
+    p.add_argument("target",
+                   choices=("axioms", "ideals", "spectrum", "hom", "tensor",
+                            "homology", "all"))
+
+
+# Every subcommand, in help order: name -> (help, argument registration,
+# handler).
+COMMANDS = {
+    "validate": ("validate everything in the workspace", lambda p: None, cmd_validate),
+    "ideals": ("list ideals or build a quotient", _args_ideals, cmd_ideals),
+    "spectrum": ("prime ideals and closed sets", _args_spectrum, cmd_spectrum),
+    "mod": ("module-level operations", _args_mod, cmd_mod),
+    "complete": ("group completion of a module", _args_complete, cmd_complete),
+    "ext": ("derived ext groups via the bar tower", _args_ext_tor, cmd_ext_tor),
+    "tor": ("derived tor groups via the bar tower", _args_ext_tor, cmd_ext_tor),
+    "balance": ("compare the two derived Hom routes", _args_balance, cmd_balance),
+    "les": ("long exact sequence of a conflation", _args_les, cmd_les),
+    "yoneda": ("composition table of extension classes", _args_yoneda, cmd_yoneda),
+    "kunneth": ("double-complex page consistency", _args_kunneth, cmd_kunneth),
+    "basechange": ("derived comparisons along a morphism", _args_basechange,
+                   cmd_basechange),
+    "oracle": ("brute-force recomputation diff", _args_oracle, cmd_oracle),
+}
+
+# The top-level options, split by whether they take a value.
+VALUE_OPTIONS = frozenset({"-w", "--workspace", "--format", "--bound"})
+FLAG_OPTIONS = frozenset({"--no-bundled"})
+
+
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The ``ngamma`` parser: every subcommand, or only ``command``'s.
+
+    A one-command parser reads that command's arguments into the same
+    namespace as the full parser, and its usage line still lists every
+    command, so an error it reports reads as the full parser's.  ``main``
+    builds one per call and falls back to the full parser for help, an
+    unknown or missing command, or an option it cannot skip.
+    """
     top = argparse.ArgumentParser(
         prog="ngamma",
         description="exact computations over finite n-ary parameterized semirings")
@@ -428,93 +530,43 @@ def build_parser() -> argparse.ArgumentParser:
     top.add_argument("--format", choices=("text", "structured"), default="text")
     top.add_argument("--bound", type=int, default=16,
                      help="carrier size bound for subset enumerations")
-    sub = top.add_subparsers(dest="cmd", required=True)
-
-    sub.add_parser("validate", help="validate everything in the workspace")
-
-    p = sub.add_parser("ideals", help="list ideals or build a quotient")
-    p.add_argument("action", choices=("list", "quotient"))
-    p.add_argument("semiring")
-    p.add_argument("--ideal", type=int, default=1,
-                   help="ideal as a bitmask over element indices")
-
-    p = sub.add_parser("spectrum", help="prime ideals and closed sets")
-    p.add_argument("semiring")
-
-    p = sub.add_parser("mod", help="module-level operations")
-    p.add_argument("action", choices=("validate", "hom", "tensor", "cofree"))
-    p.add_argument("names", nargs="+")
-    p.add_argument("--slots", default=None,
-                   help="slot pair j,k; defaults to last-against-first")
-
-    p = sub.add_parser("complete", help="group completion of a module")
-    p.add_argument("module")
-
-    for which in ("ext", "tor"):
-        p = sub.add_parser(which, help=f"derived {which} groups via the bar tower")
-        p.add_argument("semiring")
-        p.add_argument("m")
-        p.add_argument("n")
-        _add_derived_flags(p)
-        p.add_argument("--emit-matrices", action="store_true")
-
-    p = sub.add_parser("balance", help="compare the two derived Hom routes")
-    p.add_argument("semiring")
-    p.add_argument("m")
-    p.add_argument("n")
-    _add_derived_flags(p)
-
-    p = sub.add_parser("les", help="long exact sequence of a conflation")
-    p.add_argument("conflation")
-    p.add_argument("n")
-    p.add_argument("--side", choices=("hom", "tor"), default="hom")
-    _add_derived_flags(p)
-
-    p = sub.add_parser("yoneda", help="composition table of extension classes")
-    p.add_argument("semiring")
-    p.add_argument("m")
-    _add_derived_flags(p)
-
-    p = sub.add_parser("kunneth", help="double-complex page consistency")
-    p.add_argument("semiring")
-    p.add_argument("m")
-    p.add_argument("n")
-    p.add_argument("l")
-    _add_derived_flags(p)
-    p.add_argument("--emit-pages", action="store_true")
-
-    p = sub.add_parser("basechange", help="derived comparisons along a morphism")
-    p.add_argument("morphism")
-    p.add_argument("m")
-    p.add_argument("n")
-    p.add_argument("--slots", default=None)
-    p.add_argument("--depth", type=int, default=1)
-
-    p = sub.add_parser("oracle", help="brute-force recomputation diff")
-    p.add_argument("target",
-                   choices=("axioms", "ideals", "spectrum", "hom", "tensor",
-                            "homology", "all"))
+    # Left unset, the metavar lists the registered commands and a missing
+    # command is reported as "cmd", as the full parser has always done.
+    sub = top.add_subparsers(
+        dest="cmd", required=True,
+        metavar=None if command is None else "{" + ",".join(COMMANDS) + "}")
+    for name in COMMANDS if command is None else (command,):
+        text, register, _handler = COMMANDS[name]
+        register(sub.add_parser(name, help=text))
     return top
 
 
-HANDLERS = {
-    "validate": cmd_validate,
-    "ideals": cmd_ideals,
-    "spectrum": cmd_spectrum,
-    "mod": cmd_mod,
-    "complete": cmd_complete,
-    "balance": cmd_balance,
-    "les": cmd_les,
-    "yoneda": cmd_yoneda,
-    "kunneth": cmd_kunneth,
-    "basechange": cmd_basechange,
-    "oracle": cmd_oracle,
-}
+def command_in(argv) -> str | None:
+    """The command ``argv`` names, or None when only the full parser can tell.
+
+    The value after each of ``VALUE_OPTIONS`` is skipped and the first
+    other positional is the command.  Any option outside ``VALUE_OPTIONS``
+    and ``FLAG_OPTIONS`` before it (help, an abbreviation, an attached
+    value, ``--``) gives None, as does a name that is not a command.
+    """
+    tokens = iter(argv)
+    for tok in tokens:
+        if tok in VALUE_OPTIONS:
+            next(tokens, None)
+        elif tok not in FLAG_OPTIONS:
+            return tok if tok in COMMANDS else None
+    return None
 
 
 def main(argv=None) -> int:
+    """Run one ``ngamma`` call on ``argv`` and return its exit code.
+
+    Only the subparser of the command that ``command_in`` reads off argv is
+    built; without one, the full parser is, so help and error output are
+    those of ``build_parser()``.
+    """
     argv = list(sys.argv[1:] if argv is None else argv)
-    parser = build_parser()
+    parser = build_parser(command_in(argv))
     try:
         args = parser.parse_args(argv)
     except SystemExit as e:
@@ -523,9 +575,7 @@ def main(argv=None) -> int:
     rep = Reporter(args)
     try:
         ws = _load(args)
-        if args.cmd in ("ext", "tor"):
-            return cmd_ext_tor(ws, args, rep, args.cmd)
-        return HANDLERS[args.cmd](ws, args, rep)
+        return COMMANDS[args.cmd][2](ws, args, rep)
     except (WorkspaceError, StructuralError, BoundExceeded, RegularityError,
             SoundnessError, OSError) as e:
         sys.stderr.write(f"error: {e}\n")

@@ -544,9 +544,20 @@ def validate_morphism(f: GammaSemiringMorphism) -> AxiomReport:
     if f(s.T.zero) != t.T.zero:
         wit = wit or ("zero",)
     add = AxiomCheck("morphism additivity", wit is None, wit)
-    wit = next(((xs, gs) for xs in s.t_tuples(s.n) for gs in s.g_tuples(s.n - 1)
-                if f(s.mu(xs, gs)) != t.mu(tuple(f(x) for x in xs), gs)), None)
-    mul = AxiomCheck("morphism multiplicativity", wit is None, wit)
+    mul = AxiomCheck("morphism multiplicativity", True)
+    # Both tables hold one stride of parameter tuples per carrier tuple, and
+    # product(f.map, ...) yields f(xs) in the order xs are laid out.
+    stride = s.gamma.size ** (s.n - 1)
+    image = f.map.__getitem__
+    for row, ys in enumerate(product(f.map, repeat=s.n)):
+        src = s.mu_table[row * stride:(row + 1) * stride]
+        dst = flatten_index(ys, (t.T.size,) * t.n) * stride
+        if tuple(map(image, src)) != t.mu_table[dst:dst + stride]:
+            g = next(g for g, v in enumerate(src) if image(v) != t.mu_table[dst + g])
+            mul = AxiomCheck("morphism multiplicativity", False,
+                             (unflatten_index(row, (s.T.size,) * s.n),
+                              unflatten_index(g, (s.gamma.size,) * (s.n - 1))))
+            break
     return AxiomReport((add, mul))
 
 

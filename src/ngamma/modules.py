@@ -10,7 +10,7 @@ additive generator of the right factor.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property, reduce
 from itertools import product
 from math import prod
@@ -38,7 +38,10 @@ class BiGammaModule:
         for j, tbl in enumerate(self.act_tables):
             if len(tbl) != prod(self._sizes[j]):
                 raise StructuralError(f"slot {j + 1} action table has wrong size")
-            if out_of_range(tbl, self.M.size):
+            # The parent's own ``mu_table`` over M == T was range-checked
+            # when the parent was built.
+            if (tbl is not self.parent.mu_table or self.M != self.parent.T) \
+                    and out_of_range(tbl, self.M.size):
                 raise StructuralError(f"slot {j + 1} action entry out of range")
 
     def _layout(self, j: int) -> list:
@@ -251,12 +254,15 @@ def validate_module(b: BiGammaModule) -> AxiomReport:
     walk: each table law is then the semiring's law on the same table at the
     same positions with the same value monoid, and every word of the
     coherence walk is a word of flattened associativity over the same
-    generators.  Otherwise, or when the semiring fails, the tables are
-    walked (``walk_module``), so every failure witness is the walk's.
+    generators.  A module whose carrier has one element passes without a
+    walk too: every module law is an equation between values in M, and
+    ``BiGammaModule`` has range-checked every table entry.  Otherwise, or
+    when the semiring fails, the tables are walked (``walk_module``), so
+    every failure witness is the walk's.
     """
     s = b.parent
-    if b.M == s.T and all(t == s.mu_table for t in b.act_tables) \
-            and validate_semiring(s).ok:
+    if b.M.size == 1 or (b.M == s.T and all(t == s.mu_table for t in b.act_tables)
+                         and validate_semiring(s).ok):
         return AxiomReport(tuple(AxiomCheck(axiom, True) for axiom in _MODULE_AXIOMS))
     return walk_module(b)
 
@@ -311,6 +317,9 @@ class ModuleMorphism:
     source: BiGammaModule
     target: BiGammaModule
     map: tuple[int, ...]
+    # Holds the report once ``validate_module_morphism`` has computed it, as
+    # ``NaryGammaSemiring._memo`` does.
+    _memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.source.parent != self.target.parent:
@@ -323,6 +332,16 @@ class ModuleMorphism:
 
 
 def validate_module_morphism(f: ModuleMorphism) -> AxiomReport:
+    """Additivity and equivariance of f, each with its first witness.
+
+    The report is computed once per morphism object and kept.
+    """
+    if "report" not in f._memo:
+        f._memo["report"] = _module_morphism_report(f)
+    return f._memo["report"]
+
+
+def _module_morphism_report(f: ModuleMorphism) -> AxiomReport:
     src, dst = f.source, f.target
     wit = ("zero",) if f(src.M.zero) != dst.M.zero else next(
         ((a, b) for a in range(src.M.size) for b in range(src.M.size)

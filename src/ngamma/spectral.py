@@ -165,7 +165,17 @@ class SpectralPage:
 
 
 class FiltrationPages:
-    """Column-filtration pages of a bounded homological double complex."""
+    """Column-filtration pages of a bounded homological double complex.
+
+    The cycle lattice ``_zlattice`` of node (p, q) on page r depends only on
+    the total degree n = p+q and on the filtration indices p and p-r, each
+    clamped to the columns the grid has: anything from ``pmax`` up keeps
+    every column and anything below 0 keeps none (read as -1).  Lattices are
+    kept under that key (``_lattice_key``) and subquotients under the keys of
+    their three lattices, so once r passes the filtration length a page
+    reuses the subquotients of an earlier one.  A reused subquotient's
+    ``what`` label names the first page that built it.
+    """
 
     def __init__(self, d: DoubleComplexAb, up_to: int):
         self.double = d
@@ -177,25 +187,27 @@ class FiltrationPages:
         for r in range(up_to + 1):
             self.pages.append(self._page(r))
 
-    def _zlattice(self, r: int, p: int, q: int) -> list[list[int]]:
-        """Generators of {x in F_p Tot_(p+q) : dx in F_(p-r) + relations}.
+    def _lattice_key(self, r: int, p: int, q: int) -> tuple[int, int, int]:
+        """(n, clamped p, clamped p-r): all that ``_zlattice`` reads of r, p, q."""
+        pmax = self.double.pmax
+        return (p + q, max(min(p, pmax), -1), max(min(p - max(r, 0), pmax), -1))
+
+    def _zlattice(self, key: tuple[int, int, int]) -> list[list[int]]:
+        """Generators of {x in F_p Tot_n : dx in F_(p-r) + relations} for
+        the ``_lattice_key`` (n, p, p-r).
 
         F_p and F_(p-r) are sets of coordinates, so this is the kernel of d
         restricted to the F_p columns with the F_(p-r) rows dropped.
         """
-        r = max(r, 0)
-        key = (r, p, q)
         if key in self._zcache:
             return self._zcache[key]
-        n = p + q
-        # q may be negative: the cell label is bookkeeping, the lattice
-        # F_p of the total degree n = p+q is what matters.
-        cols = self.tot.filtration_columns(n, p)
+        n, top, bottom = key
+        cols = self.tot.filtration_columns(n, top)
         out = []
         if cols:
             g = self.tot.complex.groups[n]
             d = self.tot.complex.d(n)
-            lower = set(self.tot.filtration_columns(n - 1, p - r))
+            lower = set(self.tot.filtration_columns(n - 1, bottom))
             rows = [i for i in range(d.dst.dim) if i not in lower]
             restricted = GroupMap(AbGroup(tuple(g.orders[c] for c in cols)),
                                   AbGroup(tuple(d.dst.orders[i] for i in rows)),
@@ -210,14 +222,14 @@ class FiltrationPages:
         return out
 
     def _subquotient(self, r: int, p: int, q: int) -> Subquotient:
-        key = (r, p, q)
+        key = tuple(self._lattice_key(*cell) for cell in
+                    ((r, p, q), (r - 1, p - 1, q + 1), (r - 1, p + r - 1, q - r + 2)))
         if key in self._subq:
             return self._subq[key]
         n = p + q
         g = self.tot.complex.groups[n] if 0 <= n <= self.tot.maxdeg else AbGroup(())
-        znum = self._zlattice(r, p, q)
-        den = list(self._zlattice(r - 1, p - 1, q + 1))
-        dsrc = self._zlattice(r - 1, p + r - 1, q - r + 2)
+        znum, den, dsrc = map(self._zlattice, key)
+        den = list(den)
         if 0 <= n + 1 <= self.tot.maxdeg:
             d = self.tot.complex.d(n + 1)
             for v in dsrc:

@@ -1,6 +1,9 @@
+from collections import Counter
+
 import pytest
 
-from ngamma.abgroups import AbGroup, GroupMap, SoundnessError
+from ngamma import spectral
+from ngamma.abgroups import AbGroup, GroupMap, SoundnessError, Subquotient, kernel_gens
 from ngamma.bundled import bundled_workspace
 from ngamma.core import (
     GammaSemiringMorphism, f2_ternary, identity_morphism, ternary_from_semiring,
@@ -254,3 +257,111 @@ def test_base_change_along_isomorphism():
     iso = GammaSemiringMorphism(f2, f2, (0, 1))
     rep = base_change_check(iso, reg, reg, depth=1)
     assert rep.ext_match and rep.tor_match
+
+
+# ---------------------------------------------------------------------------
+# One lattice per filtration step
+# ---------------------------------------------------------------------------
+
+class _CellKeyedPages(FiltrationPages):
+    """``FiltrationPages`` with lattices and subquotients kept per (r, p, q)."""
+
+    def _zlattice(self, r, p, q):
+        r = max(r, 0)
+        key = (r, p, q)
+        if key in self._zcache:
+            return self._zcache[key]
+        n = p + q
+        cols = self.tot.filtration_columns(n, p)
+        out = []
+        if cols:
+            g = self.tot.complex.groups[n]
+            d = self.tot.complex.d(n)
+            lower = set(self.tot.filtration_columns(n - 1, p - r))
+            rows = [i for i in range(d.dst.dim) if i not in lower]
+            restricted = GroupMap(AbGroup(tuple(g.orders[c] for c in cols)),
+                                  AbGroup(tuple(d.dst.orders[i] for i in rows)),
+                                  [[d.mat[i][c] for c in cols] for i in rows],
+                                  check=False)
+            for gen in kernel_gens(restricted):
+                vec = [0] * g.dim
+                for c, v in zip(cols, gen):
+                    vec[c] = v
+                out.append(vec)
+        self._zcache[key] = out
+        return out
+
+    def _subquotient(self, r, p, q):
+        key = (r, p, q)
+        if key in self._subq:
+            return self._subq[key]
+        n = p + q
+        g = self.tot.complex.groups[n] if 0 <= n <= self.tot.maxdeg else AbGroup(())
+        znum = self._zlattice(r, p, q)
+        den = list(self._zlattice(r - 1, p - 1, q + 1))
+        dsrc = self._zlattice(r - 1, p + r - 1, q - r + 2)
+        if 0 <= n + 1 <= self.tot.maxdeg:
+            d = self.tot.complex.d(n + 1)
+            for v in dsrc:
+                den.append(list(d(v)))
+        sq = Subquotient(g, znum, den, what=f"page {r} node {(p, q)}")
+        self._subq[key] = sq
+        return sq
+
+
+def _kunneth_grids(monkeypatch, s, mods, depth):
+    """The double complexes ``kunneth_check`` hands to ``pages``, with the
+    numbers of subquotients built and ``kernel_gens`` calls made."""
+    grids, counts = [], Counter()
+
+    def recording(d, up_to):
+        grids.append((d, up_to))
+        return pages(d, up_to)
+
+    def counted(name, fn):
+        def call(*args, **kwargs):
+            counts[name] += 1
+            return fn(*args, **kwargs)
+        return call
+
+    monkeypatch.setattr(spectral, "pages", recording)
+    monkeypatch.setattr(spectral, "Subquotient", counted("Subquotient", Subquotient))
+    monkeypatch.setattr(spectral, "kernel_gens", counted("kernel_gens", kernel_gens))
+    kunneth_check(s, *mods, depth=depth)
+    monkeypatch.undo()
+    return grids, counts
+
+
+def test_kunneth_pages_build_each_lattice_once(monkeypatch):
+    ws = bundled_workspace()
+    reg = ws.module("f2_reg")
+    first, counts = _kunneth_grids(monkeypatch, ws.semiring("f2_ternary"), [reg] * 3, 2)
+    # Keyed per (r, p, q), the same call builds 128 subquotients and makes
+    # 190 kernel_gens calls.
+    assert counts["Subquotient"] <= 68
+    assert counts["kernel_gens"] <= 56
+    assert _kunneth_grids(monkeypatch, ws.semiring("f2_ternary"), [reg] * 3, 2)[1] == counts
+    assert len(first) == 1
+
+
+@pytest.mark.parametrize("family,names", [
+    ("f2_ternary", ("f2_reg", "f2_reg", "f2_reg")),
+    ("z4_ternary", ("z4_reg", "z4_ideal02", "z4_mod2")),
+])
+def test_lattice_keys_give_the_cell_keyed_pages(monkeypatch, family, names):
+    ws = bundled_workspace()
+    mods = [ws.module(name) for name in names]
+    ((grid, up_to),), _ = _kunneth_grids(monkeypatch, ws.semiring(family), mods, 2)
+    nonzero = 0
+    for d in (grid, grid.transpose()):
+        got, want = FiltrationPages(d, up_to), _CellKeyedPages(d, up_to)
+        assert len(got._subq) < len(want._subq)
+        for a, b in zip(got.pages, want.pages, strict=True):
+            assert a.entries.keys() == b.entries.keys()
+            assert all(a.entries[c].orders == b.entries[c].orders for c in a.entries)
+            assert a.diffs.keys() == b.diffs.keys()
+            assert all(a.diffs[c].mat == b.diffs[c].mat for c in a.diffs)
+            nonzero += sum(not gm.is_zero() for gm in a.diffs.values())
+        assert got.stable_from() == want.stable_from()
+        assert got.order_bookkeeping() == want.order_bookkeeping()
+    assert nonzero > 0

@@ -214,3 +214,88 @@ def test_loading_regular_modules_walks_only_the_semirings(monkeypatch):
     assert len(ws.modules) == 5
     assert alone["table_failures"] > 0 and alone["first_incoherent_word"] > 0
     assert with_modules == alone
+
+
+# ---------------------------------------------------------------------------
+# Each load-time check once
+# ---------------------------------------------------------------------------
+
+def test_one_element_modules_report_as_their_walk():
+    for family, s in REGULAR_FAMILIES.items():
+        rng = random.Random(f"one-element/{family}")
+        for t in [s] + [oracle.mutate_semiring(s, rng) for _ in range(4)]:
+            b = modules.zero_module(t)
+            assert b.M.size == 1
+            assert validate_module(b) == walk_module(b), (family, t.name)
+
+
+def _load_counts(monkeypatch):
+    calls = Counter()
+    for name in ("walk_module", "_equivariance_failure"):
+        def counted(*args, _name=name, _fn=getattr(modules, name)):
+            calls[_name] += 1
+            return _fn(*args)
+        monkeypatch.setattr(modules, name, counted)
+    ws = bundled_workspace()
+    monkeypatch.undo()
+    return calls, ws
+
+
+def test_bundled_load_checks_each_module_and_morphism_once(monkeypatch):
+    calls, ws = _load_counts(monkeypatch)
+    # Only the ideal submodule, the quotient and the direct sum have a
+    # carrier of more than one element that is not the regular module's.
+    assert calls["walk_module"] == 3
+    # The conflations reuse their legs' reports.
+    assert calls["_equivariance_failure"] == len(ws.module_morphisms) == 4
+    assert _load_counts(monkeypatch)[0] == calls
+
+
+def test_regular_bimodule_skips_the_range_scan_of_its_tables(monkeypatch):
+    scanned = []
+
+    def recording(values, size):
+        scanned.append(values)
+        return core.out_of_range(values, size)
+
+    monkeypatch.setattr(modules, "out_of_range", recording)
+    for s in REGULAR_FAMILIES.values():
+        b = regular_bimodule(s)
+        assert all(t is s.mu_table for t in b.act_tables)
+        assert not any(v is s.mu_table for v in scanned), s.name
+    # An equal table that is another object is still scanned.
+    s = REGULAR_FAMILIES["z4_ternary"]
+    copy = tuple(list(s.mu_table))
+    BiGammaModule(s, s.T, (copy,) * s.n)
+    assert any(v is copy for v in scanned)
+
+
+def _multiplicativity_scan(f):
+    """The first (xs, gs) in table order with f(mu(xs; gs)) != mu(f(xs); gs)."""
+    s, t = f.source, f.target
+    return next(((xs, gs) for xs in s.t_tuples(s.n) for gs in s.g_tuples(s.n - 1)
+                 if f(s.mu(xs, gs)) != t.mu(tuple(f(x) for x in xs), gs)), None)
+
+
+def test_morphism_multiplicativity_witness_is_the_tuple_scans():
+    fams = [REGULAR_FAMILIES[name] for name in
+            ("f2_ternary", "boolean_ternary", "z4_ternary", "f2_binary", "z4_binary",
+             "f2_quaternary")]
+    rng = random.Random("morphism-strides")
+    failing = passing = 0
+    for s in fams:
+        for t in fams:
+            if s.n != t.n or s.gamma != t.gamma:
+                continue
+            targets = [t] + [oracle.mutate_semiring(t, rng) for _ in range(3)]
+            for target in targets:
+                for _ in range(6):
+                    fmap = tuple(rng.randrange(target.T.size) for _ in range(s.T.size))
+                    f = GammaSemiringMorphism(s, target, fmap)
+                    want = _multiplicativity_scan(f)
+                    mul = core.validate_morphism(f).checks[1]
+                    assert mul.axiom == "morphism multiplicativity"
+                    assert (mul.ok, mul.witness) == (want is None, want), (s.name, fmap)
+                    failing += want is not None
+                    passing += want is None
+    assert failing >= 20 and passing >= 10, (failing, passing)

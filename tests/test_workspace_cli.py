@@ -1,9 +1,13 @@
+import importlib.util
 import json
+from itertools import combinations
+from pathlib import Path
 
 import pytest
 
+from ngamma import cli
 from ngamma.bundled import bundled_document, bundled_path, bundled_workspace
-from ngamma.cli import build_parser, main
+from ngamma.cli import build_parser, command_in, main
 from ngamma.workspace import (
     SCHEMA, Workspace, WorkspaceError, dump_document, merge_document,
     parse_workspace,
@@ -179,3 +183,73 @@ def test_derived_commands_parse_the_shared_flags(cmd):
     every = [part for flag, text, _, _ in _FLAG_VALUES for part in (flag, text)]
     got = vars(parser.parse_args([cmd, *positional, *every]))
     assert got == {**want, **{dest: value for _, _, dest, value in _FLAG_VALUES}}
+
+
+# ---------------------------------------------------------------------------
+# One subparser per call
+# ---------------------------------------------------------------------------
+
+def _bundled_commands():
+    """``BUNDLED_COMMANDS`` of the benchmark's job list, split into argv."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "jobs.py"
+    spec = importlib.util.spec_from_file_location("perfbench_jobs", path)
+    jobs = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(jobs)
+    return [command.split() for command in jobs.BUNDLED_COMMANDS]
+
+
+def _derived_argvs():
+    """Every derived command with every subset of ``_FLAG_VALUES``."""
+    for cmd, (positional, _) in sorted(_DERIVED_COMMANDS.items()):
+        for r in range(len(_FLAG_VALUES) + 1):
+            for flags in combinations(_FLAG_VALUES, r):
+                yield [cmd, *positional,
+                       *(part for flag, text, _, _ in flags for part in (flag, text))]
+
+
+_GLOBAL_PREFIXES = [[], ["--format", "structured"], ["-w", "a.json", "--bound", "5"],
+                    ["--no-bundled", "--workspace", "b.json", "-w", "c.json"]]
+
+
+def test_one_command_parser_reads_as_the_full_parser():
+    full = build_parser()
+    argvs = _bundled_commands() + list(_derived_argvs())
+    assert len(argvs) == 17 + 6 * 16
+    for argv in argvs:
+        for prefix in _GLOBAL_PREFIXES:
+            call = prefix + argv
+            assert command_in(call) == argv[0], call
+            one = build_parser(argv[0])
+            assert one.parse_args(call) == full.parse_args(call), call
+
+
+@pytest.mark.parametrize("argv", [
+    ["-h"], ["ext", "-h"], ["kunneth", "--help"], ["nosuch"], ["ext"], [],
+    ["--form", "structured", "validate"], ["validate", "extra"],
+    ["--format", "bad", "validate"], ["--bound", "x", "validate"],
+    ["--work", "validate", "ext", "s", "m", "n"], ["oracle", "bogus"],
+    ["-w"], ["--", "validate"],
+])
+def test_help_and_errors_are_the_full_parsers(argv, capsys, monkeypatch):
+    code = main(argv)
+    got = capsys.readouterr()
+    monkeypatch.setattr(cli, "command_in", lambda _argv: None)
+    assert main(argv) == code
+    assert capsys.readouterr() == got
+    assert code in (0, 2)
+
+
+def test_command_scan_skips_exactly_the_value_options():
+    top = build_parser()
+    options = [a for a in top._actions if a.option_strings]
+    takes_value = {s for a in options if a.nargs != 0 for s in a.option_strings}
+    flags = {s for a in options if a.nargs == 0 for s in a.option_strings}
+    assert cli.VALUE_OPTIONS == takes_value
+    assert cli.FLAG_OPTIONS == flags - {"-h", "--help"}
+    for opt in takes_value:
+        assert command_in([opt, "validate", "ext"]) == "ext"
+    for opt in cli.FLAG_OPTIONS:
+        assert command_in([opt, "ext", "validate"]) == "ext"
+    for opt in ("-h", "--help", "--form", "--format=text", "-wx", "--"):
+        assert command_in([opt, "ext"]) is None
+    assert command_in(["--bound"]) is None
