@@ -258,7 +258,12 @@ class NaryGammaSemiring:
     def mu(self, xs, gs) -> int:
         if len(xs) != self.n or len(gs) != self.n - 1:
             raise StructuralError("mu argument tuple has wrong length")
-        return self.mu_table[flatten_index(tuple(xs) + tuple(gs), self.sizes)]
+        idx, tsize, gsize = 0, self.T.size, self.gamma.size
+        for x in xs:
+            idx = idx * tsize + x
+        for g in gs:
+            idx = idx * gsize + g
+        return self.mu_table[idx]
 
     def t_tuples(self, length: int):
         return product(self.T.elements(), repeat=length)

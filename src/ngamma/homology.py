@@ -335,7 +335,14 @@ def _regular(s: NaryGammaSemiring, carrier):
     return regular_bimodule(s) if carrier is None else carrier
 
 
-def bar_complex(s: NaryGammaSemiring, module, j: int = 2, k: int = 0,
+def resolve_slot(s: NaryGammaSemiring, j: int | None) -> int:
+    """Slot j, or s's last slot when j is None: the default adjacency of
+    every derived entry point is the last slot against the first (k = 0),
+    as on the command line."""
+    return s.n - 1 if j is None else j
+
+
+def bar_complex(s: NaryGammaSemiring, module, j: int | None = None, k: int = 0,
                 depth: int = 4, policy: ContractionPolicy | None = None,
                 carrier: CompletedModule | None = None) -> BarComplex:
     """The bar tower of ``module`` (a BiGammaModule or CompletedModule).
@@ -348,6 +355,7 @@ def bar_complex(s: NaryGammaSemiring, module, j: int = 2, k: int = 0,
     """
     policy = policy or default_policy(s)
     module, carrier = linearize_all([module, _regular(s, carrier)])
+    j = resolve_slot(s, j)
     if not (0 <= j < s.n and 0 <= k < s.n):
         raise ValueError("slot indices out of range")
     return BarComplex(s, module, carrier, j, k, depth, policy)
@@ -421,7 +429,7 @@ class DerivedResult:
         return [g.invariant_factors() for g in self.groups]
 
 
-def ext_via_bar(s, m, n, j: int = 2, k: int = 0, depth: int = 2,
+def ext_via_bar(s, m, n, j: int | None = None, k: int = 0, depth: int = 2,
                 policy: ContractionPolicy | None = None,
                 carrier: CompletedModule | None = None) -> DerivedResult:
     """Ext of m into n on m's bar tower; m, n and the carrier are
@@ -433,7 +441,7 @@ def ext_via_bar(s, m, n, j: int = 2, k: int = 0, depth: int = 2,
     return DerivedResult(hc.cochain.cohomology(depth), bar)
 
 
-def tor_via_bar(s, m, n, j: int = 2, k: int = 0, depth: int = 2,
+def tor_via_bar(s, m, n, j: int | None = None, k: int = 0, depth: int = 2,
                 policy: ContractionPolicy | None = None,
                 carrier: CompletedModule | None = None) -> DerivedResult:
     """Tor of m's bar tower against n, linearized as in ``ext_via_bar``."""
@@ -557,7 +565,7 @@ class BalanceReport:
 
 
 def balance_check(s, m: BiGammaModule, n: BiGammaModule, depth: int = 2,
-                  j: int = 2, k: int = 0,
+                  j: int | None = None, k: int = 0,
                   policy: ContractionPolicy | None = None) -> BalanceReport:
     policy = policy or default_policy(s)
     lin_m, lin_n, carrier = linearize_all([m, n, regular_bimodule(s)])
@@ -646,7 +654,7 @@ def snake_les(x: Cochain, y: Cochain, z: Cochain,
 
 
 def les_check(c: Conflation, n: BiGammaModule, depth: int = 2,
-              side: str = "hom", j: int = 2, k: int = 0,
+              side: str = "hom", j: int | None = None, k: int = 0,
               policy: ContractionPolicy | None = None) -> LesReport:
     """Long exact sequence of a conflation through the given degree.
 
@@ -663,13 +671,12 @@ def les_check(c: Conflation, n: BiGammaModule, depth: int = 2,
     kp = linearize_morphism(c.p, lin_b, lin_c)
     completion_exact = is_short_exact(ki, kp)
     bar_depth = depth + 2
-    bar_a = bar_complex(s, lin_a, j, k, bar_depth, policy, carrier)
-    bar_b = bar_complex(s, lin_b, j, k, bar_depth, policy, carrier)
-    bar_c = bar_complex(s, lin_c, j, k, bar_depth, policy, carrier)
-    maps_i = bar_map(bar_a, bar_b, ki)
-    maps_p = bar_map(bar_b, bar_c, kp)
 
     if side == "hom":
+        bar_a, bar_b, bar_c = (bar_complex(s, lin, j, k, bar_depth, policy, carrier)
+                               for lin in (lin_a, lin_b, lin_c))
+        maps_i = bar_map(bar_a, bar_b, ki)
+        maps_p = bar_map(bar_b, bar_c, kp)
         hc_a = HomCochain(bar_a, lin_n)
         hc_b = HomCochain(bar_b, lin_n)
         hc_c = HomCochain(bar_c, lin_n)
@@ -725,10 +732,11 @@ class ExtSetup:
     """Bar tower of the source module plus the Hom cochain into the target."""
 
     def __init__(self, s: NaryGammaSemiring, m: BiGammaModule, n: BiGammaModule,
-                 depth: int, j: int = 2, k: int = 0,
+                 depth: int, j: int | None = None, k: int = 0,
                  policy: ContractionPolicy | None = None):
         self.semiring = s
         self.policy = policy or default_policy(s)
+        j = resolve_slot(s, j)
         self.jslot, self.kslot = j, k
         self.src, self.dst, carrier = linearize_all([m, n, regular_bimodule(s)])
         self.bar = bar_complex(s, self.src, j, k, depth, self.policy, carrier)

@@ -59,8 +59,16 @@ class BiGammaModule:
         return tuple(tuple(m.size for m in self._layout(j)) for j in range(self.parent.n))
 
     def act(self, j: int, tother, m: int, gs) -> int:
-        args = tuple(tother[:j]) + (m,) + tuple(tother[j:]) + tuple(gs)
-        return self.act_tables[j][flatten_index(args, self._sizes[j])]
+        s = self.parent
+        idx, tsize, gsize = 0, s.T.size, s.gamma.size
+        for t in tother[:j]:
+            idx = idx * tsize + t
+        idx = idx * self.M.size + m
+        for t in tother[j:]:
+            idx = idx * tsize + t
+        for g in gs:
+            idx = idx * gsize + g
+        return self.act_tables[j][idx]
 
     def actions(self, j: int) -> tuple[tuple[int, ...], ...]:
         """Slot j's action of every filler as a column m -> act, in

@@ -329,19 +329,22 @@ def hom_group_bruteforce(x: CompletedModule, y: CompletedModule,
 # Tensor presentations by shift-edge search
 # ---------------------------------------------------------------------------
 
-def tensor_class_count(left: BiGammaModule, right: BiGammaModule,
-                       j: int, k: int, box_bound: int = ORACLE_BOX_BOUND) -> int:
-    """Size of the presented tensor monoid via explicit relation edges.
+def tensor_presentation(left: BiGammaModule, right: BiGammaModule, j: int, k: int,
+                        box_bound: int = ORACLE_BOX_BOUND):
+    """The counter box and relations of the presented tensor monoid.
 
-    Vectors of generator multiplicities live in a box bounded by each
-    generator's joint orbit; every relation instance contributes edges at
-    every shift, and wrap edges fold the orbit periodicity in.  The class
-    count is the number of connected components.
+    Returns (caps, wraps, relations).  Generator i is the i-th nonzero pair
+    (a, b); its count runs from 0 to caps[i], the length of its joint orbit,
+    and count caps[i] equals count wraps[i], where the orbit turns periodic.
+    relations holds one copy of each unordered pair of distinct count
+    vectors that the additivity and slot-(j, k) balancing relations identify.
     """
     s = left.parent
     mz, nz = left.M.zero, right.M.zero
     gens = [(a, b) for a in range(left.M.size) for b in range(right.M.size)
             if a != mz and b != nz]
+    if not gens:
+        return [], [], []  # a one-point box, on which every relation is a loop
     gidx = {g: i for i, g in enumerate(gens)}
 
     def joint_orbit(a, b):
@@ -359,27 +362,8 @@ def tensor_class_count(left: BiGammaModule, right: BiGammaModule,
         idx, per = joint_orbit(a, b)
         caps.append(idx + per)
         wraps.append(idx)
-    sizes = [c + 1 for c in caps]
-    total = prod(sizes) if sizes else 1
-    if total > box_bound:
+    if prod(c + 1 for c in caps) > box_bound:
         raise BoundExceeded("oracle tensor box refused")
-
-    def pack(vec):
-        out = 0
-        for v, sz in zip(vec, sizes):
-            out = out * sz + v
-        return out
-
-    def unpack(idx):
-        out = []
-        for sz in reversed(sizes):
-            out.append(idx % sz)
-            idx //= sz
-        return list(reversed(out))
-
-    def reduce_vec(vec):
-        return [wraps[i] + (v - wraps[i]) % (caps[i] - wraps[i])
-                if v > caps[i] else v for i, v in enumerate(vec)]
 
     def one_hot(a, b):
         out = [0] * len(gens)
@@ -402,17 +386,48 @@ def tensor_class_count(left: BiGammaModule, right: BiGammaModule,
                 relations.append((lhs, rhs))
     for tother in product(range(s.T.size), repeat=s.n - 1):
         for gs in product(range(s.gamma.size), repeat=s.n - 1):
+            lact = [left.act(j, tother, a, gs) for a in range(left.M.size)]
+            ract = [right.act(k, tother, b, gs) for b in range(right.M.size)]
             for a in range(left.M.size):
                 for b in range(right.M.size):
-                    lhs = one_hot(left.act(j, tother, a, gs), b)
-                    rhs = one_hot(a, right.act(k, tother, b, gs))
-                    relations.append((lhs, rhs))
+                    relations.append((one_hot(lact[a], b), one_hot(a, ract[b])))
     # Every relation adds its edges in both directions, so one copy of each
     # unordered pair gives the same edges, and lhs == rhs only gives loops.
     relations = list(dict.fromkeys(tuple(sorted((tuple(lhs), tuple(rhs))))
                                    for lhs, rhs in relations if lhs != rhs))
+    return caps, wraps, relations
 
-    parent = list(range(total))
+
+def tensor_class_count(left: BiGammaModule, right: BiGammaModule,
+                       j: int, k: int, box_bound: int = ORACLE_BOX_BOUND) -> int:
+    """Size of the presented tensor monoid via explicit relation edges.
+
+    Vectors of generator multiplicities live in a box bounded by each
+    generator's joint orbit; every relation instance contributes edges at
+    every shift, and wrap edges fold the orbit periodicity in.  The class
+    count is the number of connected components.
+    """
+    caps, wraps, relations = tensor_presentation(left, right, j, k, box_bound)
+    sizes = [c + 1 for c in caps]
+    weights = [prod(sizes[i + 1:]) for i in range(len(sizes))]
+
+    def settle(i, v):
+        # A count past its cap wraps into the periodic part of its orbit.
+        return wraps[i] + (v - wraps[i]) % (caps[i] - wraps[i]) if v > caps[i] else v
+
+    # Each kind of edge moves every count on its own, so it is the product
+    # of one list of (old, new) moves per count.  A wrap edge takes count i
+    # from caps[i] to wraps[i].  A relation direction src -> dst applies
+    # where every count v is at least src's; it sends v to v - src + dst.
+    # Off the support of src and dst every move is v -> v.
+    kinds = [[[(caps[c], wraps[c])] if c == i else [(v, v) for v in range(size)]
+              for c, size in enumerate(sizes)] for i in range(len(caps))]
+    for lhs, rhs in relations:
+        for src, dst in ((lhs, rhs), (rhs, lhs)):
+            kinds.append([[(v, settle(c, v - a + b)) for v in range(a, size)]
+                          for c, (a, b, size) in enumerate(zip(src, dst, sizes))])
+
+    parent = list(range(prod(sizes)))
 
     def find(z):
         while parent[z] != z:
@@ -420,27 +435,16 @@ def tensor_class_count(left: BiGammaModule, right: BiGammaModule,
             z = parent[z]
         return z
 
-    def union(u, v):
-        ru, rv = find(u), find(v)
-        if ru != rv:
-            parent[max(ru, rv)] = min(ru, rv)
+    for moves_per_count in kinds:
+        edges = [(0, 0)]
+        for moves, w in zip(moves_per_count, weights):
+            edges = [(u + v * w, x + y * w) for u, x in edges for v, y in moves]
+        for u, x in edges:
+            ru, rx = find(u), find(x)
+            if ru != rx:
+                parent[max(ru, rx)] = min(ru, rx)
 
-    for idx in range(total):
-        vec = unpack(idx)
-        for gi in range(len(gens)):
-            if vec[gi] == caps[gi]:
-                other = list(vec)
-                other[gi] = wraps[gi]
-                union(idx, pack(other))
-        for (lhs, rhs) in relations:
-            if all(v >= l for v, l in zip(vec, lhs)):
-                shifted = [v - l + r for v, l, r in zip(vec, lhs, rhs)]
-                union(idx, pack(reduce_vec(shifted)))
-            if all(v >= r for v, r in zip(vec, rhs)):
-                shifted = [v - r + l for v, l, r in zip(vec, lhs, rhs)]
-                union(idx, pack(reduce_vec(shifted)))
-
-    return len({find(z) for z in range(total)})
+    return len({find(z) for z in range(len(parent))})
 
 
 # ---------------------------------------------------------------------------

@@ -26,8 +26,8 @@ from .completion import (
     CompletedModule, EquivariantHom, TensorGroup, linearize_all, linearize_morphism,
 )
 from .homology import (
-    ChainComplexAb, ContractionPolicy, HomCochain, bar_complex, default_policy,
-    homology, tor_via_bar,
+    ChainComplexAb, ContractionPolicy, HomCochain, TensorChain, bar_complex,
+    default_policy, homology, resolve_slot, tor_via_bar,
 )
 
 
@@ -362,7 +362,7 @@ def ext_modules_with_ops(s: NaryGammaSemiring, bar, n_lin: CompletedModule,
 
 
 def kunneth_check(s: NaryGammaSemiring, m: BiGammaModule, n: BiGammaModule,
-                  l: BiGammaModule, depth: int = 2, j: int = 2, k: int = 0,
+                  l: BiGammaModule, depth: int = 2, j: int | None = None, k: int = 0,
                   policy: ContractionPolicy | None = None,
                   conflations=None) -> KunnethReport:
     """Double-complex consistency for the two bar towers against a target.
@@ -375,6 +375,7 @@ def kunneth_check(s: NaryGammaSemiring, m: BiGammaModule, n: BiGammaModule,
     tower and probe of the call shares them.
     """
     policy = policy or default_policy(s)
+    j = resolve_slot(s, j)
     lin_m, lin_n, lin_l, carrier = linearize_all([m, n, l, regular_bimodule(s)])
     bar_m = bar_complex(s, lin_m, j, k, depth, policy, carrier)
     bar_n = bar_complex(s, lin_n, j, k, depth, policy, carrier)
@@ -462,7 +463,7 @@ def restrict_scalars(f: GammaSemiringMorphism, b: BiGammaModule) -> BiGammaModul
 
 
 def extend_scalars(f: GammaSemiringMorphism, a: BiGammaModule,
-                   j: int = 2, k: int = 0, name: str = ""):
+                   j: int | None = None, k: int = 0, name: str = ""):
     """Target carrier tensored against the module over the source actions.
 
     Residual actions insert target material through the carrier factor; a
@@ -472,7 +473,7 @@ def extend_scalars(f: GammaSemiringMorphism, a: BiGammaModule,
         raise ValueError("module does not live over the morphism source")
     target = f.target
     reg = regular_bimodule(target)
-    core = TensorCongruence(restrict_scalars(f, reg), a, j, k)
+    core = TensorCongruence(restrict_scalars(f, reg), a, resolve_slot(f.source, j), k)
     try:
         return core.residual_module(target, [reg.actions(slot) for slot in range(target.n)],
                                     lambda col, x, av: core.gen_vec(col[x], av),
@@ -504,8 +505,9 @@ def source_conflation_triples(s: NaryGammaSemiring,
 
 
 def flatness_probe(s: NaryGammaSemiring, x: CompletedModule,
-                   j: int = 2, k: int = 0, conflations=None) -> bool:
+                   j: int | None = None, k: int = 0, conflations=None) -> bool:
     """Whether tensoring with x preserves the probe conflations exactly."""
+    j = resolve_slot(s, j)
     triples = conflations if conflations is not None else \
         source_conflation_triples(s)
     for (lin_a, lin_b, lin_c, (incl, proj)) in triples:
@@ -547,7 +549,7 @@ class BaseChangeReport:
 
 
 def base_change_check(f: GammaSemiringMorphism, m: BiGammaModule,
-                      n: BiGammaModule, depth: int = 1, j: int = 2, k: int = 0,
+                      n: BiGammaModule, depth: int = 1, j: int | None = None, k: int = 0,
                       policy: ContractionPolicy | None = None) -> BaseChangeReport:
     """Both displayed comparisons along a morphism, with the flatness probe.
 
@@ -559,7 +561,7 @@ def base_change_check(f: GammaSemiringMorphism, m: BiGammaModule,
     """
     s = f.source
     t = f.target
-    from .homology import ext_via_bar
+    j = resolve_slot(s, j)
     policy_s = policy or default_policy(s)
     policy_t = policy or default_policy(t)
     ext_mod_m = extend_scalars(f, m, j, k).module
@@ -574,11 +576,12 @@ def base_change_check(f: GammaSemiringMorphism, m: BiGammaModule,
     ext_src = ext_modules_with_ops(s, bar_src, lin_n, depth)
     # K(T') balanced against each completed Ext module over the source
     ext_left = [TensorGroup(res_t, e, j, k).group.invariant_factors() for e in ext_src]
-    ext_right = ext_via_bar(t, lin_aex, lin_bex, j, k, depth, policy_t,
-                            carrier_t).factors()
-
-    tor_left = tor_via_bar(t, lin_aex, lin_bex, j, k, depth, policy_t,
-                           carrier_t).factors()
+    # One tower over the target serves both its Ext and its Tor.
+    bar_t = bar_complex(t, lin_aex, j, k, depth + 1, policy_t, carrier_t)
+    ext_right = [g.invariant_factors()
+                 for g in HomCochain(bar_t, lin_bex).cochain.cohomology(depth)]
+    tor_left = [g.invariant_factors()
+                for g in homology(TensorChain(bar_t, lin_bex).chain)[:depth + 1]]
     tor_right = tor_via_bar(s, res_aex, res_bex, j, k, depth, policy_s,
                             carrier_s).factors()
 

@@ -13,9 +13,11 @@ from ngamma.core import (
     boolean_semiring, boolean_ternary, bundled_semirings, f2_semiring,
     f2_ternary, identity_morphism, make_endomorphism_family,
     make_matrix_family, mu_eval, neutral_words, trivial_gamma,
-    truncated_nat_semiring, validate_morphism, validate_semiring,
-    word_product, z4_ternary,
+    flatten_index, truncated_nat_semiring, validate_morphism, validate_semiring,
+    word_product, z4_ternary, zmod_semiring,
 )
+from ngamma.ideals import all_ideals
+from ngamma.modules import quotient_module, regular_bimodule
 
 
 def test_bundled_families_validate():
@@ -45,6 +47,47 @@ def test_mu_eval_examples():
             assert mu_eval(s, xs, (0, 0)) == 0
     with pytest.raises(StructuralError):
         mu_eval(s, (2, 0, 0), (0, 0))
+
+
+def _regular_and_quotients(s):
+    """The regular module and its quotient by every proper nonzero ideal, so
+    that the module element's size differs from the carrier's."""
+    return [regular_bimodule(s)] + [quotient_module(s, i) for i in all_ideals(s)
+                                    if i.is_proper() and len(i.members) > 1]
+
+
+def test_mu_and_act_read_the_flat_tables():
+    # mu and act fold the flat index by Horner; each must read the cell that
+    # flatten_index addresses in mu_table and act_tables, everywhere.
+    z2 = GammaSemigroup(2, (0, 1, 1, 0), has_zero=True, zero=0)
+    # The ternary M2(F2) is there because only a non-commutative carrier
+    # tells the carrier positions of a table apart.
+    families = [make_matrix_family(f2_semiring(), 2, 2),
+                make_matrix_family(f2_semiring(), 2, 3),
+                make_matrix_family(zmod_semiring(4), 1, 3, gamma=z2, gamma_scalars=(0, 2)),
+                make_matrix_family(zmod_semiring(4), 1, 4, gamma=z2, gamma_scalars=(0, 2))]
+    quotients = 0
+    for s in families:
+        n, ts, gsz = s.n, s.T.size, s.gamma.size
+        for xs in product(range(ts), repeat=n):
+            for gs in product(range(gsz), repeat=n - 1):
+                assert s.mu(xs, gs) == s.mu_table[flatten_index(xs + gs, s.sizes)]
+        modules = _regular_and_quotients(s)
+        quotients += len(modules) - 1
+        for b in modules:
+            for j in range(n):
+                sizes = [ts] * j + [b.M.size] + [ts] * (n - 1 - j) + [gsz] * (n - 1)
+                for t in product(range(ts), repeat=n - 1):
+                    for gs in product(range(gsz), repeat=n - 1):
+                        for m in range(b.M.size):
+                            args = t[:j] + (m,) + t[j:] + gs
+                            assert b.act(j, t, m, gs) == \
+                                b.act_tables[j][flatten_index(args, sizes)]
+        with pytest.raises(StructuralError):
+            s.mu((0,) * (n - 1), (0,) * (n - 1))
+        with pytest.raises(StructuralError):
+            s.mu((0,) * n, (0,) * n)
+    assert quotients  # the Z/4 families give modules smaller than the carrier
 
 
 def test_word_product():

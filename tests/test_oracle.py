@@ -1,13 +1,14 @@
 import random
 from itertools import product
+from math import prod
 
 import pytest
 from test_fuzz import _monoid_pool
 
 from ngamma.bundled import bundled_workspace
 from ngamma.core import (
-    BoundExceeded, FiniteAddMonoid, NaryGammaSemiring, bundled_semirings,
-    validate_semiring,
+    BoundExceeded, FiniteAddMonoid, GammaSemigroup, NaryGammaSemiring, bundled_semirings,
+    make_matrix_family, validate_semiring, zmod_semiring,
 )
 from ngamma.ideals import GammaIdeal, all_ideals, spectrum
 from ngamma.modules import (
@@ -157,6 +158,92 @@ def test_tensor_class_count_agrees():
     for m, n in [(reg, sub), (sub, reg), (sub, sub), (quo, sub), (quo, quo)]:
         assert oracle.tensor_class_count(m, n, 2, 0) == \
             tensor_positional(m, n, 2, 0).module.M.size
+
+
+def _full_vector_class_count(caps, wraps, relations):
+    """The shift-edge walk over whole count vectors: at every box point each
+    relation direction is tested on every count, and each shifted vector is
+    wrapped and packed again.  The reference for the oracle's edges, which
+    it builds as products of per-count moves."""
+    sizes = [c + 1 for c in caps]
+    total = prod(sizes)
+
+    def pack(vec):
+        out = 0
+        for v, sz in zip(vec, sizes):
+            out = out * sz + v
+        return out
+
+    def unpack(idx):
+        out = []
+        for sz in reversed(sizes):
+            out.append(idx % sz)
+            idx //= sz
+        return list(reversed(out))
+
+    def reduce_vec(vec):
+        return [wraps[i] + (v - wraps[i]) % (caps[i] - wraps[i])
+                if v > caps[i] else v for i, v in enumerate(vec)]
+
+    parent = list(range(total))
+
+    def find(z):
+        while parent[z] != z:
+            parent[z] = parent[parent[z]]
+            z = parent[z]
+        return z
+
+    def union(u, v):
+        ru, rv = find(u), find(v)
+        if ru != rv:
+            parent[max(ru, rv)] = min(ru, rv)
+
+    for idx in range(total):
+        vec = unpack(idx)
+        for gi in range(len(caps)):
+            if vec[gi] == caps[gi]:
+                other = list(vec)
+                other[gi] = wraps[gi]
+                union(idx, pack(other))
+        for (lhs, rhs) in relations:
+            if all(v >= l for v, l in zip(vec, lhs)):
+                shifted = [v - l + r for v, l, r in zip(vec, lhs, rhs)]
+                union(idx, pack(reduce_vec(shifted)))
+            if all(v >= r for v, r in zip(vec, rhs)):
+                shifted = [v - r + l for v, l, r in zip(vec, lhs, rhs)]
+                union(idx, pack(reduce_vec(shifted)))
+
+    return len({find(z) for z in range(total)})
+
+
+def _gamma_scaled_z4_modules():
+    z2 = GammaSemigroup(2, (0, 1, 1, 0), has_zero=True, zero=0)
+    s = make_matrix_family(zmod_semiring(4), 1, 3, gamma=z2, gamma_scalars=(0, 2))
+    ideal = GammaIdeal(s, frozenset({0, 2}))
+    return {"reg": regular_bimodule(s), "sub": ideal_submodule(s, ideal),
+            "quo": quotient_module(s, ideal)}
+
+
+def test_tensor_edges_match_the_full_vector_walk():
+    # Every same-parent pair of the bundled workspace and of the
+    # Gamma-scaled Z/4 modules, at every slot pair, within the box bound.
+    groups = [bundled_workspace().modules, _gamma_scaled_z4_modules()]
+    checked = 0
+    for mods in groups:
+        for m in mods.values():
+            for n in mods.values():
+                if m.parent != n.parent:
+                    continue
+                for j in range(m.parent.n):
+                    for k in range(m.parent.n):
+                        try:
+                            box = oracle.tensor_presentation(m, n, j, k)
+                        except BoundExceeded:
+                            continue
+                        assert oracle.tensor_class_count(m, n, j, k) == \
+                            _full_vector_class_count(*box), (m.name, n.name, j, k)
+                        checked += 1
+    assert checked > 50
 
 
 def test_tensor_oracle_bound_is_enforced():

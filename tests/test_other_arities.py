@@ -3,14 +3,22 @@ exercise the binary and quaternary paths explicitly."""
 
 import pytest
 
+from ngamma.completion import linearize_module
 from ngamma.core import (
-    FiniteAddMonoid, NaryGammaSemiring, binary_specialization, f2_semiring,
-    neutral_words, trivial_gamma, validate_semiring, zmod_semiring,
+    FiniteAddMonoid, GammaSemiringMorphism, NaryGammaSemiring, binary_specialization,
+    f2_semiring, identity_morphism, neutral_words, trivial_gamma, validate_semiring,
+    zmod_semiring,
 )
-from ngamma.homology import balance_check, bar_complex, ext_via_bar, homology
-from ngamma.ideals import spectrum
+from ngamma.homology import (
+    ExtSetup, balance_check, bar_complex, ext_via_bar, homology, les_check, tor_via_bar,
+)
+from ngamma.ideals import GammaIdeal, spectrum
 from ngamma.modules import (
-    hom_gamma, regular_bimodule, tensor_positional, validate_module,
+    Conflation, ModuleMorphism, hom_gamma, ideal_submodule, quotient_module,
+    regular_bimodule, tensor_positional, validate_module,
+)
+from ngamma.spectral import (
+    base_change_check, extend_scalars, flatness_probe, kunneth_check,
 )
 
 
@@ -48,6 +56,37 @@ def test_binary_z4_pipeline():
     reg = regular_bimodule(s)
     assert ext_via_bar(s, reg, reg, 1, 0, 2).factors() == [(4,), (), ()]
     assert balance_check(s, reg, reg, 2, 1, 0).balanced
+
+
+def test_binary_slot_defaults_are_the_last_slot_against_the_first():
+    # Every derived entry point defaults to slots (n - 1, 0), as the CLI
+    # does; a fixed j = 2 would be out of range on a binary family.
+    s = binary_specialization(zmod_semiring(4))
+    f2 = binary_specialization(f2_semiring())
+    reg = regular_bimodule(s)
+    ideal = GammaIdeal(s, frozenset({0, 2}))
+    conf = Conflation(ModuleMorphism(ideal_submodule(s, ideal), reg, (0, 2)),
+                      ModuleMorphism(reg, quotient_module(s, ideal), (0, 1, 0, 1)))
+    q = GammaSemiringMorphism(s, f2, (0, 1, 0, 1))
+    calls = {
+        "bar_complex": lambda *sl: [g.invariant_factors() for g in
+                                    bar_complex(s, reg, *sl, depth=2).chain.groups],
+        "ext_via_bar": lambda *sl: ext_via_bar(s, reg, reg, *sl).factors(),
+        "tor_via_bar": lambda *sl: tor_via_bar(s, reg, reg, *sl).factors(),
+        "balance_check": lambda *sl: balance_check(s, reg, reg, 2, *sl),
+        "les_check hom": lambda *sl: les_check(conf, reg, 1, "hom", *sl),
+        "les_check tor": lambda *sl: les_check(conf, reg, 1, "tor", *sl),
+        "ExtSetup": lambda *sl: [nd.group.invariant_factors()
+                                 for nd in ExtSetup(s, reg, reg, 2, *sl).nodes],
+        "kunneth_check": lambda *sl: kunneth_check(s, reg, reg, reg, 1, *sl),
+        "extend_scalars": lambda *sl: extend_scalars(q, reg, *sl).module,
+        "flatness_probe": lambda *sl: flatness_probe(s, linearize_module(reg), *sl),
+        "base_change_check": lambda *sl: base_change_check(q, reg, reg, 1, *sl),
+        "identity base change": lambda *sl: base_change_check(
+            identity_morphism(f2), regular_bimodule(f2), regular_bimodule(f2), 1, *sl),
+    }
+    for name, call in calls.items():
+        assert call() == call(1, 0), name
 
 
 def test_quaternary_pipeline(f2_quaternary):

@@ -6,6 +6,8 @@ ext/tor/yoneda over the regular Z/4, 7 and 8 for the two long exact
 sequences, 10 for kunneth, 12 for balance and 16 for basechange.  The
 conflation's three modules use two monoids, kunneth's four modules one, and
 balance's cofree tower completes two new monoids per stage after the first.
+
+Bar towers are counted the same way, by wrapping ``BarComplex.__init__``.
 """
 
 import contextlib
@@ -13,7 +15,7 @@ import io
 
 import pytest
 
-from ngamma import cli, completion
+from ngamma import cli, completion, homology
 from ngamma.core import z4_ternary
 from ngamma.homology import tor_via_bar
 from ngamma.modules import regular_bimodule
@@ -64,3 +66,30 @@ def test_no_completion_outlives_a_call(completions):
         tor_via_bar(s, reg, reg, 2, 0, 1)
         counts.append(len(completions) - before)
     assert counts == [1, 1]
+
+
+@pytest.fixture
+def bar_builds(monkeypatch):
+    built = []
+    init = homology.BarComplex.__init__
+
+    def counting(self, *args, **kwargs):
+        built.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(homology.BarComplex, "__init__", counting)
+    return built
+
+
+@pytest.mark.parametrize("command, towers", [
+    # Tor tensors n's tower against the conflation; the conflation's own
+    # towers and the maps between them serve only the Hom side.
+    ("les c_ideal z4_reg --side tor --depth 2", 1),
+    ("les c_ideal z4_reg --side hom --depth 2", 3),
+    # One tower over the source, one over the target for both its Ext and
+    # Tor, and one over the source for the restricted extensions' Tor.
+    ("basechange q_z4_f2 z4_reg z4_reg", 3),
+])
+def test_bundled_commands_build_each_tower_once(bar_builds, command, towers):
+    _run(command)
+    assert len(bar_builds) == towers
