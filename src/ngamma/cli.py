@@ -16,15 +16,15 @@ import time
 
 from . import __version__
 from .abgroups import SoundnessError
-from .core import BoundExceeded, StructuralError, validate_semiring
-from .ideals import GammaIdeal, all_ideals, quotient, spectrum, topology_report
+from .core import BoundExceeded, StructuralError, out_of_range, validate_semiring
+from .ideals import GammaIdeal, all_ideals, check_ideal, quotient, spectrum, topology_report
 from .modules import (
-    cofree, hom_gamma, tensor_positional, validate_module,
+    cofree, hom_gamma, regular_bimodule, tensor_positional, validate_module,
 )
 from .completion import linearize_module
 from .homology import (
     ContractionPolicy, ExtSetup, RegularityError, balance_check, bar_complex,
-    default_policy, ext_via_bar, les_check, tor_via_bar, yoneda_compose,
+    default_policy, ext_via_bar, homology, les_check, tor_via_bar, yoneda_compose,
 )
 from .spectral import base_change_check, kunneth_check
 from .workspace import Workspace, WorkspaceError, parse_workspace
@@ -45,13 +45,23 @@ def _parse_slots(text: str | None, n: int) -> tuple[int, int]:
     return j - 1, k - 1
 
 
+def _indices(flag: str, text: str, length: int, size: int) -> tuple[int, ...]:
+    """``length`` comma-separated indices into range(size)."""
+    try:
+        values = tuple(int(x) for x in text.split(",")) if text else ()
+    except ValueError:
+        values = None
+    if values is None or len(values) != length or out_of_range(values, size):
+        raise StructuralError(f"{flag} wants {length} comma-separated indices "
+                              f"below {size}, got {text!r}")
+    return values
+
+
 def _parse_policy(s, text: str, filler_text: str | None) -> ContractionPolicy:
     if text == "sum" and filler_text is None:
         return default_policy(s)
     if text.startswith("fixed:"):
-        gam = tuple(int(x) for x in text[len("fixed:"):].split(","))
-        if len(gam) != s.n - 1:
-            raise StructuralError("fixed parameter tuple has wrong length")
+        gam = _indices("--gamma-policy fixed:", text[len("fixed:"):], s.n - 1, s.gamma.size)
     elif text == "sum":
         gam = None
     else:
@@ -63,8 +73,8 @@ def _parse_policy(s, text: str, filler_text: str | None) -> ContractionPolicy:
         elif filler_text == "neutral":
             fill = default_policy(s).fillers
         elif filler_text.startswith("fixed:"):
-            raw = filler_text[len("fixed:"):]
-            fill = ((tuple(int(x) for x in raw.split(",")) if raw else ()),)
+            fill = (_indices("--filler-policy fixed:", filler_text[len("fixed:"):],
+                             s.n - 2, s.T.size),)
         else:
             raise StructuralError(f"unknown filler policy {filler_text!r}")
     base = default_policy(s)
@@ -73,12 +83,29 @@ def _parse_policy(s, text: str, filler_text: str | None) -> ContractionPolicy:
     return ContractionPolicy(tuple(gammas), tuple(fillers), "cli")
 
 
+def _depth(text: str) -> int:
+    """The value of a --depth flag: a nonnegative integer."""
+    if not text.isdecimal():
+        raise argparse.ArgumentTypeError(f"must be a nonnegative integer, got {text!r}")
+    return int(text)
+
+
 def _add_derived_flags(p: argparse.ArgumentParser) -> None:
     """The slot, depth and contraction-policy flags of the derived commands."""
     p.add_argument("--slots", default=None)
-    p.add_argument("--depth", type=int, default=2)
+    p.add_argument("--depth", type=_depth, default=2)
     p.add_argument("--gamma-policy", default="sum")
     p.add_argument("--filler-policy", default=None)
+
+
+def _modules_over(ws: Workspace, s, *names: str) -> list:
+    """The named modules, refused unless each lives over ``s``."""
+    mods = [ws.module(name) for name in names]
+    for name, m in zip(names, mods):
+        if m.parent != s:
+            raise StructuralError(f"module '{name}' does not live over "
+                                  f"{ws.semiring_name(s)}")
+    return mods
 
 
 def _derived_options(args, s) -> tuple[int, int, ContractionPolicy]:
@@ -117,19 +144,14 @@ class Reporter:
         return PASS if ok else FAIL
 
 
-def _print_tree(obj, indent=0):
+def _print_tree(tree: dict, indent=0):
     pad = "  " * indent
-    if isinstance(obj, dict):
-        for key in obj:
-            val = obj[key]
-            if isinstance(val, (dict, list)) and val and \
-                    isinstance(val, dict):
-                print(f"{pad}{key}:")
-                _print_tree(val, indent + 1)
-            else:
-                print(f"{pad}{key}: {val}")
-    else:
-        print(f"{pad}{obj}")
+    for key, val in tree.items():
+        if isinstance(val, dict) and val:
+            print(f"{pad}{key}:")
+            _print_tree(val, indent + 1)
+        else:
+            print(f"{pad}{key}: {val}")
 
 
 def _load(args) -> Workspace:
@@ -160,9 +182,11 @@ def cmd_ideals(ws: Workspace, args, rep: Reporter) -> int:
         ideals = all_ideals(s, args.bound)
         results = {"ideals": [sorted(i.members) for i in ideals]}
         return rep.emit(results, True, ws)
+    if args.ideal < 0 or args.ideal >> s.T.size:
+        raise StructuralError(f"--ideal {args.ideal} is not a bitmask over the "
+                              f"{s.T.size} elements of {args.semiring}")
     members = frozenset(e for e in range(s.T.size) if args.ideal >> e & 1)
     ideal = GammaIdeal(s, members)
-    from .ideals import check_ideal
     chk = check_ideal(s, members)
     if not chk.ok:
         return rep.emit({"error": f"not an ideal: {chk.witness}"}, False, ws)
@@ -188,7 +212,15 @@ def cmd_spectrum(ws: Workspace, args, rep: Reporter) -> int:
     return rep.emit(results, True, ws)
 
 
+# The number of names each mod action takes.
+MOD_NAMES = {"validate": 1, "hom": 2, "tensor": 2, "cofree": 2}
+
+
 def cmd_mod(ws: Workspace, args, rep: Reporter) -> int:
+    want = MOD_NAMES[args.action]
+    if len(args.names) != want:
+        raise StructuralError(f"mod {args.action} takes {want} name(s), "
+                              f"got {len(args.names)}")
     if args.action == "validate":
         b = ws.module(args.names[0])
         report = validate_module(b)
@@ -209,13 +241,11 @@ def cmd_mod(ws: Workspace, args, rep: Reporter) -> int:
                    "add": list(t.module.M.add_table),
                    "pairs": [list(row) for row in t.beta]}
         return rep.emit(results, True, ws)
-    if args.action == "cofree":
-        s = ws.semiring(args.names[0])
-        coeff = ws.monoid(args.names[1])
-        cf = cofree(s, coeff)
-        results = {"size": cf.module.M.size, "maps": [list(f) for f in cf.maps]}
-        return rep.emit(results, True, ws)
-    raise WorkspaceError(f"unknown mod action {args.action!r}")
+    s = ws.semiring(args.names[0])  # cofree
+    coeff = ws.monoid(args.names[1])
+    cf = cofree(s, coeff)
+    results = {"size": cf.module.M.size, "maps": [list(f) for f in cf.maps]}
+    return rep.emit(results, True, ws)
 
 
 def cmd_complete(ws: Workspace, args, rep: Reporter) -> int:
@@ -231,7 +261,7 @@ def cmd_complete(ws: Workspace, args, rep: Reporter) -> int:
 
 def cmd_ext_tor(ws: Workspace, args, rep: Reporter) -> int:
     s = ws.semiring(args.semiring)
-    m, n = ws.module(args.m), ws.module(args.n)
+    m, n = _modules_over(ws, s, args.m, args.n)
     j, k, policy = _derived_options(args, s)
     fn = ext_via_bar if args.cmd == "ext" else tor_via_bar
     res = fn(s, m, n, j, k, args.depth, policy)
@@ -243,7 +273,7 @@ def cmd_ext_tor(ws: Workspace, args, rep: Reporter) -> int:
 
 def cmd_balance(ws: Workspace, args, rep: Reporter) -> int:
     s = ws.semiring(args.semiring)
-    m, n = ws.module(args.m), ws.module(args.n)
+    m, n = _modules_over(ws, s, args.m, args.n)
     j, k, policy = _derived_options(args, s)
     b = balance_check(s, m, n, args.depth, j, k, policy)
     results = {
@@ -273,7 +303,7 @@ def cmd_les(ws: Workspace, args, rep: Reporter) -> int:
 
 def cmd_yoneda(ws: Workspace, args, rep: Reporter) -> int:
     s = ws.semiring(args.semiring)
-    m = ws.module(args.m)
+    m, = _modules_over(ws, s, args.m)
     j, k, policy = _derived_options(args, s)
     ext = ExtSetup(s, m, m, args.depth + 2, j, k, policy)
     ident = ext.identity_cocycle()
@@ -301,7 +331,7 @@ def cmd_yoneda(ws: Workspace, args, rep: Reporter) -> int:
 
 def cmd_kunneth(ws: Workspace, args, rep: Reporter) -> int:
     s = ws.semiring(args.semiring)
-    m, n, l = ws.module(args.m), ws.module(args.n), ws.module(args.l)
+    m, n, l = _modules_over(ws, s, args.m, args.n, args.l)
     j, k, policy = _derived_options(args, s)
     r = kunneth_check(s, m, n, l, args.depth, j, k, policy)
     results = {
@@ -399,9 +429,7 @@ def cmd_oracle(ws: Workspace, args, rep: Reporter) -> int:
         elif target == "homology":
             for name in sorted(ws.semirings):
                 s = ws.semirings[name]
-                from .modules import regular_bimodule
                 bar = bar_complex(s, regular_bimodule(s), 2 % s.n, 0, depth=3)
-                from .homology import homology
                 hs = homology(bar.chain)
                 agree = True
                 for r in range(3):
@@ -429,7 +457,7 @@ def _args_spectrum(p: argparse.ArgumentParser) -> None:
 
 
 def _args_mod(p: argparse.ArgumentParser) -> None:
-    p.add_argument("action", choices=("validate", "hom", "tensor", "cofree"))
+    p.add_argument("action", choices=tuple(MOD_NAMES))
     p.add_argument("names", nargs="+")
     p.add_argument("--slots", default=None,
                    help="slot pair j,k; defaults to last-against-first")
@@ -478,7 +506,7 @@ def _args_basechange(p: argparse.ArgumentParser) -> None:
     p.add_argument("m")
     p.add_argument("n")
     p.add_argument("--slots", default=None)
-    p.add_argument("--depth", type=int, default=1)
+    p.add_argument("--depth", type=_depth, default=1)
 
 
 def _args_oracle(p: argparse.ArgumentParser) -> None:

@@ -342,16 +342,6 @@ class TensorGroup:
         self.group = self.pres.group
         self.name = name or f"{x.name}(x){y.name}"
 
-    def pair(self, xvec, yvec) -> tuple[int, ...]:
-        ys = self.y.group.dim
-        v = [0] * self.pair_dim
-        for i, a in enumerate(xvec):
-            if a:
-                for j2, b in enumerate(yvec):
-                    if b:
-                        v[i * ys + j2] += a * b
-        return self.pres.project(v)
-
     def pair_matrix_to_quotient(self, pairmat) -> GroupMap | None:
         """Project a pair-space endomorphism; None when it does not descend."""
         lift, proj = self.pres.lift_matrix(), self.pres.proj_matrix()

@@ -244,6 +244,11 @@ class NaryGammaSemiring:
     def __post_init__(self):
         if self.n < 2:
             raise StructuralError("arity must be at least 2")
+        # Unless T and Γ are both trivial, |T|^n |Γ|^(n-1) >= 2^(n-1): an arity
+        # past the table length's bit length is refused before forming powers.
+        if self.T.size * self.gamma.size > 1 and self.n > len(self.mu_table).bit_length():
+            raise StructuralError(f"mu table has {len(self.mu_table)} entries, fewer "
+                                  f"than the 2^{self.n - 1} that arity {self.n} needs")
         expected = self.T.size ** self.n * self.gamma.size ** (self.n - 1)
         if len(self.mu_table) != expected:
             raise StructuralError(

@@ -334,6 +334,8 @@ class ModuleMorphism:
             raise StructuralError("module morphism endpoints have different parents")
         if len(self.map) != self.source.M.size:
             raise StructuralError("module morphism table has wrong size")
+        if out_of_range(self.map, self.target.M.size):
+            raise StructuralError("module morphism value out of range")
 
     def __call__(self, m: int) -> int:
         return self.map[m]

@@ -17,6 +17,7 @@ from math import prod
 from .core import (
     AxiomCheck, BoundExceeded, FiniteAddMonoid, GammaSemigroup, NaryGammaSemiring,
 )
+from .abgroups import SoundnessError
 from .modules import BiGammaModule
 from .completion import CompletedModule
 
@@ -270,7 +271,9 @@ def invariants_from_orders(elements, add, zero) -> tuple[int, ...]:
             me = 0
             while p ** me < c:
                 me += 1
-            assert p ** me == c, "kill counts must be prime powers"
+            if p ** me != c:
+                raise SoundnessError(f"{c} elements are killed by {p}^{e}, "
+                                     f"not a power of {p}")
             ms.append(me)
             if me == ms[-2]:
                 break

@@ -16,7 +16,9 @@ from .abgroups import (
     AbGroup, GroupMap, HomologyNode, SoundnessError, Subquotient, is_short_exact,
     kernel_gens,
 )
-from .core import GammaSemiringMorphism, NaryGammaSemiring, flatten_index
+from .core import (
+    GammaSemiringMorphism, NaryGammaSemiring, StructuralError, flatten_index,
+)
 from .ideals import all_ideals
 from .modules import (
     BiGammaModule, ModuleMorphism, TensorCongruence, filler_tuples,
@@ -414,7 +416,8 @@ def kunneth_check(s: NaryGammaSemiring, m: BiGammaModule, n: BiGammaModule,
                     tmap, homs[(p, q + 1)], "vertical Hom map")
     grid = DoubleComplexAb.from_commuting(entries, dh, dv)
 
-    up_to = 2 * depth + 2
+    # The page laws below compare pages 1 to 3.
+    up_to = max(2 * depth + 2, 3)
     first, second = pages(grid, up_to)
     diag1 = first.order_bookkeeping()
     diag2 = second.order_bookkeeping()
@@ -432,10 +435,8 @@ def kunneth_check(s: NaryGammaSemiring, m: BiGammaModule, n: BiGammaModule,
         tor = tor_via_bar(s, ext_mods[qdeg], lin_l, j, k, depth, policy, carrier)
         for pdeg in range(depth + 1):
             direct[(pdeg, qdeg)] = tor.factors()[pdeg]
-    window = {key: v for key, v in direct.items()}
-    match = all(e2_first.get(key, ()) == window[key] or
-                e2_second.get(key, ()) == window[key]
-                for key in window)
+    match = all(e2_first.get(key, ()) == v or e2_second.get(key, ()) == v
+                for key, v in direct.items())
 
     return KunnethReport(depth, flat, diag1, diag2,
                          first.stable_from(), second.stable_from(),
@@ -453,7 +454,7 @@ def restrict_scalars(f: GammaSemiringMorphism, b: BiGammaModule) -> BiGammaModul
     (f(tother), gs); both semirings share the parameter semigroup.
     """
     if b.parent != f.target:
-        raise ValueError("module does not live over the morphism target")
+        raise StructuralError("module does not live over the morphism target")
     s, n = f.source, f.source.n
     sizes = [f.target.T.size] * (n - 1) + [s.gamma.size] * (n - 1)
     picks = [flatten_index(tuple(map(f, t)) + g, sizes) for t, g in filler_tuples(s)]
@@ -470,7 +471,7 @@ def extend_scalars(f: GammaSemiringMorphism, a: BiGammaModule,
     failure to descend is an algebraic obstruction and raises.
     """
     if a.parent != f.source:
-        raise ValueError("module does not live over the morphism source")
+        raise StructuralError("module does not live over the morphism source")
     target = f.target
     reg = regular_bimodule(target)
     core = TensorCongruence(restrict_scalars(f, reg), a, resolve_slot(f.source, j), k)

@@ -1,11 +1,12 @@
 """Versioned file format and eagerly validated workspaces.
 
-The on-disk format is JSON with one object per structure kind.  Tables are
-flat row-major integer lists with the leftmost argument slowest and the last
-parameter fastest, matching the in-memory convention bit for bit.  Loading a
-workspace validates everything it contains; any axiom violation aborts with
-the offending witness rather than letting a bad structure reach an engine
-computation.
+The on-disk format is JSON with one object per structure kind, defined once
+by ``KINDS`` for reading and writing.  Tables are flat row-major integer
+lists with the leftmost argument slowest and the last parameter fastest,
+matching the in-memory convention bit for bit.  Loading a workspace
+validates everything it contains; any malformed document or axiom violation
+aborts with a ``WorkspaceError`` naming the file, the structure and the
+witness rather than letting a bad structure reach an engine computation.
 """
 
 from __future__ import annotations
@@ -69,6 +70,58 @@ class Workspace:
         return s.name or "?"
 
 
+def _failures(*checks) -> list[tuple]:
+    return [(c.axiom, c.witness) for c in checks if not c.ok]
+
+
+# One entry per structure kind, in load order: (section, label, refs, build,
+# check, write).  ``refs`` are the body fields naming earlier structures, as
+# (field, section, what); ``build(name, body, *referenced)`` constructs the
+# object, ``check`` lists its (axiom, witness) failures and ``write`` gives its
+# body without the refs.  The checks look the validators up when they run, so
+# rebinding this module's names (as a tracer does) sees every call.
+KINDS = (
+    ("monoids", "monoid", (),
+     lambda name, body: FiniteAddMonoid(body["size"], tuple(body["add"]),
+                                        body.get("zero", 0)),
+     lambda m: m.validate(),
+     lambda m: {"size": m.size, "zero": m.zero, "add": list(m.add_table)}),
+    ("gammas", "gamma", (),
+     lambda name, body: GammaSemigroup(body["size"], tuple(body["add"]),
+                                       body.get("zero") is not None, body.get("zero")),
+     lambda g: g.validate(),
+     lambda g: {"size": g.size, "add": list(g.add_table),
+                "zero": g.zero if g.has_zero else None}),
+    ("semirings", "semiring",
+     (("T", "monoids", "carrier monoid"), ("gamma", "gammas", "parameter semigroup")),
+     lambda name, body, t, g: NaryGammaSemiring(body["n"], t, g, tuple(body["mu"]),
+                                                name=name),
+     lambda s: _failures(*validate_semiring(s).checks),
+     lambda s: {"n": s.n, "mu": list(s.mu_table)}),
+    ("modules", "module",
+     (("semiring", "semirings", "semiring"), ("M", "monoids", "carrier monoid")),
+     lambda name, body, s, m: BiGammaModule(s, m, tuple(tuple(t) for t in body["act"]),
+                                            name=name),
+     lambda b: _failures(*validate_module(b).checks),
+     lambda b: {"act": [list(t) for t in b.act_tables]}),
+    ("morphisms", "morphism",
+     (("source", "semirings", "semiring"), ("target", "semirings", "semiring")),
+     lambda name, body, src, dst: GammaSemiringMorphism(src, dst, tuple(body["map"])),
+     lambda f: _failures(*validate_morphism(f).checks),
+     lambda f: {"map": list(f.map)}),
+    ("module_morphisms", "module morphism",
+     (("source", "modules", "module"), ("target", "modules", "module")),
+     lambda name, body, src, dst: ModuleMorphism(src, dst, tuple(body["map"])),
+     lambda f: _failures(*validate_module_morphism(f).checks),
+     lambda f: {"map": list(f.map)}),
+    ("conflations", "conflation",
+     (("i", "module_morphisms", "inflation"), ("p", "module_morphisms", "deflation")),
+     lambda name, body, i, p: Conflation(i, p),
+     lambda c: _failures(check_conflation(c)),
+     lambda: {}),
+)
+
+
 def _require(cond, where, msg):
     if not cond:
         raise WorkspaceError(f"{where}: {msg}")
@@ -79,124 +132,55 @@ def parse_workspace(paths: list[str]) -> Workspace:
     ws = Workspace()
     for path in paths:
         with open(path, "rb") as fh:
-            raw = fh.read()
-        merge_bytes(ws, raw, where=path)
+            merge_bytes(ws, fh.read(), where=path)
     return ws
+
+
+def _integers_only(text: str):
+    raise ValueError(f"the format has integers only, not {text}")
 
 
 def merge_bytes(ws: Workspace, raw: bytes, where: str) -> Workspace:
     """Record the sha256 of ``raw`` under ``where``, decode it and merge it."""
     ws.digests[where] = hashlib.sha256(raw).hexdigest()
     try:
-        doc = json.loads(raw.decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as e:
-        raise WorkspaceError(f"{where}: not valid UTF-8 JSON ({e})")
+        doc = json.loads(raw.decode("utf-8"), parse_float=_integers_only,
+                         parse_constant=_integers_only)
+    except (ValueError, RecursionError) as e:
+        raise WorkspaceError(f"{where}: not integer-only UTF-8 JSON ({e})") from None
     return merge_document(ws, doc, where=where)
 
 
 def merge_document(ws: Workspace, doc: dict, where: str = "<doc>") -> Workspace:
+    """Build, validate and store each structure of ``doc``, kind by kind; a
+    failure raises "FILE: KIND 'NAME': PROBLEM" with the first witness."""
     _require(isinstance(doc, dict), where, "top level must be an object")
     _require(doc.get("schema") == SCHEMA, where,
              f"unsupported schema {doc.get('schema')!r}; expected {SCHEMA!r}")
-
-    for name, body in doc.get("monoids", {}).items():
-        _require(name not in ws.monoids, where, f"duplicate monoid '{name}'")
-        try:
-            m = FiniteAddMonoid(body["size"], tuple(body["add"]), body.get("zero", 0))
-        except (KeyError, StructuralError, TypeError) as e:
-            raise WorkspaceError(f"{where}: monoid '{name}': {e}")
-        issues = m.validate()
-        _require(not issues, where, f"monoid '{name}' violates {issues[:1]}")
-        ws.monoids[name] = m
-
-    for name, body in doc.get("gammas", {}).items():
-        _require(name not in ws.gammas, where, f"duplicate gamma '{name}'")
-        zero = body.get("zero")
-        try:
-            g = GammaSemigroup(body["size"], tuple(body["add"]),
-                               has_zero=zero is not None, zero=zero)
-        except (KeyError, StructuralError, TypeError) as e:
-            raise WorkspaceError(f"{where}: gamma '{name}': {e}")
-        issues = g.validate()
-        _require(not issues, where, f"gamma '{name}' violates {issues[:1]}")
-        ws.gammas[name] = g
-
-    for name, body in doc.get("semirings", {}).items():
-        _require(name not in ws.semirings, where, f"duplicate semiring '{name}'")
-        t = ws.monoid(body["T"]) if body.get("T") in ws.monoids else None
-        _require(t is not None, where, f"semiring '{name}': unknown carrier monoid")
-        _require(body.get("gamma") in ws.gammas, where,
-                 f"semiring '{name}': unknown parameter semigroup")
-        try:
-            s = NaryGammaSemiring(body["n"], t, ws.gammas[body["gamma"]],
-                                  tuple(body["mu"]), name=name)
-        except (KeyError, StructuralError, TypeError) as e:
-            raise WorkspaceError(f"{where}: semiring '{name}': {e}")
-        report = validate_semiring(s)
-        _require(report.ok, where,
-                 f"semiring '{name}' fails {[str(c.axiom) + ' ' + str(c.witness) for c in report.failures()]}")
-        ws.semirings[name] = s
-
-    for name, body in doc.get("modules", {}).items():
-        _require(name not in ws.modules, where, f"duplicate module '{name}'")
-        _require(body.get("semiring") in ws.semirings, where,
-                 f"module '{name}': unknown semiring")
-        _require(body.get("M") in ws.monoids, where,
-                 f"module '{name}': unknown carrier monoid")
-        try:
-            b = BiGammaModule(ws.semirings[body["semiring"]],
-                              ws.monoids[body["M"]],
-                              tuple(tuple(t) for t in body["act"]), name=name)
-        except (KeyError, StructuralError, TypeError) as e:
-            raise WorkspaceError(f"{where}: module '{name}': {e}")
-        report = validate_module(b)
-        _require(report.ok, where,
-                 f"module '{name}' fails {[str(c.axiom) + ' ' + str(c.witness) for c in report.failures()]}")
-        ws.modules[name] = b
-
-    for name, body in doc.get("morphisms", {}).items():
-        _require(name not in ws.morphisms, where, f"duplicate morphism '{name}'")
-        _require(body.get("source") in ws.semirings, where,
-                 f"morphism '{name}': unknown source")
-        _require(body.get("target") in ws.semirings, where,
-                 f"morphism '{name}': unknown target")
-        try:
-            f = GammaSemiringMorphism(ws.semirings[body["source"]],
-                                      ws.semirings[body["target"]],
-                                      tuple(body["map"]))
-        except (KeyError, StructuralError, TypeError) as e:
-            raise WorkspaceError(f"{where}: morphism '{name}': {e}")
-        report = validate_morphism(f)
-        _require(report.ok, where, f"morphism '{name}' is not a morphism")
-        ws.morphisms[name] = f
-
-    for name, body in doc.get("module_morphisms", {}).items():
-        _require(name not in ws.module_morphisms, where,
-                 f"duplicate module morphism '{name}'")
-        _require(body.get("source") in ws.modules, where,
-                 f"module morphism '{name}': unknown source")
-        _require(body.get("target") in ws.modules, where,
-                 f"module morphism '{name}': unknown target")
-        try:
-            f = ModuleMorphism(ws.modules[body["source"]],
-                               ws.modules[body["target"]], tuple(body["map"]))
-        except (KeyError, StructuralError, TypeError) as e:
-            raise WorkspaceError(f"{where}: module morphism '{name}': {e}")
-        report = validate_module_morphism(f)
-        _require(report.ok, where, f"module morphism '{name}' is not a morphism")
-        ws.module_morphisms[name] = f
-
-    for name, body in doc.get("conflations", {}).items():
-        _require(name not in ws.conflations, where, f"duplicate conflation '{name}'")
-        _require(body.get("i") in ws.module_morphisms, where,
-                 f"conflation '{name}': unknown inflation")
-        _require(body.get("p") in ws.module_morphisms, where,
-                 f"conflation '{name}': unknown deflation")
-        c = Conflation(ws.module_morphisms[body["i"]], ws.module_morphisms[body["p"]])
-        check = check_conflation(c)
-        _require(check.ok, where, f"conflation '{name}' fails: {check.witness}")
-        ws.conflations[name] = c
-
+    for section, label, refs, build, check, _ in KINDS:
+        entries = doc.get(section, {})
+        _require(isinstance(entries, dict), where, f"'{section}' must be an object")
+        store = getattr(ws, section)
+        for name, body in entries.items():
+            at = f"{where}: {label} '{name}'"
+            _require(name not in store, at, "duplicate name")
+            _require(isinstance(body, dict), at, "body must be an object")
+            found = []
+            for fld, sec, what in refs:
+                ref, table = body.get(fld), getattr(ws, sec)
+                _require(isinstance(ref, str) and ref in table, at,
+                         f"'{fld}' names no {what}: {ref!r}")
+                found.append(table[ref])
+            try:
+                obj = build(name, body, *found)
+            except KeyError as e:
+                raise WorkspaceError(f"{at}: missing field {e}") from None
+            except (StructuralError, TypeError) as e:
+                raise WorkspaceError(f"{at}: {e}") from None
+            issues = check(obj)
+            if issues:
+                raise WorkspaceError("{}: fails {} with witness {}".format(at, *issues[0]))
+            store[name] = obj
     return ws
 
 
@@ -208,40 +192,21 @@ def workspace_document(monoids=None, gammas=None, semirings=None, modules=None,
                        morphisms=None, module_morphisms=None, conflations=None):
     """Build the JSON document for named structures.
 
-    Structures reference each other by name; the caller supplies consistent
-    name assignments for the shared monoids and parameter semigroups.
+    Each argument maps names to a structure followed by the names of the
+    structures its ``KINDS`` refs point to: monoids and gammas map to bare
+    objects, and a conflation is only its (i, p) names.  The caller supplies
+    consistent names for the shared monoids and parameter semigroups.
     """
     doc = {"schema": SCHEMA}
-    if monoids:
-        doc["monoids"] = {
-            name: {"size": m.size, "zero": m.zero, "add": list(m.add_table)}
-            for name, m in monoids.items()}
-    if gammas:
-        doc["gammas"] = {
-            name: {"size": g.size, "add": list(g.add_table),
-                   "zero": g.zero if g.has_zero else None}
-            for name, g in gammas.items()}
-    if semirings:
-        doc["semirings"] = {
-            name: {"n": s.n, "T": t_name, "gamma": g_name, "mu": list(s.mu_table)}
-            for name, (s, t_name, g_name) in semirings.items()}
-    if modules:
-        doc["modules"] = {
-            name: {"semiring": s_name, "M": m_name,
-                   "act": [list(t) for t in b.act_tables]}
-            for name, (b, s_name, m_name) in modules.items()}
-    if morphisms:
-        doc["morphisms"] = {
-            name: {"source": src, "target": dst, "map": list(f.map)}
-            for name, (f, src, dst) in morphisms.items()}
-    if module_morphisms:
-        doc["module_morphisms"] = {
-            name: {"source": src, "target": dst, "map": list(f.map)}
-            for name, (f, src, dst) in module_morphisms.items()}
-    if conflations:
-        doc["conflations"] = {
-            name: {"i": iname, "p": pname}
-            for name, (iname, pname) in conflations.items()}
+    sections = (monoids, gammas, semirings, modules, morphisms, module_morphisms,
+                conflations)
+    for (section, _, refs, _, _, write), entries in zip(KINDS, sections):
+        for name, entry in (entries or {}).items():
+            parts = entry if refs else (entry,)
+            split = len(parts) - len(refs)
+            body = write(*parts[:split])
+            body.update(zip((fld for fld, _, _ in refs), parts[split:]))
+            doc.setdefault(section, {})[name] = body
     return doc
 
 

@@ -5,6 +5,7 @@ from math import prod
 import pytest
 from test_fuzz import _monoid_pool
 
+from ngamma.abgroups import SoundnessError
 from ngamma.bundled import bundled_workspace
 from ngamma.core import (
     BoundExceeded, FiniteAddMonoid, GammaSemigroup, NaryGammaSemiring, bundled_semirings,
@@ -143,6 +144,13 @@ def test_invariants_from_orders():
     assert oracle.invariants_from_orders(elems24, add24, (0, 0)) == (2, 4)
     elems8 = list(range(8))
     assert oracle.invariants_from_orders(elems8, lambda a, b: (a + b) % 8, 0) == (8,)
+
+
+def test_invariants_from_orders_refuses_a_non_group():
+    # Six elements under addition mod 3 are all killed by 3: not a power of 3,
+    # so no finite abelian group has these order statistics.
+    with pytest.raises(SoundnessError, match="not a power of 3"):
+        oracle.invariants_from_orders(range(6), lambda a, b: (a + b) % 3, 0)
 
 
 def test_tensor_class_count_agrees():

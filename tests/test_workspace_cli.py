@@ -4,12 +4,13 @@ from itertools import combinations
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from ngamma import cli
 from ngamma.bundled import bundled_document, bundled_path, bundled_workspace
 from ngamma.cli import build_parser, command_in, main
 from ngamma.workspace import (
-    SCHEMA, Workspace, WorkspaceError, dump_document, merge_document,
+    SCHEMA, Workspace, WorkspaceError, dump_document, merge_bytes, merge_document,
     parse_workspace,
 )
 
@@ -82,6 +83,104 @@ def test_dangling_reference():
         merge_document(Workspace(), doc)
 
 
+# ---------------------------------------------------------------------------
+# Every malformed document is a WorkspaceError
+# ---------------------------------------------------------------------------
+
+def _paths(value, path=()):
+    """Every path into a JSON value, the value's own () first."""
+    yield path
+    items = (value.items() if isinstance(value, dict) else
+             enumerate(value) if isinstance(value, list) else ())
+    for key, child in items:
+        yield from _paths(child, path + (key,))
+
+
+def _replaced(doc, path, value):
+    """A copy of ``doc`` with the value at ``path`` replaced by ``value``."""
+    if not path:
+        return value
+    doc = json.loads(json.dumps(doc))
+    node = doc
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = value
+    return doc
+
+
+_DOC = bundled_document()
+_PATHS = list(_paths(_DOC))
+# Table cells are most paths; these are the rest, the document's structure.
+_STRUCTURE = [p for p in _PATHS if not p or not isinstance(p[-1], int)]
+_NAMES = sorted({name for section in _DOC.values() if isinstance(section, dict)
+                 for name in section})
+_FIELDS = sorted({fld for section in _DOC.values() if isinstance(section, dict)
+                  for body in section.values() for fld in body})
+# Integers stay small: an arity of 10^5 over one-element tables takes more
+# than 30 s to validate.
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers(-3, 40) | st.floats()
+    | st.text(max_size=4) | st.sampled_from(_NAMES),
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(st.text(max_size=4) | st.sampled_from(_FIELDS), inner, max_size=4),
+    max_leaves=8)
+
+
+@given(st.sampled_from(_STRUCTURE) | st.sampled_from(_PATHS), _JSON)
+@settings(max_examples=200, deadline=None)
+def test_any_replaced_value_loads_or_is_a_workspace_error(path, value):
+    raw = json.dumps(_replaced(_DOC, path, value)).encode("utf-8")
+    try:
+        merge_bytes(Workspace(), raw, where="fuzzed.json")
+    except WorkspaceError as e:
+        assert str(e).startswith("fuzzed.json: ")
+
+
+@pytest.mark.parametrize("path, text, message", [
+    (("monoids",), "[]", "'monoids' must be an object"),
+    (("gammas", "g_trivial"), "[1]", "gamma 'g_trivial': body must be an object"),
+    (("modules", "f2_reg", "semiring"), '["f2_ternary"]',
+     "module 'f2_reg': 'semiring' names no semiring: ['f2_ternary']"),
+    (("conflations", "c_ideal", "i"), "{}", "conflation 'c_ideal': 'i' names no inflation"),
+    (("monoids", "m_z2"), '{"size": 2}', "monoid 'm_z2': missing field 'add'"),
+    (("semirings", "f2_ternary", "n"), "3.0", "integers only, not 3.0"),
+    (("monoids", "m_z2", "size"), "2.0", "integers only, not 2.0"),
+    (("monoids", "m_z2", "size"), "1e3", "integers only, not 1e3"),
+    (("monoids", "m_z2", "add", 0), "NaN", "integers only, not NaN"),
+    (("monoids", "m_z2", "zero"), "-Infinity", "integers only, not -Infinity"),
+    (("semirings", "f2_ternary", "n"), "1000000",
+     "semiring 'f2_ternary': mu table has 8 entries, fewer than the 2^999999"),
+    (("module_morphisms", "incl02", "map", 1), "5",
+     "module morphism 'incl02': module morphism value out of range"),
+    (("module_morphisms", "incl02", "map", 1), "-1",
+     "module morphism 'incl02': module morphism value out of range"),
+])
+def test_malformed_documents_exit_2_with_an_error_line(path, text, message, tmp_path,
+                                                        capsys):
+    # A placeholder string stands where the raw text goes.
+    raw = json.dumps(_replaced(_DOC, path, "\0")).replace('"\\u0000"', text)
+    assert text in raw
+    with pytest.raises(WorkspaceError) as err:
+        merge_bytes(Workspace(), raw.encode("utf-8"), where="bad.json")
+    assert str(err.value).startswith("bad.json: ") and message in str(err.value)
+    bad = tmp_path / "bad.json"
+    bad.write_text(raw, encoding="utf-8")
+    assert main(["--no-bundled", "-w", str(bad), "validate"]) == 2
+    want = str(err.value).replace("bad.json", str(bad), 1)
+    assert capsys.readouterr().err == f"error: {want}\n"
+
+
+def test_morphism_failures_name_their_witness():
+    doc = _replaced(_DOC, ("morphisms", "q_z4_f2", "map"), [0, 1, 1, 0])
+    with pytest.raises(WorkspaceError, match=r"<doc>: morphism 'q_z4_f2': fails "
+                       r"morphism additivity with witness \(1, 1\)"):
+        merge_document(Workspace(), doc)
+    doc = _replaced(_DOC, ("module_morphisms", "incl02", "map"), [0, 1])
+    with pytest.raises(WorkspaceError, match=r"<doc>: module morphism 'incl02': fails "
+                       r"morphism additivity with witness \(1, 1\)"):
+        merge_document(Workspace(), doc)
+
+
 def test_cli_exit_codes(capsys, tmp_path):
     assert main(["--format", "structured", "validate"]) == 0
     capsys.readouterr()
@@ -91,6 +190,45 @@ def test_cli_exit_codes(capsys, tmp_path):
     assert main(["--format", "structured", "ideals", "quotient",
                  "z4_ternary", "--ideal", "3"]) == 1
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["mod", "hom", "f2_reg"], "mod hom takes 2 name(s), got 1"),
+    (["mod", "tensor", "z4_reg"], "mod tensor takes 2 name(s), got 1"),
+    (["mod", "cofree", "z4_ternary"], "mod cofree takes 2 name(s), got 1"),
+    (["mod", "validate", "f2_reg", "f2_reg"], "mod validate takes 1 name(s), got 2"),
+    (["ideals", "quotient", "z4_ternary", "--ideal", "17"],
+     "--ideal 17 is not a bitmask over the 4 elements of z4_ternary"),
+    (["ideals", "quotient", "z4_ternary", "--ideal", "-1"],
+     "--ideal -1 is not a bitmask over the 4 elements of z4_ternary"),
+    (["balance", "z4_ternary", "z4_reg", "z4_reg", "--depth", "-1"],
+     "argument --depth: must be a nonnegative integer, got '-1'"),
+    (["basechange", "q_z4_f2", "z4_reg", "z4_reg", "--depth", "-1"],
+     "argument --depth: must be a nonnegative integer, got '-1'"),
+    (["ext", "f2_ternary", "f2_reg", "f2_reg", "--gamma-policy", "fixed:a"],
+     "--gamma-policy fixed: wants 2 comma-separated indices below 1, got 'a'"),
+    (["ext", "f2_ternary", "f2_reg", "f2_reg", "--filler-policy", "fixed:9"],
+     "--filler-policy fixed: wants 1 comma-separated indices below 2, got '9'"),
+    (["ext", "z4_ternary", "f2_reg", "f2_reg"],
+     "module 'f2_reg' does not live over z4_ternary"),
+    (["kunneth", "z4_ternary", "f2_reg", "f2_reg", "f2_reg"],
+     "module 'f2_reg' does not live over z4_ternary"),
+    (["basechange", "q_z4_f2", "f2_reg", "z4_reg"],
+     "module does not live over the morphism source"),
+])
+def test_bad_arguments_exit_2_with_an_error_line(argv, message, capsys):
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert "error: " in err and message in err
+
+
+def test_kunneth_answers_at_depth_zero(capsys):
+    rc = main(["--format", "structured", "kunneth", "f2_ternary", "f2_reg", "f2_reg",
+               "f2_reg", "--depth", "0"])
+    doc = json.loads(capsys.readouterr().out)
+    assert rc == 0
+    assert doc["results"]["page_law"] == [True, True]
+    assert doc["results"]["diagonal_orders_first"] == [[0, 2, 2]]
 
 
 def test_cli_structured_reports_are_json(capsys):
