@@ -259,21 +259,11 @@ class GroupMap:
                         [[c * v for v in row] for row in self.mat], check=False)
 
     def is_zero(self) -> bool:
-        z = self.dst.zero()
-        for j in range(self.src.dim):
-            if self.dst.reduce([self.mat[i][j] for i in range(self.dst.dim)]) != z:
-                return False
-        return True
+        return not any(map(any, self.mat))
 
     def equal(self, other: "GroupMap") -> bool:
-        if self.src.orders != other.src.orders or self.dst.orders != other.dst.orders:
-            return False
-        for j in range(self.src.dim):
-            a = self.dst.reduce([self.mat[i][j] for i in range(self.dst.dim)])
-            b = self.dst.reduce([other.mat[i][j] for i in range(other.dst.dim)])
-            if a != b:
-                return False
-        return True
+        return (self.src.orders == other.src.orders
+                and self.dst.orders == other.dst.orders and self.mat == other.mat)
 
     @staticmethod
     def identity(g: AbGroup) -> "GroupMap":

@@ -98,16 +98,6 @@ def _add_derived_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--filler-policy", default=None)
 
 
-def _modules_over(ws: Workspace, s, *names: str) -> list:
-    """The named modules, refused unless each lives over ``s``."""
-    mods = [ws.module(name) for name in names]
-    for name, m in zip(names, mods):
-        if m.parent != s:
-            raise StructuralError(f"module '{name}' does not live over "
-                                  f"{ws.semiring_name(s)}")
-    return mods
-
-
 def _derived_options(args, s) -> tuple[int, int, ContractionPolicy]:
     """(j, k, policy) from the flags ``_add_derived_flags`` registers."""
     j, k = _parse_slots(args.slots, s.n)
@@ -261,7 +251,7 @@ def cmd_complete(ws: Workspace, args, rep: Reporter) -> int:
 
 def cmd_ext_tor(ws: Workspace, args, rep: Reporter) -> int:
     s = ws.semiring(args.semiring)
-    m, n = _modules_over(ws, s, args.m, args.n)
+    m, n = ws.module(args.m), ws.module(args.n)
     j, k, policy = _derived_options(args, s)
     fn = ext_via_bar if args.cmd == "ext" else tor_via_bar
     res = fn(s, m, n, j, k, args.depth, policy)
@@ -273,7 +263,7 @@ def cmd_ext_tor(ws: Workspace, args, rep: Reporter) -> int:
 
 def cmd_balance(ws: Workspace, args, rep: Reporter) -> int:
     s = ws.semiring(args.semiring)
-    m, n = _modules_over(ws, s, args.m, args.n)
+    m, n = ws.module(args.m), ws.module(args.n)
     j, k, policy = _derived_options(args, s)
     b = balance_check(s, m, n, args.depth, j, k, policy)
     results = {
@@ -303,7 +293,7 @@ def cmd_les(ws: Workspace, args, rep: Reporter) -> int:
 
 def cmd_yoneda(ws: Workspace, args, rep: Reporter) -> int:
     s = ws.semiring(args.semiring)
-    m, = _modules_over(ws, s, args.m)
+    m = ws.module(args.m)
     j, k, policy = _derived_options(args, s)
     ext = ExtSetup(s, m, m, args.depth + 2, j, k, policy)
     ident = ext.identity_cocycle()
@@ -331,7 +321,7 @@ def cmd_yoneda(ws: Workspace, args, rep: Reporter) -> int:
 
 def cmd_kunneth(ws: Workspace, args, rep: Reporter) -> int:
     s = ws.semiring(args.semiring)
-    m, n, l = _modules_over(ws, s, args.m, args.n, args.l)
+    m, n, l = ws.module(args.m), ws.module(args.n), ws.module(args.l)
     j, k, policy = _derived_options(args, s)
     r = kunneth_check(s, m, n, l, args.depth, j, k, policy)
     results = {

@@ -144,6 +144,18 @@ def linearize_all(mods) -> list[CompletedModule]:
     return out
 
 
+def linearize_over(s: NaryGammaSemiring, mods) -> list[CompletedModule]:
+    """``linearize_all`` of the modules of one derived call over s.
+
+    A module (BiGammaModule or CompletedModule) over another semiring is
+    refused with a StructuralError before anything is linearized.
+    """
+    for b in mods:
+        if (b.semiring if isinstance(b, CompletedModule) else b.parent) != s:
+            raise StructuralError(f"module '{b.name}' does not live over {s.name}")
+    return linearize_all(mods)
+
+
 def linearize_morphism(f: ModuleMorphism, src: CompletedModule,
                        dst: CompletedModule) -> GroupMap:
     if src.completion is None or dst.completion is None:
@@ -284,9 +296,7 @@ class EquivariantHom:
     def precompose(self, g: GroupMap, dst: "EquivariantHom", what: str) -> GroupMap:
         """f -> f . g from this Hom group into ``dst``, whose source is g's."""
         def image_of(basis):
-            f = self.matrix(basis)
-            coords = dst.coords(GroupMap(g.src, f.dst, la.mat_mul(f.mat, g.mat, f.src.dim),
-                                         check=False))
+            coords = dst.coords(self.matrix(basis).compose(g))
             if coords is None:
                 raise SoundnessError(f"{what} left the equivariant maps")
             return coords

@@ -472,6 +472,12 @@ def _semiring_report(s: NaryGammaSemiring) -> AxiomReport:
     g_issues = s.gamma.validate()
     checks.append(AxiomCheck("parameter semigroup laws", not g_issues,
                              g_issues[0] if g_issues else None))
+    if s.T.size == 1:
+        # Every table law equates two values of a one-element carrier, as in
+        # ``modules.validate_module`` for a one-element module.
+        return AxiomReport(tuple(checks) + tuple(AxiomCheck(axiom, True) for axiom in (
+            "T-slot additivity", "parameter-slot additivity", "flattened associativity",
+            "zero absorption")))
     n = s.n
     monoids = [s.T] * n + [s.gamma] * (n - 1)
 
@@ -709,29 +715,21 @@ def make_matrix_family(base: BinarySemiring, m: int, arity: int,
                              name=name or f"mat{m}({base.name})^{arity}")
 
 
-def enumerate_endomorphisms(monoid: FiniteAddMonoid) -> list[tuple[int, ...]]:
-    """All additive self-maps of a finite monoid, lexicographically ordered."""
-    out = []
-    for vals in product(range(monoid.size), repeat=monoid.size):
-        if vals[monoid.zero] != monoid.zero:
-            continue
-        if all(vals[monoid.add(a, b)] == monoid.add(vals[a], vals[b])
-               for a in range(monoid.size) for b in range(monoid.size)):
-            out.append(vals)
-    return out
-
-
 def make_endomorphism_family(monoid: FiniteAddMonoid, arity: int,
                              gamma: GammaSemigroup | None = None,
                              comp=None, name: str = "") -> NaryGammaSemiring:
     """Additive endomorphisms under parameterized composition.
 
-    ``comp(f, g, gparam)`` must return an additive endomorphism given as a
-    value tuple; the default ignores the parameter and composes.
+    The carrier is ``modules.additive_maps(monoid, monoid)`` in
+    lexicographic order.  ``comp(f, g, gparam)`` must return an additive
+    endomorphism given as a value tuple; the default ignores the parameter
+    and composes.
     """
+    from .modules import additive_maps
+
     if gamma is None:
         gamma = trivial_gamma()
-    ends = enumerate_endomorphisms(monoid)
+    ends = sorted(additive_maps(monoid, monoid))
     index = {f: i for i, f in enumerate(ends)}
     if comp is None:
         def comp(f, g, _):

@@ -25,12 +25,12 @@ from .core import (
     unflatten_index,
 )
 from .modules import (
-    BiGammaModule, Conflation, ModuleMorphism, cofree, filler_tuples, quotient_projection,
+    BiGammaModule, Conflation, ModuleMorphism, cofree, filler_index, quotient_projection,
     regular_bimodule, validate_module_morphism,
 )
 from .completion import (
-    CompletedModule, EquivariantHom, TensorGroup, linearize_all, linearize_module,
-    linearize_morphism,
+    CompletedModule, EquivariantHom, TensorGroup, linearize_module, linearize_morphism,
+    linearize_over,
 )
 
 
@@ -141,6 +141,12 @@ class ContractionPolicy:
     fillers: tuple[tuple[int, ...], ...]
     label: str = ""
 
+    def words(self, s: NaryGammaSemiring, t: int) -> list[int]:
+        """The fillers, by ``filler_index``, that a contraction of carrier
+        element t sums over: (t, fill) with every parameter tuple, per fill."""
+        return [filler_index(s, (t,) + fill, gs) for fill in self.fillers
+                for gs in self.gammas]
+
 
 def default_policy(s: NaryGammaSemiring) -> ContractionPolicy:
     gammas = tuple(s.g_tuples(s.n - 1))
@@ -176,8 +182,10 @@ class BarComplex:
     The differential alternates over contractions of adjacent factors: the
     wrap-around absorption of the first factor into the module, the merges
     of neighbouring carrier factors, and the absorption of the last factor.
-    Word space at degree r is the unbalanced coordinate basis; projections
-    and lifts to the balanced groups drive faces and functoriality.
+    Word space at degree r is the unbalanced coordinate basis; the faces are
+    computed there and projected to the balanced groups.  ``tensors[r]`` is
+    the balanced tensor of the carrier power against the module that degree
+    r >= 1 is built from; maps between towers are induced on it.
     """
 
     def __init__(self, s: NaryGammaSemiring, module: CompletedModule,
@@ -192,17 +200,17 @@ class BarComplex:
         self.policy = policy
         tdim = carrier.group.dim
         mdim = module.group.dim
-        self._windex = {w: i for i, w in enumerate(filler_tuples(s))}
 
         self._beta = self._absorb_table(carrier, slot=1)
         self._alpha_left = self._absorb_table(module, slot=1)
         self._alpha_right = self._absorb_table(module, slot=0)
 
         self.terms: list[CompletedModule] = [module]
+        self.tensors: dict[int, TensorGroup] = {}
         self.word_dims = [mdim]
         ident_m = la.identity(mdim)
-        self.projs = [ident_m]
-        self.lifts = [ident_m]
+        projs = [ident_m]
+        lifts = [ident_m]
         power = None
         pproj = la.identity(tdim)
         plift = la.identity(tdim)
@@ -224,27 +232,27 @@ class BarComplex:
                 power = new_power
             wdim = (tdim ** r) * mdim
             if wdim > word_bound:
-                raise BoundExceeded("bar word space exceeds its bound")
+                raise BoundExceeded(
+                    f"bar word space at degree {r}: tdim^r*mdim = {tdim}^{r}*{mdim} "
+                    f"= {wdim} exceeds its bound {word_bound}")
             tg = TensorGroup(power, module, j, k)
-            term = tg.as_module()
-            proj = la.mat_mul(tg.pres.proj_matrix(),
-                              la.kron(pproj, power.group.dim, tdim ** r,
-                                      ident_m, mdim, mdim),
-                              power.group.dim * mdim)
-            lift = la.mat_mul(la.kron(plift, tdim ** r, power.group.dim,
-                                      ident_m, mdim, mdim),
-                              tg.pres.lift_matrix(), power.group.dim * mdim)
-            self.terms.append(term)
+            projs.append(la.mat_mul(tg.pres.proj_matrix(),
+                                    la.kron(pproj, power.group.dim, tdim ** r,
+                                            ident_m, mdim, mdim),
+                                    power.group.dim * mdim))
+            lifts.append(la.mat_mul(la.kron(plift, tdim ** r, power.group.dim,
+                                            ident_m, mdim, mdim),
+                                    tg.pres.lift_matrix(), power.group.dim * mdim))
+            self.tensors[r] = tg
+            self.terms.append(tg.as_module())
             self.word_dims.append(wdim)
-            self.projs.append(proj)
-            self.lifts.append(lift)
 
         self.diffs: dict[int, GroupMap] = {}
         for r in range(1, depth + 1):
             wmat = self._differential_on_words(r)
             self.diffs[r] = induced_on_quotients(
-                self.projs[r - 1], self.terms[r - 1].group, wmat,
-                self.lifts[r], self.projs[r], self.terms[r].group,
+                projs[r - 1], self.terms[r - 1].group, wmat,
+                lifts[r], projs[r], self.terms[r].group,
                 f"bar differential d_{r}")
         self.chain = ChainComplexAb([t.group for t in self.terms], dict(self.diffs))
         # Comparison-lift stages into this tower, keyed by (source tower,
@@ -267,15 +275,11 @@ class BarComplex:
             raise StructuralError("bar carrier must come from a completion")
         tdim = self.carrier.group.dim
         mdim = module.group.dim
-        tsize = comp.monoid.size
+        zero = GroupMap.zero(module.group, module.group)
         summed = []
-        for t in range(tsize):
-            acc = GroupMap.zero(module.group, module.group)
-            for fill in self.policy.fillers:
-                for gs in self.policy.gammas:
-                    w = self._windex[((t,) + fill, gs)]
-                    acc = acc.add(module.op(slot, w))
-            summed.append(acc)
+        for t in range(comp.monoid.size):
+            ops = (module.op(slot, w) for w in self.policy.words(self.semiring, t))
+            summed.append(reduce(GroupMap.add, ops, zero))
         out = [[None] * mdim for _ in range(tdim)]
         for ia, pairs in enumerate(comp.lifts):
             for ib in range(mdim):
@@ -348,13 +352,13 @@ def bar_complex(s: NaryGammaSemiring, module, j: int | None = None, k: int = 0,
     """The bar tower of ``module`` (a BiGammaModule or CompletedModule).
 
     The carrier defaults to the regular module, linearized together with
-    ``module`` (``linearize_all``): it shares the module's completion when
+    ``module`` (``linearize_over``): it shares the module's completion when
     the module's monoid is s.T, and its operators when the module is the
     regular one.  Callers that build several towers pass one ``carrier``.
     Nothing is cached across calls.
     """
     policy = policy or default_policy(s)
-    module, carrier = linearize_all([module, _regular(s, carrier)])
+    module, carrier = linearize_over(s, [module, _regular(s, carrier)])
     j = resolve_slot(s, j)
     if not (0 <= j < s.n and 0 <= k < s.n):
         raise ValueError("slot indices out of range")
@@ -393,19 +397,20 @@ class TensorChain:
 
 
 def bar_map(src_bar: BarComplex, dst_bar: BarComplex, f: GroupMap) -> list[GroupMap]:
-    """Degreewise maps induced by a module map, checked to be a chain map."""
+    """Degreewise maps induced by a module map, checked to be a chain map:
+    f at degree 0 and id (x) f on the balanced tensor of every degree above.
+
+    Both towers must share their depth, carrier and slots.
+    """
     if src_bar.depth != dst_bar.depth:
         raise ValueError(f"bar towers of depth {src_bar.depth} and "
                          f"{dst_bar.depth} cannot be compared")
-    out = []
-    tdim = src_bar.carrier.group.dim
-    for r in range(src_bar.depth + 1):
-        wmat = la.kron(la.identity(tdim ** r), tdim ** r, tdim ** r,
-                       f.mat, f.dst.dim, f.src.dim)
-        out.append(induced_on_quotients(
-            dst_bar.projs[r], dst_bar.terms[r].group, wmat,
-            src_bar.lifts[r], src_bar.projs[r], src_bar.terms[r].group,
-            f"induced bar map at degree {r}"))
+    if (src_bar.carrier, src_bar.jslot, src_bar.kslot) != \
+            (dst_bar.carrier, dst_bar.jslot, dst_bar.kslot):
+        raise ValueError("bar towers over different carriers or slots cannot be compared")
+    out = [f] + [src_bar.tensors[r].induced(dst_bar.tensors[r], right=f,
+                                            what=f"induced bar map at degree {r}")
+                 for r in range(1, src_bar.depth + 1)]
     for r in range(1, src_bar.depth + 1):
         lhs = out[r - 1].compose(src_bar.diffs[r])
         rhs = dst_bar.diffs[r].compose(out[r])
@@ -435,7 +440,7 @@ def ext_via_bar(s, m, n, j: int | None = None, k: int = 0, depth: int = 2,
     """Ext of m into n on m's bar tower; m, n and the carrier are
     linearized together, so each distinct monoid is completed once."""
     policy = policy or default_policy(s)
-    lin_m, target, carrier = linearize_all([m, n, _regular(s, carrier)])
+    lin_m, target, carrier = linearize_over(s, [m, n, _regular(s, carrier)])
     bar = bar_complex(s, lin_m, j, k, depth + 1, policy, carrier)
     hc = HomCochain(bar, target)
     return DerivedResult(hc.cochain.cohomology(depth), bar)
@@ -446,7 +451,7 @@ def tor_via_bar(s, m, n, j: int | None = None, k: int = 0, depth: int = 2,
                 carrier: CompletedModule | None = None) -> DerivedResult:
     """Tor of m's bar tower against n, linearized as in ``ext_via_bar``."""
     policy = policy or default_policy(s)
-    lin_m, right, carrier = linearize_all([m, n, _regular(s, carrier)])
+    lin_m, right, carrier = linearize_over(s, [m, n, _regular(s, carrier)])
     bar = bar_complex(s, lin_m, j, k, depth + 1, policy, carrier)
     tc = TensorChain(bar, right)
     return DerivedResult(homology(tc.chain)[:depth + 1], bar)
@@ -481,8 +486,7 @@ def _unit_into_cofree(b: BiGammaModule, policy: ContractionPolicy):
     cf = cofree(s, b.M)
     index = {f: i for i, f in enumerate(cf.maps)}
     cols = b.actions(s.n - 1)
-    rows = [[cols[flatten_index((t,) + fill + gs, s.sizes[1:])]
-             for fill in policy.fillers for gs in policy.gammas] for t in range(s.T.size)]
+    rows = [[cols[w] for w in policy.words(s, t)] for t in range(s.T.size)]
     table = []
     for m in range(b.M.size):
         key = tuple(reduce(b.M.add, (col[m] for col in row), b.M.zero) for row in rows)
@@ -546,8 +550,8 @@ def ext_via_cofree(s: NaryGammaSemiring, m, n: BiGammaModule, depth: int = 2,
     """Ext of m into n on n's cofree tower; ``completed`` is n's completed
     module when the caller has it."""
     policy = policy or default_policy(s)
-    tower = cofree_coresolution(s, n, depth + 1, policy, completed)
-    lin_m = m if isinstance(m, CompletedModule) else linearize_module(m)
+    lin_m, lin_n = linearize_over(s, [m, n if completed is None else completed])
+    tower = cofree_coresolution(s, n, depth + 1, policy, lin_n)
     cochain = tower.cochain_hom_from(lin_m)
     return DerivedResult(cochain.cohomology(depth), None)
 
@@ -568,7 +572,7 @@ def balance_check(s, m: BiGammaModule, n: BiGammaModule, depth: int = 2,
                   j: int | None = None, k: int = 0,
                   policy: ContractionPolicy | None = None) -> BalanceReport:
     policy = policy or default_policy(s)
-    lin_m, lin_n, carrier = linearize_all([m, n, regular_bimodule(s)])
+    lin_m, lin_n, carrier = linearize_over(s, [m, n, regular_bimodule(s)])
     via_bar = ext_via_bar(s, lin_m, lin_n, j, k, depth, policy, carrier)
     try:
         via_cofree = ext_via_cofree(s, lin_m, n, depth, policy, lin_n)
@@ -665,8 +669,8 @@ def les_check(c: Conflation, n: BiGammaModule, depth: int = 2,
     """
     s = n.parent
     policy = policy or default_policy(s)
-    lin_a, lin_b, lin_c, lin_n, carrier = linearize_all(
-        [c.i.source, c.i.target, c.p.target, n, regular_bimodule(s)])
+    lin_a, lin_b, lin_c, lin_n, carrier = linearize_over(
+        s, [c.i.source, c.i.target, c.p.target, n, regular_bimodule(s)])
     ki = linearize_morphism(c.i, lin_a, lin_b)
     kp = linearize_morphism(c.p, lin_b, lin_c)
     completion_exact = is_short_exact(ki, kp)
@@ -738,7 +742,7 @@ class ExtSetup:
         self.policy = policy or default_policy(s)
         j = resolve_slot(s, j)
         self.jslot, self.kslot = j, k
-        self.src, self.dst, carrier = linearize_all([m, n, regular_bimodule(s)])
+        self.src, self.dst, carrier = linearize_over(s, [m, n, regular_bimodule(s)])
         self.bar = bar_complex(s, self.src, j, k, depth, self.policy, carrier)
         self.hom = HomCochain(self.bar, self.dst)
         self.nodes = [self.hom.cochain.node(r)

@@ -93,6 +93,11 @@ def filler_tuples(s: NaryGammaSemiring) -> list[tuple[tuple[int, ...], tuple[int
     return [(t, g) for t in s.t_tuples(s.n - 1) for g in s.g_tuples(s.n - 1)]
 
 
+def filler_index(s: NaryGammaSemiring, carriers, params) -> int:
+    """The position of the filler (carriers, params) in ``filler_tuples(s)``."""
+    return flatten_index(tuple(carriers) + tuple(params), s.sizes[1:])
+
+
 def _filler_stride(s: NaryGammaSemiring, j: int) -> int:
     """How many fillers share slot j's leading carriers: the arguments after
     the module element in slot j's table."""
@@ -442,8 +447,10 @@ def additive_maps(src: FiniteAddMonoid, dst: FiniteAddMonoid,
     greedily, so distinct assignments give distinct maps.
     """
     gens = src.additive_generators()
-    if dst.size ** max(len(gens), 0) > bound:
-        raise BoundExceeded("additive map enumeration exceeds its bound")
+    candidates = dst.size ** len(gens)
+    if candidates > bound:
+        raise BoundExceeded(f"additive map enumeration of |dst|^g = {dst.size}^{len(gens)} "
+                            f"= {candidates} candidates exceeds its bound {bound}")
     walk = _generator_walk(src, gens)
     out = []
     for images in product(range(dst.size), repeat=len(gens)):

@@ -97,7 +97,7 @@ def subset_scan_ideals(s: NaryGammaSemiring,
     """Bitmasks of every ideal, by scanning all carrier subsets."""
     size = s.T.size
     if size > bound:
-        raise BoundExceeded("oracle subset scan refused")
+        raise BoundExceeded(f"oracle subset scan of carrier size {size} exceeds its bound {bound}")
     out = []
     for mask in range(1 << size):
         members = {e for e in range(size) if mask >> e & 1}
@@ -159,8 +159,10 @@ def all_additive_maps(src: FiniteAddMonoid, dst: FiniteAddMonoid,
     soon as the zero law or a sum a + b = c among its assigned elements
     fails; a complete table has passed every sum and the zero law.
     """
-    if dst.size ** src.size > bound:
-        raise BoundExceeded("oracle map enumeration refused")
+    tables = dst.size ** src.size
+    if tables > bound:
+        raise BoundExceeded(f"oracle map enumeration of |dst|^|src| = {dst.size}^{src.size} "
+                            f"= {tables} tables exceeds its bound {bound}")
     k = src.size
     # checks[i]: the sums that can be tested once element i is assigned
     checks = [[] for _ in range(k)]
@@ -300,8 +302,10 @@ def hom_group_bruteforce(x: CompletedModule, y: CompletedModule,
     """Invariant factors of the equivariant hom group by filtering all maps."""
     xs = list(x.group.elements())
     ys = list(y.group.elements())
-    if len(ys) ** len(xs) > bound:
-        raise BoundExceeded("oracle hom-group enumeration refused")
+    maps = len(ys) ** len(xs)
+    if maps > bound:
+        raise BoundExceeded(f"oracle hom-group enumeration of |y|^|x| = {len(ys)}^{len(xs)} "
+                            f"= {maps} maps exceeds its bound {bound}")
     xi = {v: i for i, v in enumerate(xs)}
     homs = []
     for values in product(ys, repeat=len(xs)):
@@ -365,8 +369,9 @@ def tensor_presentation(left: BiGammaModule, right: BiGammaModule, j: int, k: in
         idx, per = joint_orbit(a, b)
         caps.append(idx + per)
         wraps.append(idx)
-    if prod(c + 1 for c in caps) > box_bound:
-        raise BoundExceeded("oracle tensor box refused")
+    box = prod(c + 1 for c in caps)
+    if box > box_bound:
+        raise BoundExceeded(f"oracle tensor box of {box} points exceeds its bound {box_bound}")
 
     def one_hot(a, b):
         out = [0] * len(gens)

@@ -16,16 +16,15 @@ from .abgroups import (
     AbGroup, GroupMap, HomologyNode, SoundnessError, Subquotient, is_short_exact,
     kernel_gens,
 )
-from .core import (
-    GammaSemiringMorphism, NaryGammaSemiring, StructuralError, flatten_index,
-)
+from .core import GammaSemiringMorphism, NaryGammaSemiring, StructuralError
 from .ideals import all_ideals
 from .modules import (
-    BiGammaModule, ModuleMorphism, TensorCongruence, filler_tuples,
+    BiGammaModule, ModuleMorphism, TensorCongruence, filler_index, filler_tuples,
     ideal_submodule, module_from_actions, quotient_projection, regular_bimodule,
 )
 from .completion import (
     CompletedModule, EquivariantHom, TensorGroup, linearize_all, linearize_morphism,
+    linearize_over,
 )
 from .homology import (
     ChainComplexAb, ContractionPolicy, HomCochain, TensorChain, bar_complex,
@@ -130,14 +129,6 @@ class Totalization:
                             mat[row0 + i][col0 + jj] += gm.mat[i][jj]
             diffs[n] = GroupMap(src, dst, mat)
         self.complex = ChainComplexAb(groups, diffs)
-
-    def include(self, p: int, q: int, vec):
-        n = p + q
-        out = [0] * self.complex.groups[n].dim
-        off = self.offsets[n][(p, q)]
-        for i, v in enumerate(vec):
-            out[off + i] = v
-        return out
 
     def filtration_columns(self, n: int, pbound: int) -> list[int]:
         """Coordinates of Tot_n in the summands with column index <= pbound."""
@@ -378,7 +369,7 @@ def kunneth_check(s: NaryGammaSemiring, m: BiGammaModule, n: BiGammaModule,
     """
     policy = policy or default_policy(s)
     j = resolve_slot(s, j)
-    lin_m, lin_n, lin_l, carrier = linearize_all([m, n, l, regular_bimodule(s)])
+    lin_m, lin_n, lin_l, carrier = linearize_over(s, [m, n, l, regular_bimodule(s)])
     bar_m = bar_complex(s, lin_m, j, k, depth, policy, carrier)
     bar_n = bar_complex(s, lin_n, j, k, depth, policy, carrier)
 
@@ -456,8 +447,7 @@ def restrict_scalars(f: GammaSemiringMorphism, b: BiGammaModule) -> BiGammaModul
     if b.parent != f.target:
         raise StructuralError("module does not live over the morphism target")
     s, n = f.source, f.source.n
-    sizes = [f.target.T.size] * (n - 1) + [s.gamma.size] * (n - 1)
-    picks = [flatten_index(tuple(map(f, t)) + g, sizes) for t, g in filler_tuples(s)]
+    picks = [filler_index(f.target, map(f, t), g) for t, g in filler_tuples(s)]
     return module_from_actions(
         s, b.M, [[cols[w] for w in picks] for cols in map(b.actions, range(n))],
         name=f"res({b.name})")

@@ -140,12 +140,31 @@ def _integers_only(text: str):
     raise ValueError(f"the format has integers only, not {text}")
 
 
+def _first_bool(doc):
+    """The first JSON true or false found in ``doc``, or None."""
+    stack = [doc]
+    while stack:
+        v = stack.pop()
+        if isinstance(v, bool):
+            return v
+        stack.extend(v.values() if isinstance(v, dict) else v if isinstance(v, list) else ())
+    return None
+
+
 def merge_bytes(ws: Workspace, raw: bytes, where: str) -> Workspace:
-    """Record the sha256 of ``raw`` under ``where``, decode it and merge it."""
+    """Record the sha256 of ``raw`` under ``where``, decode it and merge it.
+
+    The decoder has no hook for true and false, so the document is walked
+    for them, but only when its bytes hold one of the two words.
+    """
     ws.digests[where] = hashlib.sha256(raw).hexdigest()
     try:
         doc = json.loads(raw.decode("utf-8"), parse_float=_integers_only,
                          parse_constant=_integers_only)
+        if b"true" in raw or b"false" in raw:
+            flag = _first_bool(doc)
+            if flag is not None:
+                _integers_only(json.dumps(flag))
     except (ValueError, RecursionError) as e:
         raise WorkspaceError(f"{where}: not integer-only UTF-8 JSON ({e})") from None
     return merge_document(ws, doc, where=where)

@@ -186,6 +186,29 @@ def test_endomorphism_family_z3():
     assert validate_semiring(s).ok
 
 
+def _additive_tables(m: FiniteAddMonoid) -> list[tuple[int, ...]]:
+    """Reference: every table of |M|^|M| that is an additive self-map, in
+    ``itertools.product`` (lexicographic) order."""
+    return [f for f in product(range(m.size), repeat=m.size)
+            if f[m.zero] == m.zero and all(f[m.add(a, b)] == m.add(f[a], f[b])
+                                           for a in range(m.size) for b in range(m.size))]
+
+
+@pytest.mark.parametrize("m", [
+    FiniteAddMonoid(4, tuple(a ^ b for a in range(4) for b in range(4))),
+    FiniteAddMonoid(4, tuple((a + b) % 4 for a in range(4) for b in range(4))),
+    FiniteAddMonoid(2, (0, 1, 1, 1)),
+], ids=["K4", "Z4", "B"])
+def test_endomorphism_family_orders_elements_as_the_table_filter(m):
+    ends = _additive_tables(m)
+    index = {f: i for i, f in enumerate(ends)}
+    s = make_endomorphism_family(m, 2)
+    assert s.T.add_table == tuple(index[tuple(m.add(a, b) for a, b in zip(f, g))]
+                                  for f in ends for g in ends)
+    assert s.mu_table == tuple(index[tuple(f[g[x]] for x in range(m.size))]
+                               for f in ends for g in ends)
+
+
 def test_binary_specialization():
     s = binary_specialization(boolean_semiring())
     assert s.n == 2 and s.gamma.size == 1

@@ -6,7 +6,8 @@ import pytest
 
 from ngamma.abgroups import AbGroup, GroupMap, SoundnessError
 from ngamma.core import (
-    FiniteAddMonoid, boolean_ternary, bundled_semirings, f2_ternary, z4_ternary,
+    BoundExceeded, FiniteAddMonoid, StructuralError, boolean_ternary, bundled_semirings,
+    f2_semiring, f2_ternary, make_matrix_family, z4_ternary,
 )
 from ngamma.completion import linearize_module
 from ngamma.ideals import GammaIdeal, all_ideals, coset_congruence
@@ -16,9 +17,9 @@ from ngamma.modules import (
     regular_bimodule, zero_module,
 )
 from ngamma.homology import (
-    ChainComplexAb, ExtSetup, RegularityError, _lift_chain_map,
-    balance_check,
-    bar_complex, cofree_coresolution, ext_via_bar, ext_via_cofree, fixed_policy,
+    BarComplex, ChainComplexAb, ExtSetup, RegularityError, _lift_chain_map,
+    balance_check, default_policy,
+    bar_complex, bar_map, cofree_coresolution, ext_via_bar, ext_via_cofree, fixed_policy,
     homology, les_check, tor_via_bar, yoneda_compose,
 )
 
@@ -101,6 +102,37 @@ def test_bar_complex_depth3_homology(f2, z4):
                 if r + 1 <= bar.chain.top else {g.zero()}
             # order of ker/im = |ker| / |im| for finite groups
             assert node_order == len(kernel_elems) // len(image_elems)
+
+
+def test_bar_word_space_bound_names_degree_and_size():
+    # M2(F2) completes to a group of dimension 4: degree 1 has 4*4 = 16 words.
+    s = make_matrix_family(f2_semiring(), 2, 2)
+    reg = linearize_module(regular_bimodule(s))
+    with pytest.raises(BoundExceeded, match=r"bar word space at degree 2: tdim\^r\*mdim = "
+                                            r"4\^2\*4 = 64 exceeds its bound 20"):
+        BarComplex(s, reg, reg, 1, 0, 2, default_policy(s), word_bound=20)
+
+
+def test_bar_map_needs_one_carrier_and_slot_pair(z4):
+    reg = linearize_module(regular_bimodule(z4))
+    ident = GroupMap.identity(reg.group)
+    src = bar_complex(z4, reg, 2, 0, 2, carrier=reg)
+    maps = bar_map(src, bar_complex(z4, reg, 2, 0, 2, carrier=reg), ident)
+    assert [m.mat for m in maps] == [GroupMap.identity(t.group).mat for t in src.terms]
+    for dst in (bar_complex(z4, reg, 1, 0, 2, carrier=reg), bar_complex(z4, reg, 2, 0, 2)):
+        with pytest.raises(ValueError, match="different carriers or slots"):
+            bar_map(src, dst, ident)
+
+
+def test_derived_calls_refuse_modules_over_another_semiring(f2, z4, z4_conflation):
+    f2_reg = regular_bimodule(f2)
+    with pytest.raises(StructuralError, match="module 'f2_ternary.regular' does not "
+                                              "live over z4_ternary"):
+        ext_via_bar(z4, f2_reg, f2_reg)
+    with pytest.raises(StructuralError, match="does not live over z4_ternary"):
+        ext_via_cofree(z4, f2_reg, f2_reg)
+    with pytest.raises(StructuralError, match="does not live over f2_ternary"):
+        les_check(z4_conflation, f2_reg)
 
 
 def test_ext_and_tor_via_bar(f2, z4):

@@ -128,6 +128,9 @@ def test_additive_maps_enumeration():
     assert len(additive_maps(z2, z4m)) == 2  # 1 -> 0 or 2
     assert len(additive_maps(boolm, boolm)) == 2  # const-1 is not additive
     assert len(additive_maps(boolm, z2)) == 1  # 1+1=1 forces f(1)=0
+    with pytest.raises(BoundExceeded, match=r"additive map enumeration of \|dst\|\^g = 4\^1 "
+                                            r"= 4 candidates exceeds its bound 3"):
+        additive_maps(z4m, z4m, bound=3)
 
 
 def test_hom_gamma_examples(f2):

@@ -1,5 +1,7 @@
+import hashlib
 import importlib.util
 import json
+import time
 from itertools import combinations
 from pathlib import Path
 
@@ -116,8 +118,8 @@ _NAMES = sorted({name for section in _DOC.values() if isinstance(section, dict)
                  for name in section})
 _FIELDS = sorted({fld for section in _DOC.values() if isinstance(section, dict)
                   for body in section.values() for fld in body})
-# Integers stay small: an arity of 10^5 over one-element tables takes more
-# than 30 s to validate.
+# Integers stay small: a two-element module over one-element tables of arity
+# 100 takes seconds to validate.
 _JSON = st.recursive(
     st.none() | st.booleans() | st.integers(-3, 40) | st.floats()
     | st.text(max_size=4) | st.sampled_from(_NAMES),
@@ -154,6 +156,9 @@ def test_any_replaced_value_loads_or_is_a_workspace_error(path, value):
      "module morphism 'incl02': module morphism value out of range"),
     (("module_morphisms", "incl02", "map", 1), "-1",
      "module morphism 'incl02': module morphism value out of range"),
+    (("monoids", "m_z2", "size"), "true", "integers only, not true"),
+    (("monoids", "m_z2", "zero"), "false", "integers only, not false"),
+    (("modules", "f2_reg", "act", 0, 0), "true", "integers only, not true"),
 ])
 def test_malformed_documents_exit_2_with_an_error_line(path, text, message, tmp_path,
                                                         capsys):
@@ -168,6 +173,19 @@ def test_malformed_documents_exit_2_with_an_error_line(path, text, message, tmp_
     assert main(["--no-bundled", "-w", str(bad), "validate"]) == 2
     want = str(err.value).replace("bad.json", str(bad), 1)
     assert capsys.readouterr().err == f"error: {want}\n"
+
+
+def test_one_element_tables_of_huge_arity_validate_at_once(tmp_path, capsys):
+    doc = {"schema": SCHEMA,
+           "monoids": {"one": {"size": 1, "add": [0], "zero": 0}},
+           "gammas": {"g": {"size": 1, "add": [0], "zero": None}},
+           "semirings": {"s": {"n": 100000, "T": "one", "gamma": "g", "mu": [0]}}}
+    path = tmp_path / "one.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    start = time.perf_counter()
+    assert main(["--no-bundled", "-w", str(path), "validate"]) == 0
+    assert time.perf_counter() - start < 5
+    assert "s: valid" in capsys.readouterr().out
 
 
 def test_morphism_failures_name_their_witness():
@@ -391,3 +409,16 @@ def test_command_scan_skips_exactly_the_value_options():
     for opt in ("-h", "--help", "--form", "--format=text", "-wx", "--"):
         assert command_in([opt, "ext"]) is None
     assert command_in(["--bound"]) is None
+
+
+_EXPECTED = json.loads((Path(__file__).resolve().parents[1] / "perfbench" / "expected.json")
+                       .read_text(encoding="utf-8"))["bundled-cli"]
+
+
+@pytest.mark.parametrize("command", sorted(_EXPECTED))
+def test_bundled_commands_match_the_benchmark_digests(command, capsys):
+    # The benchmark's own output check, so a changed report fails here first.
+    code = main(["--format", "structured"] + command.split())
+    out = capsys.readouterr().out
+    assert {"exit": code, "sha256": hashlib.sha256(out.encode("utf-8")).hexdigest()} \
+        == _EXPECTED[command]
