@@ -13,7 +13,7 @@ from itertools import product
 
 from .core import (
     AxiomCheck, BoundExceeded, FiniteAddMonoid, GammaSemiringMorphism,
-    NaryGammaSemiring, StructuralError, congruence_closure,
+    NaryGammaSemiring, StructuralError, congruence_closure, flatten_index,
 )
 
 DEFAULT_SIZE_BOUND = 16
@@ -42,7 +42,8 @@ class GammaIdeal:
 
 
 def check_ideal(s: NaryGammaSemiring, members) -> AxiomCheck:
-    """Both ideal conditions against an explicit subset."""
+    """Both ideal conditions against an explicit subset; only the first
+    member whose insertion mask escapes it is walked for the witness."""
     mem = set(members)
     if s.T.zero not in mem:
         return AxiomCheck("ideal", False, ("missing zero",))
@@ -50,8 +51,11 @@ def check_ideal(s: NaryGammaSemiring, members) -> AxiomCheck:
         for b in mem:
             if s.T.add(a, b) not in mem:
                 return AxiomCheck("ideal", False, ("add", a, b))
+    ins, outside = _insertion_masks(s), ~sum(1 << y for y in mem)
     n = s.n
     for y in sorted(mem):
+        if not ins[y] & outside:
+            continue
         for j in range(n):
             for rest in s.t_tuples(n - 1):
                 for gs in s.g_tuples(n - 1):
@@ -62,16 +66,22 @@ def check_ideal(s: NaryGammaSemiring, members) -> AxiomCheck:
 
 
 def _insertion_masks(s: NaryGammaSemiring) -> list[int]:
-    """ins[y]: bitmask of every product with y in some carrier slot."""
-    ins = [0] * s.T.size
-    cells = s.gamma.size ** (s.n - 1)
-    for c, xs in enumerate(s.t_tuples(s.n)):
-        hit = 0
-        for v in s.mu_table[c * cells:(c + 1) * cells]:
-            hit |= 1 << v
-        for x in set(xs):
-            ins[x] |= hit
-    return ins
+    """ins[y]: bitmask of every product with y in some carrier slot.  The
+    entries with y in slot p are one run of ``stride`` entries per block of
+    the table; each run is sliced whole, or each offset across blocks."""
+    size, table = s.T.size, s.mu_table
+    seen = [set() for _ in range(size)]
+    stride = len(table)
+    for _ in range(s.n):
+        block, stride = stride, stride // size
+        for y, vals in enumerate(seen):
+            if stride * block < len(table):  # fewer offsets than blocks
+                for k in range(y * stride, (y + 1) * stride):
+                    vals.update(table[k::block])
+            else:
+                for k in range(y * stride, len(table), block):
+                    vals.update(table[k:k + stride])
+    return [sum(1 << v for v in vals) for vals in seen]
 
 
 def _members(mask: int, size: int) -> list[int]:
@@ -82,9 +92,11 @@ def _close(t: FiniteAddMonoid, ins, mask: int, seed) -> int:
     """Smallest ideal containing an ideal ``mask`` and ``seed``, as a bitmask.
 
     Each element on entry is summed in both orders against every member,
-    itself included, so every pair is covered once its later element enters.
+    itself included, so every pair is covered once its later element enters;
+    y's row and column of the addition table are sliced once.
     """
-    members = _members(mask, t.size)
+    size, add = t.size, t.add_table
+    members = _members(mask, size)
     frontier = list(seed)
     while frontier:
         y = frontier.pop()
@@ -92,10 +104,14 @@ def _close(t: FiniteAddMonoid, ins, mask: int, seed) -> int:
             continue
         mask |= 1 << y
         members.append(y)
+        row, col = add[y * size:(y + 1) * size], add[y::size]
         new = ins[y]
         for a in members:
-            new |= 1 << t.add(a, y) | 1 << t.add(y, a)
-        frontier.extend(_members(new & ~mask, t.size))
+            new |= 1 << row[a] | 1 << col[a]
+        fresh = new & ~mask
+        while fresh:
+            frontier.append((fresh & -fresh).bit_length() - 1)
+            fresh &= fresh - 1
     return mask
 
 
@@ -170,13 +186,19 @@ def quotient(s: NaryGammaSemiring, ideal: GammaIdeal):
 
 
 def is_prime(s: NaryGammaSemiring, p: GammaIdeal) -> AxiomCheck:
-    """Exhaustive primality test; failure carries the violating tuple."""
+    """Exhaustive primality test; failure carries the first violating tuple.
+    Only tuples of non-members can violate it, so only their rows are read."""
     if not p.is_proper():
         raise StructuralError("primality requires a proper ideal")
-    for xs in s.t_tuples(s.n):
-        for gs in s.g_tuples(s.n - 1):
-            if s.mu(xs, gs) in p.members and not any(x in p.members for x in xs):
-                return AxiomCheck("prime", False, (xs, gs))
+    size, cells, table = s.T.size, s.gamma.size ** (s.n - 1), s.mu_table
+    non = [x for x in range(size) if x not in p.members]
+    for head in product(non, repeat=s.n - 1):
+        base = flatten_index(head, s.sizes) * size
+        for x in non:
+            row = table[(base + x) * cells:(base + x + 1) * cells]
+            if not p.members.isdisjoint(row):
+                gs = next(gs for gs, v in zip(s.g_tuples(s.n - 1), row) if v in p.members)
+                return AxiomCheck("prime", False, (head + (x,), gs))
     return AxiomCheck("prime", True)
 
 

@@ -1,11 +1,14 @@
+import random
+from collections import Counter
 from itertools import combinations
 
 import pytest
+from test_validate_once import REGULAR_FAMILIES
 
-from ngamma import oracle
+from ngamma import core, ideals, oracle
 from ngamma.core import (
     BoundExceeded, FiniteAddMonoid, NaryGammaSemiring, StructuralError,
-    boolean_semiring, boolean_ternary, f2_ternary, make_matrix_family,
+    boolean_semiring, boolean_ternary, f2_semiring, f2_ternary, make_matrix_family,
     trivial_gamma, validate_morphism, validate_semiring, z4_ternary,
 )
 from ngamma.ideals import (
@@ -174,3 +177,149 @@ def test_quotient_then_generate_image_is_zero_ideal():
 def test_topology_report():
     facts = topology_report(spectrum(z4_ternary()))
     assert all(f.endswith("True") for f in facts)
+
+
+# ---------------------------------------------------------------------------
+# Table reads by runs against per-cell references
+# ---------------------------------------------------------------------------
+
+def _cell_insertion_masks(s):
+    """ins[y] by reading every cell through ``mu``."""
+    ins = [0] * s.T.size
+    for xs in s.t_tuples(s.n):
+        for gs in s.g_tuples(s.n - 1):
+            for x in xs:
+                ins[x] |= 1 << s.mu(xs, gs)
+    return ins
+
+
+def _cell_close(t, ins, mask, seed):
+    """The smallest ideal above ``mask`` and ``seed`` as a fixpoint over every
+    pair sum, through ``FiniteAddMonoid.add``."""
+    for e in seed:
+        mask |= 1 << e
+    while True:
+        members = [e for e in range(t.size) if mask >> e & 1]
+        grown = mask
+        for a in members:
+            grown |= ins[a]
+            for b in members:
+                grown |= 1 << t.add(a, b)
+        if grown == mask:
+            return mask
+        mask = grown
+
+
+def _cell_all_ideals(s):
+    """Bitmasks of every ideal by the worklist over per-cell closures."""
+    ins = _cell_insertion_masks(s)
+    found = {_cell_close(s.T, ins, 0, [s.T.zero])}
+    work = list(found)
+    while work:
+        mask = work.pop()
+        for x in range(s.T.size):
+            bigger = _cell_close(s.T, ins, mask, [x])
+            if bigger not in found:
+                found.add(bigger)
+                work.append(bigger)
+    return sorted(found)
+
+
+def _cell_check_ideal(s, members):
+    """Both ideal conditions, every insertion read through ``mu``."""
+    mem = set(members)
+    if s.T.zero not in mem:
+        return core.AxiomCheck("ideal", False, ("missing zero",))
+    for a in mem:
+        for b in mem:
+            if s.T.add(a, b) not in mem:
+                return core.AxiomCheck("ideal", False, ("add", a, b))
+    for y in sorted(mem):
+        for j in range(s.n):
+            for rest in s.t_tuples(s.n - 1):
+                for gs in s.g_tuples(s.n - 1):
+                    if s.mu(rest[:j] + (y,) + rest[j:], gs) not in mem:
+                        return core.AxiomCheck("ideal", False, ("insert", j + 1, y, rest, gs))
+    return core.AxiomCheck("ideal", True)
+
+
+def _cell_is_prime(s, p):
+    """Primality over every (xs, gs) in table order, through ``mu``."""
+    if not p.is_proper():
+        raise StructuralError("primality requires a proper ideal")
+    for xs in s.t_tuples(s.n):
+        for gs in s.g_tuples(s.n - 1):
+            if s.mu(xs, gs) in p.members and not any(x in p.members for x in xs):
+                return core.AxiomCheck("prime", False, (xs, gs))
+    return core.AxiomCheck("prime", True)
+
+
+def _members(mask, size):
+    return frozenset(e for e in range(size) if mask >> e & 1)
+
+
+def _semirings_and_mutants():
+    """Every regular family, and seeded single-entry mutants of each."""
+    for family, s in REGULAR_FAMILIES.items():
+        rng = random.Random(f"ideals-by-runs/{family}")
+        yield s
+        for _ in range(6 if s.T.size <= 4 else 2):
+            yield oracle.mutate_semiring(s, rng)
+
+
+def test_table_reads_by_runs_equal_cell_references(monkeypatch):
+    seen, rng = Counter(), random.Random("ideals-by-runs/subsets")
+    for s in _semirings_and_mutants():
+        size = s.T.size
+        ins = _cell_insertion_masks(s)
+        assert ideals._insertion_masks(s) == ins, s.name
+        masks = _cell_all_ideals(s)
+        assert [i.bitmask for i in all_ideals(s)] == masks, s.name
+        seen["non-commutative"] += bool(s.T.validate())
+        for seed in [[x] for x in range(size)] + [rng.sample(range(size), 2) for _ in range(4)]:
+            assert generate_ideal(s, seed).bitmask == \
+                _cell_close(s.T, ins, 0, [s.T.zero, *seed]), (s.name, seed)
+        # Subsets to check: every ideal, additive closures of random seeds
+        # (which pass the sum condition and test the insertions), and every
+        # subset of a small carrier.
+        subsets = [_members(m, size) for m in masks]
+        subsets += [frozenset(s.T.additive_closure(rng.sample(range(size), k)))
+                    for k in (1, 2) for _ in range(6)]
+        if size <= 4:
+            subsets += [_members(m, size) for m in range(1 << size)]
+        for mem in subsets:
+            got = check_ideal(s, mem)
+            assert got == _cell_check_ideal(s, mem), (s.name, sorted(mem))
+            if not got.ok:
+                seen[f"{got.witness[0]} witness"] += 1
+        # Primality of every proper subset above: the test reads p's members
+        # only, so non-ideals give failing witnesses too.
+        for mem in subsets:
+            p = GammaIdeal(s, mem)
+            if p.is_proper():
+                got = is_prime(s, p)
+                assert got == _cell_is_prime(s, p), (s.name, sorted(mem))
+                seen["prime" if got.ok else "prime witness"] += 1
+        with monkeypatch.context() as m:
+            m.setattr(ideals, "_insertion_masks", _cell_insertion_masks)
+            m.setattr(ideals, "_close", _cell_close)
+            m.setattr(ideals, "is_prime", _cell_is_prime)
+            want = spectrum(s)
+            want_report = topology_report(want)
+        got = spectrum(s)
+        assert got == want and topology_report(got) == want_report, s.name
+    assert min(seen[k] for k in ("non-commutative", "add witness", "insert witness",
+                                 "prime witness", "prime")) >= 3, seen
+
+
+def test_spectrum_reads_no_cell_by_call(monkeypatch):
+    s = make_matrix_family(f2_semiring(), 2, 3)
+    calls = []
+    mu, add = core.NaryGammaSemiring.mu, core.FiniteAddMonoid.add
+    monkeypatch.setattr(core.NaryGammaSemiring, "mu",
+                        lambda self, *a: calls.append("mu") or mu(self, *a))
+    monkeypatch.setattr(core.FiniteAddMonoid, "add",
+                        lambda self, *a: calls.append("add") or add(self, *a))
+    data = spectrum(s)
+    assert calls == []
+    assert [i.bitmask for i in data.ideals] == [1, (1 << 16) - 1]

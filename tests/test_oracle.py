@@ -4,6 +4,7 @@ from math import prod
 
 import pytest
 from test_fuzz import _monoid_pool
+from test_validate_once import REGULAR_FAMILIES
 
 from ngamma.abgroups import SoundnessError
 from ngamma.bundled import bundled_workspace
@@ -38,7 +39,9 @@ def test_naive_axioms_catch_breakage():
 
 
 def test_subset_scans_agree():
-    for name, s in bundled_semirings().items():
+    fams = {name: s for name, s in REGULAR_FAMILIES.items()
+            if s.T.size <= oracle.ORACLE_CARRIER_BOUND}
+    for name, s in fams.items():
         assert sorted(i.bitmask for i in all_ideals(s)) == \
             oracle.subset_scan_ideals(s), name
         assert sorted(p.bitmask for p in spectrum(s).primes) == \

@@ -270,6 +270,42 @@ def test_regular_bimodule_skips_the_range_scan_of_its_tables(monkeypatch):
     assert any(v is copy for v in scanned)
 
 
+def _over_one_element(n, gamma, rng, kind):
+    """A two-element module over one-element T: every action zero, every
+    action nonzero, or slot 1 zero and the others random with a nonzero last
+    entry."""
+    t = FiniteAddMonoid(1, (0,))
+    s = NaryGammaSemiring(n, t, gamma, (0,) * gamma.size ** (n - 1))
+    cells = 2 * gamma.size ** (n - 1)
+    pick = {"zero": lambda j, k: 0, "nonzero": lambda j, k: 1,
+            "mixed": lambda j, k: j and (k == cells - 1 or rng.randrange(2))}[kind]
+    tables = tuple(tuple(int(pick(j, k)) for k in range(cells)) for j in range(n))
+    return BiGammaModule(s, FiniteAddMonoid(2, (0, 1, 1, 0)), tables)
+
+
+def test_modules_over_one_element_report_as_their_walk():
+    rng = random.Random("one-element-carrier")
+    gammas = [trivial_gamma(), GammaSemigroup(2, (0, 1, 1, 0), True, 0)]
+    verdicts = Counter()
+    for n in range(2, 7):
+        for gamma in gammas:
+            for kind in ("zero", "nonzero", "mixed"):
+                b = _over_one_element(n, gamma, rng, kind)
+                report = validate_module(b)
+                assert report == walk_module(b), (n, gamma.size, kind)
+                verdicts[kind, report.ok] += 1
+    assert verdicts == {("zero", True): 10, ("nonzero", False): 10, ("mixed", False): 10}
+
+
+def test_zero_actions_over_one_element_walk_no_word(monkeypatch):
+    calls = []
+    monkeypatch.setattr(modules, "first_incoherent_word",
+                        lambda *args, **kwargs: calls.append(args))
+    b = _over_one_element(200, trivial_gamma(), None, "zero")
+    assert validate_module(b).ok
+    assert calls == []
+
+
 def _multiplicativity_scan(f):
     """The first (xs, gs) in table order with f(mu(xs; gs)) != mu(f(xs); gs)."""
     s, t = f.source, f.target
