@@ -171,17 +171,10 @@ def induced_on_quotients(proj_dst, dst_group: AbGroup, wmat,
     otherwise SoundnessError is raised.  This is the one descent check.
     """
     wdim_src = len(lift_src)
-    wdim_dst = len(wmat)
-    if wdim_dst and wdim_src:
-        lifted = la.mat_mul(wmat, lift_src, wdim_src)
-        mat = la.mat_mul(proj_dst, lifted, wdim_dst)
-    else:
-        mat = la.zeros(dst_group.dim, src_group.dim)
-    if wdim_dst:
-        left = la.mat_mul(proj_dst, wmat, wdim_dst)
-    else:
-        left = la.zeros(dst_group.dim, wdim_src)
-    right = la.mat_mul(mat, proj_src, src_group.dim)
+    mat = la.mat_mul(proj_dst, la.mat_mul(wmat, lift_src, src_group.dim),
+                     src_group.dim)
+    left = la.mat_mul(proj_dst, wmat, wdim_src)
+    right = la.mat_mul(mat, proj_src, wdim_src)
     for i in range(dst_group.dim):
         o = dst_group.orders[i]
         for jj in range(wdim_src):
@@ -245,7 +238,7 @@ class GroupMap:
             raise ValueError(f"cannot compose: inner target {other.dst.orders} is not "
                              f"outer source {self.src.orders}")
         return GroupMap(other.src, self.dst,
-                        la.mat_mul(self.mat, other.mat, self.src.dim), check=False)
+                        la.mat_mul(self.mat, other.mat, other.src.dim), check=False)
 
     def add(self, other: "GroupMap") -> "GroupMap":
         if self.src.orders != other.src.orders or self.dst.orders != other.dst.orders:
@@ -292,19 +285,12 @@ class Subgroup:
         k = len(self.gens)
         ocols = order_lattice_columns(ambient)
         t = len(ocols)
-        if ambient.dim == 0:
-            # Everything collapses: each generator is itself a relation.
-            self._system = None
-            self.pres = Presentation(k, la.identity(k) if k else [])
-        else:
-            # One factorization of [gens | order columns] serves the
-            # relations among the generators and every membership test.
-            a = [[(self.gens[j][i] if j < k else ocols[j - k][i])
-                  for j in range(k + t)] for i in range(ambient.dim)]
-            self._system = la.smith_normal_form(a, ambient.dim, k + t,
-                                                track=("s", "t"))
-            rels = [b[:k] for b in self._system.kernel_basis()]
-            self.pres = Presentation(k, rels)
+        # One factorization of [gens | order columns] serves the relations
+        # among the generators and every membership test.
+        a = [[(self.gens[j][i] if j < k else ocols[j - k][i])
+              for j in range(k + t)] for i in range(ambient.dim)]
+        self._system = la.smith_normal_form(a, ambient.dim, k + t, track=("s", "t"))
+        self.pres = Presentation(k, [b[:k] for b in self._system.kernel_basis()])
         self.group = self.pres.group
         incl_mat = []
         lift = self.pres.lift_matrix()
@@ -315,8 +301,6 @@ class Subgroup:
 
     def membership(self, vec):
         """Coordinates of vec in the subgroup, or None if not a member."""
-        if self._system is None:
-            return self.group.zero()
         sol = self._system.solve(list(vec))
         if sol is None:
             return None
@@ -341,21 +325,21 @@ def quotient(ambient: AbGroup, gens: list):
     return pres.group, proj, pres
 
 
-def _with_orders(f: GroupMap) -> list[list[int]]:
-    """[f | -target orders]: its integer solutions are the solutions of f
-    modulo the target relations, with the relation multiples appended."""
+def _with_orders(f: GroupMap):
+    """[f | -target orders] and its column count: its integer solutions are
+    the solutions of f modulo the target relations, with the relation
+    multiples appended."""
     ocols = order_lattice_columns(f.dst)
-    return [row + [-c[i] for c in ocols] for i, row in enumerate(f.mat)]
+    return ([row + [-c[i] for c in ocols] for i, row in enumerate(f.mat)],
+            f.src.dim + len(ocols))
 
 
 def kernel_gens(f: GroupMap) -> list[list[int]]:
     """Generators of ker f: the source parts of the integer kernel of
     [f | -target orders], reduced in the source."""
-    s = f.src.dim
-    if f.dst.dim == 0:
-        return la.identity(s)
-    a = _with_orders(f)
-    return [list(f.src.reduce(b[:s])) for b in la.kernel_basis(a, f.dst.dim, len(a[0]))]
+    a, ncols = _with_orders(f)
+    return [list(f.src.reduce(b[:f.src.dim]))
+            for b in la.kernel_basis(a, f.dst.dim, ncols)]
 
 
 def kernel(f: GroupMap) -> Subgroup:
@@ -364,10 +348,8 @@ def kernel(f: GroupMap) -> Subgroup:
 
 def preimage(f: GroupMap, target_vec):
     """Some x with f(x) = target, or None."""
-    if f.dst.dim == 0:
-        return f.src.zero()
-    a = _with_orders(f)
-    sol = la.solve(a, list(target_vec), f.dst.dim, len(a[0]))
+    a, ncols = _with_orders(f)
+    sol = la.solve(a, list(target_vec), f.dst.dim, ncols)
     if sol is None:
         return None
     return f.src.reduce(sol[:f.src.dim])
@@ -397,46 +379,28 @@ class Subquotient:
     def __init__(self, g: AbGroup, p_gens, q_gens, what: str = "subquotient"):
         self.ambient = g
         gens = [list(v) for v in p_gens] + order_lattice_columns(g)
-        self._pbasis = la.lattice_basis(gens, g.dim)
-        p = len(self._pbasis)
-        qcols = order_lattice_columns(g) + [list(v) for v in q_gens]
-        if p:
-            bp = [[self._pbasis[j][i] for j in range(p)] for i in range(g.dim)]
-            # One factorization of the numerator basis serves every solve.
-            self._bp_snf = la.smith_normal_form(bp, g.dim, p, track=("s", "t"))
-            rels = []
-            for q in qcols:
-                x = self._bp_snf.solve(list(q))
-                if x is None:
-                    raise SoundnessError(f"{what}: denominator not inside numerator")
-                rels.append(x)
-            self._pres = Presentation(p, rels)
-            self._bp = bp
-        else:
-            if any(any(v % o if o else v for v, o in zip(q, g.orders))
-                   for q in q_gens):
+        pbasis = la.lattice_basis(gens, g.dim)
+        p = len(pbasis)
+        self._bp = [[pbasis[j][i] for j in range(p)] for i in range(g.dim)]
+        # One factorization of the numerator basis serves every solve.
+        self._bp_snf = la.smith_normal_form(self._bp, g.dim, p, track=("s", "t"))
+        rels = []
+        for q in order_lattice_columns(g) + [list(v) for v in q_gens]:
+            x = self._bp_snf.solve(q)
+            if x is None:
                 raise SoundnessError(f"{what}: denominator not inside numerator")
-            self._pres = Presentation(0, [])
-            self._bp = [[] for _ in range(g.dim)]
+            rels.append(x)
+        self._pres = Presentation(p, rels)
         self.group = self._pres.group
 
     def classify(self, vec):
         """Class of a vector lying in the numerator lattice."""
-        p = len(self._pbasis)
-        if p == 0:
-            # A zero numerator means every coordinate is free.
-            if any(vec):
-                raise ValueError(self.not_member)
-            return self.group.zero()
         x = self._bp_snf.solve(list(vec))
         if x is None:
             raise ValueError(self.not_member)
         return self._pres.project(x)
 
     def representative(self, cls):
-        p = len(self._pbasis)
-        if p == 0:
-            return self.ambient.zero()
         x = self._pres.lift(cls)
         return self.ambient.reduce(la.mat_vec(self._bp, x))
 
@@ -461,8 +425,7 @@ class HomologyNode(Subquotient):
         if not out_map.compose(in_map).is_zero():
             raise SoundnessError("composite of consecutive differentials is nonzero")
         ker = kernel(out_map)
-        plat = [list(ker.inclusion(e_i)) for e_i in la.identity(ker.group.dim)] \
-            if ker.group.dim else []
+        plat = [list(ker.inclusion(e_i)) for e_i in la.identity(ker.group.dim)]
         qcols = [[in_map.mat[i][j] for i in range(g.dim)]
                  for j in range(in_map.src.dim)]
         super().__init__(g, plat, qcols, what="homology")

@@ -16,7 +16,9 @@ import time
 
 from . import __version__
 from .abgroups import SoundnessError
-from .core import BoundExceeded, StructuralError, out_of_range, validate_semiring
+from .core import (
+    BoundExceeded, StructuralError, neutral_words, out_of_range, validate_semiring,
+)
 from .ideals import GammaIdeal, all_ideals, check_ideal, quotient, spectrum, topology_report
 from .modules import (
     cofree, hom_gamma, regular_bimodule, tensor_positional, validate_module,
@@ -24,7 +26,8 @@ from .modules import (
 from .completion import linearize_module
 from .homology import (
     ContractionPolicy, ExtSetup, RegularityError, balance_check, bar_complex,
-    default_policy, ext_via_bar, homology, les_check, tor_via_bar, yoneda_compose,
+    default_policy, ext_via_bar, homology, les_check, resolve_slot, tor_via_bar,
+    yoneda_compose,
 )
 from .spectral import base_change_check, kunneth_check
 from .workspace import Workspace, WorkspaceError, parse_workspace
@@ -58,29 +61,30 @@ def _indices(flag: str, text: str, length: int, size: int) -> tuple[int, ...]:
 
 
 def _parse_policy(s, text: str, filler_text: str | None) -> ContractionPolicy:
-    if text == "sum" and filler_text is None:
-        return default_policy(s)
+    base = default_policy(s)
     if text.startswith("fixed:"):
-        gam = _indices("--gamma-policy fixed:", text[len("fixed:"):], s.n - 1, s.gamma.size)
+        gammas = (_indices("--gamma-policy fixed:", text[len("fixed:"):], s.n - 1,
+                           s.gamma.size),)
     elif text == "sum":
-        gam = None
+        gammas = base.gammas
     else:
         raise StructuralError(f"unknown gamma policy {text!r}")
-    fill = None
-    if filler_text is not None:
-        if filler_text == "sum":
-            fill = tuple(s.t_tuples(s.n - 2))
-        elif filler_text == "neutral":
-            fill = default_policy(s).fillers
-        elif filler_text.startswith("fixed:"):
-            fill = (_indices("--filler-policy fixed:", filler_text[len("fixed:"):],
-                             s.n - 2, s.T.size),)
-        else:
-            raise StructuralError(f"unknown filler policy {filler_text!r}")
-    base = default_policy(s)
-    gammas = (gam,) if gam is not None else base.gammas
-    fillers = fill if fill is not None else base.fillers
-    return ContractionPolicy(tuple(gammas), tuple(fillers), "cli")
+    if filler_text is None:
+        fillers = base.fillers
+    elif filler_text == "sum":
+        fillers = tuple(s.t_tuples(s.n - 2))
+    elif filler_text == "neutral":
+        # Without a neutral word the default fillers are the summed ones.
+        if s.n >= 3 and not neutral_words(s):
+            raise StructuralError(f"--filler-policy neutral: semiring '{s.name}' "
+                                  f"has no neutral word")
+        fillers = base.fillers
+    elif filler_text.startswith("fixed:"):
+        fillers = (_indices("--filler-policy fixed:", filler_text[len("fixed:"):],
+                            s.n - 2, s.T.size),)
+    else:
+        raise StructuralError(f"unknown filler policy {filler_text!r}")
+    return ContractionPolicy(gammas, fillers, "cli")
 
 
 def _depth(text: str) -> int:
@@ -408,18 +412,20 @@ def cmd_oracle(ws: Workspace, args, rep: Reporter) -> int:
                     m, n = ws.modules[m_name], ws.modules[n_name]
                     if m.parent != n.parent:
                         continue
+                    j = resolve_slot(m.parent, None)
                     try:
-                        orc = oracle_mod.tensor_class_count(m, n, 2 % m.parent.n, 0)
+                        orc = oracle_mod.tensor_class_count(m, n, j, 0)
                     except BoundExceeded:
                         continue
-                    eng = tensor_positional(m, n, 2 % m.parent.n, 0).module.M.size
+                    eng = tensor_positional(m, n, j, 0).module.M.size
                     key = f"{m_name}(x){n_name}"
                     block[key] = {"agree": eng == orc, "size": eng}
                     ok = ok and eng == orc
         elif target == "homology":
             for name in sorted(ws.semirings):
                 s = ws.semirings[name]
-                bar = bar_complex(s, regular_bimodule(s), 2 % s.n, 0, depth=3)
+                bar = bar_complex(s, regular_bimodule(s), resolve_slot(s, None), 0,
+                                  depth=3)
                 hs = homology(bar.chain)
                 agree = True
                 for r in range(3):

@@ -272,10 +272,7 @@ class EquivariantHom:
                         row.append(coeff)
                     rows.append(row)
                     orders.append(y.group.orders[jj])
-        cgroup = AbGroup(tuple(orders))
-        lmap = GroupMap(self.base.group, cgroup, rows) if rows else \
-            GroupMap.zero(self.base.group, AbGroup(()))
-        self._kernel = kernel(lmap)
+        self._kernel = kernel(GroupMap(self.base.group, AbGroup(tuple(orders)), rows))
         self.group = self._kernel.group
 
     def matrix(self, coords) -> GroupMap:
@@ -344,8 +341,8 @@ class TensorGroup:
         for p, q in dict.fromkeys((p.key, q.key) for p, q in zip(x.ops[j], y.ops[k])):
             # Column i0*ys + j0 of kron(P, I) - kron(I, Q) balances the pair
             # (i0, j0): P acting on the left factor against Q on the right.
-            via_x = la.kron(p, xs, xs, ident_y, ys, ys)
-            via_y = la.kron(ident_x, xs, xs, q, ys, ys)
+            via_x = la.kron(p, ident_y)
+            via_y = la.kron(ident_x, q)
             rels.extend([a - b for a, b in zip(col_x, col_y)]
                         for col_x, col_y in zip(zip(*via_x), zip(*via_y)))
         self.pres = Presentation(self.pair_dim, rels)
@@ -368,9 +365,8 @@ class TensorGroup:
         Raises SoundnessError when the map does not descend to the balanced
         quotients.
         """
-        xs, ys = self.x.group.dim, self.y.group.dim
-        pairmat = la.kron(left.mat if left else la.identity(xs), dst.x.group.dim, xs,
-                          right.mat if right else la.identity(ys), dst.y.group.dim, ys)
+        pairmat = la.kron(left.mat if left else la.identity(self.x.group.dim),
+                          right.mat if right else la.identity(self.y.group.dim))
         return induced_on_quotients(dst.pres.proj_matrix(), dst.group, pairmat,
                                     self.pres.lift_matrix(), self.pres.proj_matrix(),
                                     self.group, what)
@@ -382,8 +378,8 @@ class TensorGroup:
         each distinct pair is projected once.
         """
         s = self.x.semiring
-        xs, ys = self.x.group.dim, self.y.group.dim
-        ident_x, ident_y = la.identity(xs), la.identity(ys)
+        ident_x = la.identity(self.x.group.dim)
+        ident_y = la.identity(self.y.group.dim)
         residual = {}
         ops = []
         for slot in range(s.n):
@@ -392,10 +388,10 @@ class TensorGroup:
                 key = (yop.key, xop.key)
                 if key not in residual:
                     mat = self.pair_matrix_to_quotient(
-                        la.kron(ident_x, xs, xs, yop.mat, ys, ys))
+                        la.kron(ident_x, yop.mat))
                     if mat is None:
                         mat = self.pair_matrix_to_quotient(
-                            la.kron(xop.mat, xs, xs, ident_y, ys, ys))
+                            la.kron(xop.mat, ident_y))
                     residual[key] = mat
                 if residual[key] is None:
                     raise SoundnessError(

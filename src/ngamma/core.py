@@ -346,6 +346,9 @@ def table_failures(table, monoids, value: FiniteAddMonoid,
     args[p] that zero, whenever table[args] is not the zero of ``value``.
     """
     sizes = [m.size for m in monoids]
+    strides = [1] * len(sizes)
+    for p in range(len(sizes) - 1, 0, -1):
+        strides[p - 1] = strides[p] * sizes[p]
     vadd, vsize, vzero = value.add_table, value.size, value.zero
 
     def walk(p, pairs, stride):
@@ -360,7 +363,7 @@ def table_failures(table, monoids, value: FiniteAddMonoid,
     for p in additive:
         m = monoids[p]
         gamma = isinstance(m, GammaSemigroup)
-        stride = prod(sizes[p + 1:])
+        stride = strides[p]
         if not gamma and not m.validate() and not value.validate():
             gens = (m.zero, *m.additive_generators())
             short = [(x, y, m.add(x, y)) for x in range(m.size) for y in gens]
@@ -373,7 +376,7 @@ def table_failures(table, monoids, value: FiniteAddMonoid,
         m = monoids[p]
         if isinstance(m, GammaSemigroup) and not m.has_zero:
             continue
-        stride = prod(sizes[p + 1:])
+        stride = strides[p]
         block = m.size * stride
         for hi in range(0, len(table), block):
             for base in range(hi + m.zero * stride, hi + (m.zero + 1) * stride):

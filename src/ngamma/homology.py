@@ -209,26 +209,21 @@ class BarComplex:
         self.tensors: dict[int, TensorGroup] = {}
         self.word_dims = [mdim]
         ident_m = la.identity(mdim)
+        ident_t = la.identity(tdim)
         projs = [ident_m]
         lifts = [ident_m]
         power = None
-        pproj = la.identity(tdim)
-        plift = la.identity(tdim)
+        pproj = plift = ident_t
         for r in range(1, depth + 1):
             if power is None:
                 power = carrier
             else:
                 tg = TensorGroup(power, carrier, j, k)
                 new_power = tg.as_module()
-                ident_t = la.identity(tdim)
-                expand_proj = la.kron(pproj, power.group.dim, tdim ** (r - 1),
-                                      ident_t, tdim, tdim)
-                pproj = la.mat_mul(tg.pres.proj_matrix(), expand_proj,
-                                   power.group.dim * tdim)
-                expand_lift = la.kron(plift, tdim ** (r - 1), power.group.dim,
-                                      ident_t, tdim, tdim)
-                plift = la.mat_mul(expand_lift, tg.pres.lift_matrix(),
-                                   power.group.dim * tdim)
+                pproj = la.mat_mul(tg.pres.proj_matrix(), la.kron(pproj, ident_t),
+                                   tdim ** r)
+                plift = la.mat_mul(la.kron(plift, ident_t), tg.pres.lift_matrix(),
+                                   tg.group.dim)
                 power = new_power
             wdim = (tdim ** r) * mdim
             if wdim > word_bound:
@@ -236,13 +231,10 @@ class BarComplex:
                     f"bar word space at degree {r}: tdim^r*mdim = {tdim}^{r}*{mdim} "
                     f"= {wdim} exceeds its bound {word_bound}")
             tg = TensorGroup(power, module, j, k)
-            projs.append(la.mat_mul(tg.pres.proj_matrix(),
-                                    la.kron(pproj, power.group.dim, tdim ** r,
-                                            ident_m, mdim, mdim),
-                                    power.group.dim * mdim))
-            lifts.append(la.mat_mul(la.kron(plift, tdim ** r, power.group.dim,
-                                            ident_m, mdim, mdim),
-                                    tg.pres.lift_matrix(), power.group.dim * mdim))
+            projs.append(la.mat_mul(tg.pres.proj_matrix(), la.kron(pproj, ident_m),
+                                    wdim))
+            lifts.append(la.mat_mul(la.kron(plift, ident_m), tg.pres.lift_matrix(),
+                                    tg.group.dim))
             self.tensors[r] = tg
             self.terms.append(tg.as_module())
             self.word_dims.append(wdim)

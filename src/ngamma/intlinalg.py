@@ -1,8 +1,10 @@
 """Exact integer matrix kernel: Smith normal form, kernels, lattice solves.
 
 Matrices are lists of row lists of Python ints, so everything is
-arbitrary-precision and bit-exact.  Dimensions are passed explicitly where a
-matrix can be empty (0xN and Nx0 both occur constantly in chain complexes).
+arbitrary-precision and bit-exact.  A matrix with no rows cannot carry its
+column count (0xN and Nx0 both occur constantly in chain complexes), so each
+routine takes exactly the dimensions its row lists cannot give: the width of
+a product, the shape of a factorization.
 All routines are pure; none mutate their arguments (the Smith normal form
 works on its own sparse copy of the input rows).
 """
@@ -25,22 +27,23 @@ def copy_matrix(mat) -> list[list[int]]:
     return [row[:] for row in mat]
 
 
-def mat_mul(a, b, inner: int):
-    """Product a@b where a is m x inner and b is inner x k."""
-    m = len(a)
-    k = len(b[0]) if b else 0
-    if inner and b and len(b) != inner:
-        raise ValueError(f"inner dimension {inner} does not match {len(b)} rows")
-    out = zeros(m, k)
-    for i in range(m):
-        arow = a[i]
-        orow = out[i]
-        for t in range(inner):
-            c = arow[t]
+def mat_mul(a, b, ncols: int):
+    """Product a@b of width ncols: b is len(b) x ncols and every row of a has
+    len(b) entries."""
+    inner = len(b)
+    for i, row in enumerate(b):
+        if len(row) != ncols:
+            raise ValueError(f"row {i} of b has {len(row)} entries, expected {ncols}")
+    out = []
+    for i, arow in enumerate(a):
+        if len(arow) != inner:
+            raise ValueError(f"row {i} of a has {len(arow)} entries, expected {inner}")
+        orow = [0] * ncols
+        for c, brow in zip(arow, b):
             if c:
-                brow = b[t]
-                for j in range(k):
+                for j in range(ncols):
                     orow[j] += c * brow[j]
+        out.append(orow)
     return out
 
 
@@ -267,8 +270,6 @@ def lattice_basis(gens: list[list[int]], dim: int) -> list[list[int]]:
 
     Input and output vectors are column vectors given as plain lists.
     """
-    if not gens:
-        return []
     for g in gens:
         if len(g) != dim:
             raise ValueError(f"generator has {len(g)} entries, expected {dim}")
@@ -282,22 +283,22 @@ def lattice_basis(gens: list[list[int]], dim: int) -> list[list[int]]:
     return out
 
 
-def kron(a, am, an, b, bm, bn):
-    """Kronecker product of an am x an and a bm x bn matrix."""
-    out = zeros(am * bm, an * bn)
-    for i in range(am):
-        for j in range(an):
-            v = a[i][j]
-            if v:
-                for p in range(bm):
-                    for q in range(bn):
-                        out[i * bm + p][j * bn + q] = v * b[p][q]
+def kron(a, b):
+    """Kronecker product.  Each row's width is read off the rows it is made
+    of, so a factor without rows gives the product without rows."""
+    out = []
+    for arow in a:
+        nonzero = [(j, v) for j, v in enumerate(arow) if v]
+        for brow in b:
+            bn = len(brow)
+            row = [0] * (len(arow) * bn)
+            for j, v in nonzero:
+                row[j * bn:(j + 1) * bn] = brow if v == 1 else [v * w for w in brow]
+            out.append(row)
     return out
 
 
 def in_lattice(vec, basis, dim: int) -> bool:
     """Whether vec lies in the lattice spanned by basis vectors."""
-    if not basis:
-        return all(v == 0 for v in vec)
     a = [[g[i] for g in basis] for i in range(dim)]
     return solve(a, vec, dim, len(basis)) is not None

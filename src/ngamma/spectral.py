@@ -356,8 +356,7 @@ def ext_modules_with_ops(s: NaryGammaSemiring, bar, n_lin: CompletedModule,
 
 def kunneth_check(s: NaryGammaSemiring, m: BiGammaModule, n: BiGammaModule,
                   l: BiGammaModule, depth: int = 2, j: int | None = None, k: int = 0,
-                  policy: ContractionPolicy | None = None,
-                  conflations=None) -> KunnethReport:
+                  policy: ContractionPolicy | None = None) -> KunnethReport:
     """Double-complex consistency for the two bar towers against a target.
 
     Builds the grid of balanced tensor terms, applies equivariant Hom into
@@ -373,9 +372,8 @@ def kunneth_check(s: NaryGammaSemiring, m: BiGammaModule, n: BiGammaModule,
     bar_m = bar_complex(s, lin_m, j, k, depth, policy, carrier)
     bar_n = bar_complex(s, lin_n, j, k, depth, policy, carrier)
 
-    if conflations is None:
-        conflations = source_conflation_triples(s, carrier)
-    flat = flatness_probe(s, lin_l, j, k, conflations=conflations)
+    flat = flatness_probe(s, lin_l, j, k,
+                          conflations=source_conflation_triples(s, carrier))
 
     cells = {}
     for p in range(depth + 1):

@@ -15,7 +15,7 @@ from ngamma.ideals import all_ideals, generate_ideal
 from ngamma.modules import _generator_counts, additive_maps
 
 
-@given(st.integers(2, 4), st.integers(1, 3), st.integers(1, 3), st.integers(1, 2),
+@given(st.integers(2, 4), st.integers(0, 3), st.integers(0, 3), st.integers(0, 2),
        st.randoms(use_true_random=False))
 @settings(max_examples=60, deadline=None)
 def test_homology_vs_bruteforce_on_random_complexes(m, a, b, c, rnd):

@@ -4,7 +4,7 @@ from pathlib import Path
 
 import pytest
 
-from ngamma.abgroups import AbGroup, GroupMap, SoundnessError
+from ngamma.abgroups import AbGroup, GroupMap, HomologyNode, SoundnessError
 from ngamma.core import (
     BoundExceeded, FiniteAddMonoid, StructuralError, boolean_ternary, bundled_semirings,
     f2_semiring, f2_ternary, make_matrix_family, z4_ternary,
@@ -17,11 +17,26 @@ from ngamma.modules import (
     regular_bimodule, zero_module,
 )
 from ngamma.homology import (
-    BarComplex, ChainComplexAb, ExtSetup, RegularityError, _lift_chain_map,
+    BarComplex, ChainComplexAb, Cochain, ExtSetup, RegularityError, _lift_chain_map,
     balance_check, default_policy,
     bar_complex, bar_map, cofree_coresolution, ext_via_bar, ext_via_cofree, fixed_policy,
     homology, les_check, tor_via_bar, yoneda_compose,
 )
+
+
+def test_complexes_through_a_zero_group():
+    zero = AbGroup(())
+    for g in (AbGroup((2,)), AbGroup((0,)), AbGroup((2, 4))):
+        into, out = GroupMap.zero(zero, g), GroupMap.zero(g, zero)
+        assert out.compose(into).mat == []
+        assert into.compose(out).mat == GroupMap.zero(g, g).mat
+        chain = ChainComplexAb([g, zero, g], {1: into, 2: out})
+        assert homology(chain) == [g, zero, g]
+        cochain = Cochain([g, zero, g], [out, into])
+        assert cochain.cohomology(2) == [g, zero, g]
+        node = HomologyNode(zero, into, out)
+        assert node.group == zero and node.classify(()) == ()
+        assert node.representative(()) == ()
 
 
 @pytest.fixture(scope="module")

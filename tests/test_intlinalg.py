@@ -25,7 +25,7 @@ small_matrices = st.integers(0, 4).flatmap(
 def test_snf_decomposition_identity(data):
     a, m, n = data
     sf = la.smith_normal_form(a, m, n)
-    sat = la.mat_mul(la.mat_mul(sf.s, a, m), sf.t, n)
+    sat = la.mat_mul(la.mat_mul(sf.s, a, n), sf.t, n)
     assert sat == sf.d
     assert la.mat_mul(sf.s, sf.sinv, m) == la.identity(m)
     assert la.mat_mul(sf.t, sf.tinv, n) == la.identity(n)
@@ -78,6 +78,22 @@ def test_lattice_basis_and_membership():
     assert not la.in_lattice([1, 0], basis, 2)
     assert la.lattice_basis([], 3) == []
     assert not la.in_lattice([1, 0, 0], [], 3)
+
+
+def test_products_keep_the_shape_of_empty_matrices():
+    assert la.mat_mul([[], []], [], 3) == [[0, 0, 0], [0, 0, 0]]
+    assert la.mat_mul([[1], [2]], [[]], 0) == [[], []]
+    assert la.mat_mul([], [[1, 2]], 2) == []
+    assert la.kron([[1, 2]], []) == [] and la.kron([], [[1]]) == []
+    assert la.kron([[], []], [[1], [2]]) == [[], [], [], []]
+    assert la.kron([[0, 2]], [[1, -1], [0, 3]]) == [[0, 0, 2, -2], [0, 0, 0, 6]]
+    for a, b, width in (([[1, 2]], [[1]], 1), ([[1]], [[1, 2]], 1), ([[]], [[1]], 1)):
+        try:
+            la.mat_mul(a, b, width)
+        except ValueError as e:
+            assert "entries, expected" in str(e)
+        else:
+            raise AssertionError(f"mat_mul accepted {a} @ {b} of width {width}")
 
 
 def test_solve_and_lattice_basis_reject_wrong_lengths():

@@ -45,6 +45,17 @@ def test_totalize_2x2():
     assert [h.order() for h in homology(tot)] == [1, 1, 1]
 
 
+def test_pages_through_a_zero_entry():
+    c4 = AbGroup((4,))
+    entries = {(0, 0): C2, (1, 0): AbGroup(()), (2, 0): C2, (0, 1): c4, (1, 1): C2}
+    d = DoubleComplexAb.from_commuting(entries, {(1, 1): GroupMap(C2, c4, [[2]])},
+                                       {(0, 1): GroupMap(c4, C2, [[1]])})
+    for fp in pages(d, 4):
+        assert all(fp.page_homology_law(r) for r in range(4))
+        assert all(lhs == rhs for _n, lhs, rhs in fp.order_bookkeeping())
+    assert [h.order() for h in homology(totalize(d))] == [1, 1, 2, 1]
+
+
 def test_anticommutation_enforced():
     c4 = AbGroup((4,))
     one4 = GroupMap(c4, c4, [[1]])

@@ -306,6 +306,100 @@ def test_zero_actions_over_one_element_walk_no_word(monkeypatch):
     assert calls == []
 
 
+def _table_failures_reference(table, monoids, value, additive=(), absorbing=()):
+    """``core.table_failures`` as it was before its strides were suffix
+    products computed once per call: each position multiplies its own."""
+    from math import prod
+    sizes = [m.size for m in monoids]
+    vadd, vsize, vzero = value.add_table, value.size, value.zero
+
+    def walk(p, pairs, stride):
+        block = monoids[p].size * stride
+        for hi in range(0, len(table), block):
+            for base in range(hi, hi + stride):
+                row = table[base:base + block:stride]
+                for x, y, xy in pairs:
+                    if row[xy] != vadd[row[x] * vsize + row[y]]:
+                        yield (p, x, y, core.unflatten_index(base + x * stride, sizes))
+
+    for p in additive:
+        m = monoids[p]
+        gamma = isinstance(m, GammaSemigroup)
+        stride = prod(sizes[p + 1:])
+        if not gamma and not m.validate() and not value.validate():
+            gens = (m.zero, *m.additive_generators())
+            short = [(x, y, m.add(x, y)) for x in range(m.size) for y in gens]
+            if next(walk(p, short, stride), None) is None:
+                continue
+        pairs = [(x, y, m.add(x, y)) for x in range(m.size) for y in range(m.size)
+                 if not (gamma and core._skip_gamma_pair(m, x, y))]
+        yield from walk(p, pairs, stride)
+    for p in absorbing:
+        m = monoids[p]
+        if isinstance(m, GammaSemigroup) and not m.has_zero:
+            continue
+        stride = prod(sizes[p + 1:])
+        block = m.size * stride
+        for hi in range(0, len(table), block):
+            for base in range(hi + m.zero * stride, hi + (m.zero + 1) * stride):
+                if table[base] != vzero:
+                    yield (p, core.unflatten_index(base, sizes))
+
+
+def _small_monoid(rng):
+    size = rng.randint(1, 3)
+    if rng.random() < 0.25:
+        table = [rng.randrange(size) for _ in range(size * size)]
+        return FiniteAddMonoid(size, tuple(table), rng.randrange(size))
+    table, zero = _associative_table(rng, size)
+    return FiniteAddMonoid(size, tuple(table), zero)
+
+
+def test_table_failures_strides_match_the_per_position_products():
+    rng = random.Random("table-failures-strides")
+    kinds = Counter()
+    for _ in range(300):
+        arity = rng.randint(2, 6)
+        monoids = []
+        for _ in range(arity):
+            if rng.random() < 0.3:
+                size = rng.randint(1, 2)
+                has_zero = rng.random() < 0.5
+                monoids.append(GammaSemigroup(
+                    size, tuple((a + b) % size if rng.random() < 0.5 else max(a, b)
+                                for a in range(size) for b in range(size)),
+                    has_zero, 0 if has_zero else None))
+            else:
+                monoids.append(_small_monoid(rng))
+        value = _small_monoid(rng)
+        cells = 1
+        for m in monoids:
+            cells *= m.size
+        kind = rng.choice(["zero", "random", "sparse"])
+        table = [value.zero] * cells
+        if kind != "zero":
+            for c in (range(cells) if kind == "random" else
+                      rng.sample(range(cells), min(cells, 2))):
+                table[c] = rng.randrange(value.size)
+        law = {"additive": rng.sample(range(arity), rng.randint(0, arity)),
+               "absorbing": rng.sample(range(arity), rng.randint(0, arity))}
+        got = list(core.table_failures(table, monoids, value, **law))
+        assert got == list(_table_failures_reference(table, monoids, value, **law))
+        kinds[kind, bool(got)] += 1
+    assert kinds[("zero", False)] and kinds[("random", True)] and kinds[("sparse", True)]
+    # A failing module of arity 60: every slot table under every table law.
+    b = _over_one_element(60, trivial_gamma(), random.Random(60), "mixed")
+    assert not validate_module(b).ok
+    found = 0
+    for _axiom, law in modules._TABLE_LAWS:
+        for j, table in enumerate(b.act_tables):
+            args = (table, b._layout(j), b.M)
+            got = list(core.table_failures(*args, **law(60, j)))
+            assert got == list(_table_failures_reference(*args, **law(60, j)))
+            found += len(got)
+    assert found
+
+
 def _multiplicativity_scan(f):
     """The first (xs, gs) in table order with f(mu(xs; gs)) != mu(f(xs); gs)."""
     s, t = f.source, f.target

@@ -8,12 +8,17 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ngamma import cli
+from ngamma import cli, oracle
 from ngamma.bundled import bundled_document, bundled_path, bundled_workspace
 from ngamma.cli import build_parser, command_in, main
+from ngamma.core import (
+    FiniteAddMonoid, NaryGammaSemiring, StructuralError, binary_specialization,
+    f2_semiring, f2_ternary, trivial_gamma,
+)
+from ngamma.modules import regular_bimodule
 from ngamma.workspace import (
     SCHEMA, Workspace, WorkspaceError, dump_document, merge_bytes, merge_document,
-    parse_workspace,
+    parse_workspace, workspace_document,
 )
 
 
@@ -341,17 +346,77 @@ def test_derived_commands_parse_the_shared_flags(cmd):
     assert got == {**want, **{dest: value for _, _, dest, value in _FLAG_VALUES}}
 
 
+def _regular_workspace(tmp_path, s):
+    """A workspace file holding s (named ``s``) and its regular module ``reg``."""
+    doc = workspace_document({"t": s.T}, {"g": s.gamma}, {"s": (s, "t", "g")},
+                             {"reg": (regular_bimodule(s), "s", "t")})
+    path = tmp_path / "ws.json"
+    path.write_text(dump_document(doc), encoding="utf-8")
+    return str(path)
+
+
+def test_oracle_defaults_to_the_last_slot(tmp_path, monkeypatch):
+    s = binary_specialization(f2_semiring())
+    path = _regular_workspace(tmp_path, s)
+    slots = []
+
+    def recorder(module, attr, at):
+        real = getattr(module, attr)
+
+        def wrapped(*args, **kwargs):
+            slots.append((attr, args[at]))
+            return real(*args, **kwargs)
+        monkeypatch.setattr(module, attr, wrapped)
+
+    recorder(oracle, "tensor_class_count", 2)
+    recorder(cli, "tensor_positional", 2)
+    recorder(cli, "bar_complex", 2)
+    for target in ("tensor", "homology"):
+        assert main(["--no-bundled", "-w", path, "oracle", target]) == 0
+    assert sorted(slots) == [("bar_complex", 1), ("tensor_class_count", 1),
+                             ("tensor_positional", 1)]
+
+
+def _zero_multiplication(n):
+    t = FiniteAddMonoid(2, (0, 1, 1, 0))
+    return NaryGammaSemiring(n, t, trivial_gamma(), (0,) * 2 ** n, name="zm")
+
+
+def test_neutral_filler_policy_needs_a_neutral_word(tmp_path, capsys):
+    zm = _zero_multiplication(3)
+    path = _regular_workspace(tmp_path, zm)
+    ext = ["--no-bundled", "-w", path, "ext", "s", "reg", "reg"]
+    assert main(ext + ["--filler-policy", "neutral"]) == 2
+    assert "semiring 's' has no neutral word" in capsys.readouterr().err
+    for flag in ("sum", "fixed:1"):
+        assert main(ext + ["--filler-policy", flag]) == 0
+    with pytest.raises(StructuralError):
+        cli._parse_policy(zm, "sum", "neutral")
+    assert cli._parse_policy(zm, "sum", "sum").fillers == ((0,), (1,))
+    assert cli._parse_policy(zm, "fixed:0,0", "fixed:1").fillers == ((1,),)
+    assert cli._parse_policy(zm, "sum", None).fillers == ((0,), (1,))
+    # A carrier with a neutral word contracts with it; n = 2 has no fillers.
+    assert cli._parse_policy(f2_ternary(), "sum", "neutral").fillers == ((1,),)
+    assert cli._parse_policy(f2_ternary(), "sum", "sum").fillers == ((0,), (1,))
+    assert cli._parse_policy(_zero_multiplication(2), "sum", "neutral").fillers == ((),)
+
+
 # ---------------------------------------------------------------------------
 # One subparser per call
 # ---------------------------------------------------------------------------
 
+def _perfbench(name):
+    """The benchmark's module ``perfbench/<name>.py``, loaded from its file."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / f"{name}.py"
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
 def _bundled_commands():
     """``BUNDLED_COMMANDS`` of the benchmark's job list, split into argv."""
-    path = Path(__file__).resolve().parents[1] / "perfbench" / "jobs.py"
-    spec = importlib.util.spec_from_file_location("perfbench_jobs", path)
-    jobs = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(jobs)
-    return [command.split() for command in jobs.BUNDLED_COMMANDS]
+    return [command.split() for command in _perfbench("jobs").BUNDLED_COMMANDS]
 
 
 def _derived_argvs():
@@ -412,13 +477,25 @@ def test_command_scan_skips_exactly_the_value_options():
 
 
 _EXPECTED = json.loads((Path(__file__).resolve().parents[1] / "perfbench" / "expected.json")
-                       .read_text(encoding="utf-8"))["bundled-cli"]
+                       .read_text(encoding="utf-8"))
 
 
-@pytest.mark.parametrize("command", sorted(_EXPECTED))
+@pytest.mark.parametrize("command", sorted(_EXPECTED["bundled-cli"]))
 def test_bundled_commands_match_the_benchmark_digests(command, capsys):
     # The benchmark's own output check, so a changed report fails here first.
     code = main(["--format", "structured"] + command.split())
     out = capsys.readouterr().out
     assert {"exit": code, "sha256": hashlib.sha256(out.encode("utf-8")).hexdigest()} \
-        == _EXPECTED[command]
+        == _EXPECTED["bundled-cli"][command]
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+@pytest.mark.parametrize("workload", ["derived", "tables"])
+def test_generated_jobs_match_the_benchmark_answers(workload, seed, tmp_path):
+    # The benchmark's generated workspaces and jobs, checked as its run does.
+    gen, jobs = _perfbench("gen"), _perfbench("jobs")
+    gen.write(workload, seed, tmp_path)
+    ws = parse_workspace([str(tmp_path / "workspace.json")])
+    spec = json.loads((tmp_path / "jobs.json").read_text(encoding="utf-8"))
+    assert {job["name"]: jobs.run_generated(ws, job) for job in spec} \
+        == _EXPECTED[workload]
