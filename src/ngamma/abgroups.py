@@ -200,16 +200,14 @@ class GroupMap:
     def __init__(self, src: AbGroup, dst: AbGroup, mat, check: bool = True):
         self.src = src
         self.dst = dst
-        rows = [list(r) for r in mat]
-        if len(rows) != dst.dim or any(len(r) != src.dim for r in rows):
+        rows = list(mat)
+        width = len(src.orders)
+        if len(rows) != len(dst.orders) or any(len(r) != width for r in rows):
             raise ValueError(f"matrix has {len(rows)} rows of lengths "
                              f"{sorted({len(r) for r in rows})}, expected {dst.dim} "
-                             f"rows of length {src.dim}")
-        norm = []
-        for i in range(dst.dim):
-            o = dst.orders[i]
-            norm.append([rows[i][j] % o if o else rows[i][j] for j in range(src.dim)])
-        self.mat = norm
+                             f"rows of length {width}")
+        self.mat = [[v % o for v in row] if o else list(row)
+                    for row, o in zip(rows, dst.orders)]
         if check and not self.well_defined():
             raise SoundnessError("matrix does not descend to a homomorphism")
 
@@ -220,14 +218,10 @@ class GroupMap:
         return tuple(map(tuple, self.mat))
 
     def well_defined(self) -> bool:
-        for j, o in enumerate(self.src.orders):
-            if o == 0:
-                continue
-            for i, od in enumerate(self.dst.orders):
-                v = o * self.mat[i][j]
-                if (v % od) if od else v:
-                    return False
-        return True
+        """Whether every torsion source column is killed by its order."""
+        return not any((o * v) % od if od else o * v
+                       for row, od in zip(self.mat, self.dst.orders)
+                       for v, o in zip(row, self.src.orders) if o)
 
     def __call__(self, vec) -> tuple[int, ...]:
         return self.dst.reduce(la.mat_vec(self.mat, list(vec)))

@@ -10,6 +10,7 @@ canonicalized through Smith normal form.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 from math import gcd
 
 from . import intlinalg as la
@@ -253,9 +254,12 @@ class EquivariantHom:
         self.x = x
         self.y = y
         self.base = HomBase(x.group, y.group)
-        # Equal operator pairs give equal rows: keep the first of each.
-        constraints = dict.fromkeys((p.key, q.key) for slot in range(x.semiring.n)
-                                    for p, q in zip(x.ops[slot], y.ops[slot]))
+        # Equal operator pairs give equal rows: keep the first of each.  One
+        # object stands for every filler whose column it linearizes, so each
+        # slot's pairs are collapsed by identity before any key is read.
+        constraints = dict.fromkeys(
+            (p.key, q.key) for slot in range(x.semiring.n)
+            for p, q in dict.fromkeys(zip(x.ops[slot], y.ops[slot])))
         rows = []
         orders = []
         xs, ys = x.group.dim, y.group.dim
@@ -338,7 +342,8 @@ class TensorGroup:
                         r[idx] = o
                         rels.append(r)
         ident_x, ident_y = la.identity(xs), la.identity(ys)
-        for p, q in dict.fromkeys((p.key, q.key) for p, q in zip(x.ops[j], y.ops[k])):
+        for p, q in dict.fromkeys((p.key, q.key)
+                                  for p, q in dict.fromkeys(zip(x.ops[j], y.ops[k]))):
             # Column i0*ys + j0 of kron(P, I) - kron(I, Q) balances the pair
             # (i0, j0): P acting on the left factor against Q on the right.
             via_x = la.kron(p, ident_y)
@@ -349,9 +354,14 @@ class TensorGroup:
         self.group = self.pres.group
         self.name = name or f"{x.name}(x){y.name}"
 
+    @cached_property
+    def _proj_lift(self):
+        """The presentation's proj and lift matrices, copied once; only read."""
+        return self.pres.proj_matrix(), self.pres.lift_matrix()
+
     def pair_matrix_to_quotient(self, pairmat) -> GroupMap | None:
         """Project a pair-space endomorphism; None when it does not descend."""
-        lift, proj = self.pres.lift_matrix(), self.pres.proj_matrix()
+        proj, lift = self._proj_lift
         try:
             return induced_on_quotients(proj, self.group, pairmat, lift, proj,
                                         self.group, "pair matrix")
@@ -367,9 +377,9 @@ class TensorGroup:
         """
         pairmat = la.kron(left.mat if left else la.identity(self.x.group.dim),
                           right.mat if right else la.identity(self.y.group.dim))
-        return induced_on_quotients(dst.pres.proj_matrix(), dst.group, pairmat,
-                                    self.pres.lift_matrix(), self.pres.proj_matrix(),
-                                    self.group, what)
+        proj, lift = self._proj_lift
+        return induced_on_quotients(dst._proj_lift[0], dst.group, pairmat,
+                                    lift, proj, self.group, what)
 
     def as_module(self) -> CompletedModule:
         """Attach residual operators, preferring the right factor.
@@ -383,8 +393,9 @@ class TensorGroup:
         residual = {}
         ops = []
         for slot in range(s.n):
-            slot_ops = []
-            for xop, yop in zip(self.x.ops[slot], self.y.ops[slot]):
+            pairs = list(zip(self.x.ops[slot], self.y.ops[slot]))
+            by_pair = {}
+            for xop, yop in dict.fromkeys(pairs):
                 key = (yop.key, xop.key)
                 if key not in residual:
                     mat = self.pair_matrix_to_quotient(
@@ -396,6 +407,6 @@ class TensorGroup:
                 if residual[key] is None:
                     raise SoundnessError(
                         f"no residual operator descends at slot {slot + 1}")
-                slot_ops.append(residual[key])
-            ops.append(tuple(slot_ops))
+                by_pair[xop, yop] = residual[key]
+            ops.append(tuple(map(by_pair.__getitem__, pairs)))
         return CompletedModule(s, self.group, tuple(ops), None, name=self.name)

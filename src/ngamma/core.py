@@ -15,7 +15,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from itertools import product
-from math import prod
 from operator import mul
 
 
@@ -371,7 +370,8 @@ def table_failures(table, monoids, value: FiniteAddMonoid,
                 continue
         pairs = [(x, y, m.add(x, y)) for x in range(m.size) for y in range(m.size)
                  if not (gamma and _skip_gamma_pair(m, x, y))]
-        yield from walk(p, pairs, stride)
+        if pairs:
+            yield from walk(p, pairs, stride)
     for p in absorbing:
         m = monoids[p]
         if isinstance(m, GammaSemigroup) and not m.has_zero:
@@ -406,9 +406,10 @@ def first_incoherent_word(s: NaryGammaSemiring, words, p=None,
 
     def layout(j):
         """The table and element strides of a window with its module letter at j."""
-        esizes = [msize if q == j else tsize for q in range(n)]
-        table = s.mu_table if j is None else act_tables[j]
-        return table, [prod(esizes[q + 1:]) * gblock for q in range(n)]
+        strides = [gblock] * n
+        for q in range(n - 1, 0, -1):
+            strides[q - 1] = strides[q] * (msize if q == j else tsize)
+        return s.mu_table if j is None else act_tables[j], strides
 
     plan = []
     for i in range(n):

@@ -221,14 +221,25 @@ def smith_normal_form(a, nrows: int, ncols: int, *,
                     if ck in d[i]:
                         dirty = True
                         rows.append(i)
-            for j, v in list(row.items()):
-                if j == ck:
-                    continue
-                q = v // pivot
-                if q:
-                    col_add(j, ck, -q, rows)
-                if j in row:
-                    dirty = True
+            if rows == [k] and t_t is None and tinv is None:
+                # The column operations would touch only row k: each entry
+                # becomes its remainder by the pivot.
+                for j, v in list(row.items()):
+                    if j != ck:
+                        if v % pivot:
+                            row[j] = v % pivot
+                            dirty = True
+                        else:
+                            del row[j]
+            else:
+                for j, v in list(row.items()):
+                    if j == ck:
+                        continue
+                    q = v // pivot
+                    if q:
+                        col_add(j, ck, -q, rows)
+                    if j in row:
+                        dirty = True
             if dirty:
                 continue
             # Pivot must divide the rest of the block for true SNF; if not,

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property, reduce
-from itertools import product
+from itertools import chain, product
 from math import prod
 
 from .abgroups import SoundnessError
@@ -118,12 +118,10 @@ def module_from_actions(parent: NaryGammaSemiring, monoid: FiniteAddMonoid, acti
 
 def map_columns(fn, actions) -> list[list]:
     """``fn`` of every column of every slot, called once per distinct column."""
-    memo = {}
-    for cols in actions:
-        for col in cols:
-            if col not in memo:
-                memo[col] = fn(col)
-    return [[memo[col] for col in cols] for cols in actions]
+    memo = dict.fromkeys(chain.from_iterable(actions))
+    for col in memo:
+        memo[col] = fn(col)
+    return [list(map(memo.__getitem__, cols)) for cols in actions]
 
 
 def build_module(parent: NaryGammaSemiring, monoid: FiniteAddMonoid, act_fn,

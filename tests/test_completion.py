@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ngamma import intlinalg as la
+from ngamma import completion, intlinalg as la
 from ngamma.abgroups import (
     AbGroup, GroupMap, Presentation, SoundnessError, induced_on_quotients,
     isomorphic, kernel,
@@ -521,3 +521,49 @@ def test_stored_lifts_match_per_basis_lifts(family):
         for j in range(b.parent.n):
             assert [op.mat for op in lin.ops[j]] == [
                 _per_basis_completion_map(comp, comp, col).mat for col in b.actions(j)]
+
+
+# ---------------------------------------------------------------------------
+# Operator keys are read once per distinct operator pair
+# ---------------------------------------------------------------------------
+
+def test_operator_keys_are_read_per_distinct_object_pair(monkeypatch):
+    # The regular module of ternary Z/16 keeps 768 (slot, filler) operators,
+    # 16 distinct objects per slot; a key read per filler would be 1,536.
+    lin = linearize_module(regular_bimodule(ternary_from_semiring(zmod_semiring(16))))
+    key_reads = []
+    monkeypatch.setattr(GroupMap, "key", property(
+        lambda gm: key_reads.append(gm) or tuple(map(tuple, gm.mat))))
+
+    def bound(x, y, slots):
+        return 2 * sum(len(set(zip(x.ops[j], y.ops[k]))) for j, k in slots)
+
+    every_slot = [(j, j) for j in range(3)]
+    assert bound(lin, lin, every_slot) == 96
+    EquivariantHom(lin, lin)
+    assert 0 < len(key_reads) <= 96
+    key_reads.clear()
+    tg = TensorGroup(lin, lin, 2, 0)
+    assert 0 < len(key_reads) <= bound(lin, lin, [(2, 0)])
+    key_reads.clear()
+    tg.as_module()
+    assert 0 < len(key_reads) <= 96
+
+
+def test_equal_operators_on_distinct_objects_give_one_block(monkeypatch):
+    # A direct sum builds a new object per filler, so only the keys see that
+    # its 768 operators per side are 16 maps: one constraint block (2 x 2
+    # rows) and one balancing block (4 relations) per distinct key pair.
+    s = ternary_from_semiring(zmod_semiring(16))
+    lin = linearize_module(regular_bimodule(s))
+    ds = direct_sum_completed([lin, lin])
+    assert [len(set(ops)) for ops in ds.ops] == [256] * 3
+    rows = []
+    real_kernel = completion.kernel
+    monkeypatch.setattr(completion, "kernel",
+                        lambda f: rows.append(f.dst.dim) or real_kernel(f))
+    EquivariantHom(ds, ds)
+    assert rows == [16 * 4]
+    tg = TensorGroup(ds, ds, 2, 0)
+    assert len(tg.pres.relations) == 8 + 16 * 4
+    assert tg.group.invariant_factors() == (16,) * 4

@@ -8,6 +8,7 @@ regular modules must walk no table beyond its semiring's own walk.
 
 import random
 from collections import Counter
+from itertools import product
 
 import pytest
 from test_axiom_engine import FAMILIES
@@ -398,6 +399,90 @@ def test_table_failures_strides_match_the_per_position_products():
             assert got == list(_table_failures_reference(*args, **law(60, j)))
             found += len(got)
     assert found
+
+
+def test_table_failures_reads_no_row_of_a_position_without_pairs():
+    # Over a one-element parameter semigroup every parameter pair is an
+    # exempt idempotent self-sum, so those positions have nothing to compare.
+    reads = []
+
+    class Table(tuple):
+        def __getitem__(self, i):
+            reads.append(i)
+            return super().__getitem__(i)
+
+    s = core.ternary_from_semiring(zmod_semiring(4))
+    assert s.gamma.size == 1
+    monoids = [s.T] * 3 + [s.gamma] * 2
+    table = Table(s.mu_table)
+    assert list(core.table_failures(table, monoids, s.T, additive=(3, 4))) == []
+    assert reads == []
+    assert list(core.table_failures(table, monoids, s.T, additive=(2,))) == []
+    assert reads
+
+
+def _first_incoherent_word_reference(s, words, p=None, act_tables=(), msize=0):
+    """``core.first_incoherent_word`` as it was before its strides were
+    suffix products computed once per layout: each letter multiplies the
+    sizes after it."""
+    from math import prod
+    from operator import mul
+    n, tsize, gsize = s.n, s.T.size, s.gamma.size
+    gblock = gsize ** (n - 1)
+
+    def layout(j):
+        esizes = [msize if q == j else tsize for q in range(n)]
+        table = s.mu_table if j is None else act_tables[j]
+        return table, [prod(esizes[q + 1:]) * gblock for q in range(n)]
+
+    plan = []
+    for i in range(n):
+        if p is None:
+            j_in = j_out = None
+        elif i <= p < i + n:
+            j_in, j_out = p - i, i
+        else:
+            j_in, j_out = None, p if p < i else p - n + 1
+        t_in, st_in = layout(j_in)
+        t_out, st_out = layout(j_out)
+        inner = [0] * i + st_in + [0] * (n - 1 - i)
+        outer = st_out[:i] + [0] * n + st_out[i + 1:]
+        plan.append((t_in, inner, t_out, outer, st_out[i]))
+    gsizes = [gsize] * (n - 1)
+    gwords = [(gs, [(core.flatten_index(gs[i:i + n - 1], gsizes),
+                     core.flatten_index(gs[:i] + gs[i + n - 1:], gsizes))
+                    for i in range(n)])
+              for gs in product(range(gsize), repeat=2 * n - 2)]
+    for xs in words:
+        rows = [(t_in, sum(map(mul, xs, inner)), t_out, sum(map(mul, xs, outer)), st_mid)
+                for t_in, inner, t_out, outer, st_mid in plan]
+        for gs, offs in gwords:
+            vals = [t_out[e_out + t_in[e_in + g_in] * st_mid + g_out]
+                    for (t_in, e_in, t_out, e_out, st_mid), (g_in, g_out) in zip(rows, offs)]
+            if vals.count(vals[0]) != n:
+                return xs, gs, vals
+    return None
+
+
+def test_word_strides_match_the_per_letter_products():
+    # Modules over one-element tables: all-one actions pass every word, mixed
+    # ones fail some.  Each letter position of the module element is tried
+    # at the ends and the middle of the word, and the carrier-only words too.
+    rng = random.Random("word-strides")
+    outcomes = Counter()
+    for n in range(2, 61):
+        for kind in ("nonzero", "mixed"):
+            b = _over_one_element(n, trivial_gamma(), rng, kind)
+            s = b.parent
+            assert core.first_incoherent_word(s, [(0,) * (2 * n - 1)]) == \
+                _first_incoherent_word_reference(s, [(0,) * (2 * n - 1)])
+            for p in sorted({0, n - 1, 2 * n - 2}):
+                words = [(0,) * p + (m,) + (0,) * (2 * n - 2 - p) for m in (0, 1)]
+                args = (s, words, p, b.act_tables, 2)
+                got = core.first_incoherent_word(*args)
+                assert got == _first_incoherent_word_reference(*args), (n, kind, p)
+                outcomes[kind, got is None] += 1
+    assert outcomes[("nonzero", True)] and outcomes[("mixed", False)]
 
 
 def _multiplicativity_scan(f):
