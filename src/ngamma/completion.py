@@ -10,7 +10,7 @@ canonicalized through Smith normal form.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from functools import cached_property
+from functools import cached_property, partial
 from math import gcd
 
 from . import intlinalg as la
@@ -19,7 +19,7 @@ from .abgroups import (
 )
 from .core import FiniteAddMonoid, NaryGammaSemiring, StructuralError
 from .modules import (
-    BiGammaModule, ModuleMorphism, filler_tuples, map_columns, same_module,
+    BiGammaModule, ModuleMorphism, filler_tuples, map_columns, residual_slots, same_module,
 )
 
 
@@ -382,31 +382,28 @@ class TensorGroup:
                                     lift, proj, self.group, what)
 
     def as_module(self) -> CompletedModule:
-        """Attach residual operators, preferring the right factor.
-
-        The residual operator depends only on the pair of factor operators, so
-        each distinct pair is projected once.
-        """
+        """Attach residual operators, each slot through the right factor when
+        all its operators descend there, else the left (``residual_slots``).
+        Each distinct operator of a side is projected once."""
         s = self.x.semiring
         ident_x = la.identity(self.x.group.dim)
         ident_y = la.identity(self.y.group.dim)
-        residual = {}
-        ops = []
-        for slot in range(s.n):
-            pairs = list(zip(self.x.ops[slot], self.y.ops[slot]))
-            by_pair = {}
-            for xop, yop in dict.fromkeys(pairs):
-                key = (yop.key, xop.key)
-                if key not in residual:
-                    mat = self.pair_matrix_to_quotient(
-                        la.kron(ident_x, yop.mat))
-                    if mat is None:
-                        mat = self.pair_matrix_to_quotient(
-                            la.kron(xop.mat, ident_y))
-                    residual[key] = mat
-                if residual[key] is None:
-                    raise SoundnessError(
-                        f"no residual operator descends at slot {slot + 1}")
-                by_pair[xop, yop] = residual[key]
-            ops.append(tuple(map(by_pair.__getitem__, pairs)))
+        projected = {}
+
+        def attach(side, ops, pairmat, slot):
+            by_op = dict.fromkeys(ops[slot])
+            for op in by_op:
+                key = side, op.key
+                if key not in projected:
+                    projected[key] = self.pair_matrix_to_quotient(pairmat(op.mat))
+                by_op[op] = projected[key]
+                if by_op[op] is None:
+                    tother, gs = filler_tuples(s)[ops[slot].index(op)]
+                    raise SoundnessError(f"the operator with carriers {tother} and "
+                                         f"parameters {gs} does not descend")
+            return tuple(map(by_op.__getitem__, ops[slot]))
+
+        ops = residual_slots(s.n, [
+            ("right", partial(attach, "right", self.y.ops, lambda m: la.kron(ident_x, m))),
+            ("left", partial(attach, "left", self.x.ops, lambda m: la.kron(m, ident_y)))])
         return CompletedModule(s, self.group, tuple(ops), None, name=self.name)

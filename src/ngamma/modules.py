@@ -606,8 +606,8 @@ class TensorCongruence:
     once.  Classes are numbered by the lexicographically least multiplicity
     vector over the nonzero pairs (a-major) that sums to them, which depends
     only on the quotient and beta.  ``residual_module`` attaches residual
-    actions from columns and a pair image that the callers supply; the plain
-    tensor and scalar extension supply different ones.
+    actions through ``residual_slots`` from the factors and pair images that
+    the callers supply; the plain tensor and scalar extension differ there.
     """
 
     def __init__(self, left: BiGammaModule, right: BiGammaModule,
@@ -669,6 +669,7 @@ class TensorCongruence:
         self.reps = [uf_reps[c] for c in order]
         self.monoid = FiniteAddMonoid(
             nq, tuple(rank[add[c1][c2]] for c1 in order for c2 in order), rank[zero])
+        self._residual = {}
 
     def _vec(self, idx: int) -> tuple[int, ...]:
         return unflatten_index(idx, self._sizes)
@@ -711,32 +712,56 @@ class TensorCongruence:
             return table
         return None
 
-    def residual_module(self, s: NaryGammaSemiring, actions, image,
-                        name: str) -> TensorModule:
-        """The quotient as a module over ``s``.
+    def residual_tables(self, s: NaryGammaSemiring, slot: int, cols, image) -> list:
+        """Slot ``slot``'s action of every filler of ``s`` on the quotient.
 
-        ``actions[slot]`` holds one column per filler of ``s`` and
-        ``image(col, a, b)`` is the ambient vector that column sends the pair
-        (a, b) to.  Each distinct column is checked for descent and tabulated
-        on classes once.  Raises SoundnessError naming the first action that
-        does not descend.
+        ``cols`` holds the slot's column of each filler and ``image(col, a, b)``
+        is the ambient vector a column sends the pair (a, b) to.  Each distinct
+        (image, column) is tabulated once per tensor.  Raises SoundnessError
+        naming the first filler whose action does not descend.
         """
-        fillers = filler_tuples(s)
-        tables = {}
-        for slot, cols in enumerate(actions):
-            for w, col in enumerate(cols):
-                if col not in tables:
-                    tables[col] = self._extension([image(col, a, b) for a, b in self.pairs])
-                    if tables[col] is None:
-                        tother, gs = fillers[w]
-                        raise SoundnessError(
-                            f"the action at slot {slot + 1} with carriers {tother} "
-                            f"and parameters {gs} does not descend")
-        module = module_from_actions(s, self.monoid,
-                                     [[tables[col] for col in cols] for cols in actions], name)
+        tables = dict.fromkeys(cols)
+        for col in tables:
+            if (image, col) not in self._residual:
+                self._residual[image, col] = self._extension(
+                    [image(col, a, b) for a, b in self.pairs])
+            tables[col] = self._residual[image, col]
+            if tables[col] is None:
+                tother, gs = filler_tuples(s)[cols.index(col)]
+                raise SoundnessError(f"the action at slot {slot + 1} with carriers {tother} "
+                                     f"and parameters {gs} does not descend")
+        return list(map(tables.__getitem__, cols))
+
+    def residual_module(self, s: NaryGammaSemiring, sides, name: str) -> TensorModule:
+        """The quotient as a module over ``s``.  ``sides`` lists (factor name,
+        factor, image) triples, and each slot acts through the first factor
+        whose ``residual_tables`` descend (``residual_slots``)."""
+        attach = [(side, lambda slot, f=factor, im=image:
+                   self.residual_tables(s, slot, f.actions(slot), im))
+                  for side, factor, image in sides]
+        module = module_from_actions(s, self.monoid, residual_slots(s.n, attach), name)
         beta = tuple(tuple(self.pair_class(a, b) for b in range(self.right.M.size))
                      for a in range(self.left.M.size))
         return TensorModule(module, beta)
+
+
+def residual_slots(n: int, sides) -> list:
+    """Each slot's residual action, through the first of ``sides`` that carries it.
+
+    ``sides`` lists (factor name, attach) pairs; ``attach(slot)`` returns the
+    slot's actions or raises SoundnessError naming the filler that fails.
+    """
+    def carry(slot):
+        failures = []
+        for side, attach in sides:
+            try:
+                return attach(slot)
+            except SoundnessError as exc:
+                failures.append(f"through the {side} factor, {exc}")
+        raise SoundnessError(f"no residual action descends at slot {slot + 1}: "
+                             + "; ".join(failures))
+
+    return [carry(slot) for slot in range(n)]
 
 
 def tensor_positional(left: BiGammaModule, right: BiGammaModule,
@@ -746,20 +771,11 @@ def tensor_positional(left: BiGammaModule, right: BiGammaModule,
 
     Material acting in slot ``j`` of the left factor may be re-read as acting
     in slot ``k`` of the right factor with the same carrier tuple and
-    parameters, in the same linear order; the remaining slots act through the
-    right factor (falling back to the left when that fails to descend).
+    parameters, in the same linear order; ``residual_slots`` sends each slot
+    through the right factor when it descends there, else the left.
     """
     core = TensorCongruence(left, right, j, k, element_bound)
-    name = name or f"{left.name}(x){right.name}[{j + 1},{k + 1}]"
-
-    sides = (("right", right, lambda col, a, b: core.gen_vec(a, col[b])),
-             ("left", left, lambda col, a, b: core.gen_vec(col[a], b)))
-    failures = []
-    for side, factor, image in sides:
-        try:
-            return core.residual_module(
-                left.parent, [factor.actions(slot) for slot in range(left.parent.n)], image, name)
-        except SoundnessError as exc:
-            failures.append(f"through the {side} factor, {exc}")
-    raise SoundnessError("no residual action descends to the tensor quotient: "
-                         + "; ".join(failures))
+    return core.residual_module(
+        left.parent, [("right", right, lambda col, a, b: core.gen_vec(a, col[b])),
+                      ("left", left, lambda col, a, b: core.gen_vec(col[a], b))],
+        name or f"{left.name}(x){right.name}[{j + 1},{k + 1}]")

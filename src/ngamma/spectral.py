@@ -455,20 +455,17 @@ def extend_scalars(f: GammaSemiringMorphism, a: BiGammaModule,
                    j: int | None = None, k: int = 0, name: str = ""):
     """Target carrier tensored against the module over the source actions.
 
-    Residual actions insert target material through the carrier factor; a
-    failure to descend is an algebraic obstruction and raises.
+    Every slot acts through the carrier factor, the one side given to
+    ``residual_slots``; a failure to descend is an obstruction and raises.
     """
     if a.parent != f.source:
         raise StructuralError("module does not live over the morphism source")
     target = f.target
     reg = regular_bimodule(target)
     core = TensorCongruence(restrict_scalars(f, reg), a, resolve_slot(f.source, j), k)
-    try:
-        return core.residual_module(target, [reg.actions(slot) for slot in range(target.n)],
-                                    lambda col, x, av: core.gen_vec(col[x], av),
-                                    name or f"ext({a.name})")
-    except SoundnessError as exc:
-        raise SoundnessError(f"target action does not descend to the extension: {exc}") from None
+    return core.residual_module(
+        target, [("carrier", reg, lambda col, x, av: core.gen_vec(col[x], av))],
+        name or f"ext({a.name})")
 
 
 def source_conflation_triples(s: NaryGammaSemiring,

@@ -1,11 +1,14 @@
 from itertools import product
 
 import pytest
+from test_validate_once import REGULAR_FAMILIES
 
 from ngamma.abgroups import SoundnessError
+from ngamma.bundled import bundled_workspace
 from ngamma.core import (
-    BoundExceeded, FiniteAddMonoid, binary_specialization, boolean_ternary, f2_semiring,
-    f2_ternary, make_matrix_family, ternary_from_semiring, z4_ternary, zmod_semiring,
+    BoundExceeded, FiniteAddMonoid, binary_specialization, boolean_semiring,
+    boolean_ternary, f2_semiring, f2_ternary, make_endomorphism_family, make_matrix_family,
+    ternary_from_semiring, z4_ternary, zmod_semiring,
 )
 from ngamma.ideals import GammaIdeal
 from ngamma.modules import (
@@ -212,13 +215,91 @@ def test_residual_action_must_be_additive(z4):
     reg = regular_bimodule(z4)
     core = TensorCongruence(reg, reg, 2, 0)
     assert core.monoid.size == 4
-    actions = [reg.actions(j) for j in range(z4.n)]
 
     def squared(col, a, b):
         return core.gen_vec(a * a * b * b % 4, 1)
 
     with pytest.raises(SoundnessError, match=r"slot 1 with carriers \(0, 0\) .* does not descend"):
-        core.residual_module(z4, actions, squared, "squared")
+        core.residual_tables(z4, 0, reg.actions(0), squared)
+
+
+# ---------------------------------------------------------------------------
+# Residual actions: one factor per slot
+# ---------------------------------------------------------------------------
+
+_K4 = FiniteAddMonoid(4, tuple(a ^ b for a in range(4) for b in range(4)))
+NONCOMMUTATIVE = {
+    "m2f2^2": lambda: make_matrix_family(f2_semiring(), 2, 2),
+    "m2b^2": lambda: make_matrix_family(boolean_semiring(), 2, 2),
+    "endk4^2": lambda: make_endomorphism_family(_K4, 2),
+    "m2f2^3": lambda: make_matrix_family(f2_semiring(), 2, 3),
+    "endk4^3": lambda: make_endomorphism_family(_K4, 3),
+}
+
+
+@pytest.mark.parametrize("family, slots", [
+    ("m2f2^2", "2,1"), ("m2b^2", "2,1"), ("endk4^2", "2,1"), ("m2f2^2", "1,2")])
+def test_binary_noncommutative_regular_tensor_is_the_carrier(family, slots):
+    # Slot 2 of a binary regular module multiplies on the left and slot 1 on
+    # the right.  At slots (2,1) the tensor balances ta (x) b with a (x) bt, so
+    # slot 1 acts through the left factor, slot 2 through the right, and the
+    # class of (a, b) goes to ba; at slots (1,2) it is A (x)_A A and goes to
+    # ab.  Either way it is a bijective module morphism onto the regular module.
+    s = NONCOMMUTATIVE[family]()
+    reg = regular_bimodule(s)
+    j, k = (int(x) - 1 for x in slots.split(","))
+    t = tensor_positional(reg, reg, j, k)
+    assert t.module.M.size == 16
+    assert validate_module(t.module).ok
+    product_of = {}
+    for a, b in product(range(16), repeat=2):
+        ab = s.mu((b, a) if j else (a, b), (0,))
+        assert product_of.setdefault(t.pair(a, b), ab) == ab
+    f = ModuleMorphism(t.module, reg, tuple(product_of[c] for c in range(16)))
+    assert sorted(f.map) == list(range(16))
+    assert validate_module_morphism(f).ok
+
+
+@pytest.mark.parametrize("family", ["m2f2^3", "endk4^3"])
+def test_ternary_noncommutative_regular_tensor_refuses_at_slot_2(family):
+    reg = regular_bimodule(NONCOMMUTATIVE[family]())
+    filler = r"the action at slot 2 with carriers \(\d+, \d+\) and parameters \(0, 0\) " \
+             r"does not descend"
+    with pytest.raises(SoundnessError, match=rf"^no residual action descends at slot 2: "
+                       rf"through the right factor, {filler}; "
+                       rf"through the left factor, {filler}$"):
+        tensor_positional(reg, reg, 2, 0)
+
+
+def test_factors_that_both_carry_a_slot_agree():
+    # Each slot acts through the right factor when both could carry it.  On
+    # these fixtures that preference moves no table: wherever both factors
+    # descend, their tables are equal.  This slice takes the default slots,
+    # except slots (1,1) for the M2 families: at their default slots no slot
+    # is carried by both.  Every (j, k) gives 1,108 such slot cases, all equal.
+    ws = bundled_workspace()
+    mods = [(ws.module(a), ws.module(b)) for a, b in product(sorted(ws.modules), repeat=2)
+            if ws.module(a).parent == ws.module(b).parent]
+    mods += [(regular_bimodule(s), regular_bimodule(s)) for s in REGULAR_FAMILIES.values()]
+    m2 = {REGULAR_FAMILIES[f] for f in ("m2f2_binary", "m2b_binary", "m2f2_ternary")}
+    both = 0
+    for left, right in mods:
+        s = left.parent
+        slots = (0, 0) if s in m2 else (s.n - 1, 0)
+        core = TensorCongruence(left, right, *slots)
+        images = [(right, lambda col, a, b: core.gen_vec(a, col[b])),
+                  (left, lambda col, a, b: core.gen_vec(col[a], b))]
+        for slot in range(s.n):
+            tables = []
+            for factor, image in images:
+                try:
+                    tables.append(core.residual_tables(s, slot, factor.actions(slot), image))
+                except SoundnessError:
+                    pass
+            if len(tables) == 2:
+                both += 1
+                assert tables[0] == tables[1], (left.name, right.name, slots, slot)
+    assert both == 126
 
 
 def test_cofree_examples(f2, boolt):

@@ -13,7 +13,7 @@ from ngamma.bundled import bundled_document, bundled_path, bundled_workspace
 from ngamma.cli import build_parser, command_in, main
 from ngamma.core import (
     FiniteAddMonoid, NaryGammaSemiring, StructuralError, binary_specialization,
-    f2_semiring, f2_ternary, trivial_gamma,
+    f2_semiring, f2_ternary, make_matrix_family, trivial_gamma,
 )
 from ngamma.modules import regular_bimodule
 from ngamma.workspace import (
@@ -375,6 +375,19 @@ def test_oracle_defaults_to_the_last_slot(tmp_path, monkeypatch):
         assert main(["--no-bundled", "-w", path, "oracle", target]) == 0
     assert sorted(slots) == [("bar_complex", 1), ("tensor_class_count", 1),
                              ("tensor_positional", 1)]
+
+
+def test_mod_tensor_on_noncommutative_matrices(tmp_path, capsys):
+    # Binary M2(F2) (x) M2(F2) answers with the 16 elements of M2(F2); in the
+    # ternary family the middle slot descends through neither factor.
+    binary = _regular_workspace(tmp_path, make_matrix_family(f2_semiring(), 2, 2))
+    argv = ["--format", "structured", "--no-bundled", "-w", binary, "mod", "tensor",
+            "reg", "reg"]
+    assert main(argv) == 0
+    assert json.loads(capsys.readouterr().out)["results"]["size"] == 16
+    ternary = _regular_workspace(tmp_path, make_matrix_family(f2_semiring(), 2, 3))
+    assert main(["--no-bundled", "-w", ternary, "mod", "tensor", "reg", "reg"]) == 2
+    assert "no residual action descends at slot 2: " in capsys.readouterr().err
 
 
 def _zero_multiplication(n):
