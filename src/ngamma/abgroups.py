@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from itertools import product
-from math import prod
+from math import lcm, prod
 
 from . import intlinalg as la
 
@@ -218,7 +218,12 @@ class GroupMap:
         return tuple(map(tuple, self.mat))
 
     def well_defined(self) -> bool:
-        """Whether every torsion source column is killed by its order."""
+        """Whether every torsion source column is killed by its order: at once
+        when no target order is free and each divides every torsion source
+        order (o*v = 0 mod od when od | o), else cell by cell."""
+        step = lcm(*self.dst.orders)
+        if step and not any(o % step for o in self.src.orders):
+            return True
         return not any((o * v) % od if od else o * v
                        for row, od in zip(self.mat, self.dst.orders)
                        for v, o in zip(row, self.src.orders) if o)

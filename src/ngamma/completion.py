@@ -12,6 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 from functools import cached_property, partial
 from math import gcd
+from operator import add
 
 from . import intlinalg as la
 from .abgroups import (
@@ -43,46 +44,57 @@ def group_complete(monoid: FiniteAddMonoid) -> Completion:
     """Universal enveloping abelian group of a finite commutative monoid.
 
     Presented on one generator per element with a relation per table entry,
-    so the completion map is just generator projection.
+    so the vector of element m is column m of the projection.  When some t
+    has add(min(a, t), max(a, t)) = t for every a, the pair relation (a, t)
+    reads e_a = 0: the completion is 0 and unit relations present it.  Such
+    a t is the sum of all elements, and the test reads the table entries
+    those relations read, so it is exact even on an unvalidated table.
     """
     size = monoid.size
-    rels = []
-    for a in range(size):
-        for b in range(a, size):
-            r = [0] * size
-            r[a] += 1
-            r[b] += 1
-            r[monoid.add(a, b)] -= 1
-            rels.append(r)
-    z = [0] * size
-    z[monoid.zero] = 1
-    rels.append(z)
+    top = monoid.sum(range(size))
+    if all(monoid.add(min(a, top), max(a, top)) == top for a in range(size)):
+        rels = la.identity(size)
+    else:
+        rels = []
+        for a in range(size):
+            for b in range(a, size):
+                r = [0] * size
+                r[a] += 1
+                r[b] += 1
+                r[monoid.add(a, b)] -= 1
+                rels.append(r)
+        z = [0] * size
+        z[monoid.zero] = 1
+        rels.append(z)
     pres = Presentation(size, rels)
-    vectors = []
-    for m in range(size):
-        e = [0] * size
-        e[m] = 1
-        vectors.append(pres.project(e))
+    vectors = tuple(map(pres.group.reduce, zip(*pres.proj_matrix()))) or ((),) * size
     lift = pres.lift_matrix()
     lifts = tuple(tuple((m, row[c]) for m, row in enumerate(lift) if row[c])
                   for c in range(pres.group.dim))
-    return Completion(monoid, pres.group, tuple(vectors), pres, lifts)
+    return Completion(monoid, pres.group, vectors, pres, lifts)
 
 
 def completion_map(src: Completion, dst: Completion, elem_map) -> GroupMap:
     """Induced map on completions of an additive element map, given as its
     table (``elem_map[m]`` is the image of element m).
 
-    Column c sums dst's vectors of the images of ``src.lifts[c]``, which
-    ``group_complete`` computed once for src, so no lift is recomputed per
-    map.  The group map is checked to be well defined.
+    Column c is gathered from dst's vectors of the images of ``src.lifts[c]``,
+    which ``group_complete`` computed once for src: a lift ((m, 1),) is the
+    vector of m's image itself, a longer lift is summed once.  The group map
+    is checked to be well defined.
     """
-    rows = [[0] * src.group.dim for _ in range(dst.group.dim)]
-    for c, pairs in enumerate(src.lifts):
+    vecs = dst.vectors
+    cols = []
+    for pairs in src.lifts:
+        col = None
         for m, coeff in pairs:
-            for row, y in zip(rows, dst.vectors[elem_map[m]]):
-                row[c] += coeff * y
-    return GroupMap(src.group, dst.group, rows, check=True)
+            y = vecs[elem_map[m]]
+            if coeff != 1:
+                y = [coeff * v for v in y]
+            col = y if col is None else list(map(add, col, y))
+        cols.append(col)
+    return GroupMap(src.group, dst.group, list(zip(*cols)) or [()] * dst.group.dim,
+                    check=True)
 
 
 @dataclass(frozen=True)

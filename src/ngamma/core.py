@@ -14,6 +14,7 @@ shared freely.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cache
 from itertools import product
 from operator import mul
 
@@ -399,11 +400,16 @@ def first_incoherent_word(s: NaryGammaSemiring, words, p=None,
 
     All tables share one layout (n elements, then n-1 parameters), so each
     bracketing costs two lookups at offsets summed from precomputed strides:
-    the elements' part once per word, the parameters' once per gs.
+    the elements' part once per word and the parameters' once per gs.  A
+    window's offset and its outer word's are one sum over the letters, each
+    strided once: the outer strides are scaled by the window table's length
+    (by the parameter block for gs), and divmod splits the sum.  Each of the
+    n+1 distinct layouts is built once per call.
     """
     n, tsize, gsize = s.n, s.T.size, s.gamma.size
     gblock = gsize ** (n - 1)
 
+    @cache
     def layout(j):
         """The table and element strides of a window with its module letter at j."""
         strides = [gblock] * n
@@ -421,20 +427,20 @@ def first_incoherent_word(s: NaryGammaSemiring, words, p=None,
             j_in, j_out = None, p if p < i else p - n + 1
         t_in, st_in = layout(j_in)
         t_out, st_out = layout(j_out)
-        # Strides of every letter in the window and in the outer word.
-        inner = [0] * i + st_in + [0] * (n - 1 - i)
-        outer = st_out[:i] + [0] * n + st_out[i + 1:]
-        plan.append((t_in, inner, t_out, outer, st_out[i]))
-    gsizes = [gsize] * (n - 1)
-    gwords = [(gs, [(flatten_index(gs[i:i + n - 1], gsizes),
-                     flatten_index(gs[:i] + gs[i + n - 1:], gsizes)) for i in range(n)])
+        size = len(t_in)
+        mixed = [v * size for v in st_out[:i]] + st_in + [v * size for v in st_out[i + 1:]]
+        plan.append((t_in, t_out, st_out[i], mixed, size))
+    gstrides = [gsize ** q for q in range(n - 2, -1, -1)]
+    gmixed = [[v * gblock for v in gstrides[:i]] + gstrides
+              + [v * gblock for v in gstrides[i:]] for i in range(n)]
+    gwords = [(gs, [divmod(sum(map(mul, gs, m)), gblock) for m in gmixed])
               for gs in product(range(gsize), repeat=2 * n - 2)]
     for xs in words:
-        rows = [(t_in, sum(map(mul, xs, inner)), t_out, sum(map(mul, xs, outer)), st_mid)
-                for t_in, inner, t_out, outer, st_mid in plan]
+        rows = [(t_in, t_out, st_mid, divmod(sum(map(mul, xs, mixed)), size))
+                for t_in, t_out, st_mid, mixed, size in plan]
         for gs, offs in gwords:
             vals = [t_out[e_out + t_in[e_in + g_in] * st_mid + g_out]
-                    for (t_in, e_in, t_out, e_out, st_mid), (g_in, g_out) in zip(rows, offs)]
+                    for (t_in, t_out, st_mid, (e_out, e_in)), (g_out, g_in) in zip(rows, offs)]
             if vals.count(vals[0]) != n:
                 return xs, gs, vals
     return None

@@ -1,6 +1,7 @@
 from itertools import product
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from ngamma import intlinalg as la
 from ngamma.abgroups import (
@@ -63,6 +64,34 @@ def test_group_map_well_defined():
     with pytest.raises(SoundnessError):
         GroupMap(c2, c4, [[1]])
     GroupMap(c2, c4, [[2]])
+
+
+def _scanned_well_defined(gm):
+    """The all-cells scan: o*v = 0 modulo od for every torsion source column."""
+    return not any((o * v) % od if od else o * v
+                   for row, od in zip(gm.mat, gm.dst.orders)
+                   for v, o in zip(row, gm.src.orders) if o)
+
+
+ORDERS = st.lists(st.sampled_from([0, *range(2, 13)]), max_size=4)
+
+
+@st.composite
+def _maps(draw):
+    src, dst = draw(ORDERS), draw(ORDERS)
+    mat = [draw(st.lists(st.integers(-30, 30), min_size=len(src), max_size=len(src)))
+           for _ in dst]
+    return GroupMap(AbGroup(tuple(src)), AbGroup(tuple(dst)), mat, check=False)
+
+
+@settings(max_examples=400, deadline=None)
+@given(_maps())
+@example(GroupMap(AbGroup((12, 0, 6)), AbGroup((3, 2)), [[1, 1, 1], [1, 1, 1]], check=False))
+@example(GroupMap(AbGroup((2, 4)), AbGroup((4, 2)), [[2, 1], [1, 1]], check=False))
+@example(GroupMap(AbGroup((4, 2)), AbGroup((2, 0)), [[1, 1], [0, 0]], check=False))
+@example(GroupMap(AbGroup((0,)), AbGroup((0, 5)), [[3], [4]], check=False))
+def test_well_defined_matches_the_all_cells_scan(gm):
+    assert gm.well_defined() == _scanned_well_defined(gm)
 
 
 def test_kernel_image_quotient():

@@ -57,6 +57,103 @@ def test_group_complete_idempotent_on_groups():
     assert len({comp.vector(m) for m in range(4)}) == 4
 
 
+def _relation_completion(monoid):
+    """(presentation, vectors, lifts) of the completion through one relation
+    per unordered pair of elements and the zero relation, with no exit."""
+    size = monoid.size
+    rels = []
+    for a in range(size):
+        for b in range(a, size):
+            r = [0] * size
+            r[a] += 1
+            r[b] += 1
+            r[monoid.add(a, b)] -= 1
+            rels.append(r)
+    rels.append([int(m == monoid.zero) for m in range(size)])
+    pres = Presentation(size, rels)
+    vectors = tuple(pres.project(e) for e in la.identity(size))
+    lift = pres.lift_matrix()
+    lifts = tuple(tuple((m, row[c]) for m, row in enumerate(lift) if row[c])
+                  for c in range(pres.group.dim))
+    return pres, vectors, lifts
+
+
+def _assert_relation_completion(monoid):
+    comp = group_complete(monoid)
+    pres, vectors, lifts = _relation_completion(monoid)
+    assert comp.group == pres.group
+    assert comp.vectors == vectors
+    assert comp.lifts == lifts
+    assert comp.pres.proj_matrix() == pres.proj_matrix()
+    assert comp.pres.lift_matrix() == pres.lift_matrix()
+    return comp
+
+
+def _has_absorbing(monoid):
+    return any(all(monoid.add(a, t) == t for a in range(monoid.size))
+               for t in range(monoid.size))
+
+
+def test_zero_exit_matches_the_relations_on_every_small_monoid():
+    # Every valid commutative monoid table of order <= 3, every zero.  For a
+    # finite commutative monoid the completion is 0 exactly when an element
+    # absorbs every other, so the exit is taken exactly there.
+    seen = {True: 0, False: 0}
+    for size in (1, 2, 3):
+        for table in product(range(size), repeat=size * size):
+            for zero in range(size):
+                if table[zero * size:(zero + 1) * size] != tuple(range(size)):
+                    continue
+                m = FiniteAddMonoid(size, table, zero)
+                if m.validate():
+                    continue
+                comp = _assert_relation_completion(m)
+                assert comp.group.is_trivial() == _has_absorbing(m), (table, zero)
+                seen[_has_absorbing(m)] += 1
+    assert seen[True] > 0 and seen[False] > 0
+
+
+def test_zero_exit_on_families_with_an_absorbing_element():
+    monoids = [make_matrix_family(boolean_semiring(), 2, 2).T, boolean_ternary().T]
+    monoids += [FiniteAddMonoid(cap + 1, truncated_nat_semiring(cap).add_table)
+                for cap in range(1, 6)]
+    for m in monoids:
+        comp = _assert_relation_completion(m)
+        assert comp.group.is_trivial() and comp.lifts == ()
+        assert comp.vectors == ((),) * m.size
+        assert comp.pres.proj_matrix() == []
+        assert comp.pres.lift_matrix() == [[]] * m.size
+
+
+def test_completions_without_an_absorbing_element_are_unchanged():
+    monoids = [FiniteAddMonoid(n, tuple((a + b) % n for a in range(n) for b in range(n)))
+               for n in range(2, 13)]
+    monoids.append(make_matrix_family(f2_semiring(), 2, 3).T)  # F2^4
+    for m in monoids:
+        assert not _has_absorbing(m)
+        assert not _assert_relation_completion(m).group.is_trivial()
+
+
+def test_linearization_snf_shapes(monkeypatch):
+    # A zero completion factors no relation matrix wider than its monoid;
+    # a nonzero one factors its relations once, and operators factor none.
+    shapes = []
+    real = la.smith_normal_form
+
+    def recording(a, nrows, ncols, **kwargs):
+        shapes.append((nrows, ncols))
+        return real(a, nrows, ncols, **kwargs)
+
+    monkeypatch.setattr(la, "smith_normal_form", recording)
+    m2b = regular_bimodule(make_matrix_family(boolean_semiring(), 2, 2))
+    assert linearize_module(m2b).group.is_trivial()
+    assert shapes and all(ncols <= m2b.M.size for _, ncols in shapes)
+    shapes.clear()
+    assert linearize_module(regular_bimodule(make_matrix_family(f2_semiring(), 2, 3))
+                            ).group.invariant_factors() == (2, 2, 2, 2)
+    assert len(shapes) == 1
+
+
 def test_completion_functorial_naturality():
     z4 = z4_ternary()
     f2 = f2_ternary()
@@ -470,6 +567,8 @@ TABLE_FAMILIES = {
     "binary f2": lambda: binary_specialization(f2_semiring()),
     "binary z4": lambda: binary_specialization(zmod_semiring(4)),
     "quaternary f2": _quaternary_f2,
+    "binary m2b": lambda: make_matrix_family(boolean_semiring(), 2, 2),
+    "boolean ternary": boolean_ternary,
 }
 
 

@@ -485,6 +485,46 @@ def test_word_strides_match_the_per_letter_products():
     assert outcomes[("nonzero", True)] and outcomes[("mixed", False)]
 
 
+def _one_cell_changed(table, rng, size):
+    table = list(table)
+    pos = rng.randrange(len(table))
+    table[pos] = (table[pos] + 1 + rng.randrange(size - 1)) % size
+    return tuple(table)
+
+
+def test_word_offsets_match_the_reference_on_larger_tables():
+    # Carriers and parameter sets of more than one element, every word over
+    # the carrier, the module letter at every place, and tables with one
+    # cell changed so that some words fail and their witnesses are compared.
+    rng = random.Random("word-offsets")
+    outcomes = Counter()
+    gamma = GammaSemigroup(2, (0, 1, 1, 0), True, 0)
+    # Random tables read their parameters in no symmetric way.
+    randoms = [NaryGammaSemiring(n, FiniteAddMonoid(2, (0, 1, 1, 0)), gamma,
+                                 tuple(rng.randrange(2) for _ in range(2 ** (2 * n - 1))))
+               for n in (2, 3, 3, 4)]
+    for base in randoms + [REGULAR_FAMILIES[name] for name in (
+            "z4_ternary", "gamma_scaled_z4", "f2_quaternary", "z4_binary", "m2f2_binary")]:
+        name = base.name
+        words = list(product(range(base.T.size), repeat=2 * base.n - 1))
+        for trial in range(3):
+            mu = _one_cell_changed(base.mu_table, rng, base.T.size) if trial else base.mu_table
+            s = NaryGammaSemiring(base.n, base.T, base.gamma, mu)
+            got = core.first_incoherent_word(s, words)
+            assert got == _first_incoherent_word_reference(s, words), (name, trial)
+            outcomes[got is None] += 1
+            tables = [base.mu_table] * base.n
+            if trial:
+                j = rng.randrange(base.n)
+                tables[j] = _one_cell_changed(tables[j], rng, base.T.size)
+            for p in range(2 * base.n - 1):
+                args = (base, words, p, tuple(tables), base.T.size)
+                got = core.first_incoherent_word(*args)
+                assert got == _first_incoherent_word_reference(*args), (name, trial, p)
+                outcomes[got is None] += 1
+    assert outcomes[True] and outcomes[False]
+
+
 def _multiplicativity_scan(f):
     """The first (xs, gs) in table order with f(mu(xs; gs)) != mu(f(xs); gs)."""
     s, t = f.source, f.target
