@@ -1,4 +1,7 @@
-"""Chain complexes, bar constructions, derived Hom/Tor, and their checks.
+"""Complexes, bar constructions, derived Hom/Tor, and their checks.
+
+One ``Complex`` type holds every chain complex (bar, tensor) and cochain
+complex (Hom, cofree), and ``homology`` reads either.
 
 Everything homological happens after group completion: the face maps need
 additive inverses that the monoid level does not have.  Bar terms are the
@@ -43,89 +46,61 @@ class RegularityError(RuntimeError):
 
 
 # ---------------------------------------------------------------------------
-# Chain complexes of finitely generated abelian groups
+# Complexes of finitely generated abelian groups
 # ---------------------------------------------------------------------------
 
 @dataclass
-class ChainComplexAb:
-    """Homological complex: d[r] maps degree r to degree r-1."""
+class Complex:
+    """Groups in degrees 0..top, and ``diffs[r]`` from degree r to r + step.
+
+    Step -1 is a chain complex and step +1 a cochain complex: one is the
+    other indexed the other way (``reversed``).  A differential that is
+    missing or leaves the degrees 0..top is zero.
+    """
 
     groups: list[AbGroup]
     diffs: dict[int, GroupMap] = field(default_factory=dict)
+    step: int = -1
 
     def __post_init__(self):
+        if self.step not in (-1, 1):
+            raise ValueError(f"a complex steps by -1 or +1, not {self.step}")
         for r, d in self.diffs.items():
-            if (d.src.orders != self.groups[r].orders
-                    or d.dst.orders != self.groups[r - 1].orders):
-                raise ValueError(f"differential d_{r} does not match the groups "
-                                 f"in degrees {r} and {r - 1}")
-        for r in self.diffs:
-            if r - 1 in self.diffs:
-                if not self.diffs[r - 1].compose(self.diffs[r]).is_zero():
-                    raise SoundnessError(f"d.d != 0 between degrees {r} and {r - 2}")
+            if (d.src.orders != self.group(r).orders
+                    or d.dst.orders != self.group(r + self.step).orders):
+                raise ValueError(f"differential at degree {r} does not match the "
+                                 f"groups in degrees {r} and {r + self.step}")
+        for r, d in self.diffs.items():
+            after = self.diffs.get(r + self.step)
+            if after is not None and not after.compose(d).is_zero():
+                raise SoundnessError(f"d.d != 0 between degrees {r} and "
+                                     f"{r + 2 * self.step}")
 
     @property
     def top(self) -> int:
         return len(self.groups) - 1
 
+    def group(self, r: int) -> AbGroup:
+        return self.groups[r] if 0 <= r <= self.top else AbGroup(())
+
     def d(self, r: int) -> GroupMap:
         if r in self.diffs:
             return self.diffs[r]
-        src = self.groups[r] if 0 <= r <= self.top else AbGroup(())
-        dst = self.groups[r - 1] if 0 <= r - 1 <= self.top else AbGroup(())
-        return GroupMap.zero(src, dst)
-
-    def shift(self, k: int = 1) -> "ChainComplexAb":
-        """Suspension: degree r of the result is degree r+k of the input."""
-        if k <= 0:
-            raise ValueError("shift amount must be positive")
-        groups = self.groups[k:]
-        diffs = {r - k: d for r, d in self.diffs.items() if r - k >= 1}
-        return ChainComplexAb(groups, diffs)
-
-
-def homology(c: ChainComplexAb) -> list[AbGroup]:
-    """Per-degree homology in canonical invariant-factor form."""
-    return [node.group for node in homology_nodes(c)]
-
-
-def homology_nodes(c: ChainComplexAb) -> list[HomologyNode]:
-    return [HomologyNode(c.groups[r], c.d(r), c.d(r + 1))
-            for r in range(len(c.groups))]
-
-
-@dataclass
-class Cochain:
-    """Cohomological complex: diffs[r] maps degree r to degree r+1."""
-
-    groups: list[AbGroup]
-    diffs: list[GroupMap]
-
-    def __post_init__(self):
-        if len(self.diffs) != max(len(self.groups) - 1, 0):
-            raise ValueError(f"{len(self.groups)} cochain groups need "
-                             f"{max(len(self.groups) - 1, 0)} differentials, "
-                             f"got {len(self.diffs)}")
-        for r, d in enumerate(self.diffs):
-            if (d.src.orders != self.groups[r].orders
-                    or d.dst.orders != self.groups[r + 1].orders):
-                raise ValueError(f"cochain differential d^{r} does not match the "
-                                 f"groups in degrees {r} and {r + 1}")
-            if r > 0 and not d.compose(self.diffs[r - 1]).is_zero():
-                raise SoundnessError(f"cochain d.d != 0 at degree {r - 1}")
-
-    def d(self, r: int) -> GroupMap:
-        if 0 <= r < len(self.diffs):
-            return self.diffs[r]
-        src = self.groups[r] if 0 <= r < len(self.groups) else AbGroup(())
-        dst = self.groups[r + 1] if 0 <= r + 1 < len(self.groups) else AbGroup(())
-        return GroupMap.zero(src, dst)
+        return GroupMap.zero(self.group(r), self.group(r + self.step))
 
     def node(self, r: int) -> HomologyNode:
-        return HomologyNode(self.groups[r], self.d(r), self.d(r - 1))
+        return HomologyNode(self.groups[r], self.d(r), self.d(r - self.step))
 
-    def cohomology(self, upto: int) -> list[AbGroup]:
-        return [self.node(r).group for r in range(upto + 1)]
+    def reversed(self) -> "Complex":
+        """The same complex with degree r renamed top - r, so the step flips."""
+        return Complex(self.groups[::-1],
+                       {self.top - r: d for r, d in self.diffs.items()}, -self.step)
+
+
+def homology(c: Complex, upto: int | None = None) -> list[AbGroup]:
+    """Homology in degrees 0..upto (0..top by default), in canonical
+    invariant-factor form; for a cochain complex this is its cohomology."""
+    return [c.node(r).group for r in range((c.top if upto is None else upto) + 1)]
 
 
 # ---------------------------------------------------------------------------
@@ -246,7 +221,7 @@ class BarComplex:
                 projs[r - 1], self.terms[r - 1].group, wmat,
                 lifts[r], projs[r], self.terms[r].group,
                 f"bar differential d_{r}")
-        self.chain = ChainComplexAb([t.group for t in self.terms], dict(self.diffs))
+        self.chain = Complex([t.group for t in self.terms], dict(self.diffs))
         # Comparison-lift stages into this tower, keyed by (source tower,
         # source degree, stage); see _lift_chain_map.
         self.lift_stages: dict = {}
@@ -265,22 +240,17 @@ class BarComplex:
         comp = self.carrier.completion
         if comp is None:
             raise StructuralError("bar carrier must come from a completion")
-        tdim = self.carrier.group.dim
-        mdim = module.group.dim
         zero = GroupMap.zero(module.group, module.group)
-        summed = []
-        for t in range(comp.monoid.size):
-            ops = (module.op(slot, w) for w in self.policy.words(self.semiring, t))
-            summed.append(reduce(GroupMap.add, ops, zero))
-        out = [[None] * mdim for _ in range(tdim)]
-        for ia, pairs in enumerate(comp.lifts):
-            for ib in range(mdim):
-                acc = [0] * mdim
-                for t, ct in pairs:
-                    col = [summed[t].mat[rr][ib] for rr in range(mdim)]
-                    acc = [p + ct * q for p, q in zip(acc, col)]
-                out[ia][ib] = module.group.reduce(acc)
-        return out
+
+        def total(maps):
+            return reduce(GroupMap.add, maps, zero)
+
+        summed = [total(module.op(slot, w) for w in self.policy.words(self.semiring, t))
+                  for t in range(comp.monoid.size)]
+        # Entry [ia][ib] is column ib of the map of carrier basis vector ia, a
+        # module vector that GroupMap keeps reduced.
+        return [list(zip(*total(summed[t].scale(ct) for t, ct in pairs).mat))
+                for pairs in comp.lifts]
 
     # -- faces ------------------------------------------------------------
 
@@ -368,10 +338,9 @@ class HomCochain:
         self.bar = bar
         self.target = target
         self.homs = [EquivariantHom(term, target) for term in bar.terms]
-        diffs = [self.homs[r].precompose(bar.diffs[r + 1], self.homs[r + 1],
-                                         "precomposition")
-                 for r in range(len(bar.terms) - 1)]
-        self.cochain = Cochain([h.group for h in self.homs], diffs)
+        diffs = {r - 1: self.homs[r - 1].precompose(d, self.homs[r], "precomposition")
+                 for r, d in bar.diffs.items()}
+        self.cochain = Complex([h.group for h in self.homs], diffs, step=1)
 
 
 class TensorChain:
@@ -385,7 +354,7 @@ class TensorChain:
         diffs = {r: self.tensors[r].induced(self.tensors[r - 1], left=bar.diffs[r],
                                             what=f"tensored differential d_{r}")
                  for r in range(1, len(bar.terms))}
-        self.chain = ChainComplexAb([t.group for t in self.tensors], diffs)
+        self.chain = Complex([t.group for t in self.tensors], diffs)
 
 
 def bar_map(src_bar: BarComplex, dst_bar: BarComplex, f: GroupMap) -> list[GroupMap]:
@@ -435,7 +404,7 @@ def ext_via_bar(s, m, n, j: int | None = None, k: int = 0, depth: int = 2,
     lin_m, target, carrier = linearize_over(s, [m, n, _regular(s, carrier)])
     bar = bar_complex(s, lin_m, j, k, depth + 1, policy, carrier)
     hc = HomCochain(bar, target)
-    return DerivedResult(hc.cochain.cohomology(depth), bar)
+    return DerivedResult(homology(hc.cochain, depth), bar)
 
 
 def tor_via_bar(s, m, n, j: int | None = None, k: int = 0, depth: int = 2,
@@ -446,7 +415,7 @@ def tor_via_bar(s, m, n, j: int | None = None, k: int = 0, depth: int = 2,
     lin_m, right, carrier = linearize_over(s, [m, n, _regular(s, carrier)])
     bar = bar_complex(s, lin_m, j, k, depth + 1, policy, carrier)
     tc = TensorChain(bar, right)
-    return DerivedResult(homology(tc.chain)[:depth + 1], bar)
+    return DerivedResult(homology(tc.chain, depth), bar)
 
 
 # ---------------------------------------------------------------------------
@@ -457,15 +426,15 @@ def tor_via_bar(s, m, n, j: int | None = None, k: int = 0, depth: int = 2,
 class CofreeTower:
     source: BiGammaModule
     terms: list[CompletedModule]
-    maps: list[GroupMap]
+    complex: Complex
     unit: GroupMap
     monoid_sizes: list[int]
 
-    def cochain_hom_from(self, m: CompletedModule) -> Cochain:
+    def cochain_hom_from(self, m: CompletedModule) -> Complex:
         homs = [EquivariantHom(m, t) for t in self.terms]
-        diffs = [homs[r].postcompose(self.maps[r], homs[r + 1], "postcomposition")
-                 for r in range(len(self.terms) - 1)]
-        return Cochain([h.group for h in homs], diffs)
+        diffs = {r: homs[r].postcompose(d, homs[r + 1], "postcomposition")
+                 for r, d in self.complex.diffs.items()}
+        return Complex([h.group for h in homs], diffs, step=1)
 
 
 def _unit_into_cofree(b: BiGammaModule, policy: ContractionPolicy):
@@ -524,16 +493,14 @@ def cofree_coresolution(s: NaryGammaSemiring, b: BiGammaModule, depth: int = 2,
         proj = quotient_projection(cf.module, set(unit.map), f"{cf.module.name}/im")
         projs.append(proj)
         current, lin_src = proj.target, None
-    maps = []
+    maps = {}
     for r in range(depth):
         step1 = linearize_morphism(projs[r], terms[r], sources[r + 1])
         step2 = linearize_morphism(units[r + 1], sources[r + 1], terms[r + 1])
-        maps.append(step2.compose(step1))
-    for r in range(1, len(maps)):
-        if not maps[r].compose(maps[r - 1]).is_zero():
-            raise SoundnessError("cofree tower differential does not square to zero")
+        maps[r] = step2.compose(step1)
     unit0 = linearize_morphism(units[0], sources[0], terms[0])
-    return CofreeTower(b, terms, maps, unit0, monoid_sizes)
+    return CofreeTower(b, terms, Complex([t.group for t in terms], maps, step=1),
+                       unit0, monoid_sizes)
 
 
 def ext_via_cofree(s: NaryGammaSemiring, m, n: BiGammaModule, depth: int = 2,
@@ -544,8 +511,7 @@ def ext_via_cofree(s: NaryGammaSemiring, m, n: BiGammaModule, depth: int = 2,
     policy = policy or default_policy(s)
     lin_m, lin_n = linearize_over(s, [m, n if completed is None else completed])
     tower = cofree_coresolution(s, n, depth + 1, policy, lin_n)
-    cochain = tower.cochain_hom_from(lin_m)
-    return DerivedResult(cochain.cohomology(depth), None)
+    return DerivedResult(homology(tower.cochain_hom_from(lin_m), depth), None)
 
 
 @dataclass
@@ -594,7 +560,7 @@ class LesReport:
         return self.ses_ok and all(self.exact_at)
 
 
-def snake_les(x: Cochain, y: Cochain, z: Cochain,
+def snake_les(x: Complex, y: Complex, z: Complex,
               fmaps: list[GroupMap], gmaps: list[GroupMap],
               upto: int, tag: str) -> LesReport:
     """Long exact sequence of 0 -> X -> Y -> Z -> 0 with connecting maps.
@@ -700,23 +666,12 @@ def les_check(c: Conflation, n: BiGammaModule, depth: int = 2,
                               what=f"tensored conflation map at degree {r}")
                 for r, (src_t, dst_t) in enumerate(zip(tsrc.tensors, tdst.tensors))]
 
-    push_i = pushforward(tc_a, tc_b, ki)
-    push_p = pushforward(tc_b, tc_c, kp)
-    top = bar_depth
-
-    def reindex(tc):
-        groups = [tc.chain.groups[top - q] for q in range(top + 1)]
-        diffs = [tc.chain.d(top - q) for q in range(top)]
-        return Cochain(groups, diffs)
-
-    def reindex_maps(ms):
-        return [ms[top - q] for q in range(top + 1)]
-
-    report = snake_les(reindex(tc_a), reindex(tc_b), reindex(tc_c),
-                       reindex_maps(push_i), reindex_maps(push_p),
-                       depth, "Tor")
+    # snake_les raises degrees, so each chain complex is read reversed.
+    report = snake_les(tc_a.chain.reversed(), tc_b.chain.reversed(),
+                       tc_c.chain.reversed(), pushforward(tc_a, tc_b, ki)[::-1],
+                       pushforward(tc_b, tc_c, kp)[::-1], depth, "Tor")
     report.completion_exact = completion_exact
-    report.note = f"cochain position r is homological degree {top} - r"
+    report.note = f"cochain position r is homological degree {bar_depth} - r"
     return report
 
 
@@ -737,8 +692,7 @@ class ExtSetup:
         self.src, self.dst, carrier = linearize_over(s, [m, n, regular_bimodule(s)])
         self.bar = bar_complex(s, self.src, j, k, depth, self.policy, carrier)
         self.hom = HomCochain(self.bar, self.dst)
-        self.nodes = [self.hom.cochain.node(r)
-                      for r in range(len(self.hom.cochain.groups) - 1)]
+        self.nodes = [self.hom.cochain.node(r) for r in range(self.hom.cochain.top)]
 
     def cocycles(self, degree: int) -> list[tuple[int, ...]]:
         ker = kernel(self.hom.cochain.d(degree))

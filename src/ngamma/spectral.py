@@ -27,7 +27,7 @@ from .completion import (
     linearize_over,
 )
 from .homology import (
-    ChainComplexAb, ContractionPolicy, HomCochain, TensorChain, bar_complex,
+    Complex, ContractionPolicy, HomCochain, TensorChain, bar_complex,
     default_policy, homology, resolve_slot, tor_via_bar,
 )
 
@@ -128,7 +128,7 @@ class Totalization:
                         for jj in range(gm.src.dim):
                             mat[row0 + i][col0 + jj] += gm.mat[i][jj]
             diffs[n] = GroupMap(src, dst, mat)
-        self.complex = ChainComplexAb(groups, diffs)
+        self.complex = Complex(groups, diffs)
 
     def filtration_columns(self, n: int, pbound: int) -> list[int]:
         """Coordinates of Tot_n in the summands with column index <= pbound."""
@@ -138,7 +138,7 @@ class Totalization:
                 for i in range(self.double.entries[(p, q)].dim)]
 
 
-def totalize(d: DoubleComplexAb) -> ChainComplexAb:
+def totalize(d: DoubleComplexAb) -> Complex:
     return Totalization(d).complex
 
 
@@ -259,8 +259,6 @@ class FiltrationPages:
             src_cell = (p + r, q - r + 1)
             in_map = page.diffs.get(
                 src_cell, GroupMap.zero(page.entries.get(src_cell, AbGroup(())), g))
-            if in_map.dst.orders != g.orders:
-                in_map = GroupMap.zero(AbGroup(()), g)
             node = HomologyNode(g, out_map, in_map)
             if node.group.invariant_factors() != nxt.entries[(p, q)].invariant_factors():
                 return False
@@ -565,9 +563,9 @@ def base_change_check(f: GammaSemiringMorphism, m: BiGammaModule,
     # One tower over the target serves both its Ext and its Tor.
     bar_t = bar_complex(t, lin_aex, j, k, depth + 1, policy_t, carrier_t)
     ext_right = [g.invariant_factors()
-                 for g in HomCochain(bar_t, lin_bex).cochain.cohomology(depth)]
+                 for g in homology(HomCochain(bar_t, lin_bex).cochain, depth)]
     tor_left = [g.invariant_factors()
-                for g in homology(TensorChain(bar_t, lin_bex).chain)[:depth + 1]]
+                for g in homology(TensorChain(bar_t, lin_bex).chain, depth)]
     tor_right = tor_via_bar(s, res_aex, res_bex, j, k, depth, policy_s,
                             carrier_s).factors()
 

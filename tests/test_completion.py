@@ -331,7 +331,7 @@ from ngamma.completion import (
     EquivariantHom, TensorGroup, linearize_module, linearize_morphism,
     zero_completed,
 )
-from ngamma.homology import ChainComplexAb, Cochain, ExtSetup, bar_complex, bar_map
+from ngamma.homology import Complex, ExtSetup, bar_complex, bar_map
 from ngamma.core import f2_ternary, z4_ternary
 from ngamma.modules import (
     compose_module_morphisms, direct_sum_modules, identity_module_morphism,
@@ -353,8 +353,8 @@ cases = [
                     GroupMap.identity(lin2.group)),
     lambda: bar_complex(f2, lin2, 2, 0, 1, carrier=zero_completed(f2)),
     lambda: ExtSetup(f2, reg2, zero_module(f2), 0).identity_cocycle(),
-    lambda: ChainComplexAb([c2, c2], {1: GroupMap.zero(c2, AbGroup(()))}),
-    lambda: Cochain([c2], [GroupMap.identity(c2)]),
+    lambda: Complex([c2, c2], {1: GroupMap.zero(c2, AbGroup(()))}),
+    lambda: Complex([c2], {0: GroupMap.identity(c2)}, step=1),
     lambda: AbGroup((1,)),
     lambda: GroupMap(c2, c2, [[1, 1]]),
     lambda: GroupMap.identity(c2).compose(GroupMap.identity(AbGroup((4,)))),

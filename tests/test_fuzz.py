@@ -10,7 +10,7 @@ from ngamma.abgroups import AbGroup, GroupMap
 from ngamma.core import (
     FiniteAddMonoid, GammaSemigroup, NaryGammaSemiring, congruence_closure,
 )
-from ngamma.homology import ChainComplexAb, homology
+from ngamma.homology import Complex, homology
 from ngamma.ideals import all_ideals, generate_ideal
 from ngamma.modules import _generator_counts, additive_maps
 
@@ -30,11 +30,15 @@ def test_homology_vs_bruteforce_on_random_complexes(m, a, b, c, rnd):
     cols = [list(rnd.choice(kernel_vecs)) for _ in range(c)]
     d2 = GroupMap(g2, g1, [[cols[j][i] for j in range(c)] for i in range(b)],
                   check=False)
-    chain = ChainComplexAb([g0, g1, g2], {1: d1, 2: d2})
+    chain = Complex([g0, g1, g2], {1: d1, 2: d2})
     hs = homology(chain)
     for r in range(3):
         assert hs[r].invariant_factors() == \
             oracle.homology_orders_bruteforce(chain, r)
+    # les_check reads a chain complex as the cochain complex indexed backwards.
+    reversal = chain.reversed()
+    assert reversal.step == 1
+    assert homology(reversal) == hs[::-1]
 
 
 def _closure_bruteforce(size, pairs, maps):

@@ -17,7 +17,7 @@ from ngamma.modules import (
     regular_bimodule, zero_module,
 )
 from ngamma.homology import (
-    BarComplex, ChainComplexAb, Cochain, ExtSetup, RegularityError, _lift_chain_map,
+    BarComplex, Complex, ExtSetup, RegularityError, _lift_chain_map,
     balance_check, default_policy,
     bar_complex, bar_map, cofree_coresolution, ext_via_bar, ext_via_cofree, fixed_policy,
     homology, les_check, tor_via_bar, yoneda_compose,
@@ -30,10 +30,10 @@ def test_complexes_through_a_zero_group():
         into, out = GroupMap.zero(zero, g), GroupMap.zero(g, zero)
         assert out.compose(into).mat == []
         assert into.compose(out).mat == GroupMap.zero(g, g).mat
-        chain = ChainComplexAb([g, zero, g], {1: into, 2: out})
+        chain = Complex([g, zero, g], {1: into, 2: out})
         assert homology(chain) == [g, zero, g]
-        cochain = Cochain([g, zero, g], [out, into])
-        assert cochain.cohomology(2) == [g, zero, g]
+        cochain = Complex([g, zero, g], {0: out, 1: into}, step=1)
+        assert homology(cochain, 2) == [g, zero, g]
         node = HomologyNode(zero, into, out)
         assert node.group == zero and node.classify(()) == ()
         assert node.representative(()) == ()
@@ -62,10 +62,10 @@ def test_chain_complex_textbook_homology():
     c2 = AbGroup((2,))
     z = AbGroup((0,))
     # 0 -> C2 --0--> C2 -> 0
-    c = ChainComplexAb([c2, c2], {1: GroupMap(c2, c2, [[0]])})
+    c = Complex([c2, c2], {1: GroupMap(c2, c2, [[0]])})
     assert [g.invariant_factors() for g in homology(c)] == [(2,), (2,)]
     # 0 -> Z --2--> Z -> 0
-    c = ChainComplexAb([z, z], {1: GroupMap(z, z, [[2]])})
+    c = Complex([z, z], {1: GroupMap(z, z, [[2]])})
     hs = homology(c)
     assert hs[0].invariant_factors() == (2,)
     assert hs[1].is_trivial()
@@ -75,16 +75,14 @@ def test_chain_complex_rejects_bad_differentials():
     z = AbGroup((0,))
     two = GroupMap(z, z, [[2]])
     with pytest.raises(SoundnessError):
-        ChainComplexAb([z, z, z], {1: two, 2: two})
-
-
-def test_chain_shift():
-    c2 = AbGroup((2,))
-    c = ChainComplexAb([c2, c2, c2], {1: GroupMap(c2, c2, [[1]]),
-                                      2: GroupMap(c2, c2, [[0]])})
-    s = c.shift(1)
-    assert len(s.groups) == 2
-    assert s.d(1).mat == [[0]]
+        Complex([z, z, z], {1: two, 2: two})
+    # The same checks on a cochain complex, whose differentials raise degrees.
+    with pytest.raises(SoundnessError):
+        Complex([z, z, z], {0: two, 1: two}, step=1)
+    with pytest.raises(ValueError):
+        Complex([z, AbGroup((2,))], {0: two}, step=1)
+    with pytest.raises(ValueError):
+        Complex([z, z], {1: two}, step=1)
 
 
 def test_bar_complex_f2(f2):
@@ -180,6 +178,21 @@ def test_tor_degree_zero_is_balanced_tensor(z4):
     tor0 = tor_via_bar(z4, reg, sub, 2, 0, 0).factors()[0]
     bt = TensorGroup(linearize_module(reg), linearize_module(sub), 2, 0)
     assert tor0 == bt.group.invariant_factors()
+
+
+def test_tor_builds_a_homology_node_per_degree_it_reports(z4, monkeypatch):
+    # The tower runs one degree past the depth; that degree's node is never read.
+    built = []
+    init = HomologyNode.__init__
+
+    def counting(self, *args):
+        built.append(self)
+        init(self, *args)
+
+    monkeypatch.setattr(HomologyNode, "__init__", counting)
+    reg = regular_bimodule(z4)
+    assert tor_via_bar(z4, reg, reg, depth=3).factors() == [(4,), (), (), ()]
+    assert len(built) == 4
 
 
 def test_cofree_coresolution_f2(f2):
