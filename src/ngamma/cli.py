@@ -299,7 +299,7 @@ def cmd_yoneda(ws: Workspace, args, rep: Reporter) -> int:
     s = ws.semiring(args.semiring)
     m = ws.module(args.m)
     j, k, policy = _derived_options(args, s)
-    ext = ExtSetup(s, m, m, args.depth + 2, j, k, policy)
+    ext = ExtSetup(s, m, m, args.depth + 1, j, k, policy)
     ident = ext.identity_cocycle()
     table = {}
     ok = True

@@ -20,7 +20,8 @@ from .abgroups import (
 )
 from .core import FiniteAddMonoid, NaryGammaSemiring, StructuralError
 from .modules import (
-    BiGammaModule, ModuleMorphism, filler_tuples, map_columns, residual_slots, same_module,
+    BiGammaModule, ModuleMorphism, check_slots, filler_tuples, map_columns, residual_slots,
+    same_module,
 )
 
 
@@ -258,7 +259,9 @@ class HomBase:
 
 
 class EquivariantHom:
-    """Additive maps commuting with every positional operator."""
+    """Additive maps commuting with every positional operator, as a functor:
+    ``induced`` composes on either side, and ``coords`` reads a map's
+    coordinates and refuses one that is not equivariant."""
 
     def __init__(self, x: CompletedModule, y: CompletedModule):
         if x.semiring != y.semiring:
@@ -296,33 +299,28 @@ class EquivariantHom:
         return GroupMap(self.x.group, self.y.group,
                         self.base.matrix_of(cvec), check=False)
 
-    def coords(self, gm: GroupMap):
+    def coords(self, gm: GroupMap, what: str):
+        """Coordinates of gm in this Hom group; SoundnessError naming
+        ``what`` when gm is not an equivariant additive map."""
         cvec = self.base.coords_of(gm.mat)
-        if cvec is None:
-            return None
-        return self._kernel.membership(cvec)
+        coords = None if cvec is None else self._kernel.membership(cvec)
+        if coords is None:
+            raise SoundnessError(f"{what} left the equivariant maps")
+        return coords
 
-    def elements(self):
-        for coords in self.group.elements():
-            yield coords, self.matrix(coords)
+    def induced(self, dst: "EquivariantHom", pre: GroupMap | None = None,
+                post: GroupMap | None = None, *, what: str) -> GroupMap:
+        """f -> post . f . pre from this Hom group into dst; None is the identity.
 
-    def precompose(self, g: GroupMap, dst: "EquivariantHom", what: str) -> GroupMap:
-        """f -> f . g from this Hom group into ``dst``, whose source is g's."""
+        pre maps dst's source into this source and post this target into
+        dst's target.  Raises SoundnessError naming ``what`` when an image
+        is not equivariant.
+        """
         def image_of(basis):
-            coords = dst.coords(self.matrix(basis).compose(g))
-            if coords is None:
-                raise SoundnessError(f"{what} left the equivariant maps")
-            return coords
-
-        return GroupMap.from_images(self.group, dst.group, image_of)
-
-    def postcompose(self, g: GroupMap, dst: "EquivariantHom", what: str) -> GroupMap:
-        """f -> g . f from this Hom group into ``dst``, whose target is g's."""
-        def image_of(basis):
-            coords = dst.coords(g.compose(self.matrix(basis)))
-            if coords is None:
-                raise SoundnessError(f"{what} left the equivariant maps")
-            return coords
+            f = self.matrix(basis)
+            if pre is not None:
+                f = f.compose(pre)
+            return dst.coords(f if post is None else post.compose(f), what)
 
         return GroupMap.from_images(self.group, dst.group, image_of)
 
@@ -338,6 +336,7 @@ class TensorGroup:
                  name: str = ""):
         if x.semiring != y.semiring:
             raise StructuralError("tensor factors live over different semirings")
+        check_slots(x.semiring, j, k)
         self.x = x
         self.y = y
         self.jslot = j

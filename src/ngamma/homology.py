@@ -28,8 +28,8 @@ from .core import (
     unflatten_index,
 )
 from .modules import (
-    BiGammaModule, Conflation, ModuleMorphism, cofree, filler_index, quotient_projection,
-    regular_bimodule, validate_module_morphism,
+    BiGammaModule, Conflation, ModuleMorphism, check_slots, cofree, filler_index,
+    quotient_projection, regular_bimodule, validate_module_morphism,
 )
 from .completion import (
     CompletedModule, EquivariantHom, TensorGroup, linearize_module, linearize_morphism,
@@ -322,8 +322,7 @@ def bar_complex(s: NaryGammaSemiring, module, j: int | None = None, k: int = 0,
     policy = policy or default_policy(s)
     module, carrier = linearize_over(s, [module, _regular(s, carrier)])
     j = resolve_slot(s, j)
-    if not (0 <= j < s.n and 0 <= k < s.n):
-        raise ValueError("slot indices out of range")
+    check_slots(s, j, k)
     return BarComplex(s, module, carrier, j, k, depth, policy)
 
 
@@ -335,10 +334,8 @@ class HomCochain:
     """Equivariant Hom of each bar term into a fixed completed module."""
 
     def __init__(self, bar: BarComplex, target: CompletedModule):
-        self.bar = bar
-        self.target = target
         self.homs = [EquivariantHom(term, target) for term in bar.terms]
-        diffs = {r - 1: self.homs[r - 1].precompose(d, self.homs[r], "precomposition")
+        diffs = {r - 1: self.homs[r - 1].induced(self.homs[r], pre=d, what="precomposition")
                  for r, d in bar.diffs.items()}
         self.cochain = Complex([h.group for h in self.homs], diffs, step=1)
 
@@ -347,8 +344,6 @@ class TensorChain:
     """Balanced tensor of each bar term against a fixed completed module."""
 
     def __init__(self, bar: BarComplex, right: CompletedModule):
-        self.bar = bar
-        self.right = right
         self.tensors = [TensorGroup(term, right, bar.jslot, bar.kslot)
                         for term in bar.terms]
         diffs = {r: self.tensors[r].induced(self.tensors[r - 1], left=bar.diffs[r],
@@ -400,7 +395,6 @@ def ext_via_bar(s, m, n, j: int | None = None, k: int = 0, depth: int = 2,
                 carrier: CompletedModule | None = None) -> DerivedResult:
     """Ext of m into n on m's bar tower; m, n and the carrier are
     linearized together, so each distinct monoid is completed once."""
-    policy = policy or default_policy(s)
     lin_m, target, carrier = linearize_over(s, [m, n, _regular(s, carrier)])
     bar = bar_complex(s, lin_m, j, k, depth + 1, policy, carrier)
     hc = HomCochain(bar, target)
@@ -411,7 +405,6 @@ def tor_via_bar(s, m, n, j: int | None = None, k: int = 0, depth: int = 2,
                 policy: ContractionPolicy | None = None,
                 carrier: CompletedModule | None = None) -> DerivedResult:
     """Tor of m's bar tower against n, linearized as in ``ext_via_bar``."""
-    policy = policy or default_policy(s)
     lin_m, right, carrier = linearize_over(s, [m, n, _regular(s, carrier)])
     bar = bar_complex(s, lin_m, j, k, depth + 1, policy, carrier)
     tc = TensorChain(bar, right)
@@ -424,7 +417,6 @@ def tor_via_bar(s, m, n, j: int | None = None, k: int = 0, depth: int = 2,
 
 @dataclass
 class CofreeTower:
-    source: BiGammaModule
     terms: list[CompletedModule]
     complex: Complex
     unit: GroupMap
@@ -432,7 +424,7 @@ class CofreeTower:
 
     def cochain_hom_from(self, m: CompletedModule) -> Complex:
         homs = [EquivariantHom(m, t) for t in self.terms]
-        diffs = {r: homs[r].postcompose(d, homs[r + 1], "postcomposition")
+        diffs = {r: homs[r].induced(homs[r + 1], post=d, what="postcomposition")
                  for r, d in self.complex.diffs.items()}
         return Complex([h.group for h in homs], diffs, step=1)
 
@@ -461,19 +453,19 @@ def _unit_into_cofree(b: BiGammaModule, policy: ContractionPolicy):
 def cofree_coresolution(s: NaryGammaSemiring, b: BiGammaModule, depth: int = 2,
                         policy: ContractionPolicy | None = None,
                         completed: CompletedModule | None = None) -> CofreeTower:
-    """Iterated cofree embeddings with completed connecting maps.
+    """Iterated cofree embeddings with completed connecting maps, in one pass.
 
     Stage r embeds the cokernel of stage r-1 (b at stage 0) into its cofree
     module; each stage completes those two monoids once, except that stage 0
-    uses ``completed``, b's completed module, when the caller has it.
+    uses ``completed``, b's completed module, when the caller has it.  The
+    map from term r-1 to term r is stage r's unit after stage r-1's
+    projection onto its cokernel, composed once stage r has linearized it.
     """
     policy = policy or default_policy(s)
     current, lin_src = b, completed
-    sources: list[CompletedModule] = []
     terms: list[CompletedModule] = []
     monoid_sizes: list[int] = []
-    units: list[ModuleMorphism] = []
-    projs: list[ModuleMorphism] = []
+    maps: dict[int, GroupMap] = {}
     for r in range(depth + 1):
         cf, unit = _unit_into_cofree(current, policy)
         if not validate_module_morphism(unit).ok:
@@ -486,20 +478,15 @@ def cofree_coresolution(s: NaryGammaSemiring, b: BiGammaModule, depth: int = 2,
             raise RegularityError(
                 f"unit into the cofree module is not injective after completion "
                 f"(tower stage {r})")
-        sources.append(lin_src)
+        if r:
+            maps[r - 1] = unit_lin.compose(linearize_morphism(proj, terms[r - 1], lin_src))
+        else:
+            unit0 = unit_lin
         terms.append(lin_dst)
         monoid_sizes.append(cf.module.M.size)
-        units.append(unit)
         proj = quotient_projection(cf.module, set(unit.map), f"{cf.module.name}/im")
-        projs.append(proj)
         current, lin_src = proj.target, None
-    maps = {}
-    for r in range(depth):
-        step1 = linearize_morphism(projs[r], terms[r], sources[r + 1])
-        step2 = linearize_morphism(units[r + 1], sources[r + 1], terms[r + 1])
-        maps[r] = step2.compose(step1)
-    unit0 = linearize_morphism(units[0], sources[0], terms[0])
-    return CofreeTower(b, terms, Complex([t.group for t in terms], maps, step=1),
+    return CofreeTower(terms, Complex([t.group for t in terms], maps, step=1),
                        unit0, monoid_sizes)
 
 
@@ -508,7 +495,6 @@ def ext_via_cofree(s: NaryGammaSemiring, m, n: BiGammaModule, depth: int = 2,
                    completed: CompletedModule | None = None) -> DerivedResult:
     """Ext of m into n on n's cofree tower; ``completed`` is n's completed
     module when the caller has it."""
-    policy = policy or default_policy(s)
     lin_m, lin_n = linearize_over(s, [m, n if completed is None else completed])
     tower = cofree_coresolution(s, n, depth + 1, policy, lin_n)
     return DerivedResult(homology(tower.cochain_hom_from(lin_m), depth), None)
@@ -516,7 +502,6 @@ def ext_via_cofree(s: NaryGammaSemiring, m, n: BiGammaModule, depth: int = 2,
 
 @dataclass
 class BalanceReport:
-    degrees: list[int]
     bar_factors: list[tuple[int, ...]]
     cofree_factors: list[tuple[int, ...]]
     skipped: str | None = None
@@ -529,16 +514,13 @@ class BalanceReport:
 def balance_check(s, m: BiGammaModule, n: BiGammaModule, depth: int = 2,
                   j: int | None = None, k: int = 0,
                   policy: ContractionPolicy | None = None) -> BalanceReport:
-    policy = policy or default_policy(s)
     lin_m, lin_n, carrier = linearize_over(s, [m, n, regular_bimodule(s)])
     via_bar = ext_via_bar(s, lin_m, lin_n, j, k, depth, policy, carrier)
     try:
         via_cofree = ext_via_cofree(s, lin_m, n, depth, policy, lin_n)
     except RegularityError as e:
-        return BalanceReport(list(range(depth + 1)), via_bar.factors(), [],
-                             skipped=str(e))
-    return BalanceReport(list(range(depth + 1)), via_bar.factors(),
-                         via_cofree.factors())
+        return BalanceReport(via_bar.factors(), [], skipped=str(e))
+    return BalanceReport(via_bar.factors(), via_cofree.factors())
 
 
 # ---------------------------------------------------------------------------
@@ -626,7 +608,6 @@ def les_check(c: Conflation, n: BiGammaModule, depth: int = 2,
     together, and every bar tower of the call shares that one carrier.
     """
     s = n.parent
-    policy = policy or default_policy(s)
     lin_a, lin_b, lin_c, lin_n, carrier = linearize_over(
         s, [c.i.source, c.i.target, c.p.target, n, regular_bimodule(s)])
     ki = linearize_morphism(c.i, lin_a, lin_b)
@@ -644,7 +625,7 @@ def les_check(c: Conflation, n: BiGammaModule, depth: int = 2,
         hc_c = HomCochain(bar_c, lin_n)
 
         def pullback(hsrc, hdst, gms):
-            return [hsrc.homs[r].precompose(gm, hdst.homs[r], "pullback")
+            return [hsrc.homs[r].induced(hdst.homs[r], pre=gm, what="pullback")
                     for r, gm in enumerate(gms)]
 
         pstar = pullback(hc_c, hc_b, maps_p)
@@ -685,12 +666,8 @@ class ExtSetup:
     def __init__(self, s: NaryGammaSemiring, m: BiGammaModule, n: BiGammaModule,
                  depth: int, j: int | None = None, k: int = 0,
                  policy: ContractionPolicy | None = None):
-        self.semiring = s
-        self.policy = policy or default_policy(s)
-        j = resolve_slot(s, j)
-        self.jslot, self.kslot = j, k
         self.src, self.dst, carrier = linearize_over(s, [m, n, regular_bimodule(s)])
-        self.bar = bar_complex(s, self.src, j, k, depth, self.policy, carrier)
+        self.bar = bar_complex(s, self.src, j, k, depth, policy, carrier)
         self.hom = HomCochain(self.bar, self.dst)
         self.nodes = [self.hom.cochain.node(r) for r in range(self.hom.cochain.top)]
 
@@ -708,11 +685,7 @@ class ExtSetup:
         if self.src.group.orders != self.dst.group.orders:
             raise StructuralError("the identity cocycle needs equal source and "
                                   "target groups")
-        ident = GroupMap.identity(self.src.group)
-        coords = self.hom.homs[0].coords(ident)
-        if coords is None:
-            raise SoundnessError("identity is not equivariant on this instance")
-        return coords
+        return self.hom.homs[0].coords(GroupMap.identity(self.src.group), "the identity")
 
     def add_cocycles(self, degree: int, c1, c2):
         return self.hom.cochain.groups[degree].add(c1, c2)
@@ -735,11 +708,11 @@ def _lift_chain_map(bar_src: BarComplex, bar_dst: BarComplex, g0_matrix,
         if key not in bar_dst.lift_stages:
             hom = EquivariantHom(bar_src.terms[q + i], bar_dst.terms[i])
             below = EquivariantHom(bar_src.terms[q + i], bar_dst.terms[i - 1])
-            bar_dst.lift_stages[key] = (hom, below, hom.postcompose(
-                bar_dst.diffs[i], below, "bar differential"))
+            bar_dst.lift_stages[key] = (hom, below, hom.induced(
+                below, post=bar_dst.diffs[i], what="bar differential"))
         hom, below, post = bar_dst.lift_stages[key]
-        rhs = below.coords(lifts[i - 1].compose(bar_src.diffs[q + i]))
-        x = preimage(post, rhs) if rhs is not None else None
+        x = preimage(post, below.coords(lifts[i - 1].compose(bar_src.diffs[q + i]),
+                                        f"comparison lift at stage {i}"))
         if x is None:
             raise SoundnessError(
                 f"comparison lift unsolvable at stage {i}; bar terms fail "
@@ -758,15 +731,19 @@ def yoneda_compose(ext_nl: ExtSetup, p: int, f_cocycle,
     """Composite cocycle in degree p+q.
 
     ext_nl is the tower for (N, L), ext_mn for (M, N), ext_ml for (M, L);
-    all three must share the semiring, slots, policy, and enough depth.
+    all three must share the semiring, slots and policy (its gammas and
+    fillers; a ValueError refuses them otherwise) and have enough depth.
     """
+    keys = [(e.bar.semiring, e.bar.jslot, e.bar.kslot, e.bar.policy.gammas,
+             e.bar.policy.fillers) for e in (ext_nl, ext_mn, ext_ml)]
+    if any(key != keys[0] for key in keys[1:]):
+        raise ValueError("Yoneda composition needs three towers over one semiring, "
+                         "slot pair and contraction policy")
     g0 = ext_mn.hom.homs[q].matrix(tuple(g_cocycle))
     lifts = _lift_chain_map(ext_mn.bar, ext_nl.bar, g0.mat, q, p, rng)
     f_map = ext_nl.hom.homs[p].matrix(tuple(f_cocycle))
     comp = f_map.compose(lifts[p])
-    coords = ext_ml.hom.homs[p + q].coords(comp)
-    if coords is None:
-        raise SoundnessError("composite cocycle is not equivariant")
+    coords = ext_ml.hom.homs[p + q].coords(comp, "composite cocycle")
     dnext = ext_ml.hom.cochain.d(p + q)
     if not dnext(coords) == dnext.dst.zero():
         raise SoundnessError("composite of cocycles is not a cocycle")

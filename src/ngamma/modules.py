@@ -98,6 +98,12 @@ def filler_index(s: NaryGammaSemiring, carriers, params) -> int:
     return flatten_index(tuple(carriers) + tuple(params), s.sizes[1:])
 
 
+def check_slots(s: NaryGammaSemiring, j: int, k: int) -> None:
+    """Refuse a slot pair outside 0..n-1, naming it 1-based as the CLI reads it."""
+    if not (0 <= j < s.n and 0 <= k < s.n):
+        raise StructuralError(f"slot pair ({j + 1}, {k + 1}) is outside 1..{s.n}")
+
+
 def _filler_stride(s: NaryGammaSemiring, j: int) -> int:
     """How many fillers share slot j's leading carriers: the arguments after
     the module element in slot j's table."""
@@ -506,13 +512,13 @@ def _maps_module(s: NaryGammaSemiring, maps, coeff: FiniteAddMonoid, domain: BiG
     zero_map = tuple(coeff.zero for _ in range(domain.M.size))
     monoid = FiniteAddMonoid(len(maps), tuple(add), index[zero_map])
 
-    def precompose(col):
+    def act(col):
         try:
             return tuple(index[tuple(f[x] for x in col)] for f in maps)
         except KeyError:
             raise SoundnessError(f"{what} action leaves the enumerated maps") from None
 
-    actions = map_columns(precompose, [domain.actions(j) for j in range(s.n)])
+    actions = map_columns(act, [domain.actions(j) for j in range(s.n)])
     return HomModule(module_from_actions(s, monoid, actions, name=name), tuple(maps))
 
 
@@ -524,7 +530,7 @@ def hom_gamma(src: BiGammaModule, dst: BiGammaModule, j: int = 0, k: int = 0,
     of the argument's action.  This assumes the multiplication commutes:
     only then does that agree with acting on values, so that the designated
     slot pair only records orientation.  On a non-commutative carrier (binary
-    M2(F2)) the precomposed maps need not be equivariant, and the call raises
+    M2(F2)) the maps it acts on need not stay equivariant, and the call raises
     SoundnessError "hom action leaves the enumerated maps".
 
     ``bound`` caps both the candidate maps and the entries of the addition
@@ -533,6 +539,7 @@ def hom_gamma(src: BiGammaModule, dst: BiGammaModule, j: int = 0, k: int = 0,
     s = src.parent
     if s != dst.parent:
         raise StructuralError("hom endpoints live over different semirings")
+    check_slots(s, j, k)
     return _maps_module(s, equivariant_maps(src, dst, bound), dst.M, src, "hom",
                         f"Hom({src.name},{dst.name})[{j + 1},{k + 1}]", bound)
 
@@ -615,6 +622,7 @@ class TensorCongruence:
         s = left.parent
         if s != right.parent:
             raise StructuralError("tensor factors live over different semirings")
+        check_slots(s, j, k)
         self.left = left
         self.right = right
         lm, rm = left.M, right.M

@@ -27,8 +27,8 @@ from .completion import (
     linearize_over,
 )
 from .homology import (
-    Complex, ContractionPolicy, HomCochain, TensorChain, bar_complex,
-    default_policy, homology, resolve_slot, tor_via_bar,
+    Complex, ContractionPolicy, HomCochain, TensorChain, bar_complex, homology,
+    resolve_slot, tor_via_bar,
 )
 
 
@@ -332,23 +332,17 @@ def ext_modules_with_ops(s: NaryGammaSemiring, bar, n_lin: CompletedModule,
         node = hc.cochain.node(qdeg)
         hom = hc.homs[qdeg]
         post = {}
-        ops = []
-        for slot in range(s.n):
-            slot_ops = []
-            for opn in n_lin.ops[slot]:
-                if opn.key not in post:
-                    # Only the cocycle representatives need stay equivariant.
-                    def on_cocycle(rep):
-                        coords = hom.coords(opn.compose(hom.matrix(tuple(rep))))
-                        if coords is None:
-                            raise SoundnessError("operator left the equivariant maps")
-                        return coords
 
-                    post[opn.key] = node.induced(on_cocycle, node)
-                slot_ops.append(post[opn.key])
-            ops.append(tuple(slot_ops))
-        out.append(CompletedModule(s, node.group, tuple(ops), None,
-                                   name=f"Ext^{qdeg}"))
+        def on_ext(opn):
+            if opn.key not in post:
+                # Only the cocycle representatives need stay equivariant.
+                post[opn.key] = node.induced(
+                    lambda rep: hom.coords(opn.compose(hom.matrix(tuple(rep))), "operator"),
+                    node)
+            return post[opn.key]
+
+        ops = tuple(tuple(map(on_ext, slot)) for slot in n_lin.ops)
+        out.append(CompletedModule(s, node.group, ops, None, name=f"Ext^{qdeg}"))
     return out
 
 
@@ -364,7 +358,6 @@ def kunneth_check(s: NaryGammaSemiring, m: BiGammaModule, n: BiGammaModule,
     modules and the regular carrier are linearized once, together, and every
     tower and probe of the call shares them.
     """
-    policy = policy or default_policy(s)
     j = resolve_slot(s, j)
     lin_m, lin_n, lin_l, carrier = linearize_over(s, [m, n, l, regular_bimodule(s)])
     bar_m = bar_complex(s, lin_m, j, k, depth, policy, carrier)
@@ -373,34 +366,27 @@ def kunneth_check(s: NaryGammaSemiring, m: BiGammaModule, n: BiGammaModule,
     flat = flatness_probe(s, lin_l, j, k,
                           conflations=source_conflation_triples(s, carrier))
 
-    cells = {}
-    for p in range(depth + 1):
-        for q in range(depth + 1):
-            cells[(p, q)] = TensorGroup(bar_m.terms[p], bar_n.terms[q], j, k)
-    homs = {}
-    for (p, q), tg in cells.items():
-        homs[(p, q)] = EquivariantHom(tg.as_module(), lin_l)
+    cells = {(p, q): TensorGroup(bar_m.terms[p], bar_n.terms[q], j, k)
+             for p in range(depth + 1) for q in range(depth + 1)}
+    homs = {pq: EquivariantHom(tg.as_module(), lin_l) for pq, tg in cells.items()}
 
     # Cohomological grid, then flipped to a homological first quadrant.
-    entries = {}
+    pm = qm = depth
+    entries = {(pm - p, qm - q): hom.group for (p, q), hom in homs.items()}
     dh = {}
     dv = {}
-    pm = qm = depth
-    for p in range(depth + 1):
-        for q in range(depth + 1):
-            entries[(pm - p, qm - q)] = homs[(p, q)].group
     for p in range(depth + 1):
         for q in range(depth + 1):
             if p + 1 <= depth:
                 tmap = cells[(p + 1, q)].induced(
                     cells[(p, q)], left=bar_m.diffs[p + 1], what="horizontal grid map")
-                dh[(pm - p, qm - q)] = homs[(p, q)].precompose(
-                    tmap, homs[(p + 1, q)], "horizontal Hom map")
+                dh[(pm - p, qm - q)] = homs[(p, q)].induced(
+                    homs[(p + 1, q)], pre=tmap, what="horizontal Hom map")
             if q + 1 <= depth:
                 tmap = cells[(p, q + 1)].induced(
                     cells[(p, q)], right=bar_n.diffs[q + 1], what="vertical grid map")
-                dv[(pm - p, qm - q)] = homs[(p, q)].precompose(
-                    tmap, homs[(p, q + 1)], "vertical Hom map")
+                dv[(pm - p, qm - q)] = homs[(p, q)].induced(
+                    homs[(p, q + 1)], pre=tmap, what="vertical Hom map")
     grid = DoubleComplexAb.from_commuting(entries, dh, dv)
 
     # The page laws below compare pages 1 to 3.
@@ -541,13 +527,15 @@ def base_change_check(f: GammaSemiringMorphism, m: BiGammaModule,
     derived Hom of the extensions over the target; the second compares Tor
     over the source of the restricted extensions against Tor over the target.
     Every module of the call, the two regular carriers included, is
-    linearized once, together.
+    linearized once, together.  An explicit ``policy`` holds source
+    elements, so the target tower takes its gammas (f fixes the parameters)
+    and its fillers mapped through f; without one each side defaults its own.
     """
     s = f.source
     t = f.target
     j = resolve_slot(s, j)
-    policy_s = policy or default_policy(s)
-    policy_t = policy or default_policy(t)
+    policy_t = policy if policy is None else ContractionPolicy(
+        policy.gammas, tuple(tuple(map(f, fill)) for fill in policy.fillers), policy.label)
     ext_mod_m = extend_scalars(f, m, j, k).module
     ext_mod_n = ext_mod_m if n is m else extend_scalars(f, n, j, k).module
     reg_t = regular_bimodule(t)
@@ -556,7 +544,7 @@ def base_change_check(f: GammaSemiringMorphism, m: BiGammaModule,
         [m, n, regular_bimodule(s), ext_mod_m, ext_mod_n, reg_t]
         + [restrict_scalars(f, b) for b in (ext_mod_m, ext_mod_n, reg_t)])
 
-    bar_src = bar_complex(s, lin_m, j, k, depth + 1, policy_s, carrier_s)
+    bar_src = bar_complex(s, lin_m, j, k, depth + 1, policy, carrier_s)
     ext_src = ext_modules_with_ops(s, bar_src, lin_n, depth)
     # K(T') balanced against each completed Ext module over the source
     ext_left = [TensorGroup(res_t, e, j, k).group.invariant_factors() for e in ext_src]
@@ -566,7 +554,7 @@ def base_change_check(f: GammaSemiringMorphism, m: BiGammaModule,
                  for g in homology(HomCochain(bar_t, lin_bex).cochain, depth)]
     tor_left = [g.invariant_factors()
                 for g in homology(TensorChain(bar_t, lin_bex).chain, depth)]
-    tor_right = tor_via_bar(s, res_aex, res_bex, j, k, depth, policy_s,
+    tor_right = tor_via_bar(s, res_aex, res_bex, j, k, depth, policy,
                             carrier_s).factors()
 
     flat = flatness_probe(s, res_t, j, k,

@@ -217,8 +217,72 @@ def test_hom_coords_roundtrip():
     hom = EquivariantHom(lin, lin)
     for c in hom.group.elements():
         mat = hom.matrix(c)
-        back = hom.coords(mat)
+        back = hom.coords(mat, "a Hom element")
         assert back == c
+
+
+def test_hom_coords_refuses_a_non_equivariant_map():
+    lin = linearize_module(regular_bimodule(make_matrix_family(f2_semiring(), 2, 2)))
+    hom = EquivariantHom(lin, lin)
+    assert hom.group.invariant_factors() == (2,)
+    swap = la.identity(lin.group.dim)
+    swap[0], swap[1] = swap[1], swap[0]
+    with pytest.raises(SoundnessError, match="^the coordinate swap left the equivariant maps$"):
+        hom.coords(GroupMap(lin.group, lin.group, swap), "the coordinate swap")
+
+
+def _z4_module_maps():
+    """The completed z4 modules of the bundled workspace, by name, and the
+    maps between them as (source, target, GroupMap): the linearized module
+    morphisms and the scalar endomorphisms x2 and x3 of z4_reg."""
+    ws = bundled_workspace()
+    names = ["z4_ideal02", "z4_reg", "z4_mod2", "z4_sum"]
+    lins = dict(zip(names, completion.linearize_all([ws.module(n) for n in names])))
+    named = {id(ws.module(n)): n for n in names}
+    maps = []
+    for f in ws.module_morphisms.values():
+        src, dst = named[id(f.source)], named[id(f.target)]
+        maps.append((src, dst, linearize_morphism(f, lins[src], lins[dst])))
+    ident = GroupMap.identity(lins["z4_reg"].group)
+    maps += [("z4_reg", "z4_reg", ident.scale(c)) for c in (2, 3)]
+    return lins, maps
+
+
+def test_hom_induced_is_a_functor_on_both_sides():
+    lins, maps = _z4_module_maps()
+    homs = {}
+
+    def hom(x, y):
+        if (x, y) not in homs:
+            homs[x, y] = EquivariantHom(lins[x], lins[y])
+        return homs[x, y]
+
+    nonzero = 0
+    # g: a -> b and h: b -> c; pre sends Hom(target, y) back along the map,
+    # post sends Hom(y, source) forward.
+    for a, b, g in maps:
+        for b2, c, h in maps:
+            if b2 != b:
+                continue
+            hg = h.compose(g)
+            for y in lins:
+                pre = hom(c, y).induced(hom(a, y), pre=hg, what="pre")
+                assert pre.equal(hom(b, y).induced(hom(a, y), pre=g, what="pre").compose(
+                    hom(c, y).induced(hom(b, y), pre=h, what="pre")))
+                post = hom(y, a).induced(hom(y, c), post=hg, what="post")
+                assert post.equal(hom(y, b).induced(hom(y, c), post=h, what="post").compose(
+                    hom(y, a).induced(hom(y, b), post=g, what="post")))
+                nonzero += (not pre.is_zero()) + (not post.is_zero())
+    assert nonzero > 0
+    # Both sides at once equal either order of the one-sided maps.
+    for x2, x, g in maps:
+        for y, y2, f in maps:
+            both = hom(x, y).induced(hom(x2, y2), pre=g, post=f, what="both")
+            pre_first = hom(x2, y).induced(hom(x2, y2), post=f, what="post").compose(
+                hom(x, y).induced(hom(x2, y), pre=g, what="pre"))
+            post_first = hom(x, y2).induced(hom(x2, y2), pre=g, what="pre").compose(
+                hom(x, y).induced(hom(x, y2), post=f, what="post"))
+            assert both.equal(pre_first) and both.equal(post_first)
 
 
 def test_balanced_tensor_group_examples():

@@ -16,8 +16,9 @@ from ngamma.modules import (
     ideal_submodule, identity_module_morphism, quotient_module, quotient_projection,
     regular_bimodule, zero_module,
 )
+from ngamma import cli, homology as homology_mod
 from ngamma.homology import (
-    BarComplex, Complex, ExtSetup, RegularityError, _lift_chain_map,
+    BarComplex, Complex, ContractionPolicy, ExtSetup, RegularityError, _lift_chain_map,
     balance_check, default_policy,
     bar_complex, bar_map, cofree_coresolution, ext_via_bar, ext_via_cofree, fixed_policy,
     homology, les_check, tor_via_bar, yoneda_compose,
@@ -344,6 +345,37 @@ def test_yoneda_unit_associativity_bilinearity(f2):
                         r2 = yoneda_compose(ext, p, c2, ext, q, cg, ext)
                         rhs = ext.add_cocycles(p + q, r1, r2)
                         assert ext.classes_equal(p + q, lhs, rhs)
+
+
+def test_yoneda_command_builds_one_degree_past_its_table(monkeypatch):
+    # The table reads classes through degree depth and cocycle conditions
+    # through d(depth), which need bar degree depth + 1 and nothing above it.
+    depths = []
+    build = homology_mod.bar_complex
+
+    def recording(s, module, j=None, k=0, depth=4, *rest):
+        depths.append(depth)
+        return build(s, module, j, k, depth, *rest)
+
+    monkeypatch.setattr(homology_mod, "bar_complex", recording)
+    assert cli.main(["yoneda", "f2_ternary", "f2_reg", "--depth", "2"]) == 0
+    assert depths == [3]
+
+
+def test_yoneda_refuses_setups_that_do_not_share_slots_or_policy(z4):
+    reg = regular_bimodule(z4)
+    ext = ExtSetup(z4, reg, reg, 3, 2, 0)
+    ident = ext.identity_cocycle()
+    default = default_policy(z4)
+    relabelled = ContractionPolicy(default.gammas, default.fillers, "another label")
+    same = ExtSetup(z4, reg, reg, 3, 2, 0, relabelled)
+    assert yoneda_compose(ext, 0, ident, same, 0, ident, ext) == ident
+    for other in (ExtSetup(z4, reg, reg, 3, 1, 0), ExtSetup(z4, reg, reg, 3, 2, 1),
+                  ExtSetup(z4, reg, reg, 3, 2, 0, fixed_policy(z4, (0, 0), (3,)))):
+        for setups in ((other, ext, ext), (ext, other, ext), (ext, ext, other)):
+            with pytest.raises(ValueError, match="one semiring, slot pair and "
+                                                 "contraction policy"):
+                yoneda_compose(setups[0], 0, ident, setups[1], 0, ident, setups[2])
 
 
 def test_yoneda_lift_independence(f2):

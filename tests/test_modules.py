@@ -8,9 +8,12 @@ from ngamma.bundled import bundled_workspace
 from ngamma.core import (
     BoundExceeded, FiniteAddMonoid, binary_specialization, boolean_semiring,
     boolean_ternary, f2_semiring, f2_ternary, make_endomorphism_family, make_matrix_family,
-    ternary_from_semiring, z4_ternary, zmod_semiring,
+    StructuralError, ternary_from_semiring, z4_ternary, zmod_semiring,
 )
+from ngamma.completion import TensorGroup, linearize_all, linearize_module
+from ngamma.homology import bar_complex
 from ngamma.ideals import GammaIdeal
+from ngamma.spectral import base_change_check, extend_scalars, flatness_probe
 from ngamma.modules import (
     BiGammaModule, Conflation, ModuleMorphism, additive_maps, build_module,
     check_conflation, cofree, direct_sum_modules, equivariant_maps, hom_gamma, ideal_submodule,
@@ -380,3 +383,31 @@ def test_additive_maps_on_relabelled_carrier():
     got = additive_maps(m, m)
     assert len(got) == 4
     assert sorted(got) == brute
+
+
+SLOT_ENTRY_POINTS = {
+    "TensorCongruence": lambda ws, j, k: TensorCongruence(
+        ws.module("z4_reg"), ws.module("z4_ideal02"), j, k),
+    "tensor_positional": lambda ws, j, k: tensor_positional(
+        ws.module("z4_reg"), ws.module("z4_ideal02"), j, k),
+    "hom_gamma": lambda ws, j, k: hom_gamma(ws.module("z4_reg"), ws.module("z4_reg"), j, k),
+    "TensorGroup": lambda ws, j, k: TensorGroup(
+        *linearize_all([ws.module("z4_reg"), ws.module("z4_ideal02")]), j, k),
+    "bar_complex": lambda ws, j, k: bar_complex(
+        ws.semiring("z4_ternary"), ws.module("z4_reg"), j, k, 1),
+    "extend_scalars": lambda ws, j, k: extend_scalars(
+        ws.morphism("q_z4_f2"), ws.module("z4_reg"), j, k),
+    "flatness_probe": lambda ws, j, k: flatness_probe(
+        ws.semiring("z4_ternary"), linearize_module(ws.module("z4_reg")), j, k),
+    "base_change_check": lambda ws, j, k: base_change_check(
+        ws.morphism("q_z4_f2"), ws.module("z4_reg"), ws.module("z4_reg"), 1, j, k),
+}
+
+
+@pytest.mark.parametrize("entry", list(SLOT_ENTRY_POINTS))
+@pytest.mark.parametrize("j, k", [(-1, 0), (3, 0), (0, -1), (0, 3)])
+def test_slot_pairs_outside_the_arity_are_refused(entry, j, k):
+    # Ternary Z/4: the slots are 0..2, and the refusal names them 1-based.
+    with pytest.raises(StructuralError, match=rf"^slot pair \({j + 1}, {k + 1}\) "
+                                              rf"is outside 1\.\.3$"):
+        SLOT_ENTRY_POINTS[entry](bundled_workspace(), j, k)
