@@ -16,18 +16,15 @@ import time
 
 from . import __version__
 from .abgroups import SoundnessError
-from .core import (
-    BoundExceeded, StructuralError, neutral_words, out_of_range, validate_semiring,
-)
+from .core import BoundExceeded, StructuralError, validate_semiring
 from .ideals import GammaIdeal, all_ideals, check_ideal, quotient, spectrum, topology_report
 from .modules import (
     cofree, hom_gamma, regular_bimodule, tensor_positional, validate_module,
 )
 from .completion import linearize_module
 from .homology import (
-    ContractionPolicy, ExtSetup, RegularityError, balance_check, bar_complex,
-    default_policy, ext_via_bar, homology, les_check, resolve_slot, tor_via_bar,
-    yoneda_compose,
+    ExtSetup, RegularityError, balance_check, bar_complex, ext_via_bar, homology,
+    les_check, resolve_slot, tor_via_bar, yoneda_compose,
 )
 from .spectral import base_change_check, kunneth_check
 from .workspace import Workspace, WorkspaceError, parse_workspace
@@ -37,54 +34,15 @@ PASS, FAIL, ERROR = 0, 1, 2
 
 
 def _parse_slots(text: str | None, n: int) -> tuple[int, int]:
+    """The 0-based slot pair of a --slots flag; the entry points refuse a
+    pair outside 1..n (``modules.check_slots``)."""
     if text is None:
         return n - 1, 0  # canonical adjacency: last slot against first
     try:
         j, k = (int(x) for x in text.split(","))
     except ValueError:
         raise StructuralError(f"--slots wants 'j,k', got {text!r}")
-    if not (1 <= j <= n and 1 <= k <= n):
-        raise StructuralError(f"slot indices must be in 1..{n}")
     return j - 1, k - 1
-
-
-def _indices(flag: str, text: str, length: int, size: int) -> tuple[int, ...]:
-    """``length`` comma-separated indices into range(size)."""
-    try:
-        values = tuple(int(x) for x in text.split(",")) if text else ()
-    except ValueError:
-        values = None
-    if values is None or len(values) != length or out_of_range(values, size):
-        raise StructuralError(f"{flag} wants {length} comma-separated indices "
-                              f"below {size}, got {text!r}")
-    return values
-
-
-def _parse_policy(s, text: str, filler_text: str | None) -> ContractionPolicy:
-    base = default_policy(s)
-    if text.startswith("fixed:"):
-        gammas = (_indices("--gamma-policy fixed:", text[len("fixed:"):], s.n - 1,
-                           s.gamma.size),)
-    elif text == "sum":
-        gammas = base.gammas
-    else:
-        raise StructuralError(f"unknown gamma policy {text!r}")
-    if filler_text is None:
-        fillers = base.fillers
-    elif filler_text == "sum":
-        fillers = tuple(s.t_tuples(s.n - 2))
-    elif filler_text == "neutral":
-        # Without a neutral word the default fillers are the summed ones.
-        if s.n >= 3 and not neutral_words(s):
-            raise StructuralError(f"--filler-policy neutral: semiring '{s.name}' "
-                                  f"has no neutral word")
-        fillers = base.fillers
-    elif filler_text.startswith("fixed:"):
-        fillers = (_indices("--filler-policy fixed:", filler_text[len("fixed:"):],
-                            s.n - 2, s.T.size),)
-    else:
-        raise StructuralError(f"unknown filler policy {filler_text!r}")
-    return ContractionPolicy(gammas, fillers, "cli")
 
 
 def _depth(text: str) -> int:
@@ -95,17 +53,9 @@ def _depth(text: str) -> int:
 
 
 def _add_derived_flags(p: argparse.ArgumentParser) -> None:
-    """The slot, depth and contraction-policy flags of the derived commands."""
+    """The slot and depth flags of the derived commands."""
     p.add_argument("--slots", default=None)
     p.add_argument("--depth", type=_depth, default=2)
-    p.add_argument("--gamma-policy", default="sum")
-    p.add_argument("--filler-policy", default=None)
-
-
-def _derived_options(args, s) -> tuple[int, int, ContractionPolicy]:
-    """(j, k, policy) from the flags ``_add_derived_flags`` registers."""
-    j, k = _parse_slots(args.slots, s.n)
-    return j, k, _parse_policy(s, args.gamma_policy, args.filler_policy)
 
 
 def _factors(g) -> list[int]:
@@ -256,9 +206,9 @@ def cmd_complete(ws: Workspace, args, rep: Reporter) -> int:
 def cmd_ext_tor(ws: Workspace, args, rep: Reporter) -> int:
     s = ws.semiring(args.semiring)
     m, n = ws.module(args.m), ws.module(args.n)
-    j, k, policy = _derived_options(args, s)
+    j, k = _parse_slots(args.slots, s.n)
     fn = ext_via_bar if args.cmd == "ext" else tor_via_bar
-    res = fn(s, m, n, j, k, args.depth, policy)
+    res = fn(s, m, n, j, k, args.depth)
     results = {"degrees": {str(r): list(f) for r, f in enumerate(res.factors())}}
     if args.emit_matrices:
         results["bar_differentials"] = {str(r): d.mat for r, d in res.bar.diffs.items()}
@@ -268,8 +218,8 @@ def cmd_ext_tor(ws: Workspace, args, rep: Reporter) -> int:
 def cmd_balance(ws: Workspace, args, rep: Reporter) -> int:
     s = ws.semiring(args.semiring)
     m, n = ws.module(args.m), ws.module(args.n)
-    j, k, policy = _derived_options(args, s)
-    b = balance_check(s, m, n, args.depth, j, k, policy)
+    j, k = _parse_slots(args.slots, s.n)
+    b = balance_check(s, m, n, args.depth, j, k)
     results = {
         "bar": [list(f) for f in b.bar_factors],
         "cofree": [list(f) for f in b.cofree_factors],
@@ -282,8 +232,8 @@ def cmd_balance(ws: Workspace, args, rep: Reporter) -> int:
 def cmd_les(ws: Workspace, args, rep: Reporter) -> int:
     c = ws.conflation(args.conflation)
     n = ws.module(args.n)
-    j, k, policy = _derived_options(args, n.parent)
-    r = les_check(c, n, args.depth, args.side, j, k, policy)
+    j, k = _parse_slots(args.slots, n.parent.n)
+    r = les_check(c, n, args.depth, args.side, j, k)
     results = {
         "nodes": {lab: _factors(g) for lab, g in zip(r.labels, r.groups)},
         "exact_at": r.exact_at,
@@ -298,8 +248,8 @@ def cmd_les(ws: Workspace, args, rep: Reporter) -> int:
 def cmd_yoneda(ws: Workspace, args, rep: Reporter) -> int:
     s = ws.semiring(args.semiring)
     m = ws.module(args.m)
-    j, k, policy = _derived_options(args, s)
-    ext = ExtSetup(s, m, m, args.depth + 1, j, k, policy)
+    j, k = _parse_slots(args.slots, s.n)
+    ext = ExtSetup(s, m, m, args.depth + 1, j, k)
     ident = ext.identity_cocycle()
     table = {}
     ok = True
@@ -326,8 +276,8 @@ def cmd_yoneda(ws: Workspace, args, rep: Reporter) -> int:
 def cmd_kunneth(ws: Workspace, args, rep: Reporter) -> int:
     s = ws.semiring(args.semiring)
     m, n, l = ws.module(args.m), ws.module(args.n), ws.module(args.l)
-    j, k, policy = _derived_options(args, s)
-    r = kunneth_check(s, m, n, l, args.depth, j, k, policy)
+    j, k = _parse_slots(args.slots, s.n)
+    r = kunneth_check(s, m, n, l, args.depth, j, k)
     results = {
         "flat_certified": r.flat_certified,
         "identification": ("checked" if r.flat_certified else "consistency only"),

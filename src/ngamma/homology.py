@@ -6,10 +6,13 @@ complex (Hom, cofree), and ``homology`` reads either.
 Everything homological happens after group completion: the face maps need
 additive inverses that the monoid level does not have.  Bar terms are the
 iterated balanced tensors of the completed carrier against the module, with
-faces that contract two adjacent factors through the multiplication; the
-missing carrier slots of a contraction are filled per a configurable policy
-(the canonical neutral word when the carrier has one, otherwise a sum over
-all fillers) and parameter slots are summed over a configurable list.
+faces that contract two adjacent factors through the multiplication.  The
+semiring picks the contraction (``default_policy``): the missing carrier
+slots are filled with its canonical neutral word when it has one, otherwise
+summed over all fillers, and the parameter slots are summed over every
+tuple.  Only the bar tower itself takes another ``ContractionPolicy``, for
+bar diagnostics and for the benchmark's relabelled default; every derived
+entry point above it builds its towers with the default.
 """
 
 from __future__ import annotations
@@ -110,7 +113,11 @@ def homology(c: Complex, upto: int | None = None) -> list[AbGroup]:
 @dataclass(frozen=True)
 class ContractionPolicy:
     """Which parameter tuples are summed and which carrier fillers are used
-    when a face map contracts two adjacent factors through mu."""
+    when a face map contracts two adjacent factors through mu.
+
+    Nothing reads ``label``; it stays, defaulting to "", only because
+    ``perfbench/jobs.py`` passes one positionally.
+    """
 
     gammas: tuple[tuple[int, ...], ...]
     fillers: tuple[tuple[int, ...], ...]
@@ -124,26 +131,12 @@ class ContractionPolicy:
 
 
 def default_policy(s: NaryGammaSemiring) -> ContractionPolicy:
-    gammas = tuple(s.g_tuples(s.n - 1))
+    """s's contraction: every parameter tuple, and the canonical neutral
+    word's filler when s has one, otherwise every filler."""
     neutral = neutral_words(s)
-    if neutral:
-        e, _ = neutral[0]
-        fillers = ((e,) * (s.n - 2),)
-        label = f"gamma=sum,filler=neutral({e})"
-    else:
-        fillers = tuple(s.t_tuples(s.n - 2))
-        label = "gamma=sum,filler=sum"
-    return ContractionPolicy(gammas, fillers, label)
-
-
-def fixed_policy(s: NaryGammaSemiring, gamma_tuple,
-                 filler_tuple=None) -> ContractionPolicy:
-    gammas = (tuple(gamma_tuple),)
-    if filler_tuple is None:
-        return ContractionPolicy(gammas, default_policy(s).fillers,
-                                 label=f"gamma=fixed{tuple(gamma_tuple)}")
-    return ContractionPolicy(gammas, (tuple(filler_tuple),),
-                             label="gamma=fixed,filler=fixed")
+    fillers = (((neutral[0][0],) * (s.n - 2),) if neutral
+               else tuple(s.t_tuples(s.n - 2)))
+    return ContractionPolicy(tuple(s.g_tuples(s.n - 1)), fillers)
 
 
 # ---------------------------------------------------------------------------
@@ -394,7 +387,12 @@ def ext_via_bar(s, m, n, j: int | None = None, k: int = 0, depth: int = 2,
                 policy: ContractionPolicy | None = None,
                 carrier: CompletedModule | None = None) -> DerivedResult:
     """Ext of m into n on m's bar tower; m, n and the carrier are
-    linearized together, so each distinct monoid is completed once."""
+    linearized together, so each distinct monoid is completed once.
+
+    ``policy`` (s's ``default_policy`` when None) exists for the benchmark's
+    relabelled default and for bar diagnostics; no derived entry point
+    above this one passes it.
+    """
     lin_m, target, carrier = linearize_over(s, [m, n, _regular(s, carrier)])
     bar = bar_complex(s, lin_m, j, k, depth + 1, policy, carrier)
     hc = HomCochain(bar, target)
@@ -404,7 +402,8 @@ def ext_via_bar(s, m, n, j: int | None = None, k: int = 0, depth: int = 2,
 def tor_via_bar(s, m, n, j: int | None = None, k: int = 0, depth: int = 2,
                 policy: ContractionPolicy | None = None,
                 carrier: CompletedModule | None = None) -> DerivedResult:
-    """Tor of m's bar tower against n, linearized as in ``ext_via_bar``."""
+    """Tor of m's bar tower against n, linearized as in ``ext_via_bar``,
+    whose docstring says what ``policy`` is for."""
     lin_m, right, carrier = linearize_over(s, [m, n, _regular(s, carrier)])
     bar = bar_complex(s, lin_m, j, k, depth + 1, policy, carrier)
     tc = TensorChain(bar, right)
@@ -433,7 +432,8 @@ def _unit_into_cofree(b: BiGammaModule, policy: ContractionPolicy):
     """The canonical additive map m -> (t -> t.m) and its cofree target.
 
     t.m is the left-folded sum, over the policy's fillers and parameter
-    tuples, of the slot-n action of the filler (t, fill).
+    tuples, of the slot-n action of the filler (t, fill); the tower passes
+    its semiring's ``default_policy``.
     """
     s = b.parent
     cf = cofree(s, b.M)
@@ -451,7 +451,6 @@ def _unit_into_cofree(b: BiGammaModule, policy: ContractionPolicy):
 
 
 def cofree_coresolution(s: NaryGammaSemiring, b: BiGammaModule, depth: int = 2,
-                        policy: ContractionPolicy | None = None,
                         completed: CompletedModule | None = None) -> CofreeTower:
     """Iterated cofree embeddings with completed connecting maps, in one pass.
 
@@ -461,7 +460,7 @@ def cofree_coresolution(s: NaryGammaSemiring, b: BiGammaModule, depth: int = 2,
     map from term r-1 to term r is stage r's unit after stage r-1's
     projection onto its cokernel, composed once stage r has linearized it.
     """
-    policy = policy or default_policy(s)
+    policy = default_policy(s)
     current, lin_src = b, completed
     terms: list[CompletedModule] = []
     monoid_sizes: list[int] = []
@@ -491,12 +490,11 @@ def cofree_coresolution(s: NaryGammaSemiring, b: BiGammaModule, depth: int = 2,
 
 
 def ext_via_cofree(s: NaryGammaSemiring, m, n: BiGammaModule, depth: int = 2,
-                   policy: ContractionPolicy | None = None,
                    completed: CompletedModule | None = None) -> DerivedResult:
     """Ext of m into n on n's cofree tower; ``completed`` is n's completed
     module when the caller has it."""
     lin_m, lin_n = linearize_over(s, [m, n if completed is None else completed])
-    tower = cofree_coresolution(s, n, depth + 1, policy, lin_n)
+    tower = cofree_coresolution(s, n, depth + 1, lin_n)
     return DerivedResult(homology(tower.cochain_hom_from(lin_m), depth), None)
 
 
@@ -512,12 +510,11 @@ class BalanceReport:
 
 
 def balance_check(s, m: BiGammaModule, n: BiGammaModule, depth: int = 2,
-                  j: int | None = None, k: int = 0,
-                  policy: ContractionPolicy | None = None) -> BalanceReport:
+                  j: int | None = None, k: int = 0) -> BalanceReport:
     lin_m, lin_n, carrier = linearize_over(s, [m, n, regular_bimodule(s)])
-    via_bar = ext_via_bar(s, lin_m, lin_n, j, k, depth, policy, carrier)
+    via_bar = ext_via_bar(s, lin_m, lin_n, j, k, depth, carrier=carrier)
     try:
-        via_cofree = ext_via_cofree(s, lin_m, n, depth, policy, lin_n)
+        via_cofree = ext_via_cofree(s, lin_m, n, depth, lin_n)
     except RegularityError as e:
         return BalanceReport(via_bar.factors(), [], skipped=str(e))
     return BalanceReport(via_bar.factors(), via_cofree.factors())
@@ -598,8 +595,7 @@ def snake_les(x: Complex, y: Complex, z: Complex,
 
 
 def les_check(c: Conflation, n: BiGammaModule, depth: int = 2,
-              side: str = "hom", j: int | None = None, k: int = 0,
-              policy: ContractionPolicy | None = None) -> LesReport:
+              side: str = "hom", j: int | None = None, k: int = 0) -> LesReport:
     """Long exact sequence of a conflation through the given degree.
 
     side "hom" is contravariant in the conflation (Hom into n); side "tor"
@@ -616,7 +612,7 @@ def les_check(c: Conflation, n: BiGammaModule, depth: int = 2,
     bar_depth = depth + 2
 
     if side == "hom":
-        bar_a, bar_b, bar_c = (bar_complex(s, lin, j, k, bar_depth, policy, carrier)
+        bar_a, bar_b, bar_c = (bar_complex(s, lin, j, k, bar_depth, carrier=carrier)
                                for lin in (lin_a, lin_b, lin_c))
         maps_i = bar_map(bar_a, bar_b, ki)
         maps_p = bar_map(bar_b, bar_c, kp)
@@ -637,7 +633,7 @@ def les_check(c: Conflation, n: BiGammaModule, depth: int = 2,
 
     if side != "tor":
         raise ValueError("side must be 'hom' or 'tor'")
-    barn = bar_complex(s, lin_n, j, k, bar_depth, policy, carrier)
+    barn = bar_complex(s, lin_n, j, k, bar_depth, carrier=carrier)
     tc_a = TensorChain(barn, lin_a)
     tc_b = TensorChain(barn, lin_b)
     tc_c = TensorChain(barn, lin_c)
@@ -664,10 +660,9 @@ class ExtSetup:
     """Bar tower of the source module plus the Hom cochain into the target."""
 
     def __init__(self, s: NaryGammaSemiring, m: BiGammaModule, n: BiGammaModule,
-                 depth: int, j: int | None = None, k: int = 0,
-                 policy: ContractionPolicy | None = None):
+                 depth: int, j: int | None = None, k: int = 0):
         self.src, self.dst, carrier = linearize_over(s, [m, n, regular_bimodule(s)])
-        self.bar = bar_complex(s, self.src, j, k, depth, policy, carrier)
+        self.bar = bar_complex(s, self.src, j, k, depth, carrier=carrier)
         self.hom = HomCochain(self.bar, self.dst)
         self.nodes = [self.hom.cochain.node(r) for r in range(self.hom.cochain.top)]
 
@@ -731,14 +726,13 @@ def yoneda_compose(ext_nl: ExtSetup, p: int, f_cocycle,
     """Composite cocycle in degree p+q.
 
     ext_nl is the tower for (N, L), ext_mn for (M, N), ext_ml for (M, L);
-    all three must share the semiring, slots and policy (its gammas and
-    fillers; a ValueError refuses them otherwise) and have enough depth.
+    all three must share the semiring and slots (a ValueError refuses them
+    otherwise; the semiring fixes the contraction) and have enough depth.
     """
-    keys = [(e.bar.semiring, e.bar.jslot, e.bar.kslot, e.bar.policy.gammas,
-             e.bar.policy.fillers) for e in (ext_nl, ext_mn, ext_ml)]
+    keys = [(e.bar.semiring, e.bar.jslot, e.bar.kslot) for e in (ext_nl, ext_mn, ext_ml)]
     if any(key != keys[0] for key in keys[1:]):
-        raise ValueError("Yoneda composition needs three towers over one semiring, "
-                         "slot pair and contraction policy")
+        raise ValueError("Yoneda composition needs three towers over one semiring "
+                         "and slot pair")
     g0 = ext_mn.hom.homs[q].matrix(tuple(g_cocycle))
     lifts = _lift_chain_map(ext_mn.bar, ext_nl.bar, g0.mat, q, p, rng)
     f_map = ext_nl.hom.homs[p].matrix(tuple(f_cocycle))

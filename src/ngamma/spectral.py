@@ -27,7 +27,7 @@ from .completion import (
     linearize_over,
 )
 from .homology import (
-    Complex, ContractionPolicy, HomCochain, TensorChain, bar_complex, homology,
+    Complex, HomCochain, TensorChain, bar_complex, homology,
     resolve_slot, tor_via_bar,
 )
 
@@ -347,8 +347,8 @@ def ext_modules_with_ops(s: NaryGammaSemiring, bar, n_lin: CompletedModule,
 
 
 def kunneth_check(s: NaryGammaSemiring, m: BiGammaModule, n: BiGammaModule,
-                  l: BiGammaModule, depth: int = 2, j: int | None = None, k: int = 0,
-                  policy: ContractionPolicy | None = None) -> KunnethReport:
+                  l: BiGammaModule, depth: int = 2, j: int | None = None,
+                  k: int = 0) -> KunnethReport:
     """Double-complex consistency for the two bar towers against a target.
 
     Builds the grid of balanced tensor terms, applies equivariant Hom into
@@ -360,8 +360,8 @@ def kunneth_check(s: NaryGammaSemiring, m: BiGammaModule, n: BiGammaModule,
     """
     j = resolve_slot(s, j)
     lin_m, lin_n, lin_l, carrier = linearize_over(s, [m, n, l, regular_bimodule(s)])
-    bar_m = bar_complex(s, lin_m, j, k, depth, policy, carrier)
-    bar_n = bar_complex(s, lin_n, j, k, depth, policy, carrier)
+    bar_m = bar_complex(s, lin_m, j, k, depth, carrier=carrier)
+    bar_n = bar_complex(s, lin_n, j, k, depth, carrier=carrier)
 
     flat = flatness_probe(s, lin_l, j, k,
                           conflations=source_conflation_triples(s, carrier))
@@ -405,7 +405,7 @@ def kunneth_check(s: NaryGammaSemiring, m: BiGammaModule, n: BiGammaModule,
     ext_mods = ext_modules_with_ops(s, bar_m, lin_n, depth)
     direct = {}
     for qdeg in range(depth + 1):
-        tor = tor_via_bar(s, ext_mods[qdeg], lin_l, j, k, depth, policy, carrier)
+        tor = tor_via_bar(s, ext_mods[qdeg], lin_l, j, k, depth, carrier=carrier)
         for pdeg in range(depth + 1):
             direct[(pdeg, qdeg)] = tor.factors()[pdeg]
     match = all(e2_first.get(key, ()) == v or e2_second.get(key, ()) == v
@@ -519,23 +519,20 @@ class BaseChangeReport:
 
 
 def base_change_check(f: GammaSemiringMorphism, m: BiGammaModule,
-                      n: BiGammaModule, depth: int = 1, j: int | None = None, k: int = 0,
-                      policy: ContractionPolicy | None = None) -> BaseChangeReport:
+                      n: BiGammaModule, depth: int = 1, j: int | None = None,
+                      k: int = 0) -> BaseChangeReport:
     """Both displayed comparisons along a morphism, with the flatness probe.
 
     The first compares the extension of each derived Hom group against the
     derived Hom of the extensions over the target; the second compares Tor
     over the source of the restricted extensions against Tor over the target.
     Every module of the call, the two regular carriers included, is
-    linearized once, together.  An explicit ``policy`` holds source
-    elements, so the target tower takes its gammas (f fixes the parameters)
-    and its fillers mapped through f; without one each side defaults its own.
+    linearized once, together.  Each side's towers contract with their own
+    semiring's ``default_policy``.
     """
     s = f.source
     t = f.target
     j = resolve_slot(s, j)
-    policy_t = policy if policy is None else ContractionPolicy(
-        policy.gammas, tuple(tuple(map(f, fill)) for fill in policy.fillers), policy.label)
     ext_mod_m = extend_scalars(f, m, j, k).module
     ext_mod_n = ext_mod_m if n is m else extend_scalars(f, n, j, k).module
     reg_t = regular_bimodule(t)
@@ -544,18 +541,17 @@ def base_change_check(f: GammaSemiringMorphism, m: BiGammaModule,
         [m, n, regular_bimodule(s), ext_mod_m, ext_mod_n, reg_t]
         + [restrict_scalars(f, b) for b in (ext_mod_m, ext_mod_n, reg_t)])
 
-    bar_src = bar_complex(s, lin_m, j, k, depth + 1, policy, carrier_s)
+    bar_src = bar_complex(s, lin_m, j, k, depth + 1, carrier=carrier_s)
     ext_src = ext_modules_with_ops(s, bar_src, lin_n, depth)
     # K(T') balanced against each completed Ext module over the source
     ext_left = [TensorGroup(res_t, e, j, k).group.invariant_factors() for e in ext_src]
     # One tower over the target serves both its Ext and its Tor.
-    bar_t = bar_complex(t, lin_aex, j, k, depth + 1, policy_t, carrier_t)
+    bar_t = bar_complex(t, lin_aex, j, k, depth + 1, carrier=carrier_t)
     ext_right = [g.invariant_factors()
                  for g in homology(HomCochain(bar_t, lin_bex).cochain, depth)]
     tor_left = [g.invariant_factors()
                 for g in homology(TensorChain(bar_t, lin_bex).chain, depth)]
-    tor_right = tor_via_bar(s, res_aex, res_bex, j, k, depth, policy,
-                            carrier_s).factors()
+    tor_right = tor_via_bar(s, res_aex, res_bex, j, k, depth, carrier=carrier_s).factors()
 
     flat = flatness_probe(s, res_t, j, k,
                           conflations=source_conflation_triples(s, carrier_s))

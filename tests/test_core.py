@@ -331,3 +331,35 @@ def test_only_the_oracle_reads_modules_cell_by_cell():
              if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
              and node.func.attr == "act"]
     assert found == []
+
+
+def _functions(tree, prefix=""):
+    """(qualified name, node) of every function and method under ``tree``."""
+    for child in ast.iter_child_nodes(tree):
+        if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            if not isinstance(child, ast.ClassDef):
+                yield prefix + child.name, child
+            yield from _functions(child, f"{prefix}{child.name}.")
+        else:
+            yield from _functions(child, prefix)
+
+
+def test_only_the_bar_tower_takes_a_contraction_policy():
+    # The semiring picks the contraction (homology.default_policy); only the
+    # bar tower, its two derived functors and the cofree unit it feeds take
+    # one, and the command line offers no choice.
+    package = Path(ngamma.__file__).parent
+    found = sorted(f"{path.name}:{name}"
+                   for path in sorted(package.rglob("*.py"))
+                   for name, fn in _functions(ast.parse(path.read_text(encoding="utf-8")))
+                   if any(isinstance(a, ast.arg) and a.arg == "policy"
+                          for a in ast.walk(fn.args)))
+    assert found == ["homology.py:BarComplex.__init__", "homology.py:_unit_into_cofree",
+                     "homology.py:bar_complex", "homology.py:ext_via_bar",
+                     "homology.py:tor_via_bar"]
+    cli_tree = ast.parse((package / "cli.py").read_text(encoding="utf-8"))
+    names = {node.id for node in ast.walk(cli_tree) if isinstance(node, ast.Name)}
+    names |= {node.attr for node in ast.walk(cli_tree) if isinstance(node, ast.Attribute)}
+    names |= {alias.name for node in ast.walk(cli_tree)
+              if isinstance(node, (ast.Import, ast.ImportFrom)) for alias in node.names}
+    assert not names & {"ContractionPolicy", "default_policy"}

@@ -6,8 +6,9 @@ import pytest
 
 from ngamma.abgroups import AbGroup, GroupMap, HomologyNode, SoundnessError
 from ngamma.core import (
-    BoundExceeded, FiniteAddMonoid, StructuralError, boolean_ternary, bundled_semirings,
-    f2_semiring, f2_ternary, make_matrix_family, z4_ternary,
+    BoundExceeded, FiniteAddMonoid, NaryGammaSemiring, StructuralError, boolean_ternary,
+    bundled_semirings, f2_semiring, f2_ternary, make_matrix_family, trivial_gamma,
+    z4_ternary,
 )
 from ngamma.completion import linearize_module
 from ngamma.ideals import GammaIdeal, all_ideals, coset_congruence
@@ -20,7 +21,7 @@ from ngamma import cli, homology as homology_mod
 from ngamma.homology import (
     BarComplex, Complex, ContractionPolicy, ExtSetup, RegularityError, _lift_chain_map,
     balance_check, default_policy,
-    bar_complex, bar_map, cofree_coresolution, ext_via_bar, ext_via_cofree, fixed_policy,
+    bar_complex, bar_map, cofree_coresolution, ext_via_bar, ext_via_cofree,
     homology, les_check, tor_via_bar, yoneda_compose,
 )
 
@@ -353,28 +354,24 @@ def test_yoneda_command_builds_one_degree_past_its_table(monkeypatch):
     depths = []
     build = homology_mod.bar_complex
 
-    def recording(s, module, j=None, k=0, depth=4, *rest):
+    def recording(s, module, j=None, k=0, depth=4, *rest, **named):
         depths.append(depth)
-        return build(s, module, j, k, depth, *rest)
+        return build(s, module, j, k, depth, *rest, **named)
 
     monkeypatch.setattr(homology_mod, "bar_complex", recording)
     assert cli.main(["yoneda", "f2_ternary", "f2_reg", "--depth", "2"]) == 0
     assert depths == [3]
 
 
-def test_yoneda_refuses_setups_that_do_not_share_slots_or_policy(z4):
+def test_yoneda_refuses_setups_that_do_not_share_slots(z4):
     reg = regular_bimodule(z4)
     ext = ExtSetup(z4, reg, reg, 3, 2, 0)
     ident = ext.identity_cocycle()
-    default = default_policy(z4)
-    relabelled = ContractionPolicy(default.gammas, default.fillers, "another label")
-    same = ExtSetup(z4, reg, reg, 3, 2, 0, relabelled)
+    same = ExtSetup(z4, reg, reg, 3, 2, 0)
     assert yoneda_compose(ext, 0, ident, same, 0, ident, ext) == ident
-    for other in (ExtSetup(z4, reg, reg, 3, 1, 0), ExtSetup(z4, reg, reg, 3, 2, 1),
-                  ExtSetup(z4, reg, reg, 3, 2, 0, fixed_policy(z4, (0, 0), (3,)))):
+    for other in (ExtSetup(z4, reg, reg, 3, 1, 0), ExtSetup(z4, reg, reg, 3, 2, 1)):
         for setups in ((other, ext, ext), (ext, other, ext), (ext, ext, other)):
-            with pytest.raises(ValueError, match="one semiring, slot pair and "
-                                                 "contraction policy"):
+            with pytest.raises(ValueError, match="one semiring and slot pair"):
                 yoneda_compose(setups[0], 0, ident, setups[1], 0, ident, setups[2])
 
 
@@ -469,11 +466,10 @@ def test_yoneda_class_tables_z4(f2, z4):
 
 def test_policies_are_configurable(z4):
     reg = regular_bimodule(z4)
-    pol = fixed_policy(z4, (0, 0), (1,))
+    pol = ContractionPolicy(((0, 0),), ((1,),))
     bar = bar_complex(z4, reg, 2, 0, depth=2, policy=pol)
     assert [g.invariant_factors() for g in bar.chain.groups] == [(4,)] * 3
     # Summing fillers over all of T scales contractions by 0+1+2+3 = 6 = 2.
-    from ngamma.homology import ContractionPolicy
     pol2 = ContractionPolicy(tuple(z4.g_tuples(2)), tuple(z4.t_tuples(1)))
     bar2 = bar_complex(z4, reg, 2, 0, depth=2, policy=pol2)
     assert bar2.diffs[2].mat == [[2]]
@@ -482,7 +478,6 @@ def test_policies_are_configurable(z4):
 def test_exactness_findings_surface_under_sum_policy(z4):
     # Under the all-fillers policy the tower is no longer exact; the gap is
     # reported as a finding, with d.d = 0 still enforced.
-    from ngamma.homology import ContractionPolicy
     pol = ContractionPolicy(tuple(z4.g_tuples(2)), tuple(z4.t_tuples(1)))
     bar = bar_complex(z4, regular_bimodule(z4), 2, 0, depth=3, policy=pol)
     findings = bar.exactness_findings()
@@ -490,6 +485,70 @@ def test_exactness_findings_surface_under_sum_policy(z4):
     assert findings[0][1] == (2,)
     hs = homology(bar.chain)
     assert hs[0].invariant_factors() == (4,)  # degree zero still correct
+
+
+def _zero_multiplication(n):
+    t = FiniteAddMonoid(2, (0, 1, 1, 0))
+    return NaryGammaSemiring(n, t, trivial_gamma(), (0,) * 2 ** n, name="zm")
+
+
+@pytest.fixture
+def contractions(monkeypatch):
+    """(semiring, policy) of every bar tower and cofree unit built meanwhile."""
+    seen = {"bar": [], "unit": []}
+    init, unit = BarComplex.__init__, homology_mod._unit_into_cofree
+
+    def recording_init(self, *args, **named):
+        init(self, *args, **named)
+        seen["bar"].append((self.semiring, self.policy))
+
+    def recording_unit(b, policy):
+        seen["unit"].append((b.parent, policy))
+        return unit(b, policy)
+
+    monkeypatch.setattr(BarComplex, "__init__", recording_init)
+    monkeypatch.setattr(homology_mod, "_unit_into_cofree", recording_unit)
+    return seen
+
+
+def _defaulted(pairs):
+    """The semiring names of ``pairs``, each checked to contract by its
+    semiring's default."""
+    for s, policy in pairs:
+        want = default_policy(s)
+        assert (policy.gammas, policy.fillers) == (want.gammas, want.fillers), s.name
+    return {s.name for s, _ in pairs}
+
+
+@pytest.mark.parametrize("argv, bar_semirings, unit_semirings", [
+    ("ext z4_ternary z4_reg z4_reg --depth 1", {"z4_ternary"}, set()),
+    ("tor z4_ternary z4_reg z4_ideal02 --depth 1", {"z4_ternary"}, set()),
+    ("balance z4_ternary z4_reg z4_reg --depth 1", {"z4_ternary"}, {"z4_ternary"}),
+    ("les c_ideal z4_reg --side hom --depth 1", {"z4_ternary"}, set()),
+    ("les c_ideal z4_reg --side tor --depth 1", {"z4_ternary"}, set()),
+    ("yoneda f2_ternary f2_reg --depth 1", {"f2_ternary"}, set()),
+    ("kunneth f2_ternary f2_reg f2_reg f2_reg --depth 1", {"f2_ternary"}, set()),
+    ("basechange q_z4_f2 z4_reg z4_reg", {"z4_ternary", "f2_ternary"}, set()),
+])
+def test_derived_commands_contract_with_each_semirings_default(
+        argv, bar_semirings, unit_semirings, contractions):
+    # Base change checks its source and target towers against their own
+    # semirings.
+    assert cli.main(argv.split()) == 0
+    assert _defaulted(contractions["bar"]) == bar_semirings
+    assert _defaulted(contractions["unit"]) == unit_semirings
+
+
+def test_default_policy_sums_fillers_without_a_neutral_word(f2, contractions):
+    zm = _zero_multiplication(3)
+    assert default_policy(zm).fillers == ((0,), (1,))
+    # A carrier with a neutral word contracts with it; n = 2 has no fillers.
+    assert default_policy(f2).fillers == ((1,),)
+    assert default_policy(_zero_multiplication(2)).fillers == ((),)
+    assert {default_policy(s).label for s in (zm, f2)} == {""}
+    reg = regular_bimodule(zm)
+    balance_check(zm, reg, reg, depth=1)
+    assert _defaulted(contractions["bar"]) == _defaulted(contractions["unit"]) == {"zm"}
 
 
 def test_distinct_operators_bound_the_smith_systems(monkeypatch):

@@ -16,7 +16,7 @@ from ngamma.spectral import (
     flatness_probe, kunneth_check, pages, restrict_scalars, totalize,
 )
 from ngamma.completion import linearize_module
-from ngamma.homology import fixed_policy, homology
+from ngamma.homology import homology
 
 
 C2 = AbGroup((2,))
@@ -260,19 +260,6 @@ def test_base_change_nonflat_quotient_reported():
     rep = base_change_check(q, reg, reg, depth=1)
     assert not rep.flat
     assert rep.consistent  # mismatches would be permitted, not failures
-
-
-def test_base_change_maps_an_explicit_policy_to_the_target():
-    # The fillers are source elements: 3 is f(3) = 1 over F2, so filler (3,)
-    # gives the report of filler (1,) and does not index past F2's carrier.
-    ws = bundled_workspace()
-    f, reg = ws.morphism("q_z4_f2"), ws.module("z4_reg")
-    rep = base_change_check(f, reg, reg, 1, policy=fixed_policy(f.source, (0, 0), (3,)))
-    assert rep.ext_left == rep.ext_right == [(2,), ()]
-    assert rep.tor_left == rep.tor_right == [(2,), ()]
-    assert not rep.flat
-    assert rep == base_change_check(f, reg, reg, 1,
-                                    policy=fixed_policy(f.source, (0, 0), (1,)))
 
 
 def test_base_change_along_isomorphism():

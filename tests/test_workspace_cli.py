@@ -11,10 +11,7 @@ from hypothesis import given, settings, strategies as st
 from ngamma import cli, oracle
 from ngamma.bundled import bundled_document, bundled_path, bundled_workspace
 from ngamma.cli import build_parser, command_in, main
-from ngamma.core import (
-    FiniteAddMonoid, NaryGammaSemiring, StructuralError, binary_specialization,
-    f2_semiring, f2_ternary, make_matrix_family, trivial_gamma,
-)
+from ngamma.core import binary_specialization, f2_semiring, make_matrix_family
 from ngamma.modules import regular_bimodule
 from ngamma.workspace import (
     SCHEMA, Workspace, WorkspaceError, dump_document, merge_bytes, merge_document,
@@ -229,9 +226,9 @@ def test_cli_exit_codes(capsys, tmp_path):
     (["basechange", "q_z4_f2", "z4_reg", "z4_reg", "--depth", "-1"],
      "argument --depth: must be a nonnegative integer, got '-1'"),
     (["ext", "f2_ternary", "f2_reg", "f2_reg", "--gamma-policy", "fixed:a"],
-     "--gamma-policy fixed: wants 2 comma-separated indices below 1, got 'a'"),
+     "unrecognized arguments: --gamma-policy fixed:a"),
     (["ext", "f2_ternary", "f2_reg", "f2_reg", "--filler-policy", "fixed:9"],
-     "--filler-policy fixed: wants 1 comma-separated indices below 2, got '9'"),
+     "unrecognized arguments: --filler-policy fixed:9"),
     (["ext", "z4_ternary", "f2_reg", "f2_reg"],
      "module 'f2_reg' does not live over z4_ternary"),
     (["kunneth", "z4_ternary", "f2_reg", "f2_reg", "f2_reg"],
@@ -243,6 +240,25 @@ def test_bad_arguments_exit_2_with_an_error_line(argv, message, capsys):
     assert main(argv) == 2
     err = capsys.readouterr().err
     assert "error: " in err and message in err
+
+
+_SLOT_COMMANDS = [
+    ["mod", "hom", "z4_reg", "z4_reg"], ["mod", "tensor", "z4_reg", "z4_reg"],
+    ["ext", "z4_ternary", "z4_reg", "z4_reg"], ["tor", "z4_ternary", "z4_reg", "z4_reg"],
+    ["balance", "z4_ternary", "z4_reg", "z4_reg"], ["les", "c_ideal", "z4_reg"],
+    ["yoneda", "z4_ternary", "z4_reg"], ["kunneth", "z4_ternary", "z4_reg", "z4_reg", "z4_reg"],
+    ["basechange", "q_z4_f2", "z4_reg", "z4_reg"],
+]
+
+
+@pytest.mark.parametrize("slots, pair", [("4,1", "(4, 1)"), ("0,1", "(0, 1)")])
+@pytest.mark.parametrize("argv", _SLOT_COMMANDS, ids=lambda argv: " ".join(argv[:2]))
+def test_every_slots_flag_is_checked_by_the_entry_point(argv, slots, pair, capsys):
+    # The command line only parses the pair; modules.check_slots refuses it.
+    assert main(["--format", "structured", *argv, "--slots", slots]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert f"error: slot pair {pair} is outside 1..3" in err
 
 
 def test_kunneth_answers_at_depth_zero(capsys):
@@ -290,12 +306,14 @@ def test_cli_deterministic_output(capsys):
 
 
 def test_cli_gamma_policy_flag(capsys):
-    rc = main(["--format", "structured", "ext", "z4_ternary", "z4_reg",
-               "z4_reg", "--depth", "1", "--gamma-policy", "fixed:0,0",
-               "--filler-policy", "fixed:1"])
-    doc = json.loads(capsys.readouterr().out)
-    assert rc == 0
-    assert doc["results"]["degrees"]["0"] == [4]
+    # The semiring picks the contraction: no derived command takes a choice.
+    for cmd, positional in sorted(_DERIVED_COMMANDS.items()):
+        for flag, text in (("--gamma-policy", "fixed:0,0"), ("--filler-policy", "fixed:0"),
+                           ("--filler-policy", "neutral")):
+            argv = ["--format", "structured", cmd, *positional[0], flag, text]
+            assert main(argv) == 2, argv
+            out, err = capsys.readouterr()
+            assert out == "" and f"unrecognized arguments: {flag} {text}" in err
 
 
 def test_cli_emit_matrices(capsys):
@@ -315,7 +333,7 @@ def test_cli_text_format(capsys):
 
 
 _TOP = {"workspace": None, "no_bundled": False, "format": "text", "bound": 16}
-_DERIVED = {"slots": None, "depth": 2, "gamma_policy": "sum", "filler_policy": None}
+_DERIVED = {"slots": None, "depth": 2}
 _DERIVED_COMMANDS = {
     "ext": (["s", "m", "n"], {"semiring": "s", "m": "m", "n": "n",
                               "emit_matrices": False}),
@@ -327,9 +345,7 @@ _DERIVED_COMMANDS = {
     "kunneth": (["s", "m", "n", "l"], {"semiring": "s", "m": "m", "n": "n", "l": "l",
                                        "emit_pages": False}),
 }
-_FLAG_VALUES = [("--slots", "3,1", "slots", "3,1"), ("--depth", "4", "depth", 4),
-                ("--gamma-policy", "fixed:0,0", "gamma_policy", "fixed:0,0"),
-                ("--filler-policy", "neutral", "filler_policy", "neutral")]
+_FLAG_VALUES = [("--slots", "3,1", "slots", "3,1"), ("--depth", "4", "depth", 4)]
 
 
 @pytest.mark.parametrize("cmd", sorted(_DERIVED_COMMANDS))
@@ -390,30 +406,6 @@ def test_mod_tensor_on_noncommutative_matrices(tmp_path, capsys):
     assert "no residual action descends at slot 2: " in capsys.readouterr().err
 
 
-def _zero_multiplication(n):
-    t = FiniteAddMonoid(2, (0, 1, 1, 0))
-    return NaryGammaSemiring(n, t, trivial_gamma(), (0,) * 2 ** n, name="zm")
-
-
-def test_neutral_filler_policy_needs_a_neutral_word(tmp_path, capsys):
-    zm = _zero_multiplication(3)
-    path = _regular_workspace(tmp_path, zm)
-    ext = ["--no-bundled", "-w", path, "ext", "s", "reg", "reg"]
-    assert main(ext + ["--filler-policy", "neutral"]) == 2
-    assert "semiring 's' has no neutral word" in capsys.readouterr().err
-    for flag in ("sum", "fixed:1"):
-        assert main(ext + ["--filler-policy", flag]) == 0
-    with pytest.raises(StructuralError):
-        cli._parse_policy(zm, "sum", "neutral")
-    assert cli._parse_policy(zm, "sum", "sum").fillers == ((0,), (1,))
-    assert cli._parse_policy(zm, "fixed:0,0", "fixed:1").fillers == ((1,),)
-    assert cli._parse_policy(zm, "sum", None).fillers == ((0,), (1,))
-    # A carrier with a neutral word contracts with it; n = 2 has no fillers.
-    assert cli._parse_policy(f2_ternary(), "sum", "neutral").fillers == ((1,),)
-    assert cli._parse_policy(f2_ternary(), "sum", "sum").fillers == ((0,), (1,))
-    assert cli._parse_policy(_zero_multiplication(2), "sum", "neutral").fillers == ((),)
-
-
 # ---------------------------------------------------------------------------
 # One subparser per call
 # ---------------------------------------------------------------------------
@@ -448,7 +440,7 @@ _GLOBAL_PREFIXES = [[], ["--format", "structured"], ["-w", "a.json", "--bound", 
 def test_one_command_parser_reads_as_the_full_parser():
     full = build_parser()
     argvs = _bundled_commands() + list(_derived_argvs())
-    assert len(argvs) == 17 + 6 * 16
+    assert len(argvs) == 17 + 6 * 4
     for argv in argvs:
         for prefix in _GLOBAL_PREFIXES:
             call = prefix + argv
