@@ -124,7 +124,8 @@ class Presentation:
 
     Keeps the SNF change of basis so that elements can be projected to
     canonical coordinates and canonical basis vectors lifted back to
-    representatives in Z^ngens.
+    representatives in Z^ngens.  ``proj_matrix`` and ``lift_matrix`` hand out
+    the stored matrices, not copies: callers only read them.
     """
 
     def __init__(self, ngens: int, relations: list[list[int]]):
@@ -135,7 +136,7 @@ class Presentation:
         kept = []
         orders = []
         for i in range(ngens):
-            d = sf.d[i][i] if i < min(ngens, sf.ncols) else 0
+            d = sf.diag[i] if i < sf.rank else 0
             if d == 1:
                 continue
             kept.append(i)
@@ -151,10 +152,10 @@ class Presentation:
         return la.mat_vec(self._lift, list(coords))
 
     def proj_matrix(self) -> list[list[int]]:
-        return la.copy_matrix(self._proj)
+        return self._proj
 
     def lift_matrix(self) -> list[list[int]]:
-        return la.copy_matrix(self._lift)
+        return self._lift
 
     def is_zero(self, vec) -> bool:
         return self.project(vec) == self.group.zero()
@@ -266,13 +267,12 @@ class GroupMap:
         return GroupMap(src, dst, la.zeros(dst.dim, src.dim), check=False)
 
     @staticmethod
-    def from_images(src: AbGroup, dst: AbGroup, image_of,
-                    check: bool = False) -> "GroupMap":
+    def from_images(src: AbGroup, dst: AbGroup, image_of) -> "GroupMap":
         """The map whose column c is ``image_of`` of the c-th basis vector of src."""
         cols = [image_of(tuple(1 if q == c else 0 for q in range(src.dim)))
                 for c in range(src.dim)]
         return GroupMap(src, dst, [[col[r] for col in cols] for r in range(dst.dim)],
-                        check=check)
+                        check=False)
 
 
 class Subgroup:

@@ -10,6 +10,7 @@ inputs and flags.  Exit codes: 0 for pass reports, 1 for fail reports,
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 import time
@@ -480,19 +481,14 @@ COMMANDS = {
     "oracle": ("brute-force recomputation diff", _args_oracle, cmd_oracle),
 }
 
-# The top-level options, split by whether they take a value.
-VALUE_OPTIONS = frozenset({"-w", "--workspace", "--format", "--bound"})
-FLAG_OPTIONS = frozenset({"--no-bundled"})
 
+@functools.cache
+def build_parser() -> argparse.ArgumentParser:
+    """The ``ngamma`` parser, built once per process and shared by every
+    caller, who only parses with it.
 
-def build_parser(command: str | None = None) -> argparse.ArgumentParser:
-    """The ``ngamma`` parser: every subcommand, or only ``command``'s.
-
-    A one-command parser reads that command's arguments into the same
-    namespace as the full parser, and its usage line still lists every
-    command, so an error it reports reads as the full parser's.  ``main``
-    builds one per call and falls back to the full parser for help, an
-    unknown or missing command, or an option it cannot skip.
+    argparse does not change a parser while it parses, so every call of
+    ``main`` reads its argv with this one.
     """
     top = argparse.ArgumentParser(
         prog="ngamma",
@@ -503,46 +499,18 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
                      help="do not fall back to the bundled workspace")
     top.add_argument("--format", choices=("text", "structured"), default="text")
     top.add_argument("--bound", type=int, default=16,
-                     help="carrier size bound for subset enumerations")
-    # Left unset, the metavar lists the registered commands and a missing
-    # command is reported as "cmd", as the full parser has always done.
-    sub = top.add_subparsers(
-        dest="cmd", required=True,
-        metavar=None if command is None else "{" + ",".join(COMMANDS) + "}")
-    for name in COMMANDS if command is None else (command,):
-        text, register, _handler = COMMANDS[name]
+                     help="carrier size bound for ideals list and spectrum")
+    sub = top.add_subparsers(dest="cmd", required=True)
+    for name, (text, register, _handler) in COMMANDS.items():
         register(sub.add_parser(name, help=text))
     return top
 
 
-def command_in(argv) -> str | None:
-    """The command ``argv`` names, or None when only the full parser can tell.
-
-    The value after each of ``VALUE_OPTIONS`` is skipped and the first
-    other positional is the command.  Any option outside ``VALUE_OPTIONS``
-    and ``FLAG_OPTIONS`` before it (help, an abbreviation, an attached
-    value, ``--``) gives None, as does a name that is not a command.
-    """
-    tokens = iter(argv)
-    for tok in tokens:
-        if tok in VALUE_OPTIONS:
-            next(tokens, None)
-        elif tok not in FLAG_OPTIONS:
-            return tok if tok in COMMANDS else None
-    return None
-
-
 def main(argv=None) -> int:
-    """Run one ``ngamma`` call on ``argv`` and return its exit code.
-
-    Only the subparser of the command that ``command_in`` reads off argv is
-    built; without one, the full parser is, so help and error output are
-    those of ``build_parser()``.
-    """
+    """Run one ``ngamma`` call on ``argv`` and return its exit code."""
     argv = list(sys.argv[1:] if argv is None else argv)
-    parser = build_parser(command_in(argv))
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
     except SystemExit as e:
         return ERROR if e.code not in (0, None) else 0
     args.command_echo = argv

@@ -10,7 +10,7 @@ canonicalized through Smith normal form.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from functools import cached_property, partial
+from functools import partial
 from math import gcd
 from operator import add
 
@@ -365,17 +365,13 @@ class TensorGroup:
         self.group = self.pres.group
         self.name = name or f"{x.name}(x){y.name}"
 
-    @cached_property
-    def _proj_lift(self):
-        """The presentation's proj and lift matrices, copied once; only read."""
-        return self.pres.proj_matrix(), self.pres.lift_matrix()
-
     def pair_matrix_to_quotient(self, pairmat) -> GroupMap | None:
         """Project a pair-space endomorphism; None when it does not descend."""
-        proj, lift = self._proj_lift
+        proj = self.pres.proj_matrix()
         try:
-            return induced_on_quotients(proj, self.group, pairmat, lift, proj,
-                                        self.group, "pair matrix")
+            return induced_on_quotients(proj, self.group, pairmat,
+                                        self.pres.lift_matrix(), proj, self.group,
+                                        "pair matrix")
         except SoundnessError:
             return None
 
@@ -388,9 +384,9 @@ class TensorGroup:
         """
         pairmat = la.kron(left.mat if left else la.identity(self.x.group.dim),
                           right.mat if right else la.identity(self.y.group.dim))
-        proj, lift = self._proj_lift
-        return induced_on_quotients(dst._proj_lift[0], dst.group, pairmat,
-                                    lift, proj, self.group, what)
+        return induced_on_quotients(dst.pres.proj_matrix(), dst.group, pairmat,
+                                    self.pres.lift_matrix(), self.pres.proj_matrix(),
+                                    self.group, what)
 
     def as_module(self) -> CompletedModule:
         """Attach residual operators, each slot through the right factor when

@@ -428,14 +428,15 @@ class CofreeTower:
         return Complex([h.group for h in homs], diffs, step=1)
 
 
-def _unit_into_cofree(b: BiGammaModule, policy: ContractionPolicy):
+def _unit_into_cofree(b: BiGammaModule):
     """The canonical additive map m -> (t -> t.m) and its cofree target.
 
-    t.m is the left-folded sum, over the policy's fillers and parameter
-    tuples, of the slot-n action of the filler (t, fill); the tower passes
-    its semiring's ``default_policy``.
+    t.m is the left-folded sum, over the fillers and parameter tuples of
+    b's semiring's ``default_policy``, of the slot-n action of the filler
+    (t, fill).
     """
     s = b.parent
+    policy = default_policy(s)
     cf = cofree(s, b.M)
     index = {f: i for i, f in enumerate(cf.maps)}
     cols = b.actions(s.n - 1)
@@ -460,13 +461,12 @@ def cofree_coresolution(s: NaryGammaSemiring, b: BiGammaModule, depth: int = 2,
     map from term r-1 to term r is stage r's unit after stage r-1's
     projection onto its cokernel, composed once stage r has linearized it.
     """
-    policy = default_policy(s)
     current, lin_src = b, completed
     terms: list[CompletedModule] = []
     monoid_sizes: list[int] = []
     maps: dict[int, GroupMap] = {}
     for r in range(depth + 1):
-        cf, unit = _unit_into_cofree(current, policy)
+        cf, unit = _unit_into_cofree(current)
         if not validate_module_morphism(unit).ok:
             raise SoundnessError("unit is not a module morphism on this instance")
         if lin_src is None:

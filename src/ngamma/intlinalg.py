@@ -23,10 +23,6 @@ def identity(n: int) -> list[list[int]]:
     return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
 
 
-def copy_matrix(mat) -> list[list[int]]:
-    return [row[:] for row in mat]
-
-
 def mat_mul(a, b, ncols: int):
     """Product a@b of width ncols: b is len(b) x ncols and every row of a has
     len(b) entries."""
@@ -58,23 +54,23 @@ class SmithForm:
     """Decomposition S*A*T = D with S, T unimodular and D diagonal.
 
     ``diag`` lists the nonzero diagonal entries d_1 | d_2 | ... | d_r in
-    divisibility order; the rest of D is zero.  ``sinv`` and ``tinv`` are the
-    exact inverses, maintained during the reduction rather than inverted after
-    the fact.  A transform the reduction was not asked to track is ``[]``.
+    divisibility order; the rest of D is zero, so D itself is not kept.
+    ``sinv`` and ``tinv`` are the exact inverses, maintained during the
+    reduction rather than inverted after the fact.  A transform the
+    reduction was not asked to track is ``[]``.
     """
 
-    __slots__ = ("nrows", "ncols", "d", "s", "sinv", "t", "tinv", "rank", "diag")
+    __slots__ = ("nrows", "ncols", "diag", "rank", "s", "sinv", "t", "tinv")
 
-    def __init__(self, nrows, ncols, d, s, sinv, t, tinv):
+    def __init__(self, nrows, ncols, diag, s, sinv, t, tinv):
         self.nrows = nrows
         self.ncols = ncols
-        self.d = d
+        self.diag = diag
+        self.rank = len(diag)
         self.s = s
         self.sinv = sinv
         self.t = t
         self.tinv = tinv
-        self.diag = [d[i][i] for i in range(min(nrows, ncols)) if d[i][i] != 0]
-        self.rank = len(self.diag)
 
     def kernel_basis(self) -> list[list[int]]:
         """Columns rank.. of T: a basis of {x : A x = 0}.  Needs T."""
@@ -190,7 +186,7 @@ def smith_normal_form(a, nrows: int, ncols: int, *,
                 if best == 1:
                     break
             if not best:
-                return _finish(nrows, ncols, d, pos, s, sinv_t, t_t, tinv)
+                return _finish(nrows, ncols, d, s, sinv_t, t_t, tinv)
             if pi != k:
                 swap(d, k, pi)
                 swap(s, k, pi)
@@ -250,19 +246,17 @@ def smith_normal_form(a, nrows: int, ncols: int, *,
                 break
             row_add(k, next(i for i in range(k + 1, nrows)
                             if gcd(*d[i].values()) % pivot), 1)
-    return _finish(nrows, ncols, d, pos, s, sinv_t, t_t, tinv)
+    return _finish(nrows, ncols, d, s, sinv_t, t_t, tinv)
 
 
-def _finish(nrows, ncols, d, pos, s, sinv_t, t_t, tinv) -> SmithForm:
-    dense = zeros(nrows, ncols)
-    for row, sparse in zip(dense, d):
-        for j, v in sparse.items():
-            row[pos[j]] = v
+def _finish(nrows, ncols, d, s, sinv_t, t_t, tinv) -> SmithForm:
+    # Rows 0..rank-1 of D hold only their pivot and the rest are empty.
+    diag = [v for row in d for v in row.values()]
 
     def transpose(mat):
         return [list(c) for c in zip(*mat)] if mat else []
 
-    return SmithForm(nrows, ncols, dense, s or [], transpose(sinv_t),
+    return SmithForm(nrows, ncols, diag, s or [], transpose(sinv_t),
                      transpose(t_t), tinv or [])
 
 
@@ -287,11 +281,7 @@ def lattice_basis(gens: list[list[int]], dim: int) -> list[list[int]]:
     a = [[g[i] for g in gens] for i in range(dim)]
     sf = smith_normal_form(a, dim, len(gens), track=("sinv",))
     # colspan(A) = Sinv * colspan(D); D's nonzero columns are d_i * e_i.
-    out = []
-    for i in range(sf.rank):
-        di = sf.d[i][i]
-        out.append([sf.sinv[r][i] * di for r in range(dim)])
-    return out
+    return [[sf.sinv[r][i] * di for r in range(dim)] for i, di in enumerate(sf.diag)]
 
 
 def kron(a, b):
@@ -307,9 +297,3 @@ def kron(a, b):
                 row[j * bn:(j + 1) * bn] = brow if v == 1 else [v * w for w in brow]
             out.append(row)
     return out
-
-
-def in_lattice(vec, basis, dim: int) -> bool:
-    """Whether vec lies in the lattice spanned by basis vectors."""
-    a = [[g[i] for g in basis] for i in range(dim)]
-    return solve(a, vec, dim, len(basis)) is not None

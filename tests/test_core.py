@@ -346,17 +346,16 @@ def _functions(tree, prefix=""):
 
 def test_only_the_bar_tower_takes_a_contraction_policy():
     # The semiring picks the contraction (homology.default_policy); only the
-    # bar tower, its two derived functors and the cofree unit it feeds take
-    # one, and the command line offers no choice.
+    # bar tower and its two derived functors take one, and the command line
+    # offers no choice.
     package = Path(ngamma.__file__).parent
     found = sorted(f"{path.name}:{name}"
                    for path in sorted(package.rglob("*.py"))
                    for name, fn in _functions(ast.parse(path.read_text(encoding="utf-8")))
                    if any(isinstance(a, ast.arg) and a.arg == "policy"
                           for a in ast.walk(fn.args)))
-    assert found == ["homology.py:BarComplex.__init__", "homology.py:_unit_into_cofree",
-                     "homology.py:bar_complex", "homology.py:ext_via_bar",
-                     "homology.py:tor_via_bar"]
+    assert found == ["homology.py:BarComplex.__init__", "homology.py:bar_complex",
+                     "homology.py:ext_via_bar", "homology.py:tor_via_bar"]
     cli_tree = ast.parse((package / "cli.py").read_text(encoding="utf-8"))
     names = {node.id for node in ast.walk(cli_tree) if isinstance(node, ast.Name)}
     names |= {node.attr for node in ast.walk(cli_tree) if isinstance(node, ast.Attribute)}

@@ -278,6 +278,17 @@ def test_les_tor_side(z4, z4_conflation):
     assert all(rep.exact_at)
 
 
+@pytest.mark.xfail(strict=True, reason="the Tor LES lists degrees 4, 3 and 2 of the "
+                   "tensored bar towers, reversed at their cut (ROADMAP item 7)")
+def test_tor_les_shows_tor_0(z4, z4_conflation):
+    # Tor_0 of the regular module against the ideal, the carrier and the
+    # quotient is (2,), (4,) and (2,) (tor_via_bar); the bundled c_ideal
+    # sequence lists nine trivial nodes instead.
+    reg = regular_bimodule(z4)
+    rep = les_check(z4_conflation, reg, 2, "tor")
+    assert (4,) in [g.invariant_factors() for g in rep.groups]
+
+
 def test_les_split_conflation(z4):
     reg = regular_bimodule(z4)
     quo = quotient_module(z4, GammaIdeal(z4, frozenset({0, 2})))
@@ -494,7 +505,8 @@ def _zero_multiplication(n):
 
 @pytest.fixture
 def contractions(monkeypatch):
-    """(semiring, policy) of every bar tower and cofree unit built meanwhile."""
+    """(semiring, policy) of every bar tower and the semiring of every cofree
+    unit built meanwhile."""
     seen = {"bar": [], "unit": []}
     init, unit = BarComplex.__init__, homology_mod._unit_into_cofree
 
@@ -502,9 +514,9 @@ def contractions(monkeypatch):
         init(self, *args, **named)
         seen["bar"].append((self.semiring, self.policy))
 
-    def recording_unit(b, policy):
-        seen["unit"].append((b.parent, policy))
-        return unit(b, policy)
+    def recording_unit(b):
+        seen["unit"].append(b.parent)
+        return unit(b)
 
     monkeypatch.setattr(BarComplex, "__init__", recording_init)
     monkeypatch.setattr(homology_mod, "_unit_into_cofree", recording_unit)
@@ -536,7 +548,7 @@ def test_derived_commands_contract_with_each_semirings_default(
     # semirings.
     assert cli.main(argv.split()) == 0
     assert _defaulted(contractions["bar"]) == bar_semirings
-    assert _defaulted(contractions["unit"]) == unit_semirings
+    assert {s.name for s in contractions["unit"]} == unit_semirings
 
 
 def test_default_policy_sums_fillers_without_a_neutral_word(f2, contractions):
@@ -548,7 +560,8 @@ def test_default_policy_sums_fillers_without_a_neutral_word(f2, contractions):
     assert {default_policy(s).label for s in (zm, f2)} == {""}
     reg = regular_bimodule(zm)
     balance_check(zm, reg, reg, depth=1)
-    assert _defaulted(contractions["bar"]) == _defaulted(contractions["unit"]) == {"zm"}
+    assert _defaulted(contractions["bar"]) == {s.name for s in contractions["unit"]} \
+        == {"zm"}
 
 
 def test_distinct_operators_bound_the_smith_systems(monkeypatch):

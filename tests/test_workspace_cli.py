@@ -10,7 +10,7 @@ from hypothesis import given, settings, strategies as st
 
 from ngamma import cli, oracle
 from ngamma.bundled import bundled_document, bundled_path, bundled_workspace
-from ngamma.cli import build_parser, command_in, main
+from ngamma.cli import build_parser, main
 from ngamma.core import binary_specialization, f2_semiring, make_matrix_family
 from ngamma.modules import regular_bimodule
 from ngamma.workspace import (
@@ -407,7 +407,7 @@ def test_mod_tensor_on_noncommutative_matrices(tmp_path, capsys):
 
 
 # ---------------------------------------------------------------------------
-# One subparser per call
+# One parser per process
 # ---------------------------------------------------------------------------
 
 def _perfbench(name):
@@ -417,11 +417,6 @@ def _perfbench(name):
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
-
-
-def _bundled_commands():
-    """``BUNDLED_COMMANDS`` of the benchmark's job list, split into argv."""
-    return [command.split() for command in _perfbench("jobs").BUNDLED_COMMANDS]
 
 
 def _derived_argvs():
@@ -437,18 +432,6 @@ _GLOBAL_PREFIXES = [[], ["--format", "structured"], ["-w", "a.json", "--bound", 
                     ["--no-bundled", "--workspace", "b.json", "-w", "c.json"]]
 
 
-def test_one_command_parser_reads_as_the_full_parser():
-    full = build_parser()
-    argvs = _bundled_commands() + list(_derived_argvs())
-    assert len(argvs) == 17 + 6 * 4
-    for argv in argvs:
-        for prefix in _GLOBAL_PREFIXES:
-            call = prefix + argv
-            assert command_in(call) == argv[0], call
-            one = build_parser(argv[0])
-            assert one.parse_args(call) == full.parse_args(call), call
-
-
 @pytest.mark.parametrize("argv", [
     ["-h"], ["ext", "-h"], ["kunneth", "--help"], ["nosuch"], ["ext"], [],
     ["--form", "structured", "validate"], ["validate", "extra"],
@@ -456,42 +439,50 @@ def test_one_command_parser_reads_as_the_full_parser():
     ["--work", "validate", "ext", "s", "m", "n"], ["oracle", "bogus"],
     ["-w"], ["--", "validate"],
 ])
-def test_help_and_errors_are_the_full_parsers(argv, capsys, monkeypatch):
+def test_help_and_errors_are_the_full_parsers(argv, capsys):
+    # The one parser reads help and errors the same on every call.
     code = main(argv)
     got = capsys.readouterr()
-    monkeypatch.setattr(cli, "command_in", lambda _argv: None)
     assert main(argv) == code
     assert capsys.readouterr() == got
     assert code in (0, 2)
-
-
-def test_command_scan_skips_exactly_the_value_options():
-    top = build_parser()
-    options = [a for a in top._actions if a.option_strings]
-    takes_value = {s for a in options if a.nargs != 0 for s in a.option_strings}
-    flags = {s for a in options if a.nargs == 0 for s in a.option_strings}
-    assert cli.VALUE_OPTIONS == takes_value
-    assert cli.FLAG_OPTIONS == flags - {"-h", "--help"}
-    for opt in takes_value:
-        assert command_in([opt, "validate", "ext"]) == "ext"
-    for opt in cli.FLAG_OPTIONS:
-        assert command_in([opt, "ext", "validate"]) == "ext"
-    for opt in ("-h", "--help", "--form", "--format=text", "-wx", "--"):
-        assert command_in([opt, "ext"]) is None
-    assert command_in(["--bound"]) is None
 
 
 _EXPECTED = json.loads((Path(__file__).resolve().parents[1] / "perfbench" / "expected.json")
                        .read_text(encoding="utf-8"))
 
 
+def _digest(command, capsys):
+    """Exit code and stdout digest of one structured call, as the benchmark
+    records them."""
+    code = main(["--format", "structured"] + command.split())
+    out = capsys.readouterr().out
+    return {"exit": code, "sha256": hashlib.sha256(out.encode("utf-8")).hexdigest()}
+
+
 @pytest.mark.parametrize("command", sorted(_EXPECTED["bundled-cli"]))
 def test_bundled_commands_match_the_benchmark_digests(command, capsys):
     # The benchmark's own output check, so a changed report fails here first.
-    code = main(["--format", "structured"] + command.split())
-    out = capsys.readouterr().out
-    assert {"exit": code, "sha256": hashlib.sha256(out.encode("utf-8")).hexdigest()} \
-        == _EXPECTED["bundled-cli"][command]
+    assert _digest(command, capsys) == _EXPECTED["bundled-cli"][command]
+
+
+def test_one_parser_serves_every_call_in_either_order(capsys):
+    # The bundled commands, run in one process forwards and then backwards,
+    # all go through the one cached parser and keep their benchmark digests;
+    # afterwards it still reads every argv as a freshly built parser does.
+    parser = build_parser()
+    commands = list(_perfbench("jobs").BUNDLED_COMMANDS)
+    for order in (commands, commands[::-1]):
+        for command in order:
+            assert _digest(command, capsys) == _EXPECTED["bundled-cli"][command], command
+            assert build_parser() is parser
+    fresh = build_parser.__wrapped__()
+    argvs = [command.split() for command in commands] + list(_derived_argvs())
+    assert len(argvs) == 17 + 6 * 4
+    for argv in argvs:
+        for prefix in _GLOBAL_PREFIXES:
+            call = prefix + argv
+            assert parser.parse_args(call) == fresh.parse_args(call), call
 
 
 @pytest.mark.parametrize("seed", [0, 1])
