@@ -14,9 +14,11 @@ import functools
 import json
 import sys
 import time
+from pathlib import Path
 
 from . import __version__
 from .abgroups import SoundnessError
+from .bundled import bundled_path
 from .core import BoundExceeded, StructuralError, validate_semiring
 from .ideals import GammaIdeal, all_ideals, check_ideal, quotient, spectrum, topology_report
 from .modules import (
@@ -28,7 +30,7 @@ from .homology import (
     les_check, resolve_slot, tor_via_bar, yoneda_compose,
 )
 from .spectral import base_change_check, kunneth_check
-from .workspace import Workspace, WorkspaceError, parse_workspace
+from .workspace import Workspace, WorkspaceError, merge_bytes
 from . import oracle as oracle_mod
 
 PASS, FAIL, ERROR = 0, 1, 2
@@ -100,11 +102,26 @@ def _print_tree(tree: dict, indent=0):
 
 
 def _load(args) -> Workspace:
-    paths = args.workspace or []
-    if not paths and not args.no_bundled:
-        from .bundled import bundled_workspace
-        return bundled_workspace()
-    return parse_workspace(paths)
+    """The validated workspace of each ``-w`` file in order, else of the
+    packaged one unless ``--no-bundled``.  The key is the sources' bytes,
+    read on every call: while they equal the last successful load's, its
+    workspace (which handlers only read) is returned without validating
+    again.  ``bundled_workspace`` and ``parse_workspace`` keep no memo.
+    """
+    if args.workspace:
+        sources = tuple((path, Path(path).read_bytes()) for path in args.workspace)
+    else:
+        sources = () if args.no_bundled else (("<bundled>", bundled_path().read_bytes()),)
+    return _validated(sources)
+
+
+@functools.lru_cache(maxsize=1)
+def _validated(sources: tuple[tuple[str, bytes], ...]) -> Workspace:
+    """A fresh workspace with each (where, raw bytes) source merged in."""
+    ws = Workspace()
+    for where, raw in sources:
+        merge_bytes(ws, raw, where)
+    return ws
 
 
 # ---------------------------------------------------------------------------

@@ -385,8 +385,19 @@ def table_failures(table, monoids, value: FiniteAddMonoid,
                     yield (p, unflatten_index(base, sizes))
 
 
+def parameter_words(n: int, gsize: int) -> list:
+    """Each parameter word gs of ``first_incoherent_word``, in index order,
+    with the (outer, inner) parameter offsets of its n bracketings."""
+    gblock = gsize ** (n - 1)
+    gstrides = [gsize ** q for q in range(n - 2, -1, -1)]
+    gmixed = [[v * gblock for v in gstrides[:i]] + gstrides
+              + [v * gblock for v in gstrides[i:]] for i in range(n)]
+    return [(gs, [divmod(sum(map(mul, gs, m)), gblock) for m in gmixed])
+            for gs in product(range(gsize), repeat=2 * n - 2)]
+
+
 def first_incoherent_word(s: NaryGammaSemiring, words, p=None,
-                          act_tables=(), msize: int = 0):
+                          act_tables=(), msize: int = 0, gwords=None):
     """The first length-(2n-1) word whose n bracketings disagree.
 
     ``words`` yields element tuples; each is tried with every parameter word
@@ -404,7 +415,8 @@ def first_incoherent_word(s: NaryGammaSemiring, words, p=None,
     window's offset and its outer word's are one sum over the letters, each
     strided once: the outer strides are scaled by the window table's length
     (by the parameter block for gs), and divmod splits the sum.  Each of the
-    n+1 distinct layouts is built once per call.
+    n+1 distinct layouts is built once per call; the parameter offsets are
+    ``gwords`` as ``parameter_words`` gives them, built here when not passed.
     """
     n, tsize, gsize = s.n, s.T.size, s.gamma.size
     gblock = gsize ** (n - 1)
@@ -430,11 +442,7 @@ def first_incoherent_word(s: NaryGammaSemiring, words, p=None,
         size = len(t_in)
         mixed = [v * size for v in st_out[:i]] + st_in + [v * size for v in st_out[i + 1:]]
         plan.append((t_in, t_out, st_out[i], mixed, size))
-    gstrides = [gsize ** q for q in range(n - 2, -1, -1)]
-    gmixed = [[v * gblock for v in gstrides[:i]] + gstrides
-              + [v * gblock for v in gstrides[i:]] for i in range(n)]
-    gwords = [(gs, [divmod(sum(map(mul, gs, m)), gblock) for m in gmixed])
-              for gs in product(range(gsize), repeat=2 * n - 2)]
+    gwords = parameter_words(n, gsize) if gwords is None else gwords
     for xs in words:
         rows = [(t_in, t_out, st_mid, divmod(sum(map(mul, xs, mixed)), size))
                 for t_in, t_out, st_mid, mixed, size in plan]

@@ -19,7 +19,8 @@ from .abgroups import SoundnessError
 from .core import (
     AxiomCheck, AxiomReport, BoundExceeded, FiniteAddMonoid,
     NaryGammaSemiring, StructuralError, congruence_closure, first_incoherent_word,
-    flatten_index, out_of_range, table_failures, unflatten_index, validate_semiring,
+    flatten_index, out_of_range, parameter_words, table_failures, unflatten_index,
+    validate_semiring,
 )
 from .ideals import GammaIdeal, coset_congruence, quotient_monoid
 
@@ -316,17 +317,19 @@ def _check_module_words(b: BiGammaModule, generators_only: bool) -> AxiomCheck:
     compatibility between different slots.  Multiadditivity justifies the
     restriction to additive generators whenever the additivity checks passed.
     Words are walked with the module letter's place p slowest, then the
-    carrier letters, then the module letter.
+    carrier letters, then the module letter; every place shares one list of
+    parameter words.
     """
     s = b.parent
     tgens = s.T.additive_generators() if generators_only else list(s.T.elements())
     mgens = b.M.additive_generators() if generators_only else list(range(b.M.size))
     tgens, mgens = tgens or [s.T.zero], mgens or [b.M.zero]
     wlen = 2 * s.n - 1
+    gwords = parameter_words(s.n, s.gamma.size)
     for p in range(wlen):
         words = (ts[:p] + (m,) + ts[p:]
                  for ts in product(tgens, repeat=wlen - 1) for m in mgens)
-        hit = first_incoherent_word(s, words, p, b.act_tables, b.M.size)
+        hit = first_incoherent_word(s, words, p, b.act_tables, b.M.size, gwords)
         if hit is not None:
             xs, gs, vals = hit
             return AxiomCheck("positional coherence", False,

@@ -525,6 +525,42 @@ def test_word_offsets_match_the_reference_on_larger_tables():
     assert outcomes[True] and outcomes[False]
 
 
+def test_module_walk_builds_its_parameter_words_once(monkeypatch):
+    # The 2n-1 letter positions of one coherence walk share one list of
+    # parameter words, and the verdicts are those of a walk whose every
+    # position builds its own.
+    built, searched = Counter(), Counter()
+    build, search = core.parameter_words, core.first_incoherent_word
+
+    def counted_build(*args):
+        built["parameter_words"] += 1
+        return build(*args)
+
+    def counted_search(*args):
+        searched["first_incoherent_word"] += 1
+        return search(*args)
+
+    for mod in (core, modules):
+        monkeypatch.setattr(mod, "parameter_words", counted_build)
+    monkeypatch.setattr(modules, "first_incoherent_word", counted_search)
+    s = REGULAR_FAMILIES["gamma_scaled_z4"]
+    assert s.n == 3 and s.gamma.size > 1
+    b = regular_bimodule(s)
+    for gens_only in (True, False):
+        built.clear(), searched.clear()
+        shared = modules._check_module_words(b, gens_only)
+        assert shared.ok
+        assert built["parameter_words"] == 1
+        assert searched["first_incoherent_word"] == 2 * s.n - 1
+        built.clear()
+        with monkeypatch.context() as m:
+            m.setattr(modules, "first_incoherent_word",
+                      lambda *args: search(*args[:5]))
+            assert modules._check_module_words(b, gens_only) == shared
+        # The walk's own list, then one per position that drops it.
+        assert built["parameter_words"] == 1 + (2 * s.n - 1)
+
+
 def _multiplicativity_scan(f):
     """The first (xs, gs) in table order with f(mu(xs; gs)) != mu(f(xs); gs)."""
     s, t = f.source, f.target
