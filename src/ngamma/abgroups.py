@@ -316,14 +316,6 @@ class Subgroup:
                 and all(self.contains(g) for g in other.gens))
 
 
-def quotient(ambient: AbGroup, gens: list):
-    """(Q, proj) with Q = ambient / <gens>."""
-    rels = order_lattice_columns(ambient) + [list(g) for g in gens]
-    pres = Presentation(ambient.dim, rels)
-    proj = GroupMap(ambient, pres.group, pres.proj_matrix(), check=False)
-    return pres.group, proj, pres
-
-
 def _with_orders(f: GroupMap):
     """[f | -target orders] and its column count: its integer solutions are
     the solutions of f modulo the target relations, with the relation

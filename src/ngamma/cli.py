@@ -55,10 +55,10 @@ def _depth(text: str) -> int:
     return int(text)
 
 
-def _add_derived_flags(p: argparse.ArgumentParser) -> None:
+def _add_derived_flags(p: argparse.ArgumentParser, depth: int = 2) -> None:
     """The slot and depth flags of the derived commands."""
     p.add_argument("--slots", default=None)
-    p.add_argument("--depth", type=_depth, default=2)
+    p.add_argument("--depth", type=_depth, default=depth)
 
 
 def _factors(g) -> list[int]:
@@ -469,8 +469,7 @@ def _args_basechange(p: argparse.ArgumentParser) -> None:
     p.add_argument("morphism")
     p.add_argument("m")
     p.add_argument("n")
-    p.add_argument("--slots", default=None)
-    p.add_argument("--depth", type=_depth, default=1)
+    _add_derived_flags(p, depth=1)
 
 
 def _args_oracle(p: argparse.ArgumentParser) -> None:

@@ -1,13 +1,18 @@
-"""Double complexes, filtration pages, Künneth consistency, base change.
+"""Double complexes held as their total complexes, filtration pages,
+Künneth consistency, base change.
 
-Pages are computed extensionally as lattice subquotients of the total
-complex, once per filtration; nothing about convergence is assumed beyond
-bounded first-quadrant grids, and the page-homology law is re-verified on
-the early pages instead of taken on faith.
+A grid is assembled into its total complex once, and that complex's d∘d
+check is the grid's whole law.  Pages are computed extensionally as lattice
+subquotients of the total complex, once per filtration; the row filtration
+is the column filtration of the transpose, which renames the cells over the
+same total complex.  Nothing about convergence is assumed beyond bounded
+first-quadrant grids, and the page-homology law is re-verified on the early
+pages instead of taken on faith.
 """
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass, field
 from math import prod
 
@@ -33,14 +38,24 @@ from .homology import (
 
 
 # ---------------------------------------------------------------------------
-# Double complexes and totalization
+# Double complexes
 # ---------------------------------------------------------------------------
 
-class DoubleComplexAb:
-    """Bounded first-quadrant grid with anticommuting differentials.
+def _swap(cells: dict) -> dict:
+    return {(q, p): v for (p, q), v in cells.items()}
 
-    ``dh[(p, q)]`` maps to (p-1, q) and ``dv[(p, q)]`` to (p, q-1);
-    the constructor enforces dh.dh = 0, dv.dv = 0 and dh.dv + dv.dh = 0.
+
+class DoubleComplexAb:
+    """Bounded first-quadrant grid with anticommuting differentials, held as
+    its total complex.
+
+    ``dh[(p, q)]`` maps cell (p, q) to (p-1, q) and ``dv[(p, q)]`` to
+    (p, q-1); a cell outside ``entries`` is the zero group, and a map whose
+    groups are not its two cells' raises ValueError.  Tot_n lays out the
+    cells of degree n by ascending p, ``offsets[n]`` giving each cell's first
+    coordinate, and ``complex`` is Tot.  Its d∘d check is the grid's whole
+    law: D∘D splits into dh∘dh, dh∘dv + dv∘dh and dv∘dv, which land in the
+    distinct cells (p-2, q), (p-1, q-1) and (p, q-2).
     """
 
     def __init__(self, entries: dict, dh: dict, dv: dict):
@@ -49,30 +64,33 @@ class DoubleComplexAb:
         self.dv = dict(dv)
         self.pmax = max((p for (p, _q) in entries), default=0)
         self.qmax = max((q for (_p, q) in entries), default=0)
-        for (p, q) in entries:
-            hh = self.d_h(p - 1, q).compose(self.d_h(p, q))
-            if not hh.is_zero():
-                raise SoundnessError(f"horizontal d.d != 0 at {(p, q)}")
-            vv = self.d_v(p, q - 1).compose(self.d_v(p, q))
-            if not vv.is_zero():
-                raise SoundnessError(f"vertical d.d != 0 at {(p, q)}")
-            anti = self.d_h(p, q - 1).compose(self.d_v(p, q)).add(
-                self.d_v(p - 1, q).compose(self.d_h(p, q)))
-            if not anti.is_zero():
-                raise SoundnessError(f"differentials do not anticommute at {(p, q)}")
-
-    def entry(self, p: int, q: int) -> AbGroup:
-        return self.entries.get((p, q), AbGroup(()))
-
-    def d_h(self, p: int, q: int) -> GroupMap:
-        gm = self.dh.get((p, q))
-        return gm if gm is not None else GroupMap.zero(self.entry(p, q),
-                                                       self.entry(p - 1, q))
-
-    def d_v(self, p: int, q: int) -> GroupMap:
-        gm = self.dv.get((p, q))
-        return gm if gm is not None else GroupMap.zero(self.entry(p, q),
-                                                       self.entry(p, q - 1))
+        self.offsets: list[dict] = []
+        groups = []
+        for n in range(self.pmax + self.qmax + 1):
+            off, orders = {}, ()
+            for cell in ((p, n - p) for p in range(n + 1)):
+                if cell in self.entries:
+                    off[cell] = len(orders)
+                    orders += self.entries[cell].orders
+            self.offsets.append(off)
+            groups.append(AbGroup(orders))
+        mats = {n: la.zeros(groups[n - 1].dim, groups[n].dim)
+                for n in range(1, len(groups))}
+        zero = AbGroup(())
+        for kind, maps, (dp, dq) in (("dh", self.dh, (1, 0)), ("dv", self.dv, (0, 1))):
+            for (p, q), gm in maps.items():
+                cell = (p - dp, q - dq)
+                src, dst = self.entries.get((p, q), zero), self.entries.get(cell, zero)
+                if gm.src.orders != src.orders or gm.dst.orders != dst.orders:
+                    raise ValueError(
+                        f"{kind} at {(p, q)} maps {gm.src.orders} -> {gm.dst.orders}, "
+                        f"but its cells are {src.orders} -> {dst.orders}")
+                if src.dim and dst.dim:
+                    row0, col0 = self.offsets[p + q - 1][cell], self.offsets[p + q][(p, q)]
+                    for i, row in enumerate(gm.mat):
+                        mats[p + q][row0 + i][col0:col0 + src.dim] = row
+        self.complex = Complex(groups, {n: GroupMap(groups[n], groups[n - 1], mat)
+                                        for n, mat in mats.items()})
 
     @staticmethod
     def from_commuting(entries: dict, dh: dict, dv: dict) -> "DoubleComplexAb":
@@ -83,63 +101,20 @@ class DoubleComplexAb:
         return DoubleComplexAb(entries, dh, twisted)
 
     def transpose(self) -> "DoubleComplexAb":
-        entries = {(q, p): g for (p, q), g in self.entries.items()}
-        dh = {(q, p): gm for (p, q), gm in self.dv.items()}
-        dv = {(q, p): gm for (p, q), gm in self.dh.items()}
-        return DoubleComplexAb(entries, dh, dv)
-
-
-class Totalization:
-    """Direct-sum total complex with per-summand offsets."""
-
-    def __init__(self, d: DoubleComplexAb):
-        self.double = d
-        self.layout: list[list[tuple[int, int]]] = []
-        self.offsets: list[dict] = []
-        self.maxdeg = d.pmax + d.qmax
-        groups = []
-        for n in range(self.maxdeg + 1):
-            cells = [(p, n - p) for p in range(n + 1)
-                     if (p, n - p) in d.entries]
-            off = {}
-            pos = 0
-            for cell in cells:
-                off[cell] = pos
-                pos += d.entries[cell].dim
-            self.layout.append(cells)
-            self.offsets.append(off)
-            groups.append(AbGroup(tuple(o for cell in cells
-                                        for o in d.entries[cell].orders)))
-        diffs = {}
-        for n in range(1, self.maxdeg + 1):
-            src = groups[n]
-            dst = groups[n - 1]
-            mat = la.zeros(dst.dim, src.dim)
-            for (p, q) in self.layout[n]:
-                col0 = self.offsets[n][(p, q)]
-                for gm, cell in ((d.d_h(p, q), (p - 1, q)),
-                                 (d.d_v(p, q), (p, q - 1))):
-                    if cell not in self.offsets[n - 1]:
-                        if not gm.is_zero():
-                            raise SoundnessError("differential leaves the grid")
-                        continue
-                    row0 = self.offsets[n - 1][cell]
-                    for i in range(gm.dst.dim):
-                        for jj in range(gm.src.dim):
-                            mat[row0 + i][col0 + jj] += gm.mat[i][jj]
-            diffs[n] = GroupMap(src, dst, mat)
-        self.complex = Complex(groups, diffs)
+        """Each cell (p, q) renamed (q, p), dh and dv exchanged, over this
+        same total complex: its column filtration is this grid's rows'."""
+        t = copy.copy(self)
+        t.entries, t.dh, t.dv = _swap(self.entries), _swap(self.dv), _swap(self.dh)
+        t.pmax, t.qmax = self.qmax, self.pmax
+        t.offsets = list(map(_swap, self.offsets))
+        return t
 
     def filtration_columns(self, n: int, pbound: int) -> list[int]:
-        """Coordinates of Tot_n in the summands with column index <= pbound."""
-        if not 0 <= n <= self.maxdeg:
+        """Coordinates of Tot_n in the cells with column index <= pbound."""
+        if not 0 <= n < len(self.offsets):
             return []
-        return [self.offsets[n][(p, q)] + i for (p, q) in self.layout[n] if p <= pbound
-                for i in range(self.double.entries[(p, q)].dim)]
-
-
-def totalize(d: DoubleComplexAb) -> Complex:
-    return Totalization(d).complex
+        return [off + i for (p, q), off in self.offsets[n].items() if p <= pbound
+                for i in range(self.entries[(p, q)].dim)]
 
 
 # ---------------------------------------------------------------------------
@@ -171,8 +146,7 @@ class FiltrationPages:
     """
 
     def __init__(self, d: DoubleComplexAb, up_to: int):
-        self.double = d
-        self.tot = Totalization(d)
+        self.grid = d
         self.up_to = up_to
         self._zcache: dict = {}
         self._subq: dict = {}
@@ -182,7 +156,7 @@ class FiltrationPages:
 
     def _lattice_key(self, r: int, p: int, q: int) -> tuple[int, int, int]:
         """(n, clamped p, clamped p-r): all that ``_zlattice`` reads of r, p, q."""
-        pmax = self.double.pmax
+        pmax = self.grid.pmax
         return (p + q, max(min(p, pmax), -1), max(min(p - max(r, 0), pmax), -1))
 
     def _zlattice(self, key: tuple[int, int, int]) -> list[list[int]]:
@@ -195,12 +169,12 @@ class FiltrationPages:
         if key in self._zcache:
             return self._zcache[key]
         n, top, bottom = key
-        cols = self.tot.filtration_columns(n, top)
+        cols = self.grid.filtration_columns(n, top)
         out = []
         if cols:
-            g = self.tot.complex.groups[n]
-            d = self.tot.complex.d(n)
-            lower = set(self.tot.filtration_columns(n - 1, bottom))
+            g = self.grid.complex.groups[n]
+            d = self.grid.complex.d(n)
+            lower = set(self.grid.filtration_columns(n - 1, bottom))
             rows = [i for i in range(d.dst.dim) if i not in lower]
             restricted = GroupMap(AbGroup(tuple(g.orders[c] for c in cols)),
                                   AbGroup(tuple(d.dst.orders[i] for i in rows)),
@@ -219,33 +193,25 @@ class FiltrationPages:
                     ((r, p, q), (r - 1, p - 1, q + 1), (r - 1, p + r - 1, q - r + 2)))
         if key in self._subq:
             return self._subq[key]
-        n = p + q
-        g = self.tot.complex.groups[n] if 0 <= n <= self.tot.maxdeg else AbGroup(())
+        tot = self.grid.complex
         znum, den, dsrc = map(self._zlattice, key)
-        den = list(den)
-        if 0 <= n + 1 <= self.tot.maxdeg:
-            d = self.tot.complex.d(n + 1)
-            for v in dsrc:
-                den.append(list(d(v)))
-        sq = Subquotient(g, znum, den, what=f"page {r} node {(p, q)}")
+        d = tot.d(p + q + 1)
+        sq = Subquotient(tot.group(p + q), znum, den + [list(d(v)) for v in dsrc],
+                         what=f"page {r} node {(p, q)}")
         self._subq[key] = sq
         return sq
 
     def _page(self, r: int) -> SpectralPage:
         entries = {}
         diffs = {}
-        for p in range(self.double.pmax + 1):
-            for q in range(self.double.qmax + 1):
-                sq = self._subquotient(r, p, q)
-                entries[(p, q)] = sq.group
-        for p in range(self.double.pmax + 1):
-            for q in range(self.double.qmax + 1):
+        for p in range(self.grid.pmax + 1):
+            for q in range(self.grid.qmax + 1):
                 src = self._subquotient(r, p, q)
+                entries[(p, q)] = src.group
                 tp, tq = p - r, q + r - 1
-                if tp < 0 or tq < 0 or tp + tq < 0:
-                    continue
-                diffs[(p, q)] = src.induced(self.tot.complex.d(p + q),
-                                            self._subquotient(r, tp, tq))
+                if tp >= 0 and tq >= 0:
+                    diffs[(p, q)] = src.induced(self.grid.complex.d(p + q),
+                                                self._subquotient(r, tp, tq))
         return SpectralPage(r, entries, diffs)
 
     # -- verification ------------------------------------------------------
@@ -276,21 +242,18 @@ class FiltrationPages:
     def order_bookkeeping(self) -> list[tuple[int, int, int]]:
         """(degree, product of stable-page orders, total homology order)."""
         last = self.pages[-1]
-        tot_h = homology(self.tot.complex)
-        out = []
-        for n in range(self.tot.maxdeg + 1):
-            orders = []
-            for p in range(n + 1):
-                g = last.entries.get((p, n - p))
-                if g is not None:
-                    orders.append(g.order())
-            lhs = prod(orders) if orders else 1
-            out.append((n, lhs, tot_h[n].order()))
-        return out
+        tot_h = homology(self.grid.complex)
+        return [(n, prod(last.entries[(p, n - p)].order() for p in range(n + 1)
+                         if (p, n - p) in last.entries), tot_h[n].order())
+                for n in range(self.grid.complex.top + 1)]
 
 
 def pages(d: DoubleComplexAb, up_to: int):
-    """Both filtrations' page sequences: (by columns, by rows)."""
+    """Both filtrations' page sequences: (by columns, by rows).
+
+    The rows are the columns of ``d.transpose()``, which shares ``d``'s total
+    complex, so the grid is assembled and checked once for both.
+    """
     first = FiltrationPages(d, up_to)
     second = FiltrationPages(d.transpose(), up_to)
     return first, second

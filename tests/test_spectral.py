@@ -1,3 +1,4 @@
+import re
 from collections import Counter
 
 import pytest
@@ -13,7 +14,7 @@ from ngamma.ideals import GammaIdeal, quotient
 from ngamma.modules import build_module, regular_bimodule, validate_module, zero_module
 from ngamma.spectral import (
     DoubleComplexAb, FiltrationPages, base_change_check, extend_scalars,
-    flatness_probe, kunneth_check, pages, restrict_scalars, totalize,
+    flatness_probe, kunneth_check, pages, restrict_scalars,
 )
 from ngamma.completion import linearize_module
 from ngamma.homology import homology
@@ -27,20 +28,20 @@ ZERO = GroupMap(C2, C2, [[0]])
 def test_totalize_single_column():
     d = DoubleComplexAb.from_commuting({(0, 0): C2, (0, 1): C2},
                                        {}, {(0, 1): ZERO})
-    tot = totalize(d)
+    tot = d.complex
     assert [g.invariant_factors() for g in tot.groups] == [(2,), (2,)]
 
 
 def test_totalize_zero_grid():
     d = DoubleComplexAb.from_commuting({(0, 0): AbGroup(())}, {}, {})
-    assert all(g.is_trivial() for g in totalize(d).groups)
+    assert all(g.is_trivial() for g in d.complex.groups)
 
 
 def test_totalize_2x2():
     entries = {(p, q): C2 for p in range(2) for q in range(2)}
     d = DoubleComplexAb.from_commuting(entries, {(1, 0): ONE, (1, 1): ONE},
                                        {(0, 1): ZERO, (1, 1): ZERO})
-    tot = totalize(d)
+    tot = d.complex
     assert [len(g.orders) for g in tot.groups] == [1, 2, 1]
     assert [h.order() for h in homology(tot)] == [1, 1, 1]
 
@@ -53,7 +54,7 @@ def test_pages_through_a_zero_entry():
     for fp in pages(d, 4):
         assert all(fp.page_homology_law(r) for r in range(4))
         assert all(lhs == rhs for _n, lhs, rhs in fp.order_bookkeeping())
-    assert [h.order() for h in homology(totalize(d))] == [1, 1, 2, 1]
+    assert [h.order() for h in homology(d.complex)] == [1, 1, 2, 1]
 
 
 def test_anticommutation_enforced():
@@ -283,12 +284,12 @@ class _CellKeyedPages(FiltrationPages):
         if key in self._zcache:
             return self._zcache[key]
         n = p + q
-        cols = self.tot.filtration_columns(n, p)
+        cols = self.grid.filtration_columns(n, p)
         out = []
         if cols:
-            g = self.tot.complex.groups[n]
-            d = self.tot.complex.d(n)
-            lower = set(self.tot.filtration_columns(n - 1, p - r))
+            g = self.grid.complex.groups[n]
+            d = self.grid.complex.d(n)
+            lower = set(self.grid.filtration_columns(n - 1, p - r))
             rows = [i for i in range(d.dst.dim) if i not in lower]
             restricted = GroupMap(AbGroup(tuple(g.orders[c] for c in cols)),
                                   AbGroup(tuple(d.dst.orders[i] for i in rows)),
@@ -307,12 +308,12 @@ class _CellKeyedPages(FiltrationPages):
         if key in self._subq:
             return self._subq[key]
         n = p + q
-        g = self.tot.complex.groups[n] if 0 <= n <= self.tot.maxdeg else AbGroup(())
+        g = self.grid.complex.groups[n] if 0 <= n <= self.grid.complex.top else AbGroup(())
         znum = self._zlattice(r, p, q)
         den = list(self._zlattice(r - 1, p - 1, q + 1))
         dsrc = self._zlattice(r - 1, p + r - 1, q - r + 2)
-        if 0 <= n + 1 <= self.tot.maxdeg:
-            d = self.tot.complex.d(n + 1)
+        if 0 <= n + 1 <= self.grid.complex.top:
+            d = self.grid.complex.d(n + 1)
             for v in dsrc:
                 den.append(list(d(v)))
         sq = Subquotient(g, znum, den, what=f"page {r} node {(p, q)}")
@@ -376,3 +377,117 @@ def test_lattice_keys_give_the_cell_keyed_pages(monkeypatch, family, names):
         assert got.stable_from() == want.stable_from()
         assert got.order_bookkeeping() == want.order_bookkeeping()
     assert nonzero > 0
+
+
+# ---------------------------------------------------------------------------
+# One total complex per grid
+# ---------------------------------------------------------------------------
+
+C4 = AbGroup((4,))
+C2_2 = AbGroup((2, 2))
+ONE4 = GroupMap(C4, C4, [[1]])
+
+
+@pytest.mark.parametrize("entries,dh,dv,message", [
+    # A C4 map on a C2 cell.
+    ({(0, 0): C2, (1, 0): C2}, {(1, 0): GroupMap(C4, C2, [[1]])}, {},
+     "dh at (1, 0) maps (4,) -> (2,), but its cells are (2,) -> (2,)"),
+    # A C2 map on a (2, 2) cell.
+    ({(0, 0): C2, (0, 1): C2_2}, {}, {(0, 1): ONE},
+     "dv at (0, 1) maps (2,) -> (2,), but its cells are (2, 2) -> (2,)"),
+    # Targets of the wrong order and of the wrong dimension.
+    ({(0, 0): C2, (1, 0): C2}, {(1, 0): GroupMap(C2, C4, [[2]])}, {},
+     "dh at (1, 0) maps (2,) -> (4,), but its cells are (2,) -> (2,)"),
+    ({(0, 0): C2, (0, 1): C2}, {}, {(0, 1): GroupMap(C2, C2_2, [[1], [0]])},
+     "dv at (0, 1) maps (2,) -> (2, 2), but its cells are (2,) -> (2,)"),
+    # A cell outside the entries is the zero group, on either end.
+    ({(0, 0): C2}, {(0, 0): ONE}, {},
+     "dh at (0, 0) maps (2,) -> (2,), but its cells are (2,) -> ()"),
+    ({(0, 0): C2}, {}, {(0, 1): ONE},
+     "dv at (0, 1) maps (2,) -> (2,), but its cells are () -> (2,)"),
+])
+def test_a_map_off_its_cells_is_refused_by_name(entries, dh, dv, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        DoubleComplexAb(entries, dh, dv)
+
+
+@pytest.mark.parametrize("entries,dh,dv", [
+    # dh.dh != 0: three C2 columns joined by identities.
+    ({(p, 0): C2 for p in range(3)}, {(1, 0): ONE, (2, 0): ONE}, {}),
+    # dv.dv != 0: the same in one column.
+    ({(0, q): C2 for q in range(3)}, {}, {(0, 1): ONE, (0, 2): ONE}),
+    # dh.dv + dv.dh = 2 != 0: untwisted commuting squares over Z/4.
+    ({(p, q): C4 for p in range(2) for q in range(2)},
+     {(1, 0): ONE4, (1, 1): ONE4}, {(0, 1): ONE4, (1, 1): ONE4}),
+])
+def test_the_total_complex_checks_each_law(entries, dh, dv):
+    with pytest.raises(SoundnessError, match=re.escape("d.d != 0 between degrees 2 and 0")):
+        DoubleComplexAb(entries, dh, dv)
+
+
+def _hand_grids():
+    square = {(p, q): C2 for p in range(2) for q in range(2)}
+    return [
+        DoubleComplexAb.from_commuting({(0, 0): C2, (0, 1): C2}, {}, {(0, 1): ZERO}),
+        DoubleComplexAb.from_commuting({(0, 0): AbGroup(())}, {}, {}),
+        DoubleComplexAb.from_commuting({(0, 0): C2}, {}, {}),
+        DoubleComplexAb.from_commuting(square, {(1, 0): ONE, (1, 1): ONE},
+                                       {(0, 1): ZERO, (1, 1): ZERO}),
+        DoubleComplexAb.from_commuting(square, {(1, 0): ZERO, (1, 1): ZERO},
+                                       {(0, 1): ONE, (1, 1): ONE}),
+        DoubleComplexAb.from_commuting(
+            {(0, 0): C2, (1, 0): AbGroup(()), (2, 0): C2, (0, 1): C4, (1, 1): C2},
+            {(1, 1): GroupMap(C2, C4, [[2]])}, {(0, 1): GroupMap(C4, C2, [[1]])}),
+        DoubleComplexAb.from_commuting({(p, q): C4 for p in range(2) for q in range(2)},
+                                       {(1, 0): ONE4, (1, 1): ONE4},
+                                       {(0, 1): ONE4, (1, 1): ONE4}),
+    ]
+
+
+def _assert_transpose_is_the_rebuilt_grid(d, up_to):
+    """``d.transpose()`` shares d's total complex and gives the pages of the
+    grid rebuilt from the swapped entries and maps."""
+    def swap(cells):
+        return {(q, p): v for (p, q), v in cells.items()}
+
+    t = d.transpose()
+    assert t.complex is d.complex
+    got = FiltrationPages(t, up_to)
+    want = FiltrationPages(DoubleComplexAb(swap(d.entries), swap(d.dv), swap(d.dh)), up_to)
+    for a, b in zip(got.pages, want.pages, strict=True):
+        assert a.entries.keys() == b.entries.keys()
+        assert all(a.factors(*c) == b.factors(*c) for c in a.entries)
+        assert a.diffs.keys() == b.diffs.keys()
+    assert got.stable_from() == want.stable_from()
+    assert got.order_bookkeeping() == want.order_bookkeeping()
+
+
+def test_transposing_a_hand_grid_relabels_it():
+    for d in _hand_grids():
+        _assert_transpose_is_the_rebuilt_grid(d, 4)
+
+
+@pytest.mark.parametrize("family,names", [
+    ("f2_ternary", ("f2_reg", "f2_reg", "f2_reg")),
+    ("z4_ternary", ("z4_reg", "z4_ideal02", "z4_mod2")),
+])
+def test_transposing_a_kunneth_grid_relabels_it(monkeypatch, family, names):
+    ws = bundled_workspace()
+    mods = [ws.module(name) for name in names]
+    ((grid, up_to),), _ = _kunneth_grids(monkeypatch, ws.semiring(family), mods, 2)
+    _assert_transpose_is_the_rebuilt_grid(grid, up_to)
+
+
+def test_kunneth_assembles_one_total_complex(monkeypatch):
+    built = Counter()
+    complex_cls = spectral.Complex
+
+    def counted(*args, **kwargs):
+        built["Complex"] += 1
+        return complex_cls(*args, **kwargs)
+
+    monkeypatch.setattr(spectral, "Complex", counted)
+    s = f2_ternary()
+    reg = regular_bimodule(s)
+    assert kunneth_check(s, reg, reg, reg, depth=2).consistent
+    assert built["Complex"] == 1

@@ -344,6 +344,7 @@ _DERIVED_COMMANDS = {
     "yoneda": (["s", "m"], {"semiring": "s", "m": "m"}),
     "kunneth": (["s", "m", "n", "l"], {"semiring": "s", "m": "m", "n": "n", "l": "l",
                                        "emit_pages": False}),
+    "basechange": (["f", "m", "n"], {"morphism": "f", "m": "m", "n": "n", "depth": 1}),
 }
 _FLAG_VALUES = [("--slots", "3,1", "slots", "3,1"), ("--depth", "4", "depth", 4)]
 
@@ -352,7 +353,7 @@ _FLAG_VALUES = [("--slots", "3,1", "slots", "3,1"), ("--depth", "4", "depth", 4)
 def test_derived_commands_parse_the_shared_flags(cmd):
     positional, own = _DERIVED_COMMANDS[cmd]
     parser = build_parser()
-    want = {**_TOP, "cmd": cmd, **own, **_DERIVED}
+    want = {**_TOP, "cmd": cmd, **_DERIVED, **own}
     assert vars(parser.parse_args([cmd, *positional])) == want
     for flag, text, dest, value in _FLAG_VALUES:
         got = vars(parser.parse_args([cmd, *positional, flag, text]))
@@ -478,7 +479,7 @@ def test_one_parser_serves_every_call_in_either_order(capsys):
             assert build_parser() is parser
     fresh = build_parser.__wrapped__()
     argvs = [command.split() for command in commands] + list(_derived_argvs())
-    assert len(argvs) == 17 + 6 * 4
+    assert len(argvs) == 17 + 7 * 4
     for argv in argvs:
         for prefix in _GLOBAL_PREFIXES:
             call = prefix + argv
