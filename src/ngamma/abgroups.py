@@ -308,13 +308,6 @@ class Subgroup:
     def contains(self, vec) -> bool:
         return self.membership(vec) is not None
 
-    def same_as(self, other: "Subgroup") -> bool:
-        if self.ambient.orders != other.ambient.orders:
-            raise ValueError(f"subgroups of different ambients {self.ambient.orders} "
-                             f"and {other.ambient.orders}")
-        return (all(other.contains(g) for g in self.gens)
-                and all(self.contains(g) for g in other.gens))
-
 
 def _with_orders(f: GroupMap):
     """[f | -target orders] and its column count: its integer solutions are
@@ -346,16 +339,22 @@ def preimage(f: GroupMap, target_vec):
     return f.src.reduce(sol[:f.src.dim])
 
 
-def image(f: GroupMap) -> Subgroup:
-    cols = [[f.mat[i][j] for i in range(f.dst.dim)] for j in range(f.src.dim)]
-    return Subgroup(f.dst, cols)
+def is_exact(f: GroupMap, g: GroupMap) -> bool:
+    """Whether A -f-> B -g-> C is exact at B: g∘f = 0 and each generator v
+    of ker g solves [f | -orders of B] x = v, i.e. lies in im f.  The one
+    exactness test; raises ValueError when f and g do not compose."""
+    if not g.compose(f).is_zero():
+        return False
+    a, ncols = _with_orders(f)
+    sf = la.smith_normal_form(a, f.dst.dim, ncols, track=("s", "t"))
+    return all(sf.solve(v) is not None for v in kernel_gens(g))
 
 
 def is_short_exact(f: GroupMap, g: GroupMap) -> bool:
-    """Whether 0 -> A -f-> B -g-> C -> 0 is exact."""
-    return (kernel(f).group.is_trivial()
-            and image(g).same_as(Subgroup(g.dst, la.identity(g.dst.dim)))
-            and kernel(g).same_as(image(f)))
+    """Whether 0 -> A -f-> B -g-> C -> 0 is exact: exact at A, B and C."""
+    zero = AbGroup(())
+    return (is_exact(GroupMap.zero(zero, f.src), f) and is_exact(f, g)
+            and is_exact(g, GroupMap.zero(g.dst, zero)))
 
 
 class Subquotient:

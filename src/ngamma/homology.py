@@ -23,7 +23,7 @@ from functools import reduce
 
 from . import intlinalg as la
 from .abgroups import (
-    AbGroup, GroupMap, HomologyNode, SoundnessError, image, induced_on_quotients,
+    AbGroup, GroupMap, HomologyNode, SoundnessError, induced_on_quotients, is_exact,
     is_short_exact, kernel, kernel_gens, preimage,
 )
 from .core import (
@@ -473,7 +473,7 @@ def cofree_coresolution(s: NaryGammaSemiring, b: BiGammaModule, depth: int = 2,
             lin_src = linearize_module(current)
         lin_dst = linearize_module(cf.module)
         unit_lin = linearize_morphism(unit, lin_src, lin_dst)
-        if not kernel(unit_lin).group.is_trivial():
+        if not is_exact(GroupMap.zero(AbGroup(()), unit_lin.src), unit_lin):
             raise RegularityError(
                 f"unit into the cofree module is not injective after completion "
                 f"(tower stage {r})")
@@ -585,11 +585,7 @@ def snake_les(x: Complex, y: Complex, z: Complex,
                      nodes_y[r].induced(gmaps[r], nodes_z[r]),
                      connecting(r)]
 
-    exact_at = []
-    for pos in range(1, len(groups)):
-        im = image(seq_maps[pos - 1])
-        ker = kernel(seq_maps[pos])
-        exact_at.append(im.same_as(ker))
+    exact_at = [is_exact(f, g) for f, g in zip(seq_maps, seq_maps[1:])]
     deltas_zero = [seq_maps[3 * r + 2].is_zero() for r in range(upto + 1)]
     return LesReport(labels, groups, exact_at, deltas_zero, ses_ok, True)
 

@@ -5,9 +5,10 @@ A grid is assembled into its total complex once, and that complex's d∘d
 check is the grid's whole law.  Pages are computed extensionally as lattice
 subquotients of the total complex, once per filtration; the row filtration
 is the column filtration of the transpose, which renames the cells over the
-same total complex.  Nothing about convergence is assumed beyond bounded
-first-quadrant grids, and the page-homology law is re-verified on the early
-pages instead of taken on faith.
+same total complex.  A bounded first-quadrant grid with pmax+1 columns has
+E_(pmax+1) = E∞, so each filtration builds pages 0..pmax+1 and reads every
+later page as E∞.  The page-homology law is re-verified on the early pages
+instead of taken on faith.
 """
 
 from __future__ import annotations
@@ -140,19 +141,23 @@ class FiltrationPages:
     clamped to the columns the grid has: anything from ``pmax`` up keeps
     every column and anything below 0 keeps none (read as -1).  Lattices are
     kept under that key (``_lattice_key``) and subquotients under the keys of
-    their three lattices, so once r passes the filtration length a page
-    reuses the subquotients of an earlier one.  A reused subquotient's
-    ``what`` label names the first page that built it.
+    their three lattices.  A reused subquotient's ``what`` label names the
+    first page that built it.
+
+    From r = pmax+1 on, every node's keys, and so its subquotient, are those
+    of page pmax+1, and no differential has a target column: ``pages`` holds
+    pages 0..pmax+1, and ``page(r)`` reads any later r as E∞ = page pmax+1.
     """
 
-    def __init__(self, d: DoubleComplexAb, up_to: int):
+    def __init__(self, d: DoubleComplexAb):
         self.grid = d
-        self.up_to = up_to
         self._zcache: dict = {}
         self._subq: dict = {}
-        self.pages: list[SpectralPage] = []
-        for r in range(up_to + 1):
-            self.pages.append(self._page(r))
+        self.pages = [self._page(r) for r in range(d.pmax + 2)]
+
+    def page(self, r: int) -> SpectralPage:
+        """Page r, or E∞ = page pmax+1 for any later r."""
+        return self.pages[min(r, len(self.pages) - 1)]
 
     def _lattice_key(self, r: int, p: int, q: int) -> tuple[int, int, int]:
         """(n, clamped p, clamped p-r): all that ``_zlattice`` reads of r, p, q."""
@@ -218,8 +223,8 @@ class FiltrationPages:
 
     def page_homology_law(self, r: int) -> bool:
         """Page r+1 equals the homology of page r at every node."""
-        page = self.pages[r]
-        nxt = self.pages[r + 1]
+        page = self.page(r)
+        nxt = self.page(r + 1)
         for (p, q), g in page.entries.items():
             out_map = page.diffs.get((p, q), GroupMap.zero(g, AbGroup(())))
             src_cell = (p + r, q - r + 1)
@@ -239,24 +244,13 @@ class FiltrationPages:
                 return r
         return len(self.pages) - 1
 
-    def order_bookkeeping(self) -> list[tuple[int, int, int]]:
-        """(degree, product of stable-page orders, total homology order)."""
+    def order_bookkeeping(self, tot_h: list[AbGroup]) -> list[tuple[int, int, int]]:
+        """(degree, product of E∞ orders, order of ``tot_h``), where ``tot_h``
+        is the homology of the total complex both filtrations share."""
         last = self.pages[-1]
-        tot_h = homology(self.grid.complex)
         return [(n, prod(last.entries[(p, n - p)].order() for p in range(n + 1)
                          if (p, n - p) in last.entries), tot_h[n].order())
                 for n in range(self.grid.complex.top + 1)]
-
-
-def pages(d: DoubleComplexAb, up_to: int):
-    """Both filtrations' page sequences: (by columns, by rows).
-
-    The rows are the columns of ``d.transpose()``, which shares ``d``'s total
-    complex, so the grid is assembled and checked once for both.
-    """
-    first = FiltrationPages(d, up_to)
-    second = FiltrationPages(d.transpose(), up_to)
-    return first, second
 
 
 # ---------------------------------------------------------------------------
@@ -265,7 +259,6 @@ def pages(d: DoubleComplexAb, up_to: int):
 
 @dataclass
 class KunnethReport:
-    depth: int
     flat_certified: bool
     diag_first: list[tuple[int, int, int]]
     diag_second: list[tuple[int, int, int]]
@@ -352,17 +345,17 @@ def kunneth_check(s: NaryGammaSemiring, m: BiGammaModule, n: BiGammaModule,
                     homs[(p, q + 1)], pre=tmap, what="vertical Hom map")
     grid = DoubleComplexAb.from_commuting(entries, dh, dv)
 
-    # The page laws below compare pages 1 to 3.
-    up_to = max(2 * depth + 2, 3)
-    first, second = pages(grid, up_to)
-    diag1 = first.order_bookkeeping()
-    diag2 = second.order_bookkeeping()
+    # The rows are the columns of the transpose, over the same total complex.
+    first, second = FiltrationPages(grid), FiltrationPages(grid.transpose())
+    tot_h = homology(grid.complex)
+    diag1 = first.order_bookkeeping(tot_h)
+    diag2 = second.order_bookkeeping(tot_h)
     law1 = first.page_homology_law(1) and first.page_homology_law(2)
     law2 = second.page_homology_law(1) and second.page_homology_law(2)
 
-    e2_first = {(pm - pp, qm - qq): first.pages[2].factors(pp, qq)
+    e2_first = {(pm - pp, qm - qq): first.page(2).factors(pp, qq)
                 for pp in range(depth + 1) for qq in range(depth + 1)}
-    e2_second = {(pm - pp, qm - qq): second.pages[2].factors(qq, pp)
+    e2_second = {(pm - pp, qm - qq): second.page(2).factors(qq, pp)
                  for pp in range(depth + 1) for qq in range(depth + 1)}
 
     ext_mods = ext_modules_with_ops(s, bar_m, lin_n, depth)
@@ -374,7 +367,7 @@ def kunneth_check(s: NaryGammaSemiring, m: BiGammaModule, n: BiGammaModule,
     match = all(e2_first.get(key, ()) == v or e2_second.get(key, ()) == v
                 for key, v in direct.items())
 
-    return KunnethReport(depth, flat, diag1, diag2,
+    return KunnethReport(flat, diag1, diag2,
                          first.stable_from(), second.stable_from(),
                          law1, law2, e2_first, e2_second, direct, match)
 

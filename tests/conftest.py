@@ -1,3 +1,7 @@
+from collections import Counter
+
+import pytest
+
 acceptance_lines: list[str] = []
 
 
@@ -10,3 +14,18 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config):
         terminalreporter.section("acceptance criteria")
         for line in acceptance_lines:
             terminalreporter.write_line(line)
+
+
+@pytest.fixture
+def count_calls(monkeypatch):
+    """``count_calls(owner, *names)`` wraps each ``owner.name`` through
+    monkeypatch and returns a new Counter of their calls, by name."""
+    def wrap(owner, *names):
+        counts = Counter()
+        for name in names:
+            def call(*args, _fn=getattr(owner, name), _name=name, **kwargs):
+                counts[_name] += 1
+                return _fn(*args, **kwargs)
+            monkeypatch.setattr(owner, name, call)
+        return counts
+    return wrap

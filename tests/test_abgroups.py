@@ -1,4 +1,5 @@
 from itertools import product
+from math import gcd, lcm
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -6,7 +7,7 @@ from hypothesis import example, given, settings, strategies as st
 from ngamma import intlinalg as la
 from ngamma.abgroups import (
     AbGroup, GroupMap, HomologyNode, Presentation, SoundnessError, Subgroup,
-    Subquotient, direct_sum, image, is_short_exact, isomorphic, kernel,
+    Subquotient, direct_sum, is_exact, is_short_exact, isomorphic, kernel,
     kernel_gens, preimage,
 )
 
@@ -101,8 +102,8 @@ def test_kernel_image_quotient():
     assert k.group.invariant_factors() == (2,)
     assert k.contains([2])
     assert not k.contains([1])
-    im = image(f)
-    assert im.group.invariant_factors() == (2,)
+    # im f = {0, 2} = ker f.
+    assert is_exact(f, f)
 
 
 def test_homology_node_textbook():
@@ -161,14 +162,6 @@ def test_direct_sum():
     assert prjs[1]([1, 2]) == (2,)
 
 
-def test_subgroup_same_as():
-    c8 = AbGroup((8,))
-    a = Subgroup(c8, [[2]])
-    b = Subgroup(c8, [[6]])
-    assert a.same_as(b)
-    assert not a.same_as(Subgroup(c8, [[4]]))
-
-
 Z, C2, C3, C4, C6 = (AbGroup((o,)) for o in (0, 2, 3, 4, 6))
 
 
@@ -176,8 +169,10 @@ def test_kernel_is_the_subgroup_of_kernel_gens():
     f = GroupMap(AbGroup((0, 4)), C2, [[1, 1]])
     gens = kernel_gens(f)
     assert all(f.dst.is_zero(f(g)) for g in gens)
-    assert kernel(f).same_as(Subgroup(f.src, gens))
-    assert kernel(f).same_as(Subgroup(f.src, [[2, 0], [1, 1], [0, 2]]))
+    assert is_exact(kernel(f).inclusion, f)
+    assert is_exact(Subgroup(f.src, gens).inclusion, f)
+    assert is_exact(Subgroup(f.src, [[2, 0], [1, 1], [0, 2]]).inclusion, f)
+    assert not is_exact(Subgroup(f.src, [[2, 0], [0, 2]]).inclusion, f)
     assert kernel_gens(GroupMap.zero(C4, AbGroup(()))) == [[1]]
 
 
@@ -208,6 +203,91 @@ def test_is_short_exact():
     assert not is_short_exact(GroupMap(C4, C4, [[2]]), GroupMap(C4, C2, [[1]]))
     assert not is_short_exact(GroupMap(Z, Z, [[2]]), GroupMap(Z, C4, [[2]]))
     assert not is_short_exact(GroupMap(Z, Z, [[4]]), GroupMap(Z, C2, [[1]]))
+
+
+def _image(f):
+    """The subgroup generated by f's columns."""
+    return Subgroup(f.dst, [[f.mat[i][j] for i in range(f.dst.dim)]
+                            for j in range(f.src.dim)])
+
+
+def _same_subgroup(a, b):
+    """Subgroup equality as two inclusions, each generator a member."""
+    if a.ambient.orders != b.ambient.orders:
+        raise ValueError(f"subgroups of different ambients {a.ambient.orders} "
+                         f"and {b.ambient.orders}")
+    return all(b.contains(v) for v in a.gens) and all(a.contains(v) for v in b.gens)
+
+
+def _five_subgroup_short_exact(f, g):
+    """ker f = 0, im g = C and ker g = im f, each through a built Subgroup."""
+    return (kernel(f).group.is_trivial()
+            and _same_subgroup(_image(g), Subgroup(g.dst, la.identity(g.dst.dim)))
+            and _same_subgroup(kernel(g), _image(f)))
+
+
+def _element_order(g, v):
+    """Order of v in g, 0 when infinite."""
+    out = 1
+    for x, o in zip(g.reduce(v), g.orders):
+        if x and not o:
+            return 0
+        if o:
+            out = lcm(out, o // gcd(x, o))
+    return out
+
+
+SMALL_ORDERS = st.lists(st.sampled_from([0, 0, 2, 3, 4, 6]), max_size=3)
+
+
+@st.composite
+def _composable(draw):
+    """(f, g) with A -f-> B -g-> C: g at random; f from a free group onto the
+    generators of ker g, the inclusion of ker g, or with each column a
+    combination of those generators or a random vector, scaled so that f is
+    well defined."""
+    b, c = AbGroup(tuple(draw(SMALL_ORDERS))), AbGroup(tuple(draw(SMALL_ORDERS)))
+    entries = st.integers(-6, 6)
+    g = GroupMap(b, c, [[draw(entries) * (od // gcd(o, od) if o and od else 1)
+                         if od or not o else 0 for o in b.orders] for od in c.orders])
+    gens = kernel_gens(g)
+    mode = draw(st.sampled_from(["kernel", "inclusion", "combination", "random"]))
+    if mode == "kernel":
+        return GroupMap(AbGroup((0,) * len(gens)), b,
+                        [[v[i] for v in gens] for i in range(b.dim)]), g
+    if mode == "inclusion":
+        return kernel(g).inclusion, g
+    a = AbGroup(tuple(draw(SMALL_ORDERS)))
+    cols = []
+    for o in a.orders:
+        if mode == "combination":
+            coeffs = [draw(entries) for _ in gens]
+            col = [sum(c * v[i] for c, v in zip(coeffs, gens)) for i in range(b.dim)]
+        else:
+            col = [draw(entries) for _ in range(b.dim)]
+        step = _element_order(b, col)
+        scale = 1 if not o else 0 if not step else step // gcd(o, step)
+        cols.append([scale * x for x in col])
+    return GroupMap(a, b, [[col[i] for col in cols] for i in range(b.dim)]), g
+
+
+@settings(max_examples=300, deadline=None)
+@given(_composable())
+@example((GroupMap(Z, Z, [[2]]), GroupMap(Z, C2, [[1]])))
+@example((GroupMap(C2, C4, [[2]]), GroupMap(C4, C2, [[1]])))
+@example((GroupMap(C4, C4, [[2]]), GroupMap(C4, C2, [[1]])))
+@example((GroupMap(Z, Z, [[2]]), GroupMap(Z, C4, [[2]])))
+def test_exactness_matches_the_subgroup_comparisons(pair):
+    f, g = pair
+    assert is_exact(f, g) == _same_subgroup(_image(f), kernel(g))
+    assert is_short_exact(f, g) == _five_subgroup_short_exact(f, g)
+
+
+def test_is_exact_refuses_maps_that_do_not_compose():
+    with pytest.raises(ValueError, match="cannot compose"):
+        is_exact(GroupMap.identity(C2), GroupMap.identity(C4))
+    with pytest.raises(ValueError, match="cannot compose"):
+        is_exact(GroupMap.identity(C2), GroupMap.zero(AbGroup((2, 2)), C2))
 
 
 def test_subquotient_induced():

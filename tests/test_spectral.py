@@ -1,5 +1,4 @@
 import re
-from collections import Counter
 
 import pytest
 
@@ -14,7 +13,7 @@ from ngamma.ideals import GammaIdeal, quotient
 from ngamma.modules import build_module, regular_bimodule, validate_module, zero_module
 from ngamma.spectral import (
     DoubleComplexAb, FiltrationPages, base_change_check, extend_scalars,
-    flatness_probe, kunneth_check, pages, restrict_scalars,
+    flatness_probe, kunneth_check, restrict_scalars,
 )
 from ngamma.completion import linearize_module
 from ngamma.homology import homology
@@ -51,9 +50,10 @@ def test_pages_through_a_zero_entry():
     entries = {(0, 0): C2, (1, 0): AbGroup(()), (2, 0): C2, (0, 1): c4, (1, 1): C2}
     d = DoubleComplexAb.from_commuting(entries, {(1, 1): GroupMap(C2, c4, [[2]])},
                                        {(0, 1): GroupMap(c4, C2, [[1]])})
-    for fp in pages(d, 4):
+    tot_h = homology(d.complex)
+    for fp in (FiltrationPages(d), FiltrationPages(d.transpose())):
         assert all(fp.page_homology_law(r) for r in range(4))
-        assert all(lhs == rhs for _n, lhs, rhs in fp.order_bookkeeping())
+        assert all(lhs == rhs for _n, lhs, rhs in fp.order_bookkeeping(tot_h))
     assert [h.order() for h in homology(d.complex)] == [1, 1, 2, 1]
 
 
@@ -74,7 +74,7 @@ def test_pages_zero_horizontal():
     entries = {(p, q): C2 for p in range(2) for q in range(2)}
     d = DoubleComplexAb.from_commuting(entries, {(1, 0): ZERO, (1, 1): ZERO},
                                        {(0, 1): ONE, (1, 1): ONE})
-    first = FiltrationPages(d, 3)
+    first = FiltrationPages(d)
     # E1 = vertical homology (trivial here), and E2 = E1.
     for (p, q), g in first.pages[1].entries.items():
         assert g.is_trivial()
@@ -83,7 +83,7 @@ def test_pages_zero_horizontal():
 
 def test_pages_single_node():
     d = DoubleComplexAb.from_commuting({(0, 0): C2}, {}, {})
-    first = FiltrationPages(d, 3)
+    first = FiltrationPages(d)
     for page in first.pages:
         assert page.entries[(0, 0)].invariant_factors() == (2,)
 
@@ -92,17 +92,18 @@ def test_page_law_and_bookkeeping():
     entries = {(p, q): C2 for p in range(2) for q in range(2)}
     d = DoubleComplexAb.from_commuting(entries, {(1, 0): ONE, (1, 1): ONE},
                                        {(0, 1): ZERO, (1, 1): ZERO})
-    first, second = pages(d, 4)
-    for filt in (first, second):
+    tot_h = homology(d.complex)
+    for filt in (FiltrationPages(d), FiltrationPages(d.transpose())):
         assert filt.page_homology_law(1)
         assert filt.page_homology_law(2)
-        for (n, lhs, rhs) in filt.order_bookkeeping():
+        for (n, lhs, rhs) in filt.order_bookkeeping(tot_h):
             assert lhs == rhs
-        # First-quadrant boundedness: stability by p+q+1 per node.
+        # First-quadrant boundedness: stability by p+q+1 per node, read up
+        # to a fixed bound past the pages built.
         for (p, q) in entries:
-            for r in range(p + q + 2, len(filt.pages)):
-                assert filt.pages[r].factors(p, q) == \
-                    filt.pages[p + q + 2].factors(p, q)
+            for r in range(p + q + 2, 8):
+                assert filt.page(r).factors(p, q) == \
+                    filt.page(p + q + 2).factors(p, q)
 
 
 def test_kunneth_f2():
@@ -321,52 +322,48 @@ class _CellKeyedPages(FiltrationPages):
         return sq
 
 
-def _kunneth_grids(monkeypatch, s, mods, depth):
-    """The double complexes ``kunneth_check`` hands to ``pages``, with the
-    numbers of subquotients built and ``kernel_gens`` calls made."""
-    grids, counts = [], Counter()
+def _kunneth_grids(monkeypatch, count_calls, s, mods, depth):
+    """The double complexes ``kunneth_check`` hands to ``FiltrationPages``
+    (the grid, then its transpose), with the numbers of subquotients built
+    and ``kernel_gens`` calls made."""
+    grids = []
 
-    def recording(d, up_to):
-        grids.append((d, up_to))
-        return pages(d, up_to)
+    def recording(d):
+        grids.append(d)
+        return FiltrationPages(d)
 
-    def counted(name, fn):
-        def call(*args, **kwargs):
-            counts[name] += 1
-            return fn(*args, **kwargs)
-        return call
-
-    monkeypatch.setattr(spectral, "pages", recording)
-    monkeypatch.setattr(spectral, "Subquotient", counted("Subquotient", Subquotient))
-    monkeypatch.setattr(spectral, "kernel_gens", counted("kernel_gens", kernel_gens))
+    monkeypatch.setattr(spectral, "FiltrationPages", recording)
+    counts = count_calls(spectral, "Subquotient", "kernel_gens")
     kunneth_check(s, *mods, depth=depth)
     monkeypatch.undo()
     return grids, counts
 
 
-def test_kunneth_pages_build_each_lattice_once(monkeypatch):
+def test_kunneth_pages_build_each_lattice_once(monkeypatch, count_calls):
     ws = bundled_workspace()
     reg = ws.module("f2_reg")
-    first, counts = _kunneth_grids(monkeypatch, ws.semiring("f2_ternary"), [reg] * 3, 2)
+    args = (monkeypatch, count_calls, ws.semiring("f2_ternary"), [reg] * 3, 2)
+    grids, counts = _kunneth_grids(*args)
     # Keyed per (r, p, q), the same call builds 128 subquotients and makes
     # 190 kernel_gens calls.
     assert counts["Subquotient"] <= 68
     assert counts["kernel_gens"] <= 56
-    assert _kunneth_grids(monkeypatch, ws.semiring("f2_ternary"), [reg] * 3, 2)[1] == counts
-    assert len(first) == 1
+    assert _kunneth_grids(*args)[1] == counts
+    assert len(grids) == 2 and grids[1].complex is grids[0].complex
 
 
 @pytest.mark.parametrize("family,names", [
     ("f2_ternary", ("f2_reg", "f2_reg", "f2_reg")),
     ("z4_ternary", ("z4_reg", "z4_ideal02", "z4_mod2")),
 ])
-def test_lattice_keys_give_the_cell_keyed_pages(monkeypatch, family, names):
+def test_lattice_keys_give_the_cell_keyed_pages(monkeypatch, count_calls, family, names):
     ws = bundled_workspace()
     mods = [ws.module(name) for name in names]
-    ((grid, up_to),), _ = _kunneth_grids(monkeypatch, ws.semiring(family), mods, 2)
+    (grid, _), _ = _kunneth_grids(monkeypatch, count_calls, ws.semiring(family), mods, 2)
     nonzero = 0
+    tot_h = homology(grid.complex)
     for d in (grid, grid.transpose()):
-        got, want = FiltrationPages(d, up_to), _CellKeyedPages(d, up_to)
+        got, want = FiltrationPages(d), _CellKeyedPages(d)
         assert len(got._subq) < len(want._subq)
         for a, b in zip(got.pages, want.pages, strict=True):
             assert a.entries.keys() == b.entries.keys()
@@ -375,7 +372,7 @@ def test_lattice_keys_give_the_cell_keyed_pages(monkeypatch, family, names):
             assert all(a.diffs[c].mat == b.diffs[c].mat for c in a.diffs)
             nonzero += sum(not gm.is_zero() for gm in a.diffs.values())
         assert got.stable_from() == want.stable_from()
-        assert got.order_bookkeeping() == want.order_bookkeeping()
+        assert got.order_bookkeeping(tot_h) == want.order_bookkeeping(tot_h)
     assert nonzero > 0
 
 
@@ -444,7 +441,7 @@ def _hand_grids():
     ]
 
 
-def _assert_transpose_is_the_rebuilt_grid(d, up_to):
+def _assert_transpose_is_the_rebuilt_grid(d):
     """``d.transpose()`` shares d's total complex and gives the pages of the
     grid rebuilt from the swapped entries and maps."""
     def swap(cells):
@@ -452,42 +449,80 @@ def _assert_transpose_is_the_rebuilt_grid(d, up_to):
 
     t = d.transpose()
     assert t.complex is d.complex
-    got = FiltrationPages(t, up_to)
-    want = FiltrationPages(DoubleComplexAb(swap(d.entries), swap(d.dv), swap(d.dh)), up_to)
+    got = FiltrationPages(t)
+    want = FiltrationPages(DoubleComplexAb(swap(d.entries), swap(d.dv), swap(d.dh)))
     for a, b in zip(got.pages, want.pages, strict=True):
         assert a.entries.keys() == b.entries.keys()
         assert all(a.factors(*c) == b.factors(*c) for c in a.entries)
         assert a.diffs.keys() == b.diffs.keys()
     assert got.stable_from() == want.stable_from()
-    assert got.order_bookkeeping() == want.order_bookkeeping()
+    tot_h = homology(d.complex)
+    assert got.order_bookkeeping(tot_h) == want.order_bookkeeping(tot_h)
 
 
 def test_transposing_a_hand_grid_relabels_it():
     for d in _hand_grids():
-        _assert_transpose_is_the_rebuilt_grid(d, 4)
+        _assert_transpose_is_the_rebuilt_grid(d)
 
 
 @pytest.mark.parametrize("family,names", [
     ("f2_ternary", ("f2_reg", "f2_reg", "f2_reg")),
     ("z4_ternary", ("z4_reg", "z4_ideal02", "z4_mod2")),
 ])
-def test_transposing_a_kunneth_grid_relabels_it(monkeypatch, family, names):
+def test_transposing_a_kunneth_grid_relabels_it(monkeypatch, count_calls, family, names):
     ws = bundled_workspace()
     mods = [ws.module(name) for name in names]
-    ((grid, up_to),), _ = _kunneth_grids(monkeypatch, ws.semiring(family), mods, 2)
-    _assert_transpose_is_the_rebuilt_grid(grid, up_to)
+    (grid, _), _ = _kunneth_grids(monkeypatch, count_calls, ws.semiring(family), mods, 2)
+    _assert_transpose_is_the_rebuilt_grid(grid)
 
 
-def test_kunneth_assembles_one_total_complex(monkeypatch):
-    built = Counter()
-    complex_cls = spectral.Complex
-
-    def counted(*args, **kwargs):
-        built["Complex"] += 1
-        return complex_cls(*args, **kwargs)
-
-    monkeypatch.setattr(spectral, "Complex", counted)
+def test_kunneth_assembles_one_total_complex(count_calls):
+    built = count_calls(spectral, "Complex")
     s = f2_ternary()
     reg = regular_bimodule(s)
     assert kunneth_check(s, reg, reg, reg, depth=2).consistent
     assert built["Complex"] == 1
+
+
+# ---------------------------------------------------------------------------
+# Pages stop at E-infinity
+# ---------------------------------------------------------------------------
+
+def _assert_pages_stop_at_e_infinity(d):
+    """Pages 0..pmax+1 are built, and every later page read, through
+    max(2*pmax+2, 3), is the page built for it node by node."""
+    fp = FiltrationPages(d)
+    assert len(fp.pages) == d.pmax + 2
+    for r in range(d.pmax + 2, max(2 * d.pmax + 2, 3) + 1):
+        built, read = fp._page(r), fp.page(r)
+        assert built.entries.keys() == read.entries.keys()
+        assert all(built.factors(*c) == read.factors(*c) for c in built.entries)
+        assert built.diffs.keys() == read.diffs.keys()
+        assert all(built.diffs[c].mat == read.diffs[c].mat for c in built.diffs)
+
+
+def test_hand_grid_pages_stop_at_e_infinity():
+    for d in _hand_grids():
+        _assert_pages_stop_at_e_infinity(d)
+        _assert_pages_stop_at_e_infinity(d.transpose())
+
+
+@pytest.mark.parametrize("family,names", [
+    ("f2_ternary", ("f2_reg", "f2_reg", "f2_reg")),
+    ("z4_ternary", ("z4_reg", "z4_ideal02", "z4_mod2")),
+])
+def test_kunneth_grid_pages_stop_at_e_infinity(monkeypatch, count_calls, family, names):
+    ws = bundled_workspace()
+    mods = [ws.module(name) for name in names]
+    grids, _ = _kunneth_grids(monkeypatch, count_calls, ws.semiring(family), mods, 2)
+    for d in grids:
+        assert d.pmax == 2
+        _assert_pages_stop_at_e_infinity(d)
+
+
+def test_kunneth_computes_the_total_homology_once(count_calls):
+    calls = count_calls(spectral, "homology")
+    s = f2_ternary()
+    reg = regular_bimodule(s)
+    assert kunneth_check(s, reg, reg, reg, depth=2).consistent
+    assert calls["homology"] == 1
