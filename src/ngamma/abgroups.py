@@ -15,15 +15,7 @@ from itertools import product
 from math import lcm, prod
 
 from . import intlinalg as la
-
-
-class SoundnessError(RuntimeError):
-    """An internal algebraic consistency check failed.
-
-    Raised when a construction that is supposed to be forced by the axioms of
-    the input (a map descending to a quotient, d*d = 0, an anticommuting
-    grid) does not hold for the instance at hand.
-    """
+from .core import SoundnessError
 
 
 @dataclass(frozen=True)

@@ -5,6 +5,14 @@ human-readable text (which may include timing) or as canonical JSON with
 ``--format structured``, which is byte-identical across runs on identical
 inputs and flags.  Exit codes: 0 for pass reports, 1 for fail reports,
 2 for errors.
+
+The module imports only the layers every call needs: the tables, ideals,
+modules and workspaces.  ``validate``, ``ideals``, ``spectrum`` and ``mod``
+run on those alone.  Each handler above them imports what it calls when it
+runs: ``complete`` loads ``completion`` and, under it, the group kernel
+(``abgroups``, ``intlinalg``); ``ext``, ``tor``, ``balance``, ``les`` and
+``yoneda`` load ``homology`` as well; ``kunneth`` and ``basechange`` load
+``spectral``; and ``oracle`` loads ``homology`` and ``oracle``.
 """
 
 from __future__ import annotations
@@ -17,21 +25,15 @@ import time
 from pathlib import Path
 
 from . import __version__
-from .abgroups import SoundnessError
 from .bundled import bundled_path
-from .core import BoundExceeded, StructuralError, validate_semiring
+from .core import (
+    BoundExceeded, RegularityError, SoundnessError, StructuralError, validate_semiring,
+)
 from .ideals import GammaIdeal, all_ideals, check_ideal, quotient, spectrum, topology_report
 from .modules import (
     cofree, hom_gamma, regular_bimodule, tensor_positional, validate_module,
 )
-from .completion import linearize_module
-from .homology import (
-    ExtSetup, RegularityError, balance_check, bar_complex, ext_via_bar, homology,
-    les_check, resolve_slot, tor_via_bar, yoneda_compose,
-)
-from .spectral import base_change_check, kunneth_check
 from .workspace import Workspace, WorkspaceError, merge_bytes
-from . import oracle as oracle_mod
 
 PASS, FAIL, ERROR = 0, 1, 2
 
@@ -211,6 +213,7 @@ def cmd_mod(ws: Workspace, args, rep: Reporter) -> int:
 
 
 def cmd_complete(ws: Workspace, args, rep: Reporter) -> int:
+    from .completion import linearize_module
     lin = linearize_module(ws.module(args.module))
     comp = lin.completion
     results = {
@@ -222,6 +225,7 @@ def cmd_complete(ws: Workspace, args, rep: Reporter) -> int:
 
 
 def cmd_ext_tor(ws: Workspace, args, rep: Reporter) -> int:
+    from .homology import ext_via_bar, tor_via_bar
     s = ws.semiring(args.semiring)
     m, n = ws.module(args.m), ws.module(args.n)
     j, k = _parse_slots(args.slots, s.n)
@@ -234,6 +238,7 @@ def cmd_ext_tor(ws: Workspace, args, rep: Reporter) -> int:
 
 
 def cmd_balance(ws: Workspace, args, rep: Reporter) -> int:
+    from .homology import balance_check
     s = ws.semiring(args.semiring)
     m, n = ws.module(args.m), ws.module(args.n)
     j, k = _parse_slots(args.slots, s.n)
@@ -248,6 +253,7 @@ def cmd_balance(ws: Workspace, args, rep: Reporter) -> int:
 
 
 def cmd_les(ws: Workspace, args, rep: Reporter) -> int:
+    from .homology import les_check
     c = ws.conflation(args.conflation)
     n = ws.module(args.n)
     j, k = _parse_slots(args.slots, n.parent.n)
@@ -264,6 +270,7 @@ def cmd_les(ws: Workspace, args, rep: Reporter) -> int:
 
 
 def cmd_yoneda(ws: Workspace, args, rep: Reporter) -> int:
+    from .homology import ExtSetup, yoneda_compose
     s = ws.semiring(args.semiring)
     m = ws.module(args.m)
     j, k = _parse_slots(args.slots, s.n)
@@ -292,6 +299,7 @@ def cmd_yoneda(ws: Workspace, args, rep: Reporter) -> int:
 
 
 def cmd_kunneth(ws: Workspace, args, rep: Reporter) -> int:
+    from .spectral import kunneth_check
     s = ws.semiring(args.semiring)
     m, n, l = ws.module(args.m), ws.module(args.n), ws.module(args.l)
     j, k = _parse_slots(args.slots, s.n)
@@ -317,6 +325,7 @@ def cmd_kunneth(ws: Workspace, args, rep: Reporter) -> int:
 
 
 def cmd_basechange(ws: Workspace, args, rep: Reporter) -> int:
+    from .spectral import base_change_check
     f = ws.morphism(args.morphism)
     m, n = ws.module(args.m), ws.module(args.n)
     j, k = _parse_slots(args.slots, f.source.n)
@@ -335,6 +344,8 @@ def cmd_basechange(ws: Workspace, args, rep: Reporter) -> int:
 
 
 def cmd_oracle(ws: Workspace, args, rep: Reporter) -> int:
+    from . import oracle as oracle_mod
+    from .homology import bar_complex, homology, resolve_slot
     results = {}
     ok = True
     targets = ([args.target] if args.target != "all" else

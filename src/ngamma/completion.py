@@ -15,10 +15,8 @@ from math import gcd
 from operator import add
 
 from . import intlinalg as la
-from .abgroups import (
-    AbGroup, GroupMap, Presentation, SoundnessError, induced_on_quotients, kernel,
-)
-from .core import FiniteAddMonoid, NaryGammaSemiring, StructuralError
+from .abgroups import AbGroup, GroupMap, Presentation, induced_on_quotients, kernel
+from .core import FiniteAddMonoid, NaryGammaSemiring, SoundnessError, StructuralError
 from .modules import (
     BiGammaModule, ModuleMorphism, check_slots, filler_tuples, map_columns, residual_slots,
     same_module,

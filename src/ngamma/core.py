@@ -31,6 +31,23 @@ class BoundExceeded(RuntimeError):
     """An enumeration was refused because an instance exceeds its size bound."""
 
 
+class SoundnessError(RuntimeError):
+    """An internal algebraic consistency check failed.
+
+    Raised when a construction that is supposed to be forced by the axioms of
+    the input (a map descending to a quotient, d*d = 0, an anticommuting
+    grid) does not hold for the instance at hand.
+    """
+
+
+class RegularityError(RuntimeError):
+    """The unit into the cofree module is not injective after completion.
+
+    The instance fails the regularity hypothesis the coresolution needs, so
+    the tower is refused rather than built wrong.
+    """
+
+
 def out_of_range(values, size: int) -> bool:
     """Whether some value is not an index into range(size).
 

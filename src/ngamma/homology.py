@@ -23,12 +23,12 @@ from functools import reduce
 
 from . import intlinalg as la
 from .abgroups import (
-    AbGroup, GroupMap, HomologyNode, SoundnessError, induced_on_quotients, is_exact,
+    AbGroup, GroupMap, HomologyNode, induced_on_quotients, is_exact,
     is_short_exact, kernel, kernel_gens, preimage,
 )
 from .core import (
-    BoundExceeded, NaryGammaSemiring, StructuralError, flatten_index, neutral_words,
-    unflatten_index,
+    BoundExceeded, NaryGammaSemiring, RegularityError, SoundnessError, StructuralError,
+    flatten_index, neutral_words, unflatten_index,
 )
 from .modules import (
     BiGammaModule, Conflation, ModuleMorphism, check_slots, cofree, filler_index,
@@ -38,14 +38,6 @@ from .completion import (
     CompletedModule, EquivariantHom, TensorGroup, linearize_module, linearize_morphism,
     linearize_over,
 )
-
-
-class RegularityError(RuntimeError):
-    """The unit into the cofree module is not injective after completion.
-
-    The instance fails the regularity hypothesis the coresolution needs, so
-    the tower is refused rather than built wrong.
-    """
 
 
 # ---------------------------------------------------------------------------

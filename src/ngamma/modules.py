@@ -15,10 +15,9 @@ from functools import cached_property, reduce
 from itertools import chain, product
 from math import prod
 
-from .abgroups import SoundnessError
 from .core import (
-    AxiomCheck, AxiomReport, BoundExceeded, FiniteAddMonoid,
-    NaryGammaSemiring, StructuralError, congruence_closure, first_incoherent_word,
+    AxiomCheck, AxiomReport, BoundExceeded, FiniteAddMonoid, NaryGammaSemiring,
+    SoundnessError, StructuralError, congruence_closure, first_incoherent_word,
     flatten_index, out_of_range, parameter_words, table_failures, unflatten_index,
     validate_semiring,
 )

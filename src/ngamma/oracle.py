@@ -16,8 +16,8 @@ from math import prod
 
 from .core import (
     AxiomCheck, BoundExceeded, FiniteAddMonoid, GammaSemigroup, NaryGammaSemiring,
+    SoundnessError,
 )
-from .abgroups import SoundnessError
 from .modules import BiGammaModule
 from .completion import CompletedModule
 

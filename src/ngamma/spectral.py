@@ -19,10 +19,9 @@ from math import prod
 
 from . import intlinalg as la
 from .abgroups import (
-    AbGroup, GroupMap, HomologyNode, SoundnessError, Subquotient, is_short_exact,
-    kernel_gens,
+    AbGroup, GroupMap, HomologyNode, Subquotient, is_short_exact, kernel_gens,
 )
-from .core import GammaSemiringMorphism, NaryGammaSemiring, StructuralError
+from .core import GammaSemiringMorphism, NaryGammaSemiring, SoundnessError, StructuralError
 from .ideals import all_ideals
 from .modules import (
     BiGammaModule, ModuleMorphism, TensorCongruence, filler_index, filler_tuples,

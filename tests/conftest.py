@@ -19,13 +19,19 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config):
 @pytest.fixture
 def count_calls(monkeypatch):
     """``count_calls(owner, *names)`` wraps each ``owner.name`` through
-    monkeypatch and returns a new Counter of their calls, by name."""
+    monkeypatch and returns a new Counter of their calls, by name.
+
+    ``owner`` may be a tuple of owners, each of which holds every name (a
+    function and the modules that import it, say); their calls share one
+    count per name.
+    """
     def wrap(owner, *names):
         counts = Counter()
-        for name in names:
-            def call(*args, _fn=getattr(owner, name), _name=name, **kwargs):
-                counts[_name] += 1
-                return _fn(*args, **kwargs)
-            monkeypatch.setattr(owner, name, call)
+        for each in owner if isinstance(owner, tuple) else (owner,):
+            for name in names:
+                def call(*args, _fn=getattr(each, name), _name=name, **kwargs):
+                    counts[_name] += 1
+                    return _fn(*args, **kwargs)
+                monkeypatch.setattr(each, name, call)
         return counts
     return wrap

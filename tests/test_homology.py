@@ -183,19 +183,12 @@ def test_tor_degree_zero_is_balanced_tensor(z4):
     assert tor0 == bt.group.invariant_factors()
 
 
-def test_tor_builds_a_homology_node_per_degree_it_reports(z4, monkeypatch):
+def test_tor_builds_a_homology_node_per_degree_it_reports(z4, count_calls):
     # The tower runs one degree past the depth; that degree's node is never read.
-    built = []
-    init = HomologyNode.__init__
-
-    def counting(self, *args):
-        built.append(self)
-        init(self, *args)
-
-    monkeypatch.setattr(HomologyNode, "__init__", counting)
+    built = count_calls(HomologyNode, "__init__")
     reg = regular_bimodule(z4)
     assert tor_via_bar(z4, reg, reg, depth=3).factors() == [(4,), (), (), ()]
-    assert len(built) == 4
+    assert built["__init__"] == 4
 
 
 def test_cofree_coresolution_f2(f2):

@@ -11,7 +11,6 @@ import json
 import os
 import subprocess
 import sys
-from collections import Counter
 from dataclasses import fields
 from pathlib import Path
 
@@ -69,7 +68,7 @@ def _contents(ws):
             for f in fields(ws) for name, obj in getattr(ws, f.name).items()}
 
 
-def test_a_memo_hit_changes_no_report(monkeypatch, capsys):
+def test_a_memo_hit_changes_no_report(monkeypatch, capsys, count_calls):
     # Two passes of the benchmark's commands: the first loads once, the
     # second walks no table, both print the same bytes and exit codes, and
     # every handler receives the one workspace unchanged.
@@ -79,18 +78,14 @@ def test_a_memo_hit_changes_no_report(monkeypatch, capsys):
             received.append((ws, _contents(ws)))
             return _handler(ws, args, rep)
         monkeypatch.setitem(cli.COMMANDS, name, (text, register, recording))
-    walks = Counter()
-    for mod, name in ((modules, "walk_module"), (core, "_semiring_report")):
-        def counted(*args, _name=name, _fn=getattr(mod, name)):
-            walks[_name] += 1
-            return _fn(*args)
-        monkeypatch.setattr(mod, name, counted)
+    walks = count_calls(modules, "walk_module")
+    reports = count_calls(core, "_semiring_report")
 
     first = [_structured(command.split(), capsys) for command in BUNDLED_COMMANDS]
-    assert walks["walk_module"] == 3 and walks["_semiring_report"] >= 3
-    walks.clear()
+    assert walks["walk_module"] == 3 and reports["_semiring_report"] >= 3
+    walks.clear(), reports.clear()
     second = [_structured(command.split(), capsys) for command in BUNDLED_COMMANDS]
-    assert walks == {}
+    assert walks == reports == {}
     assert second == first
     assert all(code in (0, 1) and err == "" for code, _, err in first)
     ws, before = received[0]

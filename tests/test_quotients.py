@@ -141,31 +141,17 @@ def test_quotient_by_a_non_ideal_names_the_split():
                               "is not constant on classes: it splits 0 ~ 1")
 
 
-def test_semiring_quotient_reads_only_the_quotient_cells(monkeypatch):
+def test_semiring_quotient_reads_only_the_quotient_cells(count_calls):
     s = ternary_from_semiring(zmod_semiring(32))
-    lookups = []
-    mu = NaryGammaSemiring.mu
-
-    def counting(self, xs, gs):
-        lookups.append(xs)
-        return mu(self, xs, gs)
-
-    monkeypatch.setattr(NaryGammaSemiring, "mu", counting)
+    lookups = count_calls(NaryGammaSemiring, "mu")
     q, _ = quotient(s, GammaIdeal(s, frozenset(range(0, 32, 2))))
     assert q.T.size == 2
-    assert len(lookups) <= q.T.size ** s.n * s.gamma.size ** (s.n - 1)
+    assert lookups["mu"] <= q.T.size ** s.n * s.gamma.size ** (s.n - 1)
 
 
-def test_cofree_coresolution_completes_two_monoids_per_stage(monkeypatch):
+def test_cofree_coresolution_completes_two_monoids_per_stage(count_calls):
     s = z4_ternary()
-    completed = []
-    group_complete = completion.group_complete
-
-    def counting(monoid):
-        completed.append(monoid.size)
-        return group_complete(monoid)
-
-    monkeypatch.setattr(completion, "group_complete", counting)
+    completed = count_calls(completion, "group_complete")
     depth = 3
     cofree_coresolution(s, regular_bimodule(s), depth=depth)
-    assert len(completed) == 2 * (depth + 1)
+    assert completed["group_complete"] == 2 * (depth + 1)

@@ -22,16 +22,8 @@ from ngamma.modules import regular_bimodule
 
 
 @pytest.fixture
-def completions(monkeypatch):
-    sizes = []
-    group_complete = completion.group_complete
-
-    def counting(monoid):
-        sizes.append(monoid.size)
-        return group_complete(monoid)
-
-    monkeypatch.setattr(completion, "group_complete", counting)
-    return sizes
+def completions(count_calls):
+    return count_calls(completion, "group_complete")
 
 
 def _run(command: str) -> None:
@@ -52,7 +44,7 @@ def _run(command: str) -> None:
 ])
 def test_bundled_commands_complete_each_monoid_once(completions, command, most):
     _run(command)
-    assert 0 < len(completions) <= most
+    assert 0 < completions["group_complete"] <= most
 
 
 def test_no_completion_outlives_a_call(completions):
@@ -62,23 +54,15 @@ def test_no_completion_outlives_a_call(completions):
     reg = regular_bimodule(s)
     counts = []
     for _ in range(2):
-        before = len(completions)
+        before = completions["group_complete"]
         tor_via_bar(s, reg, reg, 2, 0, 1)
-        counts.append(len(completions) - before)
+        counts.append(completions["group_complete"] - before)
     assert counts == [1, 1]
 
 
 @pytest.fixture
-def bar_builds(monkeypatch):
-    built = []
-    init = homology.BarComplex.__init__
-
-    def counting(self, *args, **kwargs):
-        built.append(self)
-        init(self, *args, **kwargs)
-
-    monkeypatch.setattr(homology.BarComplex, "__init__", counting)
-    return built
+def bar_builds(count_calls):
+    return count_calls(homology.BarComplex, "__init__")
 
 
 @pytest.mark.parametrize("command, towers", [
@@ -92,4 +76,4 @@ def bar_builds(monkeypatch):
 ])
 def test_bundled_commands_build_each_tower_once(bar_builds, command, towers):
     _run(command)
-    assert len(bar_builds) == towers
+    assert bar_builds["__init__"] == towers

@@ -196,22 +196,16 @@ def _regular_document(with_modules):
     return workspace_document(monoids, gammas, semirings, regs)
 
 
-def _walk_counts(monkeypatch, doc):
-    calls = Counter()
-    for name in ("table_failures", "first_incoherent_word"):
-        def counted(*args, _name=name, _fn=getattr(core, name), **kwargs):
-            calls[_name] += 1
-            return _fn(*args, **kwargs)
-        for mod in (core, modules):
-            monkeypatch.setattr(mod, name, counted)
+def _walk_counts(monkeypatch, count_calls, doc):
+    calls = count_calls((core, modules), "table_failures", "first_incoherent_word")
     ws = merge_document(Workspace(), doc)
     monkeypatch.undo()
     return calls, ws
 
 
-def test_loading_regular_modules_walks_only_the_semirings(monkeypatch):
-    with_modules, ws = _walk_counts(monkeypatch, _regular_document(True))
-    alone, _ = _walk_counts(monkeypatch, _regular_document(False))
+def test_loading_regular_modules_walks_only_the_semirings(monkeypatch, count_calls):
+    with_modules, ws = _walk_counts(monkeypatch, count_calls, _regular_document(True))
+    alone, _ = _walk_counts(monkeypatch, count_calls, _regular_document(False))
     assert len(ws.modules) == 5
     assert alone["table_failures"] > 0 and alone["first_incoherent_word"] > 0
     assert with_modules == alone
@@ -230,26 +224,21 @@ def test_one_element_modules_report_as_their_walk():
             assert validate_module(b) == walk_module(b), (family, t.name)
 
 
-def _load_counts(monkeypatch):
-    calls = Counter()
-    for name in ("walk_module", "_equivariance_failure"):
-        def counted(*args, _name=name, _fn=getattr(modules, name)):
-            calls[_name] += 1
-            return _fn(*args)
-        monkeypatch.setattr(modules, name, counted)
+def _load_counts(monkeypatch, count_calls):
+    calls = count_calls(modules, "walk_module", "_equivariance_failure")
     ws = bundled_workspace()
     monkeypatch.undo()
     return calls, ws
 
 
-def test_bundled_load_checks_each_module_and_morphism_once(monkeypatch):
-    calls, ws = _load_counts(monkeypatch)
+def test_bundled_load_checks_each_module_and_morphism_once(monkeypatch, count_calls):
+    calls, ws = _load_counts(monkeypatch, count_calls)
     # Only the ideal submodule, the quotient and the direct sum have a
     # carrier of more than one element that is not the regular module's.
     assert calls["walk_module"] == 3
     # The conflations reuse their legs' reports.
     assert calls["_equivariance_failure"] == len(ws.module_morphisms) == 4
-    assert _load_counts(monkeypatch)[0] == calls
+    assert _load_counts(monkeypatch, count_calls)[0] == calls
 
 
 def test_regular_bimodule_skips_the_range_scan_of_its_tables(monkeypatch):
@@ -298,13 +287,11 @@ def test_modules_over_one_element_report_as_their_walk():
     assert verdicts == {("zero", True): 10, ("nonzero", False): 10, ("mixed", False): 10}
 
 
-def test_zero_actions_over_one_element_walk_no_word(monkeypatch):
-    calls = []
-    monkeypatch.setattr(modules, "first_incoherent_word",
-                        lambda *args, **kwargs: calls.append(args))
+def test_zero_actions_over_one_element_walk_no_word(count_calls):
+    calls = count_calls(modules, "first_incoherent_word")
     b = _over_one_element(200, trivial_gamma(), None, "zero")
     assert validate_module(b).ok
-    assert calls == []
+    assert calls["first_incoherent_word"] == 0
 
 
 def _table_failures_reference(table, monoids, value, additive=(), absorbing=()):
@@ -525,24 +512,13 @@ def test_word_offsets_match_the_reference_on_larger_tables():
     assert outcomes[True] and outcomes[False]
 
 
-def test_module_walk_builds_its_parameter_words_once(monkeypatch):
+def test_module_walk_builds_its_parameter_words_once(monkeypatch, count_calls):
     # The 2n-1 letter positions of one coherence walk share one list of
     # parameter words, and the verdicts are those of a walk whose every
     # position builds its own.
-    built, searched = Counter(), Counter()
-    build, search = core.parameter_words, core.first_incoherent_word
-
-    def counted_build(*args):
-        built["parameter_words"] += 1
-        return build(*args)
-
-    def counted_search(*args):
-        searched["first_incoherent_word"] += 1
-        return search(*args)
-
-    for mod in (core, modules):
-        monkeypatch.setattr(mod, "parameter_words", counted_build)
-    monkeypatch.setattr(modules, "first_incoherent_word", counted_search)
+    search = core.first_incoherent_word
+    built = count_calls((core, modules), "parameter_words")
+    searched = count_calls(modules, "first_incoherent_word")
     s = REGULAR_FAMILIES["gamma_scaled_z4"]
     assert s.n == 3 and s.gamma.size > 1
     b = regular_bimodule(s)

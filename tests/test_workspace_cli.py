@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ngamma import cli, oracle
+from ngamma import cli, homology, oracle
 from ngamma.bundled import bundled_document, bundled_path, bundled_workspace
 from ngamma.cli import build_parser, main
 from ngamma.core import binary_specialization, f2_semiring, make_matrix_family
@@ -387,7 +387,7 @@ def test_oracle_defaults_to_the_last_slot(tmp_path, monkeypatch):
 
     recorder(oracle, "tensor_class_count", 2)
     recorder(cli, "tensor_positional", 2)
-    recorder(cli, "bar_complex", 2)
+    recorder(homology, "bar_complex", 2)
     for target in ("tensor", "homology"):
         assert main(["--no-bundled", "-w", path, "oracle", target]) == 0
     assert sorted(slots) == [("bar_complex", 1), ("tensor_class_count", 1),
