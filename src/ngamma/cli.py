@@ -27,22 +27,27 @@ from pathlib import Path
 from . import __version__
 from .bundled import bundled_path
 from .core import (
-    BoundExceeded, RegularityError, SoundnessError, StructuralError, validate_semiring,
+    BoundExceeded, NaryGammaSemiring, RegularityError, SoundnessError, StructuralError,
+    validate_semiring,
 )
-from .ideals import GammaIdeal, all_ideals, check_ideal, quotient, spectrum, topology_report
+from .ideals import (
+    DEFAULT_SIZE_BOUND, GammaIdeal, all_ideals, check_ideal, quotient, spectrum,
+    topology_report,
+)
 from .modules import (
-    cofree, hom_gamma, regular_bimodule, tensor_positional, validate_module,
+    cofree, hom_gamma, regular_bimodule, resolve_slot, tensor_positional, validate_module,
 )
 from .workspace import Workspace, WorkspaceError, merge_bytes
 
 PASS, FAIL, ERROR = 0, 1, 2
 
 
-def _parse_slots(text: str | None, n: int) -> tuple[int, int]:
-    """The 0-based slot pair of a --slots flag; the entry points refuse a
-    pair outside 1..n (``modules.check_slots``)."""
+def _parse_slots(text: str | None, s: NaryGammaSemiring) -> tuple[int, int]:
+    """The 0-based slot pair of a --slots flag over semiring s, by default
+    ``modules.resolve_slot``'s; the entry points refuse a pair outside 1..n
+    (``modules.check_slots``)."""
     if text is None:
-        return n - 1, 0  # canonical adjacency: last slot against first
+        return resolve_slot(s, None), 0
     try:
         j, k = (int(x) for x in text.split(","))
     except ValueError:
@@ -193,13 +198,13 @@ def cmd_mod(ws: Workspace, args, rep: Reporter) -> int:
         return rep.emit(results, report.ok, ws)
     if args.action == "hom":
         m, n = ws.module(args.names[0]), ws.module(args.names[1])
-        j, k = _parse_slots(args.slots, m.parent.n)
+        j, k = _parse_slots(args.slots, m.parent)
         h = hom_gamma(m, n, j, k)
         results = {"size": h.module.M.size, "maps": [list(f) for f in h.maps]}
         return rep.emit(results, True, ws)
     if args.action == "tensor":
         m, n = ws.module(args.names[0]), ws.module(args.names[1])
-        j, k = _parse_slots(args.slots, m.parent.n)
+        j, k = _parse_slots(args.slots, m.parent)
         t = tensor_positional(m, n, j, k)
         results = {"size": t.module.M.size,
                    "add": list(t.module.M.add_table),
@@ -228,7 +233,7 @@ def cmd_ext_tor(ws: Workspace, args, rep: Reporter) -> int:
     from .homology import ext_via_bar, tor_via_bar
     s = ws.semiring(args.semiring)
     m, n = ws.module(args.m), ws.module(args.n)
-    j, k = _parse_slots(args.slots, s.n)
+    j, k = _parse_slots(args.slots, s)
     fn = ext_via_bar if args.cmd == "ext" else tor_via_bar
     res = fn(s, m, n, j, k, args.depth)
     results = {"degrees": {str(r): list(f) for r, f in enumerate(res.factors())}}
@@ -241,7 +246,7 @@ def cmd_balance(ws: Workspace, args, rep: Reporter) -> int:
     from .homology import balance_check
     s = ws.semiring(args.semiring)
     m, n = ws.module(args.m), ws.module(args.n)
-    j, k = _parse_slots(args.slots, s.n)
+    j, k = _parse_slots(args.slots, s)
     b = balance_check(s, m, n, args.depth, j, k)
     results = {
         "bar": [list(f) for f in b.bar_factors],
@@ -256,7 +261,7 @@ def cmd_les(ws: Workspace, args, rep: Reporter) -> int:
     from .homology import les_check
     c = ws.conflation(args.conflation)
     n = ws.module(args.n)
-    j, k = _parse_slots(args.slots, n.parent.n)
+    j, k = _parse_slots(args.slots, n.parent)
     r = les_check(c, n, args.depth, args.side, j, k)
     results = {
         "nodes": {lab: _factors(g) for lab, g in zip(r.labels, r.groups)},
@@ -273,7 +278,7 @@ def cmd_yoneda(ws: Workspace, args, rep: Reporter) -> int:
     from .homology import ExtSetup, yoneda_compose
     s = ws.semiring(args.semiring)
     m = ws.module(args.m)
-    j, k = _parse_slots(args.slots, s.n)
+    j, k = _parse_slots(args.slots, s)
     ext = ExtSetup(s, m, m, args.depth + 1, j, k)
     ident = ext.identity_cocycle()
     table = {}
@@ -302,7 +307,7 @@ def cmd_kunneth(ws: Workspace, args, rep: Reporter) -> int:
     from .spectral import kunneth_check
     s = ws.semiring(args.semiring)
     m, n, l = ws.module(args.m), ws.module(args.n), ws.module(args.l)
-    j, k = _parse_slots(args.slots, s.n)
+    j, k = _parse_slots(args.slots, s)
     r = kunneth_check(s, m, n, l, args.depth, j, k)
     results = {
         "flat_certified": r.flat_certified,
@@ -328,7 +333,7 @@ def cmd_basechange(ws: Workspace, args, rep: Reporter) -> int:
     from .spectral import base_change_check
     f = ws.morphism(args.morphism)
     m, n = ws.module(args.m), ws.module(args.n)
-    j, k = _parse_slots(args.slots, f.source.n)
+    j, k = _parse_slots(args.slots, f.source)
     r = base_change_check(f, m, n, args.depth, j, k)
     results = {
         "flat": r.flat,
@@ -345,7 +350,7 @@ def cmd_basechange(ws: Workspace, args, rep: Reporter) -> int:
 
 def cmd_oracle(ws: Workspace, args, rep: Reporter) -> int:
     from . import oracle as oracle_mod
-    from .homology import bar_complex, homology, resolve_slot
+    from .homology import bar_complex, homology
     results = {}
     ok = True
     targets = ([args.target] if args.target != "all" else
@@ -377,11 +382,13 @@ def cmd_oracle(ws: Workspace, args, rep: Reporter) -> int:
             for m_name in sorted(ws.modules):
                 for n_name in sorted(ws.modules):
                     m, n = ws.modules[m_name], ws.modules[n_name]
-                    if m.parent != n.parent or \
-                            n.M.size ** m.M.size > oracle_mod.ORACLE_MAP_BOUND:
+                    if m.parent != n.parent:
+                        continue
+                    try:
+                        orc = sorted(oracle_mod.all_maps_hom(m, n))
+                    except BoundExceeded:
                         continue
                     eng = sorted(hom_gamma(m, n).maps)
-                    orc = sorted(oracle_mod.all_maps_hom(m, n))
                     key = f"{m_name}->{n_name}"
                     block[key] = {"agree": eng == orc, "count": len(eng)}
                     ok = ok and eng == orc
@@ -525,7 +532,7 @@ def build_parser() -> argparse.ArgumentParser:
     top.add_argument("--no-bundled", action="store_true",
                      help="do not fall back to the bundled workspace")
     top.add_argument("--format", choices=("text", "structured"), default="text")
-    top.add_argument("--bound", type=int, default=16,
+    top.add_argument("--bound", type=int, default=DEFAULT_SIZE_BOUND,
                      help="carrier size bound for ideals list and spectrum")
     sub = top.add_subparsers(dest="cmd", required=True)
     for name, (text, register, _handler) in COMMANDS.items():

@@ -110,7 +110,7 @@ class CompletedModule:
         return self.ops[slot][w]
 
 
-def linearize_module(b: BiGammaModule, name: str = "",
+def linearize_module(b: BiGammaModule,
                      completion: Completion | None = None) -> CompletedModule:
     """Completion of the carrier with each slot action linearized.
 
@@ -124,7 +124,7 @@ def linearize_module(b: BiGammaModule, name: str = "",
     ops = map_columns(lambda col: completion_map(comp, comp, col),
                       [b.actions(j) for j in range(b.parent.n)])
     return CompletedModule(b.parent, comp.group, tuple(map(tuple, ops)), comp,
-                           name=name or b.name)
+                           name=b.name)
 
 
 def linearize_all(mods) -> list[CompletedModule]:
@@ -175,14 +175,14 @@ def linearize_morphism(f: ModuleMorphism, src: CompletedModule,
     return completion_map(src.completion, dst.completion, f.map)
 
 
-def zero_completed(s: NaryGammaSemiring, name: str = "0") -> CompletedModule:
+def zero_completed(s: NaryGammaSemiring) -> CompletedModule:
     g = AbGroup(())
     ws = filler_tuples(s)
     ops = tuple(tuple(GroupMap.zero(g, g) for _ in ws) for _ in range(s.n))
-    return CompletedModule(s, g, ops, None, name=name)
+    return CompletedModule(s, g, ops, None, name="0")
 
 
-def direct_sum_completed(mods: list[CompletedModule], name: str = "") -> CompletedModule:
+def direct_sum_completed(mods: list[CompletedModule]) -> CompletedModule:
     from .abgroups import direct_sum
     s = mods[0].semiring
     total, incls, projs = direct_sum([m.group for m in mods])
@@ -197,7 +197,7 @@ def direct_sum_completed(mods: list[CompletedModule], name: str = "") -> Complet
             slot_ops.append(acc)
         ops.append(tuple(slot_ops))
     return CompletedModule(s, total, tuple(ops), None,
-                           name=name or "(+)".join(m.name for m in mods))
+                           name="(+)".join(m.name for m in mods))
 
 
 # ---------------------------------------------------------------------------
@@ -330,8 +330,7 @@ class EquivariantHom:
 class TensorGroup:
     """K(X) (x) K(Y) modulo slot-(j,k) balancing, with residual operators."""
 
-    def __init__(self, x: CompletedModule, y: CompletedModule, j: int, k: int,
-                 name: str = ""):
+    def __init__(self, x: CompletedModule, y: CompletedModule, j: int, k: int):
         if x.semiring != y.semiring:
             raise StructuralError("tensor factors live over different semirings")
         check_slots(x.semiring, j, k)
@@ -361,7 +360,7 @@ class TensorGroup:
                         for col_x, col_y in zip(zip(*via_x), zip(*via_y)))
         self.pres = Presentation(self.pair_dim, rels)
         self.group = self.pres.group
-        self.name = name or f"{x.name}(x){y.name}"
+        self.name = f"{x.name}(x){y.name}"
 
     def pair_matrix_to_quotient(self, pairmat) -> GroupMap | None:
         """Project a pair-space endomorphism; None when it does not descend."""

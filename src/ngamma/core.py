@@ -688,8 +688,7 @@ def truncated_nat_semiring(cap: int = 2) -> BinarySemiring:
 
 def make_matrix_family(base: BinarySemiring, m: int, arity: int,
                        gamma: GammaSemigroup | None = None,
-                       gamma_scalars: tuple[int, ...] | None = None,
-                       name: str = "") -> NaryGammaSemiring:
+                       gamma_scalars: tuple[int, ...] | None = None) -> NaryGammaSemiring:
     """Square matrices over a base semiring with scalar-interleaved products.
 
     Each parameter acts as a scalar from the base semiring; by default the
@@ -747,28 +746,19 @@ def make_matrix_family(base: BinarySemiring, m: int, arity: int,
                 acc = scalar(gamma_scalars[gs[i - 1]], mat_mul(acc, xs[i]))
             mu.append(acc)
     return NaryGammaSemiring(arity, t, gamma, tuple(mu),
-                             name=name or f"mat{m}({base.name})^{arity}")
+                             name=f"mat{m}({base.name})^{arity}")
 
 
-def make_endomorphism_family(monoid: FiniteAddMonoid, arity: int,
-                             gamma: GammaSemigroup | None = None,
-                             comp=None, name: str = "") -> NaryGammaSemiring:
-    """Additive endomorphisms under parameterized composition.
+def make_endomorphism_family(monoid: FiniteAddMonoid, arity: int) -> NaryGammaSemiring:
+    """Additive endomorphisms under composition, trivially parameterized.
 
     The carrier is ``modules.additive_maps(monoid, monoid)`` in
-    lexicographic order.  ``comp(f, g, gparam)`` must return an additive
-    endomorphism given as a value tuple; the default ignores the parameter
-    and composes.
+    lexicographic order, and mu(f_1, ..., f_n) = f_1 . ... . f_n.
     """
     from .modules import additive_maps
 
-    if gamma is None:
-        gamma = trivial_gamma()
     ends = sorted(additive_maps(monoid, monoid))
     index = {f: i for i, f in enumerate(ends)}
-    if comp is None:
-        def comp(f, g, _):
-            return tuple(f[g[x]] for x in range(monoid.size))
     size = len(ends)
     add_table = []
     for f in ends:
@@ -781,25 +771,24 @@ def make_endomorphism_family(monoid: FiniteAddMonoid, arity: int,
     t = FiniteAddMonoid(size, tuple(add_table), index[zero_map])
     mu = []
     for xs in product(range(size), repeat=arity):
-        for gs in product(range(gamma.size), repeat=arity - 1):
-            acc = ends[xs[0]]
-            for i in range(1, arity):
-                acc = comp(acc, ends[xs[i]], gs[i - 1])
-                if acc not in index:
-                    raise StructuralError("composition left the endomorphism set")
-            mu.append(index[acc])
-    return NaryGammaSemiring(arity, t, gamma, tuple(mu),
-                             name=name or f"end({monoid.size})^{arity}")
+        acc = ends[xs[0]]
+        for x in xs[1:]:
+            acc = tuple(acc[v] for v in ends[x])
+            if acc not in index:
+                raise StructuralError("composition left the endomorphism set")
+        mu.append(index[acc])
+    return NaryGammaSemiring(arity, t, trivial_gamma(), tuple(mu),
+                             name=f"end({monoid.size})^{arity}")
 
 
-def binary_specialization(base: BinarySemiring, name: str = "") -> NaryGammaSemiring:
+def binary_specialization(base: BinarySemiring) -> NaryGammaSemiring:
     """A plain semiring as the arity-2, trivially parameterized structure."""
     issues = base.validate()
     if issues:
         raise StructuralError(f"input is not a semiring: {issues[0]}")
     t = FiniteAddMonoid(base.size, base.add_table, base.zero)
     mu = tuple(base.mul(x, y) for x in range(base.size) for y in range(base.size))
-    return NaryGammaSemiring(2, t, trivial_gamma(), mu, name=name or base.name)
+    return NaryGammaSemiring(2, t, trivial_gamma(), mu, name=base.name)
 
 
 def ternary_from_semiring(base: BinarySemiring, name: str = "") -> NaryGammaSemiring:

@@ -32,12 +32,16 @@ from .core import (
 )
 from .modules import (
     BiGammaModule, Conflation, ModuleMorphism, check_slots, cofree, filler_index,
-    quotient_projection, regular_bimodule, validate_module_morphism,
+    quotient_projection, regular_bimodule, resolve_slot, validate_module_morphism,
 )
 from .completion import (
     CompletedModule, EquivariantHom, TensorGroup, linearize_module, linearize_morphism,
     linearize_over,
 )
+
+# The refusal bound on a bar tower's word space at one degree, tdim^r * mdim,
+# read when each degree is built.
+BAR_WORD_BOUND = 20000
 
 
 # ---------------------------------------------------------------------------
@@ -150,7 +154,7 @@ class BarComplex:
 
     def __init__(self, s: NaryGammaSemiring, module: CompletedModule,
                  carrier: CompletedModule, j: int, k: int, depth: int,
-                 policy: ContractionPolicy, word_bound: int = 20000):
+                 policy: ContractionPolicy):
         self.semiring = s
         self.module = module
         self.carrier = carrier
@@ -186,10 +190,10 @@ class BarComplex:
                                    tg.group.dim)
                 power = new_power
             wdim = (tdim ** r) * mdim
-            if wdim > word_bound:
+            if wdim > BAR_WORD_BOUND:
                 raise BoundExceeded(
                     f"bar word space at degree {r}: tdim^r*mdim = {tdim}^{r}*{mdim} "
-                    f"= {wdim} exceeds its bound {word_bound}")
+                    f"= {wdim} exceeds its bound {BAR_WORD_BOUND}")
             tg = TensorGroup(power, module, j, k)
             projs.append(la.mat_mul(tg.pres.proj_matrix(), la.kron(pproj, ident_m),
                                     wdim))
@@ -284,13 +288,6 @@ def _nonzero(vec):
 
 def _regular(s: NaryGammaSemiring, carrier):
     return regular_bimodule(s) if carrier is None else carrier
-
-
-def resolve_slot(s: NaryGammaSemiring, j: int | None) -> int:
-    """Slot j, or s's last slot when j is None: the default adjacency of
-    every derived entry point is the last slot against the first (k = 0),
-    as on the command line."""
-    return s.n - 1 if j is None else j
 
 
 def bar_complex(s: NaryGammaSemiring, module, j: int | None = None, k: int = 0,
@@ -590,7 +587,10 @@ def les_check(c: Conflation, n: BiGammaModule, depth: int = 2,
     tensors n's bar tower against the conflation covariantly.  The
     conflation's modules, n and the regular carrier are linearized once,
     together, and every bar tower of the call shares that one carrier.
+    Any other side is refused with a ValueError before anything is built.
     """
+    if side not in ("hom", "tor"):
+        raise ValueError("side must be 'hom' or 'tor'")
     s = n.parent
     lin_a, lin_b, lin_c, lin_n, carrier = linearize_over(
         s, [c.i.source, c.i.target, c.p.target, n, regular_bimodule(s)])
@@ -619,8 +619,6 @@ def les_check(c: Conflation, n: BiGammaModule, depth: int = 2,
         report.completion_exact = completion_exact
         return report
 
-    if side != "tor":
-        raise ValueError("side must be 'hom' or 'tor'")
     barn = bar_complex(s, lin_n, j, k, bar_depth, carrier=carrier)
     tc_a = TensorChain(barn, lin_a)
     tc_b = TensorChain(barn, lin_b)

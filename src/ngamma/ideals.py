@@ -31,9 +31,6 @@ class GammaIdeal:
     def is_proper(self) -> bool:
         return len(self.members) < self.parent.T.size
 
-    def __contains__(self, x: int) -> bool:
-        return x in self.members
-
     def sorted_members(self) -> list[int]:
         return sorted(self.members)
 

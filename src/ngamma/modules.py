@@ -23,6 +23,12 @@ from .core import (
 )
 from .ideals import GammaIdeal, coset_congruence, quotient_monoid
 
+# Refusal bounds, read when their checks run: MAP_BOUND on the candidates of
+# a map enumeration (|dst|^g) and on a maps module's addition table (maps
+# squared), TENSOR_ELEMENT_BOUND on a positional tensor's ambient |L|^g.
+MAP_BOUND = 200000
+TENSOR_ELEMENT_BOUND = 200000
+
 
 @dataclass(frozen=True)
 class BiGammaModule:
@@ -83,10 +89,6 @@ class BiGammaModule:
         return tuple(tbl[p + r:p + block:stride]
                      for p in range(0, len(tbl), block) for r in range(stride))
 
-    @property
-    def size(self) -> int:
-        return self.M.size
-
 
 def filler_tuples(s: NaryGammaSemiring) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
     """All (carrier fillers, parameter tuple) pairs, in table order."""
@@ -96,6 +98,13 @@ def filler_tuples(s: NaryGammaSemiring) -> list[tuple[tuple[int, ...], tuple[int
 def filler_index(s: NaryGammaSemiring, carriers, params) -> int:
     """The position of the filler (carriers, params) in ``filler_tuples(s)``."""
     return flatten_index(tuple(carriers) + tuple(params), s.sizes[1:])
+
+
+def resolve_slot(s: NaryGammaSemiring, j: int | None) -> int:
+    """Slot j, or s's last slot when j is None: the default slot pair of
+    every entry point and of the command line is the last slot against the
+    first (k = 0)."""
+    return s.n - 1 if j is None else j
 
 
 def check_slots(s: NaryGammaSemiring, j: int, k: int) -> None:
@@ -219,7 +228,7 @@ def quotient_projection(b: BiGammaModule, members, name: str) -> ModuleMorphism:
     return ModuleMorphism(b, quot, tuple(cls))
 
 
-def direct_sum_modules(mods: list[BiGammaModule], name: str = ""):
+def direct_sum_modules(mods: list[BiGammaModule]):
     """(sum module, injections, projections); actions are componentwise."""
     parent = mods[0].parent
     if any(m.parent != parent for m in mods):
@@ -236,7 +245,7 @@ def direct_sum_modules(mods: list[BiGammaModule], name: str = ""):
         parent, monoid,
         map_columns(lambda cols: tuple(index[e] for e in product(*cols)),
                     [list(zip(*(mod.actions(j) for mod in mods))) for j in range(parent.n)]),
-        name=name or "(+)".join(m.name for m in mods))
+        name="(+)".join(m.name for m in mods))
     injections = []
     projections = []
     for pos, mod in enumerate(mods):
@@ -452,20 +461,20 @@ def check_conflation(c: Conflation) -> AxiomCheck:
 # Additive and equivariant map enumeration
 # ---------------------------------------------------------------------------
 
-def additive_maps(src: FiniteAddMonoid, dst: FiniteAddMonoid,
-                  bound: int = 200000) -> list[tuple[int, ...]]:
+def additive_maps(src: FiniteAddMonoid, dst: FiniteAddMonoid) -> list[tuple[int, ...]]:
     """All additive maps src -> dst, in deterministic order.
 
     Candidates are assignments on a generating set, extended along
     ``_generator_walk`` and then checked in full, so the search space is
     |dst| ** #generators rather than |dst| ** |src|.  Generators are chosen
-    greedily, so distinct assignments give distinct maps.
+    greedily, so distinct assignments give distinct maps.  More than
+    ``MAP_BOUND`` candidates are refused.
     """
     gens = src.additive_generators()
     candidates = dst.size ** len(gens)
-    if candidates > bound:
+    if candidates > MAP_BOUND:
         raise BoundExceeded(f"additive map enumeration of |dst|^g = {dst.size}^{len(gens)} "
-                            f"= {candidates} candidates exceeds its bound {bound}")
+                            f"= {candidates} candidates exceeds its bound {MAP_BOUND}")
     walk = _generator_walk(src, gens)
     out = []
     for images in product(range(dst.size), repeat=len(gens)):
@@ -478,10 +487,9 @@ def additive_maps(src: FiniteAddMonoid, dst: FiniteAddMonoid,
     return out
 
 
-def equivariant_maps(src: BiGammaModule, dst: BiGammaModule,
-                     bound: int = 200000) -> list[tuple[int, ...]]:
+def equivariant_maps(src: BiGammaModule, dst: BiGammaModule) -> list[tuple[int, ...]]:
     failure = _equivariance_failure(src, dst)
-    return [f for f in additive_maps(src.M, dst.M, bound) if failure(f) is None]
+    return [f for f in additive_maps(src.M, dst.M) if failure(f) is None]
 
 
 @dataclass(frozen=True)
@@ -493,16 +501,16 @@ class HomModule:
 
 
 def _maps_module(s: NaryGammaSemiring, maps, coeff: FiniteAddMonoid, domain: BiGammaModule,
-                 what: str, name: str, bound: int) -> HomModule:
+                 what: str, name: str) -> HomModule:
     """Maps out of ``domain`` into ``coeff`` under pointwise addition, each
     filler acting by precomposition with its column of ``domain``.
 
-    The addition table has len(maps)**2 entries; more than ``bound`` is
+    The addition table has len(maps)**2 entries; more than ``MAP_BOUND`` is
     refused before any is tabulated.
     """
-    if len(maps) ** 2 > bound:
+    if len(maps) ** 2 > MAP_BOUND:
         raise BoundExceeded(f"{what} addition table of {len(maps)}^2 = {len(maps) ** 2} "
-                            f"sums exceeds its bound {bound}")
+                            f"sums exceeds its bound {MAP_BOUND}")
     index = {f: i for i, f in enumerate(maps)}
     add = []
     for f in maps:
@@ -524,8 +532,7 @@ def _maps_module(s: NaryGammaSemiring, maps, coeff: FiniteAddMonoid, domain: BiG
     return HomModule(module_from_actions(s, monoid, actions, name=name), tuple(maps))
 
 
-def hom_gamma(src: BiGammaModule, dst: BiGammaModule, j: int = 0, k: int = 0,
-              bound: int = 200000) -> HomModule:
+def hom_gamma(src: BiGammaModule, dst: BiGammaModule, j: int = 0, k: int = 0) -> HomModule:
     """The internal Hom module on fully equivariant additive maps.
 
     Slot i of the result acts by inserting the carrier material into slot i
@@ -535,28 +542,27 @@ def hom_gamma(src: BiGammaModule, dst: BiGammaModule, j: int = 0, k: int = 0,
     M2(F2)) the maps it acts on need not stay equivariant, and the call raises
     SoundnessError "hom action leaves the enumerated maps".
 
-    ``bound`` caps both the candidate maps and the entries of the addition
-    table (the number of maps squared); beyond it BoundExceeded is raised.
+    ``MAP_BOUND`` caps the candidate maps and the addition table's entries
+    (maps squared); beyond it BoundExceeded is raised.
     """
     s = src.parent
     if s != dst.parent:
         raise StructuralError("hom endpoints live over different semirings")
     check_slots(s, j, k)
-    return _maps_module(s, equivariant_maps(src, dst, bound), dst.M, src, "hom",
-                        f"Hom({src.name},{dst.name})[{j + 1},{k + 1}]", bound)
+    return _maps_module(s, equivariant_maps(src, dst), dst.M, src, "hom",
+                        f"Hom({src.name},{dst.name})[{j + 1},{k + 1}]")
 
 
-def cofree(s: NaryGammaSemiring, coeff: FiniteAddMonoid,
-           bound: int = 200000, name: str = "") -> HomModule:
+def cofree(s: NaryGammaSemiring, coeff: FiniteAddMonoid) -> HomModule:
     """All additive maps from the carrier into a coefficient monoid.
 
     Slot i acts by inserting material into slot i of the argument, so the
     result is the coinduced module of the underlying additive structure.
-    ``bound`` caps both the candidate maps and the entries of the addition
-    table (the number of maps squared); beyond it BoundExceeded is raised.
+    ``MAP_BOUND`` caps the candidate maps and the addition table's entries
+    (maps squared); beyond it BoundExceeded is raised.
     """
-    return _maps_module(s, additive_maps(s.T, coeff, bound), coeff, regular_bimodule(s),
-                        "cofree", name or f"cofree({s.name})", bound)
+    return _maps_module(s, additive_maps(s.T, coeff), coeff, regular_bimodule(s),
+                        "cofree", f"cofree({s.name})")
 
 
 # ---------------------------------------------------------------------------
@@ -617,10 +623,10 @@ class TensorCongruence:
     only on the quotient and beta.  ``residual_module`` attaches residual
     actions through ``residual_slots`` from the factors and pair images that
     the callers supply; the plain tensor and scalar extension differ there.
+    An ambient of more than ``TENSOR_ELEMENT_BOUND`` elements is refused.
     """
 
-    def __init__(self, left: BiGammaModule, right: BiGammaModule,
-                 j: int, k: int, element_bound: int = 200000):
+    def __init__(self, left: BiGammaModule, right: BiGammaModule, j: int, k: int):
         s = left.parent
         if s != right.parent:
             raise StructuralError("tensor factors live over different semirings")
@@ -631,10 +637,10 @@ class TensorCongruence:
         self._rgens = rm.additive_generators()
         self._sizes = (lm.size,) * len(self._rgens)
         total = prod(self._sizes)
-        if total > element_bound:
+        if total > TENSOR_ELEMENT_BOUND:
             raise BoundExceeded(
                 f"tensor ambient |L|^g = {lm.size}^{len(self._rgens)} = {total} "
-                f"exceeds the element bound {element_bound}")
+                f"exceeds the element bound {TENSOR_ELEMENT_BOUND}")
         counts = _generator_counts(rm, self._rgens)
         self._vecs = [[tuple(lm.sum([a] * c) for c in counts[b]) for b in range(rm.size)]
                       for a in range(lm.size)]
@@ -775,8 +781,7 @@ def residual_slots(n: int, sides) -> list:
 
 
 def tensor_positional(left: BiGammaModule, right: BiGammaModule,
-                      j: int, k: int, element_bound: int = 200000,
-                      name: str = "") -> TensorModule:
+                      j: int, k: int) -> TensorModule:
     """Quotient of pairwise generators by bilinearity and slot balancing.
 
     Material acting in slot ``j`` of the left factor may be re-read as acting
@@ -784,8 +789,8 @@ def tensor_positional(left: BiGammaModule, right: BiGammaModule,
     parameters, in the same linear order; ``residual_slots`` sends each slot
     through the right factor when it descends there, else the left.
     """
-    core = TensorCongruence(left, right, j, k, element_bound)
+    core = TensorCongruence(left, right, j, k)
     return core.residual_module(
         left.parent, [("right", right, lambda col, a, b: core.gen_vec(a, col[b])),
                       ("left", left, lambda col, a, b: core.gen_vec(col[a], b))],
-        name or f"{left.name}(x){right.name}[{j + 1},{k + 1}]")
+        f"{left.name}(x){right.name}[{j + 1},{k + 1}]")

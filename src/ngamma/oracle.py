@@ -4,8 +4,13 @@ Everything here uses direct definition scans: full-table axiom enumeration
 with no generator reduction, subset scans for ideals, all-maps filters for
 Hom and injectivity probes, an explicit shift-edge search for tensor
 presentations, and element-listing homology with invariants reconstructed
-from order statistics instead of normal forms.  Oracle bounds are deliberately tighter
-than engine bounds.
+from order statistics instead of normal forms.
+
+Each scan refuses past its own bound, read when it runs: the carrier size of
+a subset scan (ORACLE_CARRIER_BOUND), the |dst|^|src| tables of a map filter
+(ORACLE_MAP_BOUND), the |y|^|x| maps of a completed hom filter
+(ORACLE_HOM_BOUND) and the points of a tensor counter box (ORACLE_BOX_BOUND).
+The engine caps other quantities, such as |dst|^g map candidates.
 """
 
 from __future__ import annotations
@@ -23,6 +28,7 @@ from .completion import CompletedModule
 
 ORACLE_CARRIER_BOUND = 16
 ORACLE_MAP_BOUND = 300000
+ORACLE_HOM_BOUND = 100000
 ORACLE_BOX_BOUND = 8000
 
 
@@ -92,12 +98,12 @@ def naive_axiom_failures(s: NaryGammaSemiring) -> list[tuple[str, tuple]]:
 # Ideals and primes by subset scan
 # ---------------------------------------------------------------------------
 
-def subset_scan_ideals(s: NaryGammaSemiring,
-                       bound: int = ORACLE_CARRIER_BOUND) -> list[int]:
+def subset_scan_ideals(s: NaryGammaSemiring) -> list[int]:
     """Bitmasks of every ideal, by scanning all carrier subsets."""
     size = s.T.size
-    if size > bound:
-        raise BoundExceeded(f"oracle subset scan of carrier size {size} exceeds its bound {bound}")
+    if size > ORACLE_CARRIER_BOUND:
+        raise BoundExceeded(f"oracle subset scan of carrier size {size} "
+                            f"exceeds its bound {ORACLE_CARRIER_BOUND}")
     out = []
     for mask in range(1 << size):
         members = {e for e in range(size) if mask >> e & 1}
@@ -125,11 +131,10 @@ def subset_scan_ideals(s: NaryGammaSemiring,
     return out
 
 
-def subset_scan_primes(s: NaryGammaSemiring,
-                       bound: int = ORACLE_CARRIER_BOUND) -> list[int]:
+def subset_scan_primes(s: NaryGammaSemiring) -> list[int]:
     primes = []
     size = s.T.size
-    for mask in subset_scan_ideals(s, bound):
+    for mask in subset_scan_ideals(s):
         members = {e for e in range(size) if mask >> e & 1}
         if len(members) == size:
             continue
@@ -150,8 +155,7 @@ def subset_scan_primes(s: NaryGammaSemiring,
 # Hom and injectivity by filtering every map
 # ---------------------------------------------------------------------------
 
-def all_additive_maps(src: FiniteAddMonoid, dst: FiniteAddMonoid,
-                      bound: int = ORACLE_MAP_BOUND):
+def all_additive_maps(src: FiniteAddMonoid, dst: FiniteAddMonoid):
     """Additive maps among all |dst|^|src| tables, in ``itertools.product``
     order.
 
@@ -160,9 +164,9 @@ def all_additive_maps(src: FiniteAddMonoid, dst: FiniteAddMonoid,
     fails; a complete table has passed every sum and the zero law.
     """
     tables = dst.size ** src.size
-    if tables > bound:
+    if tables > ORACLE_MAP_BOUND:
         raise BoundExceeded(f"oracle map enumeration of |dst|^|src| = {dst.size}^{src.size} "
-                            f"= {tables} tables exceeds its bound {bound}")
+                            f"= {tables} tables exceeds its bound {ORACLE_MAP_BOUND}")
     k = src.size
     # checks[i]: the sums that can be tested once element i is assigned
     checks = [[] for _ in range(k)]
@@ -189,27 +193,27 @@ def all_additive_maps(src: FiniteAddMonoid, dst: FiniteAddMonoid,
         v = f.pop() + 1
 
 
-def all_maps_hom(src: BiGammaModule, dst: BiGammaModule,
-                 bound: int = ORACLE_MAP_BOUND) -> list[tuple[int, ...]]:
+def all_maps_hom(src: BiGammaModule, dst: BiGammaModule) -> list[tuple[int, ...]]:
     """Additive equivariant maps found by filtering all additive maps.
 
     Every action is read once per call: a map f is kept when
     f(src.act(..., m, ...)) = dst.act(..., f(m), ...) for every slot,
-    filler and element.
+    filler and element.  The additive maps are listed first, so a refusal
+    comes before any action is read.
     """
     s = src.parent
+    additive = list(all_additive_maps(src.M, dst.M))
     fillers = [(jj, tother, gs) for jj in range(s.n)
                for tother in product(range(s.T.size), repeat=s.n - 1)
                for gs in product(range(s.gamma.size), repeat=s.n - 1)]
     pairs = [([src.act(jj, tother, m, gs) for m in range(src.M.size)],
               [dst.act(jj, tother, x, gs) for x in range(dst.M.size)])
              for jj, tother, gs in fillers]
-    return [f for f in all_additive_maps(src.M, dst.M, bound)
+    return [f for f in additive
             if all(f[sa[m]] == da[f[m]] for sa, da in pairs for m in range(src.M.size))]
 
 
-def injectivity_probe(target: BiGammaModule, trials,
-                      bound: int = ORACLE_MAP_BOUND) -> list[AxiomCheck]:
+def injectivity_probe(target: BiGammaModule, trials) -> list[AxiomCheck]:
     """Extension search for additive maps along inflations.
 
     Each trial is (conflation, maps) where maps is an explicit list of
@@ -220,9 +224,9 @@ def injectivity_probe(target: BiGammaModule, trials,
     out = []
     for tn, (conf, given) in enumerate(trials):
         a, b = conf.i.source, conf.i.target
-        candidates = list(all_additive_maps(b.M, target.M, bound))
+        candidates = list(all_additive_maps(b.M, target.M))
         if given is None:
-            given = all_additive_maps(a.M, target.M, bound)
+            given = all_additive_maps(a.M, target.M)
         failure = next((tuple(g) for g in given
                         if not any(all(h[conf.i(x)] == g[x] for x in range(a.M.size))
                                    for h in candidates)), None)
@@ -297,16 +301,14 @@ def invariants_from_orders(elements, add, zero) -> tuple[int, ...]:
     return tuple(f for f in out if f > 1)
 
 
-def hom_group_bruteforce(x: CompletedModule, y: CompletedModule,
-                         bound: int = 100000) -> tuple[int, ...]:
+def hom_group_bruteforce(x: CompletedModule, y: CompletedModule) -> tuple[int, ...]:
     """Invariant factors of the equivariant hom group by filtering all maps."""
     xs = list(x.group.elements())
     ys = list(y.group.elements())
     maps = len(ys) ** len(xs)
-    if maps > bound:
+    if maps > ORACLE_HOM_BOUND:
         raise BoundExceeded(f"oracle hom-group enumeration of |y|^|x| = {len(ys)}^{len(xs)} "
-                            f"= {maps} maps exceeds its bound {bound}")
-    xi = {v: i for i, v in enumerate(xs)}
+                            f"= {maps} maps exceeds its bound {ORACLE_HOM_BOUND}")
     homs = []
     for values in product(ys, repeat=len(xs)):
         f = dict(zip(xs, values))
@@ -336,8 +338,7 @@ def hom_group_bruteforce(x: CompletedModule, y: CompletedModule,
 # Tensor presentations by shift-edge search
 # ---------------------------------------------------------------------------
 
-def tensor_presentation(left: BiGammaModule, right: BiGammaModule, j: int, k: int,
-                        box_bound: int = ORACLE_BOX_BOUND):
+def tensor_presentation(left: BiGammaModule, right: BiGammaModule, j: int, k: int):
     """The counter box and relations of the presented tensor monoid.
 
     Returns (caps, wraps, relations).  Generator i is the i-th nonzero pair
@@ -370,8 +371,9 @@ def tensor_presentation(left: BiGammaModule, right: BiGammaModule, j: int, k: in
         caps.append(idx + per)
         wraps.append(idx)
     box = prod(c + 1 for c in caps)
-    if box > box_bound:
-        raise BoundExceeded(f"oracle tensor box of {box} points exceeds its bound {box_bound}")
+    if box > ORACLE_BOX_BOUND:
+        raise BoundExceeded(f"oracle tensor box of {box} points "
+                            f"exceeds its bound {ORACLE_BOX_BOUND}")
 
     def one_hot(a, b):
         out = [0] * len(gens)
@@ -406,8 +408,7 @@ def tensor_presentation(left: BiGammaModule, right: BiGammaModule, j: int, k: in
     return caps, wraps, relations
 
 
-def tensor_class_count(left: BiGammaModule, right: BiGammaModule,
-                       j: int, k: int, box_bound: int = ORACLE_BOX_BOUND) -> int:
+def tensor_class_count(left: BiGammaModule, right: BiGammaModule, j: int, k: int) -> int:
     """Size of the presented tensor monoid via explicit relation edges.
 
     Vectors of generator multiplicities live in a box bounded by each
@@ -415,7 +416,7 @@ def tensor_class_count(left: BiGammaModule, right: BiGammaModule,
     every shift, and wrap edges fold the orbit periodicity in.  The class
     count is the number of connected components.
     """
-    caps, wraps, relations = tensor_presentation(left, right, j, k, box_bound)
+    caps, wraps, relations = tensor_presentation(left, right, j, k)
     sizes = [c + 1 for c in caps]
     weights = [prod(sizes[i + 1:]) for i in range(len(sizes))]
 

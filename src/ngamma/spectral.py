@@ -26,15 +26,13 @@ from .ideals import all_ideals
 from .modules import (
     BiGammaModule, ModuleMorphism, TensorCongruence, filler_index, filler_tuples,
     ideal_submodule, module_from_actions, quotient_projection, regular_bimodule,
+    resolve_slot,
 )
 from .completion import (
     CompletedModule, EquivariantHom, TensorGroup, linearize_all, linearize_morphism,
     linearize_over,
 )
-from .homology import (
-    Complex, HomCochain, TensorChain, bar_complex, homology,
-    resolve_slot, tor_via_bar,
-)
+from .homology import Complex, HomCochain, TensorChain, bar_complex, homology, tor_via_bar
 
 
 # ---------------------------------------------------------------------------
@@ -391,7 +389,7 @@ def restrict_scalars(f: GammaSemiringMorphism, b: BiGammaModule) -> BiGammaModul
 
 
 def extend_scalars(f: GammaSemiringMorphism, a: BiGammaModule,
-                   j: int | None = None, k: int = 0, name: str = ""):
+                   j: int | None = None, k: int = 0):
     """Target carrier tensored against the module over the source actions.
 
     Every slot acts through the carrier factor, the one side given to
@@ -404,7 +402,7 @@ def extend_scalars(f: GammaSemiringMorphism, a: BiGammaModule,
     core = TensorCongruence(restrict_scalars(f, reg), a, resolve_slot(f.source, j), k)
     return core.residual_module(
         target, [("carrier", reg, lambda col, x, av: core.gen_vec(col[x], av))],
-        name or f"ext({a.name})")
+        f"ext({a.name})")
 
 
 def source_conflation_triples(s: NaryGammaSemiring,

@@ -1,4 +1,7 @@
 import ast
+import importlib
+import inspect
+import pkgutil
 from itertools import product
 from pathlib import Path
 
@@ -307,6 +310,44 @@ def test_engine_has_no_assert_statements():
              for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
              if isinstance(node, ast.Assert)]
     assert found == []
+
+
+def _public_signatures():
+    """(qualified name, parameter names) of every public function, class and
+    public method defined in an ``ngamma`` module; exceptions take a message."""
+    for info in pkgutil.iter_modules(ngamma.__path__):
+        mod = importlib.import_module(f"ngamma.{info.name}")
+        for name, obj in vars(mod).items():
+            if name.startswith("_") or getattr(obj, "__module__", None) != mod.__name__:
+                continue
+            if inspect.isfunction(obj):
+                members = [(name, obj)]
+            elif inspect.isclass(obj) and not issubclass(obj, BaseException):
+                members = [(name, obj)] + [(f"{name}.{attr}", fn)
+                                           for attr, fn in vars(obj).items()
+                                           if not attr.startswith("_") and inspect.isfunction(fn)]
+            else:
+                continue
+            for qual, fn in members:
+                yield f"{info.name}.{qual}", list(inspect.signature(fn).parameters)
+
+
+def test_bounds_are_module_constants_and_unset_options_are_gone():
+    # Refusal bounds live in module constants read when their check runs;
+    # only the carrier-size bound of ideal enumeration, which the CLI's
+    # --bound sets, is a parameter.
+    bounds = {"bound", "element_bound", "word_bound", "box_bound"}
+    unnamed = {"modules.cofree", "modules.tensor_positional", "modules.direct_sum_modules",
+               "completion.linearize_module", "completion.TensorGroup",
+               "completion.zero_completed", "completion.direct_sum_completed",
+               "spectral.extend_scalars", "core.binary_specialization",
+               "core.make_matrix_family", "core.make_endomorphism_family"}
+    signatures = dict(_public_signatures())
+    assert {qual for qual, params in signatures.items() if bounds & set(params)} == \
+        {"ideals.all_ideals", "ideals.spectrum"}
+    assert unnamed <= set(signatures)
+    assert [qual for qual in sorted(unnamed) if "name" in signatures[qual]] == []
+    assert signatures["core.make_endomorphism_family"] == ["monoid", "arity"]
 
 
 def test_slot_tables_are_read_only_in_modules():

@@ -120,13 +120,14 @@ def test_bar_complex_depth3_homology(f2, z4):
             assert node_order == len(kernel_elems) // len(image_elems)
 
 
-def test_bar_word_space_bound_names_degree_and_size():
+def test_bar_word_space_bound_names_degree_and_size(monkeypatch):
     # M2(F2) completes to a group of dimension 4: degree 1 has 4*4 = 16 words.
     s = make_matrix_family(f2_semiring(), 2, 2)
     reg = linearize_module(regular_bimodule(s))
+    monkeypatch.setattr("ngamma.homology.BAR_WORD_BOUND", 20)
     with pytest.raises(BoundExceeded, match=r"bar word space at degree 2: tdim\^r\*mdim = "
                                             r"4\^2\*4 = 64 exceeds its bound 20"):
-        BarComplex(s, reg, reg, 1, 0, 2, default_policy(s), word_bound=20)
+        BarComplex(s, reg, reg, 1, 0, 2, default_policy(s))
 
 
 def test_bar_map_needs_one_carrier_and_slot_pair(z4):
@@ -149,6 +150,13 @@ def test_derived_calls_refuse_modules_over_another_semiring(f2, z4, z4_conflatio
         ext_via_cofree(z4, f2_reg, f2_reg)
     with pytest.raises(StructuralError, match="does not live over f2_ternary"):
         les_check(z4_conflation, f2_reg)
+
+
+def test_les_check_refuses_an_unknown_side_before_any_work(z4, z4_conflation, count_calls):
+    calls = count_calls(homology_mod, "linearize_over", "is_short_exact")
+    with pytest.raises(ValueError, match="side must be 'hom' or 'tor'"):
+        les_check(z4_conflation, regular_bimodule(z4), side="ext")
+    assert not calls
 
 
 def test_ext_and_tor_via_bar(f2, z4):

@@ -124,7 +124,7 @@ def test_direct_sum_from_columns_matches_cell_by_cell(f2, z4):
         assert validate_module(total).ok
 
 
-def test_additive_maps_enumeration():
+def test_additive_maps_enumeration(monkeypatch):
     z2 = FiniteAddMonoid(2, (0, 1, 1, 0))
     z4m = FiniteAddMonoid(4, tuple((a + b) % 4 for a in range(4) for b in range(4)))
     boolm = FiniteAddMonoid(2, (0, 1, 1, 1))
@@ -134,9 +134,10 @@ def test_additive_maps_enumeration():
     assert len(additive_maps(z2, z4m)) == 2  # 1 -> 0 or 2
     assert len(additive_maps(boolm, boolm)) == 2  # const-1 is not additive
     assert len(additive_maps(boolm, z2)) == 1  # 1+1=1 forces f(1)=0
+    monkeypatch.setattr("ngamma.modules.MAP_BOUND", 3)
     with pytest.raises(BoundExceeded, match=r"additive map enumeration of \|dst\|\^g = 4\^1 "
                                             r"= 4 candidates exceeds its bound 3"):
-        additive_maps(z4m, z4m, bound=3)
+        additive_maps(z4m, z4m)
 
 
 def test_hom_gamma_examples(f2):
@@ -205,10 +206,11 @@ def test_tensor_ternary_zmod_has_m_elements():
         assert tensor_positional(reg, reg, 2, 0).module.M.size == m
 
 
-def test_tensor_refusal_names_ambient_and_bound(z4):
+def test_tensor_refusal_names_ambient_and_bound(z4, monkeypatch):
     reg = regular_bimodule(z4)
+    monkeypatch.setattr("ngamma.modules.TENSOR_ELEMENT_BOUND", 3)
     with pytest.raises(BoundExceeded, match=r"\|L\|\^g = 4\^1 = 4 exceeds the element bound 3"):
-        tensor_positional(reg, reg, 2, 0, element_bound=3)
+        tensor_positional(reg, reg, 2, 0)
 
 
 def test_residual_action_must_be_additive(z4):
@@ -325,17 +327,20 @@ def test_cofree_coinduction_bijection(z4):
     assert len(morphisms) == len(addmaps)
 
 
-def test_maps_module_bounds_its_addition_table(z4, f2):
+def test_maps_module_bounds_its_addition_table(z4, f2, monkeypatch):
     # Z/4 -> Z/4 has 4 additive maps (within the bound of 10), whose
     # addition table would have 16 entries: refused before tabulating.
+    monkeypatch.setattr("ngamma.modules.MAP_BOUND", 10)
     with pytest.raises(BoundExceeded, match=r"cofree addition table of 4\^2 = 16 sums "
                                             r"exceeds its bound 10"):
-        cofree(z4, z4.T, bound=10)
-    assert cofree(z4, z4.T, bound=16).module.M.size == 4
+        cofree(z4, z4.T)
+    monkeypatch.setattr("ngamma.modules.MAP_BOUND", 16)
+    assert cofree(z4, z4.T).module.M.size == 4
     reg = regular_bimodule(f2)
+    monkeypatch.setattr("ngamma.modules.MAP_BOUND", 3)
     with pytest.raises(BoundExceeded, match=r"hom addition table of 2\^2 = 4 sums "
                                             r"exceeds its bound 3"):
-        hom_gamma(reg, reg, bound=3)
+        hom_gamma(reg, reg)
 
 
 def test_conflations(f2, z4):
@@ -361,6 +366,22 @@ def test_conflations(f2, z4):
 
     broken = Conflation(incl, ModuleMorphism(regz, quo, (0, 1, 1, 1)))
     assert not check_conflation(broken).ok
+
+
+def test_conflation_refusals_name_their_witness(z4):
+    ideal = GammaIdeal(z4, frozenset({0, 2}))
+    reg, sub, quo = regular_bimodule(z4), ideal_submodule(z4, ideal), quotient_module(z4, ideal)
+    incl, proj = ModuleMorphism(sub, reg, (0, 2)), ModuleMorphism(reg, quo, (0, 1, 0, 1))
+    cases = [
+        (ModuleMorphism(sub, reg, (0, 1)), proj, ("inflation invalid",)),
+        (ModuleMorphism(sub, reg, (0, 0)), proj, ("inflation not injective",)),
+        (incl, ModuleMorphism(reg, quo, (0, 0, 0, 0)), ("deflation not surjective",)),
+        (identity_module_morphism(reg), proj, ("composite nonzero", 1)),
+        (ModuleMorphism(zero_module(z4), reg, (0,)), proj, ("middle exactness", [0], [0, 2])),
+    ]
+    for i, p, witness in cases:
+        check = check_conflation(Conflation(i, p))
+        assert (check.ok, check.witness) == (False, witness)
 
 
 def test_hom_tensor_adjunction_counts(z4):

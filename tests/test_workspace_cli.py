@@ -201,6 +201,16 @@ def test_morphism_failures_name_their_witness():
         merge_document(Workspace(), doc)
 
 
+def test_conflation_failure_names_the_conflation_and_its_witness():
+    # The identity of Z/4 followed by Z/4 -> Z/2 sends 1 to 1, not to zero.
+    doc = _replaced(_DOC, ("module_morphisms", "z4_id"),
+                    {"source": "z4_reg", "target": "z4_reg", "map": [0, 1, 2, 3]})
+    doc = _replaced(doc, ("conflations", "c_ideal", "i"), "z4_id")
+    with pytest.raises(WorkspaceError, match=r"<doc>: conflation 'c_ideal': fails "
+                       r"conflation with witness \('composite nonzero', 1\)"):
+        merge_document(Workspace(), doc)
+
+
 def test_cli_exit_codes(capsys, tmp_path):
     assert main(["--format", "structured", "validate"]) == 0
     capsys.readouterr()
@@ -235,6 +245,8 @@ def test_cli_exit_codes(capsys, tmp_path):
      "module 'f2_reg' does not live over z4_ternary"),
     (["basechange", "q_z4_f2", "f2_reg", "z4_reg"],
      "module does not live over the morphism source"),
+    *((["ext", "z4_ternary", "z4_reg", "z4_reg", "--slots", text],
+      f"error: --slots wants 'j,k', got {text!r}") for text in ("3", "a,b", "1,2,3", "")),
 ])
 def test_bad_arguments_exit_2_with_an_error_line(argv, message, capsys):
     assert main(argv) == 2
