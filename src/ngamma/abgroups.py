@@ -353,7 +353,9 @@ class Subquotient:
     """P / Q for lattices Q <= P in the ambient coordinate group.
 
     Both lattices are given by generating vectors; the ambient order lattice
-    is always included in both sides.
+    is always included in both sides.  One Smith normal form S A T = D of the
+    numerator generators A gives the numerator basis b_i = d_i S^-1 e_i, and
+    since S b_i = d_i e_i, a vector v = sum x_i b_i has x_i = (S v)_i / d_i.
     """
 
     not_member = "vector is not in the numerator"
@@ -361,23 +363,37 @@ class Subquotient:
     def __init__(self, g: AbGroup, p_gens, q_gens, what: str = "subquotient"):
         self.ambient = g
         gens = [list(v) for v in p_gens] + order_lattice_columns(g)
-        pbasis = la.lattice_basis(gens, g.dim)
-        p = len(pbasis)
-        self._bp = [[pbasis[j][i] for j in range(p)] for i in range(g.dim)]
-        # One factorization of the numerator basis serves every solve.
-        self._bp_snf = la.smith_normal_form(self._bp, g.dim, p, track=("s", "t"))
+        for v in gens:
+            if len(v) != g.dim:
+                raise ValueError(f"generator has {len(v)} entries, expected {g.dim}")
+        a = [[v[i] for v in gens] for i in range(g.dim)]
+        sf = la.smith_normal_form(a, g.dim, len(gens), track=("s", "sinv"))
+        self._s, self._diag = sf.s, sf.diag
+        self._bp = [[row[i] * d for i, d in enumerate(sf.diag)] for row in sf.sinv]
         rels = []
         for q in order_lattice_columns(g) + [list(v) for v in q_gens]:
-            x = self._bp_snf.solve(q)
+            x = self._coords(q)
             if x is None:
                 raise SoundnessError(f"{what}: denominator not inside numerator")
             rels.append(x)
-        self._pres = Presentation(p, rels)
+        self._pres = Presentation(len(sf.diag), rels)
         self.group = self._pres.group
+
+    def _coords(self, vec):
+        """The x with vec = sum x_i b_i, or None when vec is outside the
+        numerator; the basis has full column rank, so x is unique."""
+        if len(vec) != self.ambient.dim:
+            raise ValueError(f"vector has {len(vec)} entries, "
+                             f"expected {self.ambient.dim}")
+        c = la.mat_vec(self._s, vec)
+        rank = len(self._diag)
+        if any(c[rank:]) or any(ci % di for ci, di in zip(c, self._diag)):
+            return None
+        return [ci // di for ci, di in zip(c, self._diag)]
 
     def classify(self, vec):
         """Class of a vector lying in the numerator lattice."""
-        x = self._bp_snf.solve(list(vec))
+        x = self._coords(list(vec))
         if x is None:
             raise ValueError(self.not_member)
         return self._pres.project(x)

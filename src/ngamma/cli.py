@@ -353,6 +353,7 @@ def cmd_oracle(ws: Workspace, args, rep: Reporter) -> int:
     from .homology import bar_complex, homology
     results = {}
     ok = True
+    columns = oracle_mod.column_reader()  # each module's action, read once
     targets = ([args.target] if args.target != "all" else
                ["axioms", "ideals", "spectrum", "hom", "tensor", "homology"])
     for target in targets:
@@ -385,7 +386,7 @@ def cmd_oracle(ws: Workspace, args, rep: Reporter) -> int:
                     if m.parent != n.parent:
                         continue
                     try:
-                        orc = sorted(oracle_mod.all_maps_hom(m, n))
+                        orc = sorted(oracle_mod.all_maps_hom(m, n, columns))
                     except BoundExceeded:
                         continue
                     eng = sorted(hom_gamma(m, n).maps)
@@ -400,7 +401,7 @@ def cmd_oracle(ws: Workspace, args, rep: Reporter) -> int:
                         continue
                     j = resolve_slot(m.parent, None)
                     try:
-                        orc = oracle_mod.tensor_class_count(m, n, j, 0)
+                        orc = oracle_mod.tensor_class_count(m, n, j, 0, columns)
                     except BoundExceeded:
                         continue
                     eng = tensor_positional(m, n, j, 0).module.M.size

@@ -270,20 +270,6 @@ def solve(a, b, nrows: int, ncols: int):
     return smith_normal_form(a, nrows, ncols, track=("s", "t")).solve(b)
 
 
-def lattice_basis(gens: list[list[int]], dim: int) -> list[list[int]]:
-    """Basis of the lattice spanned by the given vectors in Z^dim.
-
-    Input and output vectors are column vectors given as plain lists.
-    """
-    for g in gens:
-        if len(g) != dim:
-            raise ValueError(f"generator has {len(g)} entries, expected {dim}")
-    a = [[g[i] for g in gens] for i in range(dim)]
-    sf = smith_normal_form(a, dim, len(gens), track=("sinv",))
-    # colspan(A) = Sinv * colspan(D); D's nonzero columns are d_i * e_i.
-    return [[sf.sinv[r][i] * di for r in range(dim)] for i, di in enumerate(sf.diag)]
-
-
 def kron(a, b):
     """Kronecker product.  Each row's width is read off the rows it is made
     of, so a factor without rows gives the product without rows."""

@@ -6,6 +6,10 @@ Hom and injectivity probes, an explicit shift-edge search for tensor
 presentations, and element-listing homology with invariants reconstructed
 from order statistics instead of normal forms.
 
+The axiom, Hom and tensor scans still enumerate every instance, but read
+each table cell once per call (mu through ``s.mu``, actions through
+``b.act`` by ``action_columns``) and test each distinct constraint once.
+
 Each scan refuses past its own bound, read when it runs: the carrier size of
 a subset scan (ORACLE_CARRIER_BOUND), the |dst|^|src| tables of a map filter
 (ORACLE_MAP_BOUND), the |y|^|x| maps of a completed hom filter
@@ -37,7 +41,12 @@ ORACLE_BOX_BOUND = 8000
 # ---------------------------------------------------------------------------
 
 def naive_axiom_failures(s: NaryGammaSemiring) -> list[tuple[str, tuple]]:
-    """Every axiom violation, by direct full enumeration."""
+    """Every axiom violation, by direct full enumeration.
+
+    Each mu cell is read once, through ``s.mu``, into a local table; slot and
+    parameter additivity, absorption and every bracketing of every word of
+    length 2n - 1 read that table.
+    """
     bad = []
     t, g, n = s.T, s.gamma, s.n
     for a in range(t.size):
@@ -58,14 +67,15 @@ def naive_axiom_failures(s: NaryGammaSemiring) -> list[tuple[str, tuple]]:
                     bad.append(("gamma-associative", (a, b, c)))
     all_x = list(product(range(t.size), repeat=n))
     all_g = list(product(range(g.size), repeat=n - 1))
+    mu = {(xs, gs): s.mu(xs, gs) for xs in all_x for gs in all_g}
     for xs in all_x:
         for gs in all_g:
-            val = s.mu(xs, gs)
+            val = mu[xs, gs]
             for jj in range(n):
                 for y in range(t.size):
                     ys = xs[:jj] + (y,) + xs[jj + 1:]
                     summed = xs[:jj] + (t.add(xs[jj], y),) + xs[jj + 1:]
-                    if s.mu(summed, gs) != t.add(val, s.mu(ys, gs)):
+                    if mu[summed, gs] != t.add(val, mu[ys, gs]):
                         bad.append(("slot-additivity", (jj, xs, y, gs)))
             for kk in range(n - 1):
                 for d in range(g.size):
@@ -75,7 +85,7 @@ def naive_axiom_failures(s: NaryGammaSemiring) -> list[tuple[str, tuple]]:
                         continue
                     hs = gs[:kk] + (d,) + gs[kk + 1:]
                     summed = gs[:kk] + (g.add(gs[kk], d),) + gs[kk + 1:]
-                    if s.mu(xs, summed) != t.add(val, s.mu(xs, hs)):
+                    if mu[xs, summed] != t.add(val, mu[xs, hs]):
                         bad.append(("parameter-additivity", (kk, xs, gs, d)))
             if t.zero in xs and val != t.zero:
                 bad.append(("zero-absorption", (xs, gs)))
@@ -86,9 +96,9 @@ def naive_axiom_failures(s: NaryGammaSemiring) -> list[tuple[str, tuple]]:
         for gs in product(range(g.size), repeat=wlen - 1):
             vals = set()
             for i in range(wlen - n + 1):
-                inner = s.mu(xs[i:i + n], gs[i:i + n - 1])
+                inner = mu[xs[i:i + n], gs[i:i + n - 1]]
                 outer = xs[:i] + (inner,) + xs[i + n:]
-                vals.add(s.mu(outer, gs[:i] + gs[i + n - 1:]))
+                vals.add(mu[outer, gs[:i] + gs[i + n - 1:]])
             if len(vals) > 1:
                 bad.append(("associativity", (xs, gs, tuple(sorted(vals)))))
     return bad
@@ -193,22 +203,48 @@ def all_additive_maps(src: FiniteAddMonoid, dst: FiniteAddMonoid):
         v = f.pop() + 1
 
 
-def all_maps_hom(src: BiGammaModule, dst: BiGammaModule) -> list[tuple[int, ...]]:
+def action_columns(b: BiGammaModule) -> list[list[tuple[int, ...]]]:
+    """The action of b, each cell read once through ``b.act``.
+
+    columns[jj][f] is the tuple of b.act(jj, tother, m, gs) over the elements
+    m, for the f-th filler (tother, gs) in ``product`` order: carriers outer,
+    parameters inner.
+    """
+    s = b.parent
+    fillers = list(product(product(range(s.T.size), repeat=s.n - 1),
+                           product(range(s.gamma.size), repeat=s.n - 1)))
+    return [[tuple(b.act(jj, tother, m, gs) for m in range(b.M.size))
+             for tother, gs in fillers] for jj in range(s.n)]
+
+
+def column_reader():
+    """A function b -> action_columns(b) that reads each module once.
+
+    It holds what it has read for as long as the caller keeps it, so one
+    command makes one and lets the scans it runs share it.
+    """
+    read = {}
+
+    def columns(b: BiGammaModule):
+        # Keyed by identity; each entry keeps b alive, so no id is reused.
+        if id(b) not in read:
+            read[id(b)] = b, action_columns(b)
+        return read[id(b)][1]
+    return columns
+
+
+def all_maps_hom(src: BiGammaModule, dst: BiGammaModule,
+                 columns=action_columns) -> list[tuple[int, ...]]:
     """Additive equivariant maps found by filtering all additive maps.
 
-    Every action is read once per call: a map f is kept when
-    f(src.act(..., m, ...)) = dst.act(..., f(m), ...) for every slot,
-    filler and element.  The additive maps are listed first, so a refusal
-    comes before any action is read.
+    A map f is kept when f(src.act(..., m, ...)) = dst.act(..., f(m), ...)
+    for every slot, filler and element; each distinct pair of a source and a
+    target column, as ``columns`` gives them, is tested once.  The additive
+    maps are listed first, so a refusal comes before any action is read.
     """
-    s = src.parent
     additive = list(all_additive_maps(src.M, dst.M))
-    fillers = [(jj, tother, gs) for jj in range(s.n)
-               for tother in product(range(s.T.size), repeat=s.n - 1)
-               for gs in product(range(s.gamma.size), repeat=s.n - 1)]
-    pairs = [([src.act(jj, tother, m, gs) for m in range(src.M.size)],
-              [dst.act(jj, tother, x, gs) for x in range(dst.M.size)])
-             for jj, tother, gs in fillers]
+    pairs = list(dict.fromkeys(pair for scols, dcols in zip(columns(src), columns(dst))
+                               for pair in zip(scols, dcols)))
     return [f for f in additive
             if all(f[sa[m]] == da[f[m]] for sa, da in pairs for m in range(src.M.size))]
 
@@ -338,7 +374,8 @@ def hom_group_bruteforce(x: CompletedModule, y: CompletedModule) -> tuple[int, .
 # Tensor presentations by shift-edge search
 # ---------------------------------------------------------------------------
 
-def tensor_presentation(left: BiGammaModule, right: BiGammaModule, j: int, k: int):
+def tensor_presentation(left: BiGammaModule, right: BiGammaModule, j: int, k: int,
+                        columns=action_columns):
     """The counter box and relations of the presented tensor monoid.
 
     Returns (caps, wraps, relations).  Generator i is the i-th nonzero pair
@@ -346,8 +383,10 @@ def tensor_presentation(left: BiGammaModule, right: BiGammaModule, j: int, k: in
     and count caps[i] equals count wraps[i], where the orbit turns periodic.
     relations holds one copy of each unordered pair of distinct count
     vectors that the additivity and slot-(j, k) balancing relations identify.
+    The balancing relations of each distinct pair of a slot-j column of left
+    and a slot-k column of right, as ``columns`` gives them, are added once;
+    no action is read before the box bound is checked.
     """
-    s = left.parent
     mz, nz = left.M.zero, right.M.zero
     gens = [(a, b) for a in range(left.M.size) for b in range(right.M.size)
             if a != mz and b != nz]
@@ -394,13 +433,10 @@ def tensor_presentation(left: BiGammaModule, right: BiGammaModule, j: int, k: in
                 lhs = one_hot(a, right.M.add(b1, b2))
                 rhs = [p + q for p, q in zip(one_hot(a, b1), one_hot(a, b2))]
                 relations.append((lhs, rhs))
-    for tother in product(range(s.T.size), repeat=s.n - 1):
-        for gs in product(range(s.gamma.size), repeat=s.n - 1):
-            lact = [left.act(j, tother, a, gs) for a in range(left.M.size)]
-            ract = [right.act(k, tother, b, gs) for b in range(right.M.size)]
-            for a in range(left.M.size):
-                for b in range(right.M.size):
-                    relations.append((one_hot(lact[a], b), one_hot(a, ract[b])))
+    for lact, ract in dict.fromkeys(zip(columns(left)[j], columns(right)[k])):
+        for a in range(left.M.size):
+            for b in range(right.M.size):
+                relations.append((one_hot(lact[a], b), one_hot(a, ract[b])))
     # Every relation adds its edges in both directions, so one copy of each
     # unordered pair gives the same edges, and lhs == rhs only gives loops.
     relations = list(dict.fromkeys(tuple(sorted((tuple(lhs), tuple(rhs))))
@@ -408,7 +444,8 @@ def tensor_presentation(left: BiGammaModule, right: BiGammaModule, j: int, k: in
     return caps, wraps, relations
 
 
-def tensor_class_count(left: BiGammaModule, right: BiGammaModule, j: int, k: int) -> int:
+def tensor_class_count(left: BiGammaModule, right: BiGammaModule, j: int, k: int,
+                       columns=action_columns) -> int:
     """Size of the presented tensor monoid via explicit relation edges.
 
     Vectors of generator multiplicities live in a box bounded by each
@@ -416,7 +453,7 @@ def tensor_class_count(left: BiGammaModule, right: BiGammaModule, j: int, k: int
     every shift, and wrap edges fold the orbit periodicity in.  The class
     count is the number of connected components.
     """
-    caps, wraps, relations = tensor_presentation(left, right, j, k)
+    caps, wraps, relations = tensor_presentation(left, right, j, k, columns)
     sizes = [c + 1 for c in caps]
     weights = [prod(sizes[i + 1:]) for i in range(len(sizes))]
 

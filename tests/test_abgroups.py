@@ -290,6 +290,34 @@ def test_is_exact_refuses_maps_that_do_not_compose():
         is_exact(GroupMap.identity(C2), GroupMap.zero(AbGroup((2, 2)), C2))
 
 
+def test_subquotient_numerator_basis_and_membership():
+    # The numerator <(2, 0), (0, 3), (2, 3)> of Z^2, with no denominator.
+    sq = Subquotient(AbGroup((0, 0)), [[2, 0], [0, 3], [2, 3]], [])
+    assert sq.group.orders == (0, 0)
+    for v in ([2, 0], [0, 3], [4, 3], [-2, 6]):
+        assert list(sq.representative(sq.classify(v))) == v
+    with pytest.raises(ValueError, match="not in the numerator"):
+        sq.classify([1, 0])
+    empty = Subquotient(AbGroup((0, 0, 0)), [], [])
+    assert empty.group.orders == () and empty.classify([0, 0, 0]) == ()
+    with pytest.raises(ValueError, match="not in the numerator"):
+        empty.classify([1, 0, 0])
+
+
+def test_subquotient_factors_its_numerator_once(count_calls):
+    # One factorization of the numerator and one of the relations.
+    counts = count_calls(la, "smith_normal_form")
+    Subquotient(AbGroup((0, 4)), [[2, 0], [0, 1], [2, 3]], [[4, 2]])
+    assert counts["smith_normal_form"] == 2
+
+
+def test_subquotient_refuses_a_denominator_outside_its_numerator():
+    with pytest.raises(SoundnessError, match="page 1: denominator not inside numerator"):
+        Subquotient(AbGroup((0,)), [[2]], [[3]], what="page 1")
+    with pytest.raises(SoundnessError, match="denominator not inside numerator"):
+        Subquotient(C4, [[2]], [[1]])
+
+
 def test_subquotient_induced():
     # Z^2/<(2,0)> = C2 x Z  ->  Z/<6> = C6 by (a, b) -> 3a + b.
     src = Subquotient(AbGroup((0, 0)), [[1, 0], [0, 1]], [[2, 0]])

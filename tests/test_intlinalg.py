@@ -8,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 import ngamma.intlinalg
 from ngamma import completion, core, modules
 from ngamma import intlinalg as la
+from ngamma.abgroups import AbGroup, Subquotient
 
 
 small_matrices = st.integers(0, 4).flatmap(
@@ -75,20 +76,6 @@ def test_solve_verifies(data, xs):
     assert la.mat_vec(a, sol) == b
 
 
-def test_lattice_basis_and_membership():
-    def in_lattice(vec, basis, dim):
-        a = [[g[i] for g in basis] for i in range(dim)]
-        return la.solve(a, vec, dim, len(basis)) is not None
-
-    basis = la.lattice_basis([[2, 0], [0, 3], [2, 3]], 2)
-    assert in_lattice([2, 0], basis, 2)
-    assert in_lattice([0, 3], basis, 2)
-    assert in_lattice([4, 3], basis, 2)
-    assert not in_lattice([1, 0], basis, 2)
-    assert la.lattice_basis([], 3) == []
-    assert not in_lattice([1, 0, 0], [], 3)
-
-
 def test_products_keep_the_shape_of_empty_matrices():
     assert la.mat_mul([[], []], [], 3) == [[0, 0, 0], [0, 0, 0]]
     assert la.mat_mul([[1], [2]], [[]], 0) == [[], []]
@@ -105,7 +92,7 @@ def test_products_keep_the_shape_of_empty_matrices():
             raise AssertionError(f"mat_mul accepted {a} @ {b} of width {width}")
 
 
-def test_solve_and_lattice_basis_reject_wrong_lengths():
+def test_solve_and_subquotient_reject_wrong_lengths():
     a = [[2, 0], [0, 3]]
     for b in ([4], [4, 9, 1]):
         try:
@@ -114,12 +101,13 @@ def test_solve_and_lattice_basis_reject_wrong_lengths():
             assert f"{len(b)} entries, expected 2" in str(e)
         else:
             raise AssertionError(f"solve accepted a right-hand side of length {len(b)}")
-    try:
-        la.lattice_basis([[2, 0, 7]], 2)
-    except ValueError as e:
-        assert "3 entries, expected 2" in str(e)
-    else:
-        raise AssertionError("lattice_basis accepted a generator of length 3")
+    for p_gens, q_gens in (([[2, 0, 7]], []), ([[2, 0]], [[2, 0, 7]])):
+        try:
+            Subquotient(AbGroup((0, 0)), p_gens, q_gens)
+        except ValueError as e:
+            assert "3 entries, expected 2" in str(e)
+        else:
+            raise AssertionError("Subquotient accepted a vector of length 3")
 
 
 def test_intlinalg_doctests():
@@ -308,8 +296,12 @@ def test_snf_matches_dense_reference_for_every_selection(data):
     ax = la.mat_vec(a, x)
     assert la.solve(a, ax, m, n) == reference_solve(ref, ax, m, n)
     # The generators are the columns of A, so the reference reduction is ref.
+    # Over Z^m with no denominator, the representative of the i-th basis
+    # class is the i-th numerator basis vector.
     gens = [[row[j] for row in a] for j in range(n)]
-    assert la.lattice_basis(gens, m) == reference_lattice_basis(ref, m, n)
+    sq = Subquotient(AbGroup((0,) * m), gens, [])
+    assert [list(sq.representative(e)) for e in la.identity(sq.group.dim)] == \
+        reference_lattice_basis(ref, m, n)
 
 
 def test_snf_matches_reference_on_order_column_system():
@@ -354,7 +346,7 @@ def test_integer_systems_are_solved_only_in_abgroups():
     # The derived layer states its linear algebra through abgroups (kernel,
     # preimage, Subgroup, Subquotient, EquivariantHom); only abgroups
     # factorizes, solves or reduces lattices itself.
-    names = {"smith_normal_form", "kernel_basis", "solve", "lattice_basis"}
+    names = {"smith_normal_form", "kernel_basis", "solve"}
     found = [f"{path.name}:{node.lineno}"
              for path in sorted(Path(ngamma.intlinalg.__file__).parent.rglob("*.py"))
              if path.name not in ("intlinalg.py", "abgroups.py")

@@ -1,26 +1,29 @@
+import ast
 import random
 from itertools import product
 from math import prod
+from pathlib import Path
 
 import pytest
+from test_axiom_engine import FAMILIES
 from test_fuzz import _monoid_pool
 from test_validate_once import REGULAR_FAMILIES
 
 from ngamma.abgroups import SoundnessError
 from ngamma.bundled import bundled_workspace
 from ngamma.core import (
-    BoundExceeded, FiniteAddMonoid, GammaSemigroup, NaryGammaSemiring, bundled_semirings,
-    make_matrix_family, validate_semiring, zmod_semiring,
+    BoundExceeded, FiniteAddMonoid, GammaSemigroup, NaryGammaSemiring, boolean_semiring,
+    bundled_semirings, make_matrix_family, validate_semiring, zmod_semiring,
 )
 from ngamma.ideals import GammaIdeal, all_ideals, spectrum
 from ngamma.modules import (
-    Conflation, ModuleMorphism, build_module, cofree, hom_gamma, identity_module_morphism,
+    BiGammaModule, Conflation, ModuleMorphism, build_module, cofree, hom_gamma, identity_module_morphism,
     ideal_submodule, quotient_module, regular_bimodule, tensor_positional, validate_module,
     zero_module,
 )
 from ngamma.completion import EquivariantHom, linearize_module
 from ngamma.homology import bar_complex, homology
-from ngamma import oracle
+from ngamma import cli, oracle
 
 
 def test_naive_axioms_agree_on_bundled():
@@ -38,6 +41,180 @@ def test_naive_axioms_catch_breakage():
     assert not validate_semiring(broken).ok
 
 
+def _reference_axiom_failures(s):
+    """Every axiom violation, reading ``s.mu`` at every instance: the oracle's
+    scan before it read each cell once, kept as the reference for the kinds,
+    witnesses and order of its list."""
+    bad = []
+    t, g, n = s.T, s.gamma, s.n
+    for a in range(t.size):
+        for b in range(t.size):
+            if t.add(a, b) != t.add(b, a):
+                bad.append(("monoid-commutative", (a, b)))
+            for c in range(t.size):
+                if t.add(t.add(a, b), c) != t.add(a, t.add(b, c)):
+                    bad.append(("monoid-associative", (a, b, c)))
+        if t.add(t.zero, a) != a:
+            bad.append(("monoid-zero", (a,)))
+    for a in range(g.size):
+        for b in range(g.size):
+            if g.add(a, b) != g.add(b, a):
+                bad.append(("gamma-commutative", (a, b)))
+            for c in range(g.size):
+                if g.add(g.add(a, b), c) != g.add(a, g.add(b, c)):
+                    bad.append(("gamma-associative", (a, b, c)))
+    all_x = list(product(range(t.size), repeat=n))
+    all_g = list(product(range(g.size), repeat=n - 1))
+    for xs in all_x:
+        for gs in all_g:
+            val = s.mu(xs, gs)
+            for jj in range(n):
+                for y in range(t.size):
+                    ys = xs[:jj] + (y,) + xs[jj + 1:]
+                    summed = xs[:jj] + (t.add(xs[jj], y),) + xs[jj + 1:]
+                    if s.mu(summed, gs) != t.add(val, s.mu(ys, gs)):
+                        bad.append(("slot-additivity", (jj, xs, y, gs)))
+            for kk in range(n - 1):
+                for d in range(g.size):
+                    if d == gs[kk] and g.add(d, d) == d:
+                        continue
+                    hs = gs[:kk] + (d,) + gs[kk + 1:]
+                    summed = gs[:kk] + (g.add(gs[kk], d),) + gs[kk + 1:]
+                    if s.mu(xs, summed) != t.add(val, s.mu(xs, hs)):
+                        bad.append(("parameter-additivity", (kk, xs, gs, d)))
+            if t.zero in xs and val != t.zero:
+                bad.append(("zero-absorption", (xs, gs)))
+            if g.has_zero and g.zero in gs and val != t.zero:
+                bad.append(("gamma-zero-absorption", (xs, gs)))
+    wlen = 2 * n - 1
+    for xs in product(range(t.size), repeat=wlen):
+        for gs in product(range(g.size), repeat=wlen - 1):
+            vals = set()
+            for i in range(wlen - n + 1):
+                inner = s.mu(xs[i:i + n], gs[i:i + n - 1])
+                outer = xs[:i] + (inner,) + xs[i + n:]
+                vals.add(s.mu(outer, gs[:i] + gs[i + n - 1:]))
+            if len(vals) > 1:
+                bad.append(("associativity", (xs, gs, tuple(sorted(vals)))))
+    return bad
+
+
+def test_naive_axioms_match_the_per_instance_reference():
+    for name, s in bundled_semirings().items():
+        assert oracle.naive_axiom_failures(s) == _reference_axiom_failures(s), name
+    # 204 mutants, fewer where the carrier and parameter words are larger.
+    per_family = {"f2_ternary": 64, "boolean_ternary": 64, "z4_ternary": 56,
+                  "m2f2_binary": 12, "gamma_scaled_z4": 8}
+    mutants = failing = 0
+    for family, base in FAMILIES.items():
+        rng = random.Random(f"oracle-reference/{family}")
+        for _ in range(per_family[family]):
+            mut = oracle.mutate_semiring(base, rng)
+            got = oracle.naive_axiom_failures(mut)
+            assert got == _reference_axiom_failures(mut), family
+            mutants += 1
+            failing += bool(got)
+    assert mutants >= 200 and failing >= mutants // 2
+
+
+def test_naive_axioms_read_each_mu_cell_once(count_calls):
+    for name, s in FAMILIES.items():
+        counts = count_calls(NaryGammaSemiring, "mu")
+        oracle.naive_axiom_failures(s)
+        assert counts["mu"] == s.T.size ** s.n * s.gamma.size ** (s.n - 1), name
+
+
+def test_oracle_all_reads_each_action_cell_at_most_once(count_calls, capsys):
+    # Sum over the modules of n |T|^(n-1) |Gamma|^(n-1) |M|: every cell of
+    # every action table once, whatever the hom and tensor blocks compare.
+    cells = sum(b.parent.n * (b.parent.T.size * b.parent.gamma.size) ** (b.parent.n - 1)
+                * b.M.size for b in bundled_workspace().modules.values())
+    assert cells == 888
+    counts = count_calls(BiGammaModule, "act")
+    assert cli.main(["--format", "structured", "oracle", "all"]) == 0
+    capsys.readouterr()
+    assert 0 < counts["act"] <= cells
+
+
+def test_scans_share_the_columns_they_are_given(count_calls):
+    # A reader shared by a hom and a tensor scan reads each module once, and
+    # a pair its bound refuses reads no action.
+    ws = bundled_workspace()
+    reg, sub, big = ws.modules["z4_reg"], ws.modules["z4_ideal02"], ws.modules["z4_sum"]
+    maps = oracle.all_maps_hom(reg, sub)
+    count = oracle.tensor_class_count(sub, reg, 2, 0)
+    counts = count_calls(BiGammaModule, "act")
+    columns = oracle.column_reader()
+    assert oracle.all_maps_hom(reg, sub, columns) == maps
+    assert oracle.tensor_class_count(sub, reg, 2, 0, columns) == count
+    assert counts["act"] == 3 * 4 ** 2 * (reg.M.size + sub.M.size)
+    counts.clear()
+    columns = oracle.column_reader()
+    with pytest.raises(BoundExceeded):
+        oracle.tensor_class_count(reg, reg, 2, 0, columns)
+    with pytest.raises(BoundExceeded):
+        oracle.all_maps_hom(big, big, columns)
+    assert counts["act"] == 0
+
+
+def _opposite(s):
+    """T^op: mu^op(x1..xn; g1..g(n-1)) = mu(xn..x1; g(n-1)..g1)."""
+    table = tuple(s.mu(xs[::-1], gs[::-1])
+                  for xs in product(range(s.T.size), repeat=s.n)
+                  for gs in product(range(s.gamma.size), repeat=s.n - 1))
+    return NaryGammaSemiring(s.n, s.T, s.gamma, table, name=s.name + "^op")
+
+
+def _verdicts(s):
+    return validate_semiring(s).ok, not oracle.naive_axiom_failures(s)
+
+
+def test_opposite_structure_keeps_verdicts_ideals_and_primes():
+    fams = {**FAMILIES, "m2b_binary": make_matrix_family(boolean_semiring(), 2, 2)}
+    for name, s in fams.items():
+        op = _opposite(s)
+        assert _opposite(op).mu_table == s.mu_table
+        assert _verdicts(op) == _verdicts(s) == (True, True), name
+        ideals = oracle.subset_scan_ideals(s)
+        assert sorted(i.bitmask for i in all_ideals(s)) == ideals, name
+        assert sorted(i.bitmask for i in all_ideals(op)) == ideals, name
+        assert oracle.subset_scan_ideals(op) == ideals, name
+        primes = oracle.subset_scan_primes(s)
+        assert sorted(p.bitmask for p in spectrum(s).primes) == primes, name
+        assert sorted(p.bitmask for p in spectrum(op).primes) == primes, name
+        assert oracle.subset_scan_primes(op) == primes, name
+    # At least one family is not commutative, so op is not s itself there.
+    assert any(_opposite(s).mu_table != s.mu_table for s in fams.values())
+    for family, base in FAMILIES.items():
+        rng = random.Random(f"oracle-opposite/{family}")
+        for _ in range(8):
+            mut = oracle.mutate_semiring(base, rng)
+            assert _verdicts(_opposite(mut)) == _verdicts(mut), family
+
+
+def test_oracle_stays_independent_of_the_engine():
+    # The oracle reads tables only through core, BiGammaModule.act and
+    # CompletedModule; it borrows none of the engine's scans.
+    allowed = {"core": None, "modules": {"BiGammaModule"},
+               "completion": {"CompletedModule"}}
+    tree = ast.parse(Path(oracle.__file__).read_text(encoding="utf-8"))
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            assert not any(a.name.split(".")[0] == "ngamma" for a in node.names)
+        elif isinstance(node, ast.ImportFrom) and (
+                node.level or (node.module or "").split(".")[0] == "ngamma"):
+            module = node.module or ""
+            module = module if node.level else module.removeprefix("ngamma.")
+            assert module in allowed, module
+            names = {a.name for a in node.names}
+            assert allowed[module] is None or names <= allowed[module], names
+            imported.add(module)
+        elif isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute):
+            assert node.func.attr != "actions", node.lineno
+    assert imported == set(allowed)
+
+
 def test_subset_scans_agree():
     fams = {name: s for name, s in REGULAR_FAMILIES.items()
             if s.T.size <= oracle.ORACLE_CARRIER_BOUND}
@@ -48,12 +225,27 @@ def test_subset_scans_agree():
             oracle.subset_scan_primes(s), name
 
 
+def _one_sided_z4_modules():
+    """Z/2 over ternary Z/4 acted on through one outer slot only, by the
+    product of everything mod 2: modules whose slot columns differ."""
+    z4 = bundled_semirings()["z4_ternary"]
+    z2 = FiniteAddMonoid(2, (0, 1, 1, 0))
+    mods = [build_module(z4, z2, lambda j, t, m, gs, slot=slot:
+                         m * t[0] * t[1] % 2 if j == slot else 0, name=f"slot{slot}")
+            for slot in (0, 2)]
+    assert all(validate_module(b).ok for b in mods)
+    return mods + [regular_bimodule(z4)]
+
+
 def test_hom_enumeration_agrees():
     z4 = bundled_semirings()["z4_ternary"]
     reg = regular_bimodule(z4)
     sub = ideal_submodule(z4, GammaIdeal(z4, frozenset({0, 2})))
     for m, n in [(reg, reg), (reg, sub), (sub, reg), (sub, sub)]:
         assert sorted(hom_gamma(m, n).maps) == sorted(oracle.all_maps_hom(m, n))
+    for m in _one_sided_z4_modules():
+        for n in _one_sided_z4_modules():
+            assert sorted(hom_gamma(m, n).maps) == sorted(oracle.all_maps_hom(m, n))
 
 
 def _product_filter(src, dst):
@@ -169,6 +361,17 @@ def test_tensor_class_count_agrees():
     for m, n in [(reg, sub), (sub, reg), (sub, sub), (quo, sub), (quo, quo)]:
         assert oracle.tensor_class_count(m, n, 2, 0) == \
             tensor_positional(m, n, 2, 0).module.M.size
+    # Modules acted on through one slot, at every slot pair: the sizes
+    # depend on which slots are balanced.
+    sizes = set()
+    for m, n in product(_one_sided_z4_modules(), repeat=2):
+        if m.M.size * n.M.size > 8:
+            continue
+        for j, k in product(range(3), repeat=2):
+            size = tensor_positional(m, n, j, k).module.M.size
+            assert oracle.tensor_class_count(m, n, j, k) == size, (m.name, n.name, j, k)
+            sizes.add(size)
+    assert sizes == {1, 2}
 
 
 def _full_vector_class_count(caps, wraps, relations):
