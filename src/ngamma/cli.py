@@ -354,6 +354,9 @@ def cmd_oracle(ws: Workspace, args, rep: Reporter) -> int:
     results = {}
     ok = True
     columns = oracle_mod.column_reader()  # each module's action, read once
+    # Each semiring's subsets are scanned once, for its ideals and its primes.
+    ideal_masks = functools.cache(
+        lambda name: oracle_mod.subset_scan_ideals(ws.semirings[name]))
     targets = ([args.target] if args.target != "all" else
                ["axioms", "ideals", "spectrum", "hom", "tensor", "homology"])
     for target in targets:
@@ -369,14 +372,14 @@ def cmd_oracle(ws: Workspace, args, rep: Reporter) -> int:
             for name in sorted(ws.semirings):
                 s = ws.semirings[name]
                 eng = sorted(i.bitmask for i in all_ideals(s))
-                orc = oracle_mod.subset_scan_ideals(s)
+                orc = ideal_masks(name)
                 block[name] = {"agree": eng == orc, "count": len(eng)}
                 ok = ok and eng == orc
         elif target == "spectrum":
             for name in sorted(ws.semirings):
                 s = ws.semirings[name]
                 eng = sorted(p.bitmask for p in spectrum(s).primes)
-                orc = oracle_mod.subset_scan_primes(s)
+                orc = oracle_mod.subset_scan_primes(s, ideal_masks(name))
                 block[name] = {"agree": eng == orc, "primes": eng}
                 ok = ok and eng == orc
         elif target == "hom":

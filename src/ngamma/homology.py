@@ -12,7 +12,10 @@ slots are filled with its canonical neutral word when it has one, otherwise
 summed over all fillers, and the parameter slots are summed over every
 tuple.  Only the bar tower itself takes another ``ContractionPolicy``, for
 bar diagnostics and for the benchmark's relabelled default; every derived
-entry point above it builds its towers with the default.
+entry point above it builds its towers with the default.  Each public
+entry point shares one memo of Smith normal forms for the length of its
+call (``intlinalg.shares_factorizations``), so a call factors each distinct
+integer system once.
 """
 
 from __future__ import annotations
@@ -290,6 +293,7 @@ def _regular(s: NaryGammaSemiring, carrier):
     return regular_bimodule(s) if carrier is None else carrier
 
 
+@la.shares_factorizations
 def bar_complex(s: NaryGammaSemiring, module, j: int | None = None, k: int = 0,
                 depth: int = 4, policy: ContractionPolicy | None = None,
                 carrier: CompletedModule | None = None) -> BarComplex:
@@ -372,6 +376,7 @@ class DerivedResult:
         return [g.invariant_factors() for g in self.groups]
 
 
+@la.shares_factorizations
 def ext_via_bar(s, m, n, j: int | None = None, k: int = 0, depth: int = 2,
                 policy: ContractionPolicy | None = None,
                 carrier: CompletedModule | None = None) -> DerivedResult:
@@ -388,6 +393,7 @@ def ext_via_bar(s, m, n, j: int | None = None, k: int = 0, depth: int = 2,
     return DerivedResult(homology(hc.cochain, depth), bar)
 
 
+@la.shares_factorizations
 def tor_via_bar(s, m, n, j: int | None = None, k: int = 0, depth: int = 2,
                 policy: ContractionPolicy | None = None,
                 carrier: CompletedModule | None = None) -> DerivedResult:
@@ -440,6 +446,7 @@ def _unit_into_cofree(b: BiGammaModule):
     return cf, unit
 
 
+@la.shares_factorizations
 def cofree_coresolution(s: NaryGammaSemiring, b: BiGammaModule, depth: int = 2,
                         completed: CompletedModule | None = None) -> CofreeTower:
     """Iterated cofree embeddings with completed connecting maps, in one pass.
@@ -478,6 +485,7 @@ def cofree_coresolution(s: NaryGammaSemiring, b: BiGammaModule, depth: int = 2,
                        unit0, monoid_sizes)
 
 
+@la.shares_factorizations
 def ext_via_cofree(s: NaryGammaSemiring, m, n: BiGammaModule, depth: int = 2,
                    completed: CompletedModule | None = None) -> DerivedResult:
     """Ext of m into n on n's cofree tower; ``completed`` is n's completed
@@ -498,6 +506,7 @@ class BalanceReport:
         return self.skipped is None and self.bar_factors == self.cofree_factors
 
 
+@la.shares_factorizations
 def balance_check(s, m: BiGammaModule, n: BiGammaModule, depth: int = 2,
                   j: int | None = None, k: int = 0) -> BalanceReport:
     lin_m, lin_n, carrier = linearize_over(s, [m, n, regular_bimodule(s)])
@@ -579,6 +588,7 @@ def snake_les(x: Complex, y: Complex, z: Complex,
     return LesReport(labels, groups, exact_at, deltas_zero, ses_ok, True)
 
 
+@la.shares_factorizations
 def les_check(c: Conflation, n: BiGammaModule, depth: int = 2,
               side: str = "hom", j: int | None = None, k: int = 0) -> LesReport:
     """Long exact sequence of a conflation through the given degree.
@@ -645,6 +655,7 @@ def les_check(c: Conflation, n: BiGammaModule, depth: int = 2,
 class ExtSetup:
     """Bar tower of the source module plus the Hom cochain into the target."""
 
+    @la.shares_factorizations
     def __init__(self, s: NaryGammaSemiring, m: BiGammaModule, n: BiGammaModule,
                  depth: int, j: int | None = None, k: int = 0):
         self.src, self.dst, carrier = linearize_over(s, [m, n, regular_bimodule(s)])
@@ -706,6 +717,7 @@ def _lift_chain_map(bar_src: BarComplex, bar_dst: BarComplex, g0_matrix,
     return lifts
 
 
+@la.shares_factorizations
 def yoneda_compose(ext_nl: ExtSetup, p: int, f_cocycle,
                    ext_mn: ExtSetup, q: int, g_cocycle,
                    ext_ml: ExtSetup, rng: random.Random | None = None):

@@ -7,10 +7,20 @@ routine takes exactly the dimensions its row lists cannot give: the width of
 a product, the shape of a factorization.
 All routines are pure; none mutate their arguments (the Smith normal form
 works on its own sparse copy of the input rows).
+
+While a derived entry point runs (a function decorated with
+``shares_factorizations``), ``smith_normal_form`` keeps a memo keyed on the
+input's shape, its rows and the transforms it tracks, and a repeated system
+gets back the first ``SmithForm``.  The outermost decorated call owns the
+memo, nested ones share it, and it is dropped when that call returns or
+raises.  A factorization is a pure function of that key, so sharing it moves
+no coordinate; in return every caller only reads what it gets back.
 """
 
 from __future__ import annotations
 
+from contextvars import ContextVar
+from functools import wraps
 from itertools import chain
 from math import gcd
 
@@ -97,6 +107,31 @@ def _add_scaled(dst, src, c):
     return [x + c * y for x, y in zip(dst, src)]
 
 
+# (nrows, ncols, tracked transforms, rows) -> SmithForm while a
+# ``shares_factorizations`` call runs in this thread or task, else None.
+_memo: ContextVar[dict | None] = ContextVar("smith_normal_form_memo", default=None)
+
+
+def shares_factorizations(fn):
+    """``fn`` with one memo of Smith normal forms open while it runs.
+
+    The outermost decorated call opens the memo and drops it when it returns
+    or raises; a decorated call inside it shares that memo.  Nothing is kept
+    from one outermost call to the next.
+    """
+    @wraps(fn)
+    def scoped(*args, **kwargs):
+        if _memo.get() is not None:
+            return fn(*args, **kwargs)
+        token = _memo.set({})
+        try:
+            return fn(*args, **kwargs)
+        finally:
+            _memo.reset(token)
+
+    return scoped
+
+
 def smith_normal_form(a, nrows: int, ncols: int, *,
                       track=TRANSFORMS) -> SmithForm:
     """Smith normal form over the integers.
@@ -115,7 +150,22 @@ def smith_normal_form(a, nrows: int, ncols: int, *,
     The pivot is the smallest nonzero |entry| of the trailing block, the
     first in row-major order; S, T and so every coordinate derived from them
     depend on that rule.
+
+    Inside a ``shares_factorizations`` call a system met before returns the
+    same ``SmithForm`` object, so callers must not mutate its fields.
     """
+    memo = _memo.get()
+    if memo is None:
+        return _factor(a, nrows, ncols, track)
+    key = (nrows, ncols, frozenset(track), tuple(map(tuple, a)))
+    sf = memo.get(key)
+    if sf is None:
+        sf = memo[key] = _factor(a, nrows, ncols, track)
+    return sf
+
+
+def _factor(a, nrows: int, ncols: int, track) -> SmithForm:
+    """The factorization ``smith_normal_form`` documents, without the memo."""
     unknown = set(track) - set(TRANSFORMS)
     if unknown:
         raise ValueError(f"unknown transforms {sorted(unknown)}, expected some of "

@@ -141,10 +141,12 @@ def subset_scan_ideals(s: NaryGammaSemiring) -> list[int]:
     return out
 
 
-def subset_scan_primes(s: NaryGammaSemiring) -> list[int]:
+def subset_scan_primes(s: NaryGammaSemiring, ideals: list[int]) -> list[int]:
+    """Bitmasks of every prime among ``ideals``, the ideal bitmasks of s as
+    ``subset_scan_ideals`` returns them."""
     primes = []
     size = s.T.size
-    for mask in subset_scan_ideals(s):
+    for mask in ideals:
         members = {e for e in range(size) if mask >> e & 1}
         if len(members) == size:
             continue

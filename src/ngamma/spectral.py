@@ -139,7 +139,11 @@ class FiltrationPages:
     every column and anything below 0 keeps none (read as -1).  Lattices are
     kept under that key (``_lattice_key``) and subquotients under the keys of
     their three lattices.  A reused subquotient's ``what`` label names the
-    first page that built it.
+    first page that built it.  The lattice cache stays although
+    ``kunneth_check`` shares its factorizations: a repeated key would still
+    restrict d, key the memo and reduce every kernel generator again, and
+    without the cache ``bundled-cli`` ``wall_s`` rose by about 3% (12
+    alternating pairs of ``perfbench/run.py``, 10 slower).
 
     From r = pmax+1 on, every node's keys, and so its subquotient, are those
     of page pmax+1, and no differential has a target column: ``pages`` holds
@@ -299,6 +303,7 @@ def ext_modules_with_ops(s: NaryGammaSemiring, bar, n_lin: CompletedModule,
     return out
 
 
+@la.shares_factorizations
 def kunneth_check(s: NaryGammaSemiring, m: BiGammaModule, n: BiGammaModule,
                   l: BiGammaModule, depth: int = 2, j: int | None = None,
                   k: int = 0) -> KunnethReport:
@@ -471,6 +476,7 @@ class BaseChangeReport:
         return (self.ext_match and self.tor_match) or not self.flat
 
 
+@la.shares_factorizations
 def base_change_check(f: GammaSemiringMorphism, m: BiGammaModule,
                       n: BiGammaModule, depth: int = 1, j: int | None = None,
                       k: int = 0) -> BaseChangeReport:

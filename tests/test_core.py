@@ -8,6 +8,7 @@ from pathlib import Path
 import pytest
 
 import ngamma
+from ngamma import intlinalg as la
 
 from ngamma.abgroups import SoundnessError
 from ngamma.core import (
@@ -348,6 +349,38 @@ def test_bounds_are_module_constants_and_unset_options_are_gone():
     assert unnamed <= set(signatures)
     assert [qual for qual in sorted(unnamed) if "name" in signatures[qual]] == []
     assert signatures["core.make_endomorphism_family"] == ["monoid", "arity"]
+
+
+# The entry points that share one memo of factorizations per call
+# (``intlinalg.shares_factorizations``), with their parameters: wrapping
+# them adds and removes none.
+SHARING_ENTRY_POINTS = {
+    "homology.bar_complex": ["s", "module", "j", "k", "depth", "policy", "carrier"],
+    "homology.ext_via_bar": ["s", "m", "n", "j", "k", "depth", "policy", "carrier"],
+    "homology.tor_via_bar": ["s", "m", "n", "j", "k", "depth", "policy", "carrier"],
+    "homology.cofree_coresolution": ["s", "b", "depth", "completed"],
+    "homology.ext_via_cofree": ["s", "m", "n", "depth", "completed"],
+    "homology.balance_check": ["s", "m", "n", "depth", "j", "k"],
+    "homology.les_check": ["c", "n", "depth", "side", "j", "k"],
+    "homology.ExtSetup": ["s", "m", "n", "depth", "j", "k"],
+    "homology.yoneda_compose": ["ext_nl", "p", "f_cocycle", "ext_mn", "q", "g_cocycle",
+                                "ext_ml", "rng"],
+    "spectral.kunneth_check": ["s", "m", "n", "l", "depth", "j", "k"],
+    "spectral.base_change_check": ["f", "m", "n", "depth", "j", "k"],
+}
+
+
+def test_sharing_entry_points_keep_their_parameters():
+    scoped = la.shares_factorizations(lambda: None).__code__
+    wrapped = set()
+    for info in pkgutil.iter_modules(ngamma.__path__):
+        for name, obj in vars(importlib.import_module(f"ngamma.{info.name}")).items():
+            fn = obj.__init__ if inspect.isclass(obj) else obj
+            if getattr(fn, "__code__", None) is scoped:
+                wrapped.add(f"{obj.__module__.removeprefix('ngamma.')}.{name}")
+    assert wrapped == set(SHARING_ENTRY_POINTS)
+    signatures = dict(_public_signatures())
+    assert {qual: signatures[qual] for qual in SHARING_ENTRY_POINTS} == SHARING_ENTRY_POINTS
 
 
 def test_slot_tables_are_read_only_in_modules():

@@ -12,8 +12,8 @@ from test_validate_once import REGULAR_FAMILIES
 from ngamma.abgroups import SoundnessError
 from ngamma.bundled import bundled_workspace
 from ngamma.core import (
-    BoundExceeded, FiniteAddMonoid, GammaSemigroup, NaryGammaSemiring, boolean_semiring,
-    bundled_semirings, make_matrix_family, validate_semiring, zmod_semiring,
+    BoundExceeded, FiniteAddMonoid, GammaSemigroup, NaryGammaSemiring, StructuralError,
+    boolean_semiring, bundled_semirings, make_matrix_family, validate_semiring, zmod_semiring,
 )
 from ngamma.ideals import GammaIdeal, all_ideals, spectrum
 from ngamma.modules import (
@@ -136,6 +136,16 @@ def test_oracle_all_reads_each_action_cell_at_most_once(count_calls, capsys):
     assert 0 < counts["act"] <= cells
 
 
+@pytest.mark.parametrize("target", ["all", "spectrum"])
+def test_oracle_scans_each_semiring_once(target, count_calls, capsys):
+    # The ideals and spectrum blocks share one subset scan per semiring.
+    counts = count_calls(oracle, "subset_scan_ideals", "subset_scan_primes")
+    assert cli.main(["--format", "structured", "oracle", target]) == 0
+    capsys.readouterr()
+    semirings = len(bundled_workspace().semirings)
+    assert counts["subset_scan_ideals"] == counts["subset_scan_primes"] == semirings
+
+
 def test_scans_share_the_columns_they_are_given(count_calls):
     # A reader shared by a hom and a tensor scan reads each module once, and
     # a pair its bound refuses reads no action.
@@ -179,10 +189,10 @@ def test_opposite_structure_keeps_verdicts_ideals_and_primes():
         assert sorted(i.bitmask for i in all_ideals(s)) == ideals, name
         assert sorted(i.bitmask for i in all_ideals(op)) == ideals, name
         assert oracle.subset_scan_ideals(op) == ideals, name
-        primes = oracle.subset_scan_primes(s)
+        primes = oracle.subset_scan_primes(s, ideals)
         assert sorted(p.bitmask for p in spectrum(s).primes) == primes, name
         assert sorted(p.bitmask for p in spectrum(op).primes) == primes, name
-        assert oracle.subset_scan_primes(op) == primes, name
+        assert oracle.subset_scan_primes(op, ideals) == primes, name
     # At least one family is not commutative, so op is not s itself there.
     assert any(_opposite(s).mu_table != s.mu_table for s in fams.values())
     for family, base in FAMILIES.items():
@@ -190,6 +200,57 @@ def test_opposite_structure_keeps_verdicts_ideals_and_primes():
         for _ in range(8):
             mut = oracle.mutate_semiring(base, rng)
             assert _verdicts(_opposite(mut)) == _verdicts(mut), family
+
+
+def _opposite_module(b, op):
+    """b^op over op = T^op: its slot j acts as b's slot n-1-j, with the
+    carriers and parameters reversed."""
+    n = b.parent.n
+    return build_module(op, b.M, lambda j, t, m, gs: b.act(n - 1 - j, t[::-1], m, gs[::-1]),
+                        name=b.name + "^op")
+
+
+def _outcome(fn):
+    """fn's answer, or the typed error it refuses with."""
+    try:
+        return fn()
+    except (BoundExceeded, StructuralError, SoundnessError) as e:
+        return type(e)
+
+
+def test_opposite_modules_keep_verdicts_hom_and_tensor():
+    # T and T^op agree on module verdicts, on Hom map counts (engine and
+    # oracle) and on tensor sizes with the slots mirrored and the factors
+    # swapped; where one side refuses the other refuses with the same error.
+    s = FAMILIES["gamma_scaled_z4"]
+    groups = [bundled_workspace().modules, {"reg": regular_bimodule(s)},
+              {b.name: b for b in _one_sided_z4_modules()}]
+    compared = refused = 0
+    for mods in groups:
+        ops = {}
+        for name, b in mods.items():
+            ops[name] = _opposite_module(b, _opposite(b.parent))
+            assert [(c.axiom, c.ok) for c in validate_module(ops[name]).checks] == \
+                [(c.axiom, c.ok) for c in validate_module(b).checks], name
+        for a, m in mods.items():
+            for c, n in mods.items():
+                if m.parent != n.parent:
+                    continue
+                mop, nop = ops[a], ops[c]
+                pairs = [(_outcome(lambda: len(hom_gamma(m, n).maps)),
+                          _outcome(lambda: len(hom_gamma(mop, nop).maps))),
+                         (_outcome(lambda: len(oracle.all_maps_hom(m, n))),
+                          _outcome(lambda: len(oracle.all_maps_hom(mop, nop))))]
+                last = m.parent.n - 1
+                pairs += [(_outcome(lambda: tensor_positional(m, n, j, k).module.M.size),
+                           _outcome(lambda: tensor_positional(nop, mop, last - k,
+                                                              last - j).module.M.size))
+                          for j in range(last + 1) for k in range(last + 1)]
+                for got, got_op in pairs:
+                    assert got_op == got, (a, c)
+                    compared += 1
+                    refused += isinstance(got, type)
+    assert compared > 400 and refused > 0
 
 
 def test_oracle_stays_independent_of_the_engine():
@@ -219,10 +280,10 @@ def test_subset_scans_agree():
     fams = {name: s for name, s in REGULAR_FAMILIES.items()
             if s.T.size <= oracle.ORACLE_CARRIER_BOUND}
     for name, s in fams.items():
-        assert sorted(i.bitmask for i in all_ideals(s)) == \
-            oracle.subset_scan_ideals(s), name
+        ideals = oracle.subset_scan_ideals(s)
+        assert sorted(i.bitmask for i in all_ideals(s)) == ideals, name
         assert sorted(p.bitmask for p in spectrum(s).primes) == \
-            oracle.subset_scan_primes(s), name
+            oracle.subset_scan_primes(s, ideals), name
 
 
 def _one_sided_z4_modules():

@@ -1,0 +1,106 @@
+"""A derived entry point factors each distinct integer system once per call.
+
+``intlinalg.shares_factorizations`` opens one memo of Smith normal forms for
+the outermost decorated call; nested calls share it and it is dropped when
+that call returns or raises.  ``intlinalg._factor`` is the factorization
+itself, so counting its calls counts the systems actually factored.
+"""
+
+import contextlib
+import copy
+import io
+
+import pytest
+from test_axiom_engine import m2f2_binary
+from test_load_once import BUNDLED_COMMANDS
+
+from ngamma import cli, spectral
+from ngamma import intlinalg as la
+from ngamma.core import SoundnessError, f2_ternary, z4_ternary
+from ngamma.homology import balance_check, ext_via_bar
+from ngamma.modules import regular_bimodule
+
+# Systems factored by one pass over BUNDLED_COMMANDS; 1,214 before the memo.
+FACTORED_PER_ROUND = 345
+
+
+def _run(command: str) -> int:
+    with contextlib.redirect_stdout(io.StringIO()):
+        return cli.main(["--format", "structured"] + command.split())
+
+
+def _fields(sf) -> tuple:
+    return tuple(getattr(sf, name) for name in la.SmithForm.__slots__)
+
+
+def _recording(monkeypatch):
+    """Patch ``_factor`` to record (copied input, returned form) per call;
+    returns the record and the unpatched ``_factor``."""
+    calls = []
+    factor = la._factor
+
+    def recorded(a, nrows, ncols, track):
+        sf = factor(a, nrows, ncols, track)
+        calls.append(((copy.deepcopy(a), nrows, ncols, tuple(track)), sf))
+        return sf
+
+    monkeypatch.setattr(la, "_factor", recorded)
+    return calls, factor
+
+
+def test_nothing_survives_an_entry_point_call(count_calls):
+    s = z4_ternary()
+    reg = regular_bimodule(s)
+    counts = count_calls(la, "_factor", "smith_normal_form")
+    first = balance_check(s, reg, reg, 2)
+    once = counts.copy()
+    second = balance_check(s, reg, reg, 2)
+    assert first.bar_factors == second.bar_factors
+    assert counts["_factor"] == 2 * once["_factor"] > 0
+    # The memo answered some lookups inside each call.
+    assert once["smith_normal_form"] > once["_factor"]
+    assert la._memo.get() is None
+
+
+def test_kunneth_factors_no_system_twice(monkeypatch, count_calls):
+    s = f2_ternary()
+    reg = regular_bimodule(s)
+    nested = count_calls(spectral, "bar_complex", "tor_via_bar")
+    calls, _ = _recording(monkeypatch)
+    spectral.kunneth_check(s, reg, reg, reg, depth=2)
+    keys = [(nrows, ncols, frozenset(track), tuple(map(tuple, a)))
+            for (a, nrows, ncols, track), _ in calls]
+    assert nested["bar_complex"] == 2 and nested["tor_via_bar"] == 3
+    assert len(keys) == len(set(keys)) > 0
+
+
+def test_shared_results_equal_fresh_factorizations(monkeypatch):
+    # Every form handed out inside a call, read again once the call has
+    # returned, still equals a fresh factorization of its input: no caller
+    # mutated what the memo shares.
+    calls, factor = _recording(monkeypatch)
+    for command in BUNDLED_COMMANDS:
+        del calls[:]
+        assert _run(command) == 0, command
+        assert la._memo.get() is None
+        for args, sf in calls:
+            assert _fields(sf) == _fields(factor(*args)), command
+
+
+def test_factorizations_per_bundled_round(count_calls):
+    counts = count_calls(la, "_factor")
+    for command in BUNDLED_COMMANDS:
+        assert _run(command) == 0, command
+    assert counts["_factor"] <= FACTORED_PER_ROUND
+
+
+def test_no_scope_is_left_open_after_a_refusal(count_calls):
+    s = m2f2_binary()
+    reg = regular_bimodule(s)
+    counts = count_calls(la, "_factor")
+    with pytest.raises(SoundnessError):
+        ext_via_bar(s, reg, reg)
+    assert counts["_factor"] > 0
+    assert la._memo.get() is None
+    # Outside every entry point each call factors afresh.
+    assert la.smith_normal_form([[2]], 1, 1) is not la.smith_normal_form([[2]], 1, 1)
