@@ -135,6 +135,18 @@ def _validated(sources: tuple[tuple[str, bytes], ...]) -> Workspace:
 # Subcommand handlers
 # ---------------------------------------------------------------------------
 
+def _one_scope(handler):
+    """``handler`` as one derived call: the entry points it calls one after
+    another share one scope (``intlinalg.shares_factorizations``), which is
+    imported when the handler runs."""
+    @functools.wraps(handler)
+    def run(ws: Workspace, args, rep: Reporter) -> int:
+        from .intlinalg import shares_factorizations
+        return shares_factorizations(handler)(ws, args, rep)
+
+    return run
+
+
 def cmd_validate(ws: Workspace, args, rep: Reporter) -> int:
     results = {
         "semirings": {name: "valid" for name in sorted(ws.semirings)},
@@ -274,6 +286,7 @@ def cmd_les(ws: Workspace, args, rep: Reporter) -> int:
     return rep.emit(results, r.all_exact, ws)
 
 
+@_one_scope
 def cmd_yoneda(ws: Workspace, args, rep: Reporter) -> int:
     from .homology import ExtSetup, yoneda_compose
     s = ws.semiring(args.semiring)
@@ -348,6 +361,7 @@ def cmd_basechange(ws: Workspace, args, rep: Reporter) -> int:
     return rep.emit(results, r.consistent, ws)
 
 
+@_one_scope
 def cmd_oracle(ws: Workspace, args, rep: Reporter) -> int:
     from . import oracle as oracle_mod
     from .homology import bar_complex, homology

@@ -4,7 +4,9 @@ Finite additive monoids complete to finite abelian groups; module actions
 descend to families of commuting endomorphisms indexed by slot and by one
 carrier/parameter filler tuple.  Equivariant Hom groups and balanced tensor
 groups are then explicit kernel and cokernel computations over the integers,
-canonicalized through Smith normal form.
+canonicalized through Smith normal form.  Within one derived call each
+monoid is completed once and each module linearized once, in the call's
+scope (``intlinalg.shares_factorizations``); nothing is kept across calls.
 """
 
 from __future__ import annotations
@@ -110,54 +112,42 @@ class CompletedModule:
         return self.ops[slot][w]
 
 
-def linearize_module(b: BiGammaModule,
-                     completion: Completion | None = None) -> CompletedModule:
+def linearize_module(b: BiGammaModule) -> CompletedModule:
     """Completion of the carrier with each slot action linearized.
 
     ``ops[j][w]`` is the completion of slot j's column for filler w
     (``BiGammaModule.actions``); each distinct column is linearized once.
-    ``completion`` is b.M's completion when the caller already has one;
-    ``linearize_all`` passes it so that modules of one call share it.
-    Nothing is cached across calls.
+    Inside a derived call the work goes into the call's scope
+    (``intlinalg.open_memo``): each monoid is completed once, and a module
+    equal to one linearized before (``modules.same_module``, tried by
+    identity first) gets that linearization back under its own name.
+    Outside one nothing is shared.
     """
-    comp = group_complete(b.M) if completion is None else completion
-    ops = map_columns(lambda col: completion_map(comp, comp, col),
-                      [b.actions(j) for j in range(b.parent.n)])
-    return CompletedModule(b.parent, comp.group, tuple(map(tuple, ops)), comp,
-                           name=b.name)
-
-
-def linearize_all(mods) -> list[CompletedModule]:
-    """Linearize the modules one derived call works with, sharing the work.
-
-    Each distinct monoid is completed once, and a module equal to an earlier
-    one (``modules.same_module``) takes its operators under its own name.
-    CompletedModules pass through and lend their completion.  The sharing
-    lasts for this call only: nothing is stored on the modules or monoids.
-    """
-    comps: dict[FiniteAddMonoid, Completion] = {}
-    done: list[tuple[BiGammaModule, CompletedModule]] = []
-    out = []
-    for b in mods:
-        if isinstance(b, CompletedModule):
-            if b.completion is not None:
-                comps.setdefault(b.completion.monoid, b.completion)
-            out.append(b)
-            continue
+    memo = la.open_memo()
+    if memo is None:
+        memo = {}
+    done = memo.setdefault("linearized", [])
+    twin = next((lin for a, lin in done if a is b), None)
+    if twin is None:
         twin = next((lin for a, lin in done if same_module(a, b)), None)
-        if twin is None:
-            if b.M not in comps:
-                comps[b.M] = group_complete(b.M)
-            lin = linearize_module(b, completion=comps[b.M])
-        else:
-            lin = replace(twin, name=b.name)
-        done.append((b, lin))
-        out.append(lin)
-    return out
+    if twin is None:
+        comps = memo.setdefault("completions", {})
+        if b.M not in comps:
+            comps[b.M] = group_complete(b.M)
+        comp = comps[b.M]
+        ops = map_columns(lambda col: completion_map(comp, comp, col),
+                          [b.actions(j) for j in range(b.parent.n)])
+        lin = CompletedModule(b.parent, comp.group, tuple(map(tuple, ops)), comp,
+                              name=b.name)
+    else:
+        lin = replace(twin, name=b.name)
+    done.append((b, lin))
+    return lin
 
 
 def linearize_over(s: NaryGammaSemiring, mods) -> list[CompletedModule]:
-    """``linearize_all`` of the modules of one derived call over s.
+    """The modules of one derived call over s, each linearized; a
+    CompletedModule passes through.
 
     A module (BiGammaModule or CompletedModule) over another semiring is
     refused with a StructuralError before anything is linearized.
@@ -165,7 +155,7 @@ def linearize_over(s: NaryGammaSemiring, mods) -> list[CompletedModule]:
     for b in mods:
         if (b.semiring if isinstance(b, CompletedModule) else b.parent) != s:
             raise StructuralError(f"module '{b.name}' does not live over {s.name}")
-    return linearize_all(mods)
+    return [b if isinstance(b, CompletedModule) else linearize_module(b) for b in mods]
 
 
 def linearize_morphism(f: ModuleMorphism, src: CompletedModule,

@@ -13,9 +13,10 @@ summed over all fillers, and the parameter slots are summed over every
 tuple.  Only the bar tower itself takes another ``ContractionPolicy``, for
 bar diagnostics and for the benchmark's relabelled default; every derived
 entry point above it builds its towers with the default.  Each public
-entry point shares one memo of Smith normal forms for the length of its
-call (``intlinalg.shares_factorizations``), so a call factors each distinct
-integer system once.
+entry point opens one scope for the length of its call
+(``intlinalg.shares_factorizations``): the call factors each distinct
+integer system once and linearizes each distinct module once, so the bar
+towers of one call share one carrier, the linearized regular module.
 """
 
 from __future__ import annotations
@@ -230,8 +231,6 @@ class BarComplex:
         carrier factors through mu.
         """
         comp = self.carrier.completion
-        if comp is None:
-            raise StructuralError("bar carrier must come from a completion")
         zero = GroupMap.zero(module.group, module.group)
 
         def total(maps):
@@ -289,24 +288,17 @@ def _nonzero(vec):
             yield i, c
 
 
-def _regular(s: NaryGammaSemiring, carrier):
-    return regular_bimodule(s) if carrier is None else carrier
-
-
 @la.shares_factorizations
 def bar_complex(s: NaryGammaSemiring, module, j: int | None = None, k: int = 0,
-                depth: int = 4, policy: ContractionPolicy | None = None,
-                carrier: CompletedModule | None = None) -> BarComplex:
+                depth: int = 4, policy: ContractionPolicy | None = None) -> BarComplex:
     """The bar tower of ``module`` (a BiGammaModule or CompletedModule).
 
-    The carrier defaults to the regular module, linearized together with
-    ``module`` (``linearize_over``): it shares the module's completion when
-    the module's monoid is s.T, and its operators when the module is the
-    regular one.  Callers that build several towers pass one ``carrier``.
-    Nothing is cached across calls.
+    The carrier is the linearized regular module of s, which the call's
+    scope shares with every other tower of the call, and with the module
+    itself when that is the regular one.
     """
     policy = policy or default_policy(s)
-    module, carrier = linearize_over(s, [module, _regular(s, carrier)])
+    module, carrier = linearize_over(s, [module, regular_bimodule(s)])
     j = resolve_slot(s, j)
     check_slots(s, j, k)
     return BarComplex(s, module, carrier, j, k, depth, policy)
@@ -342,14 +334,15 @@ def bar_map(src_bar: BarComplex, dst_bar: BarComplex, f: GroupMap) -> list[Group
     """Degreewise maps induced by a module map, checked to be a chain map:
     f at degree 0 and id (x) f on the balanced tensor of every degree above.
 
-    Both towers must share their depth, carrier and slots.
+    Both towers must share their depth, semiring (which fixes the carrier)
+    and slots.
     """
     if src_bar.depth != dst_bar.depth:
         raise ValueError(f"bar towers of depth {src_bar.depth} and "
                          f"{dst_bar.depth} cannot be compared")
-    if (src_bar.carrier, src_bar.jslot, src_bar.kslot) != \
-            (dst_bar.carrier, dst_bar.jslot, dst_bar.kslot):
-        raise ValueError("bar towers over different carriers or slots cannot be compared")
+    if (src_bar.semiring, src_bar.jslot, src_bar.kslot) != \
+            (dst_bar.semiring, dst_bar.jslot, dst_bar.kslot):
+        raise ValueError("bar towers over different semirings or slots cannot be compared")
     out = [f] + [src_bar.tensors[r].induced(dst_bar.tensors[r], right=f,
                                             what=f"induced bar map at degree {r}")
                  for r in range(1, src_bar.depth + 1)]
@@ -378,29 +371,26 @@ class DerivedResult:
 
 @la.shares_factorizations
 def ext_via_bar(s, m, n, j: int | None = None, k: int = 0, depth: int = 2,
-                policy: ContractionPolicy | None = None,
-                carrier: CompletedModule | None = None) -> DerivedResult:
-    """Ext of m into n on m's bar tower; m, n and the carrier are
-    linearized together, so each distinct monoid is completed once.
+                policy: ContractionPolicy | None = None) -> DerivedResult:
+    """Ext of m into n on m's bar tower.
 
     ``policy`` (s's ``default_policy`` when None) exists for the benchmark's
     relabelled default and for bar diagnostics; no derived entry point
     above this one passes it.
     """
-    lin_m, target, carrier = linearize_over(s, [m, n, _regular(s, carrier)])
-    bar = bar_complex(s, lin_m, j, k, depth + 1, policy, carrier)
+    lin_m, target = linearize_over(s, [m, n])
+    bar = bar_complex(s, lin_m, j, k, depth + 1, policy)
     hc = HomCochain(bar, target)
     return DerivedResult(homology(hc.cochain, depth), bar)
 
 
 @la.shares_factorizations
 def tor_via_bar(s, m, n, j: int | None = None, k: int = 0, depth: int = 2,
-                policy: ContractionPolicy | None = None,
-                carrier: CompletedModule | None = None) -> DerivedResult:
-    """Tor of m's bar tower against n, linearized as in ``ext_via_bar``,
-    whose docstring says what ``policy`` is for."""
-    lin_m, right, carrier = linearize_over(s, [m, n, _regular(s, carrier)])
-    bar = bar_complex(s, lin_m, j, k, depth + 1, policy, carrier)
+                policy: ContractionPolicy | None = None) -> DerivedResult:
+    """Tor of m's bar tower against n; ``ext_via_bar``'s docstring says
+    what ``policy`` is for."""
+    lin_m, right = linearize_over(s, [m, n])
+    bar = bar_complex(s, lin_m, j, k, depth + 1, policy)
     tc = TensorChain(bar, right)
     return DerivedResult(homology(tc.chain, depth), bar)
 
@@ -447,17 +437,16 @@ def _unit_into_cofree(b: BiGammaModule):
 
 
 @la.shares_factorizations
-def cofree_coresolution(s: NaryGammaSemiring, b: BiGammaModule, depth: int = 2,
-                        completed: CompletedModule | None = None) -> CofreeTower:
+def cofree_coresolution(s: NaryGammaSemiring, b: BiGammaModule,
+                        depth: int = 2) -> CofreeTower:
     """Iterated cofree embeddings with completed connecting maps, in one pass.
 
     Stage r embeds the cokernel of stage r-1 (b at stage 0) into its cofree
-    module; each stage completes those two monoids once, except that stage 0
-    uses ``completed``, b's completed module, when the caller has it.  The
-    map from term r-1 to term r is stage r's unit after stage r-1's
-    projection onto its cokernel, composed once stage r has linearized it.
+    module.  The map from term r-1 to term r is stage r's unit after stage
+    r-1's projection onto its cokernel, composed once stage r has linearized
+    it; the call's scope completes each monoid of the stages once.
     """
-    current, lin_src = b, completed
+    current = b
     terms: list[CompletedModule] = []
     monoid_sizes: list[int] = []
     maps: dict[int, GroupMap] = {}
@@ -465,8 +454,7 @@ def cofree_coresolution(s: NaryGammaSemiring, b: BiGammaModule, depth: int = 2,
         cf, unit = _unit_into_cofree(current)
         if not validate_module_morphism(unit).ok:
             raise SoundnessError("unit is not a module morphism on this instance")
-        if lin_src is None:
-            lin_src = linearize_module(current)
+        lin_src = linearize_module(current)
         lin_dst = linearize_module(cf.module)
         unit_lin = linearize_morphism(unit, lin_src, lin_dst)
         if not is_exact(GroupMap.zero(AbGroup(()), unit_lin.src), unit_lin):
@@ -480,18 +468,17 @@ def cofree_coresolution(s: NaryGammaSemiring, b: BiGammaModule, depth: int = 2,
         terms.append(lin_dst)
         monoid_sizes.append(cf.module.M.size)
         proj = quotient_projection(cf.module, set(unit.map), f"{cf.module.name}/im")
-        current, lin_src = proj.target, None
+        current = proj.target
     return CofreeTower(terms, Complex([t.group for t in terms], maps, step=1),
                        unit0, monoid_sizes)
 
 
 @la.shares_factorizations
-def ext_via_cofree(s: NaryGammaSemiring, m, n: BiGammaModule, depth: int = 2,
-                   completed: CompletedModule | None = None) -> DerivedResult:
-    """Ext of m into n on n's cofree tower; ``completed`` is n's completed
-    module when the caller has it."""
-    lin_m, lin_n = linearize_over(s, [m, n if completed is None else completed])
-    tower = cofree_coresolution(s, n, depth + 1, lin_n)
+def ext_via_cofree(s: NaryGammaSemiring, m, n: BiGammaModule,
+                   depth: int = 2) -> DerivedResult:
+    """Ext of m into n on n's cofree tower."""
+    lin_m, _ = linearize_over(s, [m, n])
+    tower = cofree_coresolution(s, n, depth + 1)
     return DerivedResult(homology(tower.cochain_hom_from(lin_m), depth), None)
 
 
@@ -509,10 +496,9 @@ class BalanceReport:
 @la.shares_factorizations
 def balance_check(s, m: BiGammaModule, n: BiGammaModule, depth: int = 2,
                   j: int | None = None, k: int = 0) -> BalanceReport:
-    lin_m, lin_n, carrier = linearize_over(s, [m, n, regular_bimodule(s)])
-    via_bar = ext_via_bar(s, lin_m, lin_n, j, k, depth, carrier=carrier)
+    via_bar = ext_via_bar(s, m, n, j, k, depth)
     try:
-        via_cofree = ext_via_cofree(s, lin_m, n, depth, lin_n)
+        via_cofree = ext_via_cofree(s, m, n, depth)
     except RegularityError as e:
         return BalanceReport(via_bar.factors(), [], skipped=str(e))
     return BalanceReport(via_bar.factors(), via_cofree.factors())
@@ -594,23 +580,20 @@ def les_check(c: Conflation, n: BiGammaModule, depth: int = 2,
     """Long exact sequence of a conflation through the given degree.
 
     side "hom" is contravariant in the conflation (Hom into n); side "tor"
-    tensors n's bar tower against the conflation covariantly.  The
-    conflation's modules, n and the regular carrier are linearized once,
-    together, and every bar tower of the call shares that one carrier.
-    Any other side is refused with a ValueError before anything is built.
+    tensors n's bar tower against the conflation covariantly.  Any other
+    side is refused with a ValueError before anything is built.
     """
     if side not in ("hom", "tor"):
         raise ValueError("side must be 'hom' or 'tor'")
     s = n.parent
-    lin_a, lin_b, lin_c, lin_n, carrier = linearize_over(
-        s, [c.i.source, c.i.target, c.p.target, n, regular_bimodule(s)])
+    lin_a, lin_b, lin_c, lin_n = linearize_over(s, [c.i.source, c.i.target, c.p.target, n])
     ki = linearize_morphism(c.i, lin_a, lin_b)
     kp = linearize_morphism(c.p, lin_b, lin_c)
     completion_exact = is_short_exact(ki, kp)
     bar_depth = depth + 2
 
     if side == "hom":
-        bar_a, bar_b, bar_c = (bar_complex(s, lin, j, k, bar_depth, carrier=carrier)
+        bar_a, bar_b, bar_c = (bar_complex(s, lin, j, k, bar_depth)
                                for lin in (lin_a, lin_b, lin_c))
         maps_i = bar_map(bar_a, bar_b, ki)
         maps_p = bar_map(bar_b, bar_c, kp)
@@ -629,7 +612,7 @@ def les_check(c: Conflation, n: BiGammaModule, depth: int = 2,
         report.completion_exact = completion_exact
         return report
 
-    barn = bar_complex(s, lin_n, j, k, bar_depth, carrier=carrier)
+    barn = bar_complex(s, lin_n, j, k, bar_depth)
     tc_a = TensorChain(barn, lin_a)
     tc_b = TensorChain(barn, lin_b)
     tc_c = TensorChain(barn, lin_c)
@@ -658,8 +641,8 @@ class ExtSetup:
     @la.shares_factorizations
     def __init__(self, s: NaryGammaSemiring, m: BiGammaModule, n: BiGammaModule,
                  depth: int, j: int | None = None, k: int = 0):
-        self.src, self.dst, carrier = linearize_over(s, [m, n, regular_bimodule(s)])
-        self.bar = bar_complex(s, self.src, j, k, depth, carrier=carrier)
+        self.src, self.dst = linearize_over(s, [m, n])
+        self.bar = bar_complex(s, self.src, j, k, depth)
         self.hom = HomCochain(self.bar, self.dst)
         self.nodes = [self.hom.cochain.node(r) for r in range(self.hom.cochain.top)]
 

@@ -9,12 +9,15 @@ All routines are pure; none mutate their arguments (the Smith normal form
 works on its own sparse copy of the input rows).
 
 While a derived entry point runs (a function decorated with
-``shares_factorizations``), ``smith_normal_form`` keeps a memo keyed on the
-input's shape, its rows and the transforms it tracks, and a repeated system
-gets back the first ``SmithForm``.  The outermost decorated call owns the
-memo, nested ones share it, and it is dropped when that call returns or
-raises.  A factorization is a pure function of that key, so sharing it moves
-no coordinate; in return every caller only reads what it gets back.
+``shares_factorizations``), one memo is open: the call's scope.  The
+outermost decorated call owns it, nested ones share it, and it is dropped
+when that call returns or raises.  ``smith_normal_form`` keeps its forms
+there, keyed on the input's shape, its rows and the transforms it tracks,
+and a repeated system gets back the first ``SmithForm``; ``open_memo``
+hands the scope to the layers above, which keep their own entries in it
+(``completion.linearize_module`` its completions and linearizations).
+Every entry is a pure function of its key, so sharing it moves no
+coordinate; in return every caller only reads what it gets back.
 """
 
 from __future__ import annotations
@@ -107,13 +110,20 @@ def _add_scaled(dst, src, c):
     return [x + c * y for x, y in zip(dst, src)]
 
 
-# (nrows, ncols, tracked transforms, rows) -> SmithForm while a
-# ``shares_factorizations`` call runs in this thread or task, else None.
+# The open scope while a ``shares_factorizations`` call runs in this thread
+# or task, else None: (nrows, ncols, tracked transforms, rows) -> SmithForm,
+# next to the entries the layers above keep under keys of their own.
 _memo: ContextVar[dict | None] = ContextVar("smith_normal_form_memo", default=None)
 
 
+def open_memo() -> dict | None:
+    """The memo of the open ``shares_factorizations`` call, or None outside
+    one."""
+    return _memo.get()
+
+
 def shares_factorizations(fn):
-    """``fn`` with one memo of Smith normal forms open while it runs.
+    """``fn`` with one memo, the call's scope, open while it runs.
 
     The outermost decorated call opens the memo and drops it when it returns
     or raises; a decorated call inside it shares that memo.  Nothing is kept

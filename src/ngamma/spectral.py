@@ -8,7 +8,10 @@ is the column filtration of the transpose, which renames the cells over the
 same total complex.  A bounded first-quadrant grid with pmax+1 columns has
 E_(pmax+1) = E∞, so each filtration builds pages 0..pmax+1 and reads every
 later page as E∞.  The page-homology law is re-verified on the early pages
-instead of taken on faith.
+instead of taken on faith.  ``kunneth_check`` and ``base_change_check`` each
+run in one call scope (``intlinalg.shares_factorizations``), so their
+towers, probes and Tor comparisons share every linearization, the
+carriers included, without passing one down.
 """
 
 from __future__ import annotations
@@ -29,7 +32,7 @@ from .modules import (
     resolve_slot,
 )
 from .completion import (
-    CompletedModule, EquivariantHom, TensorGroup, linearize_all, linearize_morphism,
+    CompletedModule, EquivariantHom, TensorGroup, linearize_module, linearize_morphism,
     linearize_over,
 )
 from .homology import Complex, HomCochain, TensorChain, bar_complex, homology, tor_via_bar
@@ -312,17 +315,14 @@ def kunneth_check(s: NaryGammaSemiring, m: BiGammaModule, n: BiGammaModule,
     Builds the grid of balanced tensor terms, applies equivariant Hom into
     the target, computes both filtrations, and reports per-diagonal order
     bookkeeping, stabilization, the page-homology law, and the comparison of
-    the second page against the directly computed Tor-of-Ext grid.  The
-    modules and the regular carrier are linearized once, together, and every
-    tower and probe of the call shares them.
+    the second page against the directly computed Tor-of-Ext grid.
     """
     j = resolve_slot(s, j)
-    lin_m, lin_n, lin_l, carrier = linearize_over(s, [m, n, l, regular_bimodule(s)])
-    bar_m = bar_complex(s, lin_m, j, k, depth, carrier=carrier)
-    bar_n = bar_complex(s, lin_n, j, k, depth, carrier=carrier)
+    lin_m, lin_n, lin_l = linearize_over(s, [m, n, l])
+    bar_m = bar_complex(s, lin_m, j, k, depth)
+    bar_n = bar_complex(s, lin_n, j, k, depth)
 
-    flat = flatness_probe(s, lin_l, j, k,
-                          conflations=source_conflation_triples(s, carrier))
+    flat = flatness_probe(s, lin_l, j, k)
 
     cells = {(p, q): TensorGroup(bar_m.terms[p], bar_n.terms[q], j, k)
              for p in range(depth + 1) for q in range(depth + 1)}
@@ -363,7 +363,7 @@ def kunneth_check(s: NaryGammaSemiring, m: BiGammaModule, n: BiGammaModule,
     ext_mods = ext_modules_with_ops(s, bar_m, lin_n, depth)
     direct = {}
     for qdeg in range(depth + 1):
-        tor = tor_via_bar(s, ext_mods[qdeg], lin_l, j, k, depth, carrier=carrier)
+        tor = tor_via_bar(s, ext_mods[qdeg], lin_l, j, k, depth)
         for pdeg in range(depth + 1):
             direct[(pdeg, qdeg)] = tor.factors()[pdeg]
     match = all(e2_first.get(key, ()) == v or e2_second.get(key, ()) == v
@@ -410,13 +410,8 @@ def extend_scalars(f: GammaSemiringMorphism, a: BiGammaModule,
         f"ext({a.name})")
 
 
-def source_conflation_triples(s: NaryGammaSemiring,
-                              carrier: CompletedModule | None = None):
-    """Ideal-induced completed short sequences used by the flatness probe.
-
-    ``carrier`` is the completed regular module when the caller has it; the
-    modules of all sequences are linearized together.
-    """
+def source_conflation_triples(s: NaryGammaSemiring):
+    """Ideal-induced completed short sequences used by the flatness probe."""
     regular = regular_bimodule(s)
     seqs = []
     for ideal in all_ideals(s):
@@ -426,19 +421,16 @@ def source_conflation_triples(s: NaryGammaSemiring,
                               tuple(ideal.sorted_members()))
         proj = quotient_projection(regular, ideal.members, f"{s.name}.mod{ideal}")
         seqs.append((incl, proj))
-    reg, *lins = linearize_all([regular if carrier is None else carrier]
-                               + [m for incl, proj in seqs
-                                  for m in (incl.source, proj.target)])
-    return [(lins[2 * i], reg, lins[2 * i + 1], seq) for i, seq in enumerate(seqs)]
+    reg = linearize_module(regular)
+    return [(linearize_module(incl.source), reg, linearize_module(proj.target),
+             (incl, proj)) for incl, proj in seqs]
 
 
 def flatness_probe(s: NaryGammaSemiring, x: CompletedModule,
-                   j: int | None = None, k: int = 0, conflations=None) -> bool:
+                   j: int | None = None, k: int = 0) -> bool:
     """Whether tensoring with x preserves the probe conflations exactly."""
     j = resolve_slot(s, j)
-    triples = conflations if conflations is not None else \
-        source_conflation_triples(s)
-    for (lin_a, lin_b, lin_c, (incl, proj)) in triples:
+    for (lin_a, lin_b, lin_c, (incl, proj)) in source_conflation_triples(s):
         ki = linearize_morphism(incl, lin_a, lin_b)
         kp = linearize_morphism(proj, lin_b, lin_c)
         ta = TensorGroup(lin_a, x, j, k)
@@ -485,33 +477,28 @@ def base_change_check(f: GammaSemiringMorphism, m: BiGammaModule,
     The first compares the extension of each derived Hom group against the
     derived Hom of the extensions over the target; the second compares Tor
     over the source of the restricted extensions against Tor over the target.
-    Every module of the call, the two regular carriers included, is
-    linearized once, together.  Each side's towers contract with their own
-    semiring's ``default_policy``.
+    Each side's towers contract with their own semiring's ``default_policy``.
     """
     s = f.source
     t = f.target
     j = resolve_slot(s, j)
     ext_mod_m = extend_scalars(f, m, j, k).module
     ext_mod_n = ext_mod_m if n is m else extend_scalars(f, n, j, k).module
-    reg_t = regular_bimodule(t)
-    (lin_m, lin_n, carrier_s, lin_aex, lin_bex, carrier_t, res_aex, res_bex,
-     res_t) = linearize_all(
-        [m, n, regular_bimodule(s), ext_mod_m, ext_mod_n, reg_t]
-        + [restrict_scalars(f, b) for b in (ext_mod_m, ext_mod_n, reg_t)])
+    res_aex, res_bex, res_t = (linearize_module(restrict_scalars(f, b)) for b in
+                               (ext_mod_m, ext_mod_n, regular_bimodule(t)))
 
-    bar_src = bar_complex(s, lin_m, j, k, depth + 1, carrier=carrier_s)
-    ext_src = ext_modules_with_ops(s, bar_src, lin_n, depth)
+    bar_src = bar_complex(s, m, j, k, depth + 1)
+    ext_src = ext_modules_with_ops(s, bar_src, linearize_module(n), depth)
     # K(T') balanced against each completed Ext module over the source
     ext_left = [TensorGroup(res_t, e, j, k).group.invariant_factors() for e in ext_src]
     # One tower over the target serves both its Ext and its Tor.
-    bar_t = bar_complex(t, lin_aex, j, k, depth + 1, carrier=carrier_t)
+    bar_t = bar_complex(t, ext_mod_m, j, k, depth + 1)
+    lin_bex = linearize_module(ext_mod_n)
     ext_right = [g.invariant_factors()
                  for g in homology(HomCochain(bar_t, lin_bex).cochain, depth)]
     tor_left = [g.invariant_factors()
                 for g in homology(TensorChain(bar_t, lin_bex).chain, depth)]
-    tor_right = tor_via_bar(s, res_aex, res_bex, j, k, depth, carrier=carrier_s).factors()
+    tor_right = tor_via_bar(s, res_aex, res_bex, j, k, depth).factors()
 
-    flat = flatness_probe(s, res_t, j, k,
-                          conflations=source_conflation_triples(s, carrier_s))
+    flat = flatness_probe(s, res_t, j, k)
     return BaseChangeReport(ext_left, ext_right, tor_left, tor_right, flat)

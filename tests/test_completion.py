@@ -21,10 +21,12 @@ from ngamma.core import (
     ternary_from_semiring, trivial_gamma, truncated_nat_semiring, z4_ternary,
     zmod_semiring,
 )
-from ngamma.ideals import GammaIdeal
+from ngamma.homology import balance_check, ext_via_bar, tor_via_bar
+from ngamma.ideals import GammaIdeal, all_ideals, generate_ideal, spectrum
 from ngamma.modules import (
     ModuleMorphism, build_module, filler_tuples, hom_gamma, ideal_submodule,
-    module_from_actions, quotient_module, regular_bimodule, tensor_positional,
+    module_from_actions, quotient_module, regular_bimodule, resolve_slot,
+    tensor_positional,
 )
 from ngamma.completion import (
     CompletedModule, EquivariantHom, HomBase, TensorGroup, completion_map,
@@ -237,7 +239,7 @@ def _z4_module_maps():
     morphisms and the scalar endomorphisms x2 and x3 of z4_reg."""
     ws = bundled_workspace()
     names = ["z4_ideal02", "z4_reg", "z4_mod2", "z4_sum"]
-    lins = dict(zip(names, completion.linearize_all([ws.module(n) for n in names])))
+    lins = {n: completion.linearize_module(ws.module(n)) for n in names}
     named = {id(ws.module(n)): n for n in names}
     maps = []
     for f in ws.module_morphisms.values():
@@ -415,7 +417,6 @@ cases = [
     lambda: la.mat_mul([[1, 2]], [[1]], 1),
     lambda: bar_map(bar_complex(f2, lin2, 2, 0, 1), bar_complex(f2, lin2, 2, 0, 2),
                     GroupMap.identity(lin2.group)),
-    lambda: bar_complex(f2, lin2, 2, 0, 1, carrier=zero_completed(f2)),
     lambda: ExtSetup(f2, reg2, zero_module(f2), 0).identity_cocycle(),
     lambda: Complex([c2, c2], {1: GroupMap.zero(c2, AbGroup(()))}),
     lambda: Complex([c2], {0: GroupMap.identity(c2)}, step=1),
@@ -447,7 +448,7 @@ def test_caller_mismatches_raise_typed_errors_under_optimize():
     out = subprocess.run([sys.executable, "-O", "-c", MISMATCH_SCRIPT], env=env,
                          capture_output=True, text=True, timeout=120, check=True)
     assert out.stdout.split() == (["StructuralError"] * 5 + ["ValueError"] * 2
-                                  + ["StructuralError"] * 2 + ["ValueError"] * 12)
+                                  + ["StructuralError"] + ["ValueError"] * 12)
 
 
 # ---------------------------------------------------------------------------
@@ -735,3 +736,54 @@ def test_equal_operators_on_distinct_objects_give_one_block(monkeypatch):
     tg = TensorGroup(ds, ds, 2, 0)
     assert len(tg.pres.relations) == 8 + 16 * 4
     assert tg.group.invariant_factors() == (16,) * 4
+
+
+# ---------------------------------------------------------------------------
+# Relabelling the carrier: isomorphic tables give the same invariants
+# ---------------------------------------------------------------------------
+
+def _label_free_invariants(s, g):
+    """Ideal and prime counts of s and, for each pair of its regular module
+    and its quotient by the ideal generated by g, the Hom map count, the
+    tensor size, Ext and Tor at depth 2 and the balance verdict."""
+    mods = (regular_bimodule(s), quotient_module(s, generate_ideal(s, [g])))
+    j = resolve_slot(s, None)
+    out = {"ideals": len(all_ideals(s)), "primes": len(spectrum(s).primes)}
+    for (a, m), (b, n) in product(enumerate(mods), repeat=2):
+        out[a, b] = (len(hom_gamma(m, n, j, 0).maps),
+                     tensor_positional(m, n, j, 0).module.M.size,
+                     ext_via_bar(s, m, n, depth=2).factors(),
+                     tor_via_bar(s, m, n, depth=2).factors(),
+                     balance_check(s, m, n, 2).balanced)
+    return out
+
+
+def _seeded_permutations(family, size):
+    for seed in range(3):
+        perm = list(range(size))
+        random.Random(f"relabel {family}/{seed}").shuffle(perm)
+        assert perm != sorted(perm)
+        yield perm
+
+
+RELABEL_FAMILIES = {"z4_ternary": z4_ternary,
+                    "ternary z6": lambda: ternary_from_semiring(zmod_semiring(6))}
+
+
+@pytest.mark.parametrize("family", list(RELABEL_FAMILIES))
+def test_relabelling_the_carrier_moves_no_invariant(family):
+    # The ideal generated by 2 is relabelled to the one generated by perm[2].
+    base = RELABEL_FAMILIES[family]()
+    want = _label_free_invariants(base, 2)
+    for perm in _seeded_permutations(family, base.T.size):
+        assert _label_free_invariants(_relabel(base, perm), perm[2]) == want, perm
+
+
+def test_relabelled_binary_m2f2_refuses_derived_calls_alike():
+    base = make_matrix_family(f2_semiring(), 2, 2)
+    for s in [base] + [_relabel(base, perm) for perm in _seeded_permutations("m2f2", 16)]:
+        reg = regular_bimodule(s)
+        for derived in (ext_via_bar, tor_via_bar):
+            with pytest.raises(SoundnessError, match="^bar differential d_1 does not "
+                                                     "descend to the quotient$"):
+                derived(s, reg, reg, depth=2)

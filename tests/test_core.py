@@ -355,11 +355,11 @@ def test_bounds_are_module_constants_and_unset_options_are_gone():
 # (``intlinalg.shares_factorizations``), with their parameters: wrapping
 # them adds and removes none.
 SHARING_ENTRY_POINTS = {
-    "homology.bar_complex": ["s", "module", "j", "k", "depth", "policy", "carrier"],
-    "homology.ext_via_bar": ["s", "m", "n", "j", "k", "depth", "policy", "carrier"],
-    "homology.tor_via_bar": ["s", "m", "n", "j", "k", "depth", "policy", "carrier"],
-    "homology.cofree_coresolution": ["s", "b", "depth", "completed"],
-    "homology.ext_via_cofree": ["s", "m", "n", "depth", "completed"],
+    "homology.bar_complex": ["s", "module", "j", "k", "depth", "policy"],
+    "homology.ext_via_bar": ["s", "m", "n", "j", "k", "depth", "policy"],
+    "homology.tor_via_bar": ["s", "m", "n", "j", "k", "depth", "policy"],
+    "homology.cofree_coresolution": ["s", "b", "depth"],
+    "homology.ext_via_cofree": ["s", "m", "n", "depth"],
     "homology.balance_check": ["s", "m", "n", "depth", "j", "k"],
     "homology.les_check": ["c", "n", "depth", "side", "j", "k"],
     "homology.ExtSetup": ["s", "m", "n", "depth", "j", "k"],

@@ -10,7 +10,7 @@ from ngamma.core import (
     boolean_ternary, f2_semiring, f2_ternary, make_endomorphism_family, make_matrix_family,
     StructuralError, ternary_from_semiring, z4_ternary, zmod_semiring,
 )
-from ngamma.completion import TensorGroup, linearize_all, linearize_module
+from ngamma.completion import TensorGroup, linearize_module
 from ngamma.homology import bar_complex
 from ngamma.ideals import GammaIdeal
 from ngamma.spectral import base_change_check, extend_scalars, flatness_probe
@@ -413,7 +413,8 @@ SLOT_ENTRY_POINTS = {
         ws.module("z4_reg"), ws.module("z4_ideal02"), j, k),
     "hom_gamma": lambda ws, j, k: hom_gamma(ws.module("z4_reg"), ws.module("z4_reg"), j, k),
     "TensorGroup": lambda ws, j, k: TensorGroup(
-        *linearize_all([ws.module("z4_reg"), ws.module("z4_ideal02")]), j, k),
+        linearize_module(ws.module("z4_reg")), linearize_module(ws.module("z4_ideal02")),
+        j, k),
     "bar_complex": lambda ws, j, k: bar_complex(
         ws.semiring("z4_ternary"), ws.module("z4_reg"), j, k, 1),
     "extend_scalars": lambda ws, j, k: extend_scalars(

@@ -149,9 +149,12 @@ def test_semiring_quotient_reads_only_the_quotient_cells(count_calls):
     assert lookups["mu"] <= q.T.size ** s.n * s.gamma.size ** (s.n - 1)
 
 
-def test_cofree_coresolution_completes_two_monoids_per_stage(count_calls):
+def test_cofree_coresolution_completes_each_monoid_once(count_calls):
+    # Stage 0 embeds Z/4 into a cofree module on the same monoid, and every
+    # later stage works on the one-element monoid, so the call's scope
+    # completes two monoids in all; two per stage would be 2 * 4 = 8.
     s = z4_ternary()
     completed = count_calls(completion, "group_complete")
-    depth = 3
-    cofree_coresolution(s, regular_bimodule(s), depth=depth)
-    assert completed["group_complete"] == 2 * (depth + 1)
+    tower = cofree_coresolution(s, regular_bimodule(s), depth=3)
+    assert len(tower.terms) == 4
+    assert completed["group_complete"] == 2
