@@ -41,10 +41,12 @@ class SoundnessError(RuntimeError):
 
 
 class RegularityError(RuntimeError):
-    """The unit into the cofree module is not injective after completion.
+    """A tower is not a resolution on this instance.
 
-    The instance fails the regularity hypothesis the coresolution needs, so
-    the tower is refused rather than built wrong.
+    Raised when a bar or cofree tower has homology below its cut, or when
+    the unit into a cofree module is not injective after completion: the
+    instance fails a hypothesis the derived answer needs, so the tower is
+    refused rather than read wrong.
     """
 
 

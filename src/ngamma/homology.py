@@ -1,7 +1,9 @@
-"""Complexes, bar constructions, derived Hom/Tor, and their checks.
+"""Complexes, resolutions, derived Hom/Tor, and their checks.
 
 One ``Complex`` type holds every chain complex (bar, tensor) and cochain
-complex (Hom, cofree), and ``homology`` reads either.
+complex (Hom, cofree), and ``homology`` reads either.  One ``Resolution``
+holds the bar and the cofree tower, each refused unless exact below its
+cut, and ``HomCochain`` takes Hom out of the one and into the other.
 
 Everything homological happens after group completion: the face maps need
 additive inverses that the monoid level does not have.  Bar terms are the
@@ -15,8 +17,9 @@ bar diagnostics and for the benchmark's relabelled default; every derived
 entry point above it builds its towers with the default.  Each public
 entry point opens one scope for the length of its call
 (``intlinalg.shares_factorizations``): the call factors each distinct
-integer system once and linearizes each distinct module once, so the bar
-towers of one call share one carrier, the linearized regular module.
+integer system, linearizes each distinct module and builds each
+comparison-lift stage once, so its bar towers share one carrier, the
+linearized regular module.
 """
 
 from __future__ import annotations
@@ -140,146 +143,47 @@ def default_policy(s: NaryGammaSemiring) -> ContractionPolicy:
 
 
 # ---------------------------------------------------------------------------
-# Bar complexes
+# Resolutions: the bar and cofree towers
 # ---------------------------------------------------------------------------
 
-class BarComplex:
-    """Left-normalized tower of balanced tensor powers against a module.
+@dataclass(eq=False)
+class Resolution:
+    """A tower of completed modules, checked exact below its cut.
 
-    Degree r is (T tensor ... tensor T) tensor M with r carrier factors.
-    The differential alternates over contractions of adjacent factors: the
-    wrap-around absorption of the first factor into the module, the merges
-    of neighbouring carrier factors, and the absorption of the last factor.
-    Word space at degree r is the unbalanced coordinate basis; the faces are
-    computed there and projected to the balanced groups.  ``tensors[r]`` is
-    the balanced tensor of the carrier power against the module that degree
-    r >= 1 is built from; maps between towers are induced on it.
+    ``chain`` steps by -1 on the bar tower (resolving degree 0's module) and
+    by +1 on the cofree tower (coresolving it).  Homology in a degree
+    1..depth-1 is refused by a ``RegularityError`` naming ``what``, the
+    degree, the homology and a witness cycle.  Only the bar fills the slots,
+    ``tensors`` (degree r's balanced tensor, on which ``bar_map`` induces
+    id (x) f) and ``word_dims`` (its word space by degree).  Equality is
+    identity, so a tower can key the call scope's lift stages.
     """
 
-    def __init__(self, s: NaryGammaSemiring, module: CompletedModule,
-                 carrier: CompletedModule, j: int, k: int, depth: int,
-                 policy: ContractionPolicy):
-        self.semiring = s
-        self.module = module
-        self.carrier = carrier
-        self.jslot = j
-        self.kslot = k
-        self.depth = depth
-        self.policy = policy
-        tdim = carrier.group.dim
-        mdim = module.group.dim
+    semiring: NaryGammaSemiring
+    terms: list[CompletedModule]
+    chain: Complex
+    jslot: int | None
+    kslot: int | None
+    what: str
+    tensors: dict[int, TensorGroup] = field(default_factory=dict)
+    word_dims: list[int] = field(default_factory=list)
 
-        self._beta = self._absorb_table(carrier, slot=1)
-        self._alpha_left = self._absorb_table(module, slot=1)
-        self._alpha_right = self._absorb_table(module, slot=0)
-
-        self.terms: list[CompletedModule] = [module]
-        self.tensors: dict[int, TensorGroup] = {}
-        self.word_dims = [mdim]
-        ident_m = la.identity(mdim)
-        ident_t = la.identity(tdim)
-        projs = [ident_m]
-        lifts = [ident_m]
-        power = None
-        pproj = plift = ident_t
-        for r in range(1, depth + 1):
-            if power is None:
-                power = carrier
-            else:
-                tg = TensorGroup(power, carrier, j, k)
-                new_power = tg.as_module()
-                pproj = la.mat_mul(tg.pres.proj_matrix(), la.kron(pproj, ident_t),
-                                   tdim ** r)
-                plift = la.mat_mul(la.kron(plift, ident_t), tg.pres.lift_matrix(),
-                                   tg.group.dim)
-                power = new_power
-            wdim = (tdim ** r) * mdim
-            if wdim > BAR_WORD_BOUND:
-                raise BoundExceeded(
-                    f"bar word space at degree {r}: tdim^r*mdim = {tdim}^{r}*{mdim} "
-                    f"= {wdim} exceeds its bound {BAR_WORD_BOUND}")
-            tg = TensorGroup(power, module, j, k)
-            projs.append(la.mat_mul(tg.pres.proj_matrix(), la.kron(pproj, ident_m),
-                                    wdim))
-            lifts.append(la.mat_mul(la.kron(plift, ident_m), tg.pres.lift_matrix(),
-                                    tg.group.dim))
-            self.tensors[r] = tg
-            self.terms.append(tg.as_module())
-            self.word_dims.append(wdim)
-
-        self.diffs: dict[int, GroupMap] = {}
-        for r in range(1, depth + 1):
-            wmat = self._differential_on_words(r)
-            self.diffs[r] = induced_on_quotients(
-                projs[r - 1], self.terms[r - 1].group, wmat,
-                lifts[r], projs[r], self.terms[r].group,
-                f"bar differential d_{r}")
-        self.chain = Complex([t.group for t in self.terms], dict(self.diffs))
-        # Comparison-lift stages into this tower, keyed by (source tower,
-        # source degree, stage); see _lift_chain_map.
-        self.lift_stages: dict = {}
-
-    # -- contraction tables ----------------------------------------------
-
-    def _absorb_table(self, module: CompletedModule, slot: int):
-        """alpha[t coord][m coord]: absorb one carrier factor into ``module``.
-
-        slot 1 places the module element just right of the carrier factor,
-        slot 0 just left of it (the wrap-around face); built purely from the
-        module's operator family, so synthetic completed modules work too.
-        With the carrier itself at slot 1 this is the contraction of two
-        carrier factors through mu.
-        """
-        comp = self.carrier.completion
-        zero = GroupMap.zero(module.group, module.group)
-
-        def total(maps):
-            return reduce(GroupMap.add, maps, zero)
-
-        summed = [total(module.op(slot, w) for w in self.policy.words(self.semiring, t))
-                  for t in range(comp.monoid.size)]
-        # Entry [ia][ib] is column ib of the map of carrier basis vector ia, a
-        # module vector that GroupMap keeps reduced.
-        return [list(zip(*total(summed[t].scale(ct) for t, ct in pairs).mat))
-                for pairs in comp.lifts]
-
-    # -- faces ------------------------------------------------------------
-
-    def _differential_on_words(self, r: int):
-        src_dim = self.word_dims[r]
-        dst_dim = self.word_dims[r - 1]
-        mat = la.zeros(dst_dim, src_dim)
-        sizes = [self.carrier.group.dim] * r + [self.module.group.dim]
-        for col in range(src_dim):
-            word = unflatten_index(col, sizes)
-            ts, m = word[:-1], word[-1]
-            for i in range(r + 1):
-                sign = -1 if i % 2 else 1
-                for vec, coeff in self._face(ts, m, i, r):
-                    mat[flatten_index(vec, sizes[1:])][col] += sign * coeff
-        return mat
-
-    def _face(self, ts, m, i, r):
-        if i == 0:
-            for mm, coeff in _nonzero(self._alpha_right[ts[0]][m]):
-                yield ts[1:] + (mm,), coeff
-        elif i < r:
-            for tt, coeff in _nonzero(self._beta[ts[i - 1]][ts[i]]):
-                yield ts[:i - 1] + (tt,) + ts[i + 1:] + (m,), coeff
-        else:
-            for mm, coeff in _nonzero(self._alpha_left[ts[-1]][m]):
-                yield ts[:-1] + (mm,), coeff
-
-    # -- reporting ----------------------------------------------------------
-
-    def exactness_findings(self) -> list[tuple[int, tuple[int, ...]]]:
-        """Degrees >= 1 (below the cut) where the tower fails to be exact."""
-        out = []
-        hs = homology(self.chain)
+    def __post_init__(self):
         for r in range(1, self.depth):
-            if not hs[r].is_trivial():
-                out.append((r, hs[r].invariant_factors()))
-        return out
+            if not is_exact(self.chain.d(r - self.chain.step), self.chain.d(r)):
+                node = self.chain.node(r)
+                witness = node.representative(la.identity(node.group.dim)[0])
+                raise RegularityError(
+                    f"{self.what} is not a resolution: degree {r} has homology "
+                    f"{node.group.invariant_factors()}, witness cycle {witness}")
+
+    @property
+    def depth(self) -> int:
+        return self.chain.top
+
+    @property
+    def diffs(self) -> dict[int, GroupMap]:
+        return self.chain.diffs
 
 
 def _nonzero(vec):
@@ -290,38 +194,141 @@ def _nonzero(vec):
 
 @la.shares_factorizations
 def bar_complex(s: NaryGammaSemiring, module, j: int | None = None, k: int = 0,
-                depth: int = 4, policy: ContractionPolicy | None = None) -> BarComplex:
+                depth: int = 4, policy: ContractionPolicy | None = None) -> Resolution:
     """The bar tower of ``module`` (a BiGammaModule or CompletedModule).
 
-    The carrier is the linearized regular module of s, which the call's
-    scope shares with every other tower of the call, and with the module
-    itself when that is the regular one.
+    Degree r is (T tensor ... tensor T) tensor M with r carrier factors; the
+    carrier T is the linearized regular module of s, which the call's scope
+    shares with every other tower of the call, and with the module itself
+    when that is the regular one.  The differential alternates over
+    contractions of adjacent factors by ``policy`` (s's ``default_policy``
+    when None): the wrap-around absorption of the first factor into the
+    module, the merges of neighbouring carrier factors, and the absorption
+    of the last factor.  The faces are computed on the unbalanced word space
+    of each degree and projected to the balanced groups.
     """
     policy = policy or default_policy(s)
     module, carrier = linearize_over(s, [module, regular_bimodule(s)])
     j = resolve_slot(s, j)
     check_slots(s, j, k)
-    return BarComplex(s, module, carrier, j, k, depth, policy)
+    tdim = carrier.group.dim
+    mdim = module.group.dim
+
+    def absorb_table(target: CompletedModule, slot: int):
+        """alpha[t coord][m coord]: absorb one carrier factor into ``target``,
+        whose element goes just right of it at slot 1 and just left at slot
+        0 (the wrap-around face), read off the target's operators alone.
+        With the carrier itself at slot 1 this is the contraction of two
+        carrier factors through mu.
+        """
+        comp = carrier.completion
+        zero = GroupMap.zero(target.group, target.group)
+
+        def total(maps):
+            return reduce(GroupMap.add, maps, zero)
+
+        summed = [total(target.op(slot, w) for w in policy.words(s, t))
+                  for t in range(comp.monoid.size)]
+        # Entry [ia][ib] is column ib of the map of carrier basis vector ia, a
+        # target vector that GroupMap keeps reduced.
+        return [list(zip(*total(summed[t].scale(ct) for t, ct in pairs).mat))
+                for pairs in comp.lifts]
+
+    beta = absorb_table(carrier, slot=1)
+    alpha_left = absorb_table(module, slot=1)
+    alpha_right = absorb_table(module, slot=0)
+
+    terms: list[CompletedModule] = [module]
+    tensors: dict[int, TensorGroup] = {}
+    word_dims = [mdim]
+    ident_m = la.identity(mdim)
+    ident_t = la.identity(tdim)
+    projs = [ident_m]
+    lifts = [ident_m]
+    power = None
+    pproj = plift = ident_t
+    for r in range(1, depth + 1):
+        if power is None:
+            power = carrier
+        else:
+            tg = TensorGroup(power, carrier, j, k)
+            power = tg.as_module()
+            pproj = la.mat_mul(tg.pres.proj_matrix(), la.kron(pproj, ident_t),
+                               tdim ** r)
+            plift = la.mat_mul(la.kron(plift, ident_t), tg.pres.lift_matrix(),
+                               tg.group.dim)
+        wdim = (tdim ** r) * mdim
+        if wdim > BAR_WORD_BOUND:
+            raise BoundExceeded(
+                f"bar word space at degree {r}: tdim^r*mdim = {tdim}^{r}*{mdim} "
+                f"= {wdim} exceeds its bound {BAR_WORD_BOUND}")
+        tg = TensorGroup(power, module, j, k)
+        projs.append(la.mat_mul(tg.pres.proj_matrix(), la.kron(pproj, ident_m),
+                                wdim))
+        lifts.append(la.mat_mul(la.kron(plift, ident_m), tg.pres.lift_matrix(),
+                                tg.group.dim))
+        tensors[r] = tg
+        terms.append(tg.as_module())
+        word_dims.append(wdim)
+
+    def face(ts, m, i, r):
+        if i == 0:
+            for mm, coeff in _nonzero(alpha_right[ts[0]][m]):
+                yield ts[1:] + (mm,), coeff
+        elif i < r:
+            for tt, coeff in _nonzero(beta[ts[i - 1]][ts[i]]):
+                yield ts[:i - 1] + (tt,) + ts[i + 1:] + (m,), coeff
+        else:
+            for mm, coeff in _nonzero(alpha_left[ts[-1]][m]):
+                yield ts[:-1] + (mm,), coeff
+
+    def differential_on_words(r):
+        mat = la.zeros(word_dims[r - 1], word_dims[r])
+        sizes = [tdim] * r + [mdim]
+        for col in range(word_dims[r]):
+            word = unflatten_index(col, sizes)
+            ts, m = word[:-1], word[-1]
+            for i in range(r + 1):
+                sign = -1 if i % 2 else 1
+                for vec, coeff in face(ts, m, i, r):
+                    mat[flatten_index(vec, sizes[1:])][col] += sign * coeff
+        return mat
+
+    diffs = {r: induced_on_quotients(projs[r - 1], terms[r - 1].group,
+                                     differential_on_words(r), lifts[r], projs[r],
+                                     terms[r].group, f"bar differential d_{r}")
+             for r in range(1, depth + 1)}
+    return Resolution(s, terms, Complex([t.group for t in terms], diffs), j, k,
+                      f"bar of {module.name} (fillers {policy.fillers}, "
+                      f"parameter tuples {policy.gammas})", tensors, word_dims)
 
 
 # ---------------------------------------------------------------------------
-# Hom and tensor complexes over a bar tower
+# Hom and tensor complexes over a resolution
 # ---------------------------------------------------------------------------
 
 class HomCochain:
-    """Equivariant Hom of each bar term into a fixed completed module."""
+    """Equivariant Hom between each term of a resolution and a fixed
+    completed module, a cochain complex either way: out of the terms of the
+    bar tower (its differentials act by precomposition) and into the terms
+    of the cofree tower (by postcomposition)."""
 
-    def __init__(self, bar: BarComplex, target: CompletedModule):
-        self.homs = [EquivariantHom(term, target) for term in bar.terms]
-        diffs = {r - 1: self.homs[r - 1].induced(self.homs[r], pre=d, what="precomposition")
-                 for r, d in bar.diffs.items()}
+    def __init__(self, res: Resolution, fixed: CompletedModule):
+        if res.chain.step == -1:
+            self.homs = [EquivariantHom(term, fixed) for term in res.terms]
+            diffs = {r - 1: self.homs[r - 1].induced(self.homs[r], pre=d, what="precomposition")
+                     for r, d in res.diffs.items()}
+        else:
+            self.homs = [EquivariantHom(fixed, term) for term in res.terms]
+            diffs = {r: self.homs[r].induced(self.homs[r + 1], post=d, what="postcomposition")
+                     for r, d in res.diffs.items()}
         self.cochain = Complex([h.group for h in self.homs], diffs, step=1)
 
 
 class TensorChain:
     """Balanced tensor of each bar term against a fixed completed module."""
 
-    def __init__(self, bar: BarComplex, right: CompletedModule):
+    def __init__(self, bar: Resolution, right: CompletedModule):
         self.tensors = [TensorGroup(term, right, bar.jslot, bar.kslot)
                         for term in bar.terms]
         diffs = {r: self.tensors[r].induced(self.tensors[r - 1], left=bar.diffs[r],
@@ -330,7 +337,7 @@ class TensorChain:
         self.chain = Complex([t.group for t in self.tensors], diffs)
 
 
-def bar_map(src_bar: BarComplex, dst_bar: BarComplex, f: GroupMap) -> list[GroupMap]:
+def bar_map(src_bar: Resolution, dst_bar: Resolution, f: GroupMap) -> list[GroupMap]:
     """Degreewise maps induced by a module map, checked to be a chain map:
     f at degree 0 and id (x) f on the balanced tensor of every degree above.
 
@@ -363,7 +370,7 @@ class DerivedResult:
     """Derived groups by degree, and the bar tower they came from (if any)."""
 
     groups: list[AbGroup]
-    bar: BarComplex | None
+    bar: Resolution | None
 
     def factors(self) -> list[tuple[int, ...]]:
         return [g.invariant_factors() for g in self.groups]
@@ -380,8 +387,7 @@ def ext_via_bar(s, m, n, j: int | None = None, k: int = 0, depth: int = 2,
     """
     lin_m, target = linearize_over(s, [m, n])
     bar = bar_complex(s, lin_m, j, k, depth + 1, policy)
-    hc = HomCochain(bar, target)
-    return DerivedResult(homology(hc.cochain, depth), bar)
+    return DerivedResult(homology(HomCochain(bar, target).cochain, depth), bar)
 
 
 @la.shares_factorizations
@@ -391,27 +397,12 @@ def tor_via_bar(s, m, n, j: int | None = None, k: int = 0, depth: int = 2,
     what ``policy`` is for."""
     lin_m, right = linearize_over(s, [m, n])
     bar = bar_complex(s, lin_m, j, k, depth + 1, policy)
-    tc = TensorChain(bar, right)
-    return DerivedResult(homology(tc.chain, depth), bar)
+    return DerivedResult(homology(TensorChain(bar, right).chain, depth), bar)
 
 
 # ---------------------------------------------------------------------------
 # Cofree coresolutions
 # ---------------------------------------------------------------------------
-
-@dataclass
-class CofreeTower:
-    terms: list[CompletedModule]
-    complex: Complex
-    unit: GroupMap
-    monoid_sizes: list[int]
-
-    def cochain_hom_from(self, m: CompletedModule) -> Complex:
-        homs = [EquivariantHom(m, t) for t in self.terms]
-        diffs = {r: homs[r].induced(homs[r + 1], post=d, what="postcomposition")
-                 for r, d in self.complex.diffs.items()}
-        return Complex([h.group for h in homs], diffs, step=1)
-
 
 def _unit_into_cofree(b: BiGammaModule):
     """The canonical additive map m -> (t -> t.m) and its cofree target.
@@ -438,7 +429,7 @@ def _unit_into_cofree(b: BiGammaModule):
 
 @la.shares_factorizations
 def cofree_coresolution(s: NaryGammaSemiring, b: BiGammaModule,
-                        depth: int = 2) -> CofreeTower:
+                        depth: int = 2) -> Resolution:
     """Iterated cofree embeddings with completed connecting maps, in one pass.
 
     Stage r embeds the cokernel of stage r-1 (b at stage 0) into its cofree
@@ -448,7 +439,6 @@ def cofree_coresolution(s: NaryGammaSemiring, b: BiGammaModule,
     """
     current = b
     terms: list[CompletedModule] = []
-    monoid_sizes: list[int] = []
     maps: dict[int, GroupMap] = {}
     for r in range(depth + 1):
         cf, unit = _unit_into_cofree(current)
@@ -463,14 +453,11 @@ def cofree_coresolution(s: NaryGammaSemiring, b: BiGammaModule,
                 f"(tower stage {r})")
         if r:
             maps[r - 1] = unit_lin.compose(linearize_morphism(proj, terms[r - 1], lin_src))
-        else:
-            unit0 = unit_lin
         terms.append(lin_dst)
-        monoid_sizes.append(cf.module.M.size)
         proj = quotient_projection(cf.module, set(unit.map), f"{cf.module.name}/im")
         current = proj.target
-    return CofreeTower(terms, Complex([t.group for t in terms], maps, step=1),
-                       unit0, monoid_sizes)
+    return Resolution(s, terms, Complex([t.group for t in terms], maps, step=1),
+                      None, None, f"cofree tower of {b.name}")
 
 
 @la.shares_factorizations
@@ -479,7 +466,7 @@ def ext_via_cofree(s: NaryGammaSemiring, m, n: BiGammaModule,
     """Ext of m into n on n's cofree tower."""
     lin_m, _ = linearize_over(s, [m, n])
     tower = cofree_coresolution(s, n, depth + 1)
-    return DerivedResult(homology(tower.cochain_hom_from(lin_m), depth), None)
+    return DerivedResult(homology(HomCochain(tower, lin_m).cochain, depth), None)
 
 
 @dataclass
@@ -666,26 +653,31 @@ class ExtSetup:
         return self.hom.cochain.groups[degree].add(c1, c2)
 
 
-def _lift_chain_map(bar_src: BarComplex, bar_dst: BarComplex, g0_matrix,
+def _lift_chain_map(bar_src: Resolution, bar_dst: Resolution, g0_matrix,
                     q: int, p: int, rng: random.Random | None):
     """Chain lifts g_i : B_{q+i}(src) -> B_i(dst) of a degree-q cocycle map.
 
     Stage i takes the equivariant g_i whose composite with d_i is
     g_{i-1} . d, a preimage under postcomposition by d_i between the
-    equivariant Hom groups; an unsolvable stage raises.  With rng, a random
-    element of that postcomposition's kernel is mixed in, to probe
-    independence from the choice of lift.
+    equivariant Hom groups; an unsolvable stage raises.  Each stage's Hom
+    groups and postcomposition are kept in the call's scope
+    (``intlinalg.open_memo``), keyed by both towers, the source degree and
+    the stage.  With rng, a random element of that postcomposition's kernel
+    is mixed in, to probe independence from the choice of lift.
     """
+    memo = la.open_memo()
+    if memo is None:
+        memo = {}
     lifts = [GroupMap(bar_src.terms[q].group, bar_dst.terms[0].group,
                       g0_matrix, check=False)]
     for i in range(1, p + 1):
-        key = (bar_src, q + i, i)
-        if key not in bar_dst.lift_stages:
+        key = ("lift stage", bar_src, bar_dst, q + i, i)
+        if key not in memo:
             hom = EquivariantHom(bar_src.terms[q + i], bar_dst.terms[i])
             below = EquivariantHom(bar_src.terms[q + i], bar_dst.terms[i - 1])
-            bar_dst.lift_stages[key] = (hom, below, hom.induced(
-                below, post=bar_dst.diffs[i], what="bar differential"))
-        hom, below, post = bar_dst.lift_stages[key]
+            memo[key] = (hom, below, hom.induced(below, post=bar_dst.diffs[i],
+                                                 what="bar differential"))
+        hom, below, post = memo[key]
         x = preimage(post, below.coords(lifts[i - 1].compose(bar_src.diffs[q + i]),
                                         f"comparison lift at stage {i}"))
         if x is None:

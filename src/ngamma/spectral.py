@@ -8,9 +8,10 @@ is the column filtration of the transpose, which renames the cells over the
 same total complex.  A bounded first-quadrant grid with pmax+1 columns has
 E_(pmax+1) = E∞, so each filtration builds pages 0..pmax+1 and reads every
 later page as E∞.  The page-homology law is re-verified on the early pages
-instead of taken on faith.  ``kunneth_check`` and ``base_change_check`` each
-run in one call scope (``intlinalg.shares_factorizations``), so their
-towers, probes and Tor comparisons share every linearization, the
+instead of taken on faith.  ``kunneth_check`` and ``base_change_check``
+refuse, through ``homology.bar_complex``, a tower that is not exact below
+its cut, and each runs in one call scope (``intlinalg.shares_factorizations``),
+so its towers, probes and Tor comparisons share every linearization, the
 carriers included, without passing one down.
 """
 

@@ -21,13 +21,14 @@ from ngamma.core import (
     ternary_from_semiring, trivial_gamma, truncated_nat_semiring, z4_ternary,
     zmod_semiring,
 )
-from ngamma.homology import balance_check, ext_via_bar, tor_via_bar
+from ngamma.homology import balance_check, ext_via_bar, ext_via_cofree, les_check, tor_via_bar
 from ngamma.ideals import GammaIdeal, all_ideals, generate_ideal, spectrum
 from ngamma.modules import (
-    ModuleMorphism, build_module, filler_tuples, hom_gamma, ideal_submodule,
-    module_from_actions, quotient_module, regular_bimodule, resolve_slot,
-    tensor_positional,
+    Conflation, ModuleMorphism, build_module, filler_tuples, hom_gamma, ideal_submodule,
+    module_from_actions, quotient_module, quotient_projection, regular_bimodule,
+    resolve_slot, tensor_positional,
 )
+from ngamma.spectral import kunneth_check
 from ngamma.completion import (
     CompletedModule, EquivariantHom, HomBase, TensorGroup, completion_map,
     direct_sum_completed, group_complete, linearize_module, linearize_morphism,
@@ -743,18 +744,30 @@ def test_equal_operators_on_distinct_objects_give_one_block(monkeypatch):
 # ---------------------------------------------------------------------------
 
 def _label_free_invariants(s, g):
-    """Ideal and prime counts of s and, for each pair of its regular module
-    and its quotient by the ideal generated by g, the Hom map count, the
-    tensor size, Ext and Tor at depth 2 and the balance verdict."""
-    mods = (regular_bimodule(s), quotient_module(s, generate_ideal(s, [g])))
+    """Ideal and prime counts of s; for each pair of its regular module and
+    its quotient by the ideal I generated by g, the Hom map count, the tensor
+    size, Ext on both towers and Tor at depth 2 and the balance verdict; the
+    Hom-side long exact sequence of I -> s -> s/I into s at depth 1; and the
+    Künneth verdicts on the regular module at depth 1."""
+    ideal = generate_ideal(s, [g])
+    reg = regular_bimodule(s)
+    mods = (reg, quotient_module(s, ideal))
     j = resolve_slot(s, None)
     out = {"ideals": len(all_ideals(s)), "primes": len(spectrum(s).primes)}
     for (a, m), (b, n) in product(enumerate(mods), repeat=2):
         out[a, b] = (len(hom_gamma(m, n, j, 0).maps),
                      tensor_positional(m, n, j, 0).module.M.size,
                      ext_via_bar(s, m, n, depth=2).factors(),
+                     ext_via_cofree(s, m, n, depth=2).factors(),
                      tor_via_bar(s, m, n, depth=2).factors(),
                      balance_check(s, m, n, 2).balanced)
+    c = Conflation(ModuleMorphism(ideal_submodule(s, ideal), reg, tuple(ideal.sorted_members())),
+                   quotient_projection(reg, ideal.members, "quotient"))
+    les = les_check(c, reg, depth=1, side="hom")
+    out["les"] = ([h.invariant_factors() for h in les.groups], les.exact_at,
+                  les.deltas_zero, les.ses_ok, les.completion_exact)
+    kun = kunneth_check(s, reg, reg, reg, depth=1)
+    out["kunneth"] = (kun.consistent, kun.e2_first, kun.e2_matches_direct)
     return out
 
 

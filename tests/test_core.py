@@ -428,11 +428,37 @@ def test_only_the_bar_tower_takes_a_contraction_policy():
                    for name, fn in _functions(ast.parse(path.read_text(encoding="utf-8")))
                    if any(isinstance(a, ast.arg) and a.arg == "policy"
                           for a in ast.walk(fn.args)))
-    assert found == ["homology.py:BarComplex.__init__", "homology.py:bar_complex",
-                     "homology.py:ext_via_bar", "homology.py:tor_via_bar"]
+    assert found == ["homology.py:bar_complex", "homology.py:ext_via_bar",
+                     "homology.py:tor_via_bar"]
     cli_tree = ast.parse((package / "cli.py").read_text(encoding="utf-8"))
     names = {node.id for node in ast.walk(cli_tree) if isinstance(node, ast.Name)}
     names |= {node.attr for node in ast.walk(cli_tree) if isinstance(node, ast.Attribute)}
     names |= {alias.name for node in ast.walk(cli_tree)
               if isinstance(node, (ast.Import, ast.ImportFrom)) for alias in node.names}
     assert not names & {"ContractionPolicy", "default_policy"}
+
+
+def test_towers_are_built_only_by_the_resolution_constructors():
+    # ``homology.Resolution`` checks a tower exact when it is built; the bar
+    # and the cofree tower are its only builders, and only ``homology``
+    # reads the bar's own fields.  No tower keeps a lift cache, a findings
+    # report or a carrier of its own.
+    builders, readers, leftovers = [], [], []
+    for path in sorted(Path(ngamma.__file__).parent.rglob("*.py")):
+        text = path.read_text(encoding="utf-8")
+        tree = ast.parse(text)
+        calls = [node for node in ast.walk(tree) if isinstance(node, ast.Call)
+                 and isinstance(node.func, ast.Name) and node.func.id == "Resolution"]
+        builders += [f"{path.name}:{name}" for name, fn in _functions(tree)
+                     for node in ast.walk(fn) if node in calls]
+        assert len(builders) >= len(calls), path.name
+        readers += [f"{path.name}:{node.lineno}" for node in ast.walk(tree)
+                    if path.name != "homology.py" and isinstance(node, ast.Attribute)
+                    and node.attr in ("tensors", "word_dims")]
+        leftovers += [f"{path.name}:{word}" for word in ("lift_stages", "exactness_findings")
+                      if word in text]
+        leftovers += [f"{path.name}:{name}" for name, fn in _functions(tree)
+                      if any(a.arg == "carrier" for a in ast.walk(fn.args)
+                             if isinstance(a, ast.arg))]
+    assert builders == ["homology.py:bar_complex", "homology.py:cofree_coresolution"]
+    assert readers == [] and leftovers == []

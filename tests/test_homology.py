@@ -1,5 +1,7 @@
+import ast
 import json
 import random
+import re
 from pathlib import Path
 
 import pytest
@@ -11,16 +13,16 @@ from ngamma.core import (
     bundled_semirings, f2_semiring, f2_ternary, make_matrix_family, trivial_gamma,
     z4_ternary,
 )
-from ngamma.completion import linearize_module
+from ngamma.completion import linearize_module, zero_completed
 from ngamma.ideals import GammaIdeal, all_ideals, coset_congruence
 from ngamma.modules import (
     Conflation, ModuleMorphism, build_module, direct_sum_modules,
     ideal_submodule, identity_module_morphism, quotient_module, quotient_projection,
     regular_bimodule, zero_module,
 )
-from ngamma import abgroups, cli, homology as homology_mod
+from ngamma import abgroups, cli, homology as homology_mod, spectral as spectral_mod
 from ngamma.homology import (
-    BarComplex, Complex, ContractionPolicy, ExtSetup, RegularityError, _lift_chain_map,
+    Complex, ContractionPolicy, ExtSetup, RegularityError, Resolution, _lift_chain_map,
     balance_check, default_policy,
     bar_complex, bar_map, cofree_coresolution, ext_via_bar, ext_via_cofree,
     homology, les_check, tor_via_bar, yoneda_compose,
@@ -95,7 +97,6 @@ def test_bar_complex_f2(f2):
     assert bar.diffs[2].mat == [[1]]
     hs = homology(bar.chain)
     assert hs[0].invariant_factors() == (2,)  # K(M) at degree zero
-    assert bar.exactness_findings() == []
 
 
 def test_bar_complex_zero_module(f2):
@@ -127,7 +128,7 @@ def test_bar_word_space_bound_names_degree_and_size(monkeypatch):
     monkeypatch.setattr("ngamma.homology.BAR_WORD_BOUND", 20)
     with pytest.raises(BoundExceeded, match=r"bar word space at degree 2: tdim\^r\*mdim = "
                                             r"4\^2\*4 = 64 exceeds its bound 20"):
-        BarComplex(s, reg, reg, 1, 0, 2, default_policy(s))
+        bar_complex(s, reg, 1, 0, 2)
 
 
 def test_bar_map_needs_one_carrier_and_slot_pair(z4):
@@ -201,12 +202,12 @@ def test_tor_builds_a_homology_node_per_degree_it_reports(z4, count_calls):
 
 
 def test_cofree_coresolution_f2(f2):
+    # A cochain resolution: F2 embeds in its cofree module, of two elements,
+    # and the cokernel's stages are zero.
     tower = cofree_coresolution(f2, regular_bimodule(f2), depth=2)
-    assert tower.monoid_sizes[0] == 2
+    assert (tower.chain.step, tower.depth, tower.jslot) == (1, 2, None)
     assert tower.terms[0].group.invariant_factors() == (2,)
     assert all(t.group.is_trivial() for t in tower.terms[1:])
-    from ngamma.abgroups import kernel
-    assert kernel(tower.unit).group.is_trivial()
 
 
 def test_coker_of_ideal_inclusion_is_bourne_quotient():
@@ -461,7 +462,7 @@ def test_yoneda_lift_mixing_stays_in_the_kernel(f2):
     # bundled towers only yield kernel generators with one nonzero entry.
     class Tower:
         def __init__(self, terms, diffs):
-            self.terms, self.diffs, self.lift_stages = terms, diffs, {}
+            self.terms, self.diffs = terms, diffs
 
     reg = regular_bimodule(f2)
     one = linearize_module(reg)
@@ -496,22 +497,93 @@ def test_policies_are_configurable(z4):
     pol = ContractionPolicy(((0, 0),), ((1,),))
     bar = bar_complex(z4, reg, 2, 0, depth=2, policy=pol)
     assert [g.invariant_factors() for g in bar.chain.groups] == [(4,)] * 3
-    # Summing fillers over all of T scales contractions by 0+1+2+3 = 6 = 2.
+    # Summing fillers over all of T scales contractions by 0+1+2+3 = 6 = 2,
+    # so d_2 is 2 and d_1 is 0: the tower has homology (2,) at degree 1.
     pol2 = ContractionPolicy(tuple(z4.g_tuples(2)), tuple(z4.t_tuples(1)))
-    bar2 = bar_complex(z4, reg, 2, 0, depth=2, policy=pol2)
-    assert bar2.diffs[2].mat == [[2]]
+    with pytest.raises(RegularityError, match=r"degree 1 has homology \(2,\)"):
+        bar_complex(z4, reg, 2, 0, depth=2, policy=pol2)
 
 
-def test_exactness_findings_surface_under_sum_policy(z4):
-    # Under the all-fillers policy the tower is no longer exact; the gap is
-    # reported as a finding, with d.d = 0 still enforced.
+@pytest.fixture
+def built_chains(monkeypatch):
+    """The chain of every ``Resolution`` built meanwhile, recorded before its
+    exactness check runs."""
+    chains = []
+    check = Resolution.__post_init__
+
+    def recording(self):
+        chains.append(self.chain)
+        check(self)
+
+    monkeypatch.setattr(Resolution, "__post_init__", recording)
+    return chains
+
+
+def _witness(err) -> tuple[int, ...]:
+    return ast.literal_eval(re.search(r"witness cycle (\(.*\))$", str(err)).group(1))
+
+
+def _assert_witness(chain: Complex, r: int, err) -> None:
+    """The refusal's witness is a cycle at degree r whose class is nonzero."""
+    witness = _witness(err)
+    assert chain.d(r).dst.is_zero(chain.d(r)(witness))
+    node = chain.node(r)
+    assert not node.group.is_zero(node.classify(witness))
+
+
+def test_sum_policy_tower_is_refused_with_a_witness(z4, built_chains):
+    # Under the all-fillers policy the tower is not exact: the constructor
+    # refuses it at degree 1, naming the tower, its homology and a cycle that
+    # is not a boundary; d.d = 0 and degree zero still hold.
     pol = ContractionPolicy(tuple(z4.g_tuples(2)), tuple(z4.t_tuples(1)))
-    bar = bar_complex(z4, regular_bimodule(z4), 2, 0, depth=3, policy=pol)
-    findings = bar.exactness_findings()
-    assert findings and findings[0][0] == 1
-    assert findings[0][1] == (2,)
-    hs = homology(bar.chain)
-    assert hs[0].invariant_factors() == (4,)  # degree zero still correct
+    with pytest.raises(RegularityError) as err:
+        bar_complex(z4, regular_bimodule(z4), 2, 0, depth=3, policy=pol)
+    assert str(err.value).startswith(
+        "bar of z4_ternary.regular (fillers ((0,), (1,), (2,), (3,)), parameter "
+        "tuples ((0, 0),)) is not a resolution: degree 1 has homology (2,), ")
+    chain, = built_chains
+    assert homology(chain)[0].invariant_factors() == (4,)
+    _assert_witness(chain, 1, err.value)
+
+
+def _one_filler(s, f):
+    return ContractionPolicy(tuple(s.g_tuples(s.n - 1)), ((f,) * (s.n - 2),))
+
+
+@pytest.mark.parametrize("name", ["z4_reg", "z4_mod2", "z4_ideal02"])
+def test_inexact_towers_are_refused_and_exact_ones_agree(z4, name, built_chains):
+    # Over Z/4 the fillers 0 and 2, and the sum of all four, give towers with
+    # homology at degree 1; the units 1 and 3 give the default's groups.
+    m = bundled_workspace().module(name)
+    policies = {f: _one_filler(z4, f) for f in range(4)}
+    policies["all"] = ContractionPolicy(tuple(z4.g_tuples(2)), tuple(z4.t_tuples(1)))
+    runs = {"bar": lambda policy: homology(bar_complex(z4, m, depth=3, policy=policy).chain),
+            "ext": lambda policy: ext_via_bar(z4, m, m, depth=3, policy=policy).groups,
+            "tor": lambda policy: tor_via_bar(z4, m, m, depth=3, policy=policy).groups}
+    for what, run in runs.items():
+        want = run(None)
+        for f, policy in policies.items():
+            if f in (1, 3):
+                assert run(policy) == want, (what, f)
+                continue
+            with pytest.raises(RegularityError, match=r"is not a resolution: degree 1 ") as err:
+                run(policy)
+            _assert_witness(built_chains[-1], 1, err.value)
+
+
+@pytest.mark.parametrize("step", [-1, 1])
+def test_a_tower_with_homology_is_refused_in_either_direction(f2, step):
+    # Z/2 in degrees 0..2 with zero differentials has Z/2 of homology at the
+    # checked degree 1, whichever way the tower runs; degree 2 is the cut.
+    lin = linearize_module(regular_bimodule(f2))
+    chain = Complex([lin.group] * 3, {}, step)
+    with pytest.raises(RegularityError, match=r"^zeros is not a resolution: degree 1 has "
+                                              r"homology \(2,\), witness cycle \(1,\)$"):
+        Resolution(f2, [lin] * 3, chain, None, None, "zeros")
+    # Degree 0, the resolved module, and the cut are not checked.
+    zero = zero_completed(f2)
+    Resolution(f2, [lin, zero, lin], Complex([lin.group, zero.group, lin.group], {}, step),
+               None, None, "zeros")
 
 
 def _zero_multiplication(n):
@@ -524,17 +596,18 @@ def contractions(monkeypatch):
     """(semiring, policy) of every bar tower and the semiring of every cofree
     unit built meanwhile."""
     seen = {"bar": [], "unit": []}
-    init, unit = BarComplex.__init__, homology_mod._unit_into_cofree
+    bar, unit = homology_mod.bar_complex, homology_mod._unit_into_cofree
 
-    def recording_init(self, *args, **named):
-        init(self, *args, **named)
-        seen["bar"].append((self.semiring, self.policy))
+    def recording_bar(s, module, j=None, k=0, depth=4, policy=None):
+        seen["bar"].append((s, policy or default_policy(s)))
+        return bar(s, module, j, k, depth, policy)
 
     def recording_unit(b):
         seen["unit"].append(b.parent)
         return unit(b)
 
-    monkeypatch.setattr(BarComplex, "__init__", recording_init)
+    for owner in (homology_mod, spectral_mod):
+        monkeypatch.setattr(owner, "bar_complex", recording_bar)
     monkeypatch.setattr(homology_mod, "_unit_into_cofree", recording_unit)
     return seen
 
@@ -567,15 +640,27 @@ def test_derived_commands_contract_with_each_semirings_default(
     assert {s.name for s in contractions["unit"]} == unit_semirings
 
 
-def test_default_policy_sums_fillers_without_a_neutral_word(f2, contractions):
+def test_default_policy_sums_fillers_without_a_neutral_word(f2, contractions,
+                                                            built_chains):
     zm = _zero_multiplication(3)
     assert default_policy(zm).fillers == ((0,), (1,))
     # A carrier with a neutral word contracts with it; n = 2 has no fillers.
     assert default_policy(f2).fillers == ((1,),)
     assert default_policy(_zero_multiplication(2)).fillers == ((),)
     assert {default_policy(s).label for s in (zm, f2)} == {""}
+    # Zero multiplication makes every face zero, so the default tower has
+    # homology (2,) in every degree, and every derived call on it refuses.
     reg = regular_bimodule(zm)
-    balance_check(zm, reg, reg, depth=1)
+    for derived in (ext_via_bar, tor_via_bar, balance_check):
+        with pytest.raises(RegularityError, match=r"^bar of zm\.regular \(fillers "
+                                                  r"\(\(0,\), \(1,\)\), .* degree 1 has "
+                                                  r"homology \(2,\)"):
+            derived(zm, reg, reg, depth=1)
+    with pytest.raises(RegularityError):
+        bar_complex(zm, reg, depth=4)
+    assert [h.invariant_factors() for h in homology(built_chains[-1])] == [(2,)] * 5
+    with pytest.raises(RegularityError, match="not injective after completion"):
+        ext_via_cofree(zm, reg, reg, depth=1)
     assert _defaulted(contractions["bar"]) == {s.name for s in contractions["unit"]} \
         == {"zm"}
 

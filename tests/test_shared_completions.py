@@ -11,7 +11,7 @@ balance (two per cofree stage) and 3 for basechange.  The conflation's
 three modules use two monoids, kunneth's four modules one, and balance's
 cofree tower adds one, the one-element monoid of its later stages.
 
-Bar towers are counted the same way, by wrapping ``BarComplex.__init__``.
+Towers are counted the same way, by wrapping ``Resolution.__init__``.
 """
 
 import contextlib
@@ -92,7 +92,7 @@ def test_one_scope_linearizes_a_module_once_under_each_name(completions):
 
 @pytest.fixture
 def bar_builds(count_calls):
-    return count_calls(homology.BarComplex, "__init__")
+    return count_calls(homology.Resolution, "__init__")
 
 
 @pytest.mark.parametrize("command, towers", [
