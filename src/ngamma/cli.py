@@ -250,7 +250,7 @@ def cmd_ext_tor(ws: Workspace, args, rep: Reporter) -> int:
     res = fn(s, m, n, j, k, args.depth)
     results = {"degrees": {str(r): list(f) for r, f in enumerate(res.factors())}}
     if args.emit_matrices:
-        results["bar_differentials"] = {str(r): d.mat for r, d in res.bar.diffs.items()}
+        results["bar_differentials"] = {str(r): d.mat for r, d in res.resolution.diffs.items()}
     return rep.emit(results, True, ws)
 
 
@@ -288,11 +288,11 @@ def cmd_les(ws: Workspace, args, rep: Reporter) -> int:
 
 @_one_scope
 def cmd_yoneda(ws: Workspace, args, rep: Reporter) -> int:
-    from .homology import ExtSetup, yoneda_compose
+    from .homology import ext_via_bar, yoneda_compose
     s = ws.semiring(args.semiring)
     m = ws.module(args.m)
     j, k = _parse_slots(args.slots, s)
-    ext = ExtSetup(s, m, m, args.depth + 1, j, k)
+    ext = ext_via_bar(s, m, m, j, k, args.depth)
     ident = ext.identity_cocycle()
     table = {}
     ok = True

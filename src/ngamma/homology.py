@@ -3,7 +3,9 @@
 One ``Complex`` type holds every chain complex (bar, tensor) and cochain
 complex (Hom, cofree), and ``homology`` reads either.  One ``Resolution``
 holds the bar and the cofree tower, each refused unless exact below its
-cut, and ``HomCochain`` takes Hom out of the one and into the other.
+cut, and ``HomCochain`` takes Hom out of the one and into the other.  One
+``DerivedResult`` reads Ext, Tor, Yoneda classes and Ext modules off any
+resolution, so a new resolution reaches every consumer through it.
 
 Everything homological happens after group completion: the face maps need
 additive inverses that the monoid level does not have.  Bar terms are the
@@ -322,7 +324,7 @@ class HomCochain:
             self.homs = [EquivariantHom(fixed, term) for term in res.terms]
             diffs = {r: self.homs[r].induced(self.homs[r + 1], post=d, what="postcomposition")
                      for r, d in res.diffs.items()}
-        self.cochain = Complex([h.group for h in self.homs], diffs, step=1)
+        self.complex = Complex([h.group for h in self.homs], diffs, step=1)
 
 
 class TensorChain:
@@ -334,7 +336,7 @@ class TensorChain:
         diffs = {r: self.tensors[r].induced(self.tensors[r - 1], left=bar.diffs[r],
                                             what=f"tensored differential d_{r}")
                  for r in range(1, len(bar.terms))}
-        self.chain = Complex([t.group for t in self.tensors], diffs)
+        self.complex = Complex([t.group for t in self.tensors], diffs)
 
 
 def bar_map(src_bar: Resolution, dst_bar: Resolution, f: GroupMap) -> list[GroupMap]:
@@ -362,18 +364,70 @@ def bar_map(src_bar: Resolution, dst_bar: Resolution, f: GroupMap) -> list[Group
 
 
 # ---------------------------------------------------------------------------
-# Derived functors via the bar tower
+# Derived groups: one functor read off one resolution
 # ---------------------------------------------------------------------------
 
-@dataclass
+@dataclass(eq=False)
 class DerivedResult:
-    """Derived groups by degree, and the bar tower they came from (if any)."""
+    """Degrees 0..depth of one functor on one resolution, Hom out of the bar
+    or into the cofree tower (``HomCochain``) or the bar tensored against a
+    module (``TensorChain``), with the ``HomologyNode`` of each degree.  Its
+    cocycle classes (which ``yoneda_compose`` composes) and ``modules`` are
+    read only off Ext out of a chain resolution; any other record refuses
+    them with a ValueError."""
 
-    groups: list[AbGroup]
-    bar: Resolution | None
+    resolution: Resolution
+    functor: HomCochain | TensorChain
+    depth: int
+
+    def __post_init__(self):
+        self.complex = self.functor.complex
+        self.nodes = [self.complex.node(r) for r in range(self.depth + 1)]
+        self.groups = [node.group for node in self.nodes]
 
     def factors(self) -> list[tuple[int, ...]]:
         return [g.invariant_factors() for g in self.groups]
+
+    def _ext_homs(self) -> list[EquivariantHom]:
+        if not isinstance(self.functor, HomCochain) or self.resolution.chain.step != -1:
+            raise ValueError(f"not Ext out of a chain resolution: {self.resolution.what}")
+        return self.functor.homs
+
+    def cocycles(self, degree: int) -> list[tuple[int, ...]]:
+        self._ext_homs()
+        ker = kernel(self.complex.d(degree))
+        return sorted({ker.inclusion(c) for c in ker.group.elements()})
+
+    def class_of(self, degree: int, cocycle) -> tuple[int, ...]:
+        self._ext_homs()
+        return self.nodes[degree].classify(cocycle)
+
+    def classes_equal(self, degree: int, c1, c2) -> bool:
+        return self.class_of(degree, c1) == self.class_of(degree, c2)
+
+    def add_cocycles(self, degree: int, c1, c2):
+        self._ext_homs()
+        return self.complex.groups[degree].add(c1, c2)
+
+    def identity_cocycle(self) -> tuple[int, ...]:
+        hom = self._ext_homs()[0]
+        if hom.x.group.orders != hom.y.group.orders:
+            raise StructuralError("the identity cocycle needs equal source and target groups")
+        return hom.coords(GroupMap.identity(hom.x.group), "the identity")
+
+    def modules(self) -> list[CompletedModule]:
+        """Ext^0..Ext^depth as completed modules, on which each distinct
+        operator of the fixed module acts once, by postcomposition."""
+        out = []
+        for qdeg, (node, hom) in enumerate(zip(self.nodes, self._ext_homs())):
+            # Equal keys are equal maps; only cocycle representatives stay equivariant.
+            post = {key: node.induced(lambda rep, opn=opn: hom.coords(
+                        opn.compose(hom.matrix(tuple(rep))), "operator"), node)
+                    for key, opn in {o.key: o for slot in hom.y.ops for o in slot}.items()}
+            ops = tuple(tuple(post[o.key] for o in slot) for slot in hom.y.ops)
+            out.append(CompletedModule(self.resolution.semiring, node.group, ops, None,
+                                       name=f"Ext^{qdeg}"))
+        return out
 
 
 @la.shares_factorizations
@@ -387,7 +441,7 @@ def ext_via_bar(s, m, n, j: int | None = None, k: int = 0, depth: int = 2,
     """
     lin_m, target = linearize_over(s, [m, n])
     bar = bar_complex(s, lin_m, j, k, depth + 1, policy)
-    return DerivedResult(homology(HomCochain(bar, target).cochain, depth), bar)
+    return DerivedResult(bar, HomCochain(bar, target), depth)
 
 
 @la.shares_factorizations
@@ -397,7 +451,7 @@ def tor_via_bar(s, m, n, j: int | None = None, k: int = 0, depth: int = 2,
     what ``policy`` is for."""
     lin_m, right = linearize_over(s, [m, n])
     bar = bar_complex(s, lin_m, j, k, depth + 1, policy)
-    return DerivedResult(homology(TensorChain(bar, right).chain, depth), bar)
+    return DerivedResult(bar, TensorChain(bar, right), depth)
 
 
 # ---------------------------------------------------------------------------
@@ -466,7 +520,7 @@ def ext_via_cofree(s: NaryGammaSemiring, m, n: BiGammaModule,
     """Ext of m into n on n's cofree tower."""
     lin_m, _ = linearize_over(s, [m, n])
     tower = cofree_coresolution(s, n, depth + 1)
-    return DerivedResult(homology(HomCochain(tower, lin_m).cochain, depth), None)
+    return DerivedResult(tower, HomCochain(tower, lin_m), depth)
 
 
 @dataclass
@@ -594,7 +648,7 @@ def les_check(c: Conflation, n: BiGammaModule, depth: int = 2,
 
         pstar = pullback(hc_c, hc_b, maps_p)
         istar = pullback(hc_b, hc_a, maps_i)
-        report = snake_les(hc_c.cochain, hc_b.cochain, hc_a.cochain,
+        report = snake_les(hc_c.complex, hc_b.complex, hc_a.complex,
                            pstar, istar, depth, "Ext")
         report.completion_exact = completion_exact
         return report
@@ -610,8 +664,8 @@ def les_check(c: Conflation, n: BiGammaModule, depth: int = 2,
                 for r, (src_t, dst_t) in enumerate(zip(tsrc.tensors, tdst.tensors))]
 
     # snake_les raises degrees, so each chain complex is read reversed.
-    report = snake_les(tc_a.chain.reversed(), tc_b.chain.reversed(),
-                       tc_c.chain.reversed(), pushforward(tc_a, tc_b, ki)[::-1],
+    report = snake_les(tc_a.complex.reversed(), tc_b.complex.reversed(),
+                       tc_c.complex.reversed(), pushforward(tc_a, tc_b, ki)[::-1],
                        pushforward(tc_b, tc_c, kp)[::-1], depth, "Tor")
     report.completion_exact = completion_exact
     report.note = f"cochain position r is homological degree {bar_depth} - r"
@@ -621,37 +675,6 @@ def les_check(c: Conflation, n: BiGammaModule, depth: int = 2,
 # ---------------------------------------------------------------------------
 # Yoneda composition
 # ---------------------------------------------------------------------------
-
-class ExtSetup:
-    """Bar tower of the source module plus the Hom cochain into the target."""
-
-    @la.shares_factorizations
-    def __init__(self, s: NaryGammaSemiring, m: BiGammaModule, n: BiGammaModule,
-                 depth: int, j: int | None = None, k: int = 0):
-        self.src, self.dst = linearize_over(s, [m, n])
-        self.bar = bar_complex(s, self.src, j, k, depth)
-        self.hom = HomCochain(self.bar, self.dst)
-        self.nodes = [self.hom.cochain.node(r) for r in range(self.hom.cochain.top)]
-
-    def cocycles(self, degree: int) -> list[tuple[int, ...]]:
-        ker = kernel(self.hom.cochain.d(degree))
-        return sorted({ker.inclusion(c) for c in ker.group.elements()})
-
-    def class_of(self, degree: int, cocycle) -> tuple[int, ...]:
-        return self.nodes[degree].classify(cocycle)
-
-    def classes_equal(self, degree: int, c1, c2) -> bool:
-        return self.class_of(degree, c1) == self.class_of(degree, c2)
-
-    def identity_cocycle(self) -> tuple[int, ...]:
-        if self.src.group.orders != self.dst.group.orders:
-            raise StructuralError("the identity cocycle needs equal source and "
-                                  "target groups")
-        return self.hom.homs[0].coords(GroupMap.identity(self.src.group), "the identity")
-
-    def add_cocycles(self, degree: int, c1, c2):
-        return self.hom.cochain.groups[degree].add(c1, c2)
-
 
 def _lift_chain_map(bar_src: Resolution, bar_dst: Resolution, g0_matrix,
                     q: int, p: int, rng: random.Random | None):
@@ -693,25 +716,28 @@ def _lift_chain_map(bar_src: Resolution, bar_dst: Resolution, g0_matrix,
 
 
 @la.shares_factorizations
-def yoneda_compose(ext_nl: ExtSetup, p: int, f_cocycle,
-                   ext_mn: ExtSetup, q: int, g_cocycle,
-                   ext_ml: ExtSetup, rng: random.Random | None = None):
+def yoneda_compose(ext_nl: DerivedResult, p: int, f_cocycle,
+                   ext_mn: DerivedResult, q: int, g_cocycle,
+                   ext_ml: DerivedResult, rng: random.Random | None = None):
     """Composite cocycle in degree p+q.
 
-    ext_nl is the tower for (N, L), ext_mn for (M, N), ext_ml for (M, L);
-    all three must share the semiring and slots (a ValueError refuses them
-    otherwise; the semiring fixes the contraction) and have enough depth.
+    ext_nl is Ext of (N, L), ext_mn of (M, N) and ext_ml of (M, L), each off
+    a bar tower; all three must share the semiring and slots (a ValueError
+    refuses them otherwise; the semiring fixes the contraction) and have
+    enough depth.
     """
-    keys = [(e.bar.semiring, e.bar.jslot, e.bar.kslot) for e in (ext_nl, ext_mn, ext_ml)]
+    homs_nl, homs_mn, homs_ml = (e._ext_homs() for e in (ext_nl, ext_mn, ext_ml))
+    keys = [(e.resolution.semiring, e.resolution.jslot, e.resolution.kslot)
+            for e in (ext_nl, ext_mn, ext_ml)]
     if any(key != keys[0] for key in keys[1:]):
         raise ValueError("Yoneda composition needs three towers over one semiring "
                          "and slot pair")
-    g0 = ext_mn.hom.homs[q].matrix(tuple(g_cocycle))
-    lifts = _lift_chain_map(ext_mn.bar, ext_nl.bar, g0.mat, q, p, rng)
-    f_map = ext_nl.hom.homs[p].matrix(tuple(f_cocycle))
+    g0 = homs_mn[q].matrix(tuple(g_cocycle))
+    lifts = _lift_chain_map(ext_mn.resolution, ext_nl.resolution, g0.mat, q, p, rng)
+    f_map = homs_nl[p].matrix(tuple(f_cocycle))
     comp = f_map.compose(lifts[p])
-    coords = ext_ml.hom.homs[p + q].coords(comp, "composite cocycle")
-    dnext = ext_ml.hom.cochain.d(p + q)
+    coords = homs_ml[p + q].coords(comp, "composite cocycle")
+    dnext = ext_ml.complex.d(p + q)
     if not dnext(coords) == dnext.dst.zero():
         raise SoundnessError("composite of cocycles is not a cocycle")
     return coords

@@ -9,10 +9,10 @@ same total complex.  A bounded first-quadrant grid with pmax+1 columns has
 E_(pmax+1) = E∞, so each filtration builds pages 0..pmax+1 and reads every
 later page as E∞.  The page-homology law is re-verified on the early pages
 instead of taken on faith.  ``kunneth_check`` and ``base_change_check``
-refuse, through ``homology.bar_complex``, a tower that is not exact below
-its cut, and each runs in one call scope (``intlinalg.shares_factorizations``),
-so its towers, probes and Tor comparisons share every linearization, the
-carriers included, without passing one down.
+read every derived group and Ext module through ``homology.DerivedResult``,
+refuse a tower that is not exact below its cut, and each run in one call
+scope (``intlinalg.shares_factorizations``), so their towers, probes and Tor
+comparisons share every linearization, the carriers included.
 """
 
 from __future__ import annotations
@@ -36,7 +36,10 @@ from .completion import (
     CompletedModule, EquivariantHom, TensorGroup, linearize_module, linearize_morphism,
     linearize_over,
 )
-from .homology import Complex, HomCochain, TensorChain, bar_complex, homology, tor_via_bar
+from .homology import (
+    Complex, DerivedResult, HomCochain, TensorChain, bar_complex, ext_via_bar, homology,
+    tor_via_bar,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -283,30 +286,6 @@ class KunnethReport:
                 and self.law_first and self.law_second)
 
 
-def ext_modules_with_ops(s: NaryGammaSemiring, bar, n_lin: CompletedModule,
-                         depth: int) -> list[CompletedModule]:
-    """Ext groups of the tower as completed modules, ops by postcomposition
-    (once per distinct operator)."""
-    hc = HomCochain(bar, n_lin)
-    out = []
-    for qdeg in range(depth + 1):
-        node = hc.cochain.node(qdeg)
-        hom = hc.homs[qdeg]
-        post = {}
-
-        def on_ext(opn):
-            if opn.key not in post:
-                # Only the cocycle representatives need stay equivariant.
-                post[opn.key] = node.induced(
-                    lambda rep: hom.coords(opn.compose(hom.matrix(tuple(rep))), "operator"),
-                    node)
-            return post[opn.key]
-
-        ops = tuple(tuple(map(on_ext, slot)) for slot in n_lin.ops)
-        out.append(CompletedModule(s, node.group, ops, None, name=f"Ext^{qdeg}"))
-    return out
-
-
 @la.shares_factorizations
 def kunneth_check(s: NaryGammaSemiring, m: BiGammaModule, n: BiGammaModule,
                   l: BiGammaModule, depth: int = 2, j: int | None = None,
@@ -361,12 +340,9 @@ def kunneth_check(s: NaryGammaSemiring, m: BiGammaModule, n: BiGammaModule,
     e2_second = {(pm - pp, qm - qq): second.page(2).factors(qq, pp)
                  for pp in range(depth + 1) for qq in range(depth + 1)}
 
-    ext_mods = ext_modules_with_ops(s, bar_m, lin_n, depth)
-    direct = {}
-    for qdeg in range(depth + 1):
-        tor = tor_via_bar(s, ext_mods[qdeg], lin_l, j, k, depth)
-        for pdeg in range(depth + 1):
-            direct[(pdeg, qdeg)] = tor.factors()[pdeg]
+    ext_mods = DerivedResult(bar_m, HomCochain(bar_m, lin_n), depth).modules()
+    direct = {(pdeg, qdeg): f for qdeg, ext_mod in enumerate(ext_mods)
+              for pdeg, f in enumerate(tor_via_bar(s, ext_mod, lin_l, j, k, depth).factors())}
     match = all(e2_first.get(key, ()) == v or e2_second.get(key, ()) == v
                 for key, v in direct.items())
 
@@ -488,17 +464,14 @@ def base_change_check(f: GammaSemiringMorphism, m: BiGammaModule,
     res_aex, res_bex, res_t = (linearize_module(restrict_scalars(f, b)) for b in
                                (ext_mod_m, ext_mod_n, regular_bimodule(t)))
 
-    bar_src = bar_complex(s, m, j, k, depth + 1)
-    ext_src = ext_modules_with_ops(s, bar_src, linearize_module(n), depth)
     # K(T') balanced against each completed Ext module over the source
-    ext_left = [TensorGroup(res_t, e, j, k).group.invariant_factors() for e in ext_src]
+    ext_left = [TensorGroup(res_t, e, j, k).group.invariant_factors()
+                for e in ext_via_bar(s, m, n, j, k, depth).modules()]
     # One tower over the target serves both its Ext and its Tor.
     bar_t = bar_complex(t, ext_mod_m, j, k, depth + 1)
     lin_bex = linearize_module(ext_mod_n)
-    ext_right = [g.invariant_factors()
-                 for g in homology(HomCochain(bar_t, lin_bex).cochain, depth)]
-    tor_left = [g.invariant_factors()
-                for g in homology(TensorChain(bar_t, lin_bex).chain, depth)]
+    ext_right = DerivedResult(bar_t, HomCochain(bar_t, lin_bex), depth).factors()
+    tor_left = DerivedResult(bar_t, TensorChain(bar_t, lin_bex), depth).factors()
     tor_right = tor_via_bar(s, res_aex, res_bex, j, k, depth).factors()
 
     flat = flatness_probe(s, res_t, j, k)

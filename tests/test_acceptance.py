@@ -24,7 +24,7 @@ from ngamma.cli import main as cli_main
 from ngamma.completion import group_complete
 from ngamma.core import validate_semiring
 from ngamma.homology import (
-    ExtSetup, balance_check, bar_complex, homology, les_check, yoneda_compose,
+    balance_check, bar_complex, ext_via_bar, homology, les_check, yoneda_compose,
 )
 from ngamma.ideals import GammaIdeal, is_prime, spectrum
 from ngamma.modules import additive_maps, hom_gamma, tensor_positional
@@ -332,7 +332,7 @@ def test_criterion_7_yoneda(ws):
     with budget("7 yoneda", 120):
         f2 = ws.semiring("f2_ternary")
         reg = ws.module("f2_reg")
-        ext = ExtSetup(f2, reg, reg, depth=4)
+        ext = ext_via_bar(f2, reg, reg, depth=3)
         ident = ext.identity_cocycle()
         degrees = {p: ext.cocycles(p) for p in range(3)}
         for p, cocs in degrees.items():

@@ -398,7 +398,7 @@ from ngamma.completion import (
     EquivariantHom, TensorGroup, linearize_module, linearize_morphism,
     zero_completed,
 )
-from ngamma.homology import Complex, ExtSetup, bar_complex, bar_map
+from ngamma.homology import Complex, bar_complex, bar_map, ext_via_bar
 from ngamma.core import f2_ternary, z4_ternary
 from ngamma.modules import (
     compose_module_morphisms, direct_sum_modules, identity_module_morphism,
@@ -418,7 +418,7 @@ cases = [
     lambda: la.mat_mul([[1, 2]], [[1]], 1),
     lambda: bar_map(bar_complex(f2, lin2, 2, 0, 1), bar_complex(f2, lin2, 2, 0, 2),
                     GroupMap.identity(lin2.group)),
-    lambda: ExtSetup(f2, reg2, zero_module(f2), 0).identity_cocycle(),
+    lambda: ext_via_bar(f2, reg2, zero_module(f2), depth=0).identity_cocycle(),
     lambda: Complex([c2, c2], {1: GroupMap.zero(c2, AbGroup(()))}),
     lambda: Complex([c2], {0: GroupMap.identity(c2)}, step=1),
     lambda: AbGroup((1,)),

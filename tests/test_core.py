@@ -362,7 +362,6 @@ SHARING_ENTRY_POINTS = {
     "homology.ext_via_cofree": ["s", "m", "n", "depth"],
     "homology.balance_check": ["s", "m", "n", "depth", "j", "k"],
     "homology.les_check": ["c", "n", "depth", "side", "j", "k"],
-    "homology.ExtSetup": ["s", "m", "n", "depth", "j", "k"],
     "homology.yoneda_compose": ["ext_nl", "p", "f_cocycle", "ext_mn", "q", "g_cocycle",
                                 "ext_ml", "rng"],
     "spectral.kunneth_check": ["s", "m", "n", "l", "depth", "j", "k"],
@@ -462,3 +461,37 @@ def test_towers_are_built_only_by_the_resolution_constructors():
                              if isinstance(a, ast.arg))]
     assert builders == ["homology.py:bar_complex", "homology.py:cofree_coresolution"]
     assert readers == [] and leftovers == []
+
+
+def test_derived_groups_are_read_only_through_the_derived_result():
+    # ``homology.DerivedResult`` is the one reader of Ext and Tor: the
+    # deleted ``ExtSetup`` and ``spectral.ext_modules_with_ops`` stay gone,
+    # and no code outside the record takes the homology of a Hom or tensor
+    # complex, whether built in the call or bound to a name first.
+    deleted = {"ExtSetup", "ext_modules_with_ops"}
+    functors = {"HomCochain", "TensorChain"}
+
+    def builds_functor(node):
+        return (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                and node.func.id in functors)
+
+    returned, readers = [], []
+    for path in sorted(Path(ngamma.__file__).parent.rglob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        returned += [f"{path.name}:{node.lineno}" for node in ast.walk(tree)
+                     if {getattr(node, attr, None) for attr in ("name", "id", "attr")}
+                     & deleted]
+        for name, fn in _functions(tree):
+            if name.startswith("DerivedResult."):
+                continue
+            bound = {target.id for node in ast.walk(fn)
+                     if isinstance(node, ast.Assign) and builds_functor(node.value)
+                     for target in node.targets if isinstance(target, ast.Name)}
+            readers += [f"{path.name}:{name}" for node in ast.walk(fn)
+                        if isinstance(node, ast.Call)
+                        and "homology" in (getattr(node.func, "id", None),
+                                           getattr(node.func, "attr", None))
+                        and any(builds_functor(sub) or (isinstance(sub, ast.Name)
+                                                         and sub.id in bound)
+                                for arg in node.args for sub in ast.walk(arg))]
+    assert returned == [] and readers == []

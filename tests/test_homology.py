@@ -22,7 +22,7 @@ from ngamma.modules import (
 )
 from ngamma import abgroups, cli, homology as homology_mod, spectral as spectral_mod
 from ngamma.homology import (
-    Complex, ContractionPolicy, ExtSetup, RegularityError, Resolution, _lift_chain_map,
+    Complex, ContractionPolicy, RegularityError, Resolution, _lift_chain_map,
     balance_check, default_policy,
     bar_complex, bar_map, cofree_coresolution, ext_via_bar, ext_via_cofree,
     homology, les_check, tor_via_bar, yoneda_compose,
@@ -335,47 +335,6 @@ def test_les_decides_exactness_without_subgroup_comparisons(count_calls, side, b
     assert built["Subgroup"] <= bound
 
 
-def test_yoneda_unit_associativity_bilinearity(f2):
-    reg = regular_bimodule(f2)
-    ext = ExtSetup(f2, reg, reg, depth=4)
-    ident = ext.identity_cocycle()
-    rng = random.Random(11)
-    degrees = {0: ext.cocycles(0), 1: ext.cocycles(1), 2: ext.cocycles(2)}
-    # Unit law both ways.
-    for p, cocs in degrees.items():
-        for c in cocs:
-            left = yoneda_compose(ext, 0, ident, ext, p, c, ext)
-            right = yoneda_compose(ext, p, c, ext, 0, ident, ext)
-            assert ext.classes_equal(p, left, c)
-            assert ext.classes_equal(p, right, c)
-    # Associativity over all composable triples with total degree <= 2.
-    for p, cps in degrees.items():
-        for q, cqs in degrees.items():
-            for r, crs in degrees.items():
-                if p + q + r > 2:
-                    continue
-                for cf in cps:
-                    for cg in cqs:
-                        for ch in crs:
-                            gh = yoneda_compose(ext, q, cg, ext, r, ch, ext)
-                            a1 = yoneda_compose(ext, p, cf, ext, q + r, gh, ext)
-                            fg = yoneda_compose(ext, p, cf, ext, q, cg, ext)
-                            a2 = yoneda_compose(ext, p + q, fg, ext, r, ch, ext)
-                            assert ext.classes_equal(p + q + r, a1, a2)
-    # Bilinearity over cocycle addition.
-    for p in (0, 1):
-        for q in (0, 1):
-            for c1 in degrees[p]:
-                for c2 in degrees[p]:
-                    s12 = ext.add_cocycles(p, c1, c2)
-                    for cg in degrees[q]:
-                        lhs = yoneda_compose(ext, p, s12, ext, q, cg, ext)
-                        r1 = yoneda_compose(ext, p, c1, ext, q, cg, ext)
-                        r2 = yoneda_compose(ext, p, c2, ext, q, cg, ext)
-                        rhs = ext.add_cocycles(p + q, r1, r2)
-                        assert ext.classes_equal(p + q, lhs, rhs)
-
-
 def test_yoneda_command_builds_one_degree_past_its_table(monkeypatch):
     # The table reads classes through degree depth and cocycle conditions
     # through d(depth), which need bar degree depth + 1 and nothing above it.
@@ -393,19 +352,39 @@ def test_yoneda_command_builds_one_degree_past_its_table(monkeypatch):
 
 def test_yoneda_refuses_setups_that_do_not_share_slots(z4):
     reg = regular_bimodule(z4)
-    ext = ExtSetup(z4, reg, reg, 3, 2, 0)
+    ext = ext_via_bar(z4, reg, reg, 2, 0, 2)
     ident = ext.identity_cocycle()
-    same = ExtSetup(z4, reg, reg, 3, 2, 0)
+    same = ext_via_bar(z4, reg, reg, 2, 0, 2)
     assert yoneda_compose(ext, 0, ident, same, 0, ident, ext) == ident
-    for other in (ExtSetup(z4, reg, reg, 3, 1, 0), ExtSetup(z4, reg, reg, 3, 2, 1)):
+    for other in (ext_via_bar(z4, reg, reg, 1, 0, 2), ext_via_bar(z4, reg, reg, 2, 1, 2)):
         for setups in ((other, ext, ext), (ext, other, ext), (ext, ext, other)):
             with pytest.raises(ValueError, match="one semiring and slot pair"):
                 yoneda_compose(setups[0], 0, ident, setups[1], 0, ident, setups[2])
 
 
+def test_only_ext_out_of_a_chain_resolution_has_cocycle_classes(f2):
+    # A cofree tower or a Tor record reaches the Ext-only readers and
+    # yoneda_compose now; each refuses it before reading anything.
+    reg = regular_bimodule(f2)
+    ext = ext_via_bar(f2, reg, reg, depth=2)
+    ident = ext.identity_cocycle()
+    assert [len(ext.cocycles(p)) for p in range(3)] == [2, 1, 2]
+    for other in (ext_via_cofree(f2, reg, reg, depth=2), tor_via_bar(f2, reg, reg, depth=2)):
+        assert other.factors() == ext.factors()
+        readers = [other.identity_cocycle, other.modules, lambda: other.cocycles(0),
+                   lambda: other.class_of(0, ident), lambda: other.add_cocycles(0, ident, ident),
+                   lambda: other.classes_equal(0, ident, ident)]
+        readers += [lambda a=a, b=b, c=c: yoneda_compose(a, 0, ident, b, 0, ident, c)
+                    for a, b, c in ((other, ext, ext), (ext, other, ext), (ext, ext, other))]
+        for read in readers:
+            with pytest.raises(ValueError, match="not Ext out of a chain resolution: "
+                                                 r"(cofree tower|bar) of f2_ternary\.regular"):
+                read()
+
+
 def test_yoneda_lift_independence(f2):
     reg = regular_bimodule(f2)
-    ext = ExtSetup(f2, reg, reg, depth=4)
+    ext = ext_via_bar(f2, reg, reg, depth=3)
     ident = ext.identity_cocycle()
     base = random.Random(2026)
     cocycles1 = ext.cocycles(1)
@@ -437,11 +416,11 @@ def test_yoneda_lifts_are_equivariant_chain_maps(f2, z4):
     rng = random.Random(7)
     for a, b in pairs:
         (s, m), (_, n) = mods[a], mods[b]
-        ext = ExtSetup(s, m, n, depth=4)
-        bar_m, bar_n = ext.bar, bar_complex(s, n, depth=4)
+        ext = ext_via_bar(s, m, n, depth=3)
+        bar_m, bar_n = ext.resolution, bar_complex(s, n, depth=4)
         for q in range(3):
             for cg in ext.cocycles(q):
-                g0 = ext.hom.homs[q].matrix(cg)
+                g0 = ext.functor.homs[q].matrix(cg)
                 for p in range(3 - q):
                     for gen in (None, rng):
                         lifts = _lift_chain_map(bar_m, bar_n, g0.mat, q, p, gen)
@@ -474,22 +453,15 @@ def test_yoneda_lift_mixing_stays_in_the_kernel(f2):
         assert dst.diffs[1].compose(g1).equal(g0.compose(src.diffs[1]))
 
 
-def test_yoneda_class_tables_z4(f2, z4):
+def test_yoneda_class_tables_z4(capsys):
+    # The command's product table of classes, read from its structured
+    # report, for the three bundled Z/4 modules.
     golden = json.loads(Path(__file__).with_name("golden_yoneda_z4.json").read_text())
-    mods = _yoneda_modules(f2, z4)
+    modules = {"reg": "z4_reg", "ideal": "z4_ideal02", "quot": "z4_mod2"}
     for name, want in golden.items():
-        s, m = mods[name]
-        ext = ExtSetup(s, m, m, depth=4)
-        degrees = {p: ext.cocycles(p) for p in range(3)}
-        table = {}
-        for p, cps in degrees.items():
-            for q, cqs in degrees.items():
-                for cf in cps if p + q <= 2 else ():
-                    for cg in cqs:
-                        out = yoneda_compose(ext, p, cf, ext, q, cg, ext)
-                        table[f"{p}:{list(cf)} . {q}:{list(cg)}"] = list(
-                            ext.class_of(p + q, out))
-        assert table == want, name
+        assert cli.main(["--format", "structured", "yoneda", "z4_ternary", modules[name],
+                         "--depth", "2"]) == 0
+        assert json.loads(capsys.readouterr().out)["results"]["products"] == want, name
 
 
 def test_policies_are_configurable(z4):

@@ -5,14 +5,15 @@ import pytest
 
 from ngamma.completion import linearize_module
 from ngamma.core import (
-    FiniteAddMonoid, GammaSemiringMorphism, NaryGammaSemiring, binary_specialization,
-    f2_semiring, identity_morphism, neutral_words, trivial_gamma, validate_semiring,
-    zmod_semiring,
+    BoundExceeded, FiniteAddMonoid, GammaSemiringMorphism, NaryGammaSemiring,
+    RegularityError, SoundnessError, StructuralError, binary_specialization,
+    boolean_semiring, f2_semiring, identity_morphism, neutral_words, ternary_from_semiring,
+    trivial_gamma, truncated_nat_semiring, validate_semiring, zmod_semiring,
 )
 from ngamma.homology import (
-    ExtSetup, balance_check, bar_complex, ext_via_bar, homology, les_check, tor_via_bar,
+    balance_check, bar_complex, ext_via_bar, homology, les_check, tor_via_bar,
 )
-from ngamma.ideals import GammaIdeal, spectrum
+from ngamma.ideals import GammaIdeal, generate_ideal, spectrum
 from ngamma.modules import (
     Conflation, ModuleMorphism, hom_gamma, ideal_submodule, quotient_module,
     regular_bimodule, tensor_positional, validate_module,
@@ -76,8 +77,8 @@ def test_binary_slot_defaults_are_the_last_slot_against_the_first():
         "balance_check": lambda *sl: balance_check(s, reg, reg, 2, *sl),
         "les_check hom": lambda *sl: les_check(conf, reg, 1, "hom", *sl),
         "les_check tor": lambda *sl: les_check(conf, reg, 1, "tor", *sl),
-        "ExtSetup": lambda *sl: [nd.group.invariant_factors()
-                                 for nd in ExtSetup(s, reg, reg, 2, *sl).nodes],
+        "ext_via_bar nodes": lambda *sl: [nd.group.invariant_factors()
+                                          for nd in ext_via_bar(s, reg, reg, *sl, depth=1).nodes],
         "kunneth_check": lambda *sl: kunneth_check(s, reg, reg, reg, 1, *sl),
         "extend_scalars": lambda *sl: extend_scalars(q, reg, *sl).module,
         "flatness_probe": lambda *sl: flatness_probe(s, linearize_module(reg), *sl),
@@ -102,3 +103,31 @@ def test_quaternary_pipeline(f2_quaternary):
     assert balance_check(s, reg, reg, 2, 3, 0).balanced
     assert hom_gamma(reg, reg, 3, 0).module.M.size == 2
     assert tensor_positional(reg, reg, 3, 0).module.M.size == 2
+
+
+def _outcome(call):
+    """A call's answer, or the type of its refusal."""
+    try:
+        return call()
+    except (BoundExceeded, RegularityError, SoundnessError, StructuralError) as e:
+        return type(e).__name__
+
+
+@pytest.mark.parametrize("base, by_two", [
+    (f2_semiring(), False), (boolean_semiring(), False), (zmod_semiring(4), True),
+    (zmod_semiring(6), True), (zmod_semiring(8), True), (truncated_nat_semiring(2), False),
+], ids=["F2", "Boolean", "Z4", "Z6", "Z8", "N_cap2"])
+def test_binary_and_ternary_specializations_agree(base, by_two):
+    # ROADMAP item 14's specialization identity: with the neutral filler, a
+    # semiring read as a binary and as a ternary family gives the same Ext
+    # and Tor at depth 2 on the regular module, and over Z/m the same groups
+    # and balance verdict on the quotient by the ideal generated by 2.
+    def derived(s):
+        mods = [regular_bimodule(s)]
+        if by_two:
+            mods.append(quotient_module(s, generate_ideal(s, [2])))
+        out = [_outcome(lambda: fn(s, m, m, depth=2).factors())
+               for m in mods for fn in (ext_via_bar, tor_via_bar)]
+        return out + [_outcome(lambda: balance_check(s, m, m, 2).balanced) for m in mods[1:]]
+
+    assert derived(binary_specialization(base)) == derived(ternary_from_semiring(base))

@@ -117,6 +117,26 @@ def test_kunneth_f2():
     assert rep.e2_first[(0, 0)] == (2,)
 
 
+@pytest.mark.parametrize("family", [f2_ternary, z4_ternary])
+@pytest.mark.parametrize("depth", [1, 3])
+def test_kunneth_bookkeeping_holds_at_odd_depth(family, depth):
+    # Depth 2 is checked by test_kunneth_f2 and test_kunneth_z4.
+    s = family()
+    reg = regular_bimodule(s)
+    assert kunneth_check(s, reg, reg, reg, depth=depth).consistent
+
+
+@pytest.mark.xfail(strict=True, reason="at odd depth the direct Tor-of-Ext grid reads "
+                   "Ext^depth at the tower's cut, a spurious (0, depth) entry "
+                   "(ROADMAP item 7)")
+@pytest.mark.parametrize("family", [f2_ternary, z4_ternary])
+@pytest.mark.parametrize("depth", [1, 3])
+def test_kunneth_second_page_matches_the_direct_grid_at_odd_depth(family, depth):
+    s = family()
+    reg = regular_bimodule(s)
+    assert kunneth_check(s, reg, reg, reg, depth=depth).e2_matches_direct
+
+
 def test_kunneth_zero_target():
     s = f2_ternary()
     reg = regular_bimodule(s)
