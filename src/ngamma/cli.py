@@ -430,7 +430,7 @@ def cmd_oracle(ws: Workspace, args, rep: Reporter) -> int:
                 s = ws.semirings[name]
                 bar = bar_complex(s, regular_bimodule(s), resolve_slot(s, None), 0,
                                   depth=3)
-                hs = homology(bar.chain)
+                hs = homology(bar.chain, 2)
                 agree = True
                 for r in range(3):
                     orc = oracle_mod.homology_orders_bruteforce(bar.chain, r)

@@ -19,8 +19,8 @@ bar diagnostics and for the benchmark's relabelled default; every derived
 entry point above it builds its towers with the default.  Each public
 entry point opens one scope for the length of its call
 (``intlinalg.shares_factorizations``): the call factors each distinct
-integer system, linearizes each distinct module and builds each
-comparison-lift stage once, so its bar towers share one carrier, the
+integer system, linearizes each distinct module and builds each bar tower
+and comparison-lift stage once, so its bar towers share one carrier, the
 linearized regular module.
 """
 
@@ -207,12 +207,19 @@ def bar_complex(s: NaryGammaSemiring, module, j: int | None = None, k: int = 0,
     when None): the wrap-around absorption of the first factor into the
     module, the merges of neighbouring carrier factors, and the absorption
     of the last factor.  The faces are computed on the unbalanced word space
-    of each degree and projected to the balanced groups.
+    of each degree and projected to the balanced groups.  The call's scope
+    keeps each tower (``intlinalg.open_memo``) under the linearized module's
+    shared operators (which the tower keeps alive) and name, the slot pair,
+    the depth and the policy.
     """
     policy = policy or default_policy(s)
     module, carrier = linearize_over(s, [module, regular_bimodule(s)])
     j = resolve_slot(s, j)
     check_slots(s, j, k)
+    towers = la.open_memo().setdefault("bar towers", {})
+    key = (id(module.ops), module.name, j, k, depth, policy)
+    if key in towers:
+        return towers[key]
     tdim = carrier.group.dim
     mdim = module.group.dim
 
@@ -300,9 +307,10 @@ def bar_complex(s: NaryGammaSemiring, module, j: int | None = None, k: int = 0,
                                      differential_on_words(r), lifts[r], projs[r],
                                      terms[r].group, f"bar differential d_{r}")
              for r in range(1, depth + 1)}
-    return Resolution(s, terms, Complex([t.group for t in terms], diffs), j, k,
-                      f"bar of {module.name} (fillers {policy.fillers}, "
-                      f"parameter tuples {policy.gammas})", tensors, word_dims)
+    towers[key] = Resolution(s, terms, Complex([t.group for t in terms], diffs), j, k,
+                             f"bar of {module.name} (fillers {policy.fillers}, "
+                             f"parameter tuples {policy.gammas})", tensors, word_dims)
+    return towers[key]
 
 
 # ---------------------------------------------------------------------------
@@ -369,20 +377,19 @@ def bar_map(src_bar: Resolution, dst_bar: Resolution, f: GroupMap) -> list[Group
 
 @dataclass(eq=False)
 class DerivedResult:
-    """Degrees 0..depth of one functor on one resolution, Hom out of the bar
-    or into the cofree tower (``HomCochain``) or the bar tensored against a
-    module (``TensorChain``), with the ``HomologyNode`` of each degree.  Its
-    cocycle classes (which ``yoneda_compose`` composes) and ``modules`` are
-    read only off Ext out of a chain resolution; any other record refuses
-    them with a ValueError."""
+    """One functor on one resolution below its cut, Hom out of the bar or
+    into the cofree tower (``HomCochain``) or the bar tensored against a
+    module (``TensorChain``), with each degree's ``HomologyNode``; only the
+    Ext and Tor entry points build one.  Its cocycle classes (which
+    ``yoneda_compose`` composes) and ``modules`` are read only off Ext out
+    of a chain resolution; any other record refuses them with a ValueError."""
 
     resolution: Resolution
     functor: HomCochain | TensorChain
-    depth: int
 
     def __post_init__(self):
         self.complex = self.functor.complex
-        self.nodes = [self.complex.node(r) for r in range(self.depth + 1)]
+        self.nodes = [self.complex.node(r) for r in range(self.resolution.depth)]
         self.groups = [node.group for node in self.nodes]
 
     def factors(self) -> list[tuple[int, ...]]:
@@ -416,7 +423,7 @@ class DerivedResult:
         return hom.coords(GroupMap.identity(hom.x.group), "the identity")
 
     def modules(self) -> list[CompletedModule]:
-        """Ext^0..Ext^depth as completed modules, on which each distinct
+        """Ext below the cut as completed modules, on which each distinct
         operator of the fixed module acts once, by postcomposition."""
         out = []
         for qdeg, (node, hom) in enumerate(zip(self.nodes, self._ext_homs())):
@@ -441,7 +448,7 @@ def ext_via_bar(s, m, n, j: int | None = None, k: int = 0, depth: int = 2,
     """
     lin_m, target = linearize_over(s, [m, n])
     bar = bar_complex(s, lin_m, j, k, depth + 1, policy)
-    return DerivedResult(bar, HomCochain(bar, target), depth)
+    return DerivedResult(bar, HomCochain(bar, target))
 
 
 @la.shares_factorizations
@@ -451,7 +458,7 @@ def tor_via_bar(s, m, n, j: int | None = None, k: int = 0, depth: int = 2,
     what ``policy`` is for."""
     lin_m, right = linearize_over(s, [m, n])
     bar = bar_complex(s, lin_m, j, k, depth + 1, policy)
-    return DerivedResult(bar, TensorChain(bar, right), depth)
+    return DerivedResult(bar, TensorChain(bar, right))
 
 
 # ---------------------------------------------------------------------------
@@ -520,7 +527,7 @@ def ext_via_cofree(s: NaryGammaSemiring, m, n: BiGammaModule,
     """Ext of m into n on n's cofree tower."""
     lin_m, _ = linearize_over(s, [m, n])
     tower = cofree_coresolution(s, n, depth + 1)
-    return DerivedResult(tower, HomCochain(tower, lin_m), depth)
+    return DerivedResult(tower, HomCochain(tower, lin_m))
 
 
 @dataclass
@@ -564,14 +571,16 @@ class LesReport:
         return self.ses_ok and all(self.exact_at)
 
 
-def snake_les(x: Complex, y: Complex, z: Complex,
+def snake_les(rows: list[tuple[Complex, list[HomologyNode]]],
               fmaps: list[GroupMap], gmaps: list[GroupMap],
               upto: int, tag: str) -> LesReport:
     """Long exact sequence of 0 -> X -> Y -> Z -> 0 with connecting maps.
 
-    Degreewise short exactness is verified first; nodes then run
-    H^0(X), H^0(Y), H^0(Z), H^1(X), ... with delta raising the degree.
+    ``rows`` holds X, Y and Z, each a cochain complex and its nodes through
+    degree upto+1.  Degreewise short exactness is verified first; nodes then
+    run H^0(X), H^0(Y), H^0(Z), H^1(X), ... with delta raising the degree.
     """
+    (x, nodes_x), (y, nodes_y), (z, nodes_z) = rows
     length = min(len(x.groups), len(y.groups), len(z.groups), upto + 2)
     ses_ok = all(is_short_exact(fmaps[r], gmaps[r]) for r in range(length))
     if not ses_ok:
@@ -580,10 +589,6 @@ def snake_les(x: Complex, y: Complex, z: Complex,
         return LesReport([], [], [], [], False, True,
                          note="degreewise short exactness fails on this "
                               "instance; no long exact sequence is induced")
-
-    nodes_x = [x.node(r) for r in range(upto + 2)]
-    nodes_y = [y.node(r) for r in range(upto + 2)]
-    nodes_z = [z.node(r) for r in range(upto + 2)]
 
     def connecting(r):
         def image_of(basis):
@@ -620,9 +625,10 @@ def les_check(c: Conflation, n: BiGammaModule, depth: int = 2,
               side: str = "hom", j: int | None = None, k: int = 0) -> LesReport:
     """Long exact sequence of a conflation through the given degree.
 
-    side "hom" is contravariant in the conflation (Hom into n); side "tor"
-    tensors n's bar tower against the conflation covariantly.  Any other
-    side is refused with a ValueError before anything is built.
+    side "hom" is contravariant in the conflation, on the three records of
+    Ext into n (``ext_via_bar``); side "tor" tensors n's bar tower against
+    the conflation covariantly.  Any other side is refused with a
+    ValueError before anything is built.
     """
     if side not in ("hom", "tor"):
         raise ValueError("side must be 'hom' or 'tor'")
@@ -631,28 +637,24 @@ def les_check(c: Conflation, n: BiGammaModule, depth: int = 2,
     ki = linearize_morphism(c.i, lin_a, lin_b)
     kp = linearize_morphism(c.p, lin_b, lin_c)
     completion_exact = is_short_exact(ki, kp)
-    bar_depth = depth + 2
 
     if side == "hom":
-        bar_a, bar_b, bar_c = (bar_complex(s, lin, j, k, bar_depth)
+        ext_a, ext_b, ext_c = (ext_via_bar(s, lin, lin_n, j, k, depth + 1)
                                for lin in (lin_a, lin_b, lin_c))
-        maps_i = bar_map(bar_a, bar_b, ki)
-        maps_p = bar_map(bar_b, bar_c, kp)
-        hc_a = HomCochain(bar_a, lin_n)
-        hc_b = HomCochain(bar_b, lin_n)
-        hc_c = HomCochain(bar_c, lin_n)
+        maps_i = bar_map(ext_a.resolution, ext_b.resolution, ki)
+        maps_p = bar_map(ext_b.resolution, ext_c.resolution, kp)
 
-        def pullback(hsrc, hdst, gms):
-            return [hsrc.homs[r].induced(hdst.homs[r], pre=gm, what="pullback")
+        def pullback(a, b, gms):
+            return [a.functor.homs[r].induced(b.functor.homs[r], pre=gm, what="pullback")
                     for r, gm in enumerate(gms)]
 
-        pstar = pullback(hc_c, hc_b, maps_p)
-        istar = pullback(hc_b, hc_a, maps_i)
-        report = snake_les(hc_c.complex, hc_b.complex, hc_a.complex,
-                           pstar, istar, depth, "Ext")
+        report = snake_les([(e.complex, e.nodes) for e in (ext_c, ext_b, ext_a)],
+                           pullback(ext_c, ext_b, maps_p), pullback(ext_b, ext_a, maps_i),
+                           depth, "Ext")
         report.completion_exact = completion_exact
         return report
 
+    bar_depth = depth + 2
     barn = bar_complex(s, lin_n, j, k, bar_depth)
     tc_a = TensorChain(barn, lin_a)
     tc_b = TensorChain(barn, lin_b)
@@ -664,8 +666,9 @@ def les_check(c: Conflation, n: BiGammaModule, depth: int = 2,
                 for r, (src_t, dst_t) in enumerate(zip(tsrc.tensors, tdst.tensors))]
 
     # snake_les raises degrees, so each chain complex is read reversed.
-    report = snake_les(tc_a.complex.reversed(), tc_b.complex.reversed(),
-                       tc_c.complex.reversed(), pushforward(tc_a, tc_b, ki)[::-1],
+    rows = [tc.complex.reversed() for tc in (tc_a, tc_b, tc_c)]
+    report = snake_les([(x, [x.node(r) for r in range(depth + 2)]) for x in rows],
+                       pushforward(tc_a, tc_b, ki)[::-1],
                        pushforward(tc_b, tc_c, kp)[::-1], depth, "Tor")
     report.completion_exact = completion_exact
     report.note = f"cochain position r is homological degree {bar_depth} - r"

@@ -9,10 +9,10 @@ same total complex.  A bounded first-quadrant grid with pmax+1 columns has
 E_(pmax+1) = E∞, so each filtration builds pages 0..pmax+1 and reads every
 later page as E∞.  The page-homology law is re-verified on the early pages
 instead of taken on faith.  ``kunneth_check`` and ``base_change_check``
-read every derived group and Ext module through ``homology.DerivedResult``,
-refuse a tower that is not exact below its cut, and each run in one call
-scope (``intlinalg.shares_factorizations``), so their towers, probes and Tor
-comparisons share every linearization, the carriers included.
+read every derived group and Ext module off ``ext_via_bar`` and
+``tor_via_bar``, refuse a tower that is not exact below its cut, and each
+run in one call scope (``intlinalg.shares_factorizations``), so their probes
+and Tor comparisons share every bar tower and linearization.
 """
 
 from __future__ import annotations
@@ -36,10 +36,7 @@ from .completion import (
     CompletedModule, EquivariantHom, TensorGroup, linearize_module, linearize_morphism,
     linearize_over,
 )
-from .homology import (
-    Complex, DerivedResult, HomCochain, TensorChain, bar_complex, ext_via_bar, homology,
-    tor_via_bar,
-)
+from .homology import Complex, bar_complex, ext_via_bar, homology, tor_via_bar
 
 
 # ---------------------------------------------------------------------------
@@ -292,15 +289,17 @@ def kunneth_check(s: NaryGammaSemiring, m: BiGammaModule, n: BiGammaModule,
                   k: int = 0) -> KunnethReport:
     """Double-complex consistency for the two bar towers against a target.
 
-    Builds the grid of balanced tensor terms, applies equivariant Hom into
-    the target, computes both filtrations, and reports per-diagonal order
+    Builds the grid of balanced tensor terms through degree ``depth`` on
+    towers of depth + 1 (one when m is n), applies equivariant Hom into the
+    target, computes both filtrations, and reports per-diagonal order
     bookkeeping, stabilization, the page-homology law, and the comparison of
     the second page against the directly computed Tor-of-Ext grid.
     """
     j = resolve_slot(s, j)
     lin_m, lin_n, lin_l = linearize_over(s, [m, n, l])
-    bar_m = bar_complex(s, lin_m, j, k, depth)
-    bar_n = bar_complex(s, lin_n, j, k, depth)
+    ext = ext_via_bar(s, lin_m, lin_n, j, k, depth)
+    bar_m = ext.resolution
+    bar_n = bar_complex(s, lin_n, j, k, depth + 1)
 
     flat = flatness_probe(s, lin_l, j, k)
 
@@ -340,8 +339,7 @@ def kunneth_check(s: NaryGammaSemiring, m: BiGammaModule, n: BiGammaModule,
     e2_second = {(pm - pp, qm - qq): second.page(2).factors(qq, pp)
                  for pp in range(depth + 1) for qq in range(depth + 1)}
 
-    ext_mods = DerivedResult(bar_m, HomCochain(bar_m, lin_n), depth).modules()
-    direct = {(pdeg, qdeg): f for qdeg, ext_mod in enumerate(ext_mods)
+    direct = {(pdeg, qdeg): f for qdeg, ext_mod in enumerate(ext.modules())
               for pdeg, f in enumerate(tor_via_bar(s, ext_mod, lin_l, j, k, depth).factors())}
     match = all(e2_first.get(key, ()) == v or e2_second.get(key, ()) == v
                 for key, v in direct.items())
@@ -467,11 +465,9 @@ def base_change_check(f: GammaSemiringMorphism, m: BiGammaModule,
     # K(T') balanced against each completed Ext module over the source
     ext_left = [TensorGroup(res_t, e, j, k).group.invariant_factors()
                 for e in ext_via_bar(s, m, n, j, k, depth).modules()]
-    # One tower over the target serves both its Ext and its Tor.
-    bar_t = bar_complex(t, ext_mod_m, j, k, depth + 1)
-    lin_bex = linearize_module(ext_mod_n)
-    ext_right = DerivedResult(bar_t, HomCochain(bar_t, lin_bex), depth).factors()
-    tor_left = DerivedResult(bar_t, TensorChain(bar_t, lin_bex), depth).factors()
+    # The call's scope builds one tower over the target for its Ext and Tor.
+    ext_right = ext_via_bar(t, ext_mod_m, ext_mod_n, j, k, depth).factors()
+    tor_left = tor_via_bar(t, ext_mod_m, ext_mod_n, j, k, depth).factors()
     tor_right = tor_via_bar(s, res_aex, res_bex, j, k, depth).factors()
 
     flat = flatness_probe(s, res_t, j, k)

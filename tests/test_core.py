@@ -463,6 +463,28 @@ def test_towers_are_built_only_by_the_resolution_constructors():
     assert readers == [] and leftovers == []
 
 
+def test_derived_results_are_built_only_by_the_ext_and_tor_entry_points():
+    # Consumers read a ``homology.DerivedResult`` off ``ext_via_bar``,
+    # ``tor_via_bar`` or ``ext_via_cofree``, each of which shares its towers
+    # through the call's scope; ``spectral`` builds no functor complex and
+    # imports neither the record nor the functors.
+    builders, spectral_names = [], set()
+    for path in sorted(Path(ngamma.__file__).parent.rglob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        builders += [f"{path.name}:{name}" for name, fn in _functions(tree)
+                     for node in ast.walk(fn) if isinstance(node, ast.Call)
+                     and getattr(node.func, "id", getattr(node.func, "attr", None))
+                     == "DerivedResult"]
+        if path.name == "spectral.py":
+            spectral_names = ({getattr(node, "id", None) for node in ast.walk(tree)}
+                              | {getattr(node, "attr", None) for node in ast.walk(tree)}
+                              | {alias.name for node in ast.walk(tree)
+                                 if isinstance(node, ast.ImportFrom) for alias in node.names})
+    assert builders == ["homology.py:ext_via_bar", "homology.py:tor_via_bar",
+                        "homology.py:ext_via_cofree"]
+    assert not spectral_names & {"DerivedResult", "HomCochain", "TensorChain"}
+
+
 def test_derived_groups_are_read_only_through_the_derived_result():
     # ``homology.DerivedResult`` is the one reader of Ext and Tor: the
     # deleted ``ExtSetup`` and ``spectral.ext_modules_with_ops`` stay gone,

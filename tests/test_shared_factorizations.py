@@ -1,4 +1,5 @@
-"""A derived entry point factors each distinct integer system once per call.
+"""A derived entry point factors each distinct integer system, and builds
+each bar tower, once per call.
 
 ``intlinalg.shares_factorizations`` opens one memo of Smith normal forms for
 the outermost decorated call; nested calls share it and it is dropped when
@@ -14,10 +15,10 @@ import pytest
 from test_axiom_engine import m2f2_binary
 from test_load_once import BUNDLED_COMMANDS
 
-from ngamma import cli, spectral
+from ngamma import cli, homology, spectral
 from ngamma import intlinalg as la
-from ngamma.core import SoundnessError, f2_ternary, z4_ternary
-from ngamma.homology import balance_check, ext_via_bar
+from ngamma.core import GammaSemiringMorphism, SoundnessError, f2_ternary, z4_ternary
+from ngamma.homology import balance_check, bar_complex, ext_via_bar
 from ngamma.modules import regular_bimodule
 
 # Systems factored by one pass over BUNDLED_COMMANDS; 1,214 before the memo,
@@ -67,13 +68,50 @@ def test_nothing_survives_an_entry_point_call(count_calls):
 def test_kunneth_factors_no_system_twice(monkeypatch, count_calls):
     s = f2_ternary()
     reg = regular_bimodule(s)
-    nested = count_calls(spectral, "bar_complex", "tor_via_bar")
+    nested = count_calls(spectral, "ext_via_bar", "bar_complex", "tor_via_bar")
     calls, _ = _recording(monkeypatch)
     spectral.kunneth_check(s, reg, reg, reg, depth=2)
     keys = [(nrows, ncols, frozenset(track), tuple(map(tuple, a)))
             for (a, nrows, ncols, track), _ in calls]
-    assert nested["bar_complex"] == 2 and nested["tor_via_bar"] == 3
+    assert nested == {"ext_via_bar": 1, "bar_complex": 1, "tor_via_bar": 3}
     assert len(keys) == len(set(keys)) > 0
+
+
+@pytest.fixture
+def towers(monkeypatch):
+    """Every tower built meanwhile, bar or cofree."""
+    built = []
+    resolution = homology.Resolution
+
+    def recording(*args):
+        built.append(resolution(*args))
+        return built[-1]
+    monkeypatch.setattr(homology, "Resolution", recording)
+    return built
+
+
+def test_one_base_change_builds_one_tower_over_the_target(towers):
+    z4, f2 = z4_ternary(), f2_ternary()
+    reg = regular_bimodule(z4)
+    spectral.base_change_check(GammaSemiringMorphism(z4, f2, (0, 1, 0, 1)), reg, reg, 1)
+    assert [tower.semiring for tower in towers].count(f2) == 1
+
+
+def test_kunneth_builds_one_bar_tower_for_equal_factors(towers):
+    s = f2_ternary()
+    reg = regular_bimodule(s)
+    spectral.kunneth_check(s, reg, reg, reg, depth=2)
+    # The others resolve the Ext modules of the direct grid.
+    assert [tower.terms[0].name for tower in towers].count(reg.name) == 1
+
+
+def test_bar_towers_are_shared_only_inside_a_call():
+    s = f2_ternary()
+    reg = regular_bimodule(s)
+    assert bar_complex(s, reg, depth=2) is not bar_complex(s, reg, depth=2)
+    first, again, deeper = la.shares_factorizations(
+        lambda: [bar_complex(s, reg, depth=d) for d in (2, 2, 3)])()
+    assert first is again and deeper is not first
 
 
 def test_shared_results_equal_fresh_factorizations(monkeypatch):
