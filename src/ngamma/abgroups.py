@@ -153,27 +153,29 @@ class Presentation:
         return self.project(vec) == self.group.zero()
 
 
-def induced_on_quotients(proj_dst, dst_group: AbGroup, wmat,
-                         lift_src, proj_src, src_group: AbGroup,
-                         what: str) -> GroupMap:
-    """Quotient map induced by a map W on presentation coordinate spaces.
+def descent_parts(proj_w, lift_src, proj_src):
+    """(M, C) for a map W between presentation coordinate spaces, given as
+    proj_dst . W: the induced matrix M = proj_dst . W . lift_src and the
+    descent obstruction C = proj_dst . W - M . proj_src.  Both are Z-linear
+    in W, so the parts of a sum of maps are the sums of their parts."""
+    mat = la.mat_mul(proj_w, lift_src, len(proj_src))
+    back = la.mat_mul(mat, proj_src, len(lift_src))
+    return mat, [[x - y for x, y in zip(row, brow)] for row, brow in zip(proj_w, back)]
 
-    The induced matrix is M = proj_dst . W . lift_src.  W descends exactly
-    when proj_dst . W = M . proj_src entrywise modulo the target orders
-    (equivalently, W maps the source relation lattice into the target's);
-    otherwise SoundnessError is raised.  This is the one descent check.
+
+def induced_on_quotients(src_group: AbGroup, dst_group: AbGroup, mat, obstruction,
+                         what: str) -> GroupMap:
+    """Quotient map with matrix M induced by a map W on presentation
+    coordinate spaces, given by its parts (M, C) (``descent_parts``).
+
+    W descends exactly when C = proj_dst . W - M . proj_src is 0 entrywise
+    modulo the target orders (equivalently, W maps the source relation
+    lattice into the target's); otherwise SoundnessError is raised.  This is
+    the one descent check.
     """
-    wdim_src = len(lift_src)
-    mat = la.mat_mul(proj_dst, la.mat_mul(wmat, lift_src, src_group.dim),
-                     src_group.dim)
-    left = la.mat_mul(proj_dst, wmat, wdim_src)
-    right = la.mat_mul(mat, proj_src, wdim_src)
-    for i in range(dst_group.dim):
-        o = dst_group.orders[i]
-        for jj in range(wdim_src):
-            x, y = left[i][jj], right[i][jj]
-            if (x - y) % o if o else (x - y):
-                raise SoundnessError(f"{what} does not descend to the quotient")
+    for row, o in zip(obstruction, dst_group.orders):
+        if any(v % o for v in row) if o else any(row):
+            raise SoundnessError(f"{what} does not descend to the quotient")
     return GroupMap(src_group, dst_group, mat)
 
 

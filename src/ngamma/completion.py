@@ -17,7 +17,9 @@ from math import gcd
 from operator import add
 
 from . import intlinalg as la
-from .abgroups import AbGroup, GroupMap, Presentation, induced_on_quotients, kernel
+from .abgroups import (
+    AbGroup, GroupMap, Presentation, descent_parts, induced_on_quotients, kernel,
+)
 from .core import FiniteAddMonoid, NaryGammaSemiring, SoundnessError, StructuralError
 from .modules import (
     BiGammaModule, ModuleMorphism, check_slots, filler_tuples, map_columns, residual_slots,
@@ -317,8 +319,22 @@ class EquivariantHom:
 # Balanced tensor groups
 # ---------------------------------------------------------------------------
 
+def _combination(terms, nrows: int, ncols: int):
+    """The sum of v*m over the (v, m) in terms, each m nrows x ncols."""
+    out = None
+    for v, m in terms:
+        out = ([[v * y for y in row] for row in m] if out is None else
+               [[x + v * y for x, y in zip(orow, row)] for orow, row in zip(out, m)])
+    return la.zeros(nrows, ncols) if out is None else out
+
+
 class TensorGroup:
-    """K(X) (x) K(Y) modulo slot-(j,k) balancing, with residual operators."""
+    """K(X) (x) K(Y) modulo slot-(j,k) balancing, with residual operators.
+
+    The pair space has coordinate i*dim(Y) + j for the pair (i, j).  Every
+    pair-space product is contracted factor by factor (``intlinalg.kron_mul``
+    and ``mul_kron``); no Kronecker matrix is built.
+    """
 
     def __init__(self, x: CompletedModule, y: CompletedModule, j: int, k: int):
         if x.semiring != y.semiring:
@@ -339,26 +355,60 @@ class TensorGroup:
                         r = [0] * self.pair_dim
                         r[idx] = o
                         rels.append(r)
-        ident_x, ident_y = la.identity(xs), la.identity(ys)
         for p, q in dict.fromkeys((p.key, q.key)
                                   for p, q in dict.fromkeys(zip(x.ops[j], y.ops[k]))):
-            # Column i0*ys + j0 of kron(P, I) - kron(I, Q) balances the pair
-            # (i0, j0): P acting on the left factor against Q on the right.
-            via_x = la.kron(p, ident_y)
-            via_y = la.kron(ident_x, q)
-            rels.extend([a - b for a, b in zip(col_x, col_y)]
-                        for col_x, col_y in zip(zip(*via_x), zip(*via_y)))
+            # The relation of the pair (i0, j0), column i0*ys + j0 of
+            # P (x) I - I (x) Q, balances P acting on the left factor against
+            # Q on the right.
+            for i0 in range(xs):
+                for j0 in range(ys):
+                    r = [0] * self.pair_dim
+                    for i in range(xs):
+                        r[i * ys + j0] += p[i][i0]
+                    for j2 in range(ys):
+                        r[i0 * ys + j2] -= q[j2][j0]
+                    rels.append(r)
         self.pres = Presentation(self.pair_dim, rels)
         self.group = self.pres.group
         self.name = f"{x.name}(x){y.name}"
+        self._units: dict = {}
 
-    def pair_matrix_to_quotient(self, pairmat) -> GroupMap | None:
-        """Project a pair-space endomorphism; None when it does not descend."""
-        proj = self.pres.proj_matrix()
+    def _unit(self, side: str, a: int, b: int):
+        """``descent_parts`` of the matrix unit E_ab of one factor acting on
+        the pair space: I (x) E_ab for side "right", E_ab (x) I for "left".
+        Kept once worked out."""
+        key = side, a, b
+        if key not in self._units:
+            xs, ys = self.x.group.dim, self.y.group.dim
+            # proj . W copies proj's column src to column dst for each pair.
+            moves = ([(i * ys + a, i * ys + b) for i in range(xs)] if side == "right"
+                     else [(a * ys + j, b * ys + j) for j in range(ys)])
+            proj = self.pres.proj_matrix()
+            proj_w = []
+            for prow in proj:
+                row = [0] * self.pair_dim
+                for src, dst in moves:
+                    row[dst] = prow[src]
+                proj_w.append(row)
+            self._units[key] = descent_parts(proj_w, self.pres.lift_matrix(), proj)
+        return self._units[key]
+
+    def pair_matrix_to_quotient(self, side: str, mat) -> GroupMap | None:
+        """The residual of I (x) mat (side "right", mat an endomorphism of
+        the right factor) or mat (x) I ("left"); None when it does not
+        descend.
+
+        Its matrix and descent obstruction are Z-linear in mat, so they are
+        the sums of those of the matrix units mat uses (``_unit``), each
+        worked out once per tensor group.
+        """
+        dim = self.group.dim
+        units = [(v, self._unit(side, a, b)) for a, row in enumerate(mat)
+                 for b, v in enumerate(row) if v]
+        res = _combination([(v, r) for v, (r, _) in units], dim, dim)
+        obs = _combination([(v, c) for v, (_, c) in units], dim, self.pair_dim)
         try:
-            return induced_on_quotients(proj, self.group, pairmat,
-                                        self.pres.lift_matrix(), proj, self.group,
-                                        "pair matrix")
+            return induced_on_quotients(self.group, self.group, res, obs, "pair matrix")
         except SoundnessError:
             return None
 
@@ -369,27 +419,28 @@ class TensorGroup:
         Raises SoundnessError when the map does not descend to the balanced
         quotients.
         """
-        pairmat = la.kron(left.mat if left else la.identity(self.x.group.dim),
-                          right.mat if right else la.identity(self.y.group.dim))
-        return induced_on_quotients(dst.pres.proj_matrix(), dst.group, pairmat,
-                                    self.pres.lift_matrix(), self.pres.proj_matrix(),
-                                    self.group, what)
+        xs, ys = self.x.group.dim, self.y.group.dim
+        proj_w = la.mul_kron(dst.pres.proj_matrix(),
+                             left.mat if left else la.identity(xs),
+                             right.mat if right else la.identity(ys), xs, ys)
+        mat, obstruction = descent_parts(proj_w, self.pres.lift_matrix(),
+                                         self.pres.proj_matrix())
+        return induced_on_quotients(self.group, dst.group, mat, obstruction, what)
 
     def as_module(self) -> CompletedModule:
         """Attach residual operators, each slot through the right factor when
         all its operators descend there, else the left (``residual_slots``).
-        Each distinct operator of a side is projected once."""
+        Each distinct operator of a side is projected once
+        (``pair_matrix_to_quotient``)."""
         s = self.x.semiring
-        ident_x = la.identity(self.x.group.dim)
-        ident_y = la.identity(self.y.group.dim)
         projected = {}
 
-        def attach(side, ops, pairmat, slot):
+        def attach(side, ops, slot):
             by_op = dict.fromkeys(ops[slot])
             for op in by_op:
                 key = side, op.key
                 if key not in projected:
-                    projected[key] = self.pair_matrix_to_quotient(pairmat(op.mat))
+                    projected[key] = self.pair_matrix_to_quotient(side, op.mat)
                 by_op[op] = projected[key]
                 if by_op[op] is None:
                     tother, gs = filler_tuples(s)[ops[slot].index(op)]
@@ -397,7 +448,6 @@ class TensorGroup:
                                          f"parameters {gs} does not descend")
             return tuple(map(by_op.__getitem__, ops[slot]))
 
-        ops = residual_slots(s.n, [
-            ("right", partial(attach, "right", self.y.ops, lambda m: la.kron(ident_x, m))),
-            ("left", partial(attach, "left", self.x.ops, lambda m: la.kron(m, ident_y)))])
+        ops = residual_slots(s.n, [("right", partial(attach, "right", self.y.ops)),
+                                   ("left", partial(attach, "left", self.x.ops))])
         return CompletedModule(s, self.group, tuple(ops), None, name=self.name)

@@ -32,7 +32,7 @@ from functools import reduce
 
 from . import intlinalg as la
 from .abgroups import (
-    AbGroup, GroupMap, HomologyNode, induced_on_quotients, is_exact,
+    AbGroup, GroupMap, HomologyNode, descent_parts, induced_on_quotients, is_exact,
     is_short_exact, kernel, kernel_gens, preimage,
 )
 from .core import (
@@ -262,20 +262,17 @@ def bar_complex(s: NaryGammaSemiring, module, j: int | None = None, k: int = 0,
         else:
             tg = TensorGroup(power, carrier, j, k)
             power = tg.as_module()
-            pproj = la.mat_mul(tg.pres.proj_matrix(), la.kron(pproj, ident_t),
-                               tdim ** r)
-            plift = la.mat_mul(la.kron(plift, ident_t), tg.pres.lift_matrix(),
-                               tg.group.dim)
+            pproj = la.mul_kron(tg.pres.proj_matrix(), pproj, ident_t,
+                                tdim ** (r - 1), tdim)
+            plift = la.kron_mul(plift, ident_t, tg.pres.lift_matrix(), tg.group.dim)
         wdim = (tdim ** r) * mdim
         if wdim > BAR_WORD_BOUND:
             raise BoundExceeded(
                 f"bar word space at degree {r}: tdim^r*mdim = {tdim}^{r}*{mdim} "
                 f"= {wdim} exceeds its bound {BAR_WORD_BOUND}")
         tg = TensorGroup(power, module, j, k)
-        projs.append(la.mat_mul(tg.pres.proj_matrix(), la.kron(pproj, ident_m),
-                                wdim))
-        lifts.append(la.mat_mul(la.kron(plift, ident_m), tg.pres.lift_matrix(),
-                                tg.group.dim))
+        projs.append(la.mul_kron(tg.pres.proj_matrix(), pproj, ident_m, tdim ** r, mdim))
+        lifts.append(la.kron_mul(plift, ident_m, tg.pres.lift_matrix(), tg.group.dim))
         tensors[r] = tg
         terms.append(tg.as_module())
         word_dims.append(wdim)
@@ -303,9 +300,11 @@ def bar_complex(s: NaryGammaSemiring, module, j: int | None = None, k: int = 0,
                     mat[flatten_index(vec, sizes[1:])][col] += sign * coeff
         return mat
 
-    diffs = {r: induced_on_quotients(projs[r - 1], terms[r - 1].group,
-                                     differential_on_words(r), lifts[r], projs[r],
-                                     terms[r].group, f"bar differential d_{r}")
+    diffs = {r: induced_on_quotients(
+                 terms[r].group, terms[r - 1].group,
+                 *descent_parts(la.mat_mul(projs[r - 1], differential_on_words(r),
+                                           word_dims[r]), lifts[r], projs[r]),
+                 f"bar differential d_{r}")
              for r in range(1, depth + 1)}
     towers[key] = Resolution(s, terms, Complex([t.group for t in terms], diffs), j, k,
                              f"bar of {module.name} (fillers {policy.fillers}, "

@@ -4,7 +4,9 @@ Matrices are lists of row lists of Python ints, so everything is
 arbitrary-precision and bit-exact.  A matrix with no rows cannot carry its
 column count (0xN and Nx0 both occur constantly in chain complexes), so each
 routine takes exactly the dimensions its row lists cannot give: the width of
-a product, the shape of a factorization.
+a product, the column counts of the factors of x @ (a (x) b), the shape of a
+factorization.  No Kronecker matrix a (x) b is built: ``kron_mul`` and
+``mul_kron`` contract it factor by factor.
 All routines are pure; none mutate their arguments (the Smith normal form
 works on its own sparse copy of the input rows).
 
@@ -52,6 +54,87 @@ def mat_mul(a, b, ncols: int):
             if c:
                 for j in range(ncols):
                     orow[j] += c * brow[j]
+        out.append(orow)
+    return out
+
+
+def _sparse_rows(m, ncols: int, name: str):
+    """Each row of m as its (column, entry) pairs with a nonzero entry;
+    ValueError when a row does not have ncols entries."""
+    out = []
+    for i, row in enumerate(m):
+        if len(row) != ncols:
+            raise ValueError(f"row {i} of {name} has {len(row)} entries, expected {ncols}")
+        out.append([(j, v) for j, v in enumerate(row) if v])
+    return out
+
+
+def kron_mul(a, b, x, ncols: int):
+    """Product (a (x) b) @ x of width ncols, without building a (x) b: row
+    i*len(b) + k is the sum over j of a[i][j] times row k of b @ X_j, where
+    X_j is the j-th block of len(b[0]) rows of x.  x has one row per column
+    of a (x) b, so a factor without rows gives the product without rows."""
+    for i, row in enumerate(x):
+        if len(row) != ncols:
+            raise ValueError(f"row {i} of x has {len(row)} entries, expected {ncols}")
+    if not a or not b:
+        return []
+    acols, bcols = len(a[0]), len(b[0])
+    if len(x) != acols * bcols:
+        raise ValueError(f"x has {len(x)} rows, expected {acols}*{bcols}")
+    a_nz = _sparse_rows(a, acols, "a")
+    b_nz = _sparse_rows(b, bcols, "b")
+    # blocks[j] is b @ X_j, one row per row of b.
+    blocks = []
+    for j in range(acols):
+        xj = x[j * bcols:(j + 1) * bcols]
+        rows = []
+        for brow in b_nz:
+            orow = [0] * ncols
+            for l, v in brow:
+                for c, y in enumerate(xj[l]):
+                    orow[c] += v * y
+            rows.append(orow)
+        blocks.append(rows)
+    out = []
+    for arow in a_nz:
+        acc = [[0] * ncols for _ in b]
+        for j, v in arow:
+            for orow, brow in zip(acc, blocks[j]):
+                for c, y in enumerate(brow):
+                    orow[c] += v * y
+        out.extend(acc)
+    return out
+
+
+def mul_kron(x, a, b, acols: int, bcols: int):
+    """Product x @ (a (x) b) of width acols*bcols, without building a (x) b:
+    a has acols columns and b bcols, and each row of x has len(a)*len(b)
+    entries.  A row of x read as a len(a) x len(b) block Y gives the row
+    of a^T Y b, so a factor without rows keeps the product's width."""
+    a_nz = _sparse_rows(a, acols, "a")
+    b_nz = _sparse_rows(b, bcols, "b")
+    inner = len(a) * len(b)
+    out = []
+    for i, xrow in enumerate(x):
+        if len(xrow) != inner:
+            raise ValueError(f"row {i} of x has {len(xrow)} entries, expected {inner}")
+        orow = [0] * (acols * bcols)
+        for ia, arow in enumerate(a_nz):
+            if not arow:
+                continue
+            # Block ia of the row times b.
+            y = [0] * bcols
+            base = ia * len(b)
+            for k, brow in enumerate(b_nz):
+                c = xrow[base + k]
+                if c:
+                    for l, v in brow:
+                        y[l] += c * v
+            for j, v in arow:
+                off = j * bcols
+                for l in range(bcols):
+                    orow[off + l] += v * y[l]
         out.append(orow)
     return out
 
@@ -328,18 +411,3 @@ def kernel_basis(a, nrows: int, ncols: int) -> list[list[int]]:
 def solve(a, b, nrows: int, ncols: int):
     """One integer solution x of A x = b, or None when none exists."""
     return smith_normal_form(a, nrows, ncols, track=("s", "t")).solve(b)
-
-
-def kron(a, b):
-    """Kronecker product.  Each row's width is read off the rows it is made
-    of, so a factor without rows gives the product without rows."""
-    out = []
-    for arow in a:
-        nonzero = [(j, v) for j, v in enumerate(arow) if v]
-        for brow in b:
-            bn = len(brow)
-            row = [0] * (len(arow) * bn)
-            for j, v in nonzero:
-                row[j * bn:(j + 1) * bn] = brow if v == 1 else [v * w for w in brow]
-            out.append(row)
-    return out

@@ -9,6 +9,14 @@ def record_acceptance(line: str) -> None:
     acceptance_lines.append(line)
 
 
+def kron(a, b):
+    """Dense Kronecker product a (x) b: entry (i*len(b) + k, j*len(b[0]) + l)
+    is a[i][j]*b[k][l].  The reference that the engine's pair-space
+    contractions (``intlinalg.kron_mul`` and ``mul_kron``) are checked
+    against; a factor without rows gives the product without rows."""
+    return [[x * y for x in arow for y in brow] for arow in a for brow in b]
+
+
 def pytest_terminal_summary(terminalreporter, exitstatus, config):
     if acceptance_lines:
         terminalreporter.section("acceptance criteria")

@@ -7,12 +7,13 @@ from math import gcd
 from pathlib import Path
 
 import pytest
+from conftest import kron
 from hypothesis import given, settings, strategies as st
 
 from ngamma import completion, intlinalg as la
 from ngamma.abgroups import (
-    AbGroup, GroupMap, Presentation, SoundnessError, induced_on_quotients,
-    isomorphic, kernel,
+    AbGroup, GroupMap, Presentation, SoundnessError, descent_parts,
+    induced_on_quotients, isomorphic, kernel,
 )
 from ngamma.bundled import bundled_workspace
 from ngamma.core import (
@@ -350,7 +351,12 @@ def test_pair_matrix_to_quotient_identity_on_binary_m2f2():
     tg = TensorGroup(lin, lin, 1, 0)
     assert tg.pair_dim == 16
     assert tg.group.orders == (2, 2, 2, 2)
-    assert tg.pair_matrix_to_quotient(la.identity(16)).equal(GroupMap.identity(tg.group))
+    assert kron(la.identity(4), la.identity(4)) == la.identity(16)
+    assert _pair_matrix_to_quotient_per_relation(tg, la.identity(16)).equal(
+        GroupMap.identity(tg.group))
+    for side in ("right", "left"):
+        assert tg.pair_matrix_to_quotient(side, la.identity(4)).equal(
+            GroupMap.identity(tg.group))
 
 
 def _pair_matrix_to_quotient_per_relation(tg, pairmat):
@@ -363,32 +369,91 @@ def _pair_matrix_to_quotient_per_relation(tg, pairmat):
                     la.mat_mul(tg.pres.proj_matrix(), mid, tg.group.dim), check=False)
 
 
+def _pair_matrix(tg, side, mat):
+    """The dense pair-space matrix of I (x) mat (side "right") or mat (x) I."""
+    if side == "right":
+        return kron(la.identity(tg.x.group.dim), mat)
+    return kron(mat, la.identity(tg.y.group.dim))
+
+
 def test_pair_matrix_to_quotient_matches_per_relation_definition():
-    m2 = linearize_module(regular_bimodule(make_matrix_family(f2_semiring(), 2, 2)))
+    # Every distinct operator of both sides, then random integer factors on
+    # either side, each against the per-relation definition on the dense
+    # Kronecker matrix.  Ternary M2(F2) at slots (3,1) refuses on both sides;
+    # the bundled z4_zero and the Boolean carrier complete to 0.
     z4 = z4_ternary()
     reg_ideal = direct_sum_completed([
         linearize_module(regular_bimodule(z4)),
         linearize_module(ideal_submodule(z4, GammaIdeal(z4, frozenset({0, 2}))))])
+    m2, m2t = (linearize_module(regular_bimodule(make_matrix_family(f2_semiring(), 2, n)))
+               for n in (2, 3))
+    ws = bundled_workspace()
+    z4_zero = linearize_module(ws.module("z4_zero"))
+    boolean = linearize_module(regular_bimodule(boolean_ternary()))
+    assert z4_zero.group.dim == boolean.group.dim == 0
     rng = random.Random(3)
-    for tg in (TensorGroup(m2, m2, 1, 0), TensorGroup(reg_ideal, reg_ideal, 2, 0)):
-        xs, ys = tg.x.group.dim, tg.y.group.dim
-        through_factors = [la.kron(op.mat, la.identity(ys))
-                           for slot_ops in tg.x.ops for op in slot_ops[:8]]
-        through_factors += [la.kron(la.identity(xs), op.mat)
-                            for slot_ops in tg.y.ops for op in slot_ops[:8]]
-        seeded = [[[rng.randint(-3, 3) for _ in range(tg.pair_dim)]
-                   for _ in range(tg.pair_dim)] for _ in range(6)]
-        descended = []
-        for pairmat in through_factors + seeded:
-            got = tg.pair_matrix_to_quotient(pairmat)
-            want = _pair_matrix_to_quotient_per_relation(tg, pairmat)
+    outcomes = set()
+    for tg in (TensorGroup(reg_ideal, reg_ideal, 2, 0), TensorGroup(m2, m2, 1, 0),
+               TensorGroup(m2t, m2t, 2, 0), TensorGroup(reg_ideal, z4_zero, 2, 0),
+               TensorGroup(z4_zero, reg_ideal, 2, 0), TensorGroup(boolean, boolean, 2, 0)):
+        factors = [(side, op.mat) for side, mod in (("right", tg.y), ("left", tg.x))
+                   for op in dict.fromkeys(op for slot_ops in mod.ops for op in slot_ops)]
+        factors += [(side, [[rng.randint(-3, 3) for _ in range(dim)] for _ in range(dim)])
+                    for side, dim in (("right", tg.y.group.dim), ("left", tg.x.group.dim))
+                    for _ in range(3)]
+        for side, mat in factors:
+            got = tg.pair_matrix_to_quotient(side, mat)
+            want = _pair_matrix_to_quotient_per_relation(tg, _pair_matrix(tg, side, mat))
             assert (got is None) == (want is None)
             if got is not None:
                 assert got.mat == want.mat
-            descended.append(got is not None)
-        # Both outcomes occur, so neither branch of the check goes untested.
-        assert any(descended[:len(through_factors)])
-        assert not any(descended[len(through_factors):])
+            outcomes.add(got is not None)
+    # Both outcomes occur, so neither branch of the check goes untested.
+    assert outcomes == {True, False}
+
+
+def test_tensor_refusal_texts_name_the_first_failing_operator():
+    # The operator each side refuses first, and the bar differential that
+    # does not descend, as the dense products gave them.
+    m2t = linearize_module(regular_bimodule(make_matrix_family(f2_semiring(), 2, 3)))
+    failing = "the operator with carriers (1, 1) and parameters (0, 0) does not descend"
+    with pytest.raises(SoundnessError) as exc:
+        TensorGroup(m2t, m2t, 2, 0).as_module()
+    assert str(exc.value) == (f"no residual action descends at slot 2: through the "
+                              f"right factor, {failing}; through the left factor, {failing}")
+    m2 = make_matrix_family(f2_semiring(), 2, 2)
+    reg = regular_bimodule(m2)
+    with pytest.raises(SoundnessError) as exc:
+        ext_via_bar(m2, reg, reg, depth=0)
+    assert str(exc.value) == "bar differential d_1 does not descend to the quotient"
+
+
+def test_ext_via_bar_projects_each_attached_operator_once(monkeypatch, count_calls):
+    # Each tensor term of the tower projects every distinct operator it
+    # attaches once, summed from matrix units; the dense Kronecker products
+    # took 114 products here.
+    s = z4_ternary()
+    reg = regular_bimodule(s)
+    projected, attached = [], []
+    project, as_module = TensorGroup.pair_matrix_to_quotient, TensorGroup.as_module
+
+    def recording(tg, side, mat):
+        gm = project(tg, side, mat)
+        projected.append(((tg, side, tuple(map(tuple, mat))), gm))
+        return gm
+
+    monkeypatch.setattr(TensorGroup, "pair_matrix_to_quotient", recording)
+    monkeypatch.setattr(TensorGroup, "as_module",
+                        lambda tg: attached.append(tg) or as_module(tg))
+    counts = count_calls(la, "mat_mul")
+    assert ext_via_bar(s, reg, reg, depth=2).factors() == [(4,), (), ()]
+    assert counts["mat_mul"] == 31
+    # Every slot of ternary Z/4 is carried by the right factor.
+    assert all(gm is not None for _, gm in projected)
+    keys = [key for key, _ in projected]
+    assert len(keys) == len(set(keys)) == 20
+    assert set(keys) == {(tg, "right", op.key) for tg in attached
+                         for slot_ops in tg.y.ops for op in slot_ops}
 
 
 MISMATCH_SCRIPT = """
@@ -485,27 +550,29 @@ def _full_tensor_relations(x, y, j, k):
                     r[i * ys + i2] = o
                     rels.append(r)
     for p, q in zip(x.ops[j], y.ops[k]):
-        via_x = la.kron(p.mat, la.identity(ys))
-        via_y = la.kron(la.identity(xs), q.mat)
+        via_x = kron(p.mat, la.identity(ys))
+        via_y = kron(la.identity(xs), q.mat)
         rels.extend([a - b for a, b in zip(cx, cy)]
                     for cx, cy in zip(zip(*via_x), zip(*via_y)))
     return rels
 
 
 def _full_residual_ops(tg, pres):
-    """Residual operators projected per (slot, w) through ``pres``, each slot
-    through the right factor when every operator of it descends there, else
-    through the left; or the head of the refusal text."""
+    """Residual operators projected per (slot, w) through ``pres`` from
+    their dense pair-space matrices, each slot through the right factor when
+    every operator of it descends there, else through the left; or the head
+    of the refusal text."""
     xs, ys = tg.x.group.dim, tg.y.group.dim
     lift, proj = pres.lift_matrix(), pres.proj_matrix()
     out = []
     for slot in range(tg.x.semiring.n):
-        for pairmats in ([la.kron(la.identity(xs), yop.mat) for yop in tg.y.ops[slot]],
-                         [la.kron(xop.mat, la.identity(ys)) for xop in tg.x.ops[slot]]):
+        for pairmats in ([kron(la.identity(xs), yop.mat) for yop in tg.y.ops[slot]],
+                         [kron(xop.mat, la.identity(ys)) for xop in tg.x.ops[slot]]):
             try:
-                out.append([induced_on_quotients(proj, pres.group, pairmat, lift, proj,
-                                                 pres.group, "op").mat
-                            for pairmat in pairmats])
+                out.append([induced_on_quotients(
+                    pres.group, pres.group,
+                    *descent_parts(la.mat_mul(proj, pairmat, pres.ngens), lift, proj),
+                    "op").mat for pairmat in pairmats])
                 break
             except SoundnessError:
                 pass

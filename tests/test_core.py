@@ -463,6 +463,22 @@ def test_towers_are_built_only_by_the_resolution_constructors():
     assert readers == [] and leftovers == []
 
 
+def test_no_kronecker_matrix_is_built():
+    # Pair-space products are contracted factor by factor
+    # (``intlinalg.kron_mul`` and ``mul_kron``), and a tensor group's
+    # operators are summed from its matrix units: no module defines or calls
+    # a dense ``kron``.
+    found = []
+    for path in sorted(Path(ngamma.__file__).parent.rglob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        found += [f"{path.name}:{node.lineno}" for node in ast.walk(tree)
+                  if (isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+                      and node.name == "kron")
+                  or (isinstance(node, ast.Call) and getattr(
+                      node.func, "id", getattr(node.func, "attr", None)) == "kron")]
+    assert found == []
+
+
 def test_derived_results_are_built_only_by_the_ext_and_tor_entry_points():
     # Consumers read a ``homology.DerivedResult`` off ``ext_via_bar``,
     # ``tor_via_bar`` or ``ext_via_cofree``, each of which shares its towers

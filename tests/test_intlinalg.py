@@ -1,8 +1,10 @@
 import ast
 import doctest
+import random
 from itertools import combinations
 from pathlib import Path
 
+from conftest import kron
 from hypothesis import given, settings, strategies as st
 
 import ngamma.intlinalg
@@ -80,9 +82,20 @@ def test_products_keep_the_shape_of_empty_matrices():
     assert la.mat_mul([[], []], [], 3) == [[0, 0, 0], [0, 0, 0]]
     assert la.mat_mul([[1], [2]], [[]], 0) == [[], []]
     assert la.mat_mul([], [[1, 2]], 2) == []
-    assert la.kron([[1, 2]], []) == [] and la.kron([], [[1]]) == []
-    assert la.kron([[], []], [[1], [2]]) == [[], [], [], []]
-    assert la.kron([[0, 2]], [[1, -1], [0, 3]]) == [[0, 0, 2, -2], [0, 0, 0, 6]]
+    # (a (x) b) @ x and x @ (a (x) b) for factors with no rows, factors with
+    # no columns, and 1x0 against 0x1.
+    assert la.kron_mul([], [[1, 2]], [[1], [2]], 1) == []
+    assert la.kron_mul([[1]], [], [], 3) == []
+    assert la.kron_mul([[], []], [[1]], [], 3) == [[0, 0, 0], [0, 0, 0]]
+    assert la.kron_mul([[1, 2]], [[], []], [], 2) == [[0, 0], [0, 0]]
+    assert la.kron_mul([[]], [], [], 2) == [] and la.kron_mul([], [[]], [], 2) == []
+    assert la.mul_kron([[], []], [], [[1], [2]], 2, 1) == [[0, 0], [0, 0]]
+    assert la.mul_kron([[]], [[1, 2]], [], 2, 3) == [[0] * 6]
+    assert la.mul_kron([[1, 2]], [[], []], [[1]], 0, 1) == [[]]
+    assert la.mul_kron([[1, 2]], [[1]], [[], []], 1, 0) == [[]]
+    assert la.mul_kron([[]], [[]], [], 0, 1) == [[]]
+    assert la.mul_kron([[]], [], [[]], 1, 0) == [[]]
+    assert la.mul_kron([], [[1]], [[1]], 1, 1) == []
     for a, b, width in (([[1, 2]], [[1]], 1), ([[1]], [[1, 2]], 1), ([[]], [[1]], 1)):
         try:
             la.mat_mul(a, b, width)
@@ -90,6 +103,32 @@ def test_products_keep_the_shape_of_empty_matrices():
             assert "entries, expected" in str(e)
         else:
             raise AssertionError(f"mat_mul accepted {a} @ {b} of width {width}")
+    for product in (lambda: la.kron_mul([[1]], [[1]], [[1, 2]], 1),
+                    lambda: la.kron_mul([[1]], [[1, 2]], [[1]], 1),
+                    lambda: la.kron_mul([[1], [1, 2]], [[1]], [[1]], 1),
+                    lambda: la.mul_kron([[1, 2]], [[1]], [[1]], 1, 1),
+                    lambda: la.mul_kron([[1]], [[1, 2]], [[1]], 1, 1),
+                    lambda: la.mul_kron([[1]], [[1]], [[1]], 1, 2)):
+        try:
+            product()
+        except ValueError as e:
+            assert "expected" in str(e)
+        else:
+            raise AssertionError("a product of mismatched shapes was accepted")
+
+
+def test_kronecker_contractions_match_the_dense_product():
+    rng = random.Random(11)
+
+    def rand(nrows, ncols):
+        return [[rng.randint(-3, 3) for _ in range(ncols)] for _ in range(nrows)]
+
+    for _ in range(300):
+        p, q, r, s, n = (rng.randint(0, 4) for _ in range(5))
+        a, b = rand(p, q), rand(r, s)
+        x, y = rand(q * s, n), rand(n, p * r)
+        assert la.kron_mul(a, b, x, n) == la.mat_mul(kron(a, b), x, n)
+        assert la.mul_kron(y, a, b, q, s) == la.mat_mul(y, kron(a, b), q * s)
 
 
 def test_solve_and_subquotient_reject_wrong_lengths():
