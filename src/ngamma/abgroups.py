@@ -124,7 +124,7 @@ class Presentation:
         self.ngens = ngens
         self.relations = [list(r) for r in relations]
         r = [[rel[i] for rel in self.relations] for i in range(ngens)]
-        sf = la.smith_normal_form(r, ngens, len(self.relations), track=("s", "sinv"))
+        sf = la.smith_normal_form(r, ngens, len(self.relations))
         kept = []
         orders = []
         for i in range(ngens):
@@ -282,7 +282,7 @@ class Subgroup:
         # among the generators and every membership test.
         a = [[(self.gens[j][i] if j < k else ocols[j - k][i])
               for j in range(k + t)] for i in range(ambient.dim)]
-        self._system = la.smith_normal_form(a, ambient.dim, k + t, track=("s", "t"))
+        self._system = la.smith_normal_form(a, ambient.dim, k + t, solve=True)
         self.pres = Presentation(k, [b[:k] for b in self._system.kernel_basis()])
         self.group = self.pres.group
         incl_mat = []
@@ -303,21 +303,21 @@ class Subgroup:
         return self.membership(vec) is not None
 
 
-def _with_orders(f: GroupMap):
-    """[f | -target orders] and its column count: its integer solutions are
+def _solver(f: GroupMap) -> la.SmithForm:
+    """The solver form of [f | -target orders]: its integer solutions are
     the solutions of f modulo the target relations, with the relation
-    multiples appended."""
+    multiples appended.  ``kernel_gens``, ``preimage`` and ``is_exact`` all
+    read it, so inside a call's scope each map's system is factored once."""
     ocols = order_lattice_columns(f.dst)
-    return ([row + [-c[i] for c in ocols] for i, row in enumerate(f.mat)],
-            f.src.dim + len(ocols))
+    return la.smith_normal_form(
+        [row + [-c[i] for c in ocols] for i, row in enumerate(f.mat)],
+        f.dst.dim, f.src.dim + len(ocols), solve=True)
 
 
 def kernel_gens(f: GroupMap) -> list[list[int]]:
     """Generators of ker f: the source parts of the integer kernel of
     [f | -target orders], reduced in the source."""
-    a, ncols = _with_orders(f)
-    return [list(f.src.reduce(b[:f.src.dim]))
-            for b in la.kernel_basis(a, f.dst.dim, ncols)]
+    return [list(f.src.reduce(b[:f.src.dim])) for b in _solver(f).kernel_basis()]
 
 
 def kernel(f: GroupMap) -> Subgroup:
@@ -326,8 +326,7 @@ def kernel(f: GroupMap) -> Subgroup:
 
 def preimage(f: GroupMap, target_vec):
     """Some x with f(x) = target, or None."""
-    a, ncols = _with_orders(f)
-    sol = la.solve(a, list(target_vec), f.dst.dim, ncols)
+    sol = _solver(f).solve(list(target_vec))
     if sol is None:
         return None
     return f.src.reduce(sol[:f.src.dim])
@@ -339,8 +338,7 @@ def is_exact(f: GroupMap, g: GroupMap) -> bool:
     exactness test; raises ValueError when f and g do not compose."""
     if not g.compose(f).is_zero():
         return False
-    a, ncols = _with_orders(f)
-    sf = la.smith_normal_form(a, f.dst.dim, ncols, track=("s", "t"))
+    sf = _solver(f)
     return all(sf.solve(v) is not None for v in kernel_gens(g))
 
 
@@ -369,8 +367,7 @@ class Subquotient:
             if len(v) != g.dim:
                 raise ValueError(f"generator has {len(v)} entries, expected {g.dim}")
         a = [[v[i] for v in gens] for i in range(g.dim)]
-        sf = la.smith_normal_form(a, g.dim, len(gens), track=("s", "sinv"))
-        self._s, self._diag = sf.s, sf.diag
+        self._form = sf = la.smith_normal_form(a, g.dim, len(gens))
         self._bp = [[row[i] * d for i, d in enumerate(sf.diag)] for row in sf.sinv]
         rels = []
         for q in order_lattice_columns(g) + [list(v) for v in q_gens]:
@@ -387,11 +384,7 @@ class Subquotient:
         if len(vec) != self.ambient.dim:
             raise ValueError(f"vector has {len(vec)} entries, "
                              f"expected {self.ambient.dim}")
-        c = la.mat_vec(self._s, vec)
-        rank = len(self._diag)
-        if any(c[rank:]) or any(ci % di for ci, di in zip(c, self._diag)):
-            return None
-        return [ci // di for ci, di in zip(c, self._diag)]
+        return self._form.divide(vec)
 
     def classify(self, vec):
         """Class of a vector lying in the numerator lattice."""

@@ -10,13 +10,17 @@ factorization.  No Kronecker matrix a (x) b is built: ``kron_mul`` and
 All routines are pure; none mutate their arguments (the Smith normal form
 works on its own sparse copy of the input rows).
 
+A Smith normal form S A T = D comes in one of two kinds: a presentation
+form keeps S and S^-1, which give cokernel coordinates, and a solver form
+keeps S and T, which give kernel bases and solutions.
+
 While a derived entry point runs (a function decorated with
 ``shares_factorizations``), one memo is open: the call's scope.  The
 outermost decorated call owns it, nested ones share it, and it is dropped
 when that call returns or raises.  ``smith_normal_form`` keeps its forms
-there, keyed on the input's shape, its rows and the transforms it tracks,
-and a repeated system gets back the first ``SmithForm``; ``open_memo``
-hands the scope to the layers above, which keep their own entries in it
+there, keyed on the input's shape, its rows and its kind, and a repeated
+system gets back the first ``SmithForm``; ``open_memo`` hands the scope to
+the layers above, which keep their own entries in it
 (``completion.linearize_module`` its completions and linearizations).
 Every entry is a pure function of its key, so sharing it moves no
 coordinate; in return every caller only reads what it gets back.
@@ -143,22 +147,20 @@ def mat_vec(a, x) -> list[int]:
     return [sum(c * v for c, v in zip(row, x)) for row in a]
 
 
-TRANSFORMS = ("s", "sinv", "t", "tinv")
-
-
 class SmithForm:
     """Decomposition S*A*T = D with S, T unimodular and D diagonal.
 
     ``diag`` lists the nonzero diagonal entries d_1 | d_2 | ... | d_r in
     divisibility order; the rest of D is zero, so D itself is not kept.
-    ``sinv`` and ``tinv`` are the exact inverses, maintained during the
-    reduction rather than inverted after the fact.  A transform the
-    reduction was not asked to track is ``[]``.
+    S is always kept.  A presentation form (``solve=False``) keeps S^-1,
+    the exact inverse maintained during the reduction, and a solver form
+    (``solve=True``) keeps T; the transform not kept is ``[]``, and so is
+    ``tinv``.
     """
 
     __slots__ = ("nrows", "ncols", "diag", "rank", "s", "sinv", "t", "tinv")
 
-    def __init__(self, nrows, ncols, diag, s, sinv, t, tinv):
+    def __init__(self, nrows, ncols, diag, s, sinv, t):
         self.nrows = nrows
         self.ncols = ncols
         self.diag = diag
@@ -166,35 +168,49 @@ class SmithForm:
         self.s = s
         self.sinv = sinv
         self.t = t
-        self.tinv = tinv
+        self.tinv = []
 
-    def kernel_basis(self) -> list[list[int]]:
-        """Columns rank.. of T: a basis of {x : A x = 0}.  Needs T."""
-        if self.ncols and not self.t:
-            raise ValueError("kernel_basis needs the transform t")
-        return [[row[j] for row in self.t] for j in range(self.rank, self.ncols)]
-
-    def solve(self, b):
-        """One integer solution x of A x = b, or None.  Needs S and T."""
+    def divide(self, b):
+        """The y with (S b)_i = d_i y_i for every i below the rank, or None
+        when a division is inexact or S b is nonzero past the rank."""
         if len(b) != self.nrows:
             raise ValueError(f"right-hand side has {len(b)} entries, "
                              f"expected {self.nrows}")
-        if (self.nrows and not self.s) or (self.ncols and not self.t):
-            raise ValueError("solve needs the transforms s and t")
         c = mat_vec(self.s, b)
         if any(c[self.rank:]) or any(ci % di for ci, di in zip(c, self.diag)):
             return None
-        y = [ci // di for ci, di in zip(c, self.diag)]
+        return [ci // di for ci, di in zip(c, self.diag)]
+
+    def kernel_basis(self) -> list[list[int]]:
+        """Columns rank.. of T: a basis of {x : A x = 0}.  A solver form's."""
+        self._need_t()
+        return [[row[j] for row in self.t] for j in range(self.rank, self.ncols)]
+
+    def solve(self, b):
+        """One integer solution x of A x = b, or None.  A solver form's."""
+        self._need_t()
+        y = self.divide(b)
+        if y is None:
+            return None
         return mat_vec(self.t, y + [0] * (self.ncols - self.rank))
 
+    def _need_t(self):
+        if self.ncols and not self.t:
+            raise ValueError("a presentation form keeps no T; factor with solve=True")
 
-def _add_scaled(dst, src, c):
-    """dst + c*src for dense rows."""
-    return [x + c * y for x, y in zip(dst, src)]
+
+def _add_scaled(dst: dict, src: dict, c):
+    """dst += c*src for sparse rows {key: value}."""
+    for key, v in src.items():
+        nv = dst.get(key, 0) + c * v
+        if nv:
+            dst[key] = nv
+        else:
+            del dst[key]
 
 
 # The open scope while a ``shares_factorizations`` call runs in this thread
-# or task, else None: (nrows, ncols, tracked transforms, rows) -> SmithForm,
+# or task, else None: (nrows, ncols, solve, rows) -> SmithForm,
 # next to the entries the layers above keep under keys of their own.
 _memo: ContextVar[dict | None] = ContextVar("smith_normal_form_memo", default=None)
 
@@ -225,19 +241,19 @@ def shares_factorizations(fn):
     return scoped
 
 
-def smith_normal_form(a, nrows: int, ncols: int, *,
-                      track=TRANSFORMS) -> SmithForm:
+def smith_normal_form(a, nrows: int, ncols: int, *, solve: bool = False) -> SmithForm:
     """Smith normal form over the integers.
 
-    ``track`` names the transforms to maintain, any of "s", "sinv", "t" and
-    "tinv"; the others come back as empty lists.  D and every tracked
-    transform are the same whatever else is tracked.
+    S is always kept; ``solve`` chooses the other transform.  A presentation
+    form (the default) keeps S^-1, for cokernel coordinates; a solver form
+    (``solve=True``) keeps T, for kernel bases and solutions.  D, S, S^-1
+    and T are the same whichever is kept.
 
     >>> sf = smith_normal_form([[2, 4], [6, 10]], 2, 2)
-    >>> sf.diag
-    [2, 2]
-    >>> sf = smith_normal_form([[2, 4], [6, 10]], 2, 2, track=("t",))
-    >>> sf.t, sf.s
+    >>> sf.diag, sf.s, sf.sinv, sf.t
+    ([2, 2], [[1, 0], [3, -1]], [[1, 0], [3, -1]], [])
+    >>> sf = smith_normal_form([[2, 4], [6, 10]], 2, 2, solve=True)
+    >>> sf.t, sf.sinv
     ([[1, -2], [0, 1]], [])
 
     The pivot is the smallest nonzero |entry| of the trailing block, the
@@ -249,20 +265,16 @@ def smith_normal_form(a, nrows: int, ncols: int, *,
     """
     memo = _memo.get()
     if memo is None:
-        return _factor(a, nrows, ncols, track)
-    key = (nrows, ncols, frozenset(track), tuple(map(tuple, a)))
+        return _factor(a, nrows, ncols, solve)
+    key = (nrows, ncols, solve, tuple(map(tuple, a)))
     sf = memo.get(key)
     if sf is None:
-        sf = memo[key] = _factor(a, nrows, ncols, track)
+        sf = memo[key] = _factor(a, nrows, ncols, solve)
     return sf
 
 
-def _factor(a, nrows: int, ncols: int, track) -> SmithForm:
+def _factor(a, nrows: int, ncols: int, solve: bool) -> SmithForm:
     """The factorization ``smith_normal_form`` documents, without the memo."""
-    unknown = set(track) - set(TRANSFORMS)
-    if unknown:
-        raise ValueError(f"unknown transforms {sorted(unknown)}, expected some of "
-                         f"{list(TRANSFORMS)}")
     if len(a) != nrows:
         raise ValueError(f"matrix has {len(a)} rows, expected {nrows}")
     for i, row in enumerate(a):
@@ -275,30 +287,22 @@ def _factor(a, nrows: int, ncols: int, track) -> SmithForm:
     d = [{j: v for j, v in enumerate(row) if v} for row in a]
     col = list(range(ncols))
     pos = list(range(ncols))
-    # Every transform is kept as rows that the elementary operations touch
-    # whole: S and T^-1 as they are, S^-1 and T transposed.
-    s = identity(nrows) if "s" in track else None
-    sinv_t = identity(nrows) if "sinv" in track else None
-    t_t = identity(ncols) if "t" in track else None
-    tinv = identity(ncols) if "tinv" in track else None
+    # Each transform is kept as sparse rows that the elementary operations
+    # touch whole: S as it is, S^-1 and T transposed.
+    s = [{i: 1} for i in range(nrows)]
+    sinv_t = None if solve else [{i: 1} for i in range(nrows)]
+    t_t = [{j: 1} for j in range(ncols)] if solve else None
 
     def row_add(i, j, c):
         # row_i += c*row_j on D and S; column_j -= c*column_i on S^-1.
-        di = d[i]
-        for key, v in d[j].items():
-            nv = di.get(key, 0) + c * v
-            if nv:
-                di[key] = nv
-            else:
-                del di[key]
-        if s is not None:
-            s[i] = _add_scaled(s[i], s[j], c)
+        _add_scaled(d[i], d[j], c)
+        _add_scaled(s[i], s[j], c)
         if sinv_t is not None:
-            sinv_t[j] = _add_scaled(sinv_t[j], sinv_t[i], -c)
+            _add_scaled(sinv_t[j], sinv_t[i], -c)
 
     def col_add(j, i, c, rows):
         # col_j += c*col_i on D (keys j, i; col_i is nonzero in ``rows``
-        # only) and T; row_i -= c*row_j on T^-1.
+        # only) and T.
         for r in rows:
             dr = d[r]
             nv = dr.get(j, 0) + c * dr[i]
@@ -306,11 +310,9 @@ def _factor(a, nrows: int, ncols: int, track) -> SmithForm:
                 dr[j] = nv
             else:
                 del dr[j]
-        j, i = pos[j], pos[i]
         if t_t is not None:
-            t_t[j] = _add_scaled(t_t[j], t_t[i], c)
-        if tinv is not None:
-            tinv[i] = _add_scaled(tinv[i], tinv[j], -c)
+            j, i = pos[j], pos[i]
+            _add_scaled(t_t[j], t_t[i], c)
 
     def swap(mat, i, j):
         if mat is not None:
@@ -329,7 +331,7 @@ def _factor(a, nrows: int, ncols: int, track) -> SmithForm:
                 if best == 1:
                     break
             if not best:
-                return _finish(nrows, ncols, d, s, sinv_t, t_t, tinv)
+                return _finish(nrows, ncols, d, s, sinv_t, t_t)
             if pi != k:
                 swap(d, k, pi)
                 swap(s, k, pi)
@@ -339,15 +341,13 @@ def _factor(a, nrows: int, ncols: int, track) -> SmithForm:
                 swap(col, k, pj)
                 pos[col[k]], pos[col[pj]] = k, pj
                 swap(t_t, k, pj)
-                swap(tinv, k, pj)
             ck = col[k]
             row = d[k]
             if row[ck] < 0:
                 d[k] = row = {j: -v for j, v in row.items()}
-                if s is not None:
-                    s[k] = [-v for v in s[k]]
+                s[k] = {j: -v for j, v in s[k].items()}
                 if sinv_t is not None:
-                    sinv_t[k] = [-v for v in sinv_t[k]]
+                    sinv_t[k] = {j: -v for j, v in sinv_t[k].items()}
             pivot = row[ck]
             dirty = False
             rows = [k]
@@ -360,9 +360,9 @@ def _factor(a, nrows: int, ncols: int, track) -> SmithForm:
                     if ck in d[i]:
                         dirty = True
                         rows.append(i)
-            if rows == [k] and t_t is None and tinv is None:
-                # The column operations would touch only row k: each entry
-                # becomes its remainder by the pivot.
+            if rows == [k] and t_t is None:
+                # The column operations would touch only row k, as no T is
+                # kept: each entry becomes its remainder by the pivot.
                 for j, v in list(row.items()):
                     if j != ck:
                         if v % pivot:
@@ -389,25 +389,19 @@ def _factor(a, nrows: int, ncols: int, track) -> SmithForm:
                 break
             row_add(k, next(i for i in range(k + 1, nrows)
                             if gcd(*d[i].values()) % pivot), 1)
-    return _finish(nrows, ncols, d, s, sinv_t, t_t, tinv)
+    return _finish(nrows, ncols, d, s, sinv_t, t_t)
 
 
-def _finish(nrows, ncols, d, s, sinv_t, t_t, tinv) -> SmithForm:
+def _finish(nrows, ncols, d, s, sinv_t, t_t) -> SmithForm:
     # Rows 0..rank-1 of D hold only their pivot and the rest are empty.
     diag = [v for row in d for v in row.values()]
 
-    def transpose(mat):
-        return [list(c) for c in zip(*mat)] if mat else []
+    def dense(rows, n):
+        return [[row.get(j, 0) for j in range(n)] for row in rows]
 
-    return SmithForm(nrows, ncols, diag, s or [], transpose(sinv_t),
-                     transpose(t_t), tinv or [])
+    def dense_transposed(rows, n):
+        return [[row.get(i, 0) for row in rows] for i in range(n)] if rows else []
 
+    return SmithForm(nrows, ncols, diag, dense(s, nrows),
+                     dense_transposed(sinv_t, nrows), dense_transposed(t_t, ncols))
 
-def kernel_basis(a, nrows: int, ncols: int) -> list[list[int]]:
-    """Basis (as column vectors) of the integer kernel {x : A x = 0}."""
-    return smith_normal_form(a, nrows, ncols, track=("t",)).kernel_basis()
-
-
-def solve(a, b, nrows: int, ncols: int):
-    """One integer solution x of A x = b, or None when none exists."""
-    return smith_normal_form(a, nrows, ncols, track=("s", "t")).solve(b)

@@ -479,6 +479,24 @@ def test_no_kronecker_matrix_is_built():
     assert found == []
 
 
+def test_smith_normal_form_has_one_kind_flag_and_no_transform_selection():
+    # A factorization is a presentation form (S, S^-1) or a solver form
+    # (S, T), chosen by one keyword-only flag; no caller names transforms,
+    # and kernels and solutions are read off a solver form.
+    params = inspect.signature(la.smith_normal_form).parameters
+    assert [(name, p.kind) for name, p in params.items()] == \
+        [(name, inspect.Parameter.POSITIONAL_OR_KEYWORD) for name in ("a", "nrows", "ncols")] \
+        + [("solve", inspect.Parameter.KEYWORD_ONLY)]
+    assert [name for name in ("TRANSFORMS", "kernel_basis", "solve") if hasattr(la, name)] == []
+    found = []
+    for path in sorted(Path(ngamma.__file__).parent.rglob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        found += [f"{path.name}:{node.lineno}" for node in ast.walk(tree)
+                  if isinstance(node, (ast.keyword, ast.arg))
+                  and getattr(node, "arg", None) == "track"]
+    assert found == []
+
+
 def test_derived_results_are_built_only_by_the_ext_and_tor_entry_points():
     # Consumers read a ``homology.DerivedResult`` off ``ext_via_bar``,
     # ``tor_via_bar`` or ``ext_via_cofree``, each of which shares its towers

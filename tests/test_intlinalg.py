@@ -1,7 +1,6 @@
 import ast
 import doctest
 import random
-from itertools import combinations
 from pathlib import Path
 
 from conftest import kron
@@ -23,6 +22,11 @@ small_matrices = st.integers(0, 4).flatmap(
 )
 
 
+def solver(a, nrows, ncols):
+    """The solver form of a, which keeps S and T."""
+    return la.smith_normal_form(a, nrows, ncols, solve=True)
+
+
 def dense_d(diag, nrows, ncols):
     """The nrows x ncols D whose nonzero diagonal is ``diag``."""
     d = la.zeros(nrows, ncols)
@@ -35,11 +39,12 @@ def dense_d(diag, nrows, ncols):
 @settings(max_examples=200, deadline=None)
 def test_snf_decomposition_identity(data):
     a, m, n = data
-    sf = la.smith_normal_form(a, m, n)
+    sf = solver(a, m, n)
     sat = la.mat_mul(la.mat_mul(sf.s, a, n), sf.t, n)
     assert sat == dense_d(sf.diag, m, n)
-    assert la.mat_mul(sf.s, sf.sinv, m) == la.identity(m)
-    assert la.mat_mul(sf.t, sf.tinv, n) == la.identity(n)
+    pf = la.smith_normal_form(a, m, n)
+    assert (pf.s, pf.diag) == (sf.s, sf.diag)
+    assert la.mat_mul(pf.s, pf.sinv, m) == la.identity(m)
     # Positive, divisibility chain.
     assert all(v > 0 for v in sf.diag)
     for i in range(len(sf.diag) - 1):
@@ -55,16 +60,16 @@ def test_snf_textbook():
 @settings(max_examples=150, deadline=None)
 def test_kernel_basis_is_kernel(data):
     a, m, n = data
-    basis = la.kernel_basis(a, m, n)
+    basis = solver(a, m, n).kernel_basis()
     for v in basis:
         assert la.mat_vec(a, v) == [0] * m
 
 
 def test_solve_basic():
     a = [[2, 0], [0, 3]]
-    assert la.solve(a, [4, 9], 2, 2) == [2, 3]
-    assert la.solve(a, [1, 0], 2, 2) is None
-    assert la.solve([[2, 4]], [6, ], 1, 2) is not None
+    assert solver(a, 2, 2).solve([4, 9]) == [2, 3]
+    assert solver(a, 2, 2).solve([1, 0]) is None
+    assert solver([[2, 4]], 1, 2).solve([6]) is not None
 
 
 @given(small_matrices, st.lists(st.integers(-5, 5), min_size=0, max_size=4))
@@ -73,7 +78,7 @@ def test_solve_verifies(data, xs):
     a, m, n = data
     x = (xs + [0] * n)[:n]
     b = la.mat_vec(a, x)
-    sol = la.solve(a, b, m, n)
+    sol = solver(a, m, n).solve(b)
     assert sol is not None
     assert la.mat_vec(a, sol) == b
 
@@ -135,7 +140,7 @@ def test_solve_and_subquotient_reject_wrong_lengths():
     a = [[2, 0], [0, 3]]
     for b in ([4], [4, 9, 1]):
         try:
-            la.solve(a, b, 2, 2)
+            solver(a, 2, 2).solve(b)
         except ValueError as e:
             assert f"{len(b)} entries, expected 2" in str(e)
         else:
@@ -158,10 +163,11 @@ def test_intlinalg_doctests():
 # -- reference equality ----------------------------------------------------
 #
 # The dense reduction below is the kernel as it was before it became sparse
-# and transform-selective, frozen here as the reference.  The pivot sequence
-# is a contract: every coordinate system, emitted matrix and golden report
-# digest derives from S, S^-1 and T, so the kernel must reproduce D and every
-# tracked transform integer for integer.
+# and kept only the transforms its caller reads, frozen here as the
+# reference.  The pivot sequence is a contract: every coordinate system,
+# emitted matrix and golden report digest derives from S, S^-1 and T, so
+# both kinds of form must reproduce D and every transform they keep integer
+# for integer.
 
 def reference_snf(a, nrows, ncols):
     """(D, S, S^-1, T, T^-1) by the dense full-tracking reduction."""
@@ -285,19 +291,15 @@ def reference_lattice_basis(ref, dim, ngens):
     return [[sinv[r][i] * d[i][i] for r in range(dim)] for i in range(rank)]
 
 
-SELECTIONS = [sel for r in range(len(la.TRANSFORMS) + 1)
-              for sel in combinations(la.TRANSFORMS, r)]
-
-
-def assert_matches_reference(a, nrows, ncols, selections=SELECTIONS):
+def assert_matches_reference(a, nrows, ncols):
+    """Both kinds of form against the reference: a presentation form keeps
+    S and S^-1, a solver form S and T, and neither keeps T^-1."""
     ref = reference_snf(a, nrows, ncols)
-    expected = dict(zip(("d",) + la.TRANSFORMS, ref))
-    for sel in selections:
-        sf = la.smith_normal_form(a, nrows, ncols, track=sel)
-        assert dense_d(sf.diag, nrows, ncols) == expected["d"], sel
-        for name in la.TRANSFORMS:
-            assert getattr(sf, name) == (expected[name] if name in sel else []), \
-                (sel, name)
+    d, s, sinv, t, _ = ref
+    for solve, kept in ((False, (s, sinv, [])), (True, (s, [], t))):
+        sf = la.smith_normal_form(a, nrows, ncols, solve=solve)
+        assert dense_d(sf.diag, nrows, ncols) == d, solve
+        assert (sf.s, sf.sinv, sf.t, sf.tinv) == kept + ([],), solve
     return ref
 
 
@@ -327,13 +329,14 @@ def snf_inputs(draw):
 
 @given(snf_inputs())
 @settings(max_examples=150, deadline=None)
-def test_snf_matches_dense_reference_for_every_selection(data):
+def test_snf_matches_dense_reference_for_both_kinds(data):
     a, m, n, b, x = data
     ref = assert_matches_reference(a, m, n)
-    assert la.kernel_basis(a, m, n) == reference_kernel_basis(ref, n)
-    assert la.solve(a, b, m, n) == reference_solve(ref, b, m, n)
+    sf = solver(a, m, n)
+    assert sf.kernel_basis() == reference_kernel_basis(ref, n)
+    assert sf.solve(b) == reference_solve(ref, b, m, n)
     ax = la.mat_vec(a, x)
-    assert la.solve(a, ax, m, n) == reference_solve(ref, ax, m, n)
+    assert sf.solve(ax) == reference_solve(ref, ax, m, n)
     # The generators are the columns of A, so the reference reduction is ref.
     # Over Z^m with no denominator, the representative of the i-th basis
     # class is the i-th numerator basis vector.
@@ -349,8 +352,8 @@ def test_snf_matches_reference_on_order_column_system():
     a = [[0] * 433 for _ in range(432)]
     for i in range(432):
         a[i][i + 1] = -12
-    ref = assert_matches_reference(a, 432, 433, [la.TRANSFORMS, ("t",)])
-    assert la.kernel_basis(a, 432, 433) == reference_kernel_basis(ref, 433)
+    ref = assert_matches_reference(a, 432, 433)
+    assert solver(a, 432, 433).kernel_basis() == reference_kernel_basis(ref, 433)
 
 
 def test_snf_matches_reference_on_presentation_system(monkeypatch):
@@ -368,7 +371,7 @@ def test_snf_matches_reference_on_presentation_system(monkeypatch):
         core.make_matrix_family(core.f2_semiring(), 2, 3)))
     monkeypatch.undo()
     [(a, m, n)] = [call for call in seen if call[1:] == (16, 137)]
-    assert_matches_reference(a, m, n, [la.TRANSFORMS, ("s", "sinv"), ("t",)])
+    assert_matches_reference(a, m, n)
 
 
 def _names_used(node) -> set:
@@ -385,7 +388,7 @@ def test_integer_systems_are_solved_only_in_abgroups():
     # The derived layer states its linear algebra through abgroups (kernel,
     # preimage, Subgroup, Subquotient, EquivariantHom); only abgroups
     # factorizes, solves or reduces lattices itself.
-    names = {"smith_normal_form", "kernel_basis", "solve"}
+    names = {"smith_normal_form", "kernel_basis", "solve", "divide"}
     found = [f"{path.name}:{node.lineno}"
              for path in sorted(Path(ngamma.intlinalg.__file__).parent.rglob("*.py"))
              if path.name not in ("intlinalg.py", "abgroups.py")

@@ -23,8 +23,9 @@ from ngamma.modules import regular_bimodule
 
 # Systems factored by one pass over BUNDLED_COMMANDS; 1,214 before the memo,
 # 345 before the yoneda and oracle handlers each ran in one scope, 276 before
-# each tower was checked exact below its cut (``homology.Resolution``).
-FACTORED_PER_ROUND = 298
+# each tower was checked exact below its cut (``homology.Resolution``), 298
+# before a map's kernel, preimages and exactness read one solver form.
+FACTORED_PER_ROUND = 266
 
 
 def _run(command: str) -> int:
@@ -42,9 +43,9 @@ def _recording(monkeypatch):
     calls = []
     factor = la._factor
 
-    def recorded(a, nrows, ncols, track):
-        sf = factor(a, nrows, ncols, track)
-        calls.append(((copy.deepcopy(a), nrows, ncols, tuple(track)), sf))
+    def recorded(a, nrows, ncols, solve):
+        sf = factor(a, nrows, ncols, solve)
+        calls.append(((copy.deepcopy(a), nrows, ncols, solve), sf))
         return sf
 
     monkeypatch.setattr(la, "_factor", recorded)
@@ -71,8 +72,8 @@ def test_kunneth_factors_no_system_twice(monkeypatch, count_calls):
     nested = count_calls(spectral, "ext_via_bar", "bar_complex", "tor_via_bar")
     calls, _ = _recording(monkeypatch)
     spectral.kunneth_check(s, reg, reg, reg, depth=2)
-    keys = [(nrows, ncols, frozenset(track), tuple(map(tuple, a)))
-            for (a, nrows, ncols, track), _ in calls]
+    keys = [(nrows, ncols, solve, tuple(map(tuple, a)))
+            for (a, nrows, ncols, solve), _ in calls]
     assert nested == {"ext_via_bar": 1, "bar_complex": 1, "tor_via_bar": 3}
     assert len(keys) == len(set(keys)) > 0
 
