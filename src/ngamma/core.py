@@ -553,21 +553,9 @@ def word_product(s: NaryGammaSemiring, xs, gs) -> int:
 
 def neutral_words(s: NaryGammaSemiring) -> list[tuple[int, tuple[int, ...]]]:
     """Pairs (e, gs) with mu(e,..,x,..,e; gs) = x for every slot and x."""
-    out = []
-    for e in s.T.elements():
-        for gs in s.g_tuples(s.n - 1):
-            ok = True
-            for j in range(s.n):
-                for x in s.T.elements():
-                    xs = (e,) * j + (x,) + (e,) * (s.n - 1 - j)
-                    if s.mu(xs, gs) != x:
-                        ok = False
-                        break
-                if not ok:
-                    break
-            if ok:
-                out.append((e, gs))
-    return out
+    return [(e, gs) for e in s.T.elements() for gs in s.g_tuples(s.n - 1)
+            if all(s.mu((e,) * j + (x,) + (e,) * (s.n - 1 - j), gs) == x
+                   for j in range(s.n) for x in s.T.elements())]
 
 
 @dataclass(frozen=True)
@@ -616,6 +604,36 @@ def validate_morphism(f: GammaSemiringMorphism) -> AxiomReport:
 
 def identity_morphism(s: NaryGammaSemiring) -> GammaSemiringMorphism:
     return GammaSemiringMorphism(s, s, tuple(range(s.T.size)))
+
+
+def _relabel_monoid(m: FiniteAddMonoid, perm) -> tuple[FiniteAddMonoid, list[int]]:
+    """``m`` with element a renamed perm[a], and the inverse permutation."""
+    if sorted(perm) != list(range(m.size)):
+        raise StructuralError(f"relabelling {list(perm)} is not a permutation of "
+                              f"range({m.size})")
+    inv = sorted(range(m.size), key=perm.__getitem__)
+    add = tuple(perm[m.add(a, b)] for a in inv for b in inv)
+    return FiniteAddMonoid(m.size, add, perm[m.zero]), inv
+
+
+def relabel(s: NaryGammaSemiring, perm) -> NaryGammaSemiring:
+    """The isomorphic copy of ``s`` whose carrier element t is named perm[t].
+
+    Γ and the name are kept; mu is tabulated in ``product`` order of the new
+    carrier labels, then the parameters.
+    """
+    t, inv = _relabel_monoid(s.T, perm)
+    stride = s.gamma.size ** (s.n - 1)
+    rows = (flatten_index(xs, s.sizes) * stride for xs in product(inv, repeat=s.n))
+    mu = tuple(perm[v] for row in rows for v in s.mu_table[row:row + stride])
+    return NaryGammaSemiring(s.n, t, s.gamma, mu, name=s.name)
+
+
+def opposite(s: NaryGammaSemiring) -> NaryGammaSemiring:
+    """T^op: mu^op(x_1..x_n; g_1..g_(n-1)) = mu(x_n..x_1; g_(n-1)..g_1)."""
+    mu = tuple(s.mu(xs[::-1], gs[::-1])
+               for xs in s.t_tuples(s.n) for gs in s.g_tuples(s.n - 1))
+    return NaryGammaSemiring(s.n, s.T, s.gamma, mu, name=s.name + "^op")
 
 
 # ---------------------------------------------------------------------------
@@ -710,45 +728,74 @@ def make_matrix_family(base: BinarySemiring, m: int, arity: int,
             if not _skip_gamma_pair(gamma, a, b) and lhs != rhs:
                 raise StructuralError(
                     f"scalar action is not additive on parameters ({a},{b})")
-    mm = m * m
-    size = base.size ** mm
-    sizes = [base.size] * mm
-
-    def entries(idx):
-        return unflatten_index(idx, sizes)
-
-    def pack(es):
-        return flatten_index(es, sizes)
-
-    def mat_add(x, y):
-        ex, ey = entries(x), entries(y)
-        return pack([base.add(a, b) for a, b in zip(ex, ey)])
-
-    def mat_mul(x, y):
-        ex, ey = entries(x), entries(y)
-        out = []
-        for i in range(m):
-            for j in range(m):
-                acc = base.zero
-                for k in range(m):
-                    acc = base.add(acc, base.mul(ex[i * m + k], ey[k * m + j]))
-                out.append(acc)
-        return pack(out)
-
-    def scalar(c, x):
-        return pack([base.mul(c, e) for e in entries(x)])
-
-    add_table = tuple(mat_add(a, b) for a in range(size) for b in range(size))
-    t = FiniteAddMonoid(size, add_table, pack([base.zero] * mm))
+    cells = list(product(range(m), repeat=2))
+    ring = _matrix_semiring(base, m, cells)
+    # g acts as the scalar matrix gamma_scalars[g] * I, multiplied on the left.
+    scalars = [flatten_index([c if i == j else base.zero for i, j in cells],
+                             [base.size] * len(cells)) for c in gamma_scalars]
     mu = []
-    for xs in product(range(size), repeat=arity):
+    for xs in product(range(ring.size), repeat=arity):
         for gs in product(range(gamma.size), repeat=arity - 1):
-            acc = scalar(gamma_scalars[gs[0]], mat_mul(xs[0], xs[1]))
-            for i in range(2, arity):
-                acc = scalar(gamma_scalars[gs[i - 1]], mat_mul(acc, xs[i]))
+            acc = xs[0]
+            for x, g in zip(xs[1:], gs):
+                acc = ring.mul(scalars[g], ring.mul(acc, x))
             mu.append(acc)
-    return NaryGammaSemiring(arity, t, gamma, tuple(mu),
-                             name=f"mat{m}({base.name})^{arity}")
+    return NaryGammaSemiring(arity, FiniteAddMonoid(ring.size, ring.add_table, ring.zero),
+                             gamma, tuple(mu), name=f"mat{m}({base.name})^{arity}")
+
+
+def _matrix_semiring(base: BinarySemiring, m: int, cells, name: str = "") -> BinarySemiring:
+    """The m x m matrices over ``base`` that are zero off ``cells``, a list of
+    (row, column) pairs closed under products; the entries at ``cells`` are
+    the digits of the element index."""
+    sizes = [base.size] * len(cells)
+    mats = [dict(zip(cells, es)) for es in product(range(base.size), repeat=len(cells))]
+
+    def pack(entry):
+        return flatten_index([entry(i, j) for i, j in cells], sizes)
+
+    def dot(a, b, i, j):
+        acc = base.zero
+        for h in range(m):
+            if (i, h) in a and (h, j) in b:
+                acc = base.add(acc, base.mul(a[i, h], b[h, j]))
+        return acc
+
+    add = tuple(pack(lambda i, j: base.add(a[i, j], b[i, j])) for a in mats for b in mats)
+    mul = tuple(pack(lambda i, j: dot(a, b, i, j)) for a in mats for b in mats)
+    return BinarySemiring(len(mats), add, mul, zero=pack(lambda i, j: base.zero),
+                          one=pack(lambda i, j: base.one if i == j else base.zero), name=name)
+
+
+def gamma_scaled_z4() -> NaryGammaSemiring:
+    """Ternary Z/4 with parameters Z/2 (flagged zero 0) scaling by 0 and 2."""
+    z2 = GammaSemigroup(2, (0, 1, 1, 0), has_zero=True, zero=0)
+    return make_matrix_family(zmod_semiring(4), 1, 3, gamma=z2, gamma_scalars=(0, 2))
+
+
+def truncated_polynomial(p: int, k: int) -> BinarySemiring:
+    """F_p[x]/(x^k); element sum c_i p^i is the polynomial sum c_i x^i."""
+    if p < 2 or any(p % d == 0 for d in range(2, p)) or k < 1:
+        raise StructuralError(f"F_{p}[x]/(x^{k}) needs a prime p and k >= 1")
+    size = p ** k
+    coeffs = [[idx // p ** i % p for i in range(k)] for idx in range(size)]
+
+    def pack(cs):
+        return sum(c % p * p ** i for i, c in enumerate(cs))
+
+    add = tuple(pack(map(sum, zip(a, b))) for a in coeffs for b in coeffs)
+    mul = tuple(pack(sum(a[i] * b[d - i] for i in range(d + 1)) for d in range(k))
+                for a in coeffs for b in coeffs)
+    return BinarySemiring(size, add, mul, name=f"f{p}[x]/x^{k}")
+
+
+def upper_triangular(base: BinarySemiring, m: int) -> BinarySemiring:
+    """Upper-triangular m x m matrices over ``base``, the entries (i, j),
+    i <= j, in row-major order as the digits of the element index."""
+    if m < 1 or base.validate():
+        raise StructuralError(f"T_{m} needs m >= 1 and a semiring base")
+    return _matrix_semiring(base, m, [(i, j) for i in range(m) for j in range(i, m)],
+                            f"t{m}({base.name})")
 
 
 def make_endomorphism_family(monoid: FiniteAddMonoid, arity: int) -> NaryGammaSemiring:
@@ -789,16 +836,13 @@ def binary_specialization(base: BinarySemiring) -> NaryGammaSemiring:
     if issues:
         raise StructuralError(f"input is not a semiring: {issues[0]}")
     t = FiniteAddMonoid(base.size, base.add_table, base.zero)
-    mu = tuple(base.mul(x, y) for x in range(base.size) for y in range(base.size))
-    return NaryGammaSemiring(2, t, trivial_gamma(), mu, name=base.name)
+    return NaryGammaSemiring(2, t, trivial_gamma(), tuple(base.mul_table), name=base.name)
 
 
 def ternary_from_semiring(base: BinarySemiring, name: str = "") -> NaryGammaSemiring:
     """mu(x,y,z) = xyz in a commutative base, with a trivial parameter."""
     t = FiniteAddMonoid(base.size, base.add_table, base.zero)
-    mu = tuple(base.mul(base.mul(x, y), z)
-               for x in range(base.size) for y in range(base.size)
-               for z in range(base.size))
+    mu = tuple(base.mul(xy, z) for xy in base.mul_table for z in range(base.size))
     return NaryGammaSemiring(3, t, trivial_gamma(), mu, name=name or f"{base.name}^3")
 
 

@@ -235,25 +235,13 @@ def topology_report(data: SpectrumData) -> list[str]:
     top_mask = (1 << data.semiring.T.size) - 1
     if top_mask in by_mask:
         facts.append(f"V(T) empty: {by_mask[top_mask] == ()}")
-    ok_union = True
-    ok_inter = True
     masks = [m for m, _ in data.closed_sets]
-    for m1 in masks:
-        for m2 in masks:
-            inter = m1 & m2
-            if inter in by_mask:
-                u = set(by_mask[m1]) | set(by_mask[m2])
-                if not u <= set(by_mask[inter]):
-                    ok_union = False
+    ok_union = all(set(by_mask[m1]) | set(by_mask[m2]) <= set(by_mask[m1 & m2])
+                   for m1 in masks for m2 in masks if m1 & m2 in by_mask)
     facts.append(f"V(I and J) contains V(I) union V(J): {ok_union}")
-    t = data.semiring.T
-    ins = _insertion_masks(data.semiring)
-    for m1 in masks:
-        for m2 in masks:
-            join = _close(t, ins, m1, _members(m2, t.size))
-            if join in by_mask:
-                want = set(by_mask[m1]) & set(by_mask[m2])
-                if set(by_mask[join]) != want:
-                    ok_inter = False
+    t, ins = data.semiring.T, _insertion_masks(data.semiring)
+    joins = ((m1, m2, _close(t, ins, m1, _members(m2, t.size))) for m1 in masks for m2 in masks)
+    ok_inter = all(set(by_mask[join]) == set(by_mask[m1]) & set(by_mask[m2])
+                   for m1, m2, join in joins if join in by_mask)
     facts.append(f"V(I+J) = V(I) intersect V(J): {ok_inter}")
     return facts

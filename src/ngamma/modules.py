@@ -18,8 +18,8 @@ from math import prod
 from .core import (
     AxiomCheck, AxiomReport, BoundExceeded, FiniteAddMonoid, NaryGammaSemiring,
     SoundnessError, StructuralError, congruence_closure, first_incoherent_word,
-    flatten_index, out_of_range, parameter_words, table_failures, unflatten_index,
-    validate_semiring,
+    flatten_index, opposite, out_of_range, parameter_words, relabel, table_failures,
+    unflatten_index, validate_semiring, _relabel_monoid,
 )
 from .ideals import GammaIdeal, coset_congruence, quotient_monoid
 
@@ -156,6 +156,24 @@ def regular_bimodule(s: NaryGammaSemiring) -> BiGammaModule:
     multiplication table's own, so every slot table is ``mu_table``.
     """
     return BiGammaModule(s, s.T, (s.mu_table,) * s.n, name=f"{s.name}.regular")
+
+
+def relabel_module(b: BiGammaModule, tperm, mperm) -> BiGammaModule:
+    """``b`` over ``relabel(b.parent, tperm)`` with its own element x named
+    mperm[x]; the name is kept."""
+    s, cols = b.parent, [b.actions(j) for j in range(b.parent.n)]
+    tinv = sorted(range(s.T.size), key=tperm.__getitem__)
+    m, minv = _relabel_monoid(b.M, mperm)
+    return build_module(relabel(s, tperm), m, lambda j, t, x, gs: mperm[
+        cols[j][filler_index(s, [tinv[y] for y in t], gs)][minv[x]]], name=b.name)
+
+
+def opposite_module(b: BiGammaModule) -> BiGammaModule:
+    """b^op over ``opposite(b.parent)``: slot j acts as b's slot n-1-j, with
+    the carriers and parameters reversed."""
+    s, cols = b.parent, [b.actions(j) for j in range(b.parent.n)]
+    return build_module(opposite(s), b.M, lambda j, t, m, gs: cols[s.n - 1 - j][
+        filler_index(s, t[::-1], gs[::-1])][m], name=b.name + "^op")
 
 
 def same_module(a: BiGammaModule, b: BiGammaModule) -> bool:

@@ -19,7 +19,7 @@ from ngamma import oracle
 from ngamma.bundled import bundled_workspace
 from ngamma.core import (
     GammaSemigroup, bundled_semirings, check_flattened_associativity, f2_semiring,
-    make_matrix_family, validate_semiring, zmod_semiring,
+    gamma_scaled_z4, make_matrix_family, validate_semiring,
 )
 from ngamma.modules import (
     BiGammaModule, ModuleMorphism, _check_module_words, regular_bimodule,
@@ -27,16 +27,7 @@ from ngamma.modules import (
 )
 
 
-def m2f2_binary():
-    return make_matrix_family(f2_semiring(), 2, 2)
-
-
-def gamma_scaled_z4():
-    z2 = GammaSemigroup(2, (0, 1, 1, 0), has_zero=True, zero=0)
-    return make_matrix_family(zmod_semiring(4), 1, 3, gamma=z2, gamma_scalars=(0, 2))
-
-
-FAMILIES = {**bundled_semirings(), "m2f2_binary": m2f2_binary(),
+FAMILIES = {**bundled_semirings(), "m2f2_binary": make_matrix_family(f2_semiring(), 2, 2),
             "gamma_scaled_z4": gamma_scaled_z4()}
 
 

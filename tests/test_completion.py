@@ -17,10 +17,9 @@ from ngamma.abgroups import (
 )
 from ngamma.bundled import bundled_workspace
 from ngamma.core import (
-    FiniteAddMonoid, GammaSemigroup, NaryGammaSemiring, binary_specialization,
-    boolean_semiring, boolean_ternary, f2_semiring, f2_ternary, make_matrix_family,
-    ternary_from_semiring, trivial_gamma, truncated_nat_semiring, z4_ternary,
-    zmod_semiring,
+    FiniteAddMonoid, binary_specialization, boolean_semiring, boolean_ternary, f2_semiring,
+    f2_ternary, gamma_scaled_z4, make_matrix_family, relabel, ternary_from_semiring,
+    truncated_nat_semiring, z4_ternary, zmod_semiring,
 )
 from ngamma.homology import balance_check, ext_via_bar, ext_via_cofree, les_check, tor_via_bar
 from ngamma.ideals import GammaIdeal, all_ideals, generate_ideal, spectrum
@@ -160,7 +159,6 @@ def test_linearization_snf_shapes(monkeypatch):
 
 def test_completion_functorial_naturality():
     z4 = z4_ternary()
-    f2 = f2_ternary()
     reg4 = regular_bimodule(z4)
     quo = quotient_module(z4, GammaIdeal(z4, frozenset({0, 2})))
     proj = ModuleMorphism(reg4, quo, (0, 1, 0, 1))
@@ -616,28 +614,10 @@ def test_distinct_operator_systems_keep_invariant_factors(rnd):
     assert len(tg.pres.relations) <= len(full.relations)
 
 
-def _relabel(s, perm):
-    """``s`` with carrier element t renamed perm[t]."""
-    inv = sorted(range(len(perm)), key=perm.__getitem__)
-    size = s.T.size
-    t = FiniteAddMonoid(size, tuple(perm[s.T.add(inv[a], inv[b])]
-                                    for a in range(size) for b in range(size)),
-                        perm[s.T.zero])
-    mu = tuple(perm[s.mu(tuple(inv[x] for x in xs), gs)]
-               for xs in product(range(size), repeat=s.n)
-               for gs in s.g_tuples(s.n - 1))
-    return NaryGammaSemiring(s.n, t, s.gamma, mu, name=s.name)
-
-
-def _gamma_scaled_z4():
-    gamma = GammaSemigroup(2, (0, 1, 1, 0), has_zero=True, zero=0)
-    return make_matrix_family(zmod_semiring(4), 1, 3, gamma=gamma, gamma_scalars=(0, 2))
-
-
 SWEEP_FAMILIES = {f"ternary z{m}": lambda m=m: ternary_from_semiring(zmod_semiring(m))
                   for m in range(2, 13)}
 SWEEP_FAMILIES["binary f2"] = lambda: binary_specialization(f2_semiring())
-SWEEP_FAMILIES["gamma-scaled z4"] = _gamma_scaled_z4
+SWEEP_FAMILIES["gamma-scaled z4"] = gamma_scaled_z4
 # Non-commutative, so half of its slots descend through the left factor.
 SWEEP_FAMILIES["binary m2f2"] = lambda: make_matrix_family(f2_semiring(), 2, 2)
 # Relabellings per family; binary M2(F2) keeps two to bound its cost.
@@ -653,7 +633,7 @@ def test_distinct_operator_coordinates_match_full_systems(family):
     for relabelling in range(SWEEP_RELABELLINGS.get(family, 4)):
         perm = list(range(size))
         random.Random(f"{family}/{relabelling}").shuffle(perm)
-        s = _relabel(base, perm if relabelling else list(range(size)))
+        s = relabel(base, perm if relabelling else list(range(size)))
         lin = linearize_module(regular_bimodule(s))
         pair = direct_sum_completed([lin, lin])
         for x, y in ((lin, lin), (pair, lin)):
@@ -690,20 +670,15 @@ def _nested_loop_tables(s, monoid, act_fn):
     return tuple(tables)
 
 
-def _quaternary_f2():
-    mu = tuple((w * x * y * z) % 2 for w, x, y, z in product(range(2), repeat=4))
-    return NaryGammaSemiring(4, FiniteAddMonoid(2, (0, 1, 1, 0)), trivial_gamma(), mu)
-
-
 TABLE_FAMILIES = {
     "binary m2f2": lambda: make_matrix_family(f2_semiring(), 2, 2),
     "ternary m2f2": lambda: make_matrix_family(f2_semiring(), 2, 3),
-    "gamma-scaled z4": _gamma_scaled_z4,
-    "relabelled ternary z6": lambda: _relabel(ternary_from_semiring(zmod_semiring(6)),
-                                              [3, 0, 5, 1, 4, 2]),
+    "gamma-scaled z4": gamma_scaled_z4,
+    "relabelled ternary z6": lambda: relabel(ternary_from_semiring(zmod_semiring(6)),
+                                             [3, 0, 5, 1, 4, 2]),
     "binary f2": lambda: binary_specialization(f2_semiring()),
     "binary z4": lambda: binary_specialization(zmod_semiring(4)),
-    "quaternary f2": _quaternary_f2,
+    "quaternary f2": lambda: make_matrix_family(f2_semiring(), 1, 4),
     "binary m2b": lambda: make_matrix_family(boolean_semiring(), 2, 2),
     "boolean ternary": boolean_ternary,
 }
@@ -860,12 +835,12 @@ def test_relabelling_the_carrier_moves_no_invariant(family):
     base = RELABEL_FAMILIES[family]()
     want = _label_free_invariants(base, 2)
     for perm in _seeded_permutations(family, base.T.size):
-        assert _label_free_invariants(_relabel(base, perm), perm[2]) == want, perm
+        assert _label_free_invariants(relabel(base, perm), perm[2]) == want, perm
 
 
 def test_relabelled_binary_m2f2_refuses_derived_calls_alike():
     base = make_matrix_family(f2_semiring(), 2, 2)
-    for s in [base] + [_relabel(base, perm) for perm in _seeded_permutations("m2f2", 16)]:
+    for s in [base] + [relabel(base, perm) for perm in _seeded_permutations("m2f2", 16)]:
         reg = regular_bimodule(s)
         for derived in (ext_via_bar, tor_via_bar):
             with pytest.raises(SoundnessError, match="^bar differential d_1 does not "

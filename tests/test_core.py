@@ -1,7 +1,9 @@
 import ast
 import importlib
+import importlib.util
 import inspect
 import pkgutil
+import random
 from itertools import product
 from pathlib import Path
 
@@ -15,13 +17,15 @@ from ngamma.core import (
     BinarySemiring, FiniteAddMonoid, GammaSemigroup, GammaSemiringMorphism,
     NaryGammaSemiring, StructuralError, binary_specialization,
     boolean_semiring, boolean_ternary, bundled_semirings, f2_semiring,
-    f2_ternary, identity_morphism, make_endomorphism_family,
-    make_matrix_family, mu_eval, neutral_words, trivial_gamma,
+    f2_ternary, gamma_scaled_z4, identity_morphism, make_endomorphism_family,
+    make_matrix_family, mu_eval, neutral_words, opposite, relabel, trivial_gamma,
     flatten_index, truncated_nat_semiring, validate_morphism, validate_semiring,
     word_product, z4_ternary, zmod_semiring,
 )
 from ngamma.ideals import all_ideals
-from ngamma.modules import quotient_module, regular_bimodule
+from ngamma.modules import (
+    opposite_module, quotient_module, regular_bimodule, relabel_module, validate_module,
+)
 
 
 def test_bundled_families_validate():
@@ -68,7 +72,7 @@ def test_mu_and_act_read_the_flat_tables():
     # tells the carrier positions of a table apart.
     families = [make_matrix_family(f2_semiring(), 2, 2),
                 make_matrix_family(f2_semiring(), 2, 3),
-                make_matrix_family(zmod_semiring(4), 1, 3, gamma=z2, gamma_scalars=(0, 2)),
+                gamma_scaled_z4(),
                 make_matrix_family(zmod_semiring(4), 1, 4, gamma=z2, gamma_scalars=(0, 2))]
     quotients = 0
     for s in families:
@@ -166,8 +170,6 @@ def test_matrix_family_f2_1x1_equals_scalar_family():
 def test_matrix_family_zero_absorption_2x2():
     s = make_matrix_family(boolean_semiring(), 2, 3)
     zero = s.T.zero
-    for _ in range(5):
-        pass
     for a in (1, 5, 9):
         assert s.mu((a, zero, a), (0, 0)) == zero
 
@@ -232,6 +234,48 @@ def test_binary_specialization():
     broken = BinarySemiring(2, (0, 1, 1, 0), (0, 1, 1, 1))
     with pytest.raises(StructuralError):
         binary_specialization(broken)
+
+
+def test_relabel_and_opposite_undo_themselves_and_keep_the_axioms():
+    # Each family's regular module and its quotients, whose carriers are
+    # smaller than T, are copied too; M2(F2)'s opposite is another table.
+    rng = random.Random("builder-laws")
+    for s in (z4_ternary(), gamma_scaled_z4(), make_matrix_family(f2_semiring(), 2, 2)):
+        perm = rng.sample(range(s.T.size), s.T.size)
+        inv = sorted(range(s.T.size), key=perm.__getitem__)
+        assert relabel(relabel(s, perm), inv) == s
+        assert opposite(opposite(s)).mu_table == s.mu_table
+        assert validate_semiring(relabel(s, perm)).ok and validate_semiring(opposite(s)).ok
+        for b in _regular_and_quotients(s):
+            mperm = rng.sample(range(b.M.size), b.M.size)
+            moved = relabel_module(b, perm, mperm)
+            back = relabel_module(moved, inv, sorted(range(b.M.size), key=mperm.__getitem__))
+            assert (back.parent, back.M, back.act_tables) == (b.parent, b.M, b.act_tables)
+            assert opposite_module(opposite_module(b)).act_tables == b.act_tables
+            assert validate_module(moved).ok and validate_module(opposite_module(b)).ok
+    with pytest.raises(StructuralError):
+        relabel(z4_ternary(), [0, 1, 1, 3])
+
+
+def test_relabellings_are_the_benchmark_generators():
+    # perfbench/gen.py's relabellers, loaded by path, give the same tables
+    # on every relabelled family it generates.
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_gen", Path(__file__).resolve().parent.parent / "perfbench" / "gen.py")
+    gen = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(gen)
+    cases = [(workload, fam, s, seed) for workload in ("derived", "tables")
+             for fam, (s, relabelled) in gen.families(workload).items() if relabelled
+             for seed in range(3)]
+    assert len(cases) == 6
+    for workload, fam, s, seed in cases:
+        tperm, mperm = (gen.permutation(workload, seed, f"{fam}.{part}", s.T.size)
+                        for part in "TM")
+        reg, want = regular_bimodule(s), gen.relabel_semiring(s, tperm)
+        copy, got = relabel(s, tperm), relabel_module(reg, tperm, mperm)
+        want_reg = gen.relabel_module(reg, want, tperm, mperm)
+        assert (copy.T, copy.mu_table, got.M, got.act_tables) == \
+            (want.T, want.mu_table, want_reg.M, want_reg.act_tables), (fam, seed)
 
 
 def test_validate_morphism():
@@ -342,7 +386,9 @@ def test_bounds_are_module_constants_and_unset_options_are_gone():
                "completion.linearize_module", "completion.TensorGroup",
                "completion.zero_completed", "completion.direct_sum_completed",
                "spectral.extend_scalars", "core.binary_specialization",
-               "core.make_matrix_family", "core.make_endomorphism_family"}
+               "core.make_matrix_family", "core.make_endomorphism_family", "core.relabel",
+               "core.opposite", "core.gamma_scaled_z4", "core.truncated_polynomial",
+               "core.upper_triangular", "modules.relabel_module", "modules.opposite_module"}
     signatures = dict(_public_signatures())
     assert {qual for qual, params in signatures.items() if bounds & set(params)} == \
         {"ideals.all_ideals", "ideals.spectrum"}

@@ -17,8 +17,8 @@ from pathlib import Path
 from ngamma.abgroups import SoundnessError
 from ngamma.bundled import bundled_workspace
 from ngamma.core import (
-    BoundExceeded, GammaSemigroup, binary_specialization, f2_semiring,
-    make_matrix_family, ternary_from_semiring, zmod_semiring,
+    BoundExceeded, binary_specialization, f2_semiring, gamma_scaled_z4, make_matrix_family,
+    ternary_from_semiring, zmod_semiring,
 )
 from ngamma.modules import regular_bimodule, tensor_positional
 from ngamma.spectral import extend_scalars
@@ -27,11 +27,9 @@ GOLDEN = Path(__file__).with_name("golden_tensors.json")
 
 
 def _regular_families():
-    gamma = GammaSemigroup(2, (0, 1, 1, 0), has_zero=True, zero=0)
     fams = {f"ternary z{m}": ternary_from_semiring(zmod_semiring(m)) for m in (2, 3, 4)}
     fams.update({f"binary z{m}": binary_specialization(zmod_semiring(m)) for m in (2, 3, 4)})
-    fams["gamma-scaled z4"] = make_matrix_family(zmod_semiring(4), 1, 3, gamma=gamma,
-                                                 gamma_scalars=(0, 2))
+    fams["gamma-scaled z4"] = gamma_scaled_z4()
     fams["binary m2f2"] = make_matrix_family(f2_semiring(), 2, 2)
     return fams
 

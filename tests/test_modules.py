@@ -50,10 +50,6 @@ def test_zero_absorption_failure(f2):
     good = regular_bimodule(f2)
     # Break one entry: act_1(t=(1,1), m=1) := 1 stays, make act(t=(0,1), m=1) = 1.
     tables = [list(t) for t in good.act_tables]
-    bad_idx = None
-    for idx, v in enumerate(tables[0]):
-        # locate the entry for prefix=(), m=1, suffix=(0,1), gs=(0,0)
-        pass
     # Entry layout for slot 0: (m, t2, t3, g1, g2) with m slowest.
     i = (((1 * 2 + 0) * 2 + 1) * 1 + 0) * 1 + 0
     tables[0][i] = 1  # act_1((0,1), m=1) = 1 despite a zero carrier argument

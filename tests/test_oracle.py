@@ -12,14 +12,14 @@ from test_validate_once import REGULAR_FAMILIES
 from ngamma.abgroups import SoundnessError
 from ngamma.bundled import bundled_workspace
 from ngamma.core import (
-    BoundExceeded, FiniteAddMonoid, GammaSemigroup, NaryGammaSemiring, StructuralError,
-    boolean_semiring, bundled_semirings, make_matrix_family, validate_semiring, zmod_semiring,
+    BoundExceeded, FiniteAddMonoid, NaryGammaSemiring, StructuralError, boolean_semiring,
+    bundled_semirings, gamma_scaled_z4, make_matrix_family, opposite, validate_semiring,
 )
 from ngamma.ideals import GammaIdeal, all_ideals, spectrum
 from ngamma.modules import (
     BiGammaModule, Conflation, ModuleMorphism, build_module, cofree, hom_gamma, identity_module_morphism,
-    ideal_submodule, quotient_module, regular_bimodule, tensor_positional, validate_module,
-    zero_module,
+    ideal_submodule, opposite_module, quotient_module, regular_bimodule, tensor_positional,
+    validate_module, zero_module,
 )
 from ngamma.completion import EquivariantHom, linearize_module
 from ngamma.homology import bar_complex, homology
@@ -167,14 +167,6 @@ def test_scans_share_the_columns_they_are_given(count_calls):
     assert counts["act"] == 0
 
 
-def _opposite(s):
-    """T^op: mu^op(x1..xn; g1..g(n-1)) = mu(xn..x1; g(n-1)..g1)."""
-    table = tuple(s.mu(xs[::-1], gs[::-1])
-                  for xs in product(range(s.T.size), repeat=s.n)
-                  for gs in product(range(s.gamma.size), repeat=s.n - 1))
-    return NaryGammaSemiring(s.n, s.T, s.gamma, table, name=s.name + "^op")
-
-
 def _verdicts(s):
     return validate_semiring(s).ok, not oracle.naive_axiom_failures(s)
 
@@ -182,8 +174,7 @@ def _verdicts(s):
 def test_opposite_structure_keeps_verdicts_ideals_and_primes():
     fams = {**FAMILIES, "m2b_binary": make_matrix_family(boolean_semiring(), 2, 2)}
     for name, s in fams.items():
-        op = _opposite(s)
-        assert _opposite(op).mu_table == s.mu_table
+        op = opposite(s)
         assert _verdicts(op) == _verdicts(s) == (True, True), name
         ideals = oracle.subset_scan_ideals(s)
         assert sorted(i.bitmask for i in all_ideals(s)) == ideals, name
@@ -194,20 +185,12 @@ def test_opposite_structure_keeps_verdicts_ideals_and_primes():
         assert sorted(p.bitmask for p in spectrum(op).primes) == primes, name
         assert oracle.subset_scan_primes(op, ideals) == primes, name
     # At least one family is not commutative, so op is not s itself there.
-    assert any(_opposite(s).mu_table != s.mu_table for s in fams.values())
+    assert any(opposite(s).mu_table != s.mu_table for s in fams.values())
     for family, base in FAMILIES.items():
         rng = random.Random(f"oracle-opposite/{family}")
         for _ in range(8):
             mut = oracle.mutate_semiring(base, rng)
-            assert _verdicts(_opposite(mut)) == _verdicts(mut), family
-
-
-def _opposite_module(b, op):
-    """b^op over op = T^op: its slot j acts as b's slot n-1-j, with the
-    carriers and parameters reversed."""
-    n = b.parent.n
-    return build_module(op, b.M, lambda j, t, m, gs: b.act(n - 1 - j, t[::-1], m, gs[::-1]),
-                        name=b.name + "^op")
+            assert _verdicts(opposite(mut)) == _verdicts(mut), family
 
 
 def _outcome(fn):
@@ -229,7 +212,7 @@ def test_opposite_modules_keep_verdicts_hom_and_tensor():
     for mods in groups:
         ops = {}
         for name, b in mods.items():
-            ops[name] = _opposite_module(b, _opposite(b.parent))
+            ops[name] = opposite_module(b)
             assert [(c.axiom, c.ok) for c in validate_module(ops[name]).checks] == \
                 [(c.axiom, c.ok) for c in validate_module(b).checks], name
         for a, m in mods.items():
@@ -492,17 +475,20 @@ def _full_vector_class_count(caps, wraps, relations):
 
 
 def _gamma_scaled_z4_modules():
-    z2 = GammaSemigroup(2, (0, 1, 1, 0), has_zero=True, zero=0)
-    s = make_matrix_family(zmod_semiring(4), 1, 3, gamma=z2, gamma_scalars=(0, 2))
+    s = gamma_scaled_z4()
     ideal = GammaIdeal(s, frozenset({0, 2}))
     return {"reg": regular_bimodule(s), "sub": ideal_submodule(s, ideal),
             "quo": quotient_module(s, ideal)}
 
 
 def test_tensor_edges_match_the_full_vector_walk():
-    # Every same-parent pair of the bundled workspace and of the
-    # Gamma-scaled Z/4 modules, at every slot pair, within the box bound.
-    groups = [bundled_workspace().modules, _gamma_scaled_z4_modules()]
+    # Every same-parent pair of the bundled workspace, of the Gamma-scaled
+    # Z/4 modules and of the opposites of the bundled and one-sided Z/4
+    # modules, at every slot pair, within the box bound.
+    bundled = bundled_workspace().modules
+    opposites = {b.name: opposite_module(b)
+                 for b in [*bundled.values(), *_one_sided_z4_modules()]}
+    groups = [bundled, _gamma_scaled_z4_modules(), opposites]
     checked = 0
     for mods in groups:
         for m in mods.values():

@@ -5,10 +5,10 @@ import pytest
 
 from ngamma.completion import linearize_module
 from ngamma.core import (
-    BoundExceeded, FiniteAddMonoid, GammaSemiringMorphism, NaryGammaSemiring,
-    RegularityError, SoundnessError, StructuralError, binary_specialization,
-    boolean_semiring, f2_semiring, identity_morphism, neutral_words, ternary_from_semiring,
-    trivial_gamma, truncated_nat_semiring, validate_semiring, zmod_semiring,
+    BoundExceeded, GammaSemiringMorphism, RegularityError, SoundnessError, StructuralError,
+    binary_specialization, boolean_semiring, f2_semiring, identity_morphism,
+    make_matrix_family, neutral_words, ternary_from_semiring, truncated_nat_semiring,
+    validate_semiring, zmod_semiring,
 )
 from ngamma.homology import (
     balance_check, bar_complex, ext_via_bar, homology, les_check, tor_via_bar,
@@ -26,15 +26,6 @@ from ngamma.spectral import (
 @pytest.fixture(scope="module")
 def f2_binary():
     return binary_specialization(f2_semiring())
-
-
-@pytest.fixture(scope="module")
-def f2_quaternary():
-    t = FiniteAddMonoid(2, (0, 1, 1, 0))
-    mu = tuple((w * x * y * z) % 2
-               for w in range(2) for x in range(2)
-               for y in range(2) for z in range(2))
-    return NaryGammaSemiring(4, t, trivial_gamma(), mu, name="f2_quaternary")
 
 
 def test_binary_pipeline(f2_binary):
@@ -90,8 +81,8 @@ def test_binary_slot_defaults_are_the_last_slot_against_the_first():
         assert call() == call(1, 0), name
 
 
-def test_quaternary_pipeline(f2_quaternary):
-    s = f2_quaternary
+def test_quaternary_pipeline():
+    s = make_matrix_family(f2_semiring(), 1, 4)
     assert validate_semiring(s).ok
     assert neutral_words(s) == [(1, (0, 0, 0))]
     assert [p.sorted_members() for p in spectrum(s).primes] == [[0]]

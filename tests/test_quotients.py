@@ -13,8 +13,8 @@ import pytest
 from ngamma import completion, homology
 from ngamma.abgroups import SoundnessError
 from ngamma.core import (
-    GammaSemigroup, GammaSemiringMorphism, NaryGammaSemiring, boolean_semiring,
-    bundled_semirings, f2_semiring, make_matrix_family, ternary_from_semiring, z4_ternary,
+    GammaSemiringMorphism, NaryGammaSemiring, boolean_semiring, bundled_semirings,
+    f2_semiring, gamma_scaled_z4, make_matrix_family, ternary_from_semiring, z4_ternary,
     zmod_semiring,
 )
 from ngamma.homology import RegularityError, cofree_coresolution
@@ -27,11 +27,9 @@ from ngamma.modules import (
 
 
 def _families():
-    z2 = GammaSemigroup(2, (0, 1, 1, 0), has_zero=True, zero=0)
     fams = dict(bundled_semirings())
     fams.update({f"ternary z{m}": ternary_from_semiring(zmod_semiring(m)) for m in range(2, 9)})
-    fams["gamma-scaled z4"] = make_matrix_family(zmod_semiring(4), 1, 3, gamma=z2,
-                                                 gamma_scalars=(0, 2))
+    fams["gamma-scaled z4"] = gamma_scaled_z4()
     fams["m2b^2"] = make_matrix_family(boolean_semiring(), 2, 2)
     return fams
 

@@ -12,12 +12,14 @@ import copy
 import io
 
 import pytest
-from test_axiom_engine import m2f2_binary
 from test_load_once import BUNDLED_COMMANDS
 
 from ngamma import cli, homology, spectral
 from ngamma import intlinalg as la
-from ngamma.core import GammaSemiringMorphism, SoundnessError, f2_ternary, z4_ternary
+from ngamma.core import (
+    GammaSemiringMorphism, SoundnessError, f2_semiring, f2_ternary, make_matrix_family,
+    z4_ternary,
+)
 from ngamma.homology import balance_check, bar_complex, ext_via_bar
 from ngamma.modules import regular_bimodule
 
@@ -136,7 +138,7 @@ def test_factorizations_per_bundled_round(count_calls):
 
 
 def test_no_scope_is_left_open_after_a_refusal(count_calls):
-    s = m2f2_binary()
+    s = make_matrix_family(f2_semiring(), 2, 2)
     reg = regular_bimodule(s)
     counts = count_calls(la, "_factor")
     with pytest.raises(SoundnessError):

@@ -18,7 +18,7 @@ from ngamma.bundled import bundled_workspace
 from ngamma.core import (
     FiniteAddMonoid, GammaSemigroup, GammaSemiringMorphism, NaryGammaSemiring,
     StructuralError, binary_specialization, boolean_semiring, f2_semiring,
-    make_matrix_family, trivial_gamma, validate_semiring, zmod_semiring,
+    _relabel_monoid, make_matrix_family, trivial_gamma, validate_semiring, zmod_semiring,
 )
 from ngamma.modules import BiGammaModule, regular_bimodule, validate_module, walk_module
 from ngamma.workspace import Workspace, merge_document, workspace_document
@@ -65,11 +65,8 @@ def _random_monoid_table(rng):
         zero = rng.randrange(size)
     perm = list(range(size))
     rng.shuffle(perm)
-    relabelled = [0] * (size * size)
-    for a in range(size):
-        for b in range(size):
-            relabelled[perm[a] * size + perm[b]] = perm[table[a * size + b]]
-    return size, relabelled, perm[zero]
+    relabelled, _ = _relabel_monoid(FiniteAddMonoid(size, tuple(table), zero), perm)
+    return size, relabelled.add_table, relabelled.zero
 
 
 def test_light_test_returns_the_full_scan():
@@ -89,18 +86,11 @@ def test_light_test_returns_the_full_scan():
 # Regular modules inherit their semiring's verdict
 # ---------------------------------------------------------------------------
 
-def _f2_quaternary():
-    t = FiniteAddMonoid(2, (0, 1, 1, 0))
-    mu = tuple((w * x * y * z) % 2 for w in range(2) for x in range(2)
-               for y in range(2) for z in range(2))
-    return NaryGammaSemiring(4, t, trivial_gamma(), mu, name="f2_quaternary")
-
-
 REGULAR_FAMILIES = {
     **FAMILIES,
     "f2_binary": binary_specialization(f2_semiring()),
     "z4_binary": binary_specialization(zmod_semiring(4)),
-    "f2_quaternary": _f2_quaternary(),
+    "f2_quaternary": make_matrix_family(f2_semiring(), 1, 4),
     "m2b_binary": make_matrix_family(boolean_semiring(), 2, 2),
     "m2f2_ternary": make_matrix_family(f2_semiring(), 2, 3),
 }
