@@ -15,8 +15,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cache
-from itertools import product
-from operator import mul
+import itertools
+from operator import and_, mul, xor
 
 
 class StructuralError(ValueError):
@@ -290,10 +290,10 @@ class NaryGammaSemiring:
         return self.mu_table[idx]
 
     def t_tuples(self, length: int):
-        return product(self.T.elements(), repeat=length)
+        return itertools.product(self.T.elements(), repeat=length)
 
     def g_tuples(self, length: int):
-        return product(self.gamma.elements(), repeat=length)
+        return itertools.product(self.gamma.elements(), repeat=length)
 
 
 def mu_eval(s: NaryGammaSemiring, xs, gs) -> int:
@@ -412,7 +412,7 @@ def parameter_words(n: int, gsize: int) -> list:
     gmixed = [[v * gblock for v in gstrides[:i]] + gstrides
               + [v * gblock for v in gstrides[i:]] for i in range(n)]
     return [(gs, [divmod(sum(map(mul, gs, m)), gblock) for m in gmixed])
-            for gs in product(range(gsize), repeat=2 * n - 2)]
+            for gs in itertools.product(range(gsize), repeat=2 * n - 2)]
 
 
 def first_incoherent_word(s: NaryGammaSemiring, words, p=None,
@@ -483,7 +483,7 @@ def check_flattened_associativity(s: NaryGammaSemiring,
     additivity failed.
     """
     gens = s.T.additive_generators() if generators_only else list(s.T.elements())
-    hit = first_incoherent_word(s, product(gens or [s.T.zero], repeat=2 * s.n - 1))
+    hit = first_incoherent_word(s, itertools.product(gens or [s.T.zero], repeat=2 * s.n - 1))
     if hit is None:
         return AxiomCheck("flattened associativity", True)
     xs, gs, vals = hit
@@ -558,6 +558,18 @@ def neutral_words(s: NaryGammaSemiring) -> list[tuple[int, tuple[int, ...]]]:
                    for j in range(s.n) for x in s.T.elements())]
 
 
+def is_regular(s: NaryGammaSemiring) -> AxiomCheck:
+    """Whether every a is a word a x_1..x_k a, k = max(1, n - 2), for some
+    carriers x and parameters: mu(a, x.., a; g) when n >= 3, (a x) a when
+    n = 2.  The witness is the first a in index order that is not."""
+    k = max(1, s.n - 2)
+    inner, params = list(s.t_tuples(k)), list(s.g_tuples(k + 1))
+    bad = next(((a,) for a in s.T.elements()
+                if all(word_product(s, (a, *xs, a), gs) != a for xs in inner for gs in params)),
+               None)
+    return AxiomCheck("regularity", bad is None, bad)
+
+
 @dataclass(frozen=True)
 class GammaSemiringMorphism:
     source: NaryGammaSemiring
@@ -587,10 +599,10 @@ def validate_morphism(f: GammaSemiringMorphism) -> AxiomReport:
     add = AxiomCheck("morphism additivity", wit is None, wit)
     mul = AxiomCheck("morphism multiplicativity", True)
     # Both tables hold one stride of parameter tuples per carrier tuple, and
-    # product(f.map, ...) yields f(xs) in the order xs are laid out.
+    # itertools.product(f.map, ...) yields f(xs) in the order xs are laid out.
     stride = s.gamma.size ** (s.n - 1)
     image = f.map.__getitem__
-    for row, ys in enumerate(product(f.map, repeat=s.n)):
+    for row, ys in enumerate(itertools.product(f.map, repeat=s.n)):
         src = s.mu_table[row * stride:(row + 1) * stride]
         dst = flatten_index(ys, (t.T.size,) * t.n) * stride
         if tuple(map(image, src)) != t.mu_table[dst:dst + stride]:
@@ -624,7 +636,7 @@ def relabel(s: NaryGammaSemiring, perm) -> NaryGammaSemiring:
     """
     t, inv = _relabel_monoid(s.T, perm)
     stride = s.gamma.size ** (s.n - 1)
-    rows = (flatten_index(xs, s.sizes) * stride for xs in product(inv, repeat=s.n))
+    rows = (flatten_index(xs, s.sizes) * stride for xs in itertools.product(inv, repeat=s.n))
     mu = tuple(perm[v] for row in rows for v in s.mu_table[row:row + stride])
     return NaryGammaSemiring(s.n, t, s.gamma, mu, name=s.name)
 
@@ -636,135 +648,134 @@ def opposite(s: NaryGammaSemiring) -> NaryGammaSemiring:
     return NaryGammaSemiring(s.n, s.T, s.gamma, mu, name=s.name + "^op")
 
 
+def _product_monoid(monoids) -> FiniteAddMonoid:
+    """The product of ``monoids``, (a_1..a_k) at index ``flatten_index``."""
+    sizes = [m.size for m in monoids]
+    elems = list(itertools.product(*map(range, sizes)))
+    add = tuple(flatten_index([m.add(a, b) for m, a, b in zip(monoids, ea, eb)], sizes)
+                for ea in elems for eb in elems)
+    return FiniteAddMonoid(len(elems), add, flatten_index([m.zero for m in monoids], sizes))
+
+
+def product(a: NaryGammaSemiring, b: NaryGammaSemiring) -> NaryGammaSemiring:
+    """a x b: element (x, y) is x |T_b| + y, and mu is taken componentwise."""
+    if a.n != b.n or a.gamma != b.gamma:
+        raise StructuralError(f"{a.name} x {b.name}: the factors differ in arity or in "
+                              "parameter semigroup")
+    pairs = list(itertools.product(a.T.elements(), b.T.elements()))
+    mu = []
+    for word in itertools.product(pairs, repeat=a.n):
+        xs, ys = zip(*word)
+        mu += [a.mu(xs, gs) * b.T.size + b.mu(ys, gs) for gs in a.g_tuples(a.n - 1)]
+    return NaryGammaSemiring(a.n, _product_monoid([a.T, b.T]), a.gamma, tuple(mu),
+                             name=f"{a.name}x{b.name}")
+
+
 # ---------------------------------------------------------------------------
 # Built-in families
 # ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class BinarySemiring:
-    """Plain finite semiring used as the scalar base of the matrix family."""
-
-    size: int
-    add_table: tuple[int, ...]
-    mul_table: tuple[int, ...]
-    zero: int = 0
-    one: int = 1
-    name: str = ""
-
-    def __post_init__(self):
-        if len(self.add_table) != self.size ** 2 or len(self.mul_table) != self.size ** 2:
-            raise StructuralError("semiring tables have wrong dimensions")
-
-    def add(self, a, b):
-        return self.add_table[a * self.size + b]
-
-    def mul(self, a, b):
-        return self.mul_table[a * self.size + b]
-
-    def validate(self) -> list[tuple[str, tuple]]:
-        bad = FiniteAddMonoid(self.size, self.add_table, self.zero).validate()
-        r = range(self.size)
-        for a in r:
-            for b in r:
-                for c in r:
-                    if self.mul(self.mul(a, b), c) != self.mul(a, self.mul(b, c)):
-                        bad.append(("mul-associativity", (a, b, c)))
-                    if self.mul(a, self.add(b, c)) != self.add(self.mul(a, b), self.mul(a, c)):
-                        bad.append(("left-distributivity", (a, b, c)))
-                    if self.mul(self.add(b, c), a) != self.add(self.mul(b, a), self.mul(c, a)):
-                        bad.append(("right-distributivity", (a, b, c)))
-        for a in r:
-            if self.mul(self.zero, a) != self.zero or self.mul(a, self.zero) != self.zero:
-                bad.append(("mul-zero", (a,)))
-            if self.mul(self.one, a) != a or self.mul(a, self.one) != a:
-                bad.append(("mul-one", (a,)))
-        return bad
-
 
 def trivial_gamma() -> GammaSemigroup:
     return GammaSemigroup(1, (0,), has_zero=False, zero=None)
 
 
-def boolean_semiring() -> BinarySemiring:
-    return BinarySemiring(2, (0, 1, 1, 1), (0, 0, 0, 1), name="boolean")
+def _binary(size: int, add, mul, name: str, zero: int = 0) -> NaryGammaSemiring:
+    """The plain semiring (range(size), add, mul) as a binary, trivially
+    parameterized structure."""
+    pairs = list(itertools.product(range(size), repeat=2))
+    return NaryGammaSemiring(2, FiniteAddMonoid(size, tuple(add(a, b) for a, b in pairs), zero),
+                             trivial_gamma(), tuple(mul(a, b) for a, b in pairs), name=name)
 
 
-def f2_semiring() -> BinarySemiring:
-    return BinarySemiring(2, (0, 1, 1, 0), (0, 0, 0, 1), name="f2")
-
-
-def zmod_semiring(m: int) -> BinarySemiring:
-    add = tuple((a + b) % m for a in range(m) for b in range(m))
-    mul = tuple((a * b) % m for a in range(m) for b in range(m))
-    return BinarySemiring(m, add, mul, name=f"z{m}")
-
-
-def truncated_nat_semiring(cap: int = 2) -> BinarySemiring:
-    size = cap + 1
-    add = tuple(min(a + b, cap) for a in range(size) for b in range(size))
-    mul = tuple(min(a * b, cap) for a in range(size) for b in range(size))
-    return BinarySemiring(size, add, mul, name=f"nat-cap{cap}")
-
-
-def make_matrix_family(base: BinarySemiring, m: int, arity: int,
-                       gamma: GammaSemigroup | None = None,
-                       gamma_scalars: tuple[int, ...] | None = None) -> NaryGammaSemiring:
-    """Square matrices over a base semiring with scalar-interleaved products.
-
-    Each parameter acts as a scalar from the base semiring; by default the
-    parameter semigroup is the one-element one acting by the unit scalar.
-    The entry for (A_1..A_n; g_1..g_{n-1}) is g_1(A_1 A_2) then g_2(.. A_3)
-    and so on, folding left.
-    """
-    if gamma is None:
-        gamma = trivial_gamma()
-        gamma_scalars = (base.one,)
-    if gamma_scalars is None or len(gamma_scalars) != gamma.size:
-        raise StructuralError("one scalar per parameter element is required")
-    for a in range(gamma.size):
-        for b in range(gamma.size):
-            lhs = gamma_scalars[gamma.add(a, b)]
-            rhs = base.add(gamma_scalars[a], gamma_scalars[b])
-            if not _skip_gamma_pair(gamma, a, b) and lhs != rhs:
-                raise StructuralError(
-                    f"scalar action is not additive on parameters ({a},{b})")
-    cells = list(product(range(m), repeat=2))
-    ring = _matrix_semiring(base, m, cells)
-    # g acts as the scalar matrix gamma_scalars[g] * I, multiplied on the left.
-    scalars = [flatten_index([c if i == j else base.zero for i, j in cells],
-                             [base.size] * len(cells)) for c in gamma_scalars]
+def _fold(ring: NaryGammaSemiring, arity: int, name: str, gamma: GammaSemigroup | None = None,
+          scalars=None) -> NaryGammaSemiring:
+    """mu(x_1..x_n; g_1..g_(n-1)) = s_(g_(n-1))(..s_(g_1)(x_1 x_2)..x_n) over a
+    binary, trivially parameterized ``ring``, where s_g multiplies by
+    scalars[g] on the left; without ``scalars`` mu is the plain product."""
+    if ring.n != 2 or ring.gamma.size != 1:
+        raise StructuralError(f"{ring.name} is not a binary, trivially parameterized semiring")
+    gamma = gamma or trivial_gamma()
+    mul, size = ring.mu_table, ring.T.size
     mu = []
-    for xs in product(range(ring.size), repeat=arity):
-        for gs in product(range(gamma.size), repeat=arity - 1):
+    for xs in itertools.product(range(size), repeat=arity):
+        for gs in itertools.product(range(gamma.size), repeat=arity - 1):
             acc = xs[0]
             for x, g in zip(xs[1:], gs):
-                acc = ring.mul(scalars[g], ring.mul(acc, x))
+                acc = mul[acc * size + x]
+                if scalars is not None:
+                    acc = mul[scalars[g] * size + acc]
             mu.append(acc)
-    return NaryGammaSemiring(arity, FiniteAddMonoid(ring.size, ring.add_table, ring.zero),
-                             gamma, tuple(mu), name=f"mat{m}({base.name})^{arity}")
+    return NaryGammaSemiring(arity, ring.T, gamma, tuple(mu), name=name)
 
 
-def _matrix_semiring(base: BinarySemiring, m: int, cells, name: str = "") -> BinarySemiring:
-    """The m x m matrices over ``base`` that are zero off ``cells``, a list of
-    (row, column) pairs closed under products; the entries at ``cells`` are
-    the digits of the element index."""
-    sizes = [base.size] * len(cells)
-    mats = [dict(zip(cells, es)) for es in product(range(base.size), repeat=len(cells))]
+def boolean_semiring() -> NaryGammaSemiring:
+    return _binary(2, max, min, "boolean")
+
+
+def f2_semiring() -> NaryGammaSemiring:
+    return _binary(2, xor, and_, "f2")
+
+
+def zmod_semiring(m: int) -> NaryGammaSemiring:
+    return _binary(m, lambda a, b: (a + b) % m, lambda a, b: a * b % m, f"z{m}")
+
+
+def truncated_nat_semiring(cap: int = 2) -> NaryGammaSemiring:
+    return _binary(cap + 1, lambda a, b: min(a + b, cap), lambda a, b: min(a * b, cap),
+                   f"nat-cap{cap}")
+
+
+def make_matrix_family(base: NaryGammaSemiring, m: int, arity: int,
+                       gamma: GammaSemigroup | None = None,
+                       gamma_scalars: tuple[int, ...] | None = None) -> NaryGammaSemiring:
+    """Square matrices over a binary base semiring with scalar-interleaved products.
+
+    Each parameter g acts as the scalar matrix gamma_scalars[g] * I,
+    multiplied on the left (``_fold``); by default the parameter semigroup
+    is the one-element one and mu is the plain product.
+    """
+    cells = list(itertools.product(range(m), repeat=2))
+    scalars = None
+    if gamma is not None:
+        if gamma_scalars is None or len(gamma_scalars) != gamma.size:
+            raise StructuralError("one scalar per parameter element is required")
+        for a in range(gamma.size):
+            for b in range(gamma.size):
+                lhs = gamma_scalars[gamma.add(a, b)]
+                rhs = base.T.add(gamma_scalars[a], gamma_scalars[b])
+                if not _skip_gamma_pair(gamma, a, b) and lhs != rhs:
+                    raise StructuralError(
+                        f"scalar action is not additive on parameters ({a},{b})")
+        scalars = [flatten_index([c if i == j else base.T.zero for i, j in cells],
+                                 [base.T.size] * len(cells)) for c in gamma_scalars]
+    return _fold(_matrix_semiring(base, m, cells), arity, f"mat{m}({base.name})^{arity}",
+                 gamma, scalars)
+
+
+def _matrix_semiring(base: NaryGammaSemiring, m: int, cells,
+                     name: str = "") -> NaryGammaSemiring:
+    """The m x m matrices over the binary ``base`` that are zero off
+    ``cells``, a list of (row, column) pairs closed under products; the
+    entries at ``cells`` are the digits of the element index."""
+    if base.n != 2 or base.gamma.size != 1:
+        raise StructuralError(f"{base.name} is not a binary, trivially parameterized semiring")
+    sizes, add = [base.T.size] * len(cells), base.T.add
+    mats = [dict(zip(cells, es))
+            for es in itertools.product(range(base.T.size), repeat=len(cells))]
 
     def pack(entry):
         return flatten_index([entry(i, j) for i, j in cells], sizes)
 
     def dot(a, b, i, j):
-        acc = base.zero
+        acc = base.T.zero
         for h in range(m):
             if (i, h) in a and (h, j) in b:
-                acc = base.add(acc, base.mul(a[i, h], b[h, j]))
+                acc = add(acc, base.mu_table[a[i, h] * base.T.size + b[h, j]])
         return acc
 
-    add = tuple(pack(lambda i, j: base.add(a[i, j], b[i, j])) for a in mats for b in mats)
-    mul = tuple(pack(lambda i, j: dot(a, b, i, j)) for a in mats for b in mats)
-    return BinarySemiring(len(mats), add, mul, zero=pack(lambda i, j: base.zero),
-                          one=pack(lambda i, j: base.one if i == j else base.zero), name=name)
+    return _binary(len(mats), lambda x, y: pack(lambda i, j: add(mats[x][i, j], mats[y][i, j])),
+                   lambda x, y: pack(lambda i, j: dot(mats[x], mats[y], i, j)), name,
+                   zero=pack(lambda i, j: base.T.zero))
 
 
 def gamma_scaled_z4() -> NaryGammaSemiring:
@@ -773,26 +784,26 @@ def gamma_scaled_z4() -> NaryGammaSemiring:
     return make_matrix_family(zmod_semiring(4), 1, 3, gamma=z2, gamma_scalars=(0, 2))
 
 
-def truncated_polynomial(p: int, k: int) -> BinarySemiring:
+def truncated_polynomial(p: int, k: int) -> NaryGammaSemiring:
     """F_p[x]/(x^k); element sum c_i p^i is the polynomial sum c_i x^i."""
     if p < 2 or any(p % d == 0 for d in range(2, p)) or k < 1:
         raise StructuralError(f"F_{p}[x]/(x^{k}) needs a prime p and k >= 1")
-    size = p ** k
-    coeffs = [[idx // p ** i % p for i in range(k)] for idx in range(size)]
+    coeffs = [[idx // p ** i % p for i in range(k)] for idx in range(p ** k)]
 
     def pack(cs):
         return sum(c % p * p ** i for i, c in enumerate(cs))
 
-    add = tuple(pack(map(sum, zip(a, b))) for a in coeffs for b in coeffs)
-    mul = tuple(pack(sum(a[i] * b[d - i] for i in range(d + 1)) for d in range(k))
-                for a in coeffs for b in coeffs)
-    return BinarySemiring(size, add, mul, name=f"f{p}[x]/x^{k}")
+    def mul(a, b):
+        return pack(sum(a[i] * b[d - i] for i in range(d + 1)) for d in range(k))
+
+    return _binary(p ** k, lambda a, b: pack(map(sum, zip(coeffs[a], coeffs[b]))),
+                   lambda a, b: mul(coeffs[a], coeffs[b]), f"f{p}[x]/x^{k}")
 
 
-def upper_triangular(base: BinarySemiring, m: int) -> BinarySemiring:
+def upper_triangular(base: NaryGammaSemiring, m: int) -> NaryGammaSemiring:
     """Upper-triangular m x m matrices over ``base``, the entries (i, j),
     i <= j, in row-major order as the digits of the element index."""
-    if m < 1 or base.validate():
+    if m < 1 or not validate_semiring(base).ok:
         raise StructuralError(f"T_{m} needs m >= 1 and a semiring base")
     return _matrix_semiring(base, m, [(i, j) for i in range(m) for j in range(i, m)],
                             f"t{m}({base.name})")
@@ -808,42 +819,22 @@ def make_endomorphism_family(monoid: FiniteAddMonoid, arity: int) -> NaryGammaSe
 
     ends = sorted(additive_maps(monoid, monoid))
     index = {f: i for i, f in enumerate(ends)}
-    size = len(ends)
-    add_table = []
-    for f in ends:
-        for g in ends:
-            h = tuple(monoid.add(a, b) for a, b in zip(f, g))
-            if h not in index:
-                raise StructuralError("pointwise sum left the endomorphism set")
-            add_table.append(index[h])
-    zero_map = tuple(monoid.zero for _ in range(monoid.size))
-    t = FiniteAddMonoid(size, tuple(add_table), index[zero_map])
-    mu = []
-    for xs in product(range(size), repeat=arity):
-        acc = ends[xs[0]]
-        for x in xs[1:]:
-            acc = tuple(acc[v] for v in ends[x])
-            if acc not in index:
-                raise StructuralError("composition left the endomorphism set")
-        mu.append(index[acc])
-    return NaryGammaSemiring(arity, t, trivial_gamma(), tuple(mu),
-                             name=f"end({monoid.size})^{arity}")
+
+    def lookup(f, what):
+        if f not in index:
+            raise StructuralError(f"{what} left the endomorphism set")
+        return index[f]
+
+    ring = _binary(len(ends), lambda f, g: lookup(tuple(map(monoid.add, ends[f], ends[g])),
+                                                  "pointwise sum"),
+                   lambda f, g: lookup(tuple(ends[f][v] for v in ends[g]), "composition"), "",
+                   zero=index[(monoid.zero,) * monoid.size])
+    return _fold(ring, arity, f"end({monoid.size})^{arity}")
 
 
-def binary_specialization(base: BinarySemiring) -> NaryGammaSemiring:
-    """A plain semiring as the arity-2, trivially parameterized structure."""
-    issues = base.validate()
-    if issues:
-        raise StructuralError(f"input is not a semiring: {issues[0]}")
-    t = FiniteAddMonoid(base.size, base.add_table, base.zero)
-    return NaryGammaSemiring(2, t, trivial_gamma(), tuple(base.mul_table), name=base.name)
-
-
-def ternary_from_semiring(base: BinarySemiring, name: str = "") -> NaryGammaSemiring:
-    """mu(x,y,z) = xyz in a commutative base, with a trivial parameter."""
-    t = FiniteAddMonoid(base.size, base.add_table, base.zero)
-    mu = tuple(base.mul(xy, z) for xy in base.mul_table for z in range(base.size))
-    return NaryGammaSemiring(3, t, trivial_gamma(), mu, name=name or f"{base.name}^3")
+def ternary_from_semiring(base: NaryGammaSemiring, name: str = "") -> NaryGammaSemiring:
+    """mu(x,y,z) = xyz in a commutative binary base, with a trivial parameter."""
+    return _fold(base, 3, name or f"{base.name}^3")
 
 
 def f2_ternary() -> NaryGammaSemiring:

@@ -19,7 +19,7 @@ from .core import (
     AxiomCheck, AxiomReport, BoundExceeded, FiniteAddMonoid, NaryGammaSemiring,
     SoundnessError, StructuralError, congruence_closure, first_incoherent_word,
     flatten_index, opposite, out_of_range, parameter_words, relabel, table_failures,
-    unflatten_index, validate_semiring, _relabel_monoid,
+    unflatten_index, validate_semiring, _product_monoid, _relabel_monoid,
 )
 from .ideals import GammaIdeal, coset_congruence, quotient_monoid
 
@@ -251,13 +251,9 @@ def direct_sum_modules(mods: list[BiGammaModule]):
     parent = mods[0].parent
     if any(m.parent != parent for m in mods):
         raise StructuralError("summands live over different semirings")
-    sizes = [m.M.size for m in mods]
-    elems = list(product(*[range(sz) for sz in sizes]))
+    monoid = _product_monoid([m.M for m in mods])
+    elems = list(product(*[range(m.M.size) for m in mods]))
     index = {e: i for i, e in enumerate(elems)}
-    add = tuple(index[tuple(m.M.add(a, b) for m, a, b in zip(mods, ea, eb))]
-                for ea in elems for eb in elems)
-    zero = index[tuple(m.M.zero for m in mods)]
-    monoid = FiniteAddMonoid(len(elems), add, zero)
     # A filler acts on the sum by the summands' columns side by side.
     total = module_from_actions(
         parent, monoid,

@@ -17,8 +17,8 @@ from ngamma.abgroups import (
 )
 from ngamma.bundled import bundled_workspace
 from ngamma.core import (
-    FiniteAddMonoid, binary_specialization, boolean_semiring, boolean_ternary, f2_semiring,
-    f2_ternary, gamma_scaled_z4, make_matrix_family, relabel, ternary_from_semiring,
+    FiniteAddMonoid, boolean_semiring, boolean_ternary, f2_semiring, f2_ternary,
+    gamma_scaled_z4, make_matrix_family, relabel, ternary_from_semiring,
     truncated_nat_semiring, z4_ternary, zmod_semiring,
 )
 from ngamma.homology import balance_check, ext_via_bar, ext_via_cofree, les_check, tor_via_bar
@@ -46,9 +46,7 @@ def test_group_complete_examples():
     assert group_complete(boolm).group.is_trivial()
 
     # Saturating counter {0,1,2}: 2+1 = 2 collapses everything.
-    nat = truncated_nat_semiring(2)
-    tri = FiniteAddMonoid(3, nat.add_table)
-    assert group_complete(tri).group.is_trivial()
+    assert group_complete(truncated_nat_semiring(2).T).group.is_trivial()
 
 
 def test_group_complete_idempotent_on_groups():
@@ -118,8 +116,7 @@ def test_zero_exit_matches_the_relations_on_every_small_monoid():
 
 def test_zero_exit_on_families_with_an_absorbing_element():
     monoids = [make_matrix_family(boolean_semiring(), 2, 2).T, boolean_ternary().T]
-    monoids += [FiniteAddMonoid(cap + 1, truncated_nat_semiring(cap).add_table)
-                for cap in range(1, 6)]
+    monoids += [truncated_nat_semiring(cap).T for cap in range(1, 6)]
     for m in monoids:
         comp = _assert_relation_completion(m)
         assert comp.group.is_trivial() and comp.lifts == ()
@@ -616,7 +613,7 @@ def test_distinct_operator_systems_keep_invariant_factors(rnd):
 
 SWEEP_FAMILIES = {f"ternary z{m}": lambda m=m: ternary_from_semiring(zmod_semiring(m))
                   for m in range(2, 13)}
-SWEEP_FAMILIES["binary f2"] = lambda: binary_specialization(f2_semiring())
+SWEEP_FAMILIES["binary f2"] = lambda: f2_semiring()
 SWEEP_FAMILIES["gamma-scaled z4"] = gamma_scaled_z4
 # Non-commutative, so half of its slots descend through the left factor.
 SWEEP_FAMILIES["binary m2f2"] = lambda: make_matrix_family(f2_semiring(), 2, 2)
@@ -676,8 +673,8 @@ TABLE_FAMILIES = {
     "gamma-scaled z4": gamma_scaled_z4,
     "relabelled ternary z6": lambda: relabel(ternary_from_semiring(zmod_semiring(6)),
                                              [3, 0, 5, 1, 4, 2]),
-    "binary f2": lambda: binary_specialization(f2_semiring()),
-    "binary z4": lambda: binary_specialization(zmod_semiring(4)),
+    "binary f2": lambda: f2_semiring(),
+    "binary z4": lambda: zmod_semiring(4),
     "quaternary f2": lambda: make_matrix_family(f2_semiring(), 1, 4),
     "binary m2b": lambda: make_matrix_family(boolean_semiring(), 2, 2),
     "boolean ternary": boolean_ternary,

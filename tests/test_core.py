@@ -2,9 +2,9 @@ import ast
 import importlib
 import importlib.util
 import inspect
+import itertools
 import pkgutil
 import random
-from itertools import product
 from pathlib import Path
 
 import pytest
@@ -14,13 +14,12 @@ from ngamma import intlinalg as la
 
 from ngamma.abgroups import SoundnessError
 from ngamma.core import (
-    BinarySemiring, FiniteAddMonoid, GammaSemigroup, GammaSemiringMorphism,
-    NaryGammaSemiring, StructuralError, binary_specialization,
-    boolean_semiring, boolean_ternary, bundled_semirings, f2_semiring,
+    FiniteAddMonoid, GammaSemigroup, GammaSemiringMorphism, NaryGammaSemiring,
+    StructuralError, boolean_semiring, boolean_ternary, bundled_semirings, f2_semiring,
     f2_ternary, gamma_scaled_z4, identity_morphism, make_endomorphism_family,
-    make_matrix_family, mu_eval, neutral_words, opposite, relabel, trivial_gamma,
+    make_matrix_family, mu_eval, neutral_words, opposite, product, relabel, trivial_gamma,
     flatten_index, truncated_nat_semiring, validate_morphism, validate_semiring,
-    word_product, z4_ternary, zmod_semiring,
+    ternary_from_semiring, upper_triangular, word_product, z4_ternary, zmod_semiring,
 )
 from ngamma.ideals import all_ideals
 from ngamma.modules import (
@@ -50,7 +49,7 @@ def test_mu_eval_examples():
     s = f2_ternary()
     assert mu_eval(s, (1, 1, 1), (0, 0)) == 1
     assert mu_eval(s, (1, 0, 1), (0, 0)) == 0
-    for xs in product(range(2), repeat=3):
+    for xs in itertools.product(range(2), repeat=3):
         if 0 in xs:
             assert mu_eval(s, xs, (0, 0)) == 0
     with pytest.raises(StructuralError):
@@ -77,16 +76,16 @@ def test_mu_and_act_read_the_flat_tables():
     quotients = 0
     for s in families:
         n, ts, gsz = s.n, s.T.size, s.gamma.size
-        for xs in product(range(ts), repeat=n):
-            for gs in product(range(gsz), repeat=n - 1):
+        for xs in itertools.product(range(ts), repeat=n):
+            for gs in itertools.product(range(gsz), repeat=n - 1):
                 assert s.mu(xs, gs) == s.mu_table[flatten_index(xs + gs, s.sizes)]
         modules = _regular_and_quotients(s)
         quotients += len(modules) - 1
         for b in modules:
             for j in range(n):
                 sizes = [ts] * j + [b.M.size] + [ts] * (n - 1 - j) + [gsz] * (n - 1)
-                for t in product(range(ts), repeat=n - 1):
-                    for gs in product(range(gsz), repeat=n - 1):
+                for t in itertools.product(range(ts), repeat=n - 1):
+                    for gs in itertools.product(range(gsz), repeat=n - 1):
                         for m in range(b.M.size):
                             args = t[:j] + (m,) + t[j:] + gs
                             assert b.act(j, t, m, gs) == \
@@ -148,7 +147,7 @@ def test_word_bracketing_flag_detects_broken_table():
     dep[0 * 4 + 1 * 2 + 1] = 1  # mu(0,1,1) = 1
     broken = NaryGammaSemiring(3, s.T, s.gamma, tuple(dep))
     with pytest.raises(SoundnessError):
-        for xs in product(range(2), repeat=5):
+        for xs in itertools.product(range(2), repeat=5):
             bracketed_product(broken, xs, (0, 0, 0, 0))
 
 
@@ -195,7 +194,7 @@ def test_endomorphism_family_z3():
 def _additive_tables(m: FiniteAddMonoid) -> list[tuple[int, ...]]:
     """Reference: every table of |M|^|M| that is an additive self-map, in
     ``itertools.product`` (lexicographic) order."""
-    return [f for f in product(range(m.size), repeat=m.size)
+    return [f for f in itertools.product(range(m.size), repeat=m.size)
             if f[m.zero] == m.zero and all(f[m.add(a, b)] == m.add(f[a], f[b])
                                            for a in range(m.size) for b in range(m.size))]
 
@@ -215,25 +214,39 @@ def test_endomorphism_family_orders_elements_as_the_table_filter(m):
                                for f in ends for g in ends)
 
 
-def test_binary_specialization():
-    s = binary_specialization(boolean_semiring())
-    assert s.n == 2 and s.gamma.size == 1
-    assert s.mu((1, 1), (0,)) == 1
-    assert validate_semiring(s).ok
-    # Forgetting the parameter recovers the input multiplication table.
-    assert s.mu_table == boolean_semiring().mul_table
+def test_plain_semirings_are_binary_and_trivially_parameterized():
+    s = boolean_semiring()
+    assert (s.n, s.gamma, s.mu_table) == (2, trivial_gamma(), (0, 0, 0, 1))
+    assert neutral_words(s) == [(1, (0,))]
+    assert validate_semiring(s).ok and validate_semiring(truncated_nat_semiring(2)).ok
 
-    s2 = binary_specialization(truncated_nat_semiring(2))
-    assert validate_semiring(s2).ok
+    zero_ring = NaryGammaSemiring(2, FiniteAddMonoid(1, (0,)), trivial_gamma(), (0,))
+    assert validate_semiring(zero_ring).ok and neutral_words(zero_ring) == [(0, (0,))]
 
-    zero_ring = BinarySemiring(1, (0,), (0,), zero=0, one=0)
-    s3 = binary_specialization(zero_ring)
-    assert validate_semiring(s3).ok
-    assert set(s3.mu_table) == {0}
-
-    broken = BinarySemiring(2, (0, 1, 1, 0), (0, 1, 1, 1))
+    # 0 * 1 = 1 breaks zero absorption, so no builder takes it as a base.
+    broken = NaryGammaSemiring(2, FiniteAddMonoid(2, (0, 1, 1, 0)), trivial_gamma(),
+                               (0, 1, 1, 1))
+    assert not validate_semiring(broken).ok
     with pytest.raises(StructuralError):
-        binary_specialization(broken)
+        upper_triangular(broken, 2)
+    # The families fold a binary, trivially parameterized base only.
+    for base in (f2_ternary(), gamma_scaled_z4()):
+        with pytest.raises(StructuralError):
+            ternary_from_semiring(base)
+        with pytest.raises(StructuralError):
+            make_matrix_family(base, 1, 2)
+
+
+def test_product_is_componentwise_and_needs_one_arity_and_one_gamma():
+    a, b = zmod_semiring(2), zmod_semiring(3)
+    s = product(a, b)
+    assert (s.name, s.T.size, validate_semiring(s).ok) == ("z2xz3", 6, True)
+    for x, y, u, v in itertools.product(range(2), range(3), range(2), range(3)):
+        assert s.T.add(3 * x + y, 3 * u + v) == 3 * a.T.add(x, u) + b.T.add(y, v)
+        assert s.mu((3 * x + y, 3 * u + v), (0,)) == 3 * a.mu((x, u), (0,)) + b.mu((y, v), (0,))
+    for left, right in ((a, ternary_from_semiring(b)), (z4_ternary(), gamma_scaled_z4())):
+        with pytest.raises(StructuralError):
+            product(left, right)
 
 
 def test_relabel_and_opposite_undo_themselves_and_keep_the_axioms():
@@ -385,7 +398,7 @@ def test_bounds_are_module_constants_and_unset_options_are_gone():
     unnamed = {"modules.cofree", "modules.tensor_positional", "modules.direct_sum_modules",
                "completion.linearize_module", "completion.TensorGroup",
                "completion.zero_completed", "completion.direct_sum_completed",
-               "spectral.extend_scalars", "core.binary_specialization",
+               "spectral.extend_scalars", "core.product",
                "core.make_matrix_family", "core.make_endomorphism_family", "core.relabel",
                "core.opposite", "core.gamma_scaled_z4", "core.truncated_polynomial",
                "core.upper_triangular", "modules.relabel_module", "modules.opposite_module"}

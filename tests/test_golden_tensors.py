@@ -17,7 +17,7 @@ from pathlib import Path
 from ngamma.abgroups import SoundnessError
 from ngamma.bundled import bundled_workspace
 from ngamma.core import (
-    BoundExceeded, binary_specialization, f2_semiring, gamma_scaled_z4, make_matrix_family,
+    BoundExceeded, f2_semiring, gamma_scaled_z4, make_matrix_family,
     ternary_from_semiring, zmod_semiring,
 )
 from ngamma.modules import regular_bimodule, tensor_positional
@@ -28,7 +28,7 @@ GOLDEN = Path(__file__).with_name("golden_tensors.json")
 
 def _regular_families():
     fams = {f"ternary z{m}": ternary_from_semiring(zmod_semiring(m)) for m in (2, 3, 4)}
-    fams.update({f"binary z{m}": binary_specialization(zmod_semiring(m)) for m in (2, 3, 4)})
+    fams.update({f"binary z{m}": zmod_semiring(m) for m in (2, 3, 4)})
     fams["gamma-scaled z4"] = gamma_scaled_z4()
     fams["binary m2f2"] = make_matrix_family(f2_semiring(), 2, 2)
     return fams

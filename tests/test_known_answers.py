@@ -8,6 +8,10 @@ the ternary lift xyz of a commutative base is held to its base's values.
 Where the engine is wrong today the entry is a strict xfail that names the
 ROADMAP item to fix it; the fix turns it into a pass and drops the marker.
 
+Products are held to HH(A x B) = HH(A) + HH(B).  The regularity entries
+record ``is_regular`` on the ledger's families: every carrier whose answer
+is wrong today fails it, and every regular one but M2(F2) builds its bar.
+
 Tor of the regular module against itself is left out: ``tor_via_bar``
 reads a positional tensor balanced at one slot pair, so its Tor_0 is A,
 not HH_0, until the enveloping ring is defined (ROADMAP item 12).
@@ -17,11 +21,12 @@ import pytest
 
 from ngamma.bundled import bundled_workspace
 from ngamma.core import (
-    BinarySemiring, SoundnessError, StructuralError, binary_specialization, boolean_semiring,
-    f2_semiring, make_matrix_family, ternary_from_semiring, truncated_polynomial,
-    upper_triangular, zmod_semiring,
+    FiniteAddMonoid, NaryGammaSemiring, SoundnessError, StructuralError, boolean_semiring,
+    f2_semiring, gamma_scaled_z4, is_regular, make_matrix_family, neutral_words, product,
+    ternary_from_semiring, trivial_gamma, truncated_nat_semiring, truncated_polynomial,
+    upper_triangular, validate_semiring, zmod_semiring,
 )
-from ngamma.homology import ext_via_bar, tor_via_bar
+from ngamma.homology import bar_complex, ext_via_bar, tor_via_bar
 from ngamma.modules import regular_bimodule
 
 DEPTH = 4
@@ -40,7 +45,7 @@ def _degrees(first, above):
     return [first] + [above] * DEPTH
 
 
-# name -> (BinarySemiring builder, HH^0..HH^4, marks)
+# name -> (binary builder, HH^0..HH^4, marks)
 COMMUTATIVE = {
     "f2": (f2_semiring, _degrees((2,), ()), ()),
     "z4": (lambda: zmod_semiring(4), _degrees((4,), ()), ()),
@@ -51,13 +56,19 @@ COMMUTATIVE = {
 CASES = [pytest.param(lambda build=build, lift=lift: lift(build()), want,
                       id=f"{arity} {name}", marks=marks)
          for name, (build, want, marks) in COMMUTATIVE.items()
-         for arity, lift in (("binary", binary_specialization),
-                             ("ternary", ternary_from_semiring))]
+         for arity, lift in (("binary", lambda s: s), ("ternary", ternary_from_semiring))]
 CASES += [
-    pytest.param(lambda: binary_specialization(upper_triangular(f2_semiring(), 2)),
+    pytest.param(lambda: upper_triangular(f2_semiring(), 2),
                  _degrees((2,), ()), id="binary t2(f2)", marks=UNDESCENDED),
     pytest.param(lambda: make_matrix_family(f2_semiring(), 2, 2),
                  _degrees((2,), ()), id="binary m2(f2)", marks=UNDESCENDED),
+    # HH(A x B) = HH(A) + HH(B).
+    pytest.param(lambda: product(f2_semiring(), f2_semiring()),
+                 _degrees((2, 2), ()), id="binary f2 x f2"),
+    pytest.param(lambda: product(*[ternary_from_semiring(f2_semiring())] * 2),
+                 _degrees((2, 2), ()), id="ternary f2 x f2"),
+    pytest.param(lambda: product(*[truncated_polynomial(2, 2)] * 2),
+                 _degrees((2,) * 4, (2,) * 4), id="binary f2[e] x f2[e]", marks=FORCED),
 ]
 
 
@@ -78,20 +89,76 @@ def test_z4_mod2_over_ternary_z4_is_z2_in_every_degree(derived):
 def test_ledger_builders_are_semirings_and_refuse_bad_parameters():
     for p, k in ((2, 1), (2, 2), (3, 2), (2, 3), (5, 2)):
         s = truncated_polynomial(p, k)
-        assert (s.size, s.validate()) == (p ** k, []), (p, k)
+        assert (s.T.size, validate_semiring(s).ok) == (p ** k, True), (p, k)
     x = 2  # the element x of F_2[x]/(x^3): x * x = x^2, x * x^2 = 0
     s = truncated_polynomial(2, 3)
-    assert (s.mul(x, x), s.mul(x, s.mul(x, x))) == (4, 0)
+    assert (s.mu((x, x), (0,)), s.mu((x, 4), (0,))) == (4, 0)
     for base, m in ((f2_semiring(), 1), (f2_semiring(), 2), (boolean_semiring(), 2)):
         s = upper_triangular(base, m)
-        assert (s.size, s.validate()) == (base.size ** (m * (m + 1) // 2), []), (base.name, m)
+        assert (s.T.size, validate_semiring(s).ok) == (base.T.size ** (m * (m + 1) // 2), True), \
+            (base.name, m)
     # T2(F2) on bits (a, b, c) = [[a, b], [0, c]]: e11 * e12 = e12, e12 * e11 = 0.
     t2 = upper_triangular(f2_semiring(), 2)
-    assert (t2.mul(0b100, 0b010), t2.mul(0b010, 0b100), t2.one) == (0b010, 0, 0b101)
+    assert (t2.mu((0b100, 0b010), (0,)), t2.mu((0b010, 0b100), (0,)), neutral_words(t2)) == \
+        (0b010, 0, [(0b101, (0,))])
     for bad in ((1, 2), (4, 2), (9, 1), (2, 0)):
         with pytest.raises(StructuralError):
             truncated_polynomial(*bad)
     with pytest.raises(StructuralError):
         upper_triangular(f2_semiring(), 0)
     with pytest.raises(StructuralError):
-        upper_triangular(BinarySemiring(2, (0, 1, 1, 0), (0, 1, 1, 1)), 2)
+        upper_triangular(NaryGammaSemiring(2, FiniteAddMonoid(2, (0, 1, 1, 0)), trivial_gamma(),
+                                           (0, 1, 1, 1)), 2)
+
+
+def _zero_multiplication(n):
+    return NaryGammaSemiring(n, FiniteAddMonoid(2, (0, 1, 1, 0)), trivial_gamma(), (0,) * 2 ** n)
+
+
+def _both(name, build, witness):
+    return {f"binary {name}": (build, witness),
+            f"ternary {name}": (lambda: ternary_from_semiring(build()), witness)}
+
+
+# name -> (family, the first element that is not regular, or None)
+REGULARITY = {
+    **_both("f2", f2_semiring, None), **_both("boolean", boolean_semiring, None),
+    **_both("z6", lambda: zmod_semiring(6), None),
+    "ternary nat-cap2": (lambda: ternary_from_semiring(truncated_nat_semiring(2)), None),
+    "binary m2(f2)": (lambda: make_matrix_family(f2_semiring(), 2, 2), None),
+    "ternary m2(f2)": (lambda: make_matrix_family(f2_semiring(), 2, 3), None),
+    **_both("z4", lambda: zmod_semiring(4), (2,)),
+    "binary f2[e]": (lambda: truncated_polynomial(2, 2), (2,)),
+    "binary f3[e]": (lambda: truncated_polynomial(3, 2), (3,)),
+    "binary f2[x]/x^3": (lambda: truncated_polynomial(2, 3), (2,)),
+    "binary t2(f2)": (lambda: upper_triangular(f2_semiring(), 2), (2,)),
+    "gamma-scaled z4": (gamma_scaled_z4, (1,)),
+    "binary zero multiplication": (lambda: _zero_multiplication(2), (1,)),
+    "ternary zero multiplication": (lambda: _zero_multiplication(3), (1,)),
+}
+
+
+@pytest.mark.parametrize("build, witness", [pytest.param(*case, id=name)
+                                            for name, case in REGULARITY.items()])
+def test_regularity_names_the_first_element_that_is_not_regular(build, witness):
+    check = is_regular(build())
+    assert (check.ok, check.witness) == (witness is None, witness)
+
+
+def test_carriers_with_forced_or_unprojective_answers_are_not_regular():
+    carriers = [case.values[0]() for case in CASES if FORCED in case.marks]
+    carriers.append(bundled_workspace().module("z4_mod2").parent)
+    assert len(carriers) == 8
+    assert [is_regular(s).ok for s in carriers] == [False] * 8
+
+
+@pytest.mark.parametrize("name", [name for name, (_, witness) in REGULARITY.items()
+                                  if witness is None])
+def test_regular_families_build_the_bar_to_depth_4(name):
+    # M2(F2) is regular, but its bar does not descend (ROADMAP items 2 and 18).
+    s = REGULARITY[name][0]()
+    if "m2(f2)" in name:
+        with pytest.raises(SoundnessError, match="descend"):
+            bar_complex(s, regular_bimodule(s), depth=DEPTH)
+    else:
+        bar_complex(s, regular_bimodule(s), depth=DEPTH)

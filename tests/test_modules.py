@@ -6,7 +6,7 @@ from test_validate_once import REGULAR_FAMILIES
 from ngamma.abgroups import SoundnessError
 from ngamma.bundled import bundled_workspace
 from ngamma.core import (
-    BoundExceeded, FiniteAddMonoid, binary_specialization, boolean_semiring,
+    BoundExceeded, FiniteAddMonoid, boolean_semiring,
     boolean_ternary, f2_semiring, f2_ternary, make_endomorphism_family, make_matrix_family,
     StructuralError, ternary_from_semiring, z4_ternary, zmod_semiring,
 )
@@ -108,7 +108,7 @@ def _direct_sum_cell_by_cell(mods, monoid):
 def test_direct_sum_from_columns_matches_cell_by_cell(f2, z4):
     quo = quotient_module(z4, GammaIdeal(z4, frozenset({0, 2})))
     m2f2 = make_matrix_family(f2_semiring(), 2, 2)
-    z6 = binary_specialization(zmod_semiring(6))
+    z6 = zmod_semiring(6)
     cases = [[regular_bimodule(z4), quo],
              [regular_bimodule(f2), regular_bimodule(f2)],
              [regular_bimodule(m2f2), zero_module(m2f2), regular_bimodule(m2f2)],

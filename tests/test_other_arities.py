@@ -6,8 +6,8 @@ import pytest
 from ngamma.completion import linearize_module
 from ngamma.core import (
     BoundExceeded, GammaSemiringMorphism, RegularityError, SoundnessError, StructuralError,
-    binary_specialization, boolean_semiring, f2_semiring, identity_morphism,
-    make_matrix_family, neutral_words, ternary_from_semiring, truncated_nat_semiring,
+    boolean_semiring, f2_semiring, identity_morphism,
+    make_matrix_family, neutral_words, product, ternary_from_semiring, truncated_nat_semiring,
     validate_semiring, zmod_semiring,
 )
 from ngamma.homology import (
@@ -25,7 +25,7 @@ from ngamma.spectral import (
 
 @pytest.fixture(scope="module")
 def f2_binary():
-    return binary_specialization(f2_semiring())
+    return f2_semiring()
 
 
 def test_binary_pipeline(f2_binary):
@@ -44,7 +44,7 @@ def test_binary_pipeline(f2_binary):
 
 
 def test_binary_z4_pipeline():
-    s = binary_specialization(zmod_semiring(4))
+    s = zmod_semiring(4)
     reg = regular_bimodule(s)
     assert ext_via_bar(s, reg, reg, 1, 0, 2).factors() == [(4,), (), ()]
     assert balance_check(s, reg, reg, 2, 1, 0).balanced
@@ -53,8 +53,8 @@ def test_binary_z4_pipeline():
 def test_binary_slot_defaults_are_the_last_slot_against_the_first():
     # Every derived entry point defaults to slots (n - 1, 0), as the CLI
     # does; a fixed j = 2 would be out of range on a binary family.
-    s = binary_specialization(zmod_semiring(4))
-    f2 = binary_specialization(f2_semiring())
+    s = zmod_semiring(4)
+    f2 = f2_semiring()
     reg = regular_bimodule(s)
     ideal = GammaIdeal(s, frozenset({0, 2}))
     conf = Conflation(ModuleMorphism(ideal_submodule(s, ideal), reg, (0, 2)),
@@ -121,4 +121,16 @@ def test_binary_and_ternary_specializations_agree(base, by_two):
                for m in mods for fn in (ext_via_bar, tor_via_bar)]
         return out + [_outcome(lambda: balance_check(s, m, m, 2).balanced) for m in mods[1:]]
 
-    assert derived(binary_specialization(base)) == derived(ternary_from_semiring(base))
+    assert derived(base) == derived(ternary_from_semiring(base))
+
+
+@pytest.mark.parametrize("lift", [lambda s: s, ternary_from_semiring], ids=["binary", "ternary"])
+def test_z2_times_z3_is_z6(lift):
+    # Item 14 on a product: Z/2 x Z/3 and Z/6 are isomorphic, so their
+    # regular modules give the same Ext and Tor at depth 2.
+    def derived(s):
+        reg = regular_bimodule(s)
+        return [fn(s, reg, reg, depth=2).factors() for fn in (ext_via_bar, tor_via_bar)]
+
+    assert derived(product(lift(zmod_semiring(2)), lift(zmod_semiring(3)))) == \
+        derived(lift(zmod_semiring(6))) == [[(6,), (), ()]] * 2

@@ -17,7 +17,7 @@ from ngamma import core, modules, oracle
 from ngamma.bundled import bundled_workspace
 from ngamma.core import (
     FiniteAddMonoid, GammaSemigroup, GammaSemiringMorphism, NaryGammaSemiring,
-    StructuralError, binary_specialization, boolean_semiring, f2_semiring,
+    StructuralError, boolean_semiring, f2_semiring,
     _relabel_monoid, make_matrix_family, trivial_gamma, validate_semiring, zmod_semiring,
 )
 from ngamma.modules import BiGammaModule, regular_bimodule, validate_module, walk_module
@@ -88,8 +88,8 @@ def test_light_test_returns_the_full_scan():
 
 REGULAR_FAMILIES = {
     **FAMILIES,
-    "f2_binary": binary_specialization(f2_semiring()),
-    "z4_binary": binary_specialization(zmod_semiring(4)),
+    "f2_binary": f2_semiring(),
+    "z4_binary": zmod_semiring(4),
     "f2_quaternary": make_matrix_family(f2_semiring(), 1, 4),
     "m2b_binary": make_matrix_family(boolean_semiring(), 2, 2),
     "m2f2_ternary": make_matrix_family(f2_semiring(), 2, 3),
@@ -129,7 +129,7 @@ def test_regular_module_report_equals_full_walk():
 def _build(kind, entry):
     """Construct a structure of ``kind`` whose first entry is ``entry``."""
     z2 = FiniteAddMonoid(2, (0, 1, 1, 0))
-    f2 = binary_specialization(f2_semiring())
+    f2 = f2_semiring()
     if kind == "monoid":
         return FiniteAddMonoid(2, (entry, 1, 1, 0))
     if kind == "gamma":

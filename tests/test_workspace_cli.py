@@ -11,7 +11,7 @@ from hypothesis import given, settings, strategies as st
 from ngamma import cli, homology, oracle
 from ngamma.bundled import bundled_document, bundled_path, bundled_workspace
 from ngamma.cli import build_parser, main
-from ngamma.core import binary_specialization, f2_semiring, make_matrix_family
+from ngamma.core import f2_semiring, make_matrix_family
 from ngamma.modules import regular_bimodule
 from ngamma.workspace import (
     SCHEMA, Workspace, WorkspaceError, dump_document, merge_bytes, merge_document,
@@ -385,7 +385,7 @@ def _regular_workspace(tmp_path, s):
 
 
 def test_oracle_defaults_to_the_last_slot(tmp_path, monkeypatch):
-    s = binary_specialization(f2_semiring())
+    s = f2_semiring()
     path = _regular_workspace(tmp_path, s)
     slots = []
 
