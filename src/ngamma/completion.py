@@ -331,9 +331,10 @@ def _combination(terms, nrows: int, ncols: int):
 class TensorGroup:
     """K(X) (x) K(Y) modulo slot-(j,k) balancing, with residual operators.
 
-    The pair space has coordinate i*dim(Y) + j for the pair (i, j).  Every
-    pair-space product is contracted factor by factor (``intlinalg.kron_mul``
-    and ``mul_kron``); no Kronecker matrix is built.
+    The pair space has coordinate i*dim(Y) + j for the pair (i, j).  A map
+    acts on one factor at a time, mat (x) I on the left one or I (x) mat on
+    the right one, and the pair-space product is contracted through mat
+    alone (``intlinalg.mul_kron_identity``); no Kronecker matrix is built.
     """
 
     def __init__(self, x: CompletedModule, y: CompletedModule, j: int, k: int):
@@ -373,24 +374,22 @@ class TensorGroup:
         self.name = f"{x.name}(x){y.name}"
         self._units: dict = {}
 
+    def _parts(self, side: str, mat, proj_dst):
+        """``descent_parts`` of mat (x) I (side "left") or I (x) mat ("right")
+        on this pair space, given the target's projection."""
+        xs, ys = self.x.group.dim, self.y.group.dim
+        acols, k = (xs, ys) if side == "left" else (ys, xs)
+        return descent_parts(la.mul_kron_identity(proj_dst, side, mat, acols, k),
+                             self.pres.lift_matrix(), self.pres.proj_matrix())
+
     def _unit(self, side: str, a: int, b: int):
-        """``descent_parts`` of the matrix unit E_ab of one factor acting on
-        the pair space: I (x) E_ab for side "right", E_ab (x) I for "left".
-        Kept once worked out."""
+        """The parts (``_parts``) of the matrix unit E_ab of one factor acting
+        on the pair space.  Kept once worked out."""
         key = side, a, b
         if key not in self._units:
-            xs, ys = self.x.group.dim, self.y.group.dim
-            # proj . W copies proj's column src to column dst for each pair.
-            moves = ([(i * ys + a, i * ys + b) for i in range(xs)] if side == "right"
-                     else [(a * ys + j, b * ys + j) for j in range(ys)])
-            proj = self.pres.proj_matrix()
-            proj_w = []
-            for prow in proj:
-                row = [0] * self.pair_dim
-                for src, dst in moves:
-                    row[dst] = prow[src]
-                proj_w.append(row)
-            self._units[key] = descent_parts(proj_w, self.pres.lift_matrix(), proj)
+            dim = (self.x if side == "left" else self.y).group.dim
+            unit = [[int((i, j) == (a, b)) for j in range(dim)] for i in range(dim)]
+            self._units[key] = self._parts(side, unit, self.pres.proj_matrix())
         return self._units[key]
 
     def pair_matrix_to_quotient(self, side: str, mat) -> GroupMap | None:
@@ -412,19 +411,11 @@ class TensorGroup:
         except SoundnessError:
             return None
 
-    def induced(self, dst: "TensorGroup", left: GroupMap | None = None,
-                right: GroupMap | None = None, *, what: str) -> GroupMap:
-        """left (x) right from this tensor group into dst; None is the identity.
-
-        Raises SoundnessError when the map does not descend to the balanced
-        quotients.
-        """
-        xs, ys = self.x.group.dim, self.y.group.dim
-        proj_w = la.mul_kron(dst.pres.proj_matrix(),
-                             left.mat if left else la.identity(xs),
-                             right.mat if right else la.identity(ys), xs, ys)
-        mat, obstruction = descent_parts(proj_w, self.pres.lift_matrix(),
-                                         self.pres.proj_matrix())
+    def induced(self, dst: "TensorGroup", side: str, gm: GroupMap, *, what: str) -> GroupMap:
+        """gm (x) I (side "left", gm a map of left factors) or I (x) gm
+        ("right") from this tensor group into dst.  Raises SoundnessError
+        when the map does not descend to the balanced quotients."""
+        mat, obstruction = self._parts(side, gm.mat, dst.pres.proj_matrix())
         return induced_on_quotients(self.group, dst.group, mat, obstruction, what)
 
     def as_module(self) -> CompletedModule:

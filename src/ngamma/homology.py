@@ -250,29 +250,33 @@ def bar_complex(s: NaryGammaSemiring, module, j: int | None = None, k: int = 0,
     terms: list[CompletedModule] = [module]
     tensors: dict[int, TensorGroup] = {}
     word_dims = [mdim]
-    ident_m = la.identity(mdim)
-    ident_t = la.identity(tdim)
-    projs = [ident_m]
-    lifts = [ident_m]
-    power = None
-    pproj = plift = ident_t
+    # Degree 0 is the module on its own coordinates.
+    projs, lifts = [la.identity(mdim)], [la.identity(mdim)]
+
+    def on_words(tg, left, nwords, rdim):
+        """tg's projection and lift on nwords left words by rdim right
+        coordinates: proj . (P (x) I) and (L (x) I) . lift for the left
+        factor's word maps (P, L), or None when its words are its coordinates."""
+        proj, lift = tg.pres.proj_matrix(), tg.pres.lift_matrix()
+        return (proj, lift) if left is None else (
+            la.mul_kron_identity(proj, "left", left[0], nwords, rdim),
+            la.kron_identity_mul(left[1], lift, tg.x.group.dim, rdim, tg.group.dim))
+
+    power, pwords = carrier, None
     for r in range(1, depth + 1):
-        if power is None:
-            power = carrier
-        else:
+        if r > 1:
             tg = TensorGroup(power, carrier, j, k)
             power = tg.as_module()
-            pproj = la.mul_kron(tg.pres.proj_matrix(), pproj, ident_t,
-                                tdim ** (r - 1), tdim)
-            plift = la.kron_mul(plift, ident_t, tg.pres.lift_matrix(), tg.group.dim)
+            pwords = on_words(tg, pwords, tdim ** (r - 1), tdim)
         wdim = (tdim ** r) * mdim
         if wdim > BAR_WORD_BOUND:
             raise BoundExceeded(
                 f"bar word space at degree {r}: tdim^r*mdim = {tdim}^{r}*{mdim} "
                 f"= {wdim} exceeds its bound {BAR_WORD_BOUND}")
         tg = TensorGroup(power, module, j, k)
-        projs.append(la.mul_kron(tg.pres.proj_matrix(), pproj, ident_m, tdim ** r, mdim))
-        lifts.append(la.kron_mul(plift, ident_m, tg.pres.lift_matrix(), tg.group.dim))
+        proj, lift = on_words(tg, pwords, tdim ** r, mdim)
+        projs.append(proj)
+        lifts.append(lift)
         tensors[r] = tg
         terms.append(tg.as_module())
         word_dims.append(wdim)
@@ -340,7 +344,7 @@ class TensorChain:
     def __init__(self, bar: Resolution, right: CompletedModule):
         self.tensors = [TensorGroup(term, right, bar.jslot, bar.kslot)
                         for term in bar.terms]
-        diffs = {r: self.tensors[r].induced(self.tensors[r - 1], left=bar.diffs[r],
+        diffs = {r: self.tensors[r].induced(self.tensors[r - 1], "left", bar.diffs[r],
                                             what=f"tensored differential d_{r}")
                  for r in range(1, len(bar.terms))}
         self.complex = Complex([t.group for t in self.tensors], diffs)
@@ -359,7 +363,7 @@ def bar_map(src_bar: Resolution, dst_bar: Resolution, f: GroupMap) -> list[Group
     if (src_bar.semiring, src_bar.jslot, src_bar.kslot) != \
             (dst_bar.semiring, dst_bar.jslot, dst_bar.kslot):
         raise ValueError("bar towers over different semirings or slots cannot be compared")
-    out = [f] + [src_bar.tensors[r].induced(dst_bar.tensors[r], right=f,
+    out = [f] + [src_bar.tensors[r].induced(dst_bar.tensors[r], "right", f,
                                             what=f"induced bar map at degree {r}")
                  for r in range(1, src_bar.depth + 1)]
     for r in range(1, src_bar.depth + 1):
@@ -453,8 +457,10 @@ def ext_via_bar(s, m, n, j: int | None = None, k: int = 0, depth: int = 2,
 @la.shares_factorizations
 def tor_via_bar(s, m, n, j: int | None = None, k: int = 0, depth: int = 2,
                 policy: ContractionPolicy | None = None) -> DerivedResult:
-    """Tor of m's bar tower against n; ``ext_via_bar``'s docstring says
-    what ``policy`` is for."""
+    """Tor of m's bar tower against n: the derived functor of the positional
+    tensor balanced at the one slot pair (j, k), so Tor_0(reg, reg) is the
+    carrier, not HH_0.  ``ext_via_bar``'s docstring says what ``policy`` is
+    for."""
     lin_m, right = linearize_over(s, [m, n])
     bar = bar_complex(s, lin_m, j, k, depth + 1, policy)
     return DerivedResult(bar, TensorChain(bar, right))
@@ -660,7 +666,7 @@ def les_check(c: Conflation, n: BiGammaModule, depth: int = 2,
     tc_c = TensorChain(barn, lin_c)
 
     def pushforward(tsrc, tdst, gm):
-        return [src_t.induced(dst_t, right=gm,
+        return [src_t.induced(dst_t, "right", gm,
                               what=f"tensored conflation map at degree {r}")
                 for r, (src_t, dst_t) in enumerate(zip(tsrc.tensors, tdst.tensors))]
 

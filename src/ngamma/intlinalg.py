@@ -4,9 +4,11 @@ Matrices are lists of row lists of Python ints, so everything is
 arbitrary-precision and bit-exact.  A matrix with no rows cannot carry its
 column count (0xN and Nx0 both occur constantly in chain complexes), so each
 routine takes exactly the dimensions its row lists cannot give: the width of
-a product, the column counts of the factors of x @ (a (x) b), the shape of a
-factorization.  No Kronecker matrix a (x) b is built: ``kron_mul`` and
-``mul_kron`` contract it factor by factor.
+a product, the column count of a in x @ (a (x) I_k), the shape of a
+factorization.  Every Kronecker product the engine meets has an identity
+factor, and none is built: ``mul_kron_identity`` forms x @ (a (x) I_k) or
+x @ (I_k (x) a), the side named "left" or "right" by where a sits, and
+``kron_identity_mul`` forms (a (x) I_k) @ x, each contracting a alone.
 All routines are pure; none mutate their arguments (the Smith normal form
 works on its own sparse copy of the input rows).
 
@@ -42,17 +44,23 @@ def identity(n: int) -> list[list[int]]:
     return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
 
 
+def _check_rows(m, ncols: int, name: str, nrows: int | None = None):
+    """ValueError unless every row of m has ncols entries and, when nrows is
+    given, m has nrows rows."""
+    if nrows is not None and len(m) != nrows:
+        raise ValueError(f"{name} has {len(m)} rows, expected {nrows}")
+    for i, row in enumerate(m):
+        if len(row) != ncols:
+            raise ValueError(f"row {i} of {name} has {len(row)} entries, expected {ncols}")
+
+
 def mat_mul(a, b, ncols: int):
     """Product a@b of width ncols: b is len(b) x ncols and every row of a has
     len(b) entries."""
-    inner = len(b)
-    for i, row in enumerate(b):
-        if len(row) != ncols:
-            raise ValueError(f"row {i} of b has {len(row)} entries, expected {ncols}")
+    _check_rows(b, ncols, "b")
+    _check_rows(a, len(b), "a")
     out = []
-    for i, arow in enumerate(a):
-        if len(arow) != inner:
-            raise ValueError(f"row {i} of a has {len(arow)} entries, expected {inner}")
+    for arow in a:
         orow = [0] * ncols
         for c, brow in zip(arow, b):
             if c:
@@ -62,84 +70,43 @@ def mat_mul(a, b, ncols: int):
     return out
 
 
-def _sparse_rows(m, ncols: int, name: str):
-    """Each row of m as its (column, entry) pairs with a nonzero entry;
-    ValueError when a row does not have ncols entries."""
+def mul_kron_identity(x, side: str, a, acols: int, k: int):
+    """Product x @ (a (x) I_k) for side "left" and x @ (I_k (x) a) for side
+    "right", of width acols*k, without building the Kronecker matrix: a has
+    acols columns, and a row of x is a len(a) x k ("left") or k x len(a)
+    block whose index i meets row i of a, so a without rows keeps the width."""
+    if side not in ("left", "right"):
+        raise ValueError(f"side {side!r}, expected 'left' or 'right'")
+    _check_rows(a, acols, "a")
+    _check_rows(x, len(a) * k, "x")
+    # Strides of a's index and of the identity's index, in x and in the product.
+    (xa, xl), (oa, ol) = ((k, 1), (k, 1)) if side == "left" else ((1, len(a)), (1, acols))
+    a_nz = [(i, [(j * oa, v) for j, v in enumerate(row) if v])
+            for i, row in enumerate(a) if any(row)]
     out = []
-    for i, row in enumerate(m):
-        if len(row) != ncols:
-            raise ValueError(f"row {i} of {name} has {len(row)} entries, expected {ncols}")
-        out.append([(j, v) for j, v in enumerate(row) if v])
-    return out
-
-
-def kron_mul(a, b, x, ncols: int):
-    """Product (a (x) b) @ x of width ncols, without building a (x) b: row
-    i*len(b) + k is the sum over j of a[i][j] times row k of b @ X_j, where
-    X_j is the j-th block of len(b[0]) rows of x.  x has one row per column
-    of a (x) b, so a factor without rows gives the product without rows."""
-    for i, row in enumerate(x):
-        if len(row) != ncols:
-            raise ValueError(f"row {i} of x has {len(row)} entries, expected {ncols}")
-    if not a or not b:
-        return []
-    acols, bcols = len(a[0]), len(b[0])
-    if len(x) != acols * bcols:
-        raise ValueError(f"x has {len(x)} rows, expected {acols}*{bcols}")
-    a_nz = _sparse_rows(a, acols, "a")
-    b_nz = _sparse_rows(b, bcols, "b")
-    # blocks[j] is b @ X_j, one row per row of b.
-    blocks = []
-    for j in range(acols):
-        xj = x[j * bcols:(j + 1) * bcols]
-        rows = []
-        for brow in b_nz:
-            orow = [0] * ncols
-            for l, v in brow:
-                for c, y in enumerate(xj[l]):
-                    orow[c] += v * y
-            rows.append(orow)
-        blocks.append(rows)
-    out = []
-    for arow in a_nz:
-        acc = [[0] * ncols for _ in b]
-        for j, v in arow:
-            for orow, brow in zip(acc, blocks[j]):
-                for c, y in enumerate(brow):
-                    orow[c] += v * y
-        out.extend(acc)
-    return out
-
-
-def mul_kron(x, a, b, acols: int, bcols: int):
-    """Product x @ (a (x) b) of width acols*bcols, without building a (x) b:
-    a has acols columns and b bcols, and each row of x has len(a)*len(b)
-    entries.  A row of x read as a len(a) x len(b) block Y gives the row
-    of a^T Y b, so a factor without rows keeps the product's width."""
-    a_nz = _sparse_rows(a, acols, "a")
-    b_nz = _sparse_rows(b, bcols, "b")
-    inner = len(a) * len(b)
-    out = []
-    for i, xrow in enumerate(x):
-        if len(xrow) != inner:
-            raise ValueError(f"row {i} of x has {len(xrow)} entries, expected {inner}")
-        orow = [0] * (acols * bcols)
-        for ia, arow in enumerate(a_nz):
-            if not arow:
-                continue
-            # Block ia of the row times b.
-            y = [0] * bcols
-            base = ia * len(b)
-            for k, brow in enumerate(b_nz):
-                c = xrow[base + k]
+    for xrow in x:
+        orow = [0] * (acols * k)
+        for ia, arow in a_nz:
+            for l in range(k):
+                c = xrow[ia * xa + l * xl]
                 if c:
-                    for l, v in brow:
-                        y[l] += c * v
-            for j, v in arow:
-                off = j * bcols
-                for l in range(bcols):
-                    orow[off + l] += v * y[l]
+                    for j, v in arow:
+                        orow[l * ol + j] += c * v
         out.append(orow)
+    return out
+
+
+def kron_identity_mul(a, x, acols: int, k: int, ncols: int):
+    """Product (a (x) I_k) @ x of width ncols, without building the Kronecker
+    matrix: a has acols columns and x acols*k rows.  Block i of k rows is the
+    sum over j of a[i][j] times block j of x."""
+    _check_rows(a, acols, "a")
+    _check_rows(x, ncols, "x", acols * k)
+    out = []
+    for arow in a:
+        terms = [(v, x[j * k:(j + 1) * k]) for j, v in enumerate(arow) if v]
+        out += [[sum(v * xj[l][c] for v, xj in terms) for c in range(ncols)]
+                for l in range(k)]
     return out
 
 
@@ -275,11 +242,7 @@ def smith_normal_form(a, nrows: int, ncols: int, *, solve: bool = False) -> Smit
 
 def _factor(a, nrows: int, ncols: int, solve: bool) -> SmithForm:
     """The factorization ``smith_normal_form`` documents, without the memo."""
-    if len(a) != nrows:
-        raise ValueError(f"matrix has {len(a)} rows, expected {nrows}")
-    for i, row in enumerate(a):
-        if len(row) != ncols:
-            raise ValueError(f"row {i} has {len(row)} entries, expected {ncols}")
+    _check_rows(a, ncols, "the matrix", nrows)
     # D as sparse rows {key: value}, a key naming an input column.  Column
     # swaps permute ``col`` (position -> key) and ``pos`` (key -> position)
     # instead of moving entries.  Rows k.. have no entries at positions

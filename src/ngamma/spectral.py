@@ -316,12 +316,12 @@ def kunneth_check(s: NaryGammaSemiring, m: BiGammaModule, n: BiGammaModule,
         for q in range(depth + 1):
             if p + 1 <= depth:
                 tmap = cells[(p + 1, q)].induced(
-                    cells[(p, q)], left=bar_m.diffs[p + 1], what="horizontal grid map")
+                    cells[(p, q)], "left", bar_m.diffs[p + 1], what="horizontal grid map")
                 dh[(pm - p, qm - q)] = homs[(p, q)].induced(
                     homs[(p + 1, q)], pre=tmap, what="horizontal Hom map")
             if q + 1 <= depth:
                 tmap = cells[(p, q + 1)].induced(
-                    cells[(p, q)], right=bar_n.diffs[q + 1], what="vertical grid map")
+                    cells[(p, q)], "right", bar_n.diffs[q + 1], what="vertical grid map")
                 dv[(pm - p, qm - q)] = homs[(p, q)].induced(
                     homs[(p, q + 1)], pre=tmap, what="vertical Hom map")
     grid = DoubleComplexAb.from_commuting(entries, dh, dv)
@@ -412,8 +412,8 @@ def flatness_probe(s: NaryGammaSemiring, x: CompletedModule,
         tb = TensorGroup(lin_b, x, j, k)
         tc = TensorGroup(lin_c, x, j, k)
         try:
-            fi = ta.induced(tb, left=ki, what="flatness probe map")
-            fp = tb.induced(tc, left=kp, what="flatness probe map")
+            fi = ta.induced(tb, "left", ki, what="flatness probe map")
+            fp = tb.induced(tc, "left", kp, what="flatness probe map")
         except SoundnessError:
             return False
         if not is_short_exact(fi, fp):

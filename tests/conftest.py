@@ -11,9 +11,10 @@ def record_acceptance(line: str) -> None:
 
 def kron(a, b):
     """Dense Kronecker product a (x) b: entry (i*len(b) + k, j*len(b[0]) + l)
-    is a[i][j]*b[k][l].  The reference that the engine's pair-space
-    contractions (``intlinalg.kron_mul`` and ``mul_kron``) are checked
-    against; a factor without rows gives the product without rows."""
+    is a[i][j]*b[k][l].  The reference that the engine's one-sided
+    pair-space contractions (``intlinalg.mul_kron_identity`` and
+    ``kron_identity_mul``) are checked against, with b or a an identity;
+    a factor without rows gives the product without rows."""
     return [[x * y for x in arow for y in brow] for arow in a for brow in b]
 
 

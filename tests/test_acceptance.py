@@ -450,6 +450,9 @@ DETERMINISM_SUITE = [
      "--depth", "1", "--emit-pages"],
     ["basechange", "q_z4_f2", "z4_reg", "z4_reg"],
     ["oracle", "all"],
+    ["ext", "z4_ternary", "z4_reg", "z4_reg", "--depth", "2", "--emit-matrices"],
+    ["kunneth", "f2_ternary", "f2_reg", "f2_reg", "f2_reg",
+     "--depth", "2", "--emit-pages"],
 ]
 
 

@@ -523,10 +523,10 @@ def test_towers_are_built_only_by_the_resolution_constructors():
 
 
 def test_no_kronecker_matrix_is_built():
-    # Pair-space products are contracted factor by factor
-    # (``intlinalg.kron_mul`` and ``mul_kron``), and a tensor group's
-    # operators are summed from its matrix units: no module defines or calls
-    # a dense ``kron``.
+    # Every pair-space product has an identity factor and is contracted
+    # through the other one alone (``intlinalg.mul_kron_identity`` and
+    # ``kron_identity_mul``), and a tensor group's operators are summed from
+    # its matrix units: no module defines or calls a dense ``kron``.
     found = []
     for path in sorted(Path(ngamma.__file__).parent.rglob("*.py")):
         tree = ast.parse(path.read_text(encoding="utf-8"))

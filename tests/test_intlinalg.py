@@ -87,20 +87,24 @@ def test_products_keep_the_shape_of_empty_matrices():
     assert la.mat_mul([[], []], [], 3) == [[0, 0, 0], [0, 0, 0]]
     assert la.mat_mul([[1], [2]], [[]], 0) == [[], []]
     assert la.mat_mul([], [[1, 2]], 2) == []
-    # (a (x) b) @ x and x @ (a (x) b) for factors with no rows, factors with
-    # no columns, and 1x0 against 0x1.
-    assert la.kron_mul([], [[1, 2]], [[1], [2]], 1) == []
-    assert la.kron_mul([[1]], [], [], 3) == []
-    assert la.kron_mul([[], []], [[1]], [], 3) == [[0, 0, 0], [0, 0, 0]]
-    assert la.kron_mul([[1, 2]], [[], []], [], 2) == [[0, 0], [0, 0]]
-    assert la.kron_mul([[]], [], [], 2) == [] and la.kron_mul([], [[]], [], 2) == []
-    assert la.mul_kron([[], []], [], [[1], [2]], 2, 1) == [[0, 0], [0, 0]]
-    assert la.mul_kron([[]], [[1, 2]], [], 2, 3) == [[0] * 6]
-    assert la.mul_kron([[1, 2]], [[], []], [[1]], 0, 1) == [[]]
-    assert la.mul_kron([[1, 2]], [[1]], [[], []], 1, 0) == [[]]
-    assert la.mul_kron([[]], [[]], [], 0, 1) == [[]]
-    assert la.mul_kron([[]], [], [[]], 1, 0) == [[]]
-    assert la.mul_kron([], [[1]], [[1]], 1, 1) == []
+    # x @ (a (x) I_k), x @ (I_k (x) a) and (a (x) I_k) @ x for a factor
+    # without rows (of 1 or 3 columns), a factor without columns, 1x0 against
+    # 0x1, k = 0 and an x without rows or columns.
+    for side in ("left", "right"):
+        assert la.mul_kron_identity([[], []], side, [], 3, 2) == [[0] * 6, [0] * 6]
+        assert la.mul_kron_identity([[1, 2]], side, [[], []], 0, 1) == [[]]
+        assert la.mul_kron_identity([[5]], side, [[]], 0, 1) == [[]]
+        assert la.mul_kron_identity([[]], side, [[1, 2]], 2, 0) == [[]]
+        assert la.mul_kron_identity([[]], side, [[]], 0, 0) == [[]]
+        assert la.mul_kron_identity([], side, [[1]], 1, 1) == []
+        assert la.mul_kron_identity([[]], side, [], 1, 1) == [[0]]
+    assert la.kron_identity_mul([], [[1], [2], [3]], 3, 1, 1) == []
+    assert la.kron_identity_mul([], [[1], [2]], 1, 2, 1) == []
+    assert la.kron_identity_mul([[], []], [], 0, 2, 3) == [[0, 0, 0]] * 4
+    assert la.kron_identity_mul([[]], [], 0, 1, 2) == [[0, 0]]
+    assert la.kron_identity_mul([[1, 2]], [], 2, 0, 3) == []
+    assert la.kron_identity_mul([[1, 2]], [[], []], 2, 1, 0) == [[]]
+    assert la.kron_identity_mul([[1]], [[]], 1, 1, 0) == [[]]
     for a, b, width in (([[1, 2]], [[1]], 1), ([[1]], [[1, 2]], 1), ([[]], [[1]], 1)):
         try:
             la.mat_mul(a, b, width)
@@ -108,12 +112,14 @@ def test_products_keep_the_shape_of_empty_matrices():
             assert "entries, expected" in str(e)
         else:
             raise AssertionError(f"mat_mul accepted {a} @ {b} of width {width}")
-    for product in (lambda: la.kron_mul([[1]], [[1]], [[1, 2]], 1),
-                    lambda: la.kron_mul([[1]], [[1, 2]], [[1]], 1),
-                    lambda: la.kron_mul([[1], [1, 2]], [[1]], [[1]], 1),
-                    lambda: la.mul_kron([[1, 2]], [[1]], [[1]], 1, 1),
-                    lambda: la.mul_kron([[1]], [[1, 2]], [[1]], 1, 1),
-                    lambda: la.mul_kron([[1]], [[1]], [[1]], 1, 2)):
+    # One mismatch each: a's row length, x's row length, an unknown side;
+    # then x's row count, x's row length and a's row length.
+    for product in (lambda: la.mul_kron_identity([[1, 2]], "left", [[1], [1, 2]], 1, 1),
+                    lambda: la.mul_kron_identity([[1, 2]], "right", [[1]], 1, 1),
+                    lambda: la.mul_kron_identity([[1]], "both", [[1]], 1, 1),
+                    lambda: la.kron_identity_mul([[1]], [[1]], 1, 2, 1),
+                    lambda: la.kron_identity_mul([[1]], [[1, 2]], 1, 1, 1),
+                    lambda: la.kron_identity_mul([[1, 2]], [[1]], 1, 1, 1)):
         try:
             product()
         except ValueError as e:
@@ -129,11 +135,13 @@ def test_kronecker_contractions_match_the_dense_product():
         return [[rng.randint(-3, 3) for _ in range(ncols)] for _ in range(nrows)]
 
     for _ in range(300):
-        p, q, r, s, n = (rng.randint(0, 4) for _ in range(5))
-        a, b = rand(p, q), rand(r, s)
-        x, y = rand(q * s, n), rand(n, p * r)
-        assert la.kron_mul(a, b, x, n) == la.mat_mul(kron(a, b), x, n)
-        assert la.mul_kron(y, a, b, q, s) == la.mat_mul(y, kron(a, b), q * s)
+        p, q, n = (rng.randint(0, 4) for _ in range(3))
+        k = rng.randint(0, 3)
+        a, ident = rand(p, q), la.identity(k)
+        x, y = rand(n, p * k), rand(q * k, n)
+        assert la.mul_kron_identity(x, "left", a, q, k) == la.mat_mul(x, kron(a, ident), q * k)
+        assert la.mul_kron_identity(x, "right", a, q, k) == la.mat_mul(x, kron(ident, a), q * k)
+        assert la.kron_identity_mul(a, y, q, k, n) == la.mat_mul(kron(a, ident), y, n)
 
 
 def test_solve_and_subquotient_reject_wrong_lengths():
