@@ -121,7 +121,6 @@ class Presentation:
     """
 
     def __init__(self, ngens: int, relations: list[list[int]]):
-        self.ngens = ngens
         self.relations = [list(r) for r in relations]
         r = [[rel[i] for rel in self.relations] for i in range(ngens)]
         sf = la.smith_normal_form(r, ngens, len(self.relations))
@@ -407,7 +406,8 @@ class Subquotient:
 
 
 class HomologyNode(Subquotient):
-    """ker(out) / im(in) at a group, with class/representative transport."""
+    """ker(out) / im(in) at a group, with class/representative transport;
+    ``cycles`` is ker(out) as a ``Subgroup``."""
 
     not_member = "vector is not a cycle"
 
@@ -417,7 +417,7 @@ class HomologyNode(Subquotient):
                              f"{out_map.src.orders} do not meet at the group")
         if not out_map.compose(in_map).is_zero():
             raise SoundnessError("composite of consecutive differentials is nonzero")
-        ker = kernel(out_map)
+        self.cycles = ker = kernel(out_map)
         plat = [list(ker.inclusion(e_i)) for e_i in la.identity(ker.group.dim)]
         qcols = [[in_map.mat[i][j] for i in range(g.dim)]
                  for j in range(in_map.src.dim)]

@@ -187,7 +187,7 @@ def cmd_spectrum(ws: Workspace, args, rep: Reporter) -> int:
     results = {
         "ideals": [sorted(i.members) for i in data.ideals],
         "primes": [sorted(p.members) for p in data.primes],
-        "closed_sets": [[mask, list(v)] for mask, v in data.closed_sets],
+        "closed_sets": [[mask, list(v)] for mask, v in data.closed_sets.items()],
         "topology": topology_report(data),
     }
     return rep.emit(results, True, ws)

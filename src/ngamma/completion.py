@@ -39,9 +39,6 @@ class Completion:
     pres: Presentation = field(compare=False, repr=False)
     lifts: tuple[tuple[tuple[int, int], ...], ...] = field(compare=False, repr=False)
 
-    def vector(self, m: int) -> tuple[int, ...]:
-        return self.vectors[m]
-
 
 def group_complete(monoid: FiniteAddMonoid) -> Completion:
     """Universal enveloping abelian group of a finite commutative monoid.
@@ -343,8 +340,6 @@ class TensorGroup:
         check_slots(x.semiring, j, k)
         self.x = x
         self.y = y
-        self.jslot = j
-        self.kslot = k
         xs, ys = x.group.dim, y.group.dim
         self.pair_dim = xs * ys
         rels = []

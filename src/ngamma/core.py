@@ -312,7 +312,6 @@ class AxiomCheck:
     axiom: str
     ok: bool
     witness: tuple | None = None
-    note: str = ""
 
 
 @dataclass(frozen=True)

@@ -33,7 +33,7 @@ from functools import reduce
 from . import intlinalg as la
 from .abgroups import (
     AbGroup, GroupMap, HomologyNode, descent_parts, induced_on_quotients, is_exact,
-    is_short_exact, kernel, kernel_gens, preimage,
+    is_short_exact, kernel_gens, preimage,
 )
 from .core import (
     BoundExceeded, NaryGammaSemiring, RegularityError, SoundnessError, StructuralError,
@@ -236,8 +236,9 @@ def bar_complex(s: NaryGammaSemiring, module, j: int | None = None, k: int = 0,
         def total(maps):
             return reduce(GroupMap.add, maps, zero)
 
-        summed = [total(target.op(slot, w) for w in policy.words(s, t))
-                  for t in range(comp.monoid.size)]
+        # Only the carrier elements of the basis lifts are contracted.
+        summed = {t: total(target.op(slot, w) for w in policy.words(s, t))
+                  for t in dict.fromkeys(t for pairs in comp.lifts for t, _ in pairs)}
         # Entry [ia][ib] is column ib of the map of carrier basis vector ia, a
         # target vector that GroupMap keeps reduced.
         return [list(zip(*total(summed[t].scale(ct) for t, ct in pairs).mat))
@@ -385,7 +386,8 @@ class DerivedResult:
     module (``TensorChain``), with each degree's ``HomologyNode``; only the
     Ext and Tor entry points build one.  Its cocycle classes (which
     ``yoneda_compose`` composes) and ``modules`` are read only off Ext out
-    of a chain resolution; any other record refuses them with a ValueError."""
+    of a chain resolution; any other record refuses them with a ValueError,
+    and so do the cocycle readers for a degree outside 0..len(nodes)-1."""
 
     resolution: Resolution
     functor: HomCochain | TensorChain
@@ -403,21 +405,22 @@ class DerivedResult:
             raise ValueError(f"not Ext out of a chain resolution: {self.resolution.what}")
         return self.functor.homs
 
-    def cocycles(self, degree: int) -> list[tuple[int, ...]]:
+    def _ext_node(self, degree: int) -> HomologyNode:
         self._ext_homs()
-        ker = kernel(self.complex.d(degree))
-        return sorted({ker.inclusion(c) for c in ker.group.elements()})
+        if not 0 <= degree < len(self.nodes):
+            raise ValueError(f"degree {degree} is outside this record's degrees "
+                             f"0..{len(self.nodes) - 1}")
+        return self.nodes[degree]
+
+    def cocycles(self, degree: int) -> list[tuple[int, ...]]:
+        cycles = self._ext_node(degree).cycles
+        return sorted({cycles.inclusion(c) for c in cycles.group.elements()})
 
     def class_of(self, degree: int, cocycle) -> tuple[int, ...]:
-        self._ext_homs()
-        return self.nodes[degree].classify(cocycle)
+        return self._ext_node(degree).classify(cocycle)
 
     def classes_equal(self, degree: int, c1, c2) -> bool:
         return self.class_of(degree, c1) == self.class_of(degree, c2)
-
-    def add_cocycles(self, degree: int, c1, c2):
-        self._ext_homs()
-        return self.complex.groups[degree].add(c1, c2)
 
     def identity_cocycle(self) -> tuple[int, ...]:
         hom = self._ext_homs()[0]
@@ -507,6 +510,9 @@ def cofree_coresolution(s: NaryGammaSemiring, b: BiGammaModule,
     terms: list[CompletedModule] = []
     maps: dict[int, GroupMap] = {}
     for r in range(depth + 1):
+        if r:
+            proj = quotient_projection(cf.module, set(unit.map), f"{cf.module.name}/im")
+            current = proj.target
         cf, unit = _unit_into_cofree(current)
         if not validate_module_morphism(unit).ok:
             raise SoundnessError("unit is not a module morphism on this instance")
@@ -520,8 +526,6 @@ def cofree_coresolution(s: NaryGammaSemiring, b: BiGammaModule,
         if r:
             maps[r - 1] = unit_lin.compose(linearize_morphism(proj, terms[r - 1], lin_src))
         terms.append(lin_dst)
-        proj = quotient_projection(cf.module, set(unit.map), f"{cf.module.name}/im")
-        current = proj.target
     return Resolution(s, terms, Complex([t.group for t in terms], maps, step=1),
                       None, None, f"cofree tower of {b.name}")
 

@@ -204,43 +204,34 @@ class SpectrumData:
     semiring: NaryGammaSemiring
     ideals: tuple[GammaIdeal, ...]
     primes: tuple[GammaIdeal, ...]
-    closed_sets: tuple[tuple[int, tuple[int, ...]], ...]
-    """Pairs (ideal bitmask, indices into primes of V(I))."""
-
-    def closed_set_of(self, ideal: GammaIdeal) -> tuple[int, ...]:
-        for mask, v in self.closed_sets:
-            if mask == ideal.bitmask:
-                return v
-        raise KeyError(ideal.bitmask)
+    closed_sets: dict[int, tuple[int, ...]]
+    """Each ideal's bitmask to the indices into primes of V(I), in ideal order."""
 
 
 def spectrum(s: NaryGammaSemiring, bound: int = DEFAULT_SIZE_BOUND) -> SpectrumData:
     ideals = all_ideals(s, bound)
     primes = tuple(i for i in ideals if i.is_proper() and is_prime(s, i).ok)
-    closed = []
-    for ideal in ideals:
-        v = tuple(k for k, p in enumerate(primes)
-                  if ideal.members <= p.members)
-        closed.append((ideal.bitmask, v))
-    return SpectrumData(s, tuple(ideals), primes, tuple(closed))
+    closed = {ideal.bitmask: tuple(k for k, p in enumerate(primes)
+                                   if ideal.members <= p.members) for ideal in ideals}
+    return SpectrumData(s, tuple(ideals), primes, closed)
 
 
 def topology_report(data: SpectrumData) -> list[str]:
     """Observed topology facts; computed extensionally, never assumed."""
     facts = []
-    by_mask = dict(data.closed_sets)
+    by_mask = data.closed_sets
     zero_mask = 1 << data.semiring.T.zero
     full = tuple(range(len(data.primes)))
     facts.append(f"V(zero ideal) = all primes: {by_mask.get(zero_mask) == full}")
     top_mask = (1 << data.semiring.T.size) - 1
     if top_mask in by_mask:
         facts.append(f"V(T) empty: {by_mask[top_mask] == ()}")
-    masks = [m for m, _ in data.closed_sets]
     ok_union = all(set(by_mask[m1]) | set(by_mask[m2]) <= set(by_mask[m1 & m2])
-                   for m1 in masks for m2 in masks if m1 & m2 in by_mask)
+                   for m1 in by_mask for m2 in by_mask if m1 & m2 in by_mask)
     facts.append(f"V(I and J) contains V(I) union V(J): {ok_union}")
     t, ins = data.semiring.T, _insertion_masks(data.semiring)
-    joins = ((m1, m2, _close(t, ins, m1, _members(m2, t.size))) for m1 in masks for m2 in masks)
+    joins = ((m1, m2, _close(t, ins, m1, _members(m2, t.size)))
+             for m1 in by_mask for m2 in by_mask)
     ok_inter = all(set(by_mask[join]) == set(by_mask[m1]) & set(by_mask[m2])
                    for m1, m2, join in joins if join in by_mask)
     facts.append(f"V(I+J) = V(I) intersect V(J): {ok_inter}")

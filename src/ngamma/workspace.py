@@ -63,12 +63,6 @@ class Workspace:
             raise WorkspaceError(f"unknown {kind} '{name}'")
         return table[name]
 
-    def semiring_name(self, s: NaryGammaSemiring) -> str:
-        for name, cand in self.semirings.items():
-            if cand == s:
-                return name
-        return s.name or "?"
-
 
 def _failures(*checks) -> list[tuple]:
     return [(c.axiom, c.witness) for c in checks if not c.ok]

@@ -59,7 +59,7 @@ def same_parent_small_modules(ws, bound=4):
     by_semiring = {}
     for name, mod in sorted(ws.modules.items()):
         if mod.M.size <= bound:
-            by_semiring.setdefault(ws.semiring_name(mod.parent), []).append((name, mod))
+            by_semiring.setdefault(mod.parent.name, []).append((name, mod))
     return by_semiring
 
 
@@ -358,13 +358,13 @@ def test_criterion_7_yoneda(ws):
             for q in (0, 1):
                 for c1 in degrees[p]:
                     for c2 in degrees[p]:
-                        s12 = ext.add_cocycles(p, c1, c2)
+                        s12 = ext.complex.groups[p].add(c1, c2)
                         for cg in degrees[q]:
                             lhs = yoneda_compose(ext, p, s12, ext, q, cg, ext)
                             r1 = yoneda_compose(ext, p, c1, ext, q, cg, ext)
                             r2 = yoneda_compose(ext, p, c2, ext, q, cg, ext)
                             assert ext.classes_equal(
-                                p + q, lhs, ext.add_cocycles(p + q, r1, r2))
+                                p + q, lhs, ext.complex.groups[p + q].add(r1, r2))
         seed_src = random.Random(424242)
         agreements = 0
         pairs = [(p, q) for p in (0, 1, 2) for q in (0, 1, 2) if p + q <= 2]

@@ -40,7 +40,7 @@ def test_group_complete_examples():
     z2 = FiniteAddMonoid(2, (0, 1, 1, 0))
     comp = group_complete(z2)
     assert comp.group.invariant_factors() == (2,)
-    assert comp.vector(1) != comp.group.zero()
+    assert comp.vectors[1] != comp.group.zero()
 
     boolm = FiniteAddMonoid(2, (0, 1, 1, 1))
     assert group_complete(boolm).group.is_trivial()
@@ -55,7 +55,7 @@ def test_group_complete_idempotent_on_groups():
     assert comp.group.invariant_factors() == (4,)
     # Completion of a group is the group again.
     assert comp.group.order() == 4
-    assert len({comp.vector(m) for m in range(4)}) == 4
+    assert len({comp.vectors[m] for m in range(4)}) == 4
 
 
 def _relation_completion(monoid):
@@ -163,7 +163,7 @@ def test_completion_functorial_naturality():
     c2 = linearize_module(quo)
     gm = linearize_morphism(proj, c4, c2)
     for m in range(4):
-        assert gm(c4.completion.vector(m)) == c2.completion.vector(proj(m))
+        assert gm(c4.completion.vectors[m]) == c2.completion.vectors[proj(m)]
 
 
 def test_linearize_module_examples():
@@ -566,7 +566,7 @@ def _full_residual_ops(tg, pres):
             try:
                 out.append([induced_on_quotients(
                     pres.group, pres.group,
-                    *descent_parts(la.mat_mul(proj, pairmat, pres.ngens), lift, proj),
+                    *descent_parts(la.mat_mul(proj, pairmat, xs * ys), lift, proj),
                     "op").mat for pairmat in pairmats])
                 break
             except SoundnessError:
@@ -713,7 +713,7 @@ def _per_basis_completion_map(src, dst, elem_map):
         img = [0] * dst.group.dim
         for m, coeff in enumerate(src.pres.lift(basis)):
             if coeff:
-                img = [x + coeff * y for x, y in zip(img, dst.vector(elem_map[m]))]
+                img = [x + coeff * y for x, y in zip(img, dst.vectors[elem_map[m]])]
         return img
 
     gm = GroupMap.from_images(src.group, dst.group, image_of)

@@ -12,7 +12,7 @@ from ngamma.bundled import bundled_workspace
 from ngamma.core import (
     BoundExceeded, FiniteAddMonoid, NaryGammaSemiring, StructuralError, boolean_ternary,
     bundled_semirings, f2_semiring, f2_ternary, make_matrix_family, product,
-    ternary_from_semiring, trivial_gamma, truncated_polynomial, z4_ternary,
+    ternary_from_semiring, trivial_gamma, truncated_polynomial, z4_ternary, zmod_semiring,
 )
 from ngamma.completion import linearize_module, zero_completed
 from ngamma.ideals import GammaIdeal, all_ideals, coset_congruence
@@ -373,14 +373,63 @@ def test_only_ext_out_of_a_chain_resolution_has_cocycle_classes(f2):
     for other in (ext_via_cofree(f2, reg, reg, depth=2), tor_via_bar(f2, reg, reg, depth=2)):
         assert other.factors() == ext.factors()
         readers = [other.identity_cocycle, other.modules, lambda: other.cocycles(0),
-                   lambda: other.class_of(0, ident), lambda: other.add_cocycles(0, ident, ident),
-                   lambda: other.classes_equal(0, ident, ident)]
+                   lambda: other.class_of(0, ident), lambda: other.classes_equal(0, ident, ident)]
         readers += [lambda a=a, b=b, c=c: yoneda_compose(a, 0, ident, b, 0, ident, c)
                     for a, b, c in ((other, ext, ext), (ext, other, ext), (ext, ext, other))]
         for read in readers:
             with pytest.raises(ValueError, match="not Ext out of a chain resolution: "
                                                  r"(cofree tower|bar) of f2_ternary\.regular"):
                 read()
+
+
+@pytest.mark.parametrize("read", [
+    lambda ext, c: ext.cocycles(3), lambda ext, c: ext.cocycles(-1),
+    lambda ext, c: ext.class_of(-1, c), lambda ext, c: ext.class_of(3, c),
+    lambda ext, c: ext.classes_equal(3, c, c),
+], ids=["cocycles(3)", "cocycles(-1)", "class_of(-1)", "class_of(3)", "classes_equal(3)"])
+def test_cocycle_readers_refuse_a_degree_outside_the_record(z4, read):
+    # Depth 2 holds degrees 0..2; the tower's cut degree 3 has no node.
+    reg = regular_bimodule(z4)
+    ext = ext_via_bar(z4, reg, reg, depth=2)
+    with pytest.raises(ValueError, match=r"degree -?\d+ is outside this record's "
+                                         r"degrees 0\.\.2"):
+        read(ext, ext.identity_cocycle())
+
+
+@pytest.mark.parametrize("name", ["f2_reg", "z4_reg", "z4_mod2"])
+def test_cocycles_are_every_cochain_the_differential_kills(name):
+    m = bundled_workspace().module(name)
+    ext = ext_via_bar(m.parent, m, m, depth=2)
+    for r in range(len(ext.nodes)):
+        group, d = ext.complex.groups[r], ext.complex.d(r)
+        brute = [v for v in group.elements() if d(v) == d.dst.zero()]
+        assert ext.cocycles(r) == brute, (name, r)
+
+
+def test_cofree_tower_builds_no_cokernel_past_its_last_term(f2, count_calls):
+    built = count_calls(homology_mod, "quotient_projection")
+    for depth in (1, 2, 3):
+        built.clear()
+        cofree_coresolution(f2, regular_bimodule(f2), depth)
+        assert built["quotient_projection"] == depth
+
+
+def test_bar_contraction_tables_sum_only_the_lifted_carrier_elements(monkeypatch):
+    # The completion of Z/16 is generated by the vector of element 15 alone,
+    # so each of the three tables contracts that one element, at any depth.
+    s = ternary_from_semiring(zmod_semiring(16))
+    contracted = []
+    words = ContractionPolicy.words
+
+    def recording(self, s, t):
+        contracted.append(t)
+        return words(self, s, t)
+
+    monkeypatch.setattr(ContractionPolicy, "words", recording)
+    for depth in (1, 3):
+        contracted.clear()
+        bar_complex(s, regular_bimodule(s), depth=depth)
+        assert contracted == [15, 15, 15]
 
 
 def test_yoneda_lift_independence(f2):

@@ -138,8 +138,8 @@ def test_spectrum_bundled():
     f2 = f2_ternary()
     data = spectrum(f2)
     assert [p.sorted_members() for p in data.primes] == [[0]]
-    assert data.closed_set_of(GammaIdeal(f2, frozenset({0}))) == (0,)
-    assert data.closed_set_of(GammaIdeal(f2, frozenset({0, 1}))) == ()
+    assert data.closed_sets[GammaIdeal(f2, frozenset({0})).bitmask] == (0,)
+    assert data.closed_sets[GammaIdeal(f2, frozenset({0, 1})).bitmask] == ()
 
     z4 = z4_ternary()
     data = spectrum(z4)
