@@ -247,7 +247,7 @@ class HomBase:
 
 class EquivariantHom:
     """Additive maps commuting with every positional operator, as a functor:
-    ``induced`` composes on either side, and ``coords`` reads a map's
+    ``induced`` composes on one side, and ``coords`` reads a map's
     coordinates and refuses one that is not equivariant."""
 
     def __init__(self, x: CompletedModule, y: CompletedModule):
@@ -295,19 +295,21 @@ class EquivariantHom:
             raise SoundnessError(f"{what} left the equivariant maps")
         return coords
 
-    def induced(self, dst: "EquivariantHom", pre: GroupMap | None = None,
-                post: GroupMap | None = None, *, what: str) -> GroupMap:
-        """f -> post . f . pre from this Hom group into dst; None is the identity.
+    def induced(self, dst: "EquivariantHom", side: str, gm: GroupMap, *,
+                what: str) -> GroupMap:
+        """f -> f . gm (side "pre", gm mapping dst's source into this source)
+        or f -> gm . f ("post", gm mapping this target into dst's target)
+        from this Hom group into dst.
 
-        pre maps dst's source into this source and post this target into
-        dst's target.  Raises SoundnessError naming ``what`` when an image
-        is not equivariant.
+        Any other side raises ValueError.  Raises SoundnessError naming
+        ``what`` when an image is not equivariant.
         """
+        if side not in ("pre", "post"):
+            raise ValueError(f"side {side!r}, expected 'pre' or 'post'")
+
         def image_of(basis):
             f = self.matrix(basis)
-            if pre is not None:
-                f = f.compose(pre)
-            return dst.coords(f if post is None else post.compose(f), what)
+            return dst.coords(f.compose(gm) if side == "pre" else gm.compose(f), what)
 
         return GroupMap.from_images(self.group, dst.group, image_of)
 

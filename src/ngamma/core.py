@@ -296,17 +296,6 @@ class NaryGammaSemiring:
         return itertools.product(self.gamma.elements(), repeat=length)
 
 
-def mu_eval(s: NaryGammaSemiring, xs, gs) -> int:
-    """Table lookup for [x_1,...,x_n] with the given parameter tuple."""
-    for x in xs:
-        if not 0 <= x < s.T.size:
-            raise StructuralError(f"element index {x} out of range")
-    for g in gs:
-        if not 0 <= g < s.gamma.size:
-            raise StructuralError(f"parameter index {g} out of range")
-    return s.mu(xs, gs)
-
-
 @dataclass(frozen=True)
 class AxiomCheck:
     axiom: str

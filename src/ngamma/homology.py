@@ -330,11 +330,11 @@ class HomCochain:
     def __init__(self, res: Resolution, fixed: CompletedModule):
         if res.chain.step == -1:
             self.homs = [EquivariantHom(term, fixed) for term in res.terms]
-            diffs = {r - 1: self.homs[r - 1].induced(self.homs[r], pre=d, what="precomposition")
+            diffs = {r - 1: self.homs[r - 1].induced(self.homs[r], "pre", d, what="precomposition")
                      for r, d in res.diffs.items()}
         else:
             self.homs = [EquivariantHom(fixed, term) for term in res.terms]
-            diffs = {r: self.homs[r].induced(self.homs[r + 1], post=d, what="postcomposition")
+            diffs = {r: self.homs[r].induced(self.homs[r + 1], "post", d, what="postcomposition")
                      for r, d in res.diffs.items()}
         self.complex = Complex([h.group for h in self.homs], diffs, step=1)
 
@@ -573,7 +573,7 @@ class LesReport:
     deltas_zero: list[bool]
     ses_ok: bool
     completion_exact: bool
-    note: str = ""
+    note: str
 
     @property
     def all_exact(self) -> bool:
@@ -581,13 +581,15 @@ class LesReport:
 
 
 def snake_les(rows: list[tuple[Complex, list[HomologyNode]]],
-              fmaps: list[GroupMap], gmaps: list[GroupMap],
-              upto: int, tag: str) -> LesReport:
+              fmaps: list[GroupMap], gmaps: list[GroupMap], upto: int, tag: str,
+              completion_exact: bool, note: str) -> LesReport:
     """Long exact sequence of 0 -> X -> Y -> Z -> 0 with connecting maps.
 
     ``rows`` holds X, Y and Z, each a cochain complex and its nodes through
     degree upto+1.  Degreewise short exactness is verified first; nodes then
     run H^0(X), H^0(Y), H^0(Z), H^1(X), ... with delta raising the degree.
+    The report carries ``completion_exact`` and ``note``, or on a refusal
+    the refusal's reason as its note.
     """
     (x, nodes_x), (y, nodes_y), (z, nodes_z) = rows
     length = min(len(x.groups), len(y.groups), len(z.groups), upto + 2)
@@ -595,9 +597,9 @@ def snake_les(rows: list[tuple[Complex, list[HomologyNode]]],
     if not ses_ok:
         # Connecting maps need the degreewise short exactness; refuse with a
         # report instead of chasing through a broken ladder.
-        return LesReport([], [], [], [], False, True,
-                         note="degreewise short exactness fails on this "
-                              "instance; no long exact sequence is induced")
+        return LesReport([], [], [], [], False, completion_exact,
+                         "degreewise short exactness fails on this "
+                         "instance; no long exact sequence is induced")
 
     def connecting(r):
         def image_of(basis):
@@ -626,7 +628,7 @@ def snake_les(rows: list[tuple[Complex, list[HomologyNode]]],
 
     exact_at = [is_exact(f, g) for f, g in zip(seq_maps, seq_maps[1:])]
     deltas_zero = [seq_maps[3 * r + 2].is_zero() for r in range(upto + 1)]
-    return LesReport(labels, groups, exact_at, deltas_zero, ses_ok, True)
+    return LesReport(labels, groups, exact_at, deltas_zero, ses_ok, completion_exact, note)
 
 
 @la.shares_factorizations
@@ -654,14 +656,12 @@ def les_check(c: Conflation, n: BiGammaModule, depth: int = 2,
         maps_p = bar_map(ext_b.resolution, ext_c.resolution, kp)
 
         def pullback(a, b, gms):
-            return [a.functor.homs[r].induced(b.functor.homs[r], pre=gm, what="pullback")
+            return [a.functor.homs[r].induced(b.functor.homs[r], "pre", gm, what="pullback")
                     for r, gm in enumerate(gms)]
 
-        report = snake_les([(e.complex, e.nodes) for e in (ext_c, ext_b, ext_a)],
-                           pullback(ext_c, ext_b, maps_p), pullback(ext_b, ext_a, maps_i),
-                           depth, "Ext")
-        report.completion_exact = completion_exact
-        return report
+        return snake_les([(e.complex, e.nodes) for e in (ext_c, ext_b, ext_a)],
+                         pullback(ext_c, ext_b, maps_p), pullback(ext_b, ext_a, maps_i),
+                         depth, "Ext", completion_exact, "")
 
     bar_depth = depth + 2
     barn = bar_complex(s, lin_n, j, k, bar_depth)
@@ -676,12 +676,10 @@ def les_check(c: Conflation, n: BiGammaModule, depth: int = 2,
 
     # snake_les raises degrees, so each chain complex is read reversed.
     rows = [tc.complex.reversed() for tc in (tc_a, tc_b, tc_c)]
-    report = snake_les([(x, [x.node(r) for r in range(depth + 2)]) for x in rows],
-                       pushforward(tc_a, tc_b, ki)[::-1],
-                       pushforward(tc_b, tc_c, kp)[::-1], depth, "Tor")
-    report.completion_exact = completion_exact
-    report.note = f"cochain position r is homological degree {bar_depth} - r"
-    return report
+    return snake_les([(x, [x.node(r) for r in range(depth + 2)]) for x in rows],
+                     pushforward(tc_a, tc_b, ki)[::-1], pushforward(tc_b, tc_c, kp)[::-1],
+                     depth, "Tor", completion_exact,
+                     f"cochain position r is homological degree {bar_depth} - r")
 
 
 # ---------------------------------------------------------------------------
@@ -710,7 +708,7 @@ def _lift_chain_map(bar_src: Resolution, bar_dst: Resolution, g0_matrix,
         if key not in memo:
             hom = EquivariantHom(bar_src.terms[q + i], bar_dst.terms[i])
             below = EquivariantHom(bar_src.terms[q + i], bar_dst.terms[i - 1])
-            memo[key] = (hom, below, hom.induced(below, post=bar_dst.diffs[i],
+            memo[key] = (hom, below, hom.induced(below, "post", bar_dst.diffs[i],
                                                  what="bar differential"))
         hom, below, post = memo[key]
         x = preimage(post, below.coords(lifts[i - 1].compose(bar_src.diffs[q + i]),

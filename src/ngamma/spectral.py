@@ -18,7 +18,7 @@ and Tor comparisons share every bar tower and linearization.
 from __future__ import annotations
 
 import copy
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from math import prod
 
 from . import intlinalg as la
@@ -125,9 +125,8 @@ class DoubleComplexAb:
 
 @dataclass
 class SpectralPage:
-    r: int
     entries: dict
-    diffs: dict = field(default_factory=dict)
+    diffs: dict
 
     def factors(self, p: int, q: int) -> tuple[int, ...]:
         g = self.entries.get((p, q))
@@ -222,7 +221,7 @@ class FiltrationPages:
                 if tp >= 0 and tq >= 0:
                     diffs[(p, q)] = src.induced(self.grid.complex.d(p + q),
                                                 self._subquotient(r, tp, tq))
-        return SpectralPage(r, entries, diffs)
+        return SpectralPage(entries, diffs)
 
     # -- verification ------------------------------------------------------
 
@@ -318,12 +317,12 @@ def kunneth_check(s: NaryGammaSemiring, m: BiGammaModule, n: BiGammaModule,
                 tmap = cells[(p + 1, q)].induced(
                     cells[(p, q)], "left", bar_m.diffs[p + 1], what="horizontal grid map")
                 dh[(pm - p, qm - q)] = homs[(p, q)].induced(
-                    homs[(p + 1, q)], pre=tmap, what="horizontal Hom map")
+                    homs[(p + 1, q)], "pre", tmap, what="horizontal Hom map")
             if q + 1 <= depth:
                 tmap = cells[(p, q + 1)].induced(
                     cells[(p, q)], "right", bar_n.diffs[q + 1], what="vertical grid map")
                 dv[(pm - p, qm - q)] = homs[(p, q)].induced(
-                    homs[(p, q + 1)], pre=tmap, what="vertical Hom map")
+                    homs[(p, q + 1)], "pre", tmap, what="vertical Hom map")
     grid = DoubleComplexAb.from_commuting(entries, dh, dv)
 
     # The rows are the columns of the transpose, over the same total complex.
@@ -385,32 +384,24 @@ def extend_scalars(f: GammaSemiringMorphism, a: BiGammaModule,
         f"ext({a.name})")
 
 
-def source_conflation_triples(s: NaryGammaSemiring):
-    """Ideal-induced completed short sequences used by the flatness probe."""
+def flatness_probe(s: NaryGammaSemiring, x: CompletedModule,
+                   j: int | None = None, k: int = 0) -> bool:
+    """Whether tensoring with x keeps exact the conflation I -> T -> T/I of
+    every proper ideal I with more than one member; False at the first
+    that it does not."""
+    j = resolve_slot(s, j)
     regular = regular_bimodule(s)
-    seqs = []
+    lin_b = linearize_module(regular)
     for ideal in all_ideals(s):
         if not ideal.is_proper() or len(ideal.members) == 1:
             continue
         incl = ModuleMorphism(ideal_submodule(s, ideal), regular,
                               tuple(ideal.sorted_members()))
         proj = quotient_projection(regular, ideal.members, f"{s.name}.mod{ideal}")
-        seqs.append((incl, proj))
-    reg = linearize_module(regular)
-    return [(linearize_module(incl.source), reg, linearize_module(proj.target),
-             (incl, proj)) for incl, proj in seqs]
-
-
-def flatness_probe(s: NaryGammaSemiring, x: CompletedModule,
-                   j: int | None = None, k: int = 0) -> bool:
-    """Whether tensoring with x preserves the probe conflations exactly."""
-    j = resolve_slot(s, j)
-    for (lin_a, lin_b, lin_c, (incl, proj)) in source_conflation_triples(s):
+        lin_a, lin_c = linearize_module(incl.source), linearize_module(proj.target)
         ki = linearize_morphism(incl, lin_a, lin_b)
         kp = linearize_morphism(proj, lin_b, lin_c)
-        ta = TensorGroup(lin_a, x, j, k)
-        tb = TensorGroup(lin_b, x, j, k)
-        tc = TensorGroup(lin_c, x, j, k)
+        ta, tb, tc = (TensorGroup(lin, x, j, k) for lin in (lin_a, lin_b, lin_c))
         try:
             fi = ta.induced(tb, "left", ki, what="flatness probe map")
             fp = tb.induced(tc, "left", kp, what="flatness probe map")

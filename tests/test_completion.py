@@ -265,23 +265,26 @@ def test_hom_induced_is_a_functor_on_both_sides():
                 continue
             hg = h.compose(g)
             for y in lins:
-                pre = hom(c, y).induced(hom(a, y), pre=hg, what="pre")
-                assert pre.equal(hom(b, y).induced(hom(a, y), pre=g, what="pre").compose(
-                    hom(c, y).induced(hom(b, y), pre=h, what="pre")))
-                post = hom(y, a).induced(hom(y, c), post=hg, what="post")
-                assert post.equal(hom(y, b).induced(hom(y, c), post=h, what="post").compose(
-                    hom(y, a).induced(hom(y, b), post=g, what="post")))
+                pre = hom(c, y).induced(hom(a, y), "pre", hg, what="pre")
+                assert pre.equal(hom(b, y).induced(hom(a, y), "pre", g, what="pre").compose(
+                    hom(c, y).induced(hom(b, y), "pre", h, what="pre")))
+                post = hom(y, a).induced(hom(y, c), "post", hg, what="post")
+                assert post.equal(hom(y, b).induced(hom(y, c), "post", h, what="post").compose(
+                    hom(y, a).induced(hom(y, b), "post", g, what="post")))
                 nonzero += (not pre.is_zero()) + (not post.is_zero())
     assert nonzero > 0
-    # Both sides at once equal either order of the one-sided maps.
+    # Precomposition and postcomposition commute.
     for x2, x, g in maps:
         for y, y2, f in maps:
-            both = hom(x, y).induced(hom(x2, y2), pre=g, post=f, what="both")
-            pre_first = hom(x2, y).induced(hom(x2, y2), post=f, what="post").compose(
-                hom(x, y).induced(hom(x2, y), pre=g, what="pre"))
-            post_first = hom(x, y2).induced(hom(x2, y2), pre=g, what="pre").compose(
-                hom(x, y).induced(hom(x, y2), post=f, what="post"))
-            assert both.equal(pre_first) and both.equal(post_first)
+            pre_first = hom(x2, y).induced(hom(x2, y2), "post", f, what="post").compose(
+                hom(x, y).induced(hom(x2, y), "pre", g, what="pre"))
+            post_first = hom(x, y2).induced(hom(x2, y2), "pre", g, what="pre").compose(
+                hom(x, y).induced(hom(x, y2), "post", f, what="post"))
+            assert pre_first.equal(post_first)
+    # Only those two sides exist.
+    ident = GroupMap.identity(lins["z4_reg"].group)
+    with pytest.raises(ValueError, match="'both'"):
+        hom("z4_reg", "z4_reg").induced(hom("z4_reg", "z4_reg"), "both", ident, what="both")
 
 
 def test_balanced_tensor_group_examples():

@@ -13,11 +13,12 @@ import ngamma
 from ngamma import intlinalg as la
 
 from ngamma.abgroups import SoundnessError
+from ngamma.completion import EquivariantHom, TensorGroup
 from ngamma.core import (
     FiniteAddMonoid, GammaSemigroup, GammaSemiringMorphism, NaryGammaSemiring,
     StructuralError, boolean_semiring, boolean_ternary, bundled_semirings, f2_semiring,
     f2_ternary, gamma_scaled_z4, identity_morphism, make_endomorphism_family,
-    make_matrix_family, mu_eval, neutral_words, opposite, product, relabel, trivial_gamma,
+    make_matrix_family, neutral_words, opposite, product, relabel, trivial_gamma,
     flatten_index, truncated_nat_semiring, validate_morphism, validate_semiring,
     ternary_from_semiring, upper_triangular, word_product, z4_ternary, zmod_semiring,
 )
@@ -45,15 +46,13 @@ def test_zero_absorption_failure_carries_witness():
     assert "zero absorption" in failed
 
 
-def test_mu_eval_examples():
+def test_mu_examples():
     s = f2_ternary()
-    assert mu_eval(s, (1, 1, 1), (0, 0)) == 1
-    assert mu_eval(s, (1, 0, 1), (0, 0)) == 0
+    assert s.mu((1, 1, 1), (0, 0)) == 1
+    assert s.mu((1, 0, 1), (0, 0)) == 0
     for xs in itertools.product(range(2), repeat=3):
         if 0 in xs:
-            assert mu_eval(s, xs, (0, 0)) == 0
-    with pytest.raises(StructuralError):
-        mu_eval(s, (2, 0, 0), (0, 0))
+            assert s.mu(xs, (0, 0)) == 0
 
 
 def _regular_and_quotients(s):
@@ -408,6 +407,16 @@ def test_bounds_are_module_constants_and_unset_options_are_gone():
     assert unnamed <= set(signatures)
     assert [qual for qual in sorted(unnamed) if "name" in signatures[qual]] == []
     assert signatures["core.make_endomorphism_family"] == ["monoid", "arity"]
+
+
+def test_hom_and_tensor_induced_maps_take_one_side_alike():
+    # Both functors map one side at a time: (dst, side, gm, *, what).
+    kinds = [[(p.name, p.kind) for p in inspect.signature(cls.induced).parameters.values()]
+             for cls in (EquivariantHom, TensorGroup)]
+    positional = inspect.Parameter.POSITIONAL_OR_KEYWORD
+    assert kinds[0] == kinds[1] == [("self", positional), ("dst", positional),
+                                    ("side", positional), ("gm", positional),
+                                    ("what", inspect.Parameter.KEYWORD_ONLY)]
 
 
 # The entry points that share one memo of factorizations per call

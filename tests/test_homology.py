@@ -7,14 +7,14 @@ from pathlib import Path
 
 import pytest
 
-from ngamma.abgroups import AbGroup, GroupMap, HomologyNode, SoundnessError
+from ngamma.abgroups import AbGroup, GroupMap, HomologyNode, SoundnessError, is_short_exact
 from ngamma.bundled import bundled_workspace
 from ngamma.core import (
     BoundExceeded, FiniteAddMonoid, NaryGammaSemiring, StructuralError, boolean_ternary,
     bundled_semirings, f2_semiring, f2_ternary, make_matrix_family, product,
     ternary_from_semiring, trivial_gamma, truncated_polynomial, z4_ternary, zmod_semiring,
 )
-from ngamma.completion import linearize_module, zero_completed
+from ngamma.completion import linearize_module, linearize_morphism, zero_completed
 from ngamma.ideals import GammaIdeal, all_ideals, coset_congruence
 from ngamma.modules import (
     Conflation, ModuleMorphism, build_module, direct_sum_modules,
@@ -304,15 +304,21 @@ def test_les_split_conflation(z4):
     assert all(rep.deltas_zero)
 
 
-def test_les_refuses_without_degreewise_exactness(z4, z4_conflation):
-    # Hom into the ideal module: the restriction map along the inflation is
-    # not surjective degreewise, so no ladder is induced; the check must
-    # refuse with a report rather than chase a broken zig-zag.
+@pytest.mark.parametrize("side", ["hom", "tor"])
+def test_les_refuses_without_degreewise_exactness(z4, z4_conflation, side):
+    # Against the ideal module the functor breaks degreewise short exactness
+    # (on the hom side the restriction along the inflation is not
+    # surjective), so no ladder is induced; the check must refuse with a
+    # report that says why rather than chase a broken zig-zag.
     sub = ideal_submodule(z4, GammaIdeal(z4, frozenset({0, 2})))
-    rep = les_check(z4_conflation, sub, depth=2, side="hom")
+    rep = les_check(z4_conflation, sub, depth=2, side=side)
     assert not rep.ses_ok
     assert not rep.all_exact
     assert "short exactness" in rep.note
+    i, p = z4_conflation.i, z4_conflation.p
+    lin_a, lin_b, lin_c = map(linearize_module, (i.source, i.target, p.target))
+    assert rep.completion_exact == is_short_exact(linearize_morphism(i, lin_a, lin_b),
+                                                  linearize_morphism(p, lin_b, lin_c))
 
 
 def test_les_trivial_first_leg(z4):

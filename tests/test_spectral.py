@@ -9,8 +9,10 @@ from ngamma.core import (
     GammaSemiringMorphism, f2_ternary, identity_morphism, ternary_from_semiring,
     validate_morphism, z4_ternary, zmod_semiring,
 )
-from ngamma.ideals import GammaIdeal, quotient
-from ngamma.modules import build_module, regular_bimodule, validate_module, zero_module
+from ngamma.ideals import GammaIdeal, all_ideals, quotient
+from ngamma.modules import (
+    build_module, quotient_module, regular_bimodule, validate_module, zero_module,
+)
 from ngamma.spectral import (
     DoubleComplexAb, FiltrationPages, base_change_check, extend_scalars,
     flatness_probe, kunneth_check, restrict_scalars,
@@ -276,6 +278,27 @@ def test_flatness_probe():
     q = GammaSemiringMorphism(z4, f2, (0, 1, 0, 1))
     restricted = linearize_module(restrict_scalars(q, regular_bimodule(f2)))
     assert not flatness_probe(z4, restricted)
+    # Every bundled module over its semiring, and ternary Z/8 over each of
+    # its quotients.
+    ws = bundled_workspace()
+    for name in ws.modules:
+        b = ws.module(name)
+        assert flatness_probe(b.parent, linearize_module(b)) == \
+            (name not in {"z4_ideal02", "z4_mod2", "z4_sum"}), name
+    z8 = ternary_from_semiring(zmod_semiring(8))
+    assert {tuple(sorted(i.members)): flatness_probe(z8, linearize_module(
+                quotient_module(z8, i))) for i in all_ideals(z8)} == \
+        {(0,): True, (0, 4): False, (0, 2, 4, 6): False, tuple(range(8)): True}
+
+
+def test_flatness_probe_stops_at_the_first_inexact_sequence(count_calls):
+    # Z/8/(4) fails the probe sequence of (4), the first of the two proper
+    # ideals with more than one member; the sequence of (2) is never built.
+    z8 = ternary_from_semiring(zmod_semiring(8))
+    x = linearize_module(quotient_module(z8, GammaIdeal(z8, frozenset({0, 4}))))
+    calls = count_calls(spectral, "quotient_projection")
+    assert not flatness_probe(z8, x)
+    assert calls["quotient_projection"] == 1
 
 
 def test_base_change_identity():
