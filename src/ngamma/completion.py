@@ -6,7 +6,11 @@ carrier/parameter filler tuple.  Equivariant Hom groups and balanced tensor
 groups are then explicit kernel and cokernel computations over the integers,
 canonicalized through Smith normal form.  Within one derived call each
 monoid is completed once and each module linearized once, in the call's
-scope (``intlinalg.shares_factorizations``); nothing is kept across calls.
+scope (``intlinalg.shares_factorizations``).  There every operator family
+handed out (``linearize_module``, ``TensorGroup.as_module``) is the first
+one equal to it by value, so module identity stands for module value, and
+the tensor groups and Hom groups of one pair of families share one
+presentation or kernel.  Nothing is kept across calls.
 """
 
 from __future__ import annotations
@@ -111,16 +115,47 @@ class CompletedModule:
         return self.ops[slot][w]
 
 
+def _in_scope(key, build):
+    """What the call's scope keeps under key, built by ``build()`` the first
+    time; outside a scope, built afresh."""
+    memo = la.open_memo()
+    if memo is None:
+        return build()
+    if key not in memo:
+        memo[key] = build()
+    return memo[key]
+
+
+def _canonical_family(s: NaryGammaSemiring, group: AbGroup, ops):
+    """The first operator family over s and group in the call's scope that
+    equals ops by value, else ops, which becomes it; outside a scope, ops.
+
+    The value is s (by identity), the group's orders and, per slot, which
+    fillers share an operator object and each distinct object's key, so a
+    key is read once per object.  It is compared once, when a family is
+    built; later lookups key on ``id(ops)``.
+    """
+    if la.open_memo() is None:
+        return ops
+    value = [id(s), group.orders]
+    for slot in ops:
+        first = {}
+        value += [tuple(first.setdefault(op, len(first)) for op in slot),
+                  tuple(op.key for op in first)]
+    return _in_scope(("operator family", *value), lambda: (s, ops))[1]
+
+
 def linearize_module(b: BiGammaModule) -> CompletedModule:
     """Completion of the carrier with each slot action linearized.
 
     ``ops[j][w]`` is the completion of slot j's column for filler w
     (``BiGammaModule.actions``); each distinct column is linearized once.
     Inside a derived call the work goes into the call's scope
-    (``intlinalg.open_memo``): each monoid is completed once, and a module
+    (``intlinalg.open_memo``): each monoid is completed once, a module
     equal to one linearized before (``modules.same_module``, tried by
-    identity first) gets that linearization back under its own name.
-    Outside one nothing is shared.
+    identity first) gets that linearization back under its own name, and
+    the operators are the scope's family of their value
+    (``_canonical_family``).  Outside one nothing is shared.
     """
     memo = la.open_memo()
     if memo is None:
@@ -130,14 +165,13 @@ def linearize_module(b: BiGammaModule) -> CompletedModule:
     if twin is None:
         twin = next((lin for a, lin in done if same_module(a, b)), None)
     if twin is None:
-        comps = memo.setdefault("completions", {})
-        if b.M not in comps:
-            comps[b.M] = group_complete(b.M)
-        comp = comps[b.M]
+        comp = _in_scope(("completion", b.M), partial(group_complete, b.M))
         ops = map_columns(lambda col: completion_map(comp, comp, col),
                           [b.actions(j) for j in range(b.parent.n)])
-        lin = CompletedModule(b.parent, comp.group, tuple(map(tuple, ops)), comp,
-                              name=b.name)
+        lin = CompletedModule(
+            b.parent, comp.group,
+            _canonical_family(b.parent, comp.group, tuple(map(tuple, ops))), comp,
+            name=b.name)
     else:
         lin = replace(twin, name=b.name)
     done.append((b, lin))
@@ -248,14 +282,27 @@ class HomBase:
 class EquivariantHom:
     """Additive maps commuting with every positional operator, as a functor:
     ``induced`` composes on one side, and ``coords`` reads a map's
-    coordinates and refuses one that is not equivariant."""
+    coordinates and refuses one that is not equivariant.
+
+    In a call's scope the Hom groups of two operator families share one
+    ``HomBase`` and one kernel; the scope's entry holds the semiring and
+    both families, so that their ids name them while it lives.
+    """
 
     def __init__(self, x: CompletedModule, y: CompletedModule):
         if x.semiring != y.semiring:
             raise StructuralError("Hom endpoints live over different semirings")
         self.x = x
         self.y = y
-        self.base = HomBase(x.group, y.group)
+        _, self.base, self._kernel = _in_scope(
+            ("equivariant hom", id(x.semiring), id(x.ops), id(y.ops)),
+            lambda: ((x.semiring, x.ops, y.ops), *self._solve()))
+        self.group = self._kernel.group
+
+    def _solve(self):
+        """This Hom group's base and its kernel of equivariance."""
+        x, y = self.x, self.y
+        base = HomBase(x.group, y.group)
         # Equal operator pairs give equal rows: keep the first of each.  One
         # object stands for every filler whose column it linearizes, so each
         # slot's pairs are collapsed by identity before any key is read.
@@ -269,7 +316,7 @@ class EquivariantHom:
             for jj in range(ys):
                 for aa in range(xs):
                     row = []
-                    for (i0, j0, order, mult) in self.base.coords:
+                    for (i0, j0, order, mult) in base.coords:
                         coeff = 0
                         if j0 == jj:
                             coeff += mult * p[i0][aa]
@@ -278,8 +325,7 @@ class EquivariantHom:
                         row.append(coeff)
                     rows.append(row)
                     orders.append(y.group.orders[jj])
-        self._kernel = kernel(GroupMap(self.base.group, AbGroup(tuple(orders)), rows))
-        self.group = self._kernel.group
+        return base, kernel(GroupMap(base.group, AbGroup(tuple(orders)), rows))
 
     def matrix(self, coords) -> GroupMap:
         cvec = self._kernel.inclusion(coords)
@@ -327,6 +373,20 @@ def _combination(terms, nrows: int, ncols: int):
     return la.zeros(nrows, ncols) if out is None else out
 
 
+@dataclass(eq=False)
+class _SharedTensor:
+    """What the tensor groups of two operator families at one slot pair
+    share: the presentation, the matrix-unit parts (``TensorGroup._unit``)
+    and the residual operators once worked out.  ``held`` is the semiring
+    and both families, so that their ids name them while a call's scope
+    keeps this."""
+
+    held: tuple
+    pres: Presentation
+    units: dict = field(default_factory=dict)
+    ops: tuple | None = None
+
+
 class TensorGroup:
     """K(X) (x) K(Y) modulo slot-(j,k) balancing, with residual operators.
 
@@ -334,6 +394,11 @@ class TensorGroup:
     acts on one factor at a time, mat (x) I on the left one or I (x) mat on
     the right one, and the pair-space product is contracted through mat
     alone (``intlinalg.mul_kron_identity``); no Kronecker matrix is built.
+
+    In a call's scope the tensor groups of two operator families at one slot
+    pair share one ``_SharedTensor``: one presentation, one set of
+    matrix-unit parts and one set of residual operators.  Each keeps its own
+    factors and name.
     """
 
     def __init__(self, x: CompletedModule, y: CompletedModule, j: int, k: int):
@@ -342,8 +407,19 @@ class TensorGroup:
         check_slots(x.semiring, j, k)
         self.x = x
         self.y = y
+        self.pair_dim = x.group.dim * y.group.dim
+        self.name = f"{x.name}(x){y.name}"
+        self._shared = _in_scope(
+            ("tensor group", id(x.semiring), id(x.ops), id(y.ops), j, k),
+            lambda: _SharedTensor((x.semiring, x.ops, y.ops), self._present(j, k)))
+        self.pres, self._units = self._shared.pres, self._shared.units
+        self.group = self.pres.group
+
+    def _present(self, j: int, k: int) -> Presentation:
+        """The pair space modulo the factors' orders and slot-(j,k)
+        balancing."""
+        x, y = self.x, self.y
         xs, ys = x.group.dim, y.group.dim
-        self.pair_dim = xs * ys
         rels = []
         for i, a in enumerate(x.group.orders):
             for j2, b in enumerate(y.group.orders):
@@ -366,10 +442,7 @@ class TensorGroup:
                     for j2 in range(ys):
                         r[i0 * ys + j2] -= q[j2][j0]
                     rels.append(r)
-        self.pres = Presentation(self.pair_dim, rels)
-        self.group = self.pres.group
-        self.name = f"{x.name}(x){y.name}"
-        self._units: dict = {}
+        return Presentation(self.pair_dim, rels)
 
     def _parts(self, side: str, mat, proj_dst):
         """``descent_parts`` of mat (x) I (side "left") or I (x) mat ("right")
@@ -396,7 +469,7 @@ class TensorGroup:
 
         Its matrix and descent obstruction are Z-linear in mat, so they are
         the sums of those of the matrix units mat uses (``_unit``), each
-        worked out once per tensor group.
+        worked out once per shared tensor group.
         """
         dim = self.group.dim
         units = [(v, self._unit(side, a, b)) for a, row in enumerate(mat)
@@ -419,7 +492,16 @@ class TensorGroup:
         """Attach residual operators, each slot through the right factor when
         all its operators descend there, else the left (``residual_slots``).
         Each distinct operator of a side is projected once
-        (``pair_matrix_to_quotient``)."""
+        (``pair_matrix_to_quotient``), and the operators are worked out once
+        per shared tensor group, as the scope's family of their value
+        (``_canonical_family``)."""
+        s, shared = self.x.semiring, self._shared
+        if shared.ops is None:
+            shared.ops = _canonical_family(s, self.group, self._residual_ops())
+        return CompletedModule(s, self.group, shared.ops, None, name=self.name)
+
+    def _residual_ops(self):
+        """The residual operators ``as_module`` attaches, by slot."""
         s = self.x.semiring
         projected = {}
 
@@ -436,6 +518,5 @@ class TensorGroup:
                                          f"parameters {gs} does not descend")
             return tuple(map(by_op.__getitem__, ops[slot]))
 
-        ops = residual_slots(s.n, [("right", partial(attach, "right", self.y.ops)),
-                                   ("left", partial(attach, "left", self.x.ops))])
-        return CompletedModule(s, self.group, tuple(ops), None, name=self.name)
+        return tuple(residual_slots(s.n, [("right", partial(attach, "right", self.y.ops)),
+                                          ("left", partial(attach, "left", self.x.ops))]))

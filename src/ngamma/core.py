@@ -740,10 +740,11 @@ def make_matrix_family(base: NaryGammaSemiring, m: int, arity: int,
                  gamma, scalars)
 
 
-def _matrix_semiring(base: NaryGammaSemiring, m: int, cells,
-                     name: str = "") -> NaryGammaSemiring:
+def _matrix_semiring(base: NaryGammaSemiring, m: int, cells, name: str = "",
+                     arity: int = 2) -> NaryGammaSemiring:
     """The m x m matrices over the binary ``base`` that are zero off
-    ``cells``, a list of (row, column) pairs closed under products; the
+    ``cells``, a list of (row, column) pairs closed under products of
+    ``arity`` matrices, with mu that product, trivially parameterized; the
     entries at ``cells`` are the digits of the element index."""
     if base.n != 2 or base.gamma.size != 1:
         raise StructuralError(f"{base.name} is not a binary, trivially parameterized semiring")
@@ -761,15 +762,36 @@ def _matrix_semiring(base: NaryGammaSemiring, m: int, cells,
                 acc = add(acc, base.mu_table[a[i, h] * base.T.size + b[h, j]])
         return acc
 
-    return _binary(len(mats), lambda x, y: pack(lambda i, j: add(mats[x][i, j], mats[y][i, j])),
-                   lambda x, y: pack(lambda i, j: dot(mats[x], mats[y], i, j)), name,
-                   zero=pack(lambda i, j: base.T.zero))
+    def times(xs):
+        # The inner products are whole matrices; only the last is packed.
+        acc = mats[xs[0]]
+        for x in xs[1:-1]:
+            acc = {(i, j): dot(acc, mats[x], i, j) for i in range(m) for j in range(m)}
+        return pack(lambda i, j: dot(acc, mats[xs[-1]], i, j))
+
+    elems = range(len(mats))
+    t = FiniteAddMonoid(len(mats), tuple(pack(lambda i, j: add(mats[x][i, j], mats[y][i, j]))
+                                         for x, y in itertools.product(elems, repeat=2)),
+                        pack(lambda i, j: base.T.zero))
+    return NaryGammaSemiring(arity, t, trivial_gamma(),
+                             tuple(map(times, itertools.product(elems, repeat=arity))), name=name)
 
 
 def gamma_scaled_z4() -> NaryGammaSemiring:
     """Ternary Z/4 with parameters Z/2 (flagged zero 0) scaling by 0 and 2."""
     z2 = GammaSemigroup(2, (0, 1, 1, 0), has_zero=True, zero=0)
     return make_matrix_family(zmod_semiring(4), 1, 3, gamma=z2, gamma_scalars=(0, 2))
+
+
+def odd_part(base: NaryGammaSemiring, m: int) -> NaryGammaSemiring:
+    """Lister's odd part of M_m(base) under the checkerboard grading: the
+    m x m matrices over ``base`` that are zero off the cells with i + j odd,
+    ternary under mu(x, y, z) = xyz (an odd cell times two odd cells is
+    odd); the odd entries, in row-major order, are the index digits."""
+    if m < 2:
+        raise StructuralError(f"the odd part of M_{m} needs m >= 2")
+    return _matrix_semiring(base, m, [(i, j) for i in range(m) for j in range(m) if (i + j) % 2],
+                            f"odd{m}({base.name})", arity=3)
 
 
 def truncated_polynomial(p: int, k: int) -> NaryGammaSemiring:

@@ -21,7 +21,11 @@ entry point opens one scope for the length of its call
 (``intlinalg.shares_factorizations``): the call factors each distinct
 integer system, linearizes each distinct module and builds each bar tower
 and comparison-lift stage once, so its bar towers share one carrier, the
-linearized regular module.
+linearized regular module.  Every term's operators are the scope's family
+of their value (``completion._canonical_family``), so the balanced tensors
+of a tower, the Tor chain against it and the Hom cochain out of it build
+one tensor group or Hom group per pair of families, however many terms
+share them.
 """
 
 from __future__ import annotations

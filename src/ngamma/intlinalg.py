@@ -23,7 +23,8 @@ when that call returns or raises.  ``smith_normal_form`` keeps its forms
 there, keyed on the input's shape, its rows and its kind, and a repeated
 system gets back the first ``SmithForm``; ``open_memo`` hands the scope to
 the layers above, which keep their own entries in it
-(``completion.linearize_module`` its completions and linearizations).
+(``completion`` its completions, linearizations, canonical operator
+families, tensor groups and Hom groups, ``homology`` its towers).
 Every entry is a pure function of its key, so sharing it moves no
 coordinate; in return every caller only reads what it gets back.
 """

@@ -427,9 +427,11 @@ def test_tensor_refusal_texts_name_the_first_failing_operator():
 
 
 def test_ext_via_bar_projects_each_attached_operator_once(monkeypatch, count_calls):
-    # Each tensor term of the tower projects every distinct operator it
-    # attaches once, summed from matrix units; the dense Kronecker products
-    # took 114 products here.
+    # Each tensor group the tower's terms share (one presentation: every
+    # term is Z/4 with the regular operators) projects every distinct
+    # operator it attaches once, summed from matrix units.  The dense
+    # Kronecker products took 114 products here, and one tensor group per
+    # term 31 products and 20 projections.
     s = z4_ternary()
     reg = regular_bimodule(s)
     projected, attached = [], []
@@ -437,7 +439,7 @@ def test_ext_via_bar_projects_each_attached_operator_once(monkeypatch, count_cal
 
     def recording(tg, side, mat):
         gm = project(tg, side, mat)
-        projected.append(((tg, side, tuple(map(tuple, mat))), gm))
+        projected.append(((tg.pres, side, tuple(map(tuple, mat))), gm))
         return gm
 
     monkeypatch.setattr(TensorGroup, "pair_matrix_to_quotient", recording)
@@ -445,12 +447,12 @@ def test_ext_via_bar_projects_each_attached_operator_once(monkeypatch, count_cal
                         lambda tg: attached.append(tg) or as_module(tg))
     counts = count_calls(la, "mat_mul")
     assert ext_via_bar(s, reg, reg, depth=2).factors() == [(4,), (), ()]
-    assert counts["mat_mul"] == 31
+    assert counts["mat_mul"] == 23
     # Every slot of ternary Z/4 is carried by the right factor.
     assert all(gm is not None for _, gm in projected)
     keys = [key for key, _ in projected]
-    assert len(keys) == len(set(keys)) == 20
-    assert set(keys) == {(tg, "right", op.key) for tg in attached
+    assert len(keys) == len(set(keys)) == 4
+    assert set(keys) == {(tg.pres, "right", op.key) for tg in attached
                          for slot_ops in tg.y.ops for op in slot_ops}
 
 

@@ -400,7 +400,8 @@ def test_bounds_are_module_constants_and_unset_options_are_gone():
                "spectral.extend_scalars", "core.product",
                "core.make_matrix_family", "core.make_endomorphism_family", "core.relabel",
                "core.opposite", "core.gamma_scaled_z4", "core.truncated_polynomial",
-               "core.upper_triangular", "modules.relabel_module", "modules.opposite_module"}
+               "core.upper_triangular", "core.odd_part", "modules.relabel_module",
+               "modules.opposite_module"}
     signatures = dict(_public_signatures())
     assert {qual for qual, params in signatures.items() if bounds & set(params)} == \
         {"ideals.all_ideals", "ideals.spectrum"}

@@ -12,21 +12,30 @@ Products are held to HH(A x B) = HH(A) + HH(B).  The regularity entries
 record ``is_regular`` on the ledger's families: every carrier whose answer
 is wrong today fails it, and every regular one but M2(F2) builds its bar.
 
+Lister's odd parts of checkerboard-graded matrix rings (``odd_part``) are
+ternary carriers that are not folds of a binary ring.  Their entries pin
+today's verdicts: each validates and is regular, has no neutral word, has
+only the ideals 0 and T and no completely prime ideal, and the bar of
+odd(M2(F2)) refuses at slot 2 (ROADMAP items 18 and 23).
+
 Tor of the regular module against itself is left out: ``tor_via_bar``
 reads a positional tensor balanced at one slot pair, so its Tor_0 is A,
 not HH_0, until the enveloping ring is defined (ROADMAP item 12).
 """
+
+import itertools
 
 import pytest
 
 from ngamma.bundled import bundled_workspace
 from ngamma.core import (
     FiniteAddMonoid, NaryGammaSemiring, SoundnessError, StructuralError, boolean_semiring,
-    f2_semiring, gamma_scaled_z4, is_regular, make_matrix_family, neutral_words, product,
-    ternary_from_semiring, trivial_gamma, truncated_nat_semiring, truncated_polynomial,
+    f2_semiring, gamma_scaled_z4, is_regular, make_matrix_family, neutral_words, odd_part,
+    product, ternary_from_semiring, trivial_gamma, truncated_nat_semiring, truncated_polynomial,
     upper_triangular, validate_semiring, zmod_semiring,
 )
 from ngamma.homology import bar_complex, ext_via_bar, tor_via_bar
+from ngamma.ideals import all_ideals, spectrum
 from ngamma.modules import regular_bimodule
 
 DEPTH = 4
@@ -162,3 +171,36 @@ def test_regular_families_build_the_bar_to_depth_4(name):
             bar_complex(s, regular_bimodule(s), depth=DEPTH)
     else:
         bar_complex(s, regular_bimodule(s), depth=DEPTH)
+
+
+ODD_PARTS = {"odd(m2(f2))": (f2_semiring, 2), "odd(m2(b))": (boolean_semiring, 2),
+             "odd(m3(f2))": (f2_semiring, 3)}
+
+
+@pytest.mark.parametrize("base, m", [pytest.param(*case, id=name)
+                                     for name, case in ODD_PARTS.items()])
+def test_odd_parts_are_regular_ternary_carriers_without_primes(base, m):
+    s = odd_part(base(), m)
+    assert (s.n, s.T.size) == (3, base().T.size ** (m * m // 2))
+    assert validate_semiring(s).ok and is_regular(s).ok
+    assert neutral_words(s) == []
+    assert [sorted(i.members) for i in all_ideals(s)] == [[s.T.zero], list(range(s.T.size))]
+    assert spectrum(s).primes == ()
+
+
+def test_odd_part_of_m2_f2_is_the_off_diagonal_product():
+    # Element 2a + b is [[0, a], [b, 0]], so mu((a,b), (c,d), (e,f)) = (ade, bcf).
+    s = odd_part(f2_semiring(), 2)
+    pairs = [(x >> 1, x & 1) for x in range(4)]
+    for x, y, z in itertools.product(range(4), repeat=3):
+        (a, b), (c, d), (e, f) = pairs[x], pairs[y], pairs[z]
+        assert s.mu((x, y, z), (0, 0)) == 2 * (a & d & e) + (b & c & f)
+    with pytest.raises(StructuralError):
+        odd_part(f2_semiring(), 1)
+
+
+def test_odd_part_of_m2_f2_refuses_its_bar_at_slot_2():
+    s = odd_part(f2_semiring(), 2)
+    reg = regular_bimodule(s)
+    with pytest.raises(SoundnessError, match="no residual action descends at slot 2"):
+        ext_via_bar(s, reg, reg)

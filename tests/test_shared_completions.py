@@ -11,7 +11,14 @@ balance (two per cofree stage) and 3 for basechange.  The conflation's
 three modules use two monoids, kunneth's four modules one, and balance's
 cofree tower adds one, the one-element monoid of its later stages.
 
-Towers are counted the same way, by wrapping ``Resolution.__init__``.
+Towers are counted the same way, by wrapping ``Resolution.__init__``, and
+tensor and Hom groups by wrapping their builders, ``TensorGroup._present``
+(the presentation) and ``completion.kernel`` (the Hom kernel).  Inside a
+call every operator family handed out is the first one equal to it by
+value, so the tensor groups and Hom groups of one pair of families share
+one build: before, Ext over the regular ternary Z/12 at depth 2 presented 5
+tensor groups and solved 4 Hom kernels, and Tor over the regular ternary
+Z/16 at depth 3 presented 12 tensor groups.
 """
 
 import contextlib
@@ -22,9 +29,11 @@ import pytest
 from ngamma import cli, completion, homology
 from ngamma import intlinalg as la
 from ngamma.bundled import bundled_workspace
-from ngamma.core import z4_ternary
-from ngamma.homology import tor_via_bar
+from ngamma.completion import EquivariantHom, TensorGroup
+from ngamma.core import f2_ternary, ternary_from_semiring, z4_ternary, zmod_semiring
+from ngamma.homology import ext_via_bar, tor_via_bar
 from ngamma.modules import regular_bimodule
+from ngamma.spectral import kunneth_check
 
 
 @pytest.fixture
@@ -107,3 +116,61 @@ def bar_builds(count_calls):
 def test_bundled_commands_build_each_tower_once(bar_builds, command, towers):
     _run(command)
     assert bar_builds["__init__"] == towers
+
+
+def _regular(modulus):
+    s = ternary_from_semiring(zmod_semiring(modulus))
+    return s, regular_bimodule(s)
+
+
+def test_one_call_builds_one_tensor_group_and_one_hom_group_per_value(count_calls):
+    presented = count_calls(TensorGroup, "_present")
+    solved = count_calls(completion, "kernel")
+    s, reg = _regular(12)
+    assert ext_via_bar(s, reg, reg, depth=2).factors() == [(12,), (), ()]
+    assert (presented["_present"], solved["kernel"]) == (1, 1)
+    s, reg = _regular(16)
+    assert tor_via_bar(s, reg, reg, depth=3).factors() == [(16,), (), (), ()]
+    assert (presented["_present"], solved["kernel"]) == (2, 1)
+
+
+def test_kunneth_grid_cells_share_one_presentation(monkeypatch):
+    # The nine cells tensor two terms of one bar tower, every term the
+    # regular F2 with its operators; before, each cell had its own.
+    s = f2_ternary()
+    reg = regular_bimodule(s)
+    built, towers = [], []
+    init, resolution = TensorGroup.__init__, homology.Resolution
+    monkeypatch.setattr(TensorGroup, "__init__",
+                        lambda tg, *args: built.append(tg) or init(tg, *args))
+    monkeypatch.setattr(homology, "Resolution",
+                        lambda *args: towers.append(resolution(*args)) or towers[-1])
+    kunneth_check(s, reg, reg, reg, depth=2)
+    terms = next(t.terms for t in towers if t.terms[0].name == reg.name)
+    cells = [tg for tg in built if any(tg.x is t for t in terms)
+             and any(tg.y is t for t in terms)]
+    assert len(cells) == 9
+    assert len({id(tg.pres) for tg in cells}) == 1
+
+
+def test_each_call_builds_its_own_groups(count_calls):
+    presented = count_calls(TensorGroup, "_present")
+    solved = count_calls(completion, "kernel")
+    s, reg = _regular(12)
+    first, second = (ext_via_bar(s, reg, reg, depth=2) for _ in range(2))
+    assert (presented["_present"], solved["kernel"]) == (2, 2)
+    assert first.resolution.tensors[1].pres is not second.resolution.tensors[1].pres
+    assert la.open_memo() is None
+
+
+def test_nothing_is_shared_outside_a_call(count_calls):
+    presented = count_calls(TensorGroup, "_present")
+    solved = count_calls(completion, "kernel")
+    s, reg = _regular(12)
+    lin = completion.linearize_module(reg)
+    a, b = TensorGroup(lin, lin, 2, 0), TensorGroup(lin, lin, 2, 0)
+    assert presented["_present"] == 2 and a.pres is not b.pres
+    h, g = EquivariantHom(lin, lin), EquivariantHom(lin, lin)
+    assert solved["kernel"] == 2 and h._kernel is not g._kernel
+    # Nor is a module's value: its residual operators are its own.
+    assert a.as_module().ops is not lin.ops

@@ -16,6 +16,7 @@ from test_load_once import BUNDLED_COMMANDS
 
 from ngamma import cli, homology, spectral
 from ngamma import intlinalg as la
+from ngamma.completion import EquivariantHom, TensorGroup
 from ngamma.core import (
     GammaSemiringMorphism, SoundnessError, f2_semiring, f2_ternary, make_matrix_family,
     z4_ternary,
@@ -128,6 +129,47 @@ def test_shared_results_equal_fresh_factorizations(monkeypatch):
         assert la._memo.get() is None
         for args, sf in calls:
             assert _fields(sf) == _fields(factor(*args)), command
+
+
+def _mats(ops):
+    return [[op.mat for op in slot] for slot in ops]
+
+
+def test_shared_groups_equal_fresh_builds(monkeypatch):
+    # Every tensor group and Hom group a call's scope shares, read again
+    # once the call has returned, still equals one built afresh outside a
+    # call: its presentation, matrix-unit parts and residual operators, or
+    # its base and kernel.  No caller mutated what the scope shares.
+    tensors, homs = [], []
+    present, solve = TensorGroup._present, EquivariantHom._solve
+    monkeypatch.setattr(TensorGroup, "_present",
+                        lambda tg, j, k: tensors.append((tg, j, k)) or present(tg, j, k))
+    monkeypatch.setattr(EquivariantHom, "_solve", lambda h: homs.append(h) or solve(h))
+    checked = [0, 0]
+    for command in BUNDLED_COMMANDS:
+        del tensors[:], homs[:]
+        assert _run(command) == 0, command
+        checked[0] += len(tensors)
+        checked[1] += len(homs)
+        assert la._memo.get() is None
+        # The fresh builds below are recorded too; they are not read.
+        for tg, j, k in tensors[:]:
+            shared, fresh = tg._shared, TensorGroup(tg.x, tg.y, j, k)
+            assert (shared.pres.relations, shared.pres.proj_matrix(),
+                    shared.pres.lift_matrix()) == (fresh.pres.relations,
+                                                   fresh.pres.proj_matrix(),
+                                                   fresh.pres.lift_matrix()), command
+            assert shared.units == {key: fresh._unit(*key) for key in shared.units}, command
+            if shared.ops is not None:
+                assert _mats(shared.ops) == _mats(fresh.as_module().ops), command
+        for h in homs[:]:
+            fresh = EquivariantHom(h.x, h.y)
+            assert h.base.coords == fresh.base.coords, command
+            assert (h._kernel.gens, h._kernel.inclusion.mat, h._kernel.pres.proj_matrix(),
+                    h._kernel.pres.lift_matrix()) == \
+                (fresh._kernel.gens, fresh._kernel.inclusion.mat,
+                 fresh._kernel.pres.proj_matrix(), fresh._kernel.pres.lift_matrix()), command
+    assert checked[0] > 0 and checked[1] > 0
 
 
 def test_factorizations_per_bundled_round(count_calls):
