@@ -155,8 +155,7 @@ class Presentation:
 def descent_parts(proj_w, lift_src, proj_src):
     """(M, C) for a map W between presentation coordinate spaces, given as
     proj_dst . W: the induced matrix M = proj_dst . W . lift_src and the
-    descent obstruction C = proj_dst . W - M . proj_src.  Both are Z-linear
-    in W, so the parts of a sum of maps are the sums of their parts."""
+    descent obstruction C = proj_dst . W - M . proj_src."""
     mat = la.mat_mul(proj_w, lift_src, len(proj_src))
     back = la.mat_mul(mat, proj_src, len(lift_src))
     return mat, [[x - y for x, y in zip(row, brow)] for row, brow in zip(proj_w, back)]

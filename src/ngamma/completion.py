@@ -7,10 +7,11 @@ groups are then explicit kernel and cokernel computations over the integers,
 canonicalized through Smith normal form.  Within one derived call each
 monoid is completed once and each module linearized once, in the call's
 scope (``intlinalg.shares_factorizations``).  There every operator family
-handed out (``linearize_module``, ``TensorGroup.as_module``) is the first
-one equal to it by value, so module identity stands for module value, and
-the tensor groups and Hom groups of one pair of families share one
-presentation or kernel.  Nothing is kept across calls.
+handed out (``linearize_module``, ``TensorGroup.as_module``,
+``homology.DerivedResult.modules``) is the first one equal to it by value,
+so module identity stands for module value, and the tensor groups and Hom
+groups of one pair of families share one presentation or kernel.  Nothing
+is kept across calls.
 """
 
 from __future__ import annotations
@@ -364,26 +365,15 @@ class EquivariantHom:
 # Balanced tensor groups
 # ---------------------------------------------------------------------------
 
-def _combination(terms, nrows: int, ncols: int):
-    """The sum of v*m over the (v, m) in terms, each m nrows x ncols."""
-    out = None
-    for v, m in terms:
-        out = ([[v * y for y in row] for row in m] if out is None else
-               [[x + v * y for x, y in zip(orow, row)] for orow, row in zip(out, m)])
-    return la.zeros(nrows, ncols) if out is None else out
-
-
 @dataclass(eq=False)
 class _SharedTensor:
     """What the tensor groups of two operator families at one slot pair
-    share: the presentation, the matrix-unit parts (``TensorGroup._unit``)
-    and the residual operators once worked out.  ``held`` is the semiring
-    and both families, so that their ids name them while a call's scope
-    keeps this."""
+    share: the presentation and the residual operators once worked out.
+    ``held`` is the semiring and both families, so that their ids name them
+    while a call's scope keeps this."""
 
     held: tuple
     pres: Presentation
-    units: dict = field(default_factory=dict)
     ops: tuple | None = None
 
 
@@ -396,9 +386,8 @@ class TensorGroup:
     alone (``intlinalg.mul_kron_identity``); no Kronecker matrix is built.
 
     In a call's scope the tensor groups of two operator families at one slot
-    pair share one ``_SharedTensor``: one presentation, one set of
-    matrix-unit parts and one set of residual operators.  Each keeps its own
-    factors and name.
+    pair share one ``_SharedTensor``: one presentation and one set of
+    residual operators.  Each keeps its own factors and name.
     """
 
     def __init__(self, x: CompletedModule, y: CompletedModule, j: int, k: int):
@@ -412,7 +401,7 @@ class TensorGroup:
         self._shared = _in_scope(
             ("tensor group", id(x.semiring), id(x.ops), id(y.ops), j, k),
             lambda: _SharedTensor((x.semiring, x.ops, y.ops), self._present(j, k)))
-        self.pres, self._units = self._shared.pres, self._shared.units
+        self.pres = self._shared.pres
         self.group = self.pres.group
 
     def _present(self, j: int, k: int) -> Presentation:
@@ -452,32 +441,15 @@ class TensorGroup:
         return descent_parts(la.mul_kron_identity(proj_dst, side, mat, acols, k),
                              self.pres.lift_matrix(), self.pres.proj_matrix())
 
-    def _unit(self, side: str, a: int, b: int):
-        """The parts (``_parts``) of the matrix unit E_ab of one factor acting
-        on the pair space.  Kept once worked out."""
-        key = side, a, b
-        if key not in self._units:
-            dim = (self.x if side == "left" else self.y).group.dim
-            unit = [[int((i, j) == (a, b)) for j in range(dim)] for i in range(dim)]
-            self._units[key] = self._parts(side, unit, self.pres.proj_matrix())
-        return self._units[key]
-
     def pair_matrix_to_quotient(self, side: str, mat) -> GroupMap | None:
         """The residual of I (x) mat (side "right", mat an endomorphism of
         the right factor) or mat (x) I ("left"); None when it does not
-        descend.
-
-        Its matrix and descent obstruction are Z-linear in mat, so they are
-        the sums of those of the matrix units mat uses (``_unit``), each
-        worked out once per shared tensor group.
-        """
-        dim = self.group.dim
-        units = [(v, self._unit(side, a, b)) for a, row in enumerate(mat)
-                 for b, v in enumerate(row) if v]
-        res = _combination([(v, r) for v, (r, _) in units], dim, dim)
-        obs = _combination([(v, c) for v, (_, c) in units], dim, self.pair_dim)
+        descend.  Raises ValueError on any other side or when mat is not
+        square of that factor's dimension."""
         try:
-            return induced_on_quotients(self.group, self.group, res, obs, "pair matrix")
+            return induced_on_quotients(self.group, self.group,
+                                        *self._parts(side, mat, self.pres.proj_matrix()),
+                                        "pair matrix")
         except SoundnessError:
             return None
 

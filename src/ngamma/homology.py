@@ -48,8 +48,8 @@ from .modules import (
     quotient_projection, regular_bimodule, resolve_slot, validate_module_morphism,
 )
 from .completion import (
-    CompletedModule, EquivariantHom, TensorGroup, linearize_module, linearize_morphism,
-    linearize_over,
+    CompletedModule, EquivariantHom, TensorGroup, _canonical_family, linearize_module,
+    linearize_morphism, linearize_over,
 )
 
 # The refusal bound on a bar tower's word space at one degree, tdim^r * mdim,
@@ -434,16 +434,18 @@ class DerivedResult:
 
     def modules(self) -> list[CompletedModule]:
         """Ext below the cut as completed modules, on which each distinct
-        operator of the fixed module acts once, by postcomposition."""
-        out = []
+        operator of the fixed module acts once, by postcomposition.  Their
+        operators are the scope's family of their value
+        (``completion._canonical_family``)."""
+        s, out = self.resolution.semiring, []
         for qdeg, (node, hom) in enumerate(zip(self.nodes, self._ext_homs())):
             # Equal keys are equal maps; only cocycle representatives stay equivariant.
             post = {key: node.induced(lambda rep, opn=opn: hom.coords(
                         opn.compose(hom.matrix(tuple(rep))), "operator"), node)
                     for key, opn in {o.key: o for slot in hom.y.ops for o in slot}.items()}
             ops = tuple(tuple(post[o.key] for o in slot) for slot in hom.y.ops)
-            out.append(CompletedModule(self.resolution.semiring, node.group, ops, None,
-                                       name=f"Ext^{qdeg}"))
+            out.append(CompletedModule(s, node.group, _canonical_family(s, node.group, ops),
+                                       None, name=f"Ext^{qdeg}"))
         return out
 
 

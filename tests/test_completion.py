@@ -357,6 +357,19 @@ def test_pair_matrix_to_quotient_identity_on_binary_m2f2():
             GroupMap.identity(tg.group))
 
 
+def test_pair_matrix_to_quotient_refuses_a_malformed_factor():
+    # A factor operator of the wrong size, or an unknown side, is a caller
+    # error, not an operator that fails to descend (None) or a map.
+    lin = linearize_module(regular_bimodule(make_matrix_family(f2_semiring(), 2, 2)))
+    tg = TensorGroup(lin, lin, 1, 0)
+    assert lin.group.dim == 4
+    for side, mat in (("right", la.identity(5)), ("left", la.identity(5)),
+                      ("right", la.identity(3)), ("left", la.identity(3)),
+                      ("up", la.zeros(4, 4))):
+        with pytest.raises(ValueError):
+            tg.pair_matrix_to_quotient(side, mat)
+
+
 def _pair_matrix_to_quotient_per_relation(tg, pairmat):
     """Reference definition: W descends when every W.r projects to zero."""
     for r in tg.pres.relations:
@@ -429,9 +442,10 @@ def test_tensor_refusal_texts_name_the_first_failing_operator():
 def test_ext_via_bar_projects_each_attached_operator_once(monkeypatch, count_calls):
     # Each tensor group the tower's terms share (one presentation: every
     # term is Z/4 with the regular operators) projects every distinct
-    # operator it attaches once, summed from matrix units.  The dense
-    # Kronecker products took 114 products here, and one tensor group per
-    # term 31 products and 20 projections.
+    # operator it attaches once, in two products (``descent_parts``).  The
+    # dense Kronecker products took 114 products here, one tensor group per
+    # term 31 products and 20 projections, and summing the projections from
+    # cached matrix units 23 products.
     s = z4_ternary()
     reg = regular_bimodule(s)
     projected, attached = [], []
@@ -447,7 +461,7 @@ def test_ext_via_bar_projects_each_attached_operator_once(monkeypatch, count_cal
                         lambda tg: attached.append(tg) or as_module(tg))
     counts = count_calls(la, "mat_mul")
     assert ext_via_bar(s, reg, reg, depth=2).factors() == [(4,), (), ()]
-    assert counts["mat_mul"] == 23
+    assert counts["mat_mul"] == 29
     # Every slot of ternary Z/4 is carried by the right factor.
     assert all(gm is not None for _, gm in projected)
     keys = [key for key, _ in projected]

@@ -14,9 +14,11 @@ is wrong today fails it, and every regular one but M2(F2) builds its bar.
 
 Lister's odd parts of checkerboard-graded matrix rings (``odd_part``) are
 ternary carriers that are not folds of a binary ring.  Their entries pin
-today's verdicts: each validates and is regular, has no neutral word, has
-only the ideals 0 and T and no completely prime ideal, and the bar of
-odd(M2(F2)) refuses at slot 2 (ROADMAP items 18 and 23).
+today's verdicts: each and its opposite validate and are regular, have
+only the ideals 0 and T and no completely prime ideal, and none has a
+neutral word.  At depth 2 Ext and Tor of odd(M2(B)) are 0 in every degree,
+since the Boolean completion is 0 (ROADMAP item 21), and the bars of
+odd(M2(F2)) and odd(M3(F2)) refuse at slot 2 (ROADMAP items 18 and 23).
 
 Tor of the regular module against itself is left out: ``tor_via_bar``
 reads a positional tensor balanced at one slot pair, so its Tor_0 is A,
@@ -31,8 +33,8 @@ from ngamma.bundled import bundled_workspace
 from ngamma.core import (
     FiniteAddMonoid, NaryGammaSemiring, SoundnessError, StructuralError, boolean_semiring,
     f2_semiring, gamma_scaled_z4, is_regular, make_matrix_family, neutral_words, odd_part,
-    product, ternary_from_semiring, trivial_gamma, truncated_nat_semiring, truncated_polynomial,
-    upper_triangular, validate_semiring, zmod_semiring,
+    opposite, product, ternary_from_semiring, trivial_gamma, truncated_nat_semiring,
+    truncated_polynomial, upper_triangular, validate_semiring, zmod_semiring,
 )
 from ngamma.homology import bar_complex, ext_via_bar, tor_via_bar
 from ngamma.ideals import all_ideals, spectrum
@@ -199,8 +201,27 @@ def test_odd_part_of_m2_f2_is_the_off_diagonal_product():
         odd_part(f2_semiring(), 1)
 
 
-def test_odd_part_of_m2_f2_refuses_its_bar_at_slot_2():
-    s = odd_part(f2_semiring(), 2)
+@pytest.mark.parametrize("base, m", [pytest.param(*case, id=name)
+                                     for name, case in ODD_PARTS.items()])
+def test_odd_parts_have_opposites_without_primes(base, m):
+    s = opposite(odd_part(base(), m))
+    assert validate_semiring(s).ok and is_regular(s).ok
+    assert len(all_ideals(s)) == 2
+    assert spectrum(s).primes == ()
+
+
+# Ext and Tor of the regular module at depth 2; None is the slot-2 refusal.
+ODD_DERIVED = {"odd(m2(f2))": None, "odd(m2(b))": [(), (), ()], "odd(m3(f2))": None}
+
+
+@pytest.mark.parametrize("derived", [ext_via_bar, tor_via_bar], ids=["ext", "tor"])
+@pytest.mark.parametrize("name", ODD_PARTS)
+def test_odd_parts_derived_outcomes_at_depth_2(name, derived):
+    base, m = ODD_PARTS[name]
+    s = odd_part(base(), m)
     reg = regular_bimodule(s)
-    with pytest.raises(SoundnessError, match="no residual action descends at slot 2"):
-        ext_via_bar(s, reg, reg)
+    if ODD_DERIVED[name] is None:
+        with pytest.raises(SoundnessError, match="no residual action descends at slot 2"):
+            derived(s, reg, reg, depth=2)
+    else:
+        assert derived(s, reg, reg, depth=2).factors() == ODD_DERIVED[name]

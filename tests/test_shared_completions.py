@@ -153,6 +153,17 @@ def test_kunneth_grid_cells_share_one_presentation(monkeypatch):
     assert len({id(tg.pres) for tg in cells}) == 1
 
 
+def test_kunneth_presents_each_tensor_group_value_once(count_calls):
+    # The Ext modules whose Tor the check reads are the scope's families of
+    # their value too, so Ext^1 and Ext^2, both zero with zero operators,
+    # share one tensor group per slot pair; before, the check presented 8.
+    presented = count_calls(TensorGroup, "_present")
+    s = f2_ternary()
+    reg = regular_bimodule(s)
+    assert kunneth_check(s, reg, reg, reg, depth=2).consistent
+    assert presented["_present"] == 4
+
+
 def test_each_call_builds_its_own_groups(count_calls):
     presented = count_calls(TensorGroup, "_present")
     solved = count_calls(completion, "kernel")
