@@ -9,20 +9,19 @@ orders, and isomorphism tests go through ``invariant_factors``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from itertools import product
 from math import lcm, prod
 
 from . import intlinalg as la
-from .core import SoundnessError
+from .core import Record, SoundnessError, _set
 
 
-@dataclass(frozen=True)
-class AbGroup:
-    orders: tuple[int, ...]
+class AbGroup(Record):
+    _fields = ("orders",)
 
-    def __post_init__(self):
+    def __init__(self, orders: tuple[int, ...]):
+        _set(self, "orders", orders)
         if not all(o == 0 or o >= 2 for o in self.orders):
             raise ValueError(f"coordinate orders must be 0 or at least 2, got {self.orders}")
 

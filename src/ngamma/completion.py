@@ -16,7 +16,6 @@ is kept across calls.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
 from functools import partial
 from math import gcd
 from operator import add
@@ -25,24 +24,31 @@ from . import intlinalg as la
 from .abgroups import (
     AbGroup, GroupMap, Presentation, descent_parts, induced_on_quotients, kernel,
 )
-from .core import FiniteAddMonoid, NaryGammaSemiring, SoundnessError, StructuralError
+from .core import (
+    FiniteAddMonoid, NaryGammaSemiring, Record, SoundnessError, StructuralError, _set,
+)
 from .modules import (
     BiGammaModule, ModuleMorphism, check_slots, filler_tuples, map_columns, residual_slots,
     same_module,
 )
 
 
-@dataclass(frozen=True)
-class Completion:
+class Completion(Record):
     """The completion of a monoid: the group, each element's vector, and
     ``lifts[c]``, the (element, coefficient) pairs of a formal sum of
-    elements whose vector is the c-th basis vector of the group."""
+    elements whose vector is the c-th basis vector of the group.  The
+    presentation and the lifts follow from the rest and are not compared."""
 
-    monoid: FiniteAddMonoid
-    group: AbGroup
-    vectors: tuple[tuple[int, ...], ...]
-    pres: Presentation = field(compare=False, repr=False)
-    lifts: tuple[tuple[tuple[int, int], ...], ...] = field(compare=False, repr=False)
+    _fields = ("monoid", "group", "vectors")
+
+    def __init__(self, monoid: FiniteAddMonoid, group: AbGroup,
+                 vectors: tuple[tuple[int, ...], ...], pres: Presentation,
+                 lifts: tuple[tuple[tuple[int, int], ...], ...]):
+        _set(self, "monoid", monoid)
+        _set(self, "group", group)
+        _set(self, "vectors", vectors)
+        _set(self, "pres", pres)
+        _set(self, "lifts", lifts)
 
 
 def group_complete(monoid: FiniteAddMonoid) -> Completion:
@@ -102,15 +108,20 @@ def completion_map(src: Completion, dst: Completion, elem_map) -> GroupMap:
                     check=True)
 
 
-@dataclass(frozen=True)
-class CompletedModule:
-    """A completed module: finite abelian group plus per-slot operators."""
+class CompletedModule(Record):
+    """A completed module: finite abelian group plus per-slot operators.
+    The completion it came from, if any, is not compared."""
 
-    semiring: NaryGammaSemiring
-    group: AbGroup
-    ops: tuple[tuple[GroupMap, ...], ...]
-    completion: Completion | None = field(default=None, compare=False)
-    name: str = ""
+    _fields = ("semiring", "group", "ops", "name")
+
+    def __init__(self, semiring: NaryGammaSemiring, group: AbGroup,
+                 ops: tuple[tuple[GroupMap, ...], ...], completion: Completion | None = None,
+                 name: str = ""):
+        _set(self, "semiring", semiring)
+        _set(self, "group", group)
+        _set(self, "ops", ops)
+        _set(self, "completion", completion)
+        _set(self, "name", name)
 
     def op(self, slot: int, w: int) -> GroupMap:
         return self.ops[slot][w]
@@ -174,7 +185,8 @@ def linearize_module(b: BiGammaModule) -> CompletedModule:
             _canonical_family(b.parent, comp.group, tuple(map(tuple, ops))), comp,
             name=b.name)
     else:
-        lin = replace(twin, name=b.name)
+        lin = CompletedModule(twin.semiring, twin.group, twin.ops, twin.completion,
+                              name=b.name)
     done.append((b, lin))
     return lin
 
@@ -365,16 +377,16 @@ class EquivariantHom:
 # Balanced tensor groups
 # ---------------------------------------------------------------------------
 
-@dataclass(eq=False)
 class _SharedTensor:
     """What the tensor groups of two operator families at one slot pair
     share: the presentation and the residual operators once worked out.
     ``held`` is the semiring and both families, so that their ids name them
     while a call's scope keeps this."""
 
-    held: tuple
-    pres: Presentation
-    ops: tuple | None = None
+    def __init__(self, held: tuple, pres: Presentation):
+        self.held = held
+        self.pres = pres
+        self.ops: tuple | None = None
 
 
 class TensorGroup:

@@ -13,10 +13,9 @@ shared freely.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from functools import cache
 import itertools
-from operator import and_, mul, xor
+from operator import and_, attrgetter, mul, xor
 
 
 class StructuralError(ValueError):
@@ -48,6 +47,51 @@ class RegularityError(RuntimeError):
     instance fails a hypothesis the derived answer needs, so the tower is
     refused rather than read wrong.
     """
+
+
+# Sets a member of a record in its ``__init__``, past ``Record.__setattr__``.
+_set = object.__setattr__
+
+
+class Record:
+    """Base of the engine's frozen value records.
+
+    A subclass lists its compared members in ``_fields``, in the order of
+    its ``__init__`` parameters, and sets every member in that ``__init__``
+    through ``_set``.  Equality and hashing read ``_fields`` through one
+    ``operator.attrgetter`` made when the subclass is defined, and ``repr``
+    shows them: two records are equal when they are of one class and their
+    fields are equal, and a member outside ``_fields`` (a ``_memo`` filled
+    on use, a presentation kept beside its group) takes no part.
+    Assignment and deletion raise AttributeError.
+
+    Every command runs in a process of its own, so class set-up is paid on
+    each call: a record class builds no code when it is defined, and the
+    engine imports neither ``inspect`` nor a class generator.
+    """
+
+    _fields: tuple[str, ...]
+
+    def __init_subclass__(cls):
+        cls._values = attrgetter(*cls._fields)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._values(self) == other._values(other)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(self._values(self))
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
 
 
 def out_of_range(values, size: int) -> bool:
@@ -113,20 +157,20 @@ def congruence_closure(size: int, pairs, translate=None):
     return class_of, reps
 
 
-@dataclass(frozen=True)
-class FiniteAddMonoid:
+class FiniteAddMonoid(Record):
     """Commutative additive monoid given by a dense addition table."""
 
-    size: int
-    add_table: tuple[int, ...]
-    zero: int = 0
-    # Filled on first use by ``_remember``.  The dict is set at construction
-    # because an attribute added to an instance later, as cached_property
-    # adds one, slows attribute reads on every monoid (CPython 3.11: the
-    # benchmark's job rounds ran 2-3% slower).
-    _memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    _fields = ("size", "add_table", "zero")
 
-    def __post_init__(self):
+    def __init__(self, size: int, add_table: tuple[int, ...], zero: int = 0):
+        _set(self, "size", size)
+        _set(self, "add_table", add_table)
+        _set(self, "zero", zero)
+        # Filled on first use by ``_remember``.  The dict is set at
+        # construction because an attribute added to an instance later, as
+        # cached_property adds one, slows attribute reads on every monoid
+        # (CPython 3.11: the benchmark's job rounds ran 2-3% slower).
+        _set(self, "_memo", {})
         if self.size < 1:
             raise StructuralError("monoid must be nonempty")
         if len(self.add_table) != self.size * self.size:
@@ -206,16 +250,20 @@ class FiniteAddMonoid:
         return gens
 
 
-@dataclass(frozen=True)
-class GammaSemigroup:
-    """Commutative parameter semigroup; a zero is optional and flagged."""
+class GammaSemigroup(Record):
+    """Commutative parameter semigroup; a zero is optional and flagged.
 
-    size: int
-    add_table: tuple[int, ...]
-    has_zero: bool = False
-    zero: int | None = None
+    ``zero`` is None exactly when ``has_zero`` is false, so two semigroups
+    with one table and no zero are equal."""
 
-    def __post_init__(self):
+    _fields = ("size", "add_table", "has_zero", "zero")
+
+    def __init__(self, size: int, add_table: tuple[int, ...], has_zero: bool = False,
+                 zero: int | None = None):
+        _set(self, "size", size)
+        _set(self, "add_table", add_table)
+        _set(self, "has_zero", has_zero)
+        _set(self, "zero", zero)
         if self.size < 1:
             raise StructuralError("parameter semigroup must be nonempty")
         if len(self.add_table) != self.size * self.size:
@@ -224,6 +272,8 @@ class GammaSemigroup:
             raise StructuralError("parameter addition entry out of range")
         if self.has_zero and (self.zero is None or not 0 <= self.zero < self.size):
             raise StructuralError("flagged zero is missing or out of range")
+        if not self.has_zero and self.zero is not None:
+            raise StructuralError("a zero is given but not flagged")
 
     def add(self, a: int, b: int) -> int:
         return self.add_table[a * self.size + b]
@@ -247,20 +297,21 @@ class GammaSemigroup:
         return bad
 
 
-@dataclass(frozen=True)
-class NaryGammaSemiring:
+class NaryGammaSemiring(Record):
     """T, G and the full multiplication table mu : T^n x G^(n-1) -> T."""
 
-    n: int
-    T: FiniteAddMonoid
-    gamma: GammaSemigroup
-    mu_table: tuple[int, ...]
-    name: str = ""
-    # Holds the axiom report once ``validate_semiring`` has computed it; set
-    # at construction, as ``FiniteAddMonoid._memo`` is.
-    _memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    _fields = ("n", "T", "gamma", "mu_table", "name")
 
-    def __post_init__(self):
+    def __init__(self, n: int, T: FiniteAddMonoid, gamma: GammaSemigroup,
+                 mu_table: tuple[int, ...], name: str = ""):
+        _set(self, "n", n)
+        _set(self, "T", T)
+        _set(self, "gamma", gamma)
+        _set(self, "mu_table", mu_table)
+        _set(self, "name", name)
+        # Holds the axiom report once ``validate_semiring`` has computed it;
+        # set at construction, as ``FiniteAddMonoid._memo`` is.
+        _set(self, "_memo", {})
         if self.n < 2:
             raise StructuralError("arity must be at least 2")
         # Unless T and Γ are both trivial, |T|^n |Γ|^(n-1) >= 2^(n-1): an arity
@@ -296,16 +347,20 @@ class NaryGammaSemiring:
         return itertools.product(self.gamma.elements(), repeat=length)
 
 
-@dataclass(frozen=True)
-class AxiomCheck:
-    axiom: str
-    ok: bool
-    witness: tuple | None = None
+class AxiomCheck(Record):
+    _fields = ("axiom", "ok", "witness")
+
+    def __init__(self, axiom: str, ok: bool, witness: tuple | None = None):
+        _set(self, "axiom", axiom)
+        _set(self, "ok", ok)
+        _set(self, "witness", witness)
 
 
-@dataclass(frozen=True)
-class AxiomReport:
-    checks: tuple[AxiomCheck, ...]
+class AxiomReport(Record):
+    _fields = ("checks",)
+
+    def __init__(self, checks: tuple[AxiomCheck, ...]):
+        _set(self, "checks", checks)
 
     @property
     def ok(self) -> bool:
@@ -558,13 +613,14 @@ def is_regular(s: NaryGammaSemiring) -> AxiomCheck:
     return AxiomCheck("regularity", bad is None, bad)
 
 
-@dataclass(frozen=True)
-class GammaSemiringMorphism:
-    source: NaryGammaSemiring
-    target: NaryGammaSemiring
-    map: tuple[int, ...]
+class GammaSemiringMorphism(Record):
+    _fields = ("source", "target", "map")
 
-    def __post_init__(self):
+    def __init__(self, source: NaryGammaSemiring, target: NaryGammaSemiring,
+                 map: tuple[int, ...]):
+        _set(self, "source", source)
+        _set(self, "target", target)
+        _set(self, "map", map)
         if self.source.n != self.target.n:
             raise StructuralError("morphism endpoints have different arities")
         if self.source.gamma != self.target.gamma:

@@ -31,7 +31,6 @@ share them.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
 from functools import reduce
 
 from . import intlinalg as la
@@ -40,8 +39,8 @@ from .abgroups import (
     is_short_exact, kernel_gens, preimage,
 )
 from .core import (
-    BoundExceeded, NaryGammaSemiring, RegularityError, SoundnessError, StructuralError,
-    flatten_index, neutral_words, unflatten_index,
+    BoundExceeded, NaryGammaSemiring, Record, RegularityError, SoundnessError, StructuralError,
+    flatten_index, neutral_words, unflatten_index, _set,
 )
 from .modules import (
     BiGammaModule, Conflation, ModuleMorphism, check_slots, cofree, filler_index,
@@ -61,7 +60,6 @@ BAR_WORD_BOUND = 20000
 # Complexes of finitely generated abelian groups
 # ---------------------------------------------------------------------------
 
-@dataclass
 class Complex:
     """Groups in degrees 0..top, and ``diffs[r]`` from degree r to r + step.
 
@@ -70,11 +68,11 @@ class Complex:
     missing or leaves the degrees 0..top is zero.
     """
 
-    groups: list[AbGroup]
-    diffs: dict[int, GroupMap] = field(default_factory=dict)
-    step: int = -1
-
-    def __post_init__(self):
+    def __init__(self, groups: list[AbGroup], diffs: dict[int, GroupMap] | None = None,
+                 step: int = -1):
+        self.groups = groups
+        self.diffs = {} if diffs is None else diffs
+        self.step = step
         if self.step not in (-1, 1):
             raise ValueError(f"a complex steps by -1 or +1, not {self.step}")
         for r, d in self.diffs.items():
@@ -119,8 +117,7 @@ def homology(c: Complex, upto: int | None = None) -> list[AbGroup]:
 # Contraction policy
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class ContractionPolicy:
+class ContractionPolicy(Record):
     """Which parameter tuples are summed and which carrier fillers are used
     when a face map contracts two adjacent factors through mu.
 
@@ -128,9 +125,13 @@ class ContractionPolicy:
     ``perfbench/jobs.py`` passes one positionally.
     """
 
-    gammas: tuple[tuple[int, ...], ...]
-    fillers: tuple[tuple[int, ...], ...]
-    label: str = ""
+    _fields = ("gammas", "fillers", "label")
+
+    def __init__(self, gammas: tuple[tuple[int, ...], ...],
+                 fillers: tuple[tuple[int, ...], ...], label: str = ""):
+        _set(self, "gammas", gammas)
+        _set(self, "fillers", fillers)
+        _set(self, "label", label)
 
     def words(self, s: NaryGammaSemiring, t: int) -> list[int]:
         """The fillers, by ``filler_index``, that a contraction of carrier
@@ -152,7 +153,6 @@ def default_policy(s: NaryGammaSemiring) -> ContractionPolicy:
 # Resolutions: the bar and cofree towers
 # ---------------------------------------------------------------------------
 
-@dataclass(eq=False)
 class Resolution:
     """A tower of completed modules, checked exact below its cut.
 
@@ -165,16 +165,18 @@ class Resolution:
     identity, so a tower can key the call scope's lift stages.
     """
 
-    semiring: NaryGammaSemiring
-    terms: list[CompletedModule]
-    chain: Complex
-    jslot: int | None
-    kslot: int | None
-    what: str
-    tensors: dict[int, TensorGroup] = field(default_factory=dict)
-    word_dims: list[int] = field(default_factory=list)
-
-    def __post_init__(self):
+    def __init__(self, semiring: NaryGammaSemiring, terms: list[CompletedModule],
+                 chain: Complex, jslot: int | None, kslot: int | None, what: str,
+                 tensors: dict[int, TensorGroup] | None = None,
+                 word_dims: list[int] | None = None):
+        self.semiring = semiring
+        self.terms = terms
+        self.chain = chain
+        self.jslot = jslot
+        self.kslot = kslot
+        self.what = what
+        self.tensors = {} if tensors is None else tensors
+        self.word_dims = [] if word_dims is None else word_dims
         for r in range(1, self.depth):
             if not is_exact(self.chain.d(r - self.chain.step), self.chain.d(r)):
                 node = self.chain.node(r)
@@ -383,7 +385,6 @@ def bar_map(src_bar: Resolution, dst_bar: Resolution, f: GroupMap) -> list[Group
 # Derived groups: one functor read off one resolution
 # ---------------------------------------------------------------------------
 
-@dataclass(eq=False)
 class DerivedResult:
     """One functor on one resolution below its cut, Hom out of the bar or
     into the cofree tower (``HomCochain``) or the bar tensored against a
@@ -393,10 +394,9 @@ class DerivedResult:
     of a chain resolution; any other record refuses them with a ValueError,
     and so do the cocycle readers for a degree outside 0..len(nodes)-1."""
 
-    resolution: Resolution
-    functor: HomCochain | TensorChain
-
-    def __post_init__(self):
+    def __init__(self, resolution: Resolution, functor: HomCochain | TensorChain):
+        self.resolution = resolution
+        self.functor = functor
         self.complex = self.functor.complex
         self.nodes = [self.complex.node(r) for r in range(self.resolution.depth)]
         self.groups = [node.group for node in self.nodes]
@@ -545,11 +545,14 @@ def ext_via_cofree(s: NaryGammaSemiring, m, n: BiGammaModule,
     return DerivedResult(tower, HomCochain(tower, lin_m))
 
 
-@dataclass
-class BalanceReport:
-    bar_factors: list[tuple[int, ...]]
-    cofree_factors: list[tuple[int, ...]]
-    skipped: str | None = None
+class BalanceReport(Record):
+    _fields = ("bar_factors", "cofree_factors", "skipped")
+
+    def __init__(self, bar_factors: list[tuple[int, ...]],
+                 cofree_factors: list[tuple[int, ...]], skipped: str | None = None):
+        _set(self, "bar_factors", bar_factors)
+        _set(self, "cofree_factors", cofree_factors)
+        _set(self, "skipped", skipped)
 
     @property
     def balanced(self) -> bool:
@@ -571,15 +574,18 @@ def balance_check(s, m: BiGammaModule, n: BiGammaModule, depth: int = 2,
 # Long exact sequences
 # ---------------------------------------------------------------------------
 
-@dataclass
-class LesReport:
-    labels: list[str]
-    groups: list[AbGroup]
-    exact_at: list[bool]
-    deltas_zero: list[bool]
-    ses_ok: bool
-    completion_exact: bool
-    note: str
+class LesReport(Record):
+    _fields = ("labels", "groups", "exact_at", "deltas_zero", "ses_ok", "completion_exact", "note")
+
+    def __init__(self, labels: list[str], groups: list[AbGroup], exact_at: list[bool],
+                 deltas_zero: list[bool], ses_ok: bool, completion_exact: bool, note: str):
+        _set(self, "labels", labels)
+        _set(self, "groups", groups)
+        _set(self, "exact_at", exact_at)
+        _set(self, "deltas_zero", deltas_zero)
+        _set(self, "ses_ok", ses_ok)
+        _set(self, "completion_exact", completion_exact)
+        _set(self, "note", note)
 
     @property
     def all_exact(self) -> bool:

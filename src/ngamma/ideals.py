@@ -8,21 +8,22 @@ need not partition the carrier.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import product
 
 from .core import (
     AxiomCheck, BoundExceeded, FiniteAddMonoid, GammaSemiringMorphism,
-    NaryGammaSemiring, StructuralError, congruence_closure, flatten_index,
+    NaryGammaSemiring, Record, StructuralError, congruence_closure, flatten_index, _set,
 )
 
 DEFAULT_SIZE_BOUND = 16
 
 
-@dataclass(frozen=True)
-class GammaIdeal:
-    parent: NaryGammaSemiring
-    members: frozenset[int]
+class GammaIdeal(Record):
+    _fields = ("parent", "members")
+
+    def __init__(self, parent: NaryGammaSemiring, members: frozenset[int]):
+        _set(self, "parent", parent)
+        _set(self, "members", members)
 
     @property
     def bitmask(self) -> int:
@@ -199,13 +200,18 @@ def is_prime(s: NaryGammaSemiring, p: GammaIdeal) -> AxiomCheck:
     return AxiomCheck("prime", True)
 
 
-@dataclass(frozen=True)
-class SpectrumData:
-    semiring: NaryGammaSemiring
-    ideals: tuple[GammaIdeal, ...]
-    primes: tuple[GammaIdeal, ...]
-    closed_sets: dict[int, tuple[int, ...]]
-    """Each ideal's bitmask to the indices into primes of V(I), in ideal order."""
+class SpectrumData(Record):
+    """``closed_sets`` maps each ideal's bitmask to the indices into
+    ``primes`` of V(I), in ideal order."""
+
+    _fields = ("semiring", "ideals", "primes", "closed_sets")
+
+    def __init__(self, semiring: NaryGammaSemiring, ideals: tuple[GammaIdeal, ...],
+                 primes: tuple[GammaIdeal, ...], closed_sets: dict[int, tuple[int, ...]]):
+        _set(self, "semiring", semiring)
+        _set(self, "ideals", ideals)
+        _set(self, "primes", primes)
+        _set(self, "closed_sets", closed_sets)
 
 
 def spectrum(s: NaryGammaSemiring, bound: int = DEFAULT_SIZE_BOUND) -> SpectrumData:

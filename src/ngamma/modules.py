@@ -10,16 +10,15 @@ additive generator of the right factor.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from functools import cached_property, reduce
 from itertools import chain, product
 from math import prod
 
 from .core import (
-    AxiomCheck, AxiomReport, BoundExceeded, FiniteAddMonoid, NaryGammaSemiring,
+    AxiomCheck, AxiomReport, BoundExceeded, FiniteAddMonoid, NaryGammaSemiring, Record,
     SoundnessError, StructuralError, congruence_closure, first_incoherent_word,
     flatten_index, opposite, out_of_range, parameter_words, relabel, table_failures,
-    unflatten_index, validate_semiring, _product_monoid, _relabel_monoid,
+    unflatten_index, validate_semiring, _product_monoid, _relabel_monoid, _set,
 )
 from .ideals import GammaIdeal, coset_congruence, quotient_monoid
 
@@ -30,14 +29,15 @@ MAP_BOUND = 200000
 TENSOR_ELEMENT_BOUND = 200000
 
 
-@dataclass(frozen=True)
-class BiGammaModule:
-    parent: NaryGammaSemiring
-    M: FiniteAddMonoid
-    act_tables: tuple[tuple[int, ...], ...]
-    name: str = ""
+class BiGammaModule(Record):
+    _fields = ("parent", "M", "act_tables", "name")
 
-    def __post_init__(self):
+    def __init__(self, parent: NaryGammaSemiring, M: FiniteAddMonoid,
+                 act_tables: tuple[tuple[int, ...], ...], name: str = ""):
+        _set(self, "parent", parent)
+        _set(self, "M", M)
+        _set(self, "act_tables", act_tables)
+        _set(self, "name", name)
         n = self.parent.n
         if len(self.act_tables) != n:
             raise StructuralError("one action table per slot is required")
@@ -363,16 +363,16 @@ def _check_module_words(b: BiGammaModule, generators_only: bool) -> AxiomCheck:
 # Morphisms and conflations
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class ModuleMorphism:
-    source: BiGammaModule
-    target: BiGammaModule
-    map: tuple[int, ...]
-    # Holds the report once ``validate_module_morphism`` has computed it, as
-    # ``NaryGammaSemiring._memo`` does.
-    _memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+class ModuleMorphism(Record):
+    _fields = ("source", "target", "map")
 
-    def __post_init__(self):
+    def __init__(self, source: BiGammaModule, target: BiGammaModule, map: tuple[int, ...]):
+        _set(self, "source", source)
+        _set(self, "target", target)
+        _set(self, "map", map)
+        # Holds the report once ``validate_module_morphism`` has computed it,
+        # as ``NaryGammaSemiring._memo`` does.
+        _set(self, "_memo", {})
         if self.source.parent != self.target.parent:
             raise StructuralError("module morphism endpoints have different parents")
         if len(self.map) != self.source.M.size:
@@ -439,14 +439,14 @@ def compose_module_morphisms(g: ModuleMorphism, f: ModuleMorphism) -> ModuleMorp
                           tuple(g(f(m)) for m in range(f.source.M.size)))
 
 
-@dataclass(frozen=True)
-class Conflation:
+class Conflation(Record):
     """Inflation-deflation pair A -> B -> C."""
 
-    i: ModuleMorphism
-    p: ModuleMorphism
+    _fields = ("i", "p")
 
-    def __post_init__(self):
+    def __init__(self, i: ModuleMorphism, p: ModuleMorphism):
+        _set(self, "i", i)
+        _set(self, "p", p)
         if self.i.target != self.p.source:
             raise StructuralError("conflation legs do not share the middle module")
 
@@ -506,12 +506,14 @@ def equivariant_maps(src: BiGammaModule, dst: BiGammaModule) -> list[tuple[int, 
     return [f for f in additive_maps(src.M, dst.M) if failure(f) is None]
 
 
-@dataclass(frozen=True)
-class HomModule:
+class HomModule(Record):
     """Equivariant additive maps as a module; ``maps[i]`` is element i."""
 
-    module: BiGammaModule
-    maps: tuple[tuple[int, ...], ...]
+    _fields = ("module", "maps")
+
+    def __init__(self, module: BiGammaModule, maps: tuple[tuple[int, ...], ...]):
+        _set(self, "module", module)
+        _set(self, "maps", maps)
 
 
 def _maps_module(s: NaryGammaSemiring, maps, coeff: FiniteAddMonoid, domain: BiGammaModule,
@@ -583,11 +585,14 @@ def cofree(s: NaryGammaSemiring, coeff: FiniteAddMonoid) -> HomModule:
 # Positional tensor by congruence closure
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class TensorModule:
-    module: BiGammaModule
-    beta: tuple[tuple[int, ...], ...]
-    """beta[m][n] is the image element of the generating pair."""
+class TensorModule(Record):
+    """``beta[m][n]`` is the image element of the generating pair (m, n)."""
+
+    _fields = ("module", "beta")
+
+    def __init__(self, module: BiGammaModule, beta: tuple[tuple[int, ...], ...]):
+        _set(self, "module", module)
+        _set(self, "beta", beta)
 
     def pair(self, m: int, n: int) -> int:
         return self.beta[m][n]

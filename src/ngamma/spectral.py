@@ -18,14 +18,15 @@ and Tor comparisons share every bar tower and linearization.
 from __future__ import annotations
 
 import copy
-from dataclasses import dataclass
 from math import prod
 
 from . import intlinalg as la
 from .abgroups import (
     AbGroup, GroupMap, HomologyNode, Subquotient, is_short_exact, kernel_gens,
 )
-from .core import GammaSemiringMorphism, NaryGammaSemiring, SoundnessError, StructuralError
+from .core import (
+    GammaSemiringMorphism, NaryGammaSemiring, Record, SoundnessError, StructuralError, _set,
+)
 from .ideals import all_ideals
 from .modules import (
     BiGammaModule, ModuleMorphism, TensorCongruence, filler_index, filler_tuples,
@@ -123,10 +124,10 @@ class DoubleComplexAb:
 # Filtration spectral pages
 # ---------------------------------------------------------------------------
 
-@dataclass
 class SpectralPage:
-    entries: dict
-    diffs: dict
+    def __init__(self, entries: dict, diffs: dict):
+        self.entries = entries
+        self.diffs = diffs
 
     def factors(self, p: int, q: int) -> tuple[int, ...]:
         g = self.entries.get((p, q))
@@ -261,19 +262,26 @@ class FiltrationPages:
 # Kunneth-style consistency
 # ---------------------------------------------------------------------------
 
-@dataclass
-class KunnethReport:
-    flat_certified: bool
-    diag_first: list[tuple[int, int, int]]
-    diag_second: list[tuple[int, int, int]]
-    stable_first: int
-    stable_second: int
-    law_first: bool
-    law_second: bool
-    e2_first: dict
-    e2_second: dict
-    direct_grid: dict
-    e2_matches_direct: bool
+class KunnethReport(Record):
+    _fields = ("flat_certified", "diag_first", "diag_second", "stable_first", "stable_second",
+               "law_first", "law_second", "e2_first", "e2_second", "direct_grid",
+               "e2_matches_direct")
+
+    def __init__(self, flat_certified: bool, diag_first: list[tuple[int, int, int]],
+                 diag_second: list[tuple[int, int, int]], stable_first: int,
+                 stable_second: int, law_first: bool, law_second: bool, e2_first: dict,
+                 e2_second: dict, direct_grid: dict, e2_matches_direct: bool):
+        _set(self, "flat_certified", flat_certified)
+        _set(self, "diag_first", diag_first)
+        _set(self, "diag_second", diag_second)
+        _set(self, "stable_first", stable_first)
+        _set(self, "stable_second", stable_second)
+        _set(self, "law_first", law_first)
+        _set(self, "law_second", law_second)
+        _set(self, "e2_first", e2_first)
+        _set(self, "e2_second", e2_second)
+        _set(self, "direct_grid", direct_grid)
+        _set(self, "e2_matches_direct", e2_matches_direct)
 
     @property
     def consistent(self) -> bool:
@@ -412,13 +420,17 @@ def flatness_probe(s: NaryGammaSemiring, x: CompletedModule,
     return True
 
 
-@dataclass
-class BaseChangeReport:
-    ext_left: list[tuple[int, ...]]
-    ext_right: list[tuple[int, ...]]
-    tor_left: list[tuple[int, ...]]
-    tor_right: list[tuple[int, ...]]
-    flat: bool
+class BaseChangeReport(Record):
+    _fields = ("ext_left", "ext_right", "tor_left", "tor_right", "flat")
+
+    def __init__(self, ext_left: list[tuple[int, ...]], ext_right: list[tuple[int, ...]],
+                 tor_left: list[tuple[int, ...]], tor_right: list[tuple[int, ...]],
+                 flat: bool):
+        _set(self, "ext_left", ext_left)
+        _set(self, "ext_right", ext_right)
+        _set(self, "tor_left", tor_left)
+        _set(self, "tor_right", tor_right)
+        _set(self, "flat", flat)
 
     @property
     def ext_match(self) -> bool:

@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass, field
 
 from .core import (
     FiniteAddMonoid, GammaSemigroup, GammaSemiringMorphism, NaryGammaSemiring,
@@ -31,16 +30,19 @@ class WorkspaceError(ValueError):
     """Schema problems, dangling references, or validation failures."""
 
 
-@dataclass
 class Workspace:
-    monoids: dict[str, FiniteAddMonoid] = field(default_factory=dict)
-    gammas: dict[str, GammaSemigroup] = field(default_factory=dict)
-    semirings: dict[str, NaryGammaSemiring] = field(default_factory=dict)
-    modules: dict[str, BiGammaModule] = field(default_factory=dict)
-    morphisms: dict[str, GammaSemiringMorphism] = field(default_factory=dict)
-    module_morphisms: dict[str, ModuleMorphism] = field(default_factory=dict)
-    conflations: dict[str, Conflation] = field(default_factory=dict)
-    digests: dict[str, str] = field(default_factory=dict)
+    """The structures of the loaded files by section and name (one section
+    per ``KINDS`` entry), and each file's sha256 under ``digests``."""
+
+    def __init__(self):
+        self.monoids: dict[str, FiniteAddMonoid] = {}
+        self.gammas: dict[str, GammaSemigroup] = {}
+        self.semirings: dict[str, NaryGammaSemiring] = {}
+        self.modules: dict[str, BiGammaModule] = {}
+        self.morphisms: dict[str, GammaSemiringMorphism] = {}
+        self.module_morphisms: dict[str, ModuleMorphism] = {}
+        self.conflations: dict[str, Conflation] = {}
+        self.digests: dict[str, str] = {}
 
     def semiring(self, name: str) -> NaryGammaSemiring:
         return self._get(self.semirings, name, "semiring")

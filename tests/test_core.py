@@ -334,6 +334,10 @@ def test_structural_errors():
         FiniteAddMonoid(2, (0, 1, 1, 2))
     with pytest.raises(StructuralError):
         GammaSemigroup(1, (0,), has_zero=True, zero=None)
+    # An unflagged zero is read by no law and written as null by the
+    # workspace, so it would only make equal semigroups compare unequal.
+    with pytest.raises(StructuralError, match="^a zero is given but not flagged$"):
+        GammaSemigroup(1, (0,), has_zero=False, zero=0)
     with pytest.raises(StructuralError):
         NaryGammaSemiring(3, FiniteAddMonoid(2, (0, 1, 1, 0)), trivial_gamma(), (0,) * 7)
 

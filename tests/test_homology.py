@@ -537,13 +537,13 @@ def built_chains(monkeypatch):
     """The chain of every ``Resolution`` built meanwhile, recorded before its
     exactness check runs."""
     chains = []
-    check = Resolution.__post_init__
+    init = Resolution.__init__
 
-    def recording(self):
-        chains.append(self.chain)
-        check(self)
+    def recording(self, semiring, terms, chain, *rest):
+        chains.append(chain)
+        init(self, semiring, terms, chain, *rest)
 
-    monkeypatch.setattr(Resolution, "__post_init__", recording)
+    monkeypatch.setattr(Resolution, "__init__", recording)
     return chains
 
 

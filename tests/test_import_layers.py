@@ -29,10 +29,13 @@ TABLE_COMMANDS = (
 )
 EXT = "ext z4_ternary z4_reg z4_reg --depth 2"
 
-# Prints, as JSON, the engine modules imported after each step and the
-# exit codes and structured reports of the commands.
+# Prints, as JSON, the engine modules imported after each step, the exit
+# codes and structured reports of the commands, and which of the class
+# generator ``dataclasses`` and the ``inspect`` it imports were imported
+# after the script's own imports.
 SCRIPT = """
 import contextlib, io, json, sys
+before = set(sys.modules)
 import ngamma.cli
 from ngamma.bundled import bundled_workspace
 
@@ -50,7 +53,8 @@ steps, runs = {}, {}
 for command in COMMANDS:
     runs[command] = run(command)
     steps[command] = loaded()
-print(json.dumps({"steps": steps, "runs": runs}))
+added = sorted({"dataclasses", "inspect"} & set(sys.modules) - before)
+print(json.dumps({"steps": steps, "runs": runs, "added": added}))
 """
 
 TABLE_LAYERS = ["ngamma", "ngamma.bundled", "ngamma.cli", "ngamma.core", "ngamma.ideals",
@@ -72,6 +76,8 @@ def test_each_command_imports_only_the_layers_it_runs():
     got = _fresh(list(TABLE_COMMANDS) + ["complete z4_reg", EXT])
     steps, runs = got["steps"], got["runs"]
     assert all(runs[command][0] == 0 for command in runs)
+    # A command process pays for every module it imports.
+    assert got["added"] == []
     for command in TABLE_COMMANDS:
         assert steps[command] == TABLE_LAYERS, command
     # Completion brings the group kernel, not the derived layer.

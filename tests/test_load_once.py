@@ -11,7 +11,6 @@ import json
 import os
 import subprocess
 import sys
-from dataclasses import fields
 from pathlib import Path
 
 import pytest
@@ -20,7 +19,7 @@ from ngamma import cli, core, modules
 from ngamma.cli import main
 from ngamma.core import f2_ternary, z4_ternary
 from ngamma.modules import regular_bimodule
-from ngamma.workspace import Workspace, WorkspaceError, dump_document, merge_bytes, \
+from ngamma.workspace import KINDS, Workspace, WorkspaceError, dump_document, merge_bytes, \
     workspace_document
 
 # The README command list on the packaged workspace, plus the Tor side of
@@ -64,8 +63,9 @@ def _structured(argv, capsys):
 def _contents(ws):
     """Every (section, name) of ``ws`` with the identity of its object; the
     digests with their values."""
-    return {(f.name, name): obj if f.name == "digests" else id(obj)
-            for f in fields(ws) for name, obj in getattr(ws, f.name).items()}
+    sections = [kind[0] for kind in KINDS] + ["digests"]
+    return {(section, name): obj if section == "digests" else id(obj)
+            for section in sections for name, obj in getattr(ws, section).items()}
 
 
 def test_a_memo_hit_changes_no_report(monkeypatch, capsys, count_calls):
