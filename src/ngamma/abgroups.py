@@ -1,10 +1,12 @@
-"""Finitely generated abelian groups in coordinate form.
+"""Finite abelian groups in coordinate form.
 
-A group is a tuple of coordinate orders (0 for a free coordinate, d >= 2 for
-Z/d); elements are integer tuples reduced per coordinate.  Groups produced by
-``Presentation`` carry SNF-derived coordinates, so their torsion orders are in
-divisibility order; ad-hoc products (Hom groups, direct sums) may carry any
-orders, and isomorphism tests go through ``invariant_factors``.
+A group is a tuple of coordinate orders d >= 2, one Z/d each; elements are
+integer tuples reduced per coordinate.  Every group the engine builds is
+finite: the completion of a finite commutative monoid is, and so are Hom,
+tensor products, kernels, subquotients and sums of finite groups.  Groups
+produced by ``Presentation`` carry SNF-derived coordinates, so their orders
+are in divisibility order; ad-hoc products (Hom groups, direct sums) may carry
+any orders, and isomorphism tests go through ``invariant_factors``.
 """
 
 from __future__ import annotations
@@ -22,8 +24,8 @@ class AbGroup(Record):
 
     def __init__(self, orders: tuple[int, ...]):
         _set(self, "orders", orders)
-        if not all(o == 0 or o >= 2 for o in self.orders):
-            raise ValueError(f"coordinate orders must be 0 or at least 2, got {self.orders}")
+        if not all(o >= 2 for o in self.orders):
+            raise ValueError(f"coordinate orders must be at least 2, got {self.orders}")
 
     @property
     def dim(self) -> int:
@@ -31,22 +33,20 @@ class AbGroup(Record):
 
     @property
     def rank(self) -> int:
-        return sum(1 for o in self.orders if o == 0)
+        """The free rank, always 0; read only by ``perfbench/jobs.py::_factors``."""
+        return 0
 
     def is_trivial(self) -> bool:
         return not self.orders
 
     def order(self) -> int:
-        """Number of elements; 0 encodes infinite."""
-        if self.rank:
-            return 0
-        return prod(self.orders) if self.orders else 1
+        return prod(self.orders)
 
     def zero(self) -> tuple[int, ...]:
         return (0,) * self.dim
 
     def reduce(self, vec) -> tuple[int, ...]:
-        return tuple(v % o if o else v for v, o in zip(vec, self.orders))
+        return tuple(v % o for v, o in zip(vec, self.orders))
 
     def add(self, u, v):
         return self.reduce(x + y for x, y in zip(u, v))
@@ -55,25 +55,21 @@ class AbGroup(Record):
         return self.reduce(u) == self.zero()
 
     def elements(self):
-        """All elements of a finite group, in lexicographic coordinate order."""
-        if self.rank:
-            raise ValueError("cannot enumerate an infinite group")
+        """All elements, in lexicographic coordinate order."""
         return (tuple(t) for t in product(*[range(o) for o in self.orders]))
 
     def invariant_factors(self) -> tuple[int, ...]:
-        """Canonical invariant factors d_1 | d_2 | ... (>= 2), torsion only."""
-        return _invariant_factors(tuple(o for o in self.orders if o))
+        """Canonical invariant factors d_1 | d_2 | ... (>= 2)."""
+        return _invariant_factors(self.orders)
 
     def __str__(self):
         if not self.orders:
             return "0"
-        parts = [f"C{d}" for d in self.invariant_factors()]
-        parts += ["Z"] * self.rank
-        return " x ".join(parts)
+        return " x ".join(f"C{d}" for d in self.invariant_factors())
 
 
 def isomorphic(g: AbGroup, h: AbGroup) -> bool:
-    return g.rank == h.rank and g.invariant_factors() == h.invariant_factors()
+    return g.invariant_factors() == h.invariant_factors()
 
 
 @lru_cache(maxsize=None)
@@ -111,7 +107,8 @@ def _factorize(n: int) -> dict[int, int]:
 
 
 class Presentation:
-    """Z^ngens modulo the lattice spanned by integer relation vectors.
+    """Z^ngens modulo the lattice spanned by integer relation vectors, which
+    must have full rank ngens so that the quotient is finite.
 
     Keeps the SNF change of basis so that elements can be projected to
     canonical coordinates and canonical basis vectors lifted back to
@@ -123,15 +120,11 @@ class Presentation:
         self.relations = [list(r) for r in relations]
         r = [[rel[i] for rel in self.relations] for i in range(ngens)]
         sf = la.smith_normal_form(r, ngens, len(self.relations))
-        kept = []
-        orders = []
-        for i in range(ngens):
-            d = sf.diag[i] if i < sf.rank else 0
-            if d == 1:
-                continue
-            kept.append(i)
-            orders.append(d)
-        self.group = AbGroup(tuple(orders))
+        if sf.rank < ngens:
+            raise SoundnessError(f"relations of rank {sf.rank} on {ngens} generators "
+                                 "present an infinite group")
+        kept = [i for i, d in enumerate(sf.diag) if d != 1]
+        self.group = AbGroup(tuple(sf.diag[i] for i in kept))
         self._proj = [sf.s[i] for i in kept]
         self._lift = [[sf.sinv[r_][i] for i in kept] for r_ in range(ngens)]
 
@@ -171,7 +164,7 @@ def induced_on_quotients(src_group: AbGroup, dst_group: AbGroup, mat, obstructio
     the one descent check.
     """
     for row, o in zip(obstruction, dst_group.orders):
-        if any(v % o for v in row) if o else any(row):
+        if any(v % o for v in row):
             raise SoundnessError(f"{what} does not descend to the quotient")
     return GroupMap(src_group, dst_group, mat)
 
@@ -179,10 +172,9 @@ def induced_on_quotients(src_group: AbGroup, dst_group: AbGroup, mat, obstructio
 def order_lattice_columns(g: AbGroup) -> list[list[int]]:
     cols = []
     for i, o in enumerate(g.orders):
-        if o:
-            col = [0] * g.dim
-            col[i] = o
-            cols.append(col)
+        col = [0] * g.dim
+        col[i] = o
+        cols.append(col)
     return cols
 
 
@@ -198,8 +190,7 @@ class GroupMap:
             raise ValueError(f"matrix has {len(rows)} rows of lengths "
                              f"{sorted({len(r) for r in rows})}, expected {dst.dim} "
                              f"rows of length {width}")
-        self.mat = [[v % o for v in row] if o else list(row)
-                    for row, o in zip(rows, dst.orders)]
+        self.mat = [[v % o for v in row] for row, o in zip(rows, dst.orders)]
         if check and not self.well_defined():
             raise SoundnessError("matrix does not descend to a homomorphism")
 
@@ -210,15 +201,14 @@ class GroupMap:
         return tuple(map(tuple, self.mat))
 
     def well_defined(self) -> bool:
-        """Whether every torsion source column is killed by its order: at once
-        when no target order is free and each divides every torsion source
-        order (o*v = 0 mod od when od | o), else cell by cell."""
+        """Whether every source column is killed by its order: at once when
+        every target order divides every source order (o*v = 0 mod od when
+        od | o), else cell by cell."""
         step = lcm(*self.dst.orders)
-        if step and not any(o % step for o in self.src.orders):
+        if not any(o % step for o in self.src.orders):
             return True
-        return not any((o * v) % od if od else o * v
-                       for row, od in zip(self.mat, self.dst.orders)
-                       for v, o in zip(row, self.src.orders) if o)
+        return not any((o * v) % od for row, od in zip(self.mat, self.dst.orders)
+                       for v, o in zip(row, self.src.orders))
 
     def __call__(self, vec) -> tuple[int, ...]:
         return self.dst.reduce(la.mat_vec(self.mat, list(vec)))
@@ -368,24 +358,16 @@ class Subquotient:
         self._bp = [[row[i] * d for i, d in enumerate(sf.diag)] for row in sf.sinv]
         rels = []
         for q in order_lattice_columns(g) + [list(v) for v in q_gens]:
-            x = self._coords(q)
+            x = sf.divide(q)
             if x is None:
                 raise SoundnessError(f"{what}: denominator not inside numerator")
             rels.append(x)
         self._pres = Presentation(len(sf.diag), rels)
         self.group = self._pres.group
 
-    def _coords(self, vec):
-        """The x with vec = sum x_i b_i, or None when vec is outside the
-        numerator; the basis has full column rank, so x is unique."""
-        if len(vec) != self.ambient.dim:
-            raise ValueError(f"vector has {len(vec)} entries, "
-                             f"expected {self.ambient.dim}")
-        return self._form.divide(vec)
-
     def classify(self, vec):
         """Class of a vector lying in the numerator lattice."""
-        x = self._coords(list(vec))
+        x = self._form.divide(list(vec))
         if x is None:
             raise ValueError(self.not_member)
         return self._pres.project(x)

@@ -69,7 +69,7 @@ def _add_derived_flags(p: argparse.ArgumentParser, depth: int = 2) -> None:
 
 
 def _factors(g) -> list[int]:
-    return list(g.invariant_factors()) + [0] * g.rank
+    return list(g.invariant_factors())
 
 
 class Reporter:

@@ -251,21 +251,10 @@ class HomBase:
     def __init__(self, src: AbGroup, dst: AbGroup):
         self.src = src
         self.dst = dst
-        coords = []
-        for i, a in enumerate(src.orders):
-            for j, b in enumerate(dst.orders):
-                if a == 0 and b == 0:
-                    coords.append((i, j, 0, 1))
-                elif a == 0:
-                    coords.append((i, j, b, 1))
-                elif b == 0:
-                    continue  # no nonzero maps from torsion to free
-                else:
-                    g = gcd(a, b)
-                    if g > 1:
-                        coords.append((i, j, g, b // g))
-        self.coords = coords
-        self.group = AbGroup(tuple(c[2] for c in coords))
+        # Hom(Z/a, Z/b) is Z/g for g = gcd(a, b), generated by 1 -> b/g.
+        self.coords = [(i, j, g, b // g) for i, a in enumerate(src.orders)
+                       for j, b in enumerate(dst.orders) if (g := gcd(a, b)) > 1]
+        self.group = AbGroup(tuple(c[2] for c in self.coords))
 
     def matrix_of(self, cvec) -> list[list[int]]:
         f = la.zeros(self.dst.dim, self.src.dim)
@@ -275,19 +264,16 @@ class HomBase:
 
     def coords_of(self, mat):
         out = []
-        for (i, j, order, mult) in self.coords:
-            b = self.dst.orders[j]
-            entry = mat[j][i] % b if b else mat[j][i]
+        for (i, j, _, mult) in self.coords:
+            entry = mat[j][i] % self.dst.orders[j]
             if entry % mult:
                 return None
-            out.append((entry // mult) % order if order else entry // mult)
+            out.append(entry // mult)
         cand = self.group.reduce(out)
         got = self.matrix_of(cand)
         for j, b in enumerate(self.dst.orders):
             for i in range(self.src.dim):
-                lhs = got[j][i] % b if b else got[j][i]
-                rhs = mat[j][i] % b if b else mat[j][i]
-                if lhs != rhs:
+                if (got[j][i] - mat[j][i]) % b:
                     return None
         return cand
 
@@ -426,10 +412,9 @@ class TensorGroup:
             for j2, b in enumerate(y.group.orders):
                 idx = i * ys + j2
                 for o in (a, b):
-                    if o:
-                        r = [0] * self.pair_dim
-                        r[idx] = o
-                        rels.append(r)
+                    r = [0] * self.pair_dim
+                    r[idx] = o
+                    rels.append(r)
         for p, q in dict.fromkeys((p.key, q.key)
                                   for p, q in dict.fromkeys(zip(x.ops[j], y.ops[k]))):
             # The relation of the pair (i0, j0), column i0*ys + j0 of

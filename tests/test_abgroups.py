@@ -15,11 +15,23 @@ from ngamma.abgroups import (
 def test_invariant_factors():
     assert AbGroup((2, 3)).invariant_factors() == (6,)
     assert AbGroup((2, 4, 8, 3, 9, 5)).invariant_factors() == (2, 12, 360)
-    assert AbGroup((0, 0, 2)).rank == 2
     assert isomorphic(AbGroup((6,)), AbGroup((2, 3)))
     assert not isomorphic(AbGroup((8,)), AbGroup((2, 4)))
     assert str(AbGroup(())) == "0"
-    assert str(AbGroup((2, 0))) == "C2 x Z"
+    assert str(AbGroup((2, 4, 3))) == "C2 x C12"
+
+
+def test_groups_are_finite():
+    for orders in ((0,), (2, 0)):
+        with pytest.raises(ValueError, match="at least 2"):
+            AbGroup(orders)
+    # Relations of rank below the generator count would leave a free
+    # coordinate: Z^2 / <(1, 2)> is Z and Z^1 / 0 is Z.
+    with pytest.raises(SoundnessError, match="rank 1 on 2 generators"):
+        Presentation(2, [[1, 2]])
+    with pytest.raises(SoundnessError, match="rank 0 on 1 generators"):
+        Presentation(1, [])
+    assert Presentation(0, []).group == AbGroup(())
 
 
 def test_presentation_cyclic():
@@ -33,9 +45,9 @@ def test_presentation_cyclic():
 
 
 def test_presentation_with_unit_factor():
-    # Z^2 / <(1,2)> = Z: the d=1 coordinate must be dropped.
-    p = Presentation(2, [[1, 2]])
-    assert p.group.orders == (0,)
+    # Z^2 / <(1,2), (0,4)> = C4: the d=1 coordinate must be dropped.
+    p = Presentation(2, [[1, 2], [0, 4]])
+    assert p.group.orders == (4,)
     assert p.is_zero([1, 2])
     assert not p.is_zero([0, 1])
 
@@ -68,13 +80,12 @@ def test_group_map_well_defined():
 
 
 def _scanned_well_defined(gm):
-    """The all-cells scan: o*v = 0 modulo od for every torsion source column."""
-    return not any((o * v) % od if od else o * v
-                   for row, od in zip(gm.mat, gm.dst.orders)
-                   for v, o in zip(row, gm.src.orders) if o)
+    """The all-cells scan: o*v = 0 modulo od for every source column."""
+    return not any((o * v) % od for row, od in zip(gm.mat, gm.dst.orders)
+                   for v, o in zip(row, gm.src.orders))
 
 
-ORDERS = st.lists(st.sampled_from([0, *range(2, 13)]), max_size=4)
+ORDERS = st.lists(st.integers(2, 12), max_size=4)
 
 
 @st.composite
@@ -87,10 +98,10 @@ def _maps(draw):
 
 @settings(max_examples=400, deadline=None)
 @given(_maps())
-@example(GroupMap(AbGroup((12, 0, 6)), AbGroup((3, 2)), [[1, 1, 1], [1, 1, 1]], check=False))
+@example(GroupMap(AbGroup((12, 24, 6)), AbGroup((3, 2)), [[1, 1, 1], [1, 1, 1]], check=False))
 @example(GroupMap(AbGroup((2, 4)), AbGroup((4, 2)), [[2, 1], [1, 1]], check=False))
-@example(GroupMap(AbGroup((4, 2)), AbGroup((2, 0)), [[1, 1], [0, 0]], check=False))
-@example(GroupMap(AbGroup((0,)), AbGroup((0, 5)), [[3], [4]], check=False))
+@example(GroupMap(AbGroup((4, 2)), AbGroup((2, 8)), [[1, 1], [0, 0]], check=False))
+@example(GroupMap(AbGroup((5,)), AbGroup((10, 5)), [[3], [4]], check=False))
 def test_well_defined_matches_the_all_cells_scan(gm):
     assert gm.well_defined() == _scanned_well_defined(gm)
 
@@ -107,11 +118,11 @@ def test_kernel_image_quotient():
 
 
 def test_homology_node_textbook():
-    # 0 -> Z --2--> Z -> 0 at the right node: ker(0)/im(2) = C2.
-    z = AbGroup((0,))
-    zero_out = GroupMap(z, AbGroup(()), [])
-    times2 = GroupMap(z, z, [[2]])
-    node = HomologyNode(z, zero_out, times2)
+    # 0 -> C8 --2--> C8 -> 0 at the right node: ker(0)/im(2) = C2.
+    c8 = AbGroup((8,))
+    zero_out = GroupMap(c8, AbGroup(()), [])
+    times2 = GroupMap(c8, c8, [[2]])
+    node = HomologyNode(c8, zero_out, times2)
     assert node.group.invariant_factors() == (2,)
     cls = node.classify([1])
     assert cls != node.group.zero()
@@ -121,11 +132,13 @@ def test_homology_node_textbook():
 
 
 def test_homology_node_classify_errors():
-    # At Z^2 with out = projection to the first coordinate, only (0, y) are
+    # At C4^2 with out = projection to the first coordinate, only (0, y) are
     # cycles; a vector of the wrong length is reported as such.
-    z, z2 = AbGroup((0,)), AbGroup((0, 0))
-    node = HomologyNode(z2, GroupMap(z2, z, [[1, 0]]), GroupMap.zero(AbGroup(()), z2))
-    assert node.classify([0, 3]) == (3,)
+    c4, c4sq = AbGroup((4,)), AbGroup((4, 4))
+    node = HomologyNode(c4sq, GroupMap(c4sq, c4, [[1, 0]]),
+                        GroupMap.zero(AbGroup(()), c4sq))
+    assert node.group.orders == (4,)
+    assert node.representative(node.classify([0, 3])) == (0, 3)
     with pytest.raises(ValueError, match="not a cycle"):
         node.classify([1, 0])
     with pytest.raises(ValueError, match="3 entries, expected 2"):
@@ -133,9 +146,9 @@ def test_homology_node_classify_errors():
 
 
 def test_homology_node_classify_on_zero_numerator():
-    # Over Z with the identity going out, the only cycle is 0.
-    z = AbGroup((0,))
-    node = HomologyNode(z, GroupMap(z, z, [[1]]), GroupMap.zero(z, z))
+    # Over C4 with the identity going out, the only cycle is 0.
+    c4 = AbGroup((4,))
+    node = HomologyNode(c4, GroupMap.identity(c4), GroupMap.zero(c4, c4))
     assert node.group.invariant_factors() == ()
     assert node.classify([0]) == node.group.zero()
     with pytest.raises(ValueError, match="not a cycle"):
@@ -149,10 +162,10 @@ def test_homology_node_zero_differentials():
 
 
 def test_homology_rejects_nonsquare_zero():
-    z = AbGroup((0,))
-    two = GroupMap(z, z, [[2]])
+    c8 = AbGroup((8,))
+    two = GroupMap(c8, c8, [[2]])
     with pytest.raises(SoundnessError):
-        HomologyNode(z, two, two)  # 2*2 != 0 over Z
+        HomologyNode(c8, two, two)  # 2*2 = 4 != 0 mod 8
 
 
 def test_direct_sum():
@@ -162,11 +175,11 @@ def test_direct_sum():
     assert prjs[1]([1, 2]) == (2,)
 
 
-Z, C2, C3, C4, C6 = (AbGroup((o,)) for o in (0, 2, 3, 4, 6))
+C2, C3, C4, C6, C8 = (AbGroup((o,)) for o in (2, 3, 4, 6, 8))
 
 
 def test_kernel_is_the_subgroup_of_kernel_gens():
-    f = GroupMap(AbGroup((0, 4)), C2, [[1, 1]])
+    f = GroupMap(AbGroup((8, 4)), C2, [[1, 1]])
     gens = kernel_gens(f)
     assert all(f.dst.is_zero(f(g)) for g in gens)
     assert is_exact(kernel(f).inclusion, f)
@@ -178,11 +191,11 @@ def test_kernel_is_the_subgroup_of_kernel_gens():
 
 def test_preimage():
     cases = [
-        (GroupMap(Z, C4, [[2]]), [(0,), (2,)], [(1,), (3,)]),          # free, not onto
-        (GroupMap(C6, AbGroup((2, 3)), [[1], [1]]), [(1, 2), (0, 1)], []),  # torsion iso
-        (GroupMap(AbGroup((0, 0)), Z, [[2, 4]]), [(6,), (-2,)], [(3,)]),  # not injective
-        (GroupMap(AbGroup((0, 4)), C4, [[2, 2]]), [(2,)], [(1,)]),      # neither
-        (GroupMap(C2, Z, [[0]]), [(0,)], [(1,)]),                       # torsion to free
+        (GroupMap(C8, C4, [[2]]), [(0,), (2,)], [(1,), (3,)]),         # not onto
+        (GroupMap(C6, AbGroup((2, 3)), [[1], [1]]), [(1, 2), (0, 1)], []),  # iso
+        (GroupMap(AbGroup((8, 8)), C8, [[2, 4]]), [(6,), (-2,)], [(3,)]),  # not injective
+        (GroupMap(AbGroup((8, 4)), C4, [[2, 2]]), [(2,)], [(1,)]),      # neither
+        (GroupMap(C2, C4, [[2]]), [(0,), (2,)], [(1,)]),                # injective, not onto
     ]
     for f, hit, miss in cases:
         for t in hit:
@@ -195,14 +208,14 @@ def test_preimage():
 
 def test_is_short_exact():
     split = AbGroup((2, 3))
-    assert is_short_exact(GroupMap(Z, Z, [[2]]), GroupMap(Z, C2, [[1]]))
+    assert is_short_exact(GroupMap(C4, C8, [[2]]), GroupMap(C8, C2, [[1]]))
     assert is_short_exact(GroupMap(C2, C4, [[2]]), GroupMap(C4, C2, [[1]]))
     assert is_short_exact(GroupMap(C2, split, [[1], [0]]), GroupMap(split, C3, [[0, 1]]))
     assert is_short_exact(GroupMap.zero(AbGroup(()), C4), GroupMap.identity(C4))
     # f not injective; g not surjective; exactness fails in the middle.
     assert not is_short_exact(GroupMap(C4, C4, [[2]]), GroupMap(C4, C2, [[1]]))
-    assert not is_short_exact(GroupMap(Z, Z, [[2]]), GroupMap(Z, C4, [[2]]))
-    assert not is_short_exact(GroupMap(Z, Z, [[4]]), GroupMap(Z, C2, [[1]]))
+    assert not is_short_exact(GroupMap(C4, C8, [[2]]), GroupMap(C8, C4, [[2]]))
+    assert not is_short_exact(GroupMap(C2, C8, [[4]]), GroupMap(C8, C2, [[1]]))
 
 
 def _image(f):
@@ -227,33 +240,27 @@ def _five_subgroup_short_exact(f, g):
 
 
 def _element_order(g, v):
-    """Order of v in g, 0 when infinite."""
-    out = 1
-    for x, o in zip(g.reduce(v), g.orders):
-        if x and not o:
-            return 0
-        if o:
-            out = lcm(out, o // gcd(x, o))
-    return out
+    """Order of v in g."""
+    return lcm(*(o // gcd(x, o) for x, o in zip(v, g.orders)))
 
 
-SMALL_ORDERS = st.lists(st.sampled_from([0, 0, 2, 3, 4, 6]), max_size=3)
+SMALL_ORDERS = st.lists(st.sampled_from([2, 3, 4, 6, 8, 12]), max_size=3)
 
 
 @st.composite
 def _composable(draw):
-    """(f, g) with A -f-> B -g-> C: g at random; f from a free group onto the
-    generators of ker g, the inclusion of ker g, or with each column a
-    combination of those generators or a random vector, scaled so that f is
-    well defined."""
+    """(f, g) with A -f-> B -g-> C: g at random; f from (Z/e)^k onto the k
+    generators of ker g, e the exponent of B, the inclusion of ker g, or with
+    each column a combination of those generators or a random vector, scaled
+    so that f is well defined."""
     b, c = AbGroup(tuple(draw(SMALL_ORDERS))), AbGroup(tuple(draw(SMALL_ORDERS)))
     entries = st.integers(-6, 6)
-    g = GroupMap(b, c, [[draw(entries) * (od // gcd(o, od) if o and od else 1)
-                         if od or not o else 0 for o in b.orders] for od in c.orders])
+    g = GroupMap(b, c, [[draw(entries) * (od // gcd(o, od)) for o in b.orders]
+                        for od in c.orders])
     gens = kernel_gens(g)
     mode = draw(st.sampled_from(["kernel", "inclusion", "combination", "random"]))
     if mode == "kernel":
-        return GroupMap(AbGroup((0,) * len(gens)), b,
+        return GroupMap(AbGroup((lcm(*b.orders),) * len(gens)), b,
                         [[v[i] for v in gens] for i in range(b.dim)]), g
     if mode == "inclusion":
         return kernel(g).inclusion, g
@@ -266,17 +273,16 @@ def _composable(draw):
         else:
             col = [draw(entries) for _ in range(b.dim)]
         step = _element_order(b, col)
-        scale = 1 if not o else 0 if not step else step // gcd(o, step)
-        cols.append([scale * x for x in col])
+        cols.append([step // gcd(o, step) * x for x in col])
     return GroupMap(a, b, [[col[i] for col in cols] for i in range(b.dim)]), g
 
 
 @settings(max_examples=300, deadline=None)
 @given(_composable())
-@example((GroupMap(Z, Z, [[2]]), GroupMap(Z, C2, [[1]])))
+@example((GroupMap(C4, C8, [[2]]), GroupMap(C8, C2, [[1]])))
 @example((GroupMap(C2, C4, [[2]]), GroupMap(C4, C2, [[1]])))
 @example((GroupMap(C4, C4, [[2]]), GroupMap(C4, C2, [[1]])))
-@example((GroupMap(Z, Z, [[2]]), GroupMap(Z, C4, [[2]])))
+@example((GroupMap(C4, C8, [[2]]), GroupMap(C8, C4, [[2]])))
 def test_exactness_matches_the_subgroup_comparisons(pair):
     f, g = pair
     assert is_exact(f, g) == _same_subgroup(_image(f), kernel(g))
@@ -291,14 +297,16 @@ def test_is_exact_refuses_maps_that_do_not_compose():
 
 
 def test_subquotient_numerator_basis_and_membership():
-    # The numerator <(2, 0), (0, 3), (2, 3)> of Z^2, with no denominator.
-    sq = Subquotient(AbGroup((0, 0)), [[2, 0], [0, 3], [2, 3]], [])
-    assert sq.group.orders == (0, 0)
+    # The numerator <(2, 0), (0, 3), (2, 3)> of C12^2, C6 x C4, with no
+    # denominator.
+    c12sq = AbGroup((12, 12))
+    sq = Subquotient(c12sq, [[2, 0], [0, 3], [2, 3]], [])
+    assert sq.group.invariant_factors() == (2, 12)
     for v in ([2, 0], [0, 3], [4, 3], [-2, 6]):
-        assert list(sq.representative(sq.classify(v))) == v
+        assert sq.representative(sq.classify(v)) == c12sq.reduce(v)
     with pytest.raises(ValueError, match="not in the numerator"):
         sq.classify([1, 0])
-    empty = Subquotient(AbGroup((0, 0, 0)), [], [])
+    empty = Subquotient(AbGroup((2, 2, 2)), [], [])
     assert empty.group.orders == () and empty.classify([0, 0, 0]) == ()
     with pytest.raises(ValueError, match="not in the numerator"):
         empty.classify([1, 0, 0])
@@ -307,21 +315,21 @@ def test_subquotient_numerator_basis_and_membership():
 def test_subquotient_factors_its_numerator_once(count_calls):
     # One factorization of the numerator and one of the relations.
     counts = count_calls(la, "smith_normal_form")
-    Subquotient(AbGroup((0, 4)), [[2, 0], [0, 1], [2, 3]], [[4, 2]])
+    Subquotient(AbGroup((8, 4)), [[2, 0], [0, 1], [2, 3]], [[4, 2]])
     assert counts["smith_normal_form"] == 2
 
 
 def test_subquotient_refuses_a_denominator_outside_its_numerator():
     with pytest.raises(SoundnessError, match="page 1: denominator not inside numerator"):
-        Subquotient(AbGroup((0,)), [[2]], [[3]], what="page 1")
+        Subquotient(C8, [[2]], [[3]], what="page 1")
     with pytest.raises(SoundnessError, match="denominator not inside numerator"):
         Subquotient(C4, [[2]], [[1]])
 
 
 def test_subquotient_induced():
-    # Z^2/<(2,0)> = C2 x Z  ->  Z/<6> = C6 by (a, b) -> 3a + b.
-    src = Subquotient(AbGroup((0, 0)), [[1, 0], [0, 1]], [[2, 0]])
-    dst = Subquotient(Z, [[1]], [[6]])
+    # (C4 x C6)/<(2,0)> = C2 x C6  ->  C6 by (a, b) -> 3a + b.
+    src = Subquotient(AbGroup((4, 6)), [[1, 0], [0, 1]], [[2, 0]])
+    dst = Subquotient(C6, [[1]], [])
     gm = GroupMap(src.ambient, dst.ambient, [[3, 1]])
     ind = src.induced(gm, dst)
     assert (ind.src.orders, ind.dst.orders) == (src.group.orders, dst.group.orders)

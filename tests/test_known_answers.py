@@ -16,9 +16,11 @@ Lister's odd parts of checkerboard-graded matrix rings (``odd_part``) are
 ternary carriers that are not folds of a binary ring.  Their entries pin
 today's verdicts: each and its opposite validate and are regular, have
 only the ideals 0 and T and no completely prime ideal, and none has a
-neutral word.  At depth 2 Ext and Tor of odd(M2(B)) are 0 in every degree,
+neutral word; so does the copy relabelled by the reversal, which moves the
+zero, with its regular module relabelled alike.  At depth 2 Ext and Tor of odd(M2(B)) are 0 in every degree,
 since the Boolean completion is 0 (ROADMAP item 21), and the bars of
-odd(M2(F2)) and odd(M3(F2)) refuse at slot 2 (ROADMAP items 18 and 23).
+odd(M2(F2)) and odd(M3(F2)) refuse at slot 2 (ROADMAP items 18 and 23), on
+the relabelled copies too.
 
 Tor of the regular module against itself is left out: ``tor_via_bar``
 reads a positional tensor balanced at one slot pair, so its Tor_0 is A,
@@ -33,12 +35,12 @@ from ngamma.bundled import bundled_workspace
 from ngamma.core import (
     FiniteAddMonoid, NaryGammaSemiring, SoundnessError, StructuralError, boolean_semiring,
     f2_semiring, gamma_scaled_z4, is_regular, make_matrix_family, neutral_words, odd_part,
-    opposite, product, ternary_from_semiring, trivial_gamma, truncated_nat_semiring,
+    opposite, product, relabel, ternary_from_semiring, trivial_gamma, truncated_nat_semiring,
     truncated_polynomial, upper_triangular, validate_semiring, zmod_semiring,
 )
 from ngamma.homology import bar_complex, ext_via_bar, tor_via_bar
 from ngamma.ideals import all_ideals, spectrum
-from ngamma.modules import regular_bimodule
+from ngamma.modules import regular_bimodule, relabel_module, validate_module
 
 DEPTH = 4
 
@@ -220,6 +222,36 @@ def test_odd_parts_derived_outcomes_at_depth_2(name, derived):
     base, m = ODD_PARTS[name]
     s = odd_part(base(), m)
     reg = regular_bimodule(s)
+    if ODD_DERIVED[name] is None:
+        with pytest.raises(SoundnessError, match="no residual action descends at slot 2"):
+            derived(s, reg, reg, depth=2)
+    else:
+        assert derived(s, reg, reg, depth=2).factors() == ODD_DERIVED[name]
+
+
+def _reversed_odd_part(name):
+    """odd_part relabelled by the reversal, and its regular module relabelled
+    alike; the reversal moves the zero."""
+    base, m = ODD_PARTS[name]
+    s = odd_part(base(), m)
+    perm = list(range(s.T.size))[::-1]
+    t = relabel(s, perm)
+    assert t.T.zero == perm[s.T.zero] != s.T.zero
+    return t, relabel_module(regular_bimodule(s), perm, perm)
+
+
+@pytest.mark.parametrize("name", ODD_PARTS)
+def test_relabelled_odd_parts_are_regular_without_primes(name):
+    s, reg = _reversed_odd_part(name)
+    assert validate_semiring(s).ok and is_regular(s).ok and validate_module(reg).ok
+    assert len(all_ideals(s)) == 2
+    assert spectrum(s).primes == ()
+
+
+@pytest.mark.parametrize("derived", [ext_via_bar, tor_via_bar], ids=["ext", "tor"])
+@pytest.mark.parametrize("name", ODD_PARTS)
+def test_relabelled_odd_parts_derived_outcomes_at_depth_2(name, derived):
+    s, reg = _reversed_odd_part(name)
     if ODD_DERIVED[name] is None:
         with pytest.raises(SoundnessError, match="no residual action descends at slot 2"):
             derived(s, reg, reg, depth=2)

@@ -87,7 +87,7 @@ RECORDS = {
                    ("semiring", "ideals", "primes", "closed_sets"), (),
                    [("semiring", REQUIRED), ("ideals", REQUIRED), ("primes", REQUIRED),
                     ("closed_sets", REQUIRED)]),
-    AbGroup: (lambda: AbGroup((2, 4, 0)), ("orders",), (), [("orders", REQUIRED)]),
+    AbGroup: (lambda: AbGroup((2, 4, 6)), ("orders",), (), [("orders", REQUIRED)]),
     ContractionPolicy: (lambda: default_policy(z4_ternary()), ("gammas", "fillers", "label"),
                         (), [("gammas", REQUIRED), ("fillers", REQUIRED), ("label", "")]),
     Completion: (lambda: group_complete(FiniteAddMonoid(3, (0, 1, 2, 1, 2, 0, 2, 0, 1))),
