@@ -288,7 +288,7 @@ def cmd_les(ws: Workspace, args, rep: Reporter) -> int:
 
 @_one_scope
 def cmd_yoneda(ws: Workspace, args, rep: Reporter) -> int:
-    from .homology import ext_via_bar, yoneda_compose
+    from .homology import YONEDA_COMPOSITE_BOUND, ext_via_bar, yoneda_compose
     s = ws.semiring(args.semiring)
     m = ws.module(args.m)
     j, k = _parse_slots(args.slots, s)
@@ -297,6 +297,11 @@ def cmd_yoneda(ws: Workspace, args, rep: Reporter) -> int:
     table = {}
     ok = True
     degrees = {p: ext.cocycles(p) for p in range(args.depth + 1)}
+    count = sum(len(cps) * len(cqs) for p, cps in degrees.items()
+                for q, cqs in degrees.items() if p + q <= args.depth)
+    if count > YONEDA_COMPOSITE_BOUND:
+        raise BoundExceeded(f"yoneda table of {count} composites (every cocycle pair with "
+                            f"p + q <= {args.depth}) exceeds its bound {YONEDA_COMPOSITE_BOUND}")
     for p, cps in degrees.items():
         for q, cqs in degrees.items():
             if p + q > args.depth:

@@ -6,7 +6,8 @@ carrier/parameter filler tuple.  Equivariant Hom groups and balanced tensor
 groups are then explicit kernel and cokernel computations over the integers,
 canonicalized through Smith normal form.  Within one derived call each
 monoid is completed once and each module linearized once, in the call's
-scope (``intlinalg.shares_factorizations``).  There every operator family
+scope (``intlinalg.shares_factorizations``), which every shared value
+enters through ``intlinalg.in_scope``.  There every operator family
 handed out (``linearize_module``, ``TensorGroup.as_module``,
 ``homology.DerivedResult.modules``) is the first one equal to it by value,
 so module identity stands for module value, and the tensor groups and Hom
@@ -127,17 +128,6 @@ class CompletedModule(Record):
         return self.ops[slot][w]
 
 
-def _in_scope(key, build):
-    """What the call's scope keeps under key, built by ``build()`` the first
-    time; outside a scope, built afresh."""
-    memo = la.open_memo()
-    if memo is None:
-        return build()
-    if key not in memo:
-        memo[key] = build()
-    return memo[key]
-
-
 def _canonical_family(s: NaryGammaSemiring, group: AbGroup, ops):
     """The first operator family over s and group in the call's scope that
     equals ops by value, else ops, which becomes it; outside a scope, ops.
@@ -147,14 +137,15 @@ def _canonical_family(s: NaryGammaSemiring, group: AbGroup, ops):
     key is read once per object.  It is compared once, when a family is
     built; later lookups key on ``id(ops)``.
     """
-    if la.open_memo() is None:
-        return ops
-    value = [id(s), group.orders]
-    for slot in ops:
-        first = {}
-        value += [tuple(first.setdefault(op, len(first)) for op in slot),
-                  tuple(op.key for op in first)]
-    return _in_scope(("operator family", *value), lambda: (s, ops))[1]
+    def value():
+        value = ["operator family", id(s), group.orders]
+        for slot in ops:
+            first = {}
+            value += [tuple(first.setdefault(op, len(first)) for op in slot),
+                      tuple(op.key for op in first)]
+        return tuple(value)
+
+    return la.in_scope(value, lambda: (s, ops))[1]
 
 
 def linearize_module(b: BiGammaModule) -> CompletedModule:
@@ -163,21 +154,19 @@ def linearize_module(b: BiGammaModule) -> CompletedModule:
     ``ops[j][w]`` is the completion of slot j's column for filler w
     (``BiGammaModule.actions``); each distinct column is linearized once.
     Inside a derived call the work goes into the call's scope
-    (``intlinalg.open_memo``): each monoid is completed once, a module
+    (``intlinalg.in_scope``): each monoid is completed once, a module
     equal to one linearized before (``modules.same_module``, tried by
     identity first) gets that linearization back under its own name, and
     the operators are the scope's family of their value
     (``_canonical_family``).  Outside one nothing is shared.
     """
-    memo = la.open_memo()
-    if memo is None:
-        memo = {}
-    done = memo.setdefault("linearized", [])
+    # The scope's (module, linearization) pairs, which only ever grow.
+    done = la.in_scope(lambda: "linearized", list)
     twin = next((lin for a, lin in done if a is b), None)
     if twin is None:
         twin = next((lin for a, lin in done if same_module(a, b)), None)
     if twin is None:
-        comp = _in_scope(("completion", b.M), partial(group_complete, b.M))
+        comp = la.in_scope(lambda: ("completion", b.M), partial(group_complete, b.M))
         ops = map_columns(lambda col: completion_map(comp, comp, col),
                           [b.actions(j) for j in range(b.parent.n)])
         lin = CompletedModule(
@@ -293,8 +282,8 @@ class EquivariantHom:
             raise StructuralError("Hom endpoints live over different semirings")
         self.x = x
         self.y = y
-        _, self.base, self._kernel = _in_scope(
-            ("equivariant hom", id(x.semiring), id(x.ops), id(y.ops)),
+        _, self.base, self._kernel = la.in_scope(
+            lambda: ("equivariant hom", id(x.semiring), id(x.ops), id(y.ops)),
             lambda: ((x.semiring, x.ops, y.ops), *self._solve()))
         self.group = self._kernel.group
 
@@ -363,18 +352,6 @@ class EquivariantHom:
 # Balanced tensor groups
 # ---------------------------------------------------------------------------
 
-class _SharedTensor:
-    """What the tensor groups of two operator families at one slot pair
-    share: the presentation and the residual operators once worked out.
-    ``held`` is the semiring and both families, so that their ids name them
-    while a call's scope keeps this."""
-
-    def __init__(self, held: tuple, pres: Presentation):
-        self.held = held
-        self.pres = pres
-        self.ops: tuple | None = None
-
-
 class TensorGroup:
     """K(X) (x) K(Y) modulo slot-(j,k) balancing, with residual operators.
 
@@ -384,8 +361,9 @@ class TensorGroup:
     alone (``intlinalg.mul_kron_identity``); no Kronecker matrix is built.
 
     In a call's scope the tensor groups of two operator families at one slot
-    pair share one ``_SharedTensor``: one presentation and one set of
-    residual operators.  Each keeps its own factors and name.
+    pair share one presentation and one set of residual operators, each an
+    entry that holds the semiring and both families, whose ids key it.  Each
+    keeps its own factors and name.
     """
 
     def __init__(self, x: CompletedModule, y: CompletedModule, j: int, k: int):
@@ -396,10 +374,10 @@ class TensorGroup:
         self.y = y
         self.pair_dim = x.group.dim * y.group.dim
         self.name = f"{x.name}(x){y.name}"
-        self._shared = _in_scope(
-            ("tensor group", id(x.semiring), id(x.ops), id(y.ops), j, k),
-            lambda: _SharedTensor((x.semiring, x.ops, y.ops), self._present(j, k)))
-        self.pres = self._shared.pres
+        self._held = x.semiring, x.ops, y.ops
+        self._key = id(x.semiring), id(x.ops), id(y.ops), j, k
+        _, self.pres = la.in_scope(lambda: ("tensor group", *self._key),
+                                   lambda: (self._held, self._present(j, k)))
         self.group = self.pres.group
 
     def _present(self, j: int, k: int) -> Presentation:
@@ -462,12 +440,13 @@ class TensorGroup:
         all its operators descend there, else the left (``residual_slots``).
         Each distinct operator of a side is projected once
         (``pair_matrix_to_quotient``), and the operators are worked out once
-        per shared tensor group, as the scope's family of their value
-        (``_canonical_family``)."""
-        s, shared = self.x.semiring, self._shared
-        if shared.ops is None:
-            shared.ops = _canonical_family(s, self.group, self._residual_ops())
-        return CompletedModule(s, self.group, shared.ops, None, name=self.name)
+        per tensor group value in a call's scope, as the scope's family of
+        their value (``_canonical_family``)."""
+        s = self.x.semiring
+        _, ops = la.in_scope(
+            lambda: ("residual operators", *self._key),
+            lambda: (self._held, _canonical_family(s, self.group, self._residual_ops())))
+        return CompletedModule(s, self.group, ops, None, name=self.name)
 
     def _residual_ops(self):
         """The residual operators ``as_module`` attaches, by slot."""

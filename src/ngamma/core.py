@@ -43,9 +43,9 @@ class RegularityError(RuntimeError):
     """A tower is not a resolution on this instance.
 
     Raised when a bar or cofree tower has homology below its cut, or when
-    the unit into a cofree module is not injective after completion: the
-    instance fails a hypothesis the derived answer needs, so the tower is
-    refused rather than read wrong.
+    the unit into a cofree module is not a module morphism or not injective
+    after completion: the instance fails a hypothesis the derived answer
+    needs, so the tower is refused rather than read wrong.
     """
 
 

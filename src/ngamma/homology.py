@@ -18,20 +18,22 @@ tuple.  Only the bar tower itself takes another ``ContractionPolicy``, for
 bar diagnostics and for the benchmark's relabelled default; every derived
 entry point above it builds its towers with the default.  Each public
 entry point opens one scope for the length of its call
-(``intlinalg.shares_factorizations``): the call factors each distinct
-integer system, linearizes each distinct module and builds each bar tower
-and comparison-lift stage once, so its bar towers share one carrier, the
+(``intlinalg.shares_factorizations``), and every value it shares enters
+through ``intlinalg.in_scope``: the call factors each distinct integer
+system, linearizes each distinct module and builds each bar tower and
+comparison-lift stage once, so its bar towers share one carrier, the
 linearized regular module.  Every term's operators are the scope's family
 of their value (``completion._canonical_family``), so the balanced tensors
 of a tower, the Tor chain against it and the Hom cochain out of it build
 one tensor group or Hom group per pair of families, however many terms
-share them.
+share them.  Refusal bounds are module constants: ``BAR_WORD_BOUND`` on a
+bar degree's words, ``YONEDA_COMPOSITE_BOUND`` on a Yoneda table's composites.
 """
 
 from __future__ import annotations
 
 import random
-from functools import reduce
+from functools import partial, reduce
 
 from . import intlinalg as la
 from .abgroups import (
@@ -54,6 +56,10 @@ from .completion import (
 # The refusal bound on a bar tower's word space at one degree, tdim^r * mdim,
 # read when each degree is built.
 BAR_WORD_BOUND = 20000
+
+# The refusal bound on a Yoneda product table, the composites of every pair
+# of cocycles with p + q at most the depth, read before the first composite.
+YONEDA_COMPOSITE_BOUND = 20000
 
 
 # ---------------------------------------------------------------------------
@@ -214,7 +220,7 @@ def bar_complex(s: NaryGammaSemiring, module, j: int | None = None, k: int = 0,
     module, the merges of neighbouring carrier factors, and the absorption
     of the last factor.  The faces are computed on the unbalanced word space
     of each degree and projected to the balanced groups.  The call's scope
-    keeps each tower (``intlinalg.open_memo``) under the linearized module's
+    keeps each tower (``intlinalg.in_scope``) under the linearized module's
     shared operators (which the tower keeps alive) and name, the slot pair,
     the depth and the policy.
     """
@@ -222,105 +228,105 @@ def bar_complex(s: NaryGammaSemiring, module, j: int | None = None, k: int = 0,
     module, carrier = linearize_over(s, [module, regular_bimodule(s)])
     j = resolve_slot(s, j)
     check_slots(s, j, k)
-    towers = la.open_memo().setdefault("bar towers", {})
-    key = (id(module.ops), module.name, j, k, depth, policy)
-    if key in towers:
-        return towers[key]
-    tdim = carrier.group.dim
-    mdim = module.group.dim
 
-    def absorb_table(target: CompletedModule, slot: int):
-        """alpha[t coord][m coord]: absorb one carrier factor into ``target``,
-        whose element goes just right of it at slot 1 and just left at slot
-        0 (the wrap-around face), read off the target's operators alone.
-        With the carrier itself at slot 1 this is the contraction of two
-        carrier factors through mu.
-        """
-        comp = carrier.completion
-        zero = GroupMap.zero(target.group, target.group)
+    def build():
+        tdim = carrier.group.dim
+        mdim = module.group.dim
 
-        def total(maps):
-            return reduce(GroupMap.add, maps, zero)
+        def absorb_table(target: CompletedModule, slot: int):
+            """alpha[t coord][m coord]: absorb one carrier factor into ``target``,
+            whose element goes just right of it at slot 1 and just left at slot
+            0 (the wrap-around face), read off the target's operators alone.
+            With the carrier itself at slot 1 this is the contraction of two
+            carrier factors through mu.
+            """
+            comp = carrier.completion
+            zero = GroupMap.zero(target.group, target.group)
 
-        # Only the carrier elements of the basis lifts are contracted.
-        summed = {t: total(target.op(slot, w) for w in policy.words(s, t))
-                  for t in dict.fromkeys(t for pairs in comp.lifts for t, _ in pairs)}
-        # Entry [ia][ib] is column ib of the map of carrier basis vector ia, a
-        # target vector that GroupMap keeps reduced.
-        return [list(zip(*total(summed[t].scale(ct) for t, ct in pairs).mat))
-                for pairs in comp.lifts]
+            def total(maps):
+                return reduce(GroupMap.add, maps, zero)
 
-    beta = absorb_table(carrier, slot=1)
-    alpha_left = absorb_table(module, slot=1)
-    alpha_right = absorb_table(module, slot=0)
+            # Only the carrier elements of the basis lifts are contracted.
+            summed = {t: total(target.op(slot, w) for w in policy.words(s, t))
+                      for t in dict.fromkeys(t for pairs in comp.lifts for t, _ in pairs)}
+            # Entry [ia][ib] is column ib of the map of carrier basis vector ia, a
+            # target vector that GroupMap keeps reduced.
+            return [list(zip(*total(summed[t].scale(ct) for t, ct in pairs).mat))
+                    for pairs in comp.lifts]
 
-    terms: list[CompletedModule] = [module]
-    tensors: dict[int, TensorGroup] = {}
-    word_dims = [mdim]
-    # Degree 0 is the module on its own coordinates.
-    projs, lifts = [la.identity(mdim)], [la.identity(mdim)]
+        beta = absorb_table(carrier, slot=1)
+        alpha_left = absorb_table(module, slot=1)
+        alpha_right = absorb_table(module, slot=0)
 
-    def on_words(tg, left, nwords, rdim):
-        """tg's projection and lift on nwords left words by rdim right
-        coordinates: proj . (P (x) I) and (L (x) I) . lift for the left
-        factor's word maps (P, L), or None when its words are its coordinates."""
-        proj, lift = tg.pres.proj_matrix(), tg.pres.lift_matrix()
-        return (proj, lift) if left is None else (
-            la.mul_kron_identity(proj, "left", left[0], nwords, rdim),
-            la.kron_identity_mul(left[1], lift, tg.x.group.dim, rdim, tg.group.dim))
+        terms: list[CompletedModule] = [module]
+        tensors: dict[int, TensorGroup] = {}
+        word_dims = [mdim]
+        # Degree 0 is the module on its own coordinates.
+        projs, lifts = [la.identity(mdim)], [la.identity(mdim)]
 
-    power, pwords = carrier, None
-    for r in range(1, depth + 1):
-        if r > 1:
-            tg = TensorGroup(power, carrier, j, k)
-            power = tg.as_module()
-            pwords = on_words(tg, pwords, tdim ** (r - 1), tdim)
-        wdim = (tdim ** r) * mdim
-        if wdim > BAR_WORD_BOUND:
-            raise BoundExceeded(
-                f"bar word space at degree {r}: tdim^r*mdim = {tdim}^{r}*{mdim} "
-                f"= {wdim} exceeds its bound {BAR_WORD_BOUND}")
-        tg = TensorGroup(power, module, j, k)
-        proj, lift = on_words(tg, pwords, tdim ** r, mdim)
-        projs.append(proj)
-        lifts.append(lift)
-        tensors[r] = tg
-        terms.append(tg.as_module())
-        word_dims.append(wdim)
+        def on_words(tg, left, nwords, rdim):
+            """tg's projection and lift on nwords left words by rdim right
+            coordinates: proj . (P (x) I) and (L (x) I) . lift for the left
+            factor's word maps (P, L), or None when its words are its coordinates."""
+            proj, lift = tg.pres.proj_matrix(), tg.pres.lift_matrix()
+            return (proj, lift) if left is None else (
+                la.mul_kron_identity(proj, "left", left[0], nwords, rdim),
+                la.kron_identity_mul(left[1], lift, tg.x.group.dim, rdim, tg.group.dim))
 
-    def face(ts, m, i, r):
-        if i == 0:
-            for mm, coeff in _nonzero(alpha_right[ts[0]][m]):
-                yield ts[1:] + (mm,), coeff
-        elif i < r:
-            for tt, coeff in _nonzero(beta[ts[i - 1]][ts[i]]):
-                yield ts[:i - 1] + (tt,) + ts[i + 1:] + (m,), coeff
-        else:
-            for mm, coeff in _nonzero(alpha_left[ts[-1]][m]):
-                yield ts[:-1] + (mm,), coeff
+        power, pwords = carrier, None
+        for r in range(1, depth + 1):
+            if r > 1:
+                tg = TensorGroup(power, carrier, j, k)
+                power = tg.as_module()
+                pwords = on_words(tg, pwords, tdim ** (r - 1), tdim)
+            wdim = (tdim ** r) * mdim
+            if wdim > BAR_WORD_BOUND:
+                raise BoundExceeded(
+                    f"bar word space at degree {r}: tdim^r*mdim = {tdim}^{r}*{mdim} "
+                    f"= {wdim} exceeds its bound {BAR_WORD_BOUND}")
+            tg = TensorGroup(power, module, j, k)
+            proj, lift = on_words(tg, pwords, tdim ** r, mdim)
+            projs.append(proj)
+            lifts.append(lift)
+            tensors[r] = tg
+            terms.append(tg.as_module())
+            word_dims.append(wdim)
 
-    def differential_on_words(r):
-        mat = la.zeros(word_dims[r - 1], word_dims[r])
-        sizes = [tdim] * r + [mdim]
-        for col in range(word_dims[r]):
-            word = unflatten_index(col, sizes)
-            ts, m = word[:-1], word[-1]
-            for i in range(r + 1):
-                sign = -1 if i % 2 else 1
-                for vec, coeff in face(ts, m, i, r):
-                    mat[flatten_index(vec, sizes[1:])][col] += sign * coeff
-        return mat
+        def face(ts, m, i, r):
+            if i == 0:
+                for mm, coeff in _nonzero(alpha_right[ts[0]][m]):
+                    yield ts[1:] + (mm,), coeff
+            elif i < r:
+                for tt, coeff in _nonzero(beta[ts[i - 1]][ts[i]]):
+                    yield ts[:i - 1] + (tt,) + ts[i + 1:] + (m,), coeff
+            else:
+                for mm, coeff in _nonzero(alpha_left[ts[-1]][m]):
+                    yield ts[:-1] + (mm,), coeff
 
-    diffs = {r: induced_on_quotients(
-                 terms[r].group, terms[r - 1].group,
-                 *descent_parts(la.mat_mul(projs[r - 1], differential_on_words(r),
-                                           word_dims[r]), lifts[r], projs[r]),
-                 f"bar differential d_{r}")
-             for r in range(1, depth + 1)}
-    towers[key] = Resolution(s, terms, Complex([t.group for t in terms], diffs), j, k,
-                             f"bar of {module.name} (fillers {policy.fillers}, "
-                             f"parameter tuples {policy.gammas})", tensors, word_dims)
-    return towers[key]
+        def differential_on_words(r):
+            mat = la.zeros(word_dims[r - 1], word_dims[r])
+            sizes = [tdim] * r + [mdim]
+            for col in range(word_dims[r]):
+                word = unflatten_index(col, sizes)
+                ts, m = word[:-1], word[-1]
+                for i in range(r + 1):
+                    sign = -1 if i % 2 else 1
+                    for vec, coeff in face(ts, m, i, r):
+                        mat[flatten_index(vec, sizes[1:])][col] += sign * coeff
+            return mat
+
+        diffs = {r: induced_on_quotients(
+                     terms[r].group, terms[r - 1].group,
+                     *descent_parts(la.mat_mul(projs[r - 1], differential_on_words(r),
+                                               word_dims[r]), lifts[r], projs[r]),
+                     f"bar differential d_{r}")
+                 for r in range(1, depth + 1)}
+        return Resolution(s, terms, Complex([t.group for t in terms], diffs), j, k,
+                          f"bar of {module.name} (fillers {policy.fillers}, "
+                          f"parameter tuples {policy.gammas})", tensors, word_dims)
+
+    return la.in_scope(
+        lambda: ("bar tower", id(module.ops), module.name, j, k, depth, policy), build)
 
 
 # ---------------------------------------------------------------------------
@@ -510,7 +516,9 @@ def cofree_coresolution(s: NaryGammaSemiring, b: BiGammaModule,
     Stage r embeds the cokernel of stage r-1 (b at stage 0) into its cofree
     module.  The map from term r-1 to term r is stage r's unit after stage
     r-1's projection onto its cokernel, composed once stage r has linearized
-    it; the call's scope completes each monoid of the stages once.
+    it; the call's scope completes each monoid of the stages once.  A unit
+    that is not a module morphism, or not injective once completed, is a
+    ``RegularityError`` naming its stage.
     """
     current = b
     terms: list[CompletedModule] = []
@@ -520,8 +528,11 @@ def cofree_coresolution(s: NaryGammaSemiring, b: BiGammaModule,
             proj = quotient_projection(cf.module, set(unit.map), f"{cf.module.name}/im")
             current = proj.target
         cf, unit = _unit_into_cofree(current)
-        if not validate_module_morphism(unit).ok:
-            raise SoundnessError("unit is not a module morphism on this instance")
+        failed = validate_module_morphism(unit).failures()
+        if failed:
+            raise RegularityError(
+                f"unit into the cofree module is not a module morphism (tower stage {r}): "
+                f"{failed[0].axiom} fails, witness {failed[0].witness}")
         lin_src = linearize_module(current)
         lin_dst = linearize_module(cf.module)
         unit_lin = linearize_morphism(unit, lin_src, lin_dst)
@@ -706,23 +717,20 @@ def _lift_chain_map(bar_src: Resolution, bar_dst: Resolution, g0_matrix,
     g_{i-1} . d, a preimage under postcomposition by d_i between the
     equivariant Hom groups; an unsolvable stage raises.  Each stage's Hom
     groups and postcomposition are kept in the call's scope
-    (``intlinalg.open_memo``), keyed by both towers, the source degree and
+    (``intlinalg.in_scope``), keyed by both towers, the source degree and
     the stage.  With rng, a random element of that postcomposition's kernel
     is mixed in, to probe independence from the choice of lift.
     """
-    memo = la.open_memo()
-    if memo is None:
-        memo = {}
+    def stage(i):
+        hom = EquivariantHom(bar_src.terms[q + i], bar_dst.terms[i])
+        below = EquivariantHom(bar_src.terms[q + i], bar_dst.terms[i - 1])
+        return hom, below, hom.induced(below, "post", bar_dst.diffs[i], what="bar differential")
+
     lifts = [GroupMap(bar_src.terms[q].group, bar_dst.terms[0].group,
                       g0_matrix, check=False)]
     for i in range(1, p + 1):
-        key = ("lift stage", bar_src, bar_dst, q + i, i)
-        if key not in memo:
-            hom = EquivariantHom(bar_src.terms[q + i], bar_dst.terms[i])
-            below = EquivariantHom(bar_src.terms[q + i], bar_dst.terms[i - 1])
-            memo[key] = (hom, below, hom.induced(below, "post", bar_dst.diffs[i],
-                                                 what="bar differential"))
-        hom, below, post = memo[key]
+        hom, below, post = la.in_scope(lambda: ("lift stage", bar_src, bar_dst, q + i, i),
+                                       partial(stage, i))
         x = preimage(post, below.coords(lifts[i - 1].compose(bar_src.diffs[q + i]),
                                         f"comparison lift at stage {i}"))
         if x is None:

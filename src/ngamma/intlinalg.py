@@ -19,12 +19,14 @@ keeps S and T, which give kernel bases and solutions.
 While a derived entry point runs (a function decorated with
 ``shares_factorizations``), one memo is open: the call's scope.  The
 outermost decorated call owns it, nested ones share it, and it is dropped
-when that call returns or raises.  ``smith_normal_form`` keeps its forms
-there, keyed on the input's shape, its rows and its kind, and a repeated
-system gets back the first ``SmithForm``; ``open_memo`` hands the scope to
-the layers above, which keep their own entries in it
-(``completion`` its completions, linearizations, canonical operator
-families, tensor groups and Hom groups, ``homology`` its towers).
+when that call returns or raises.  ``in_scope(key, build)`` is the one way
+in: it returns what the scope keeps under ``key()``, built by ``build()``
+the first time, and outside a scope it returns ``build()`` without
+computing the key.  ``smith_normal_form`` keeps its forms there, keyed on
+the input's shape, its rows and its kind, and a repeated system gets back
+the first ``SmithForm``; ``completion`` keeps its completions,
+linearizations, canonical operator families, tensor groups, residual
+operators and Hom groups, and ``homology`` its towers and lift stages.
 Every entry is a pure function of its key, so sharing it moves no
 coordinate; in return every caller only reads what it gets back.
 """
@@ -178,15 +180,24 @@ def _add_scaled(dst: dict, src: dict, c):
 
 
 # The open scope while a ``shares_factorizations`` call runs in this thread
-# or task, else None: (nrows, ncols, solve, rows) -> SmithForm,
-# next to the entries the layers above keep under keys of their own.
-_memo: ContextVar[dict | None] = ContextVar("smith_normal_form_memo", default=None)
+# or task, else None.  Only ``shares_factorizations`` and ``in_scope`` read
+# it: (nrows, ncols, solve, rows) -> SmithForm, next to the entries the
+# layers above keep under keys of their own.
+_memo: ContextVar[dict | None] = ContextVar("call_scope", default=None)
 
 
-def open_memo() -> dict | None:
-    """The memo of the open ``shares_factorizations`` call, or None outside
-    one."""
-    return _memo.get()
+def in_scope(key, build):
+    """What the open scope keeps under ``key()``, built by ``build()`` the
+    first time; outside a scope, ``build()`` afresh, and ``key`` is never
+    called.  No caller changes what it gets back."""
+    memo = _memo.get()
+    if memo is None:
+        return build()
+    k = key()
+    value = memo.get(k, memo)  # the memo never holds itself: a miss
+    if value is memo:
+        value = memo[k] = build()
+    return value
 
 
 def shares_factorizations(fn):
@@ -231,14 +242,8 @@ def smith_normal_form(a, nrows: int, ncols: int, *, solve: bool = False) -> Smit
     Inside a ``shares_factorizations`` call a system met before returns the
     same ``SmithForm`` object, so callers must not mutate its fields.
     """
-    memo = _memo.get()
-    if memo is None:
-        return _factor(a, nrows, ncols, solve)
-    key = (nrows, ncols, solve, tuple(map(tuple, a)))
-    sf = memo.get(key)
-    if sf is None:
-        sf = memo[key] = _factor(a, nrows, ncols, solve)
-    return sf
+    return in_scope(lambda: (nrows, ncols, solve, tuple(map(tuple, a))),
+                    lambda: _factor(a, nrows, ncols, solve))
 
 
 def _factor(a, nrows: int, ncols: int, solve: bool) -> SmithForm:

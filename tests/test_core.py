@@ -455,6 +455,29 @@ def test_sharing_entry_points_keep_their_parameters():
     assert {qual: signatures[qual] for qual in SHARING_ENTRY_POINTS} == SHARING_ENTRY_POINTS
 
 
+def test_only_the_scope_primitives_read_the_call_scope():
+    # ``intlinalg.in_scope`` is the one way a value enters a call's scope:
+    # only it and ``shares_factorizations`` read the scope's ContextVar, no
+    # other module reaches it, and the deleted ``open_memo`` stays gone.
+    package = Path(ngamma.__file__).parent
+    readers, named = [], []
+    for path in sorted(package.rglob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        if path.name == "intlinalg.py":
+            readers += [node.name for node in tree.body if isinstance(node, ast.FunctionDef)
+                        and any(isinstance(n, ast.Name) and n.id == "_memo"
+                                for n in ast.walk(node))]
+        else:
+            readers += [f"{path.name}:{node.lineno}" for node in ast.walk(tree)
+                        if isinstance(node, ast.Attribute) and node.attr == "_memo"
+                        and getattr(node.value, "id", None) in ("la", "intlinalg")]
+        named += [f"{path.name}:{getattr(node, 'lineno', 0)}" for node in ast.walk(tree)
+                  if "open_memo" in (getattr(node, "id", None), getattr(node, "attr", None),
+                                     getattr(node, "name", None))]
+    assert readers == ["in_scope", "shares_factorizations"]
+    assert named == []
+
+
 def test_slot_tables_are_read_only_in_modules():
     # ``BiGammaModule.actions`` and ``module_from_actions`` are the one reader
     # and writer of the slot-table layout; the workspace serialises the
@@ -532,7 +555,8 @@ def test_towers_are_built_only_by_the_resolution_constructors():
         leftovers += [f"{path.name}:{name}" for name, fn in _functions(tree)
                       if any(a.arg == "carrier" for a in ast.walk(fn.args)
                              if isinstance(a, ast.arg))]
-    assert builders == ["homology.py:bar_complex", "homology.py:cofree_coresolution"]
+    assert builders == ["homology.py:bar_complex", "homology.py:bar_complex.build",
+                        "homology.py:cofree_coresolution"]
     assert readers == [] and leftovers == []
 
 

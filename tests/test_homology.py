@@ -10,8 +10,9 @@ import pytest
 from ngamma.abgroups import AbGroup, GroupMap, HomologyNode, SoundnessError, is_short_exact
 from ngamma.bundled import bundled_workspace
 from ngamma.core import (
-    BoundExceeded, FiniteAddMonoid, NaryGammaSemiring, StructuralError, boolean_ternary,
-    bundled_semirings, f2_semiring, f2_ternary, make_matrix_family, product,
+    BoundExceeded, FiniteAddMonoid, NaryGammaSemiring, StructuralError, boolean_semiring,
+    boolean_ternary, bundled_semirings, f2_semiring, f2_ternary, make_matrix_family, odd_part,
+    product,
     ternary_from_semiring, trivial_gamma, truncated_polynomial, z4_ternary, zmod_semiring,
 )
 from ngamma.completion import linearize_module, linearize_morphism, zero_completed
@@ -22,6 +23,7 @@ from ngamma.modules import (
     regular_bimodule, zero_module,
 )
 from ngamma import abgroups, cli, homology as homology_mod, spectral as spectral_mod
+from ngamma.workspace import dump_document, workspace_document
 from ngamma.homology import (
     Complex, ContractionPolicy, RegularityError, Resolution, _lift_chain_map,
     balance_check, default_policy,
@@ -230,6 +232,17 @@ def test_cofree_regularity_error():
     zact = build_module(boolt, z2, lambda j, t, m, gs: 0, name="zero-action")
     with pytest.raises(RegularityError):
         cofree_coresolution(boolt, zact, depth=1)
+
+
+def test_cofree_unit_that_is_not_a_module_morphism_is_refused_with_its_witness():
+    # On Lister's odd part of M2(B) the unit m -> (t -> t.m) is additive but
+    # not equivariant: a tower hypothesis fails, so the refusal names the
+    # stage and the witness (slot, carriers, element, parameters).
+    s = odd_part(boolean_semiring(), 2)
+    with pytest.raises(RegularityError, match=re.escape(
+            "unit into the cofree module is not a module morphism (tower stage 0): "
+            "morphism equivariance fails, witness (2, (1, 1), 1, (0, 0))")):
+        cofree_coresolution(s, regular_bimodule(s), depth=1)
 
 
 def test_ext_via_cofree_degree_zero(z4):
@@ -516,6 +529,29 @@ def test_yoneda_class_tables_z4(capsys):
         assert cli.main(["--format", "structured", "yoneda", "z4_ternary", modules[name],
                          "--depth", "2"]) == 0
         assert json.loads(capsys.readouterr().out)["results"]["products"] == want, name
+
+
+def test_yoneda_refuses_a_table_over_its_bound_before_composing(tmp_path, capsys, monkeypatch):
+    # reg (+) reg over ternary Z/4 has 256 cocycles in degrees 0 and 2 and
+    # one in degree 1, so its depth-2 table asks for 3 * 256^2 + 2 * 256 + 1
+    # composites.
+    z4 = z4_ternary()
+    total = direct_sum_modules([regular_bimodule(z4)] * 2)[0]
+    path = tmp_path / "ws.json"
+    path.write_text(dump_document(workspace_document(
+        {"m_z4": z4.T, "m_sum": total.M}, {"g": z4.gamma}, {"z4": (z4, "m_z4", "g")},
+        {"sum": (total, "z4", "m_sum")})), encoding="utf-8")
+
+    def composing(*args, **kwargs):
+        raise AssertionError("composed before refusing")
+
+    monkeypatch.setattr(homology_mod, "yoneda_compose", composing)
+    assert cli.main(["--no-bundled", "-w", str(path), "yoneda", "z4", "sum",
+                     "--depth", "2"]) == cli.ERROR
+    assert capsys.readouterr().err == (
+        "error: yoneda table of 197121 composites (every cocycle pair with p + q <= 2) "
+        f"exceeds its bound {homology_mod.YONEDA_COMPOSITE_BOUND}\n")
+    assert 3265 <= homology_mod.YONEDA_COMPOSITE_BOUND < 197121
 
 
 def test_policies_are_configurable(z4):

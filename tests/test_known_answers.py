@@ -20,7 +20,10 @@ neutral word; so does the copy relabelled by the reversal, which moves the
 zero, with its regular module relabelled alike.  At depth 2 Ext and Tor of odd(M2(B)) are 0 in every degree,
 since the Boolean completion is 0 (ROADMAP item 21), and the bars of
 odd(M2(F2)) and odd(M3(F2)) refuse at slot 2 (ROADMAP items 18 and 23), on
-the relabelled copies too.
+the relabelled copies too.  The other entry points are pinned on the
+regular module: ``hom_gamma``, ``tensor_positional`` at each slot pair, the
+completion, ``cofree`` into Z/2, and ``kunneth_check`` and
+``balance_check`` at depth 1.
 
 Tor of the regular module against itself is left out: ``tor_via_bar``
 reads a positional tensor balanced at one slot pair, so its Tor_0 is A,
@@ -38,9 +41,13 @@ from ngamma.core import (
     opposite, product, relabel, ternary_from_semiring, trivial_gamma, truncated_nat_semiring,
     truncated_polynomial, upper_triangular, validate_semiring, zmod_semiring,
 )
-from ngamma.homology import bar_complex, ext_via_bar, tor_via_bar
+from ngamma.completion import linearize_module
+from ngamma.homology import balance_check, bar_complex, ext_via_bar, tor_via_bar
 from ngamma.ideals import all_ideals, spectrum
-from ngamma.modules import regular_bimodule, relabel_module, validate_module
+from ngamma.modules import (
+    cofree, hom_gamma, regular_bimodule, relabel_module, tensor_positional, validate_module,
+)
+from ngamma.spectral import kunneth_check
 
 DEPTH = 4
 
@@ -257,3 +264,73 @@ def test_relabelled_odd_parts_derived_outcomes_at_depth_2(name, derived):
             derived(s, reg, reg, depth=2)
     else:
         assert derived(s, reg, reg, depth=2).factors() == ODD_DERIVED[name]
+
+
+SLOT_2 = "no residual action descends at slot 2"
+
+
+@pytest.mark.parametrize("name", ["odd(m2(f2))", "odd(m2(b))"])
+def test_odd_parts_hom_leaves_the_enumerated_maps(name):
+    # odd(M3(F2))'s hom_gamma takes seconds and is left out.
+    base, m = ODD_PARTS[name]
+    reg = regular_bimodule(odd_part(base(), m))
+    with pytest.raises(SoundnessError, match="hom action leaves the enumerated maps"):
+        hom_gamma(reg, reg)
+
+
+# 0-based slot pairs; only (2, 1) in the command line's numbering answers.
+@pytest.mark.parametrize("j, k", [(2, 0), (0, 2), (2, 2), (1, 0)])
+@pytest.mark.parametrize("name", ODD_PARTS)
+def test_odd_parts_positional_tensor_answers_only_at_slots_2_1(name, j, k):
+    base, m = ODD_PARTS[name]
+    reg = regular_bimodule(odd_part(base(), m))
+    if (j, k) == (1, 0):
+        assert tensor_positional(reg, reg, j, k).module.M.size == 1
+    else:
+        with pytest.raises(SoundnessError, match=SLOT_2):
+            tensor_positional(reg, reg, j, k)
+
+
+# Invariant factors of the completion, and the order of cofree(s, Z/2).
+ODD_COMPLETED = {"odd(m2(f2))": ((2, 2), 4), "odd(m2(b))": ((), 1),
+                 "odd(m3(f2))": ((2, 2, 2, 2), 16)}
+
+
+@pytest.mark.parametrize("name", ODD_PARTS)
+def test_odd_parts_completion_and_cofree(name):
+    base, m = ODD_PARTS[name]
+    s = odd_part(base(), m)
+    factors, cofree_size = ODD_COMPLETED[name]
+    assert linearize_module(regular_bimodule(s)).group.invariant_factors() == factors
+    assert cofree(s, FiniteAddMonoid(2, (0, 1, 1, 0), 0)).module.M.size == cofree_size
+
+
+@pytest.mark.parametrize("name", ODD_PARTS)
+def test_odd_parts_kunneth_at_depth_1(name):
+    base, m = ODD_PARTS[name]
+    s = odd_part(base(), m)
+    reg = regular_bimodule(s)
+    if name == "odd(m2(b))":
+        assert kunneth_check(s, reg, reg, reg, depth=1).consistent
+    else:
+        with pytest.raises(SoundnessError, match=SLOT_2):
+            kunneth_check(s, reg, reg, reg, depth=1)
+
+
+@pytest.mark.parametrize("name", ODD_PARTS)
+def test_odd_parts_balance_at_depth_1(name):
+    base, m = ODD_PARTS[name]
+    s = odd_part(base(), m)
+    reg = regular_bimodule(s)
+    if name != "odd(m2(b))":
+        with pytest.raises(SoundnessError, match=SLOT_2):
+            balance_check(s, reg, reg, depth=1)
+        return
+    # The unit into the cofree module fails equivariance, so the cofree
+    # side is skipped rather than read.
+    report = balance_check(s, reg, reg, depth=1)
+    assert (report.bar_factors, report.cofree_factors, report.balanced) == \
+        ([(), ()], [], False)
+    assert report.skipped == ("unit into the cofree module is not a module morphism "
+                              "(tower stage 0): morphism equivariance fails, "
+                              "witness (2, (1, 1), 1, (0, 0))")

@@ -93,7 +93,7 @@ def test_one_scope_linearizes_a_module_once_under_each_name(completions):
         assert a.ops is b.ops and a.completion is b.completion
         assert (a.name, b.name) == ("z4_reg", "z4_ternary.regular")
         assert completions["group_complete"] - before == 1
-        assert la.open_memo() is None
+        assert la._memo.get() is None
     # Outside a scope nothing is shared.
     assert completion.linearize_module(named).ops is not \
         completion.linearize_module(named).ops
@@ -171,7 +171,7 @@ def test_each_call_builds_its_own_groups(count_calls):
     first, second = (ext_via_bar(s, reg, reg, depth=2) for _ in range(2))
     assert (presented["_present"], solved["kernel"]) == (2, 2)
     assert first.resolution.tensors[1].pres is not second.resolution.tensors[1].pres
-    assert la.open_memo() is None
+    assert la._memo.get() is None
 
 
 def test_nothing_is_shared_outside_a_call(count_calls):

@@ -140,27 +140,32 @@ def test_shared_groups_equal_fresh_builds(monkeypatch):
     # once the call has returned, still equals one built afresh outside a
     # call: its presentation and residual operators, or its base and
     # kernel.  No caller mutated what the scope shares.
-    tensors, homs = [], []
+    tensors, homs, handed = [], [], []
     present, solve = TensorGroup._present, EquivariantHom._solve
+    as_module = TensorGroup.as_module
     monkeypatch.setattr(TensorGroup, "_present",
                         lambda tg, j, k: tensors.append((tg, j, k)) or present(tg, j, k))
     monkeypatch.setattr(EquivariantHom, "_solve", lambda h: homs.append(h) or solve(h))
+    monkeypatch.setattr(TensorGroup, "as_module",
+                        lambda tg: handed.append((tg.pres, as_module(tg))) or handed[-1][1])
     checked = [0, 0]
     for command in BUNDLED_COMMANDS:
-        del tensors[:], homs[:]
+        del tensors[:], homs[:], handed[:]
         assert _run(command) == 0, command
         checked[0] += len(tensors)
         checked[1] += len(homs)
         assert la._memo.get() is None
         # The fresh builds below are recorded too; they are not read.
         for tg, j, k in tensors[:]:
-            shared, fresh = tg._shared, TensorGroup(tg.x, tg.y, j, k)
-            assert (shared.pres.relations, shared.pres.proj_matrix(),
-                    shared.pres.lift_matrix()) == (fresh.pres.relations,
-                                                   fresh.pres.proj_matrix(),
-                                                   fresh.pres.lift_matrix()), command
-            if shared.ops is not None:
-                assert _mats(shared.ops) == _mats(fresh.as_module().ops), command
+            fresh = TensorGroup(tg.x, tg.y, j, k)
+            assert (tg.pres.relations, tg.pres.proj_matrix(),
+                    tg.pres.lift_matrix()) == (fresh.pres.relations,
+                                               fresh.pres.proj_matrix(),
+                                               fresh.pres.lift_matrix()), command
+            shared = [module for pres, module in handed if pres is tg.pres]
+            if shared:
+                ops = _mats(fresh.as_module().ops)
+                assert all(_mats(module.ops) == ops for module in shared), command
         for h in homs[:]:
             fresh = EquivariantHom(h.x, h.y)
             assert h.base.coords == fresh.base.coords, command
