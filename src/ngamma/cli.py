@@ -35,7 +35,8 @@ from .ideals import (
     topology_report,
 )
 from .modules import (
-    cofree, hom_gamma, regular_bimodule, resolve_slot, tensor_positional, validate_module,
+    TensorCongruence, cofree, equivariant_maps, hom_gamma, regular_bimodule, resolve_slot,
+    tensor_positional, validate_module,
 )
 from .workspace import Workspace, WorkspaceError, merge_bytes
 
@@ -401,40 +402,34 @@ def cmd_oracle(ws: Workspace, args, rep: Reporter) -> int:
                 orc = oracle_mod.subset_scan_primes(s, ideal_masks(name))
                 block[name] = {"agree": eng == orc, "primes": eng}
                 ok = ok and eng == orc
-        elif target == "hom":
+        elif target in ("hom", "tensor"):
             for m_name in sorted(ws.modules):
                 for n_name in sorted(ws.modules):
                     m, n = ws.modules[m_name], ws.modules[n_name]
                     if m.parent != n.parent:
                         continue
                     try:
-                        orc = sorted(oracle_mod.all_maps_hom(m, n, columns))
+                        if target == "hom":
+                            orc = sorted(oracle_mod.all_maps_hom(m, n, columns))
+                            eng = sorted(equivariant_maps(m, n))
+                            key, entry = f"{m_name}->{n_name}", {"count": len(eng)}
+                        else:
+                            j = resolve_slot(m.parent, None)
+                            orc = oracle_mod.tensor_class_count(m, n, j, 0, columns)
+                            eng = TensorCongruence(m, n, j, 0).monoid.size
+                            key, entry = f"{m_name}(x){n_name}", {"size": eng}
                     except BoundExceeded:
                         continue
-                    eng = sorted(hom_gamma(m, n).maps)
-                    key = f"{m_name}->{n_name}"
-                    block[key] = {"agree": eng == orc, "count": len(eng)}
-                    ok = ok and eng == orc
-        elif target == "tensor":
-            for m_name in sorted(ws.modules):
-                for n_name in sorted(ws.modules):
-                    m, n = ws.modules[m_name], ws.modules[n_name]
-                    if m.parent != n.parent:
-                        continue
-                    j = resolve_slot(m.parent, None)
-                    try:
-                        orc = oracle_mod.tensor_class_count(m, n, j, 0, columns)
-                    except BoundExceeded:
-                        continue
-                    eng = tensor_positional(m, n, j, 0).module.M.size
-                    key = f"{m_name}(x){n_name}"
-                    block[key] = {"agree": eng == orc, "size": eng}
+                    block[key] = {"agree": eng == orc, **entry}
                     ok = ok and eng == orc
         elif target == "homology":
             for name in sorted(ws.semirings):
                 s = ws.semirings[name]
-                bar = bar_complex(s, regular_bimodule(s), resolve_slot(s, None), 0,
-                                  depth=3)
+                try:
+                    bar = bar_complex(s, regular_bimodule(s), resolve_slot(s, None), 0, depth=3)
+                except (SoundnessError, RegularityError, BoundExceeded) as e:
+                    block[name] = {"skipped": str(e)}
+                    continue
                 hs = homology(bar.chain, 2)
                 agree = True
                 for r in range(3):

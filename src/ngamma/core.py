@@ -458,18 +458,18 @@ def parameter_words(n: int, gsize: int) -> list:
             for gs in itertools.product(range(gsize), repeat=2 * n - 2)]
 
 
-def first_incoherent_word(s: NaryGammaSemiring, words, p=None,
-                          act_tables=(), msize: int = 0, gwords=None):
+def first_incoherent_word(s: NaryGammaSemiring, words, p: int, act_tables, msize: int,
+                          gwords=None):
     """The first length-(2n-1) word whose n bracketings disagree.
 
     ``words`` yields element tuples; each is tried with every parameter word
     gs in index order, gs fastest.  Returns (xs, gs, vals) or None, where
     vals[i] is the value of the bracketing that multiplies the window of
-    letters i..i+n-1 first.  Without ``p`` every letter is a carrier element
-    and both products are looked up in ``mu_table``.  With ``p`` the letter
-    at p is an element of a module of size ``msize``: a window that holds it
-    is looked up in ``act_tables[j]``, j its place in the window, and so is
-    the outer word that then holds the window's value.
+    letters i..i+n-1 first.  The letter at p is an element of a module of
+    size ``msize``: a window that holds it is looked up in ``act_tables[j]``,
+    j its place in the window, and so is the outer word that then holds the
+    window's value; other windows are looked up in ``mu_table``.  A
+    semiring's own words are its regular layout's: 0, (mu_table,) * n, |T|.
 
     All tables share one layout (n elements, then n-1 parameters), so each
     bracketing costs two lookups at offsets summed from precomputed strides:
@@ -493,9 +493,7 @@ def first_incoherent_word(s: NaryGammaSemiring, words, p=None,
 
     plan = []
     for i in range(n):
-        if p is None:
-            j_in = j_out = None
-        elif i <= p < i + n:
+        if i <= p < i + n:
             j_in, j_out = p - i, i
         else:
             j_in, j_out = None, p if p < i else p - n + 1
@@ -526,7 +524,8 @@ def check_flattened_associativity(s: NaryGammaSemiring,
     additivity failed.
     """
     gens = s.T.additive_generators() if generators_only else list(s.T.elements())
-    hit = first_incoherent_word(s, itertools.product(gens or [s.T.zero], repeat=2 * s.n - 1))
+    hit = first_incoherent_word(s, itertools.product(gens or [s.T.zero], repeat=2 * s.n - 1),
+                                0, (s.mu_table,) * s.n, s.T.size)
     if hit is None:
         return AxiomCheck("flattened associativity", True)
     xs, gs, vals = hit

@@ -14,20 +14,20 @@ faces that contract two adjacent factors through the multiplication.  The
 semiring picks the contraction (``default_policy``): the missing carrier
 slots are filled with its canonical neutral word when it has one, otherwise
 summed over all fillers, and the parameter slots are summed over every
-tuple.  Only the bar tower itself takes another ``ContractionPolicy``, for
-bar diagnostics and for the benchmark's relabelled default; every derived
-entry point above it builds its towers with the default.  Each public
-entry point opens one scope for the length of its call
-(``intlinalg.shares_factorizations``), and every value it shares enters
-through ``intlinalg.in_scope``: the call factors each distinct integer
-system, linearizes each distinct module and builds each bar tower and
-comparison-lift stage once, so its bar towers share one carrier, the
-linearized regular module.  Every term's operators are the scope's family
-of their value (``completion._canonical_family``), so the balanced tensors
-of a tower, the Tor chain against it and the Hom cochain out of it build
-one tensor group or Hom group per pair of families, however many terms
-share them.  Refusal bounds are module constants: ``BAR_WORD_BOUND`` on a
-bar degree's words, ``YONEDA_COMPOSITE_BOUND`` on a Yoneda table's composites.
+tuple.  Only the bar tower, and ``ext_via_bar`` and ``tor_via_bar`` that
+forward one to it, take another ``ContractionPolicy``, for bar diagnostics
+and the benchmark's relabelled default; every entry point above them builds
+with the default.  Each public entry point opens one scope for the length of
+its call (``intlinalg.shares_factorizations``), and every value it shares
+enters through ``intlinalg.in_scope``: the call factors each distinct
+integer system, linearizes each distinct module and builds each bar tower
+and comparison-lift stage once, so its bar towers share one carrier, the
+linearized regular module.  Every term's operators are the scope's family of
+their value (``completion._canonical_family``), so the balanced tensors of a
+tower, the Tor chain against it and the Hom cochain out of it build one
+tensor group or Hom group per pair of families, however many terms share
+them.  Refusal bounds are module constants: ``BAR_WORD_BOUND`` on a bar
+degree's words, ``YONEDA_COMPOSITE_BOUND`` on a Yoneda table's composites.
 """
 
 from __future__ import annotations

@@ -18,6 +18,7 @@ and Tor comparisons share every bar tower and linearization.
 from __future__ import annotations
 
 import copy
+from functools import cached_property
 from math import prod
 
 from . import intlinalg as la
@@ -125,9 +126,14 @@ class DoubleComplexAb:
 # ---------------------------------------------------------------------------
 
 class SpectralPage:
-    def __init__(self, entries: dict, diffs: dict):
+    """A page's groups by node, and its differentials by source node, which
+    ``build_diffs`` builds the first time ``diffs`` is read."""
+
+    def __init__(self, entries: dict, build_diffs):
         self.entries = entries
-        self.diffs = diffs
+        self._build_diffs = build_diffs
+
+    diffs = cached_property(lambda self: self._build_diffs())
 
     def factors(self, p: int, q: int) -> tuple[int, ...]:
         g = self.entries.get((p, q))
@@ -212,16 +218,14 @@ class FiltrationPages:
         return sq
 
     def _page(self, r: int) -> SpectralPage:
-        entries = {}
-        diffs = {}
-        for p in range(self.grid.pmax + 1):
-            for q in range(self.grid.qmax + 1):
-                src = self._subquotient(r, p, q)
-                entries[(p, q)] = src.group
-                tp, tq = p - r, q + r - 1
-                if tp >= 0 and tq >= 0:
-                    diffs[(p, q)] = src.induced(self.grid.complex.d(p + q),
-                                                self._subquotient(r, tp, tq))
+        """Page r's groups, and its differentials to build when read."""
+        cells = [(p, q) for p in range(self.grid.pmax + 1) for q in range(self.grid.qmax + 1)]
+        entries = {(p, q): self._subquotient(r, p, q).group for p, q in cells}
+
+        def diffs():
+            return {(p, q): self._subquotient(r, p, q).induced(
+                        self.grid.complex.d(p + q), self._subquotient(r, p - r, q + r - 1))
+                    for p, q in cells if p >= r and q + r >= 1}
         return SpectralPage(entries, diffs)
 
     # -- verification ------------------------------------------------------

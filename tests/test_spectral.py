@@ -407,6 +407,27 @@ def test_kunneth_pages_build_each_lattice_once(monkeypatch, count_calls):
     assert len(grids) == 2 and grids[1].complex is grids[0].complex
 
 
+def test_kunneth_builds_only_the_page_differentials_it_reads(monkeypatch):
+    # The page law is checked at pages 1 and 2, so each filtration builds
+    # their 6 and 3 differentials and never page 0's 6; read later, those
+    # are built then.
+    filtrations = []
+
+    def recording(d):
+        filtrations.append(FiltrationPages(d))
+        return filtrations[-1]
+
+    monkeypatch.setattr(spectral, "FiltrationPages", recording)
+    ws = bundled_workspace()
+    reg = ws.module("f2_reg")
+    kunneth_check(ws.semiring("f2_ternary"), reg, reg, reg, depth=2)
+    assert len(filtrations) == 2
+    for fp in filtrations:
+        built = {r: len(page.diffs) for r, page in enumerate(fp.pages) if "diffs" in vars(page)}
+        assert built == {1: 6, 2: 3}
+        assert len(fp.page(0).diffs) == 6
+
+
 @pytest.mark.parametrize("family,names", [
     ("f2_ternary", ("f2_reg", "f2_reg", "f2_reg")),
     ("z4_ternary", ("z4_reg", "z4_ideal02", "z4_mod2")),

@@ -451,7 +451,8 @@ def test_word_strides_match_the_per_letter_products():
         for kind in ("nonzero", "mixed"):
             b = _over_one_element(n, trivial_gamma(), rng, kind)
             s = b.parent
-            assert core.first_incoherent_word(s, [(0,) * (2 * n - 1)]) == \
+            regular = (0, (s.mu_table,) * n, s.T.size)
+            assert core.first_incoherent_word(s, [(0,) * (2 * n - 1)], *regular) == \
                 _first_incoherent_word_reference(s, [(0,) * (2 * n - 1)])
             for p in sorted({0, n - 1, 2 * n - 2}):
                 words = [(0,) * p + (m,) + (0,) * (2 * n - 2 - p) for m in (0, 1)]
@@ -487,7 +488,7 @@ def test_word_offsets_match_the_reference_on_larger_tables():
         for trial in range(3):
             mu = _one_cell_changed(base.mu_table, rng, base.T.size) if trial else base.mu_table
             s = NaryGammaSemiring(base.n, base.T, base.gamma, mu)
-            got = core.first_incoherent_word(s, words)
+            got = core.first_incoherent_word(s, words, 0, (mu,) * s.n, s.T.size)
             assert got == _first_incoherent_word_reference(s, words), (name, trial)
             outcomes[got is None] += 1
             tables = [base.mu_table] * base.n

@@ -8,10 +8,10 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ngamma import cli, homology, oracle
+from ngamma import cli, homology, modules, oracle
 from ngamma.bundled import bundled_document, bundled_path, bundled_workspace
 from ngamma.cli import build_parser, main
-from ngamma.core import f2_semiring, make_matrix_family
+from ngamma.core import boolean_semiring, f2_semiring, make_matrix_family, odd_part
 from ngamma.modules import regular_bimodule
 from ngamma.workspace import (
     SCHEMA, Workspace, WorkspaceError, dump_document, merge_bytes, merge_document,
@@ -398,12 +398,12 @@ def test_oracle_defaults_to_the_last_slot(tmp_path, monkeypatch):
         monkeypatch.setattr(module, attr, wrapped)
 
     recorder(oracle, "tensor_class_count", 2)
-    recorder(cli, "tensor_positional", 2)
+    recorder(cli, "TensorCongruence", 2)
     recorder(homology, "bar_complex", 2)
     for target in ("tensor", "homology"):
         assert main(["--no-bundled", "-w", path, "oracle", target]) == 0
-    assert sorted(slots) == [("bar_complex", 1), ("tensor_class_count", 1),
-                             ("tensor_positional", 1)]
+    assert sorted(slots) == [("TensorCongruence", 1), ("bar_complex", 1),
+                             ("tensor_class_count", 1)]
 
 
 def test_mod_tensor_on_noncommutative_matrices(tmp_path, capsys):
@@ -417,6 +417,86 @@ def test_mod_tensor_on_noncommutative_matrices(tmp_path, capsys):
     ternary = _regular_workspace(tmp_path, make_matrix_family(f2_semiring(), 2, 3))
     assert main(["--no-bundled", "-w", ternary, "mod", "tensor", "reg", "reg"]) == 2
     assert "no residual action descends at slot 2: " in capsys.readouterr().err
+
+
+def test_bundled_oracle_builds_no_hom_or_residual_module(count_calls, capsys):
+    # The hom and tensor blocks compare the engine's map list and class count
+    # with the oracle's; neither reads a module structure on them.  ``mod``
+    # builds one of each, so the counters see these builds.
+    maps = count_calls(modules, "_maps_module")
+    residual = count_calls(modules.TensorCongruence, "residual_module")
+    assert main(["oracle", "all"]) == 0
+    assert maps["_maps_module"] == 0 and residual["residual_module"] == 0
+    assert main(["mod", "hom", "z4_reg", "z4_reg"]) == 0
+    assert main(["mod", "tensor", "z4_reg", "z4_reg"]) == 0
+    assert maps["_maps_module"] == 1 and residual["residual_module"] == 1
+
+
+@pytest.fixture(scope="module")
+def noncommutative_workspace(tmp_path_factory):
+    """A workspace holding the regular modules of Lister's odd parts
+    odd(M2(F2)) and odd(M2(B)) and of binary M2(F2), and the monoid Z/2."""
+    sems = {"odd_f2": odd_part(f2_semiring(), 2), "odd_b": odd_part(boolean_semiring(), 2),
+            "m2f2": make_matrix_family(f2_semiring(), 2, 2)}
+    doc = workspace_document({"z2": f2_semiring().T, **{f"{k}_t": s.T for k, s in sems.items()}},
+                             {f"{k}_g": s.gamma for k, s in sems.items()},
+                             {k: (s, f"{k}_t", f"{k}_g") for k, s in sems.items()},
+                             {f"{k}_reg": (regular_bimodule(s), k, f"{k}_t")
+                              for k, s in sems.items()})
+    path = tmp_path_factory.mktemp("noncommutative") / "ws.json"
+    path.write_text(dump_document(doc), encoding="utf-8")
+    return str(path)
+
+
+_SLOT_2 = ("no residual action descends at slot 2: through the right factor, the {what} "
+           "with carriers (1, 1) and parameters (0, 0) does not descend; through the left "
+           "factor, the {what} with carriers (1, 1) and parameters (0, 0) does not descend")
+
+
+@pytest.mark.parametrize("command, code, expect", [
+    ("validate", 0, None),
+    ("spectrum odd_f2", 0, {"primes": []}),
+    ("ideals list odd_f2", 0, {"ideals": [[0], [0, 1, 2, 3]]}),
+    ("mod validate odd_f2_reg", 0, None),
+    ("mod cofree odd_f2 z2", 0, {"size": 4}),
+    ("complete odd_f2_reg", 0, {"invariant_factors": [2, 2]}),
+    ("mod hom odd_f2_reg odd_f2_reg", 2, "hom action leaves the enumerated maps"),
+    ("mod tensor odd_f2_reg odd_f2_reg --slots 2,1", 0, {"size": 1}),
+    ("mod tensor odd_f2_reg odd_f2_reg --slots 3,1", 2, _SLOT_2.format(what="action at slot 2")),
+    ("ext odd_f2 odd_f2_reg odd_f2_reg", 2, _SLOT_2.format(what="operator")),
+    ("tor odd_f2 odd_f2_reg odd_f2_reg", 2, _SLOT_2.format(what="operator")),
+    ("ext odd_b odd_b_reg odd_b_reg --depth 2", 0, {"degrees": {"0": [], "1": [], "2": []}}),
+    ("balance odd_b odd_b_reg odd_b_reg", 0, None),
+    ("kunneth odd_b odd_b_reg odd_b_reg odd_b_reg --depth 1", 0, {"consistent": True}),
+])
+def test_commands_on_noncommutative_workspaces(command, code, expect, noncommutative_workspace,
+                                               capsys):
+    # Each command's exit code, and its first error line or some of its results.
+    argv = ["--format", "structured", "--no-bundled", "-w", noncommutative_workspace]
+    assert main(argv + command.split()) == code
+    out, err = capsys.readouterr()
+    if code:
+        assert err.splitlines()[0] == f"error: {expect}"
+    else:
+        assert err == "" and json.loads(out)["ok"]
+        results = json.loads(out)["results"]
+        assert {key: results[key] for key in expect or ()} == (expect or {})
+
+
+def test_oracle_on_noncommutative_workspaces(noncommutative_workspace, capsys):
+    # Every block answers; the bars the engine refuses are skipped with its
+    # refusal, and pairs beyond either side's bound are left out.
+    argv = ["--format", "structured", "--no-bundled", "-w", noncommutative_workspace]
+    assert main(argv + ["oracle", "all"]) == 0
+    results = json.loads(capsys.readouterr().out)["results"]
+    assert sorted(results) == ["axioms", "hom", "homology", "ideals", "spectrum", "tensor"]
+    assert results["homology"] == {
+        "m2f2": {"skipped": "bar differential d_1 does not descend to the quotient"},
+        "odd_b": {"agree": True},
+        "odd_f2": {"skipped": _SLOT_2.format(what="operator")}}
+    assert results["hom"] == {"odd_b_reg->odd_b_reg": {"agree": True, "count": 2},
+                              "odd_f2_reg->odd_f2_reg": {"agree": True, "count": 2}}
+    assert results["tensor"] == {}
 
 
 # ---------------------------------------------------------------------------
