@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from functools import partial
 from math import gcd
-from operator import add
+from operator import add, attrgetter
 
 from . import intlinalg as la
 from .abgroups import (
@@ -438,33 +438,18 @@ class TensorGroup:
     def as_module(self) -> CompletedModule:
         """Attach residual operators, each slot through the right factor when
         all its operators descend there, else the left (``residual_slots``).
-        Each distinct operator of a side is projected once
-        (``pair_matrix_to_quotient``), and the operators are worked out once
-        per tensor group value in a call's scope, as the scope's family of
-        their value (``_canonical_family``)."""
+        Each distinct operator object is keyed once and each distinct key of
+        a side projected once (``pair_matrix_to_quotient``), and the
+        operators are worked out once per tensor group value in a call's
+        scope, as the scope's family of their value (``_canonical_family``)."""
         s = self.x.semiring
-        _, ops = la.in_scope(
-            lambda: ("residual operators", *self._key),
-            lambda: (self._held, _canonical_family(s, self.group, self._residual_ops())))
+
+        def residual_ops():
+            return tuple(residual_slots(s, [
+                (side, ops.__getitem__, attrgetter("key"),
+                 lambda op, side=side: self.pair_matrix_to_quotient(side, op.mat))
+                for side, ops in (("right", self.y.ops), ("left", self.x.ops))]))
+
+        _, ops = la.in_scope(lambda: ("residual operators", *self._key),
+                             lambda: (self._held, _canonical_family(s, self.group, residual_ops())))
         return CompletedModule(s, self.group, ops, None, name=self.name)
-
-    def _residual_ops(self):
-        """The residual operators ``as_module`` attaches, by slot."""
-        s = self.x.semiring
-        projected = {}
-
-        def attach(side, ops, slot):
-            by_op = dict.fromkeys(ops[slot])
-            for op in by_op:
-                key = side, op.key
-                if key not in projected:
-                    projected[key] = self.pair_matrix_to_quotient(side, op.mat)
-                by_op[op] = projected[key]
-                if by_op[op] is None:
-                    tother, gs = filler_tuples(s)[ops[slot].index(op)]
-                    raise SoundnessError(f"the operator with carriers {tother} and "
-                                         f"parameters {gs} does not descend")
-            return tuple(map(by_op.__getitem__, ops[slot]))
-
-        return tuple(residual_slots(s.n, [("right", partial(attach, "right", self.y.ops)),
-                                          ("left", partial(attach, "left", self.x.ops))]))

@@ -640,8 +640,10 @@ class TensorCongruence:
     once.  Classes are numbered by the lexicographically least multiplicity
     vector over the nonzero pairs (a-major) that sums to them, which depends
     only on the quotient and beta.  ``residual_module`` attaches residual
-    actions through ``residual_slots`` from the factors and pair images that
-    the callers supply; the plain tensor and scalar extension differ there.
+    actions through ``residual_slots``, which extends each distinct column
+    of a factor once (``_extension``), from the factors and pair images that
+    the callers supply; the plain tensor and scalar extension differ only
+    there.
     An ambient of more than ``TENSOR_ELEMENT_BOUND`` elements is refused.
     """
 
@@ -704,7 +706,6 @@ class TensorCongruence:
         self.reps = [uf_reps[c] for c in order]
         self.monoid = FiniteAddMonoid(
             nq, tuple(rank[add[c1][c2]] for c1 in order for c2 in order), rank[zero])
-        self._residual = {}
 
     def _vec(self, idx: int) -> tuple[int, ...]:
         return unflatten_index(idx, self._sizes)
@@ -747,56 +748,59 @@ class TensorCongruence:
             return table
         return None
 
-    def residual_tables(self, s: NaryGammaSemiring, slot: int, cols, image) -> list:
-        """Slot ``slot``'s action of every filler of ``s`` on the quotient.
-
-        ``cols`` holds the slot's column of each filler and ``image(col, a, b)``
-        is the ambient vector a column sends the pair (a, b) to.  Each distinct
-        (image, column) is tabulated once per tensor.  Raises SoundnessError
-        naming the first filler whose action does not descend.
-        """
-        tables = dict.fromkeys(cols)
-        for col in tables:
-            if (image, col) not in self._residual:
-                self._residual[image, col] = self._extension(
-                    [image(col, a, b) for a, b in self.pairs])
-            tables[col] = self._residual[image, col]
-            if tables[col] is None:
-                tother, gs = filler_tuples(s)[cols.index(col)]
-                raise SoundnessError(f"the action at slot {slot + 1} with carriers {tother} "
-                                     f"and parameters {gs} does not descend")
-        return list(map(tables.__getitem__, cols))
-
     def residual_module(self, s: NaryGammaSemiring, sides, name: str) -> TensorModule:
         """The quotient as a module over ``s``.  ``sides`` lists (factor name,
-        factor, image) triples, and each slot acts through the first factor
-        whose ``residual_tables`` descend (``residual_slots``)."""
-        attach = [(side, lambda slot, f=factor, im=image:
-                   self.residual_tables(s, slot, f.actions(slot), im))
-                  for side, factor, image in sides]
-        module = module_from_actions(s, self.monoid, residual_slots(s.n, attach), name)
+        factor, image) triples, ``image(col, a, b)`` being the ambient vector
+        a column of the factor sends the pair (a, b) to; each slot acts
+        through the first factor whose columns all extend to additive tables
+        on the classes (``residual_slots``)."""
+        slots = residual_slots(s, [
+            (side, factor.actions, lambda col: col,
+             lambda col, image=image: self._extension([image(col, a, b) for a, b in self.pairs]))
+            for side, factor, image in sides])
+        module = module_from_actions(s, self.monoid, slots, name)
         beta = tuple(tuple(self.pair_class(a, b) for b in range(self.right.M.size))
                      for a in range(self.left.M.size))
         return TensorModule(module, beta)
 
 
-def residual_slots(n: int, sides) -> list:
-    """Each slot's residual action, through the first of ``sides`` that carries it.
+def residual_slots(s: NaryGammaSemiring, sides) -> list:
+    """Each slot's residual actions, one per filler, through the first of
+    ``sides`` that carries the slot.
 
-    ``sides`` lists (factor name, attach) pairs; ``attach(slot)`` returns the
-    slot's actions or raises SoundnessError naming the filler that fails.
+    ``sides`` lists (factor name, actions, key, project) tuples:
+    ``actions(slot)`` is the slot's action of every filler of ``s``,
+    ``key(action)`` stands for an action's value and ``project(action)`` is
+    its residual action, or None when it does not descend.  A slot's
+    equal actions (as they compare: columns by value, operators by object)
+    are merged before any key is read, and each distinct key of a side is
+    projected once across slots.  A side carries a slot when every action
+    there descends; a slot that no side carries raises SoundnessError naming
+    each side's first filler whose action does not descend.
     """
+    projected = {}
+
     def carry(slot):
         failures = []
-        for side, attach in sides:
-            try:
-                return attach(slot)
-            except SoundnessError as exc:
-                failures.append(f"through the {side} factor, {exc}")
+        for side, actions, key, project in sides:
+            acts = actions(slot)
+            residual = dict.fromkeys(acts)
+            for act in residual:
+                memo = side, key(act)
+                if memo not in projected:
+                    projected[memo] = project(act)
+                residual[act] = projected[memo]
+                if residual[act] is None:
+                    tother, gs = filler_tuples(s)[acts.index(act)]
+                    failures.append(f"through the {side} factor, the action at slot {slot + 1} "
+                                    f"with carriers {tother} and parameters {gs} does not descend")
+                    break
+            else:
+                return tuple(map(residual.__getitem__, acts))
         raise SoundnessError(f"no residual action descends at slot {slot + 1}: "
                              + "; ".join(failures))
 
-    return [carry(slot) for slot in range(n)]
+    return [carry(slot) for slot in range(s.n)]
 
 
 def tensor_positional(left: BiGammaModule, right: BiGammaModule,

@@ -384,7 +384,8 @@ def extend_scalars(f: GammaSemiringMorphism, a: BiGammaModule,
     """Target carrier tensored against the module over the source actions.
 
     Every slot acts through the carrier factor, the one side given to
-    ``residual_slots``; a failure to descend is an obstruction and raises.
+    ``residual_slots``; a slot where it does not descend is an obstruction
+    and raises the SoundnessError that a tensor's refusal raises.
     """
     if a.parent != f.source:
         raise StructuralError("module does not live over the morphism source")

@@ -427,7 +427,7 @@ def test_tensor_refusal_texts_name_the_first_failing_operator():
     # The operator each side refuses first, and the bar differential that
     # does not descend, as the dense products gave them.
     m2t = linearize_module(regular_bimodule(make_matrix_family(f2_semiring(), 2, 3)))
-    failing = "the operator with carriers (1, 1) and parameters (0, 0) does not descend"
+    failing = "the action at slot 2 with carriers (1, 1) and parameters (0, 0) does not descend"
     with pytest.raises(SoundnessError) as exc:
         TensorGroup(m2t, m2t, 2, 0).as_module()
     assert str(exc.value) == (f"no residual action descends at slot 2: through the "

@@ -502,6 +502,20 @@ def test_only_the_oracle_reads_modules_cell_by_cell():
     assert found == []
 
 
+def test_one_text_refuses_a_residual_action():
+    # ``modules.residual_slots`` words the refusal of a slot's residual
+    # action for both tensor layers, the monoid tensor and the completed
+    # tensor group.
+    found = [path.name
+             for path in sorted(Path(ngamma.__file__).parent.rglob("*.py"))
+             for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+             if isinstance(node, ast.JoinedStr)
+             and "with carriers" in (text := "".join(
+                 part.value for part in node.values if isinstance(part, ast.Constant)))
+             and "does not descend" in text]
+    assert found == ["modules.py"]
+
+
 def _functions(tree, prefix=""):
     """(qualified name, node) of every function and method under ``tree``."""
     for child in ast.iter_child_nodes(tree):

@@ -1,4 +1,4 @@
-from itertools import product
+from itertools import chain, product
 
 import pytest
 from test_validate_once import REGULAR_FAMILIES
@@ -8,7 +8,7 @@ from ngamma.bundled import bundled_workspace
 from ngamma.core import (
     BoundExceeded, FiniteAddMonoid, boolean_semiring,
     boolean_ternary, f2_semiring, f2_ternary, make_endomorphism_family, make_matrix_family,
-    StructuralError, ternary_from_semiring, z4_ternary, zmod_semiring,
+    odd_part, StructuralError, ternary_from_semiring, z4_ternary, zmod_semiring,
 )
 from ngamma.completion import TensorGroup, linearize_module
 from ngamma.homology import bar_complex
@@ -221,7 +221,7 @@ def test_residual_action_must_be_additive(z4):
         return core.gen_vec(a * a * b * b % 4, 1)
 
     with pytest.raises(SoundnessError, match=r"slot 1 with carriers \(0, 0\) .* does not descend"):
-        core.residual_tables(z4, 0, reg.actions(0), squared)
+        core.residual_module(z4, [("right", reg, squared)], "squared")
 
 
 # ---------------------------------------------------------------------------
@@ -263,13 +263,44 @@ def test_binary_noncommutative_regular_tensor_is_the_carrier(family, slots):
 
 @pytest.mark.parametrize("family", ["m2f2^3", "endk4^3"])
 def test_ternary_noncommutative_regular_tensor_refuses_at_slot_2(family):
+    # The completed tensor group refuses with the monoid tensor's text.
     reg = regular_bimodule(NONCOMMUTATIVE[family]())
     filler = r"the action at slot 2 with carriers \(\d+, \d+\) and parameters \(0, 0\) " \
              r"does not descend"
     with pytest.raises(SoundnessError, match=rf"^no residual action descends at slot 2: "
                        rf"through the right factor, {filler}; "
-                       rf"through the left factor, {filler}$"):
+                       rf"through the left factor, {filler}$") as monoid:
         tensor_positional(reg, reg, 2, 0)
+    lin = linearize_module(reg)
+    with pytest.raises(SoundnessError) as group:
+        TensorGroup(lin, lin, 2, 0).as_module()
+    assert str(group.value) == str(monoid.value)
+
+
+@pytest.mark.parametrize("m", [4, 16])
+def test_each_distinct_column_is_projected_once_per_side(m, count_calls):
+    # Every slot of ternary Z/m acts through the right factor, and its 3 m^2
+    # (slot, filler) columns are the m multiplications: one extension each.
+    reg = regular_bimodule(ternary_from_semiring(zmod_semiring(m)))
+    calls = count_calls(TensorCongruence, "_extension")
+    tensor_positional(reg, reg, 2, 0)
+    assert calls["_extension"] == len(set(chain(*map(reg.actions, range(3))))) == m
+
+
+def _carried_tables(core, slot):
+    """Slot ``slot``'s tables on the quotient through each factor of a
+    TensorCongruence, right then left, that carries it: whose columns all
+    extend to additive tables on the classes."""
+    images = [(core.right, lambda col, a, b: core.gen_vec(a, col[b])),
+              (core.left, lambda col, a, b: core.gen_vec(col[a], b))]
+    carried = []
+    for factor, image in images:
+        cols = factor.actions(slot)
+        tables = {col: core._extension([image(col, a, b) for a, b in core.pairs])
+                  for col in dict.fromkeys(cols)}
+        if None not in tables.values():
+            carried.append([tables[col] for col in cols])
+    return carried
 
 
 def test_factors_that_both_carry_a_slot_agree():
@@ -288,19 +319,49 @@ def test_factors_that_both_carry_a_slot_agree():
         s = left.parent
         slots = (0, 0) if s in m2 else (s.n - 1, 0)
         core = TensorCongruence(left, right, *slots)
-        images = [(right, lambda col, a, b: core.gen_vec(a, col[b])),
-                  (left, lambda col, a, b: core.gen_vec(col[a], b))]
         for slot in range(s.n):
-            tables = []
-            for factor, image in images:
-                try:
-                    tables.append(core.residual_tables(s, slot, factor.actions(slot), image))
-                except SoundnessError:
-                    pass
+            tables = _carried_tables(core, slot)
             if len(tables) == 2:
                 both += 1
                 assert tables[0] == tables[1], (left.name, right.name, slots, slot)
     assert both == 126
+
+
+# On the regular modules of Lister's odd parts, at slots (3,1) and (1,3),
+# slots 1 and 3 descend through both factors with different tables, so the
+# right-first rule of ``residual_slots`` picks one of two actions.  No answer
+# shows it yet, because slot 2 descends through neither factor and refuses
+# first.  A case where a slot stops descending through both fails outright,
+# through ``pytest.fail``, not as the expected failure.
+ODD_PART_CHOICE = pytest.mark.xfail(strict=True, raises=AssertionError, reason=(
+    "item 18: on odd(M2(F2)) and odd(M2(B)) at slots (3,1) and (1,3), slots 1 and 3 "
+    "descend through both factors with different tables"))
+
+
+@ODD_PART_CHOICE
+@pytest.mark.parametrize("base", [f2_semiring, boolean_semiring])
+@pytest.mark.parametrize("j, k", [(2, 0), (0, 2)])
+def test_odd_parts_factors_that_both_carry_a_slot_agree(base, j, k):
+    core = TensorCongruence(*[regular_bimodule(odd_part(base(), 2))] * 2, j, k)
+    carried = [_carried_tables(core, slot) for slot in (0, 2)]
+    if [len(tables) for tables in carried] != [2, 2]:
+        pytest.fail("slots 1 and 3 no longer descend through both factors")
+    assert all(right == left for right, left in carried)
+
+
+@ODD_PART_CHOICE
+@pytest.mark.parametrize("j, k", [(2, 0), (0, 2)])
+def test_odd_part_operators_that_both_carry_a_slot_agree(j, k):
+    # The group layer's residual operators on odd(M2(F2)); over odd(M2(B))
+    # the completion is trivial, so the two factors cannot differ there.
+    lin = linearize_module(regular_bimodule(odd_part(f2_semiring(), 2)))
+    tg = TensorGroup(lin, lin, j, k)
+    for slot in (0, 2):
+        right, left = ([tg.pair_matrix_to_quotient(side, op.mat) for op in lin.ops[slot]]
+                       for side in ("right", "left"))
+        if None in right + left:
+            pytest.fail(f"slot {slot + 1} no longer descends through both factors")
+        assert [gm.key for gm in right] == [gm.key for gm in left]
 
 
 def test_cofree_examples(f2, boolt):

@@ -13,13 +13,14 @@ from ngamma.abgroups import SoundnessError
 from ngamma.bundled import bundled_workspace
 from ngamma.core import (
     BoundExceeded, FiniteAddMonoid, NaryGammaSemiring, StructuralError, boolean_semiring,
-    bundled_semirings, gamma_scaled_z4, make_matrix_family, opposite, validate_semiring,
+    bundled_semirings, f2_semiring, gamma_scaled_z4, make_matrix_family, odd_part, opposite,
+    validate_semiring,
 )
 from ngamma.ideals import GammaIdeal, all_ideals, spectrum
 from ngamma.modules import (
     BiGammaModule, Conflation, ModuleMorphism, build_module, cofree, hom_gamma, identity_module_morphism,
     ideal_submodule, opposite_module, quotient_module, regular_bimodule, tensor_positional,
-    validate_module, zero_module,
+    TensorCongruence, validate_module, zero_module,
 )
 from ngamma.completion import EquivariantHom, linearize_module
 from ngamma.homology import bar_complex, homology
@@ -416,6 +417,18 @@ def test_tensor_class_count_agrees():
             assert oracle.tensor_class_count(m, n, j, k) == size, (m.name, n.name, j, k)
             sizes.add(size)
     assert sizes == {1, 2}
+
+
+@pytest.mark.parametrize("base", [f2_semiring, boolean_semiring])
+@pytest.mark.parametrize("j, k, size", [(2, 0, 4), (1, 0, 1)])
+def test_tensor_class_count_agrees_on_odd_parts(monkeypatch, base, j, k, size):
+    # The regular modules of Lister's odd parts have counter boxes of 19,683
+    # points, past the bound that ``oracle all`` keeps; under a raised bound
+    # the brute-force count is the engine's class count.
+    monkeypatch.setattr(oracle, "ORACLE_BOX_BOUND", 20000)
+    reg = regular_bimodule(odd_part(base(), 2))
+    assert oracle.tensor_class_count(reg, reg, j, k) == \
+        TensorCongruence(reg, reg, j, k).monoid.size == size
 
 
 def _full_vector_class_count(caps, wraps, relations):

@@ -448,9 +448,10 @@ def noncommutative_workspace(tmp_path_factory):
     return str(path)
 
 
-_SLOT_2 = ("no residual action descends at slot 2: through the right factor, the {what} "
-           "with carriers (1, 1) and parameters (0, 0) does not descend; through the left "
-           "factor, the {what} with carriers (1, 1) and parameters (0, 0) does not descend")
+_SLOT_2 = ("no residual action descends at slot 2: through the right factor, the action at "
+           "slot 2 with carriers (1, 1) and parameters (0, 0) does not descend; through the "
+           "left factor, the action at slot 2 with carriers (1, 1) and parameters (0, 0) does "
+           "not descend")
 
 
 @pytest.mark.parametrize("command, code, expect", [
@@ -462,9 +463,9 @@ _SLOT_2 = ("no residual action descends at slot 2: through the right factor, the
     ("complete odd_f2_reg", 0, {"invariant_factors": [2, 2]}),
     ("mod hom odd_f2_reg odd_f2_reg", 2, "hom action leaves the enumerated maps"),
     ("mod tensor odd_f2_reg odd_f2_reg --slots 2,1", 0, {"size": 1}),
-    ("mod tensor odd_f2_reg odd_f2_reg --slots 3,1", 2, _SLOT_2.format(what="action at slot 2")),
-    ("ext odd_f2 odd_f2_reg odd_f2_reg", 2, _SLOT_2.format(what="operator")),
-    ("tor odd_f2 odd_f2_reg odd_f2_reg", 2, _SLOT_2.format(what="operator")),
+    ("mod tensor odd_f2_reg odd_f2_reg --slots 3,1", 2, _SLOT_2),
+    ("ext odd_f2 odd_f2_reg odd_f2_reg", 2, _SLOT_2),
+    ("tor odd_f2 odd_f2_reg odd_f2_reg", 2, _SLOT_2),
     ("ext odd_b odd_b_reg odd_b_reg --depth 2", 0, {"degrees": {"0": [], "1": [], "2": []}}),
     ("balance odd_b odd_b_reg odd_b_reg", 0, None),
     ("kunneth odd_b odd_b_reg odd_b_reg odd_b_reg --depth 1", 0, {"consistent": True}),
@@ -493,7 +494,7 @@ def test_oracle_on_noncommutative_workspaces(noncommutative_workspace, capsys):
     assert results["homology"] == {
         "m2f2": {"skipped": "bar differential d_1 does not descend to the quotient"},
         "odd_b": {"agree": True},
-        "odd_f2": {"skipped": _SLOT_2.format(what="operator")}}
+        "odd_f2": {"skipped": _SLOT_2}}
     assert results["hom"] == {"odd_b_reg->odd_b_reg": {"agree": True, "count": 2},
                               "odd_f2_reg->odd_f2_reg": {"agree": True, "count": 2}}
     assert results["tensor"] == {}
