@@ -191,7 +191,22 @@ class GroupMap:
                              f"{sorted({len(r) for r in rows})}, expected {dst.dim} "
                              f"rows of length {width}")
         self.mat = [[v % o for v in row] for row, o in zip(rows, dst.orders)]
-        if check and not self.well_defined():
+        if check:
+            self._check()
+
+    @classmethod
+    def _of_reduced(cls, src: AbGroup, dst: AbGroup, rows) -> "GroupMap":
+        """The checked map whose matrix is ``rows``, fresh lists of the right
+        shape whose entries already lie in 0..o-1 for their row's target
+        order o, so they are neither copied nor reduced again.  Only
+        ``completion.completion_map`` builds one."""
+        gm = cls.__new__(cls)
+        gm.src, gm.dst, gm.mat = src, dst, rows
+        gm._check()
+        return gm
+
+    def _check(self):
+        if not self.well_defined():
             raise SoundnessError("matrix does not descend to a homomorphism")
 
     @cached_property

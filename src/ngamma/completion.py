@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from functools import partial
 from math import gcd
-from operator import add, attrgetter
+from operator import attrgetter
 
 from . import intlinalg as la
 from .abgroups import (
@@ -36,20 +36,20 @@ from .modules import (
 
 class Completion(Record):
     """The completion of a monoid: the group, each element's vector, and
-    ``lifts[c]``, the (element, coefficient) pairs of a formal sum of
-    elements whose vector is the c-th basis vector of the group.  The
-    presentation and the lifts follow from the rest and are not compared."""
+    ``basis[c]``, the least element whose vector is the c-th basis vector
+    of the group.  The presentation and the basis follow from the rest and
+    are not compared."""
 
     _fields = ("monoid", "group", "vectors")
 
     def __init__(self, monoid: FiniteAddMonoid, group: AbGroup,
                  vectors: tuple[tuple[int, ...], ...], pres: Presentation,
-                 lifts: tuple[tuple[tuple[int, int], ...], ...]):
+                 basis: tuple[int, ...]):
         _set(self, "monoid", monoid)
         _set(self, "group", group)
         _set(self, "vectors", vectors)
         _set(self, "pres", pres)
-        _set(self, "lifts", lifts)
+        _set(self, "basis", basis)
 
 
 def group_complete(monoid: FiniteAddMonoid) -> Completion:
@@ -61,6 +61,12 @@ def group_complete(monoid: FiniteAddMonoid) -> Completion:
     reads e_a = 0: the completion is 0 and unit relations present it.  Such
     a t is the sum of all elements, and the test reads the table entries
     those relations read, so it is exact even on an unvalidated table.
+
+    Every basis vector is some element's vector: the vectors contain 0 and,
+    by the pair relations, are closed under addition, so they form a
+    subgroup of the finite group, and they generate it.  This too holds on
+    an unvalidated table.  ``basis`` keeps the least such element per
+    basis vector.
     """
     size = monoid.size
     top = monoid.sum(range(size))
@@ -80,33 +86,26 @@ def group_complete(monoid: FiniteAddMonoid) -> Completion:
         rels.append(z)
     pres = Presentation(size, rels)
     vectors = tuple(map(pres.group.reduce, zip(*pres.proj_matrix()))) or ((),) * size
-    lift = pres.lift_matrix()
-    lifts = tuple(tuple((m, row[c]) for m, row in enumerate(lift) if row[c])
-                  for c in range(pres.group.dim))
-    return Completion(monoid, pres.group, vectors, pres, lifts)
+    first = {}
+    for m, v in enumerate(vectors):
+        first.setdefault(v, m)
+    basis = tuple(first[tuple(e)] for e in la.identity(pres.group.dim))
+    return Completion(monoid, pres.group, vectors, pres, basis)
 
 
 def completion_map(src: Completion, dst: Completion, elem_map) -> GroupMap:
     """Induced map on completions of an additive element map, given as its
     table (``elem_map[m]`` is the image of element m).
 
-    Column c is gathered from dst's vectors of the images of ``src.lifts[c]``,
-    which ``group_complete`` computed once for src: a lift ((m, 1),) is the
-    vector of m's image itself, a longer lift is summed once.  The group map
-    is checked to be well defined.
+    The c-th basis vector of src is the vector of ``src.basis[c]``, so
+    column c is dst's vector of that element's image, already reduced:
+    the matrix is a gather, built without a second reduction
+    (``GroupMap._of_reduced``), and checked to be well defined.
     """
     vecs = dst.vectors
-    cols = []
-    for pairs in src.lifts:
-        col = None
-        for m, coeff in pairs:
-            y = vecs[elem_map[m]]
-            if coeff != 1:
-                y = [coeff * v for v in y]
-            col = y if col is None else list(map(add, col, y))
-        cols.append(col)
-    return GroupMap(src.group, dst.group, list(zip(*cols)) or [()] * dst.group.dim,
-                    check=True)
+    cols = [vecs[elem_map[m]] for m in src.basis]
+    rows = [list(row) for row in zip(*cols)] if cols else [[] for _ in dst.group.orders]
+    return GroupMap._of_reduced(src.group, dst.group, rows)
 
 
 class CompletedModule(Record):

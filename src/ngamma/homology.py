@@ -242,17 +242,13 @@ def bar_complex(s: NaryGammaSemiring, module, j: int | None = None, k: int = 0,
             """
             comp = carrier.completion
             zero = GroupMap.zero(target.group, target.group)
-
-            def total(maps):
-                return reduce(GroupMap.add, maps, zero)
-
-            # Only the carrier elements of the basis lifts are contracted.
-            summed = {t: total(target.op(slot, w) for w in policy.words(s, t))
-                      for t in dict.fromkeys(t for pairs in comp.lifts for t, _ in pairs)}
-            # Entry [ia][ib] is column ib of the map of carrier basis vector ia, a
-            # target vector that GroupMap keeps reduced.
-            return [list(zip(*total(summed[t].scale(ct) for t, ct in pairs).mat))
-                    for pairs in comp.lifts]
+            # Carrier basis vector ia is the vector of element basis[ia], so
+            # only those elements are contracted.  Entry [ia][ib] is column ib
+            # of that element's map, a target vector that GroupMap keeps reduced.
+            summed = {t: reduce(GroupMap.add, (target.op(slot, w) for w in policy.words(s, t)),
+                                zero)
+                      for t in dict.fromkeys(comp.basis)}
+            return [list(zip(*summed[t].mat)) for t in comp.basis]
 
         beta = absorb_table(carrier, slot=1)
         alpha_left = absorb_table(module, slot=1)

@@ -91,22 +91,30 @@ def _close(t: FiniteAddMonoid, ins, mask: int, seed) -> int:
 
     Each element on entry is summed in both orders against every member,
     itself included, so every pair is covered once its later element enters;
-    y's row and column of the addition table are sliced once.
+    y's row and column of the addition table are sliced once.  An element is
+    queued once, and every queued element lies in the closure, so once the
+    queued elements cover the carrier the closure is the whole carrier (an
+    ideal) and is returned without admitting the rest.
     """
     size, add = t.size, t.add_table
+    full = (1 << size) - 1
     members = _members(mask, size)
-    frontier = list(seed)
+    queued = mask
+    for y in seed:
+        queued |= 1 << y
+    frontier = _members(queued & ~mask, size)
     while frontier:
+        if queued == full:
+            return full
         y = frontier.pop()
-        if mask >> y & 1:
-            continue
         mask |= 1 << y
         members.append(y)
         row, col = add[y * size:(y + 1) * size], add[y::size]
         new = ins[y]
         for a in members:
             new |= 1 << row[a] | 1 << col[a]
-        fresh = new & ~mask
+        fresh = new & ~queued
+        queued |= fresh
         while fresh:
             frontier.append((fresh & -fresh).bit_length() - 1)
             fresh &= fresh - 1

@@ -18,8 +18,9 @@ from ngamma.abgroups import (
 from ngamma.bundled import bundled_workspace
 from ngamma.core import (
     FiniteAddMonoid, boolean_semiring, boolean_ternary, f2_semiring, f2_ternary,
-    gamma_scaled_z4, make_matrix_family, relabel, ternary_from_semiring,
-    truncated_nat_semiring, z4_ternary, zmod_semiring,
+    gamma_scaled_z4, make_matrix_family, product as core_product, relabel,
+    ternary_from_semiring, truncated_nat_semiring, truncated_polynomial, upper_triangular,
+    z4_ternary, zmod_semiring,
 )
 from ngamma.homology import balance_check, ext_via_bar, ext_via_cofree, les_check, tor_via_bar
 from ngamma.ideals import GammaIdeal, all_ideals, generate_ideal, spectrum
@@ -59,8 +60,9 @@ def test_group_complete_idempotent_on_groups():
 
 
 def _relation_completion(monoid):
-    """(presentation, vectors, lifts) of the completion through one relation
-    per unordered pair of elements and the zero relation, with no exit."""
+    """(presentation, vectors, basis) of the completion through one relation
+    per unordered pair of elements and the zero relation, with no exit; the
+    basis is the least element with each basis vector as its vector."""
     size = monoid.size
     rels = []
     for a in range(size):
@@ -73,18 +75,16 @@ def _relation_completion(monoid):
     rels.append([int(m == monoid.zero) for m in range(size)])
     pres = Presentation(size, rels)
     vectors = tuple(pres.project(e) for e in la.identity(size))
-    lift = pres.lift_matrix()
-    lifts = tuple(tuple((m, row[c]) for m, row in enumerate(lift) if row[c])
-                  for c in range(pres.group.dim))
-    return pres, vectors, lifts
+    basis = tuple(vectors.index(tuple(e)) for e in la.identity(pres.group.dim))
+    return pres, vectors, basis
 
 
 def _assert_relation_completion(monoid):
     comp = group_complete(monoid)
-    pres, vectors, lifts = _relation_completion(monoid)
+    pres, vectors, basis = _relation_completion(monoid)
     assert comp.group == pres.group
     assert comp.vectors == vectors
-    assert comp.lifts == lifts
+    assert comp.basis == basis
     assert comp.pres.proj_matrix() == pres.proj_matrix()
     assert comp.pres.lift_matrix() == pres.lift_matrix()
     return comp
@@ -119,7 +119,7 @@ def test_zero_exit_on_families_with_an_absorbing_element():
     monoids += [truncated_nat_semiring(cap).T for cap in range(1, 6)]
     for m in monoids:
         comp = _assert_relation_completion(m)
-        assert comp.group.is_trivial() and comp.lifts == ()
+        assert comp.group.is_trivial() and comp.basis == ()
         assert comp.vectors == ((),) * m.size
         assert comp.pres.proj_matrix() == []
         assert comp.pres.lift_matrix() == [[]] * m.size
@@ -724,8 +724,9 @@ def test_operators_read_off_table_slices(family):
 
 
 def _per_basis_completion_map(src, dst, elem_map):
-    """The induced map built as it was before completions stored their
-    lifts: one ``pres.lift`` per basis vector, through ``from_images``."""
+    """The induced map built without the stored basis elements: one
+    ``pres.lift`` per basis vector, summed over its terms, through
+    ``from_images``."""
     def image_of(basis):
         img = [0] * dst.group.dim
         for m, coeff in enumerate(src.pres.lift(basis)):
@@ -745,12 +746,74 @@ def test_stored_lifts_match_per_basis_lifts(family):
     for b in mods:
         lin = linearize_module(b)
         comp = lin.completion
-        assert [[m for m, _ in pairs] for pairs in comp.lifts] == [
-            [m for m, c in enumerate(comp.pres.lift(e)) if c]
-            for e in la.identity(comp.group.dim)]
+        # Each basis element's vector is the basis vector its lift presents.
+        assert [comp.pres.project(la.identity(comp.monoid.size)[m]) for m in comp.basis] == [
+            comp.pres.project(comp.pres.lift(e)) for e in la.identity(comp.group.dim)]
         for j in range(b.parent.n):
             assert [op.mat for op in lin.ops[j]] == [
                 _per_basis_completion_map(comp, comp, col).mat for col in b.actions(j)]
+
+
+def _small_monoids():
+    """Every valid commutative monoid table of order <= 3, every zero."""
+    for size in (1, 2, 3):
+        for table in product(range(size), repeat=size * size):
+            for zero in range(size):
+                if table[zero * size:(zero + 1) * size] == tuple(range(size)):
+                    m = FiniteAddMonoid(size, table, zero)
+                    if not m.validate():
+                        yield m
+
+
+def _image_families():
+    ws = bundled_workspace()
+    yield from (zmod_semiring(n).T for n in range(2, 33))
+    yield FiniteAddMonoid(16, tuple(a ^ b for a in range(16) for b in range(16)))  # F2^4
+    yield truncated_polynomial(2, 4).T
+    yield truncated_polynomial(3, 2).T  # F3[eps]
+    yield upper_triangular(f2_semiring(), 2).T
+    yield core_product(zmod_semiring(4), zmod_semiring(6)).T
+    yield core_product(zmod_semiring(2), boolean_semiring()).T
+    yield from ws.monoids.values()
+    yield from (s.T for s in ws.semirings.values())
+    yield from (b.M for b in ws.modules.values())
+
+
+def test_every_completion_is_its_monoids_image():
+    # The vectors contain 0 and are closed under addition, so they are the
+    # whole finite group, and each basis vector is some element's vector;
+    # ``basis`` keeps the least such element.
+    small = list(_small_monoids())
+    assert len(small) == 32
+    for m in [*small, *_image_families()]:
+        comp = group_complete(m)
+        assert set(comp.vectors) == set(comp.group.elements())
+        units = [tuple(e) for e in la.identity(comp.group.dim)]
+        assert comp.basis == tuple(comp.vectors.index(e) for e in units)
+
+
+def test_completed_operators_skip_the_second_reduction_but_not_the_check(count_calls):
+    # Regular ternary M2(F2) has 226 distinct action columns: each is one
+    # completed operator, built as a gather that GroupMap.__init__ would
+    # only reduce again, and each still runs well_defined.
+    s = make_matrix_family(f2_semiring(), 2, 3)
+    calls = count_calls(GroupMap, "__init__", "well_defined")
+    lin = linearize_module(regular_bimodule(s))
+    assert len({id(op) for slot in lin.ops for op in slot}) == 226
+    assert calls["__init__"] == 0
+    assert calls["well_defined"] == 226
+
+
+def test_completion_map_refuses_a_column_that_is_not_well_defined():
+    # Z/2 into Z/2 x Z/4, whose completion has mixed orders: sending 1 to
+    # an element of order 4 is not additive, and the gathered column
+    # (twice it is not 0) is refused by the cell-by-cell check.
+    src = group_complete(zmod_semiring(2).T)
+    dst = group_complete(core_product(zmod_semiring(2), zmod_semiring(4)).T)
+    assert dst.group.orders == (2, 4)
+    with pytest.raises(SoundnessError, match="does not descend to a homomorphism"):
+        completion_map(src, dst, (0, dst.basis[1]))
+    assert completion_map(src, dst, (0, dst.basis[0])).mat == [[1], [0]]
 
 
 # ---------------------------------------------------------------------------

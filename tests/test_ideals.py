@@ -323,3 +323,75 @@ def test_spectrum_reads_no_cell_by_call(monkeypatch):
     data = spectrum(s)
     assert calls == []
     assert [i.bitmask for i in data.ideals] == [1, (1 << 16) - 1]
+
+
+# ---------------------------------------------------------------------------
+# The closure exit: a closure whose queued elements cover the carrier is T
+# ---------------------------------------------------------------------------
+
+FULL16 = (1 << 16) - 1
+
+# name: (builder, the exit fires on every closure from a reached ideal,
+# (elements the closures of all_ideals add, elements they admit), ideal
+# bitmasks, prime bitmasks).  A closure that admitted every element it adds
+# would make as many admissions as it adds elements.
+CLOSURE_CASES = {
+    "binary m2f2": (lambda: make_matrix_family(f2_semiring(), 2, 2), True, (226, 43),
+                    [1, FULL16], []),
+    "ternary m2f2": (lambda: make_matrix_family(f2_semiring(), 2, 3), True, (226, 40),
+                     [1, FULL16], []),
+    "binary m2b": (lambda: make_matrix_family(boolean_semiring(), 2, 2), True, (226, 151),
+                   [1, FULL16], []),
+    "gamma-scaled z4": (core.gamma_scaled_z4, False, (12, 8), [0b1, 0b101, 0b1111], []),
+    "ternary z12": (lambda: core.ternary_from_semiring(core.zmod_semiring(12)), False,
+                    (289, 88),
+                    [0b1, 0b1000001, 0b100010001, 0b1001001001, 0b10101010101, (1 << 12) - 1],
+                    [0b1001001001, 0b10101010101]),
+    "f2[x]/x^3": (lambda: core.truncated_polynomial(2, 3), False, (80, 24),
+                  [0b1, 0b10001, 0b1010101, 0b11111111], [0b1010101]),
+}
+
+
+@pytest.mark.parametrize("case", list(CLOSURE_CASES))
+def test_closures_stop_at_the_whole_carrier(monkeypatch, case):
+    build, fires_always, counts, ideal_masks, prime_masks = CLOSURE_CASES[case]
+    s = build()
+    ref_ins = _cell_insertion_masks(s)
+    # Each admitted element reads its insertion mask once, and nothing else
+    # reads one, so the reads count the admissions.
+    reads = [0]
+
+    class Counting(list):
+        def __getitem__(self, y):
+            reads[0] += 1
+            return list.__getitem__(self, y)
+
+    masks, close, closures = ideals._insertion_masks, ideals._close, []
+
+    def recording(t, ins, mask, seed):
+        before = reads[0]
+        out = close(t, ins, mask, seed)
+        assert out == _cell_close(t, ref_ins, mask, seed)
+        closures.append((bin(out & ~mask).count("1"), reads[0] - before))
+        return out
+
+    with monkeypatch.context() as m:
+        m.setattr(ideals, "_insertion_masks", lambda s: Counting(masks(s)))
+        m.setattr(ideals, "_close", recording)
+        found = all_ideals(s)
+    assert tuple(map(sum, zip(*closures))) == counts
+    # The exit fires when a closure admits fewer elements than it adds; the
+    # first closure, of the zero alone, is a proper ideal in every case.
+    fired = [admitted < added for added, admitted in closures]
+    assert not fired[0] and all(fired[1:]) == fires_always and any(fired[1:])
+
+    data = spectrum(s)
+    assert [i.bitmask for i in found] == [i.bitmask for i in data.ideals] == ideal_masks
+    assert ideal_masks == oracle.subset_scan_ideals(s)
+    assert [p.bitmask for p in data.primes] == prime_masks
+    assert prime_masks == oracle.subset_scan_primes(s, ideal_masks)
+    assert topology_report(data) == [
+        "V(zero ideal) = all primes: True", "V(T) empty: True",
+        "V(I and J) contains V(I) union V(J): True", "V(I+J) = V(I) intersect V(J): True"]
+    assert [generate_ideal(s, [x]).bitmask for x in range(s.T.size)] == [
+        _cell_close(s.T, ref_ins, 0, [s.T.zero, x]) for x in range(s.T.size)]

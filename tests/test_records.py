@@ -2,7 +2,7 @@
 
 Each record compares and hashes by its compared fields; members kept
 beside them (a ``_memo`` filled on use, a completion's presentation and
-lifts, a completed module's completion) take no part.  A record cannot be
+basis, a completed module's completion) take no part.  A record cannot be
 assigned to or have a member deleted, and its constructor takes the
 parameters pinned here, names, order and defaults.
 """
@@ -91,9 +91,9 @@ RECORDS = {
     ContractionPolicy: (lambda: default_policy(z4_ternary()), ("gammas", "fillers", "label"),
                         (), [("gammas", REQUIRED), ("fillers", REQUIRED), ("label", "")]),
     Completion: (lambda: group_complete(FiniteAddMonoid(3, (0, 1, 2, 1, 2, 0, 2, 0, 1))),
-                 ("monoid", "group", "vectors"), ("pres", "lifts"),
+                 ("monoid", "group", "vectors"), ("pres", "basis"),
                  [("monoid", REQUIRED), ("group", REQUIRED), ("vectors", REQUIRED),
-                  ("pres", REQUIRED), ("lifts", REQUIRED)]),
+                  ("pres", REQUIRED), ("basis", REQUIRED)]),
     CompletedModule: (_completed_module,
                       ("semiring", "group", "ops", "name"), ("completion",),
                       [("semiring", REQUIRED), ("group", REQUIRED), ("ops", REQUIRED),
