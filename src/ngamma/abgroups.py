@@ -106,6 +106,13 @@ def _factorize(n: int) -> dict[int, int]:
     return out
 
 
+def _check_lengths(vectors, n: int, what: str):
+    """ValueError unless every vector has n entries."""
+    for v in vectors:
+        if len(v) != n:
+            raise ValueError(f"{what} has {len(v)} entries, expected {n}")
+
+
 class Presentation:
     """Z^ngens modulo the lattice spanned by integer relation vectors, which
     must have full rank ngens so that the quotient is finite.
@@ -118,7 +125,9 @@ class Presentation:
 
     def __init__(self, ngens: int, relations: list[list[int]]):
         self.relations = [list(r) for r in relations]
-        r = [[rel[i] for rel in self.relations] for i in range(ngens)]
+        _check_lengths(self.relations, ngens, "relation")
+        r = ([list(c) for c in zip(*self.relations)] if self.relations
+             else [[] for _ in range(ngens)])
         sf = la.smith_normal_form(r, ngens, len(self.relations))
         if sf.rank < ngens:
             raise SoundnessError(f"relations of rank {sf.rank} on {ngens} generators "
@@ -277,6 +286,7 @@ class Subgroup:
     def __init__(self, ambient: AbGroup, gens: list):
         self.ambient = ambient
         self.gens = [list(g) for g in gens]
+        _check_lengths(self.gens, ambient.dim, "generator")
         k = len(self.gens)
         ocols = order_lattice_columns(ambient)
         t = len(ocols)
@@ -365,9 +375,7 @@ class Subquotient:
     def __init__(self, g: AbGroup, p_gens, q_gens, what: str = "subquotient"):
         self.ambient = g
         gens = [list(v) for v in p_gens] + order_lattice_columns(g)
-        for v in gens:
-            if len(v) != g.dim:
-                raise ValueError(f"generator has {len(v)} entries, expected {g.dim}")
+        _check_lengths(gens, g.dim, "generator")
         a = [[v[i] for v in gens] for i in range(g.dim)]
         self._form = sf = la.smith_normal_form(a, g.dim, len(gens))
         self._bp = [[row[i] * d for i, d in enumerate(sf.diag)] for row in sf.sinv]

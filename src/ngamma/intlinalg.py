@@ -10,7 +10,9 @@ factor, and none is built: ``mul_kron_identity`` forms x @ (a (x) I_k) or
 x @ (I_k (x) a), the side named "left" or "right" by where a sits, and
 ``kron_identity_mul`` forms (a (x) I_k) @ x, each contracting a alone.
 All routines are pure; none mutate their arguments (the Smith normal form
-works on its own sparse copy of the input rows).
+works on sparse rows of its own: a copy of the input rows, or, while a wide
+presentation system's pivots are units, S alone, its D read off the input
+as S A).
 
 A Smith normal form S A T = D comes in one of two kinds: a presentation
 form keeps S and S^-1, which give cokernel coordinates, and a solver form
@@ -237,7 +239,18 @@ def smith_normal_form(a, nrows: int, ncols: int, *, solve: bool = False) -> Smit
 
     The pivot is the smallest nonzero |entry| of the trailing block, the
     first in row-major order; S, T and so every coordinate derived from them
-    depend on that rule.
+    depend on that rule.  A presentation form of five rows or more, and
+    more than twice as many columns as rows, takes its unit pivots without
+    keeping D: while every pivot so far is +-1, rows k.. of D are rows k..
+    of S A.  Here rows 0..3 give four unit pivots, and row 4 of S A, row 4
+    of A less row 0, has no unit left, so D is built from it and its 2 is
+    the last pivot:
+
+    >>> a = [[1 if j == i else 0 for j in range(11)] for i in range(4)]
+    >>> a.append([1, 0, 0, 0, 0, 2, 4, 0, 0, 0, 6])
+    >>> sf = smith_normal_form(a, 5, 11)
+    >>> sf.diag, sf.s[4], sf.sinv[4]
+    ([1, 1, 1, 1, 2], [-1, 0, 0, 0, 1], [1, 0, 0, 0, 1])
 
     Inside a ``shares_factorizations`` call a system met before returns the
     same ``SmithForm`` object, so callers must not mutate its fields.
@@ -249,11 +262,8 @@ def smith_normal_form(a, nrows: int, ncols: int, *, solve: bool = False) -> Smit
 def _factor(a, nrows: int, ncols: int, solve: bool) -> SmithForm:
     """The factorization ``smith_normal_form`` documents, without the memo."""
     _check_rows(a, ncols, "the matrix", nrows)
-    # D as sparse rows {key: value}, a key naming an input column.  Column
-    # swaps permute ``col`` (position -> key) and ``pos`` (key -> position)
-    # instead of moving entries.  Rows k.. have no entries at positions
-    # before k, and rows before k hold only their diagonal entry.
-    d = [{j: v for j, v in enumerate(row) if v} for row in a]
+    # Column swaps permute ``col`` (position -> key, a key naming an input
+    # column) and ``pos`` (key -> position) instead of moving entries.
     col = list(range(ncols))
     pos = list(range(ncols))
     # Each transform is kept as sparse rows that the elementary operations
@@ -261,6 +271,19 @@ def _factor(a, nrows: int, ncols: int, solve: bool) -> SmithForm:
     s = [{i: 1} for i in range(nrows)]
     sinv_t = None if solve else [{i: 1} for i in range(nrows)]
     t_t = [{j: 1} for j in range(ncols)] if solve else None
+    # D as sparse rows {key: value}.  Rows k.. have no entries at positions
+    # before k, and rows before k hold only their diagonal entry.  A row
+    # operation of a unit step costs D's pivot row, up to ncols entries, and
+    # S's and S^-1's, up to nrows each.  A presentation form of five rows
+    # or more whose D rows are the larger part (ncols > 2 nrows) takes its
+    # unit steps in ``_unit_phase``, which keeps no D.  On fewer rows or
+    # fewer columns the D work it saves costs less than its scans.  A solver
+    # form's column operations read all of row k, so it keeps D from the
+    # start.
+    if solve or nrows < 5 or ncols <= 2 * nrows:
+        start, d = 0, [{j: v for j, v in enumerate(row) if v} for row in a]
+    else:
+        start, d = _unit_phase(a, nrows, col, pos, s, sinv_t)
 
     def row_add(i, j, c):
         # row_i += c*row_j on D and S; column_j -= c*column_i on S^-1.
@@ -287,7 +310,7 @@ def _factor(a, nrows: int, ncols: int, solve: bool) -> SmithForm:
         if mat is not None:
             mat[i], mat[j] = mat[j], mat[i]
 
-    for k in range(min(nrows, ncols)):
+    for k in range(start, min(nrows, ncols)):
         while True:
             # Pivot: smallest |entry| in rows k.., first in row-major order.
             best = 0
@@ -359,6 +382,78 @@ def _factor(a, nrows: int, ncols: int, solve: bool) -> SmithForm:
             row_add(k, next(i for i in range(k + 1, nrows)
                             if gcd(*d[i].values()) % pivot), 1)
     return _finish(nrows, ncols, d, s, sinv_t, t_t)
+
+
+def _unit_phase(a, nrows, col, pos, s, sinv_t):
+    """A presentation form's steps while every pivot is +-1, on a system of
+    more columns than rows: the first k whose rows k.. hold no unit, and D
+    as ``_factor`` keeps it at that k.
+
+    While every pivot so far is a unit, row i >= k of D is S_i A, and it is
+    zero at positions before k: row operations act on D and S alike, and a
+    unit pivot's column operations touch only its own row.  So no D is
+    kept: an entry is read as S_i A_j, summed over the rows of A that S_i
+    names, and a step does only S and S^-1 work.
+    """
+    # known[i]: D's row i, once a scan has met no unit in it.  It stays D's
+    # row until a row operation changes S_i.
+    known = [None] * nrows
+    k = 0
+    while k < nrows:
+        # Pivot: the first +-1 in rows k.. in order, positions k.. in order
+        # within a row: the entry the row-major smallest-|entry| rule picks.
+        for i in range(k, nrows):
+            if known[i] is not None:
+                continue
+            terms = [(a[r], c) for r, c in s[i].items()]
+            row = {}
+            for j in col[k:]:
+                v = 0
+                for ar, c in terms:
+                    x = ar[j]
+                    if x:
+                        v += c * x
+                if v:
+                    if v == 1 or v == -1:
+                        break
+                    row[j] = v
+            else:
+                known[i] = row
+                continue
+            break
+        else:
+            break
+        if i != k:
+            s[k], s[i] = s[i], s[k]
+            sinv_t[k], sinv_t[i] = sinv_t[i], sinv_t[k]
+            known[k], known[i] = known[i], known[k]
+        p = pos[j]
+        if p != k:
+            col[k], col[p] = j, col[k]
+            pos[j], pos[col[p]] = k, p
+        if v < 0:
+            s[k] = {r: -c for r, c in s[k].items()}
+            sinv_t[k] = {r: -c for r, c in sinv_t[k].items()}
+        # row_i -= v*row_k clears the pivot column; the column operations
+        # would leave row k holding the pivot alone.
+        sk, inv_k = s[k], sinv_t[k]
+        for i in range(k + 1, nrows):
+            row = known[i]
+            if row is None:
+                v = 0
+                for r, c in s[i].items():
+                    x = a[r][j]
+                    if x:
+                        v += c * x
+            else:
+                v = row.get(j, 0)
+            if v:
+                _add_scaled(s[i], sk, -v)
+                _add_scaled(inv_k, sinv_t[i], v)
+                known[i] = None
+        k += 1
+    # Rows k.. were all scanned, and are known, when no unit is left.
+    return k, [{col[i]: 1} for i in range(k)] + known[k:]
 
 
 def _finish(nrows, ncols, d, s, sinv_t, t_t) -> SmithForm:

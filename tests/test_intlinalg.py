@@ -4,12 +4,12 @@ import random
 from pathlib import Path
 
 from conftest import kron
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import ngamma.intlinalg
 from ngamma import completion, core, modules
 from ngamma import intlinalg as la
-from ngamma.abgroups import AbGroup, Subquotient
+from ngamma.abgroups import AbGroup, Presentation, Subgroup, Subquotient
 
 
 small_matrices = st.integers(0, 4).flatmap(
@@ -160,6 +160,17 @@ def test_solve_and_subquotient_reject_wrong_lengths():
             assert "3 entries, expected 2" in str(e)
         else:
             raise AssertionError("Subquotient accepted a vector of length 3")
+    # A relation or generator of the wrong length, longer or shorter.
+    for build, n in ((lambda: Presentation(2, [[2, 0, 5], [0, 3, 7]]), 3),
+                     (lambda: Presentation(2, [[2, 0], [3]]), 1),
+                     (lambda: Subgroup(AbGroup((4, 4)), [[2, 0, 9]]), 3),
+                     (lambda: Subgroup(AbGroup((4, 4)), [[2]]), 1)):
+        try:
+            build()
+        except ValueError as e:
+            assert f"{n} entries, expected 2" in str(e)
+        else:
+            raise AssertionError(f"a vector of length {n} was accepted")
 
 
 def test_intlinalg_doctests():
@@ -305,18 +316,40 @@ def assert_matches_reference(a, nrows, ncols):
     return ref
 
 
+def banded(scales, ncols):
+    """Row i is scales[i] times e_i + e_(i+1), in ncols columns."""
+    return [[c if j in (i, i + 1) else 0 for j in range(ncols)]
+            for i, c in enumerate(scales)]
+
+
 @st.composite
 def snf_inputs(draw):
-    """Matrices up to 12x12, of varied density, with zero rows and columns."""
-    m = draw(st.integers(0, 12))
-    n = draw(st.integers(0, 12))
-    bound = draw(st.sampled_from([1, 3, 12, 50]))
-    density = draw(st.sampled_from([0.1, 0.3, 0.6, 1.0]))
-    entry = st.integers(-bound, bound)
+    """Matrices up to 12x12, of varied density, with zero rows and columns.
+
+    Half are unit-heavy and wide, from 5x11 up to 7x19: more than twice as
+    many columns as rows, entries in {-1, 0, 1}, and rows scaled by 1, by
+    1, 2 or 3, or by 2 or 3, so that none, some or all hold no unit.  They
+    take the presentation form's unit phase, and meet a row without a unit
+    before one with a unit, a negative unit pivot, all pivots units, and no
+    unit at all."""
+    if draw(st.booleans()):
+        m = draw(st.integers(5, 7))
+        n = 2 * m + draw(st.integers(1, 5))
+        density = draw(st.sampled_from([0.2, 0.5, 1.0]))
+        entry = st.sampled_from([-1, 1])
+        factors = draw(st.sampled_from([(1,), (1, 1, 2, 3), (2, 3)]))
+        scales = draw(st.lists(st.sampled_from(factors), min_size=m, max_size=m))
+    else:
+        m = draw(st.integers(0, 12))
+        n = draw(st.integers(0, 12))
+        bound = draw(st.sampled_from([1, 3, 12, 50]))
+        density = draw(st.sampled_from([0.1, 0.3, 0.6, 1.0]))
+        entry = st.integers(-bound, bound)
+        scales = [1] * m
     cells = draw(st.lists(st.tuples(st.floats(0, 1), entry),
                           min_size=m * n, max_size=m * n))
-    a = [[v if u < density else 0 for u, v in cells[i * n:(i + 1) * n]]
-         for i in range(m)]
+    a = [[c * v if u < density else 0 for u, v in cells[i * n:(i + 1) * n]]
+         for i, c in enumerate(scales)]
     for i in draw(st.sets(st.integers(0, max(m - 1, 0)), max_size=2)):
         if i < m:
             a[i] = [0] * n
@@ -329,8 +362,17 @@ def snf_inputs(draw):
     return a, m, n, b, x
 
 
+# snf_inputs draws half its matrices unit-heavy, so 300 examples give each
+# kind about 150.
 @given(snf_inputs())
-@settings(max_examples=150, deadline=None)
+@settings(max_examples=300, deadline=None)
+# The unit phase's cases, every run: a row without a unit before one with a
+# negative unit, all pivots units, no unit at all; and the empty shapes.
+@example((banded([2, -1, 1, 3, 1], 11), 5, 11, [1, 2, 3, 4, 5], list(range(11))))
+@example((banded([1, 1, 1, 1, 1], 11), 5, 11, [1, 0, 1, 0, 2], list(range(11))))
+@example((banded([2, 2, 3, 2, 3], 11), 5, 11, [2, 3, 0, 1, 1], list(range(11))))
+@example(([], 0, 5, [], [1, 2, 3, 0, 1]))
+@example(([[], []], 2, 0, [1, 0], []))
 def test_snf_matches_dense_reference_for_both_kinds(data):
     a, m, n, b, x = data
     ref = assert_matches_reference(a, m, n)
@@ -352,8 +394,11 @@ def test_snf_matches_reference_on_order_column_system():
 
 
 def test_snf_matches_reference_on_presentation_system(monkeypatch):
-    # The 16 x 137 relation matrix of the group completion of the regular
-    # module of ternary M2(F2).
+    # Pair-relation matrices of group completions: the 16 x 137 one of the
+    # regular module of ternary M2(F2), and those of the carriers of the
+    # ``derived`` benchmark workload, whose factorizations start with a run
+    # of unit pivots: ternary Z/12 (12 x 79), ternary Z/16 (16 x 137) and a
+    # relabelled ternary Z/6 (6 x 22) whose zero is element 3.
     seen = []
     snf = la.smith_normal_form
 
@@ -364,9 +409,28 @@ def test_snf_matches_reference_on_presentation_system(monkeypatch):
     monkeypatch.setattr(la, "smith_normal_form", record)
     completion.linearize_module(modules.regular_bimodule(
         core.make_matrix_family(core.f2_semiring(), 2, 3)))
+    [m2f2] = [call for call in seen if call[1:] == (16, 137)]
+    seen.clear()
+    z6 = core.relabel(core.ternary_from_semiring(core.zmod_semiring(6)), [3, 5, 0, 1, 4, 2])
+    assert z6.T.zero == 3
+    for s in (core.ternary_from_semiring(core.zmod_semiring(12)),
+              core.ternary_from_semiring(core.zmod_semiring(16)), z6):
+        completion.group_complete(s.T)
     monkeypatch.undo()
-    [(a, m, n)] = [call for call in seen if call[1:] == (16, 137)]
-    assert_matches_reference(a, m, n)
+    assert [call[1:] for call in seen] == [(12, 79), (16, 137), (6, 22)]
+    for a, m, n in [m2f2] + seen:
+        assert_matches_reference(a, m, n)
+
+
+def test_unit_phase_adds_no_row_of_d(count_calls):
+    # Ternary Z/16's completion factors its 16 x 137 pair-relation system
+    # with 15 unit pivots, then the pivot 16.  All 27 of its row operations
+    # fall in the unit phase, and each adds one row of S and one of S^-1
+    # (81 additions when D's rows are added too).
+    counts = count_calls(la, "_add_scaled")
+    comp = completion.group_complete(core.ternary_from_semiring(core.zmod_semiring(16)).T)
+    assert comp.group.orders == (16,)
+    assert counts == {"_add_scaled": 54}
 
 
 def _names_used(node) -> set:
